@@ -50,7 +50,7 @@ func main() {
 		ckptEvery = flag.Int("checkpoint-every", 0, "write a checkpoint every N steps (0 = off)")
 		ckptFile  = flag.String("checkpoint", "tofumd.restart", "checkpoint file written by -checkpoint-every")
 		restartIn = flag.String("restart", "", "resume from a checkpoint file written by -checkpoint-every")
-		par       = flag.Int("par", 1, "logical processes for the parallel event engine (0 = plain serial; N >= 1 runs the parallel engine, results bit-identical)")
+		par       = flag.Int("par", 1, "logical processes the event engine shards the fabric into (N <= 1: serial loop; results bit-identical at every N)")
 		planOnly  = flag.Bool("plan", false, "print the static halo neighbor-plan summary (pattern, link graph, rounds) and exit without running")
 		statusAddr = flag.String("status", "", "serve a live JSON run-status endpoint on this address (e.g. localhost:8080, port 0 picks one; GET /status)")
 		explain    = flag.Bool("explain", false, "print the scaling-diagnosis report (per-LP engine profile + critical path) after the run")
@@ -203,22 +203,13 @@ func main() {
 			}
 		}
 	}
-	// The diagnosis layer observes at step boundaries: it pushes status
-	// snapshots, captures the engine profile for -explain, and samples the
-	// per-LP Chrome counter tracks into the trace.
 	var lastStats *des.ParallelStats
-	if status.Enabled() || *explain || (rec != nil && *par > 0) {
-		prev := spec.Observer
-		spec.Observer = func(s *sim.Simulation, step int) {
-			if prev != nil {
-				prev(s, step)
-			}
-			if st, ok := s.ParallelStats(); ok {
-				lastStats = &st
-				obs.SampleLPCounters(rec, st, s.Now())
-			}
-			status.Observe(step, lastStats, s.Health())
+	prev := spec.Observer
+	spec.Observer = func(s *sim.Simulation, step int) {
+		if prev != nil {
+			prev(s, step)
 		}
+		lastStats = observeStep(s, step, rec, status)
 	}
 	res, err := core.Run(spec)
 	if err != nil {
@@ -250,6 +241,17 @@ func main() {
 	writeTrace(*traceFile, rec)
 	finishMetrics(*metFile, met)
 	os.Exit(0)
+}
+
+// observeStep is the diagnosis layer's step-boundary hook: it samples the
+// per-LP Chrome counter tracks into the trace, pushes a status snapshot, and
+// returns the engine profile for -explain. A nil recorder or status server
+// skips that part.
+func observeStep(s *sim.Simulation, step int, rec *trace.Recorder, status *obs.StatusServer) *des.ParallelStats {
+	st, _ := s.ParallelStats()
+	obs.SampleLPCounters(rec, st, s.Now())
+	status.Observe(step, &st, s.Health())
+	return &st
 }
 
 // writeCheckpoint captures the simulation state and writes it atomically:
@@ -357,27 +359,17 @@ func runDeck(path string, shape vec.I3, variantName string, faults faultinject.S
 	if faults.Enabled() {
 		s.SetFaults(faultinject.New(faults))
 	}
-	if par > 0 {
-		if err := s.SetParallel(par); err != nil {
-			log.Fatal(err)
-		}
+	if err := s.SetParallel(par); err != nil {
+		log.Fatal(err)
 	}
 	s.SetProfiling(explain || status.Enabled())
 	status.SetSteps(steps)
 	var lastStats *des.ParallelStats
-	if status.Enabled() || explain || (rec != nil && par > 0) {
-		for i := 1; i <= steps; i++ {
-			s.Step()
-			if st, ok := s.ParallelStats(); ok {
-				lastStats = &st
-				obs.SampleLPCounters(rec, st, s.Now())
-			}
-			status.Observe(i, lastStats, s.Health())
-		}
-		status.Finish()
-	} else {
-		s.Run(steps)
+	for i := 1; i <= steps; i++ {
+		s.Step()
+		lastStats = observeStep(s, i, rec, status)
 	}
+	status.Finish()
 
 	kind := core.LJ
 	unit := "tau/day"

@@ -7,7 +7,8 @@
 // exchange, thread-pool parallel injection, pre-registered RDMA buffers)
 // can be implemented, validated, and benchmarked without the machine.
 //
-// The top-level benchmarks in bench_test.go regenerate every table and
-// figure of the paper's evaluation; see DESIGN.md for the experiment index
-// and EXPERIMENTS.md for paper-vs-measured results.
+// cmd/benchsuite regenerates every table and figure of the paper's
+// evaluation on the virtual clock, and benchmark/run.sh measures what the
+// simulator itself costs on the host clock; see DESIGN.md for the experiment
+// index and EXPERIMENTS.md for paper-vs-measured results.
 package tofumd

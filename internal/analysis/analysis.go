@@ -232,17 +232,6 @@ func Run(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types
 	return out, nil
 }
 
-// inScope reports whether a package import path falls under one of the
-// given roots (exact match or subdirectory).
-func inScope(pkgPath string, roots []string) bool {
-	for _, root := range roots {
-		if pkgPath == root || strings.HasPrefix(pkgPath, root+"/") {
-			return true
-		}
-	}
-	return false
-}
-
 // funcOf resolves the called function object of a call expression, or nil.
 func funcOf(info *types.Info, call *ast.CallExpr) *types.Func {
 	switch fun := ast.Unparen(call.Fun).(type) {

@@ -6,21 +6,6 @@ import (
 	"go/types"
 )
 
-// deadassignScope lists the packages of the halo-exchange path, where a
-// blank assignment silencing "declared and not used" has twice hidden a
-// real defect: the dead `grid` in the MD simulation's rank constructor and
-// the orphaned staging vector in the EAM spline fit. In these packages a
-// value that is computed must be consumed; a `_ = x` suppression is a
-// review smell, not a fix.
-var deadassignScope = []string{
-	"tofumd/internal/halo",
-	"tofumd/internal/lbm",
-	"tofumd/internal/md/sim",
-	"tofumd/internal/md/comm",
-	"tofumd/internal/md/domain",
-	"tofumd/internal/md/potential",
-}
-
 // DeadAssign flags `_ = x` statements whose right-hand side is a plain
 // local variable: the only effect of such a statement is to defeat the
 // compiler's unused-variable check, which means either the computation of
@@ -37,7 +22,7 @@ var DeadAssign = &Analyzer{
 }
 
 func runDeadAssign(pass *Pass) (any, error) {
-	if !inScope(pass.Pkg.Path(), deadassignScope) {
+	if !inScope("deadassign", pass.Pkg.Path()) {
 		return nil, nil
 	}
 	for _, f := range pass.Files {

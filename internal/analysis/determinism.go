@@ -5,25 +5,6 @@ import (
 	"strconv"
 )
 
-// determinismScope lists the package subtrees whose output must be
-// bit-deterministic: the virtual-time kernel and everything that runs on
-// it. Wall-clock reads or a shared global RNG anywhere in these packages
-// can leak host timing into simulation results.
-var determinismScope = []string{
-	"tofumd/internal/des",
-	"tofumd/internal/faultinject",
-	"tofumd/internal/tofu",
-	"tofumd/internal/utofu",
-	"tofumd/internal/mpi",
-	"tofumd/internal/md",
-	"tofumd/internal/core",
-	"tofumd/internal/bench",
-	"tofumd/internal/threadpool",
-	"tofumd/internal/health",
-	"tofumd/internal/halo",
-	"tofumd/internal/lbm",
-}
-
 // wallclockFuncs are the time-package functions that read the host clock.
 var wallclockFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
 
@@ -42,7 +23,7 @@ var Determinism = &Analyzer{
 }
 
 func runDeterminism(pass *Pass) (any, error) {
-	if !inScope(pass.Pkg.Path(), determinismScope) {
+	if !inScope("determinism", pass.Pkg.Path()) {
 		return nil, nil
 	}
 	for _, f := range pass.Files {

@@ -5,18 +5,6 @@ import (
 	"go/types"
 )
 
-// mapiterScope lists the exporter packages whose text/JSON output is
-// diffed byte-for-byte by golden tests and the benchcmp regression gate.
-// Go's map iteration order is deliberately randomized, so a raw range over
-// a map anywhere in these packages is one refactor away from flaky golden
-// files.
-var mapiterScope = []string{
-	"tofumd/internal/metrics",
-	"tofumd/internal/trace",
-	"tofumd/internal/bench",
-	"tofumd/internal/obs",
-}
-
 // MapIter flags ranging over a map in the exporter packages unless the
 // loop is the canonical sorted-keys prelude (a body that only collects the
 // range keys into a slice, which the caller then sorts). Everything else —
@@ -31,7 +19,7 @@ var MapIter = &Analyzer{
 }
 
 func runMapIter(pass *Pass) (any, error) {
-	if !inScope(pass.Pkg.Path(), mapiterScope) {
+	if !inScope("mapiter", pass.Pkg.Path()) {
 		return nil, nil
 	}
 	for _, f := range pass.Files {

@@ -5,17 +5,6 @@ import (
 	"go/types"
 )
 
-// spinlockScope covers the spin-wait thread pool (paper section 3.3) and
-// the parallel event engine's epoch barrier: the whole point of both is
-// that dispatch/join and epoch release never park a thread in the kernel
-// on the hot path, so the regions that spin on atomics must not block.
-// (The barrier's bounded-spin channel fallback sits after its spin loop,
-// which is exactly the pattern this analyzer permits.)
-var spinlockScope = []string{
-	"tofumd/internal/threadpool",
-	"tofumd/internal/des",
-}
-
 // blockingPkgs are packages whose package-level calls inside a spin region
 // mean the "spin" is really a syscall or I/O wait in disguise. runtime is
 // deliberately absent: runtime.Gosched is the sanctioned way to be polite
@@ -42,7 +31,7 @@ var SpinLock = &Analyzer{
 }
 
 func runSpinLock(pass *Pass) (any, error) {
-	if !inScope(pass.Pkg.Path(), spinlockScope) {
+	if !inScope("spinlock", pass.Pkg.Path()) {
 		return nil, nil
 	}
 	for _, f := range pass.Files {

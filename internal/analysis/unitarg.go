@@ -6,10 +6,6 @@ import (
 	"go/types"
 )
 
-// unitargScope: the whole module is in scope on the caller side; what
-// matters is the callee parameter type.
-var unitargScope = []string{"tofumd"}
-
 // UnitArg flags bare numeric literals passed across a package boundary to
 // a parameter whose type is a unit-carrying defined numeric type: any
 // named numeric type from a tofumd package (units.Bytes, trace.Stage, ...)
@@ -28,7 +24,7 @@ var UnitArg = &Analyzer{
 }
 
 func runUnitArg(pass *Pass) (any, error) {
-	if !inScope(pass.Pkg.Path(), unitargScope) {
+	if !inScope("unitarg", pass.Pkg.Path()) {
 		return nil, nil
 	}
 	for _, f := range pass.Files {
@@ -79,7 +75,7 @@ func runUnitArg(pass *Pass) (any, error) {
 // unit semantics this analyzer enforces: everything defined inside the
 // module, plus time.Duration's package.
 func unitTypePkg(pkgPath string) bool {
-	return pkgPath == "time" || inScope(pkgPath, unitargScope)
+	return pkgPath == "time" || inScope("unitarg", pkgPath)
 }
 
 // paramType returns the declared type of argument i, accounting for

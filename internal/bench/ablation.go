@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"tofumd/internal/core"
-	"tofumd/internal/md/comm"
+	"tofumd/internal/halo"
 	"tofumd/internal/md/sim"
 	"tofumd/internal/trace"
 )
@@ -47,7 +47,7 @@ func Ablations(opt Options) (AblationResult, error) {
 		{"opt (all on)", func(*sim.Variant, *core.RunSpec) {}},
 		{"- thread pool", func(v *sim.Variant, _ *core.RunSpec) {
 			v.CommThreads = 1
-			v.TNIPolicy = comm.TNIPerRankSlot
+			v.TNIPolicy = halo.TNIPerRankSlot
 		}},
 		{"- preregistered", func(v *sim.Variant, _ *core.RunSpec) { v.Preregistered = false }},
 		{"- msg combine", func(v *sim.Variant, _ *core.RunSpec) { v.CombineLength = false }},

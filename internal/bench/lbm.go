@@ -74,10 +74,8 @@ func lbmRun(m *sim.Machine, cfg lbm.Config, steps, lps int) (*lbm.System, uint64
 	if err != nil {
 		return nil, 0, err
 	}
-	if lps > 1 {
-		if err := s.SetParallel(lps); err != nil {
-			return nil, 0, err
-		}
+	if err := s.SetParallel(lps); err != nil {
+		return nil, 0, err
 	}
 	s.InitShearWave(0.01)
 	for i := 0; i < steps; i++ {
@@ -169,7 +167,7 @@ func Lbm(opt Options) (LbmResult, error) {
 		return res, fmt.Errorf("lbm: transports/overlap diverged (blocking %#x overlap %#x mpi %#x)", fpRef, fpOver, fpMPI)
 	}
 	if !res.ParIdentical {
-		return res, fmt.Errorf("lbm: parallel engine diverged from serial")
+		return res, fmt.Errorf("lbm: %d LPs diverged from one LP", res.LPs)
 	}
 	return res, nil
 }

@@ -12,32 +12,32 @@ import (
 	"tofumd/internal/vec"
 )
 
-// PdesResult measures the wall-clock speedup of the conservative parallel
-// event engine over the serial engine on a raw fabric round. Unlike every
-// other experiment, the headline series here is host wall time, not virtual
-// time: the parallel engine exists to make the simulator itself faster, and
+// PdesResult measures the wall-clock speedup of the event engine's N-LP
+// barrier-epoch loop over its one-LP serial loop on a raw fabric round.
+// Unlike every other experiment, the headline series here is host wall time,
+// not virtual time: sharding exists to make the simulator itself faster, and
 // its correctness contract (bit-identical virtual results) is checked as a
 // side condition.
 type PdesResult struct {
 	Nodes, Ranks int
 	// Transfers is the size of the measured round.
 	Transfers int
-	// LPs is the logical-process count of the parallel engine after
-	// clamping to the node count.
+	// LPs is the logical-process count of the sharded rounds, as the fabric
+	// reports it after clamping to the node count.
 	LPs int
 	// HostCPUs is runtime.NumCPU() on the measuring host; a speedup below
 	// 1 on a single-core host is expected (the epoch barrier only costs).
 	HostCPUs int
 	// SerialWall and ParallelWall are the minimum wall-clock seconds over
-	// the repetitions for one round on each engine.
+	// the repetitions for one round on one LP and on LPs.
 	SerialWall, ParallelWall float64
 	// Speedup is SerialWall/ParallelWall.
 	Speedup float64
-	// VirtualTime is the latest Arrival of the round, identical on both
-	// engines by the determinism contract.
+	// VirtualTime is the latest Arrival of the round, identical at both LP
+	// counts by the determinism contract.
 	VirtualTime float64
 	// Identical reports whether every per-transfer timing (IssueDone,
-	// Arrival, RecvComplete) matched bit-for-bit between the engines —
+	// Arrival, RecvComplete) matched bit-for-bit between the LP counts —
 	// including the extra profiled round, which must not perturb results.
 	Identical bool
 
@@ -78,7 +78,7 @@ func pdesTransfers(m *sim.Machine, bytes int) []*tofu.Transfer {
 }
 
 // Pdes runs the engine-speedup benchmark: the same raw-fabric round executed
-// on the serial engine and on the parallel engine, timed on the host clock.
+// on one LP and on several, timed on the host clock.
 func Pdes(opt Options) (PdesResult, error) {
 	m, err := sim.NewMachine(opt.tileFor())
 	if err != nil {
@@ -104,10 +104,8 @@ func Pdes(opt Options) (PdesResult, error) {
 	// transfers with their virtual timings filled in.
 	round := func(lps int) (float64, []*tofu.Transfer, error) {
 		fab := tofu.NewFabric(m.Map, m.Params)
-		if lps > 1 {
-			if err := fab.SetParallel(lps); err != nil {
-				return 0, nil, err
-			}
+		if err := fab.SetParallel(lps); err != nil {
+			return 0, nil, err
 		}
 		trs := pdesTransfers(m, bytes)
 		start := time.Now() //tofuvet:allow wallclock measuring the simulator's own speed, not simulated time
@@ -136,11 +134,6 @@ func Pdes(opt Options) (PdesResult, error) {
 		parRef = ptrs
 	}
 	res.Transfers = len(serialRef)
-	// The clamp lives in SetParallel; recompute it for the report.
-	if lps > res.Nodes {
-		lps = res.Nodes
-	}
-	res.LPs = lps
 
 	// One extra round with profiling on: per-LP counters, barrier-wait wall
 	// timing and the message trace for the critical path. Untimed against
@@ -150,6 +143,7 @@ func Pdes(opt Options) (PdesResult, error) {
 	if err := fab.SetParallel(lps); err != nil {
 		return PdesResult{}, fmt.Errorf("profiled round: %w", err)
 	}
+	res.LPs = fab.Parallel()
 	fab.SetProfiling(true)
 	rec := trace.NewRecorder()
 	fab.Rec = rec
@@ -159,10 +153,7 @@ func Pdes(opt Options) (PdesResult, error) {
 		return PdesResult{}, fmt.Errorf("profiled round: %w", err)
 	}
 	profWall := time.Since(profStart).Seconds() //tofuvet:allow wallclock barrier-wait fraction relates profiled waits to the round's own wall time
-	st, ok := fab.ParallelStats()
-	if !ok {
-		return PdesResult{}, fmt.Errorf("profiled round: no parallel stats after SetParallel(%d)", lps)
-	}
+	st, _ := fab.ParallelStats()
 	res.ImbalanceMax = st.ImbalanceMax()
 	if profWall > 0 && len(st.LPs) > 0 {
 		res.BarrierWaitFrac = st.TotalBarrierWait() / (float64(len(st.LPs)) * profWall)
@@ -186,7 +177,7 @@ func Pdes(opt Options) (PdesResult, error) {
 		}
 	}
 	if !res.Identical {
-		return res, fmt.Errorf("pdes: parallel engine diverged from serial on %d transfers", res.Transfers)
+		return res, fmt.Errorf("pdes: %d LPs diverged from one LP on %d transfers", res.LPs, res.Transfers)
 	}
 	if res.ParallelWall > 0 {
 		res.Speedup = res.SerialWall / res.ParallelWall

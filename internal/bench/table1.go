@@ -3,7 +3,7 @@ package bench
 import (
 	"fmt"
 
-	"tofumd/internal/md/comm"
+	"tofumd/internal/halo"
 )
 
 // Table1Row is one row of the communication-pattern analysis.
@@ -27,7 +27,7 @@ type Table1Result struct {
 // Table1 runs the analysis for the paper's exemplary geometry: the sub-box
 // side a and cutoff r of the 65K/768-node configuration.
 func Table1(a, r float64) Table1Result {
-	rows, t3, tp := comm.AnalyzeTable1(a, r)
+	rows, t3, tp := halo.AnalyzeTable1(a, r)
 	res := Table1Result{SubBoxSide: a, Cutoff: r, TotalThreeStage: t3, TotalP2P: tp}
 	for _, row := range rows {
 		res.Rows = append(res.Rows, Table1Row{
@@ -36,7 +36,7 @@ func Table1(a, r float64) Table1Result {
 			Hops:     row.Hops,
 			Messages: row.Messages,
 		})
-		if row.Pattern == comm.ThreeStage {
+		if row.Pattern == halo.ThreeStage {
 			res.TotalMsgsThreeStage += row.Messages
 		} else {
 			res.TotalMsgsP2P += row.Messages

@@ -171,12 +171,11 @@ type RunSpec struct {
 	// Restart, when non-nil, resumes the run from a checkpoint snapshot;
 	// its box must match the one the workload derives.
 	Restart *restart.Snapshot
-	// ParallelLPs > 0 runs the fabric's communication rounds on the
-	// conservative parallel event engine with that many logical processes
-	// (the -par flag); 1 is a degenerate one-LP engine that still produces
-	// per-LP stats. Results are bit-identical to the serial engine.
+	// ParallelLPs is the number of logical processes the fabric's
+	// communication rounds run on (the -par flag); <= 1 is one LP, a serial
+	// loop. Results are bit-identical at every count.
 	ParallelLPs int
-	// Profile enables the parallel engine's barrier-wait wall timing (the
+	// Profile enables the event engine's barrier-wait wall timing (the
 	// event/epoch counters are always on). Never changes virtual results.
 	Profile bool
 }
@@ -265,11 +264,9 @@ func Start(spec RunSpec) (*Running, error) {
 	if spec.Faults.Enabled() {
 		s.SetFaults(faultinject.New(spec.Faults))
 	}
-	if spec.ParallelLPs > 0 {
-		if err := s.SetParallel(spec.ParallelLPs); err != nil {
-			s.Close()
-			return nil, err
-		}
+	if err := s.SetParallel(spec.ParallelLPs); err != nil {
+		s.Close()
+		return nil, err
 	}
 	s.SetProfiling(spec.Profile)
 	return &Running{spec: spec, cfg: cfg, s: s, steps: steps}, nil

@@ -3,7 +3,7 @@ package core
 import (
 	"testing"
 
-	"tofumd/internal/md/comm"
+	"tofumd/internal/halo"
 	"tofumd/internal/md/sim"
 	"tofumd/internal/tofu"
 	"tofumd/internal/vec"
@@ -11,7 +11,7 @@ import (
 
 // TestAnalyticModelAgreesWithFabric ties the section 3.1 analytic time
 // model (Equations 3-8) to the fabric simulator: the T_0..T_5 single-message
-// times are measured on the fabric, fed into comm.Model, and the model's
+// times are measured on the fabric, fed into halo.Model, and the model's
 // predicted pattern ordering must match full halo-exchange measurements.
 func TestAnalyticModelAgreesWithFabric(t *testing.T) {
 	m, err := sim.NewMachine(vec.I3{X: 4, Y: 6, Z: 4})
@@ -32,7 +32,7 @@ func TestAnalyticModelAgreesWithFabric(t *testing.T) {
 		fab.RunRound(tr, tofu.IfaceUTofu)
 		return tr[0].RecvComplete
 	}
-	var model comm.Model
+	var model halo.Model
 	model.TInj = m.Params.UTofuInjectGap
 	// 3-stage staged slabs: the paper's T0..T2.
 	model.T[0] = single(vec.I3{X: 2}, msgBytes(a*a*r))

@@ -5,9 +5,8 @@ import (
 	"math"
 
 	"tofumd/internal/des"
+	"tofumd/internal/halo"
 	"tofumd/internal/machine"
-	"tofumd/internal/md/comm"
-	"tofumd/internal/md/domain"
 	"tofumd/internal/md/sim"
 	"tofumd/internal/metrics"
 	"tofumd/internal/tofu"
@@ -42,24 +41,20 @@ type ModelSpec struct {
 	// Met, when non-nil, aggregates fabric counters/histograms of the
 	// modeled rounds.
 	Met *metrics.Registry
-	// LPs > 0 runs the fabric rounds on the conservative parallel event
-	// engine with that many logical processes; results are bit-identical
-	// to the serial engine (LPs == 1 is a degenerate one-LP engine, useful
-	// because it still produces ParallelStats).
+	// LPs is the number of logical processes the fabric rounds run on
+	// (LPs <= 1: one LP, a serial loop); results are bit-identical at every
+	// count.
 	LPs int
 	// Profile enables the engine's barrier-wait wall timing (the event and
 	// epoch counters are always on). Never changes virtual results.
 	Profile bool
-	// Stats, when non-nil and LPs > 0, receives the engine's cumulative
-	// per-LP profile after the run.
+	// Stats, when non-nil, receives the engine's cumulative per-LP profile
+	// after the run.
 	Stats *des.ParallelStats
 }
 
 // setupParallel applies the spec's engine settings to a fresh fabric.
 func (spec ModelSpec) setupParallel(fab *tofu.Fabric) error {
-	if spec.LPs <= 0 {
-		return nil
-	}
 	if err := fab.SetParallel(spec.LPs); err != nil {
 		return err
 	}
@@ -69,11 +64,8 @@ func (spec ModelSpec) setupParallel(fab *tofu.Fabric) error {
 
 // captureStats copies the fabric's engine profile into spec.Stats.
 func (spec ModelSpec) captureStats(fab *tofu.Fabric) {
-	if spec.Stats == nil {
-		return
-	}
-	if st, ok := fab.ParallelStats(); ok {
-		*spec.Stats = st
+	if spec.Stats != nil {
+		*spec.Stats, _ = fab.ParallelStats()
 	}
 }
 
@@ -286,9 +278,9 @@ func buildModelLinks(m *sim.Machine, v sim.Variant, side, ghCut float64, shells 
 	mkRes := func(rank, idx, nLinks int, hops int, bytes int) simRes {
 		_, slot := m.Map.NodeOf(rank)
 		switch v.TNIPolicy {
-		case comm.TNIPerRankSlot:
+		case halo.TNIPerRankSlot:
 			return simRes{thread: 0, tni: slot % tnis, vcq: rank}
-		case comm.TNISprayAll:
+		case halo.TNISprayAll:
 			t := idx % tnis
 			return simRes{thread: 0, tni: t, vcq: rank*8 + t}
 		default:
@@ -298,9 +290,9 @@ func buildModelLinks(m *sim.Machine, v sim.Variant, side, ghCut float64, shells 
 	for rank := 0; rank < m.Map.Ranks(); rank++ {
 		var dirs []vec.I3
 		var dims []int
-		if v.Pattern == comm.P2P {
+		if v.Pattern == halo.P2P {
 			// Newton on: send to the lower half-shell (Fig. 5).
-			for _, d := range domain.HalfDirections(shells) {
+			for _, d := range halo.HalfDirections(shells) {
 				dirs = append(dirs, vec.I3{X: -d.X, Y: -d.Y, Z: -d.Z})
 				dims = append(dims, -1)
 			}
@@ -317,11 +309,11 @@ func buildModelLinks(m *sim.Machine, v sim.Variant, side, ghCut float64, shells 
 			}
 		}
 		links := make([]modelLink, len(dirs))
-		specs := make([]comm.Link, len(dirs))
+		specs := make([]halo.Link, len(dirs))
 		for i, d := range dirs {
 			dst := m.Map.NeighborRank(rank, d)
 			var atoms float64
-			if v.Pattern == comm.ThreeStage {
+			if v.Pattern == halo.ThreeStage {
 				// Staged slabs grow with forwarded ghosts (Table 1):
 				// a^2 r, then ar(a+2r), then (a+2r)^2 r.
 				a, r := side, ghCut
@@ -335,7 +327,7 @@ func buildModelLinks(m *sim.Machine, v sim.Variant, side, ghCut float64, shells 
 				}
 				atoms *= density / float64(shells)
 			} else {
-				atoms = comm.MessageVolumeAniso(clamp1(d), sideV, ghCut) * density
+				atoms = halo.MessageVolumeAniso(clamp1(d), sideV, ghCut) * density
 			}
 			links[i] = modelLink{
 				src: rank, dst: dst, dir: d, atoms: atoms,
@@ -344,10 +336,10 @@ func buildModelLinks(m *sim.Machine, v sim.Variant, side, ghCut float64, shells 
 			hops := m.Map.Hops(rank, dst)
 			links[i].fwd = mkRes(rank, i, len(dirs), hops, int(atoms*24))
 			links[i].rev = mkRes(dst, i, len(dirs), hops, int(atoms*24))
-			specs[i] = comm.Link{Dir: d, Bytes: int(atoms * 40), Hops: hops}
+			specs[i] = halo.Link{Dir: d, Bytes: int(atoms * 40), Hops: hops}
 		}
-		if v.TNIPolicy == comm.TNIThreadBound {
-			assign := comm.BalanceThreads(specs, v.CommThreads, m.Params.LinkBandwidth, m.Params.HopLatency)
+		if v.TNIPolicy == halo.TNIThreadBound {
+			assign := halo.BalanceThreads(specs, v.CommThreads, m.Params.LinkBandwidth, m.Params.HopLatency)
 			for i := range links {
 				t := assign[i]
 				links[i].fwd = simRes{thread: t, tni: t % tnis, vcq: links[i].src*8 + t}
@@ -378,11 +370,11 @@ func modelRounds(fab *tofu.Fabric, m *sim.Machine, v sim.Variant, links []modelL
 	perAtomBytes int, reverse, forceMPI bool, extraPerLink int, cost machine.CostModel, packTh machine.Threading) float64 {
 
 	iface := tofu.IfaceUTofu
-	if v.Transport == comm.TransportMPI || forceMPI {
+	if v.Transport == halo.TransportMPI || forceMPI {
 		iface = tofu.IfaceMPI
 	}
 	rounds := [][]modelLink{links}
-	if v.Pattern == comm.ThreeStage {
+	if v.Pattern == halo.ThreeStage {
 		byDim := map[int][]modelLink{}
 		for _, l := range links {
 			byDim[l.stage3Dim] = append(byDim[l.stage3Dim], l)

@@ -12,7 +12,7 @@ import (
 // TestParallelHaloTimeMatchesSerialFig6 is the golden serial-vs-parallel
 // check on the Fig. 6 configuration: the LJ-65K halo exchange modeled for
 // every step-by-step variant must produce exactly the same virtual time on
-// the serial engine and on the 4-LP conservative engine.
+// one LP (the serial loop) and on four.
 func TestParallelHaloTimeMatchesSerialFig6(t *testing.T) {
 	full := LJSmall().FullShape
 	tile := vec.I3{X: 4, Y: 6, Z: 4}
@@ -35,8 +35,8 @@ func TestParallelHaloTimeMatchesSerialFig6(t *testing.T) {
 }
 
 // TestParallelHaloTraceMatchesSerial compares the recorded per-message
-// events, not just the aggregate time: the parallel engine must emit the
-// exact same trace the serial engine does.
+// events, not just the aggregate time: four LPs must emit the exact same
+// trace one LP does.
 func TestParallelHaloTraceMatchesSerial(t *testing.T) {
 	full := LJSmall().FullShape
 	tile := vec.I3{X: 4, Y: 6, Z: 4}
@@ -61,8 +61,8 @@ func TestParallelHaloTraceMatchesSerial(t *testing.T) {
 }
 
 // TestParallelFunctionalRunMatchesSerial runs a full functional LJ melt
-// through core.Run on both engines: stage breakdowns, elapsed virtual time
-// and the performance metric must be bit-identical.
+// through core.Run on one LP and on four: stage breakdowns, elapsed virtual
+// time and the performance metric must be bit-identical.
 func TestParallelFunctionalRunMatchesSerial(t *testing.T) {
 	run := func(lps int) *RunResult {
 		res, err := Run(RunSpec{

@@ -32,15 +32,16 @@ func fig6Spec(lps int, rec *trace.Recorder, stats *des.ParallelStats, profile bo
 // LPs executes the same events and the same sends, however they are split
 // across LPs. (Staged counts the cross-LP subset, so it legitimately varies
 // with the partition; epochs depend on the lookahead window per LP count.)
+// LPs left unset (0) is one LP and fills Stats like any other count.
 func TestParallelStatsTotalsInvariantAcrossLPCounts(t *testing.T) {
 	var ref des.ParallelStats
-	for i, lps := range []int{1, 2, 4, 8} {
+	for i, lps := range []int{0, 1, 2, 4, 8} {
 		var st des.ParallelStats
 		if _, err := HaloTime(fig6Spec(lps, nil, &st, false)); err != nil {
 			t.Fatalf("%d LPs: %v", lps, err)
 		}
-		if len(st.LPs) != lps {
-			t.Fatalf("%d LPs: stats carry %d LP rows", lps, len(st.LPs))
+		if want := max(lps, 1); len(st.LPs) != want {
+			t.Fatalf("%d LPs: stats carry %d LP rows, want %d", lps, len(st.LPs), want)
 		}
 		if st.TotalEvents() == 0 || st.TotalSends() == 0 {
 			t.Fatalf("%d LPs: empty profile %+v", lps, st)
@@ -107,21 +108,24 @@ func TestProfilingDoesNotChangeResults(t *testing.T) {
 }
 
 // TestModeledRunFillsStats checks the full Modeled path (not just HaloTime)
-// delivers the engine profile through ModelSpec.Stats.
+// delivers the engine profile through ModelSpec.Stats, with LPs set or left
+// at its zero value.
 func TestModeledRunFillsStats(t *testing.T) {
 	full := LJSmall().FullShape
-	var st des.ParallelStats
-	spec := ModelSpec{
-		Kind: LJ, Variant: sim.Opt(),
-		FullShape: full, TileShape: vec.I3{X: 4, Y: 6, Z: 4},
-		AtomsPerRank: float64(LJSmall().Atoms) / float64(full.Prod()*4),
-		Steps:        5, LPs: 2, Stats: &st,
-	}
-	if _, err := Modeled(spec); err != nil {
-		t.Fatal(err)
-	}
-	if len(st.LPs) != 2 || st.TotalEvents() == 0 {
-		t.Errorf("Modeled left stats empty: %+v", st)
+	for _, lps := range []int{0, 2} {
+		var st des.ParallelStats
+		spec := ModelSpec{
+			Kind: LJ, Variant: sim.Opt(),
+			FullShape: full, TileShape: vec.I3{X: 4, Y: 6, Z: 4},
+			AtomsPerRank: float64(LJSmall().Atoms) / float64(full.Prod()*4),
+			Steps:        5, LPs: lps, Stats: &st,
+		}
+		if _, err := Modeled(spec); err != nil {
+			t.Fatal(err)
+		}
+		if len(st.LPs) != max(lps, 1) || st.TotalEvents() == 0 {
+			t.Errorf("LPs=%d: Modeled left stats empty: %+v", lps, st)
+		}
 	}
 }
 

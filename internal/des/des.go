@@ -1,15 +1,13 @@
 // Package des implements a small discrete-event simulation kernel: a virtual
 // clock and a time-ordered event queue. The network fabric (internal/tofu)
-// schedules message injection and completion events on an Engine so that
-// shared resources (TNIs, links) are acquired in correct global time order
+// schedules message injection and completion events on it so that shared
+// resources (TNIs, links) are acquired in correct global time order
 // regardless of how the caller enumerated the messages.
 //
-// Two engines are provided. Engine is the serial kernel: one clock, one
-// queue, one goroutine. ParallelEngine (parallel.go) shards the event loop
-// into logical processes synchronized by conservative barrier epochs; it
-// executes the exact same event order per LP as the serial engine would,
-// so the two are interchangeable wherever the caller can partition its
-// state.
+// ParallelEngine (parallel.go) is the engine the simulator runs on: the
+// event loop sharded into 1..N logical processes, a plain serial loop at one
+// LP and conservative barrier epochs above. Engine — one clock, one queue,
+// one goroutine — is its reference implementation; see the type's comment.
 package des
 
 import "fmt"
@@ -121,9 +119,12 @@ func (e *BudgetError) Error() string {
 		e.Budget, e.Now, e.Pending, e.NextAt)
 }
 
-// Engine is a virtual-time event loop. The zero value is ready to use with
-// the clock at 0. Engines are not safe for concurrent use; the simulator
-// runs one engine per communication round.
+// Engine is the reference virtual-time event loop: the independent anchor
+// the Engine-vs-ParallelEngine property tests (parallel_test.go) compare
+// against, and the target of the benchmark harness's des.ns_per_event probe.
+// It has no production caller — the fabric runs every round on
+// ParallelEngine. The zero value is ready to use with the clock at 0.
+// Engines are not safe for concurrent use.
 type Engine struct {
 	now float64
 	seq uint64

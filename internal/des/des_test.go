@@ -265,18 +265,6 @@ func TestScheduleRunDoesNotAllocate(t *testing.T) {
 	}
 }
 
-func BenchmarkScheduleRun(b *testing.B) {
-	var e Engine
-	fn := func() {}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < 256; j++ {
-			e.Schedule(float64(j&7), fn)
-		}
-		e.Run()
-	}
-}
-
 // Property: regardless of scheduling order, execution is monotone in time.
 func TestMonotoneExecutionProperty(t *testing.T) {
 	f := func(times []uint16) bool {

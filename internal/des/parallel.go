@@ -143,19 +143,6 @@ type LP struct {
 	prof lpProf
 }
 
-// Proc is the scheduling surface an event callback sees: a local clock and
-// deadline scheduling. Both *Engine and *LP implement it, so a driver can
-// run the same event graph on either engine through one code path.
-type Proc interface {
-	Now() float64
-	ScheduleAt(t float64, fn func()) error
-}
-
-var (
-	_ Proc = (*Engine)(nil)
-	_ Proc = (*LP)(nil)
-)
-
 // NewParallel builds a parallel engine with lps logical processes and the
 // given conservative lookahead (seconds). lookahead must be positive when
 // lps > 1: it is the minimum virtual-time distance of any cross-LP send,

@@ -2,7 +2,7 @@
 // simulated TofuD fabric: per-link packet drops, receiver-side MRQ-overflow
 // NACKs, transient TNI stalls, and per-link degradation windows expressed in
 // virtual time. The model plugs into tofu.Fabric's transfer path; the layers
-// above (utofu retransmission, mpi retry, the md/comm fallback) provide the
+// above (utofu retransmission, mpi retry, the halo fallback) provide the
 // recovery behavior the faults exercise.
 //
 // Every draw comes from an internal/xrand stream keyed by (seed, fabric

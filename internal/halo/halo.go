@@ -11,8 +11,7 @@
 // (internal/md/sim) binds its border/position/force codecs statically and
 // drives every ghost round through the Engine; the lattice-Boltzmann
 // workload (internal/lbm) packs distribution-function planes through the
-// same seam. internal/md/comm re-exports the plan-level API under its
-// historical names.
+// same seam.
 package halo
 
 import "fmt"

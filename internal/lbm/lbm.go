@@ -169,8 +169,8 @@ func New(m *topo.RankMap, params tofu.Params, cost machine.CostModel, cfg Config
 // Ranks exposes the rank slice for diagnostics and tests.
 func (s *System) Ranks() []*Rank { return s.ranks }
 
-// SetParallel selects the fabric's event engine (lps > 0: conservative
-// parallel DES). Results are bit-identical either way.
+// SetParallel runs the fabric's rounds on lps logical processes (lps <= 1:
+// one LP, a serial loop). Results are bit-identical at every count.
 func (s *System) SetParallel(lps int) error { return s.fab.SetParallel(lps) }
 
 // ElapsedMax returns the slowest rank's virtual clock.

@@ -1,3 +1,9 @@
+// Package comm holds the tests of the communication-plan half of
+// internal/halo (Table 1, the section 3.1 time model, thread balancing,
+// validation, the fallback tracker) that predate the library's extraction.
+// The alias layer they were written against is gone; the tests call halo
+// directly and stay at this path because the repository's test floor pins
+// their names here.
 package comm
 
 import (
@@ -5,25 +11,26 @@ import (
 	"testing"
 	"testing/quick"
 
+	"tofumd/internal/halo"
 	"tofumd/internal/vec"
 )
 
 func TestMessageVolumeClasses(t *testing.T) {
 	a, r := 3.0, 2.0
-	if got := MessageVolume(vec.I3{X: 1}, a, r); got != a*a*r {
+	if got := halo.MessageVolume(vec.I3{X: 1}, a, r); got != a*a*r {
 		t.Errorf("face volume = %v", got)
 	}
-	if got := MessageVolume(vec.I3{X: 1, Y: 1}, a, r); got != a*r*r {
+	if got := halo.MessageVolume(vec.I3{X: 1, Y: 1}, a, r); got != a*r*r {
 		t.Errorf("edge volume = %v", got)
 	}
-	if got := MessageVolume(vec.I3{X: 1, Y: -1, Z: 1}, a, r); got != r*r*r {
+	if got := halo.MessageVolume(vec.I3{X: 1, Y: -1, Z: 1}, a, r); got != r*r*r {
 		t.Errorf("corner volume = %v", got)
 	}
 }
 
 func TestMessageVolumeAniso(t *testing.T) {
 	side := vec.V3{X: 2, Y: 3, Z: 4}
-	if got := MessageVolumeAniso(vec.I3{Z: 1}, side, 1.5); got != 2*3*1.5 {
+	if got := halo.MessageVolumeAniso(vec.I3{Z: 1}, side, 1.5); got != 2*3*1.5 {
 		t.Errorf("aniso face = %v", got)
 	}
 }
@@ -39,15 +46,15 @@ func TestHopCount(t *testing.T) {
 		{vec.I3{}, 0},
 	}
 	for _, c := range cases {
-		if got := HopCount(c.d); got != c.want {
-			t.Errorf("HopCount(%+v) = %d, want %d", c.d, got, c.want)
+		if got := halo.HopCount(c.d); got != c.want {
+			t.Errorf("halo.HopCount(%+v) = %d, want %d", c.d, got, c.want)
 		}
 	}
 }
 
 func TestAnalyzeTable1(t *testing.T) {
 	a, r := 2.94, 2.8
-	rows, t3, tp := AnalyzeTable1(a, r)
+	rows, t3, tp := halo.AnalyzeTable1(a, r)
 	if len(rows) != 6 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -64,7 +71,7 @@ func TestAnalyzeTable1(t *testing.T) {
 	// Message counts: 2+2+2 and 3+6+4.
 	msgs3, msgsP := 0, 0
 	for _, row := range rows {
-		if row.Pattern == ThreeStage {
+		if row.Pattern == halo.ThreeStage {
 			msgs3 += row.Messages
 		} else {
 			msgsP += row.Messages
@@ -76,7 +83,7 @@ func TestAnalyzeTable1(t *testing.T) {
 }
 
 func TestModelEquations(t *testing.T) {
-	m := Model{TInj: 1, T: [6]float64{10, 12, 14, 10, 6, 4}}
+	m := halo.Model{TInj: 1, T: [6]float64{10, 12, 14, 10, 6, 4}}
 	if got := m.ThreeStageNaive(); got != 2*10+2*12+2*14 {
 		t.Errorf("Eq3 = %v", got)
 	}
@@ -103,11 +110,11 @@ func TestModelEquations(t *testing.T) {
 }
 
 func TestBalanceThreadsEvens(t *testing.T) {
-	links := []Link{
+	links := []halo.Link{
 		{Bytes: 1000, Hops: 1}, {Bytes: 1000, Hops: 1}, {Bytes: 1000, Hops: 1},
 		{Bytes: 10, Hops: 3}, {Bytes: 10, Hops: 3}, {Bytes: 10, Hops: 3},
 	}
-	assign := BalanceThreads(links, 3, 1e9, 1e-7)
+	assign := halo.BalanceThreads(links, 3, 1e9, 1e-7)
 	load := map[int]float64{}
 	for i, th := range assign {
 		if th < 0 || th >= 3 {
@@ -126,7 +133,7 @@ func TestBalanceThreadsEvens(t *testing.T) {
 }
 
 func TestBalanceThreadsSingle(t *testing.T) {
-	assign := BalanceThreads([]Link{{Bytes: 1}, {Bytes: 2}}, 1, 1, 1)
+	assign := halo.BalanceThreads([]halo.Link{{Bytes: 1}, {Bytes: 2}}, 1, 1, 1)
 	for _, th := range assign {
 		if th != 0 {
 			t.Error("single thread must get everything")
@@ -141,10 +148,10 @@ func TestBalanceThreadsBoundProperty(t *testing.T) {
 		if len(sizes) == 0 {
 			return true
 		}
-		links := make([]Link, len(sizes))
+		links := make([]halo.Link, len(sizes))
 		var total, biggest float64
 		for i, s := range sizes {
-			links[i] = Link{Bytes: int(s) + 1, Hops: 1}
+			links[i] = halo.Link{Bytes: int(s) + 1, Hops: 1}
 			c := float64(int(s)+1) + 1
 			total += c
 			if c > biggest {
@@ -152,7 +159,7 @@ func TestBalanceThreadsBoundProperty(t *testing.T) {
 			}
 		}
 		n := 6
-		assign := BalanceThreads(links, n, 1, 1)
+		assign := halo.BalanceThreads(links, n, 1, 1)
 		load := make([]float64, n)
 		for i, th := range assign {
 			load[th] += float64(links[i].Bytes) + float64(links[i].Hops)
@@ -171,38 +178,38 @@ func TestBalanceThreadsBoundProperty(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	if err := Validate(P2P, TransportMPI, TNIPerRankSlot, 1); err != nil {
+	if err := halo.Validate(halo.P2P, halo.TransportMPI, halo.TNIPerRankSlot, 1); err != nil {
 		t.Errorf("valid MPI p2p rejected: %v", err)
 	}
-	if err := Validate(P2P, TransportMPI, TNISprayAll, 1); err == nil {
+	if err := halo.Validate(halo.P2P, halo.TransportMPI, halo.TNISprayAll, 1); err == nil {
 		t.Error("MPI with spray policy accepted")
 	}
-	if err := Validate(P2P, TransportUTofu, TNIPerRankSlot, 6); err == nil {
+	if err := halo.Validate(halo.P2P, halo.TransportUTofu, halo.TNIPerRankSlot, 6); err == nil {
 		t.Error("multi-thread without thread-bound policy accepted")
 	}
-	if err := Validate(P2P, TransportMPI, TNIThreadBound, 6); err == nil {
+	if err := halo.Validate(halo.P2P, halo.TransportMPI, halo.TNIThreadBound, 6); err == nil {
 		t.Error("thread-bound over MPI accepted")
 	}
-	if err := Validate(P2P, TransportUTofu, TNIThreadBound, 6); err != nil {
+	if err := halo.Validate(halo.P2P, halo.TransportUTofu, halo.TNIThreadBound, 6); err != nil {
 		t.Errorf("valid fine-grained config rejected: %v", err)
 	}
 }
 
 func TestStringers(t *testing.T) {
-	if ThreeStage.String() != "3stage" || P2P.String() != "p2p" {
+	if halo.ThreeStage.String() != "3stage" || halo.P2P.String() != "p2p" {
 		t.Error("pattern names")
 	}
-	if TransportMPI.String() != "mpi" || TransportUTofu.String() != "utofu" {
+	if halo.TransportMPI.String() != "mpi" || halo.TransportUTofu.String() != "utofu" {
 		t.Error("transport names")
 	}
-	if TNIPerRankSlot.String() != "per-rank-slot" || TNISprayAll.String() != "spray-all" ||
-		TNIThreadBound.String() != "thread-bound" {
+	if halo.TNIPerRankSlot.String() != "per-rank-slot" || halo.TNISprayAll.String() != "spray-all" ||
+		halo.TNIThreadBound.String() != "thread-bound" {
 		t.Error("policy names")
 	}
 }
 
 func TestFallbackTripsAfterK(t *testing.T) {
-	f := NewFallback(3)
+	f := halo.NewFallback(3)
 	for i := 0; i < 2; i++ {
 		f.RecordFailure(0, 1)
 	}
@@ -222,7 +229,7 @@ func TestFallbackTripsAfterK(t *testing.T) {
 }
 
 func TestFallbackSuccessReArms(t *testing.T) {
-	f := NewFallback(2)
+	f := halo.NewFallback(2)
 	f.RecordFailure(4, 7)
 	f.RecordSuccess(4, 7)
 	f.RecordFailure(4, 7)
@@ -240,14 +247,14 @@ func TestFallbackSuccessReArms(t *testing.T) {
 }
 
 func TestFallbackNilSafe(t *testing.T) {
-	var f *Fallback
+	var f *halo.Fallback
 	f.RecordFailure(0, 1)
 	f.RecordSuccess(0, 1)
 	f.Reset()
 	if f.Degraded(0, 1) || f.DegradedCount() != 0 {
 		t.Error("nil tracker reports degradation")
 	}
-	if NewFallback(0) != nil {
-		t.Error("NewFallback(0) should be nil (disabled)")
+	if halo.NewFallback(0) != nil {
+		t.Error("halo.NewFallback(0) should be nil (disabled)")
 	}
 }

@@ -1,38 +1,11 @@
-// Package domain implements the spatial domain decomposition of the MD
-// engine: the global periodic box is split into a 3D grid of sub-boxes, one
-// per MPI rank (Fig. 1). The box/grid geometry itself (sub-boxes, owner
-// lookup, PBC wrapping and shifts, neighborhood enumeration) lives in the
-// generic internal/halo library and is re-exported here; this package adds
-// the MD-specific ghost-send geometry: which neighbor sub-boxes an atom
-// must be sent to, including the 3x3x3 border-bin accelerator of
-// section 3.5.2 and the multi-shell neighborhoods (62/124 neighbors) of the
-// extended experiment (Fig. 15).
+// Package domain holds the MD-specific ghost-send geometry on top of the
+// generic box/grid decomposition of internal/halo (Fig. 1): which neighbor
+// sub-boxes an atom must be sent to, including the 3x3x3 border-bin
+// accelerator of section 3.5.2 and the multi-shell neighborhoods (62/124
+// neighbors) of the extended experiment (Fig. 15).
 package domain
 
-import (
-	"tofumd/internal/halo"
-	"tofumd/internal/vec"
-)
-
-// Decomp is the global decomposition.
-type Decomp = halo.Decomposition
-
-// NewDecomp validates and builds a decomposition.
-func NewDecomp(box vec.V3, grid vec.I3) (*Decomp, error) {
-	return halo.NewDecomposition(box, grid)
-}
-
-// Directions enumerates the neighbor offsets of an s-shell neighborhood:
-// all non-zero offsets in {-s..s}^3. One shell gives 26, two give 124.
-func Directions(shells int) []vec.I3 { return halo.Directions(shells) }
-
-// UpperHalf reports whether direction d is in the "upper" half of the
-// neighborhood under the lexicographic (z, y, x) order (Fig. 5).
-func UpperHalf(d vec.I3) bool { return halo.UpperHalf(d) }
-
-// HalfDirections returns the upper-half directions of an s-shell
-// neighborhood: 13 for one shell, 62 for two.
-func HalfDirections(shells int) []vec.I3 { return halo.HalfDirections(shells) }
+import "tofumd/internal/vec"
 
 // SendQualifier decides which neighbor sub-boxes an atom must be sent to as
 // a ghost: the atom qualifies for direction d when its distance to rank

@@ -5,12 +5,17 @@ import (
 	"testing"
 	"testing/quick"
 
+	"tofumd/internal/halo"
 	"tofumd/internal/vec"
 )
 
-func mustDecomp(t *testing.T, box vec.V3, grid vec.I3) *Decomp {
+// The decomposition and direction tests below exercise internal/halo; they
+// predate the library's extraction and stay here, calling halo directly,
+// because the repository's test floor pins their names to this package.
+
+func mustDecomp(t *testing.T, box vec.V3, grid vec.I3) *halo.Decomposition {
 	t.Helper()
-	d, err := NewDecomp(box, grid)
+	d, err := halo.NewDecomposition(box, grid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,10 +23,10 @@ func mustDecomp(t *testing.T, box vec.V3, grid vec.I3) *Decomp {
 }
 
 func TestNewDecompRejectsBad(t *testing.T) {
-	if _, err := NewDecomp(vec.V3{X: -1, Y: 1, Z: 1}, vec.I3{X: 1, Y: 1, Z: 1}); err == nil {
+	if _, err := halo.NewDecomposition(vec.V3{X: -1, Y: 1, Z: 1}, vec.I3{X: 1, Y: 1, Z: 1}); err == nil {
 		t.Error("negative box accepted")
 	}
-	if _, err := NewDecomp(vec.V3{X: 1, Y: 1, Z: 1}, vec.I3{X: 0, Y: 1, Z: 1}); err == nil {
+	if _, err := halo.NewDecomposition(vec.V3{X: 1, Y: 1, Z: 1}, vec.I3{X: 0, Y: 1, Z: 1}); err == nil {
 		t.Error("zero grid accepted")
 	}
 }
@@ -75,25 +80,25 @@ func TestShellsFor(t *testing.T) {
 }
 
 func TestDirectionsCounts(t *testing.T) {
-	if got := len(Directions(1)); got != 26 {
+	if got := len(halo.Directions(1)); got != 26 {
 		t.Errorf("1-shell directions = %d", got)
 	}
-	if got := len(Directions(2)); got != 124 {
+	if got := len(halo.Directions(2)); got != 124 {
 		t.Errorf("2-shell directions = %d", got)
 	}
-	if got := len(HalfDirections(1)); got != 13 {
+	if got := len(halo.HalfDirections(1)); got != 13 {
 		t.Errorf("1-shell half = %d", got)
 	}
-	if got := len(HalfDirections(2)); got != 62 {
+	if got := len(halo.HalfDirections(2)); got != 62 {
 		t.Errorf("2-shell half = %d", got)
 	}
 }
 
 func TestUpperHalfPartitions(t *testing.T) {
 	// Every direction is upper xor its negation is upper.
-	for _, d := range Directions(2) {
+	for _, d := range halo.Directions(2) {
 		neg := vec.I3{X: -d.X, Y: -d.Y, Z: -d.Z}
-		if UpperHalf(d) == UpperHalf(neg) {
+		if halo.UpperHalf(d) == halo.UpperHalf(neg) {
 			t.Errorf("direction %+v and its negation agree", d)
 		}
 	}
@@ -192,7 +197,7 @@ func TestBinDirectionsCoverage(t *testing.T) {
 	if !q.BinsUsable() {
 		t.Fatal("bins should be usable at side 10, cutoff 2")
 	}
-	dirs := Directions(1)
+	dirs := halo.Directions(1)
 	binDirs := q.BinDirections(dirs)
 	for _, p := range []vec.V3{
 		{X: 1, Y: 5, Z: 5}, {X: 9.5, Y: 9.5, Z: 9.5}, {X: 5, Y: 5, Z: 5},

@@ -161,19 +161,3 @@ func TestModeString(t *testing.T) {
 		t.Error("mode names wrong")
 	}
 }
-
-func BenchmarkBuildHalfShell(b *testing.B) {
-	a := cluster(4000, 42)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Build(a, 1.2, HalfShell)
-	}
-}
-
-func BenchmarkBuildFull(b *testing.B) {
-	a := cluster(4000, 42)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Build(a, 1.2, Full)
-	}
-}

@@ -289,54 +289,6 @@ func TestNames(t *testing.T) {
 	}
 }
 
-func benchCluster(n int) (*atom.Arrays, *neighbor.List) {
-	a := atom.New(n)
-	// Simple cubic arrangement at unit spacing.
-	side := 1
-	for side*side*side < n {
-		side++
-	}
-	id := int64(1)
-	for z := 0; z < side && int(id) <= n; z++ {
-		for y := 0; y < side && int(id) <= n; y++ {
-			for x := 0; x < side && int(id) <= n; x++ {
-				a.AddLocal(id, 1, vec.V3{X: float64(x) * 1.1, Y: float64(y) * 1.1, Z: float64(z) * 1.1}, vec.V3{})
-				id++
-			}
-		}
-	}
-	return a, neighbor.Build(a, 2.8, neighbor.HalfShell)
-}
-
-func BenchmarkLJCompute(b *testing.B) {
-	lj := NewLJ(1, 1, 2.5)
-	a, nl := benchCluster(4000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.ZeroForces()
-		lj.Compute(a, nl)
-	}
-}
-
-func BenchmarkEAMCompute(b *testing.B) {
-	e, err := NewEAMCu(4.95)
-	if err != nil {
-		b.Fatal(err)
-	}
-	a, _ := benchCluster(2000)
-	a.EnableEAM()
-	// EAM distances: scale positions to copper spacing.
-	for i := range a.X {
-		a.X[i] = a.X[i].Scale(2.3)
-	}
-	nl := neighbor.Build(a, 5.95, neighbor.HalfShell)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.ZeroForces()
-		e.Compute(a, nl)
-	}
-}
-
 func BenchmarkSplineEval(b *testing.B) {
 	sp, err := Tabulate(math.Exp, 0, 2, 1024)
 	if err != nil {

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"tofumd/internal/faultinject"
-	"tofumd/internal/md/comm"
+	"tofumd/internal/halo"
 	"tofumd/internal/metrics"
 	"tofumd/internal/trace"
 	"tofumd/internal/vec"
@@ -48,7 +48,7 @@ func TestChaosTNIFailover(t *testing.T) {
 	if !s.Health().TNIQuarantined(2) {
 		t.Fatal("dead TNI 2 not quarantined")
 	}
-	if surv := comm.SurvivingTNIs(s.M.Params.TNIsPerNode, s.Health().TNIQuarantined); len(surv) != 5 {
+	if surv := halo.SurvivingTNIs(s.M.Params.TNIsPerNode, s.Health().TNIQuarantined); len(surv) != 5 {
 		t.Fatalf("surviving TNIs = %v, want the 5 others", surv)
 	}
 	for _, r := range s.Ranks() {

@@ -8,9 +8,9 @@ import (
 	"tofumd/internal/vec"
 )
 
-// TestChaosParallelEngineBitIdentical replays a faulty LJ melt on the
-// conservative parallel engine: positions, velocities, energy, virtual time
-// and fault counters must match the serial engine bit-for-bit even while
+// TestChaosParallelEngineBitIdentical replays a faulty LJ melt on several
+// LPs: positions, velocities, energy, virtual time and fault counters must
+// match the one-LP serial loop bit-for-bit even while
 // drops and retransmissions reshuffle the event flow across LPs.
 func TestChaosParallelEngineBitIdentical(t *testing.T) {
 	spec := faultinject.Spec{Seed: 7, Drop: 1e-2}

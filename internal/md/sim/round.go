@@ -3,7 +3,6 @@ package sim
 import (
 	"tofumd/internal/halo"
 	"tofumd/internal/health"
-	"tofumd/internal/md/comm"
 	"tofumd/internal/trace"
 	"tofumd/internal/utofu"
 )
@@ -118,7 +117,7 @@ func (s *Simulation) runRound(msgs []*rmsg) {
 			Data: m.data, Known: m.known,
 			ReadyAt: m.readyAt,
 		}
-		if s.Var.Transport == comm.TransportUTofu {
+		if s.Var.Transport == halo.TransportUTofu {
 			hm[i].Region, hm[i].DstOff = s.putTarget(m)
 		}
 	}

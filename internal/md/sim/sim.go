@@ -16,7 +16,6 @@ import (
 	"tofumd/internal/health"
 	"tofumd/internal/machine"
 	"tofumd/internal/md/atom"
-	"tofumd/internal/md/comm"
 	"tofumd/internal/md/domain"
 	"tofumd/internal/md/integrate"
 	"tofumd/internal/md/lattice"
@@ -131,7 +130,7 @@ type Simulation struct {
 	M   *Machine
 
 	U       units.System
-	dec     *domain.Decomp
+	dec     *halo.Decomposition
 	fab     *tofu.Fabric
 	uts     *utofu.System
 	mpiComm *mpi.Comm
@@ -150,7 +149,7 @@ type Simulation struct {
 	faults *faultinject.Model
 	// fb tracks per-neighbor retransmission health for the p2p→3-stage
 	// graceful-degradation fallback.
-	fb *comm.Fallback
+	fb *halo.Fallback
 	// health is the fail-stop state machine: links and TNIs move healthy →
 	// suspect → quarantined on consecutive retransmit exhaustion. A
 	// quarantined link routes via MPI permanently (only ProbeHealth
@@ -200,7 +199,7 @@ func New(m *Machine, v Variant, cfg Config) (*Simulation, error) {
 	cfg.Dt = dt
 
 	box := cfg.Lat.BoxFor(cfg.Cells)
-	dec, err := domain.NewDecomp(box, m.Map.Grid)
+	dec, err := halo.NewDecomposition(box, m.Map.Grid)
 	if err != nil {
 		return nil, err
 	}
@@ -218,7 +217,7 @@ func New(m *Machine, v Variant, cfg Config) (*Simulation, error) {
 	s.uts = utofu.NewSystem(s.fab)
 	s.mpiComm = mpi.NewComm(s.fab)
 	s.mpiComm.CombineLength = v.CombineLength
-	s.fb = comm.NewFallback(fallbackK)
+	s.fb = halo.NewFallback(fallbackK)
 	s.health = health.New(0, 0)
 	s.health.SetTNITotal(m.Params.TNIsPerNode)
 	s.shells = dec.ShellsFor(s.ghCut)
@@ -282,24 +281,22 @@ func (s *Simulation) SetFaults(m *faultinject.Model) {
 	s.fab.Faults = m
 }
 
-// SetParallel selects the fabric's event engine: lps > 0 runs every
-// communication round on the conservative parallel DES with that many
-// logical processes (1 is a degenerate one-LP engine that still profiles),
-// lps <= 0 reverts to the serial engine. Results are bit-identical either
-// way; call it any time between rounds.
+// SetParallel runs every subsequent communication round on lps logical
+// processes of the fabric's event engine (lps <= 1: one LP, a serial loop)
+// and restarts the engine profile. Results are bit-identical at every
+// count; call it any time between rounds.
 func (s *Simulation) SetParallel(lps int) error {
 	return s.fab.SetParallel(lps)
 }
 
-// SetProfiling toggles the parallel engine's barrier-wait wall timing (the
-// event/epoch counters are always on). No-op on the serial engine; never
-// changes virtual results.
+// SetProfiling toggles the event engine's barrier-wait wall timing (the
+// event/epoch counters are always on). Never changes virtual results.
 func (s *Simulation) SetProfiling(on bool) {
 	s.fab.SetProfiling(on)
 }
 
-// ParallelStats returns the parallel engine's cumulative per-LP profile,
-// or ok=false when the fabric runs the serial engine.
+// ParallelStats returns the event engine's cumulative per-LP profile; ok is
+// always true (see tofu.Fabric.ParallelStats).
 func (s *Simulation) ParallelStats() (des.ParallelStats, bool) {
 	return s.fab.ParallelStats()
 }
@@ -319,12 +316,12 @@ func (s *Simulation) FailedRanks() []int {
 // on quarantined TNIs are freed and newly needed survivor VCQs created.
 // The link graph is untouched — only the resources behind it move.
 func (s *Simulation) replanTNIs() {
-	surviving := comm.SurvivingTNIs(s.M.Params.TNIsPerNode, s.health.TNIQuarantined)
+	surviving := halo.SurvivingTNIs(s.M.Params.TNIsPerNode, s.health.TNIQuarantined)
 	s.assignResourcesOver(surviving)
 	if s.met != nil {
 		s.met.tniReplans.Inc()
 	}
-	if s.Var.Transport != comm.TransportUTofu {
+	if s.Var.Transport != halo.TransportUTofu {
 		return
 	}
 	quarantined := s.health.QuarantinedTNIs()
@@ -460,7 +457,7 @@ func (s *Simulation) Close() {
 func (s *Simulation) Ranks() []*Rank { return s.ranks }
 
 // Decomp exposes the domain decomposition.
-func (s *Simulation) Decomp() *domain.Decomp { return s.dec }
+func (s *Simulation) Decomp() *halo.Decomposition { return s.dec }
 
 // TotalAtoms sums local atoms over ranks.
 func (s *Simulation) TotalAtoms() int {
@@ -578,12 +575,12 @@ func (s *Simulation) initVelocities() {
 func (s *Simulation) sendDirs() []vec.I3 {
 	if s.Cfg.NewtonOn && !s.Cfg.Potential.NeedsFullList() {
 		var out []vec.I3
-		for _, d := range domain.HalfDirections(s.shells) {
+		for _, d := range halo.HalfDirections(s.shells) {
 			out = append(out, vec.I3{X: -d.X, Y: -d.Y, Z: -d.Z})
 		}
 		return out
 	}
-	return domain.Directions(s.shells)
+	return halo.Directions(s.shells)
 }
 
 // createLinks builds the static link graph of the variant's pattern from
@@ -609,7 +606,7 @@ func (s *Simulation) createLinks() {
 // assignResources maps every link's two sending sides onto TNIs, threads
 // and VCQs per the variant's policy, over the machine's full TNI set.
 func (s *Simulation) assignResources() {
-	s.assignResourcesOver(comm.SurvivingTNIs(s.M.Params.TNIsPerNode, nil))
+	s.assignResourcesOver(halo.SurvivingTNIs(s.M.Params.TNIsPerNode, nil))
 }
 
 // assignResourcesOver runs the resource assignment over an explicit set of
@@ -624,12 +621,12 @@ func (s *Simulation) assignResourcesOver(tnis []int) {
 		_, slot := s.M.Map.NodeOf(r.ID)
 		assignSide := func(links []*link, pick func(l *link) *commRes, hopOf func(l *link) int) []int {
 			// Only the thread-bound policy consults the per-link specs.
-			var specs []comm.Link
-			if s.Var.TNIPolicy != comm.TNIPerRankSlot && s.Var.TNIPolicy != comm.TNISprayAll {
-				specs = make([]comm.Link, len(links))
+			var specs []halo.Link
+			if s.Var.TNIPolicy != halo.TNIPerRankSlot && s.Var.TNIPolicy != halo.TNISprayAll {
+				specs = make([]halo.Link, len(links))
 				for i, l := range links {
-					vol := comm.MessageVolume(l.dir, avgSide, s.ghCut)
-					specs[i] = comm.Link{
+					vol := halo.MessageVolume(l.dir, avgSide, s.ghCut)
+					specs[i] = halo.Link{
 						Dir:   l.dir,
 						Bytes: int(vol*s.density) * borderBytes,
 						Hops:  hopOf(l),
@@ -663,14 +660,14 @@ func (s *Simulation) assignResourcesOver(tnis []int) {
 
 // setupTransport allocates VCQs, inboxes and registered regions.
 func (s *Simulation) setupTransport() error {
-	if s.Var.Transport != comm.TransportUTofu {
+	if s.Var.Transport != halo.TransportUTofu {
 		return nil
 	}
 	tnis := s.M.Params.TNIsPerNode
 	for _, r := range s.ranks {
 		var need []int
 		switch s.Var.TNIPolicy {
-		case comm.TNIPerRankSlot:
+		case halo.TNIPerRankSlot:
 			_, slot := s.M.Map.NodeOf(r.ID)
 			need = []int{slot % tnis}
 		default:
@@ -695,7 +692,7 @@ func (s *Simulation) setupTransport() error {
 			if s.Var.Preregistered {
 				// Sized to the theoretical maximum once (section 3.4):
 				// no mid-run expansion, ever.
-				vol := comm.MessageVolumeAniso(clampDir(l.dir), s.dec.Side(), s.ghCut)
+				vol := halo.MessageVolumeAniso(clampDir(l.dir), s.dec.Side(), s.ghCut)
 				maxAtoms := int(vol*s.density*1.5) + 16
 				s.SetupTime += l.inbox.Preregister(s.uts, l.dst.ID, maxAtoms*borderBytes)
 				s.SetupTime += l.revInbox.Preregister(s.uts, l.src.ID, maxAtoms*borderBytes)

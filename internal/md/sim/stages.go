@@ -3,7 +3,6 @@ package sim
 import (
 	"tofumd/internal/halo"
 	"tofumd/internal/machine"
-	"tofumd/internal/md/comm"
 	"tofumd/internal/md/neighbor"
 	"tofumd/internal/md/potential"
 	"tofumd/internal/units"
@@ -75,11 +74,11 @@ func (s *Simulation) doBorder() {
 		r.Atoms.ClearGhosts()
 		r.resetPlan()
 	})
-	if s.Var.Pattern == comm.P2P {
+	if s.Var.Pattern == halo.P2P {
 		s.buildP2PSendLists()
 	}
 	for _, k := range s.commRounds() {
-		if s.Var.Pattern == comm.ThreeStage {
+		if s.Var.Pattern == halo.ThreeStage {
 			s.build3StageSendLists(k)
 		}
 		s.borderRound(k)
@@ -190,7 +189,7 @@ func (s *Simulation) borderRound(k halo.RoundKey) {
 	b := s.newBatch()
 	for _, r := range s.ranks {
 		for _, l := range linksOfRound(r, k) {
-			if s.Var.Transport == comm.TransportUTofu {
+			if s.Var.Transport == halo.TransportUTofu {
 				s.ensureInbox(l.dst, l.inbox, len(l.sendBuf))
 			}
 			b.add(&rmsg{
@@ -224,7 +223,7 @@ func (s *Simulation) borderRound(k halo.RoundKey) {
 // the round-robin rotation functional: the receiver decodes from its own
 // registered buffer, not the sender's scratch.
 func (s *Simulation) deliverToInboxes(msgs []*rmsg) {
-	if s.Var.Transport != comm.TransportUTofu {
+	if s.Var.Transport != halo.TransportUTofu {
 		return
 	}
 	for _, m := range msgs {
@@ -289,7 +288,7 @@ func (s *Simulation) doForward() {
 					m.dstOff = l.recvStart * posBytes
 				} else {
 					m.inboxDst = inboxFwd
-					if s.Var.Transport == comm.TransportUTofu {
+					if s.Var.Transport == halo.TransportUTofu {
 						s.ensureInbox(l.dst, l.inbox, len(l.sendBuf))
 					}
 				}
@@ -345,7 +344,7 @@ func (s *Simulation) doReverse() {
 				if !inRound(l, k) {
 					continue
 				}
-				if s.Var.Transport == comm.TransportUTofu {
+				if s.Var.Transport == halo.TransportUTofu {
 					s.ensureInbox(l.src, l.revInbox, len(l.revBuf))
 				}
 				b.add(&rmsg{
@@ -396,7 +395,7 @@ func (s *Simulation) reverseScalar(arr func(*Rank) []float64) {
 				if !inRound(l, k) {
 					continue
 				}
-				if s.Var.Transport == comm.TransportUTofu {
+				if s.Var.Transport == halo.TransportUTofu {
 					s.ensureInbox(l.src, l.revInbox, len(l.revBuf))
 				}
 				b.add(&rmsg{
@@ -438,7 +437,7 @@ func (s *Simulation) forwardScalar(arr func(*Rank) []float64) {
 		b := s.newBatch()
 		for _, r := range s.ranks {
 			for _, l := range linksOfRound(r, k) {
-				if s.Var.Transport == comm.TransportUTofu {
+				if s.Var.Transport == halo.TransportUTofu {
 					s.ensureInbox(l.dst, l.inbox, len(l.sendBuf))
 				}
 				b.add(&rmsg{
@@ -518,7 +517,7 @@ func (s *Simulation) doExchange() {
 		return
 	}
 	savedTransport := s.Var.Transport
-	s.Var.Transport = comm.TransportMPI
+	s.Var.Transport = halo.TransportMPI
 	s.runRound(b.msgs)
 	s.Var.Transport = savedTransport
 	for _, m := range b.msgs {
@@ -545,7 +544,7 @@ func (s *Simulation) neighborMode() neighbor.Mode {
 	if !s.Cfg.NewtonOn || s.Cfg.Potential.NeedsFullList() {
 		return neighbor.Full
 	}
-	if s.Var.Pattern == comm.P2P {
+	if s.Var.Pattern == halo.P2P {
 		return neighbor.HalfShell
 	}
 	return neighbor.HalfNewton

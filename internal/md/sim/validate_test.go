@@ -3,7 +3,7 @@ package sim
 import (
 	"testing"
 
-	"tofumd/internal/md/comm"
+	"tofumd/internal/halo"
 	"tofumd/internal/md/potential"
 	"tofumd/internal/vec"
 )
@@ -32,17 +32,17 @@ func TestNewRejectsBadConfigs(t *testing.T) {
 			c.Cells = vec.I3{X: 2, Y: 2, Z: 2}
 		}},
 		{"mpi thread-bound", func(_ *Config, v *Variant) {
-			v.Transport = comm.TransportMPI
-			v.TNIPolicy = comm.TNIThreadBound
+			v.Transport = halo.TransportMPI
+			v.TNIPolicy = halo.TNIThreadBound
 		}},
 		{"prereg over mpi", func(_ *Config, v *Variant) {
-			v.Transport = comm.TransportMPI
-			v.TNIPolicy = comm.TNIPerRankSlot
+			v.Transport = halo.TransportMPI
+			v.TNIPolicy = halo.TNIPerRankSlot
 			v.CommThreads = 1
 			v.Preregistered = true
 		}},
 		{"threads without binding", func(_ *Config, v *Variant) {
-			v.TNIPolicy = comm.TNIPerRankSlot
+			v.TNIPolicy = halo.TNIPerRankSlot
 			v.CommThreads = 6
 		}},
 	}

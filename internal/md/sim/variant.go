@@ -3,8 +3,8 @@ package sim
 import (
 	"fmt"
 
+	"tofumd/internal/halo"
 	"tofumd/internal/machine"
-	"tofumd/internal/md/comm"
 )
 
 // Variant describes one of the paper's code configurations: the artifact
@@ -14,11 +14,11 @@ type Variant struct {
 	// Name is the artifact-style identifier.
 	Name string
 	// Pattern is the halo-exchange pattern.
-	Pattern comm.Pattern
+	Pattern halo.Pattern
 	// Transport selects MPI or uTofu.
-	Transport comm.Transport
+	Transport halo.Transport
 	// TNIPolicy maps messages onto TNIs.
-	TNIPolicy comm.TNIPolicy
+	TNIPolicy halo.TNIPolicy
 	// CommThreads is the number of communication threads per rank (1, or 6
 	// for the fine-grained thread pool).
 	CommThreads int
@@ -46,9 +46,9 @@ type Variant struct {
 func Ref() Variant {
 	return Variant{
 		Name:             "ref",
-		Pattern:          comm.ThreeStage,
-		Transport:        comm.TransportMPI,
-		TNIPolicy:        comm.TNIPerRankSlot,
+		Pattern:          halo.ThreeStage,
+		Transport:        halo.TransportMPI,
+		TNIPolicy:        halo.TNIPerRankSlot,
 		CommThreads:      1,
 		ComputeThreading: machine.OpenMP,
 	}
@@ -59,7 +59,7 @@ func Ref() Variant {
 func MPIP2P() Variant {
 	v := Ref()
 	v.Name = "mpi-p2p"
-	v.Pattern = comm.P2P
+	v.Pattern = halo.P2P
 	return v
 }
 
@@ -67,9 +67,9 @@ func MPIP2P() Variant {
 func UTofu3Stage() Variant {
 	return Variant{
 		Name:             "utofu-3stage",
-		Pattern:          comm.ThreeStage,
-		Transport:        comm.TransportUTofu,
-		TNIPolicy:        comm.TNIPerRankSlot,
+		Pattern:          halo.ThreeStage,
+		Transport:        halo.TransportUTofu,
+		TNIPolicy:        halo.TNIPerRankSlot,
 		CommThreads:      1,
 		ComputeThreading: machine.OpenMP,
 	}
@@ -79,7 +79,7 @@ func UTofu3Stage() Variant {
 func P2P4TNI() Variant {
 	v := UTofu3Stage()
 	v.Name = "4tni-p2p"
-	v.Pattern = comm.P2P
+	v.Pattern = halo.P2P
 	return v
 }
 
@@ -88,7 +88,7 @@ func P2P4TNI() Variant {
 func P2P6TNI() Variant {
 	v := P2P4TNI()
 	v.Name = "6tni-p2p"
-	v.TNIPolicy = comm.TNISprayAll
+	v.TNIPolicy = halo.TNISprayAll
 	return v
 }
 
@@ -97,9 +97,9 @@ func P2P6TNI() Variant {
 func Opt() Variant {
 	return Variant{
 		Name:             "opt",
-		Pattern:          comm.P2P,
-		Transport:        comm.TransportUTofu,
-		TNIPolicy:        comm.TNIThreadBound,
+		Pattern:          halo.P2P,
+		Transport:        halo.TransportUTofu,
+		TNIPolicy:        halo.TNIThreadBound,
 		CommThreads:      6,
 		ComputeThreading: machine.Pool,
 		Preregistered:    true,
@@ -116,10 +116,10 @@ func StepByStepVariants() []Variant {
 
 // Validate checks the variant's internal consistency.
 func (v Variant) Validate() error {
-	if err := comm.Validate(v.Pattern, v.Transport, v.TNIPolicy, v.CommThreads); err != nil {
+	if err := halo.Validate(v.Pattern, v.Transport, v.TNIPolicy, v.CommThreads); err != nil {
 		return err
 	}
-	if v.Preregistered && v.Transport != comm.TransportUTofu {
+	if v.Preregistered && v.Transport != halo.TransportUTofu {
 		return fmt.Errorf("sim: pre-registered buffers require the uTofu transport")
 	}
 	return nil

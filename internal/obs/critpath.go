@@ -317,7 +317,7 @@ func StageShares(spans []trace.SpanEvent) ([]string, []float64) {
 }
 
 // Explain renders the full scaling-diagnosis report: the engine's per-LP
-// profile (stats may be nil when the run used the plain serial engine),
+// profile (stats may be nil when the caller has none),
 // the MD stage-span shares when recorded, and the critical path of the
 // recorded messages. rec may be nil (no tracing); topK bounds the slack
 // listing.

@@ -34,8 +34,8 @@ type LPStatus struct {
 	BarrierWaitSeconds float64 `json:"barrier_wait_seconds"`
 }
 
-// EngineStatus is the parallel engine's progress in a Status snapshot.
-// Absent (null) when the run uses the plain serial engine.
+// EngineStatus is the event engine's progress in a Status snapshot. Absent
+// (null) until the driver's first Observe with a profile.
 type EngineStatus struct {
 	Lookahead        float64    `json:"lookahead"`
 	Profiled         bool       `json:"profiled"`
@@ -122,8 +122,8 @@ func (s *StatusServer) SetMetrics(reg *metrics.Registry) {
 
 // Observe pushes a step-boundary update. Call it from the run's driver
 // goroutine only: it reads the (not concurrency-safe) health tracker while
-// caching the fields the endpoint reports. stats and h may be nil (serial
-// engine, no tracker); either clears the corresponding section.
+// caching the fields the endpoint reports. stats and h may be nil (no
+// profile, no tracker); either clears the corresponding section.
 func (s *StatusServer) Observe(step int, stats *des.ParallelStats, h *health.Tracker) {
 	if s == nil {
 		return

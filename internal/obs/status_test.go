@@ -98,7 +98,7 @@ func TestStatusServerSnapshotAndHandler(t *testing.T) {
 
 func TestStatusServerSerialRun(t *testing.T) {
 	s := NewStatus("serial")
-	s.Observe(1, nil, nil) // serial engine, no tracker
+	s.Observe(1, nil, nil) // no profile, no tracker
 	st := s.Snapshot()
 	if st.Engine != nil || st.Health != nil {
 		t.Errorf("serial snapshot should have null engine/health: %+v", st)

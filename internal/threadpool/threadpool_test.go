@@ -151,26 +151,3 @@ func TestOverheadConstantsMatchPaper(t *testing.T) {
 		t.Error("pool overhead must be below OpenMP overhead")
 	}
 }
-
-func BenchmarkForEachDispatch(b *testing.B) {
-	p := New(4)
-	defer p.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.ForEach(16, func(int) {})
-	}
-}
-
-func BenchmarkForEachChunked(b *testing.B) {
-	p := New(4)
-	defer p.Close()
-	data := make([]float64, 1<<16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.ForEachChunked(len(data), func(lo, hi int) {
-			for j := lo; j < hi; j++ {
-				data[j] += 1
-			}
-		})
-	}
-}

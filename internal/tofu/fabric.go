@@ -77,12 +77,12 @@ func (tr *Transfer) Failed() bool { return tr.Dropped || tr.Nacked }
 // timing of message rounds. A Fabric is not safe for concurrent rounds; the
 // bulk-synchronous simulation runs rounds one at a time.
 //
-// By default a round runs on the serial des.Engine. SetParallel shards the
-// fabric into logical processes (contiguous node blocks) executed by the
-// conservative-PDES des.ParallelEngine; results are bit-identical either
-// way, because all per-round mutable state is partitioned by the node that
-// owns it and only inter-node arrivals cross LPs — always at least one
-// link latency (the engine's lookahead) in the future.
+// Every round runs on a des.ParallelEngine: one logical process by default
+// (a plain serial loop), or the node blocks SetParallel shards the fabric
+// into. Results are bit-identical at every LP count, because all per-round
+// mutable state is partitioned by the node that owns it and only inter-node
+// arrivals cross LPs — always at least one link latency (the engine's
+// lookahead) in the future.
 type Fabric struct {
 	Params Params
 	Map    *topo.RankMap
@@ -102,24 +102,21 @@ type Fabric struct {
 	// met caches metric handles (see SetMetrics); nil when metrics are off.
 	met *fabricMetrics
 
-	// eng is the serial engine; par, when non-nil, replaces it with the
-	// parallel engine selected by SetParallel.
-	eng des.Engine
+	// par is the event engine, rebuilt by SetParallel; never nil.
 	par *des.ParallelEngine
-	// profile requests barrier-wait wall profiling on the parallel engine
+	// profile requests barrier-wait wall profiling on the engine
 	// (SetProfiling); remembered here so SetParallel can re-apply it.
 	profile bool
-	// lpOfRank maps each rank to the LP owning its node (parallel only).
+	// lpOfRank maps each rank to the LP owning its node.
 	lpOfRank []int32
-	// state holds the round-scoped mutable maps, sharded one entry per LP
-	// (a single shard for the serial engine). Every key is only touched by
-	// events executing on the shard's LP.
+	// state holds the round-scoped mutable maps, sharded one entry per LP.
+	// Every key is only touched by events executing on the shard's LP.
 	state []lpState
 
 	// tniFree[node*TNIsPerNode+tni] is the time the TNI engine frees up;
 	// tniLastVCQ tracks the last VCQ served per TNI (unused slot = -1).
-	// Indexed by node, so under the parallel engine each slot is only
-	// touched by the LP owning that node.
+	// Indexed by node, so each slot is only touched by the LP owning that
+	// node.
 	tniFree    []float64
 	tniLastVCQ []int
 
@@ -181,7 +178,7 @@ type fabricMetrics struct {
 // SetMetrics enables (or, with a nil registry, disables) metric collection.
 // Metrics only observe the computed virtual times: timing outputs are
 // bit-identical with metrics on or off. All handles are safe for the
-// parallel engine's worker goroutines (counters are atomic, histograms
+// engine's worker goroutines (counters are atomic, histograms
 // mutex-protected, and histogram contents are order-independent).
 func (f *Fabric) SetMetrics(reg *metrics.Registry) {
 	if !reg.Enabled() {
@@ -208,13 +205,13 @@ func (f *Fabric) SetMetrics(reg *metrics.Registry) {
 	f.met = m
 }
 
-// publishLPStats exports the parallel engine's cumulative profile into the
+// publishLPStats exports the engine's cumulative profile into the
 // registry after a round: des_lp_events and des_lp_barrier_wait per LP, and
 // the engine-wide epoch gauges. Gauges carry cumulative values, so scraping
 // them mid-run (the -status endpoint) shows monotone progress. Metrics only
 // observe the profile; they never feed back into virtual time.
 func (f *Fabric) publishLPStats() {
-	if f.met == nil || f.par == nil {
+	if f.met == nil {
 		return
 	}
 	st := f.par.Stats()
@@ -237,7 +234,7 @@ func (f *Fabric) publishLPStats() {
 }
 
 // NewFabric builds a fabric over the rank map with the given parameters,
-// using the serial event engine; see SetParallel.
+// running rounds on one LP; see SetParallel.
 func NewFabric(m *topo.RankMap, p Params) *Fabric {
 	nodes := m.Torus.Nodes()
 	f := &Fabric{
@@ -249,41 +246,28 @@ func NewFabric(m *topo.RankMap, p Params) *Fabric {
 	for i := range f.tniLastVCQ {
 		f.tniLastVCQ[i] = -1
 	}
-	f.initShards(1)
+	if err := f.SetParallel(1); err != nil {
+		// One LP needs no lookahead, so this cannot fail.
+		panic("tofu: " + err.Error())
+	}
 	return f
 }
 
-// initShards (re)builds the per-LP state shards.
-func (f *Fabric) initShards(n int) {
-	f.state = make([]lpState, n)
-	for i := range f.state {
-		f.state[i] = lpState{
-			queues:          make(map[threadKey][]queuedTransfer),
-			threadFree:      make(map[threadKey]float64),
-			recvCtxFree:     make(map[threadKey]float64),
-			lastVCQByThread: make(map[threadKey]int),
-		}
-	}
-}
-
-// SetParallel selects the event engine for subsequent rounds. lps <= 0
-// reverts to the plain serial engine. lps >= 1 partitions the nodes into
-// that many contiguous blocks, one logical process each, executed by the
-// conservative parallel engine with lookahead equal to the minimum
-// inter-node latency — the soonest an event on one node can affect another.
-// lps is clamped to the node count (an LP without nodes would only slow the
-// barrier down). lps == 1 runs the parallel engine's degenerate serial loop
-// (no goroutines, no barriers, bit-identical results) so per-LP profiling
-// (ParallelStats) is available at every LP count, including 1.
+// SetParallel partitions the nodes into lps contiguous blocks, one logical
+// process each, for subsequent rounds. lps <= 1 means one LP: a serial loop
+// with no goroutines and no barriers. lps >= 2 runs the conservative
+// barrier-epoch loop with lookahead equal to the minimum inter-node latency
+// — the soonest an event on one node can affect another. lps is clamped to
+// the node count (an LP without nodes would only slow the barrier down).
+// Results and the per-LP profile (ParallelStats) are the same kind at every
+// LP count; the profile restarts from zero.
 func (f *Fabric) SetParallel(lps int) error {
-	if nodes := f.Map.Torus.Nodes(); lps > nodes {
+	nodes := f.Map.Torus.Nodes()
+	if lps > nodes {
 		lps = nodes
 	}
-	if lps <= 0 {
-		f.par = nil
-		f.lpOfRank = nil
-		f.initShards(1)
-		return nil
+	if lps < 1 {
+		lps = 1
 	}
 	la := f.Params.Lookahead(f.Map.MinInterNodeHops())
 	if lps > 1 && !(la > 0) {
@@ -294,107 +278,70 @@ func (f *Fabric) SetParallel(lps int) error {
 		return err
 	}
 	par.SetProfiling(f.profile)
-	nodes := f.Map.Torus.Nodes()
 	f.par = par
 	f.lpOfRank = make([]int32, f.Map.Ranks())
 	for r := range f.lpOfRank {
 		node, _ := f.Map.NodeOf(r)
 		f.lpOfRank[r] = int32(node * lps / nodes)
 	}
-	f.initShards(lps)
+	f.state = make([]lpState, lps)
+	for i := range f.state {
+		f.state[i] = lpState{
+			queues:          make(map[threadKey][]queuedTransfer),
+			threadFree:      make(map[threadKey]float64),
+			recvCtxFree:     make(map[threadKey]float64),
+			lastVCQByThread: make(map[threadKey]int),
+		}
+	}
 	return nil
 }
 
-// SetProfiling enables barrier-wait wall-clock timing on the parallel
-// engine (current and future ones selected by SetParallel). Profiling never
-// changes virtual times; it only fills ParallelStats.BarrierWait.
+// SetProfiling enables barrier-wait wall-clock timing on the engine (the
+// current one and any SetParallel builds later). Profiling never changes
+// virtual times; it only fills ParallelStats.BarrierWait.
 func (f *Fabric) SetProfiling(on bool) {
 	f.profile = on
-	if f.par != nil {
-		f.par.SetProfiling(on)
-	}
+	f.par.SetProfiling(on)
 }
 
-// ParallelStats snapshots the parallel engine's cumulative per-LP profile;
-// ok is false under the plain serial engine (SetParallel <= 0 or never
-// called). Safe to call while a round is in flight.
+// ParallelStats snapshots the engine's cumulative per-LP profile. ok is
+// always true: every fabric runs on LPs, and the two-value signature is
+// what the frozen benchmark harness compiles against. Safe to call while a
+// round is in flight.
 func (f *Fabric) ParallelStats() (des.ParallelStats, bool) {
-	if f.par == nil {
-		return des.ParallelStats{}, false
-	}
 	return f.par.Stats(), true
 }
 
-// Parallel returns the number of logical processes rounds run on (1 for
-// the serial engine).
-func (f *Fabric) Parallel() int {
-	if f.par == nil {
-		return 1
-	}
-	return f.par.LPs()
-}
+// Parallel returns the number of logical processes rounds run on.
+func (f *Fabric) Parallel() int { return f.par.LPs() }
 
-// procForRank returns the scheduling surface of the LP owning rank.
-func (f *Fabric) procForRank(rank int) des.Proc {
-	if f.par == nil {
-		return &f.eng
-	}
+// lpForRank returns the LP owning rank.
+func (f *Fabric) lpForRank(rank int) *des.LP {
 	return f.par.LP(int(f.lpOfRank[rank]))
 }
 
 // shardForRank returns the state shard of the LP owning rank.
 func (f *Fabric) shardForRank(rank int) *lpState {
-	if f.par == nil {
-		return &f.state[0]
-	}
 	return &f.state[f.lpOfRank[rank]]
 }
 
-// mustSchedule wraps Proc.ScheduleAt: every time the fabric computes is
+// mustSchedule wraps LP.ScheduleAt: every time the fabric computes is
 // monotone by construction (costs are non-negative), so a past time is an
 // arithmetic bug that must not be masked by Schedule's clamping.
-func (f *Fabric) mustSchedule(c des.Proc, t float64, fn func()) {
+func (f *Fabric) mustSchedule(c *des.LP, t float64, fn func()) {
 	if err := c.ScheduleAt(t, fn); err != nil {
 		panic("tofu: " + err.Error())
 	}
 }
 
 // sendAt schedules fn at time t on the LP owning rank, from the event
-// currently executing on c. Serial engine: a plain ScheduleAt. Parallel
-// engine: a cross-LP send, which the engine checks against its lookahead —
-// a violation means the fabric computed an inter-node delivery faster than
-// the minimum link latency, an arithmetic bug worth crashing on.
-func (f *Fabric) sendAt(c des.Proc, rank int, t float64, fn func()) {
-	if f.par == nil {
-		f.mustSchedule(c, t, fn)
-		return
-	}
-	src := c.(*des.LP)
-	if err := src.SendAt(f.par.LP(int(f.lpOfRank[rank])), t, fn); err != nil {
+// currently executing on c. The engine checks a cross-LP send against its
+// lookahead — a violation means the fabric computed an inter-node delivery
+// faster than the minimum link latency, an arithmetic bug worth crashing on.
+func (f *Fabric) sendAt(c *des.LP, rank int, t float64, fn func()) {
+	if err := c.SendAt(f.lpForRank(rank), t, fn); err != nil {
 		panic("tofu: " + err.Error())
 	}
-}
-
-func (f *Fabric) enginePending() int {
-	if f.par != nil {
-		return f.par.Pending()
-	}
-	return f.eng.Pending()
-}
-
-func (f *Fabric) engineReset() {
-	if f.par != nil {
-		f.par.Reset()
-		return
-	}
-	f.eng.Reset()
-}
-
-func (f *Fabric) engineRun(budget int) (float64, error) {
-	if f.par != nil {
-		return f.par.RunBudget(budget)
-	}
-	return f.eng.RunBudget(budget)
 }
 
 // countAbandoned records events stranded in the engine.
@@ -406,7 +353,7 @@ func (f *Fabric) countAbandoned(n int) {
 
 // setTrace buffers the MessageEvent of transfer idx. Each slot is written
 // by exactly one event (the transfer's completion or its failure), so the
-// buffer needs no lock under the parallel engine.
+// buffer needs no lock when LPs run concurrently.
 func (f *Fabric) setTrace(idx int, ev trace.MessageEvent) {
 	if f.msgEvs == nil {
 		return
@@ -449,7 +396,7 @@ func (f *Fabric) PutLatency(hops int, bytes units.Bytes) float64 {
 // routed across the torus. Timing outputs are written into the transfers.
 // Virtual time within the round starts at 0; ReadyAt values are relative to
 // the round start. The round is deterministic for a given transfer slice,
-// with either engine.
+// at every LP count.
 //
 // RunRound returns an error when the event engine does not drain: events
 // stranded from a previous round (which Reset would silently discard — a
@@ -462,11 +409,11 @@ func (f *Fabric) RunRound(transfers []*Transfer, iface Interface) error {
 		return nil
 	}
 	p := &f.Params
-	if n := f.enginePending(); n != 0 {
+	if n := f.par.Pending(); n != 0 {
 		f.countAbandoned(n)
 		return fmt.Errorf("tofu: %d events stranded from a previous round at round start (%d abandoned)", n, n)
 	}
-	f.engineReset()
+	f.par.Reset()
 	for i := range f.tniFree {
 		f.tniFree[i] = 0
 		f.tniLastVCQ[i] = -1
@@ -523,7 +470,7 @@ func (f *Fabric) RunRound(transfers []*Transfer, iface Interface) error {
 		item := q[0]
 		st.queues[k] = q[1:]
 		tr := item.tr
-		c := f.procForRank(k.rank)
+		c := f.lpForRank(k.rank)
 		start := c.Now()
 		if tr.ReadyAt > start {
 			// The thread idles until the message is packed.
@@ -555,22 +502,22 @@ func (f *Fabric) RunRound(transfers []*Transfer, iface Interface) error {
 
 	for _, k := range keys {
 		k := k
-		f.mustSchedule(f.procForRank(k.rank), 0, func() { issueNext(k) })
+		f.mustSchedule(f.lpForRank(k.rank), 0, func() { issueNext(k) })
 	}
 	// Each transfer contributes a bounded number of events (seed, at most
 	// one ready-wait requeue, issue chain, transmit, receive completion), so
 	// this budget is never reached by a correct round; hitting it means a
 	// scheduling cycle and stops what would otherwise be a livelock.
 	budget := 8*len(transfers) + 8*len(keys) + 64
-	_, runErr := f.engineRun(budget)
+	_, runErr := f.par.RunBudget(budget)
 	f.flushTrace()
 	f.publishLPStats()
 	if runErr != nil {
-		n := f.enginePending()
+		n := f.par.Pending()
 		f.countAbandoned(n)
 		return fmt.Errorf("tofu: round did not drain (%d events abandoned): %w", n, runErr)
 	}
-	if n := f.enginePending(); n != 0 {
+	if n := f.par.Pending(); n != 0 {
 		f.countAbandoned(n)
 		return fmt.Errorf("tofu: %d events abandoned at end of round", n)
 	}
@@ -583,7 +530,7 @@ func (f *Fabric) RunRound(transfers []*Transfer, iface Interface) error {
 // owned by that LP, and the receive completion is forwarded to the LP
 // owning the completion context's rank. issueStart is when the issuing
 // thread started on the command (for stall attribution in the trace).
-func (f *Fabric) transmit(c des.Proc, item queuedTransfer, iface Interface, recvOv, issueStart float64) {
+func (f *Fabric) transmit(c *des.LP, item queuedTransfer, iface Interface, recvOv, issueStart float64) {
 	p := &f.Params
 	tr := item.tr
 	srcNode, _ := f.Map.NodeOf(tr.Src)
@@ -726,7 +673,7 @@ func (f *Fabric) transmit(c des.Proc, item queuedTransfer, iface Interface, recv
 	if tr.IsGet {
 		ctx = threadKey{tr.Src, tr.Thread}
 	}
-	rp := f.procForRank(ctx.rank)
+	rp := f.lpForRank(ctx.rank)
 	st := f.shardForRank(ctx.rank)
 	f.sendAt(c, ctx.rank, tr.Arrival, func() {
 		start := rp.Now()

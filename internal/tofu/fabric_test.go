@@ -529,24 +529,3 @@ func TestRunRoundStallAndDegradeDelayOnly(t *testing.T) {
 		t.Error("stall+degrade faults changed nothing")
 	}
 }
-
-func BenchmarkRunRoundP2P(b *testing.B) {
-	tr, _ := topo.NewTorus3D(vec.I3{X: 4, Y: 6, Z: 4})
-	m, _ := topo.NewRankMap(tr, topo.DefaultBlock, topo.MapTopo)
-	f := NewFabric(m, DefaultParams())
-	mk := func() []*Transfer {
-		var out []*Transfer
-		for r := 0; r < m.Ranks(); r++ {
-			for i := 0; i < 13; i++ {
-				dst := m.NeighborRank(r, vec.I3{X: 1, Y: 1, Z: 1})
-				out = append(out, &Transfer{Src: r, Dst: dst, TNI: i % 6, VCQ: r*8 + i%6, Thread: i % 6, Bytes: 528})
-			}
-		}
-		return out
-	}
-	trs := mk()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.RunRound(trs, IfaceUTofu)
-	}
-}

@@ -30,9 +30,9 @@ func mixedRound(f *Fabric) []*Transfer {
 }
 
 // TestParallelRoundBitIdentical is the fabric-level golden check of the
-// conservative engine: the same round on the serial engine and on several
-// LP counts must produce bit-identical per-transfer timings and the same
-// trace, for both uTofu and MPI interfaces.
+// conservative engine: the same round on one LP (a fresh fabric's serial
+// loop) and on several LP counts must produce bit-identical per-transfer
+// timings and the same trace, for both uTofu and MPI interfaces.
 func TestParallelRoundBitIdentical(t *testing.T) {
 	for _, iface := range []Interface{IfaceUTofu, IfaceMPI} {
 		ref := testFabric(t, vec.I3{X: 4, Y: 4, Z: 4})
@@ -125,9 +125,8 @@ func TestParallelRoundDrains(t *testing.T) {
 }
 
 // TestSetParallelClampsAndValidates covers the configuration surface: LP
-// counts are clamped to the node count, 1 selects the parallel engine's
-// degenerate serial loop (so per-LP profiling exists at every LP count),
-// and 0 reverts to the plain serial engine.
+// counts are clamped to the node count, a fresh fabric already runs (and
+// profiles) on one LP, and every lps <= 1 means that same one LP.
 func TestSetParallelClampsAndValidates(t *testing.T) {
 	f := testFabric(t, vec.I3{X: 2, Y: 2, Z: 2}) // 8 nodes
 	if err := f.SetParallel(64); err != nil {
@@ -136,33 +135,45 @@ func TestSetParallelClampsAndValidates(t *testing.T) {
 	if got := f.Parallel(); got != 8 {
 		t.Fatalf("Parallel() after SetParallel(64) on 8 nodes = %d, want 8", got)
 	}
-	if err := f.SetParallel(1); err != nil {
+
+	// A fresh fabric reports one LP and a profile after its first round.
+	fresh := testFabric(t, vec.I3{X: 2, Y: 2, Z: 2})
+	if got := fresh.Parallel(); got != 1 {
+		t.Fatalf("Parallel() on a fresh fabric = %d, want 1", got)
+	}
+	freshTrs := mixedRound(fresh)
+	if err := fresh.RunRound(freshTrs, IfaceUTofu); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.Parallel(); got != 1 {
-		t.Fatalf("Parallel() after SetParallel(1) = %d, want 1", got)
-	}
-	// A single-LP round still works and reports a profile.
-	trs := mixedRound(f)
-	if err := f.RunRound(trs, IfaceUTofu); err != nil {
-		t.Fatal(err)
-	}
-	st, ok := f.ParallelStats()
+	freshStats, ok := fresh.ParallelStats()
 	if !ok {
-		t.Fatal("ParallelStats: ok = false after SetParallel(1)")
+		t.Fatal("ParallelStats: ok = false on a fresh fabric")
 	}
-	if st.TotalEvents() == 0 {
-		t.Error("single-LP round recorded no events")
+	if freshStats.TotalEvents() == 0 {
+		t.Error("fresh fabric's round recorded no events")
 	}
-	if err := f.SetParallel(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := f.ParallelStats(); ok {
-		t.Fatal("ParallelStats: ok = true after reverting to the serial engine")
-	}
-	// A serial-engine round still works after switching back.
-	trs = mixedRound(f)
-	if err := f.RunRound(trs, IfaceUTofu); err != nil {
-		t.Fatal(err)
+
+	// SetParallel(0) and SetParallel(1) are the same configuration as the
+	// fresh fabric: identical timings, identical stats.
+	for _, lps := range []int{0, 1} {
+		if err := f.SetParallel(lps); err != nil {
+			t.Fatal(err)
+		}
+		if got := f.Parallel(); got != 1 {
+			t.Fatalf("Parallel() after SetParallel(%d) = %d, want 1", lps, got)
+		}
+		trs := mixedRound(f)
+		if err := f.RunRound(trs, IfaceUTofu); err != nil {
+			t.Fatal(err)
+		}
+		for i := range trs {
+			a, b := freshTrs[i], trs[i]
+			if a.IssueDone != b.IssueDone || a.Arrival != b.Arrival || a.RecvComplete != b.RecvComplete {
+				t.Fatalf("SetParallel(%d): transfer %d timings differ from a fresh fabric", lps, i)
+			}
+		}
+		if st, ok := f.ParallelStats(); !ok || !reflect.DeepEqual(st, freshStats) {
+			t.Fatalf("SetParallel(%d): stats (ok=%v) %+v, want %+v", lps, ok, st, freshStats)
+		}
 	}
 }

@@ -96,14 +96,14 @@ type CounterSample struct {
 //
 // Concurrency contract: every emission method (Message, Span, Round,
 // Instant, Counter) and every accessor is safe to call concurrently — in
-// particular from the parallel engine's LP goroutines and thread-pool
+// particular from the event engine's LP goroutines and thread-pool
 // workers; the internal mutex is held only for the append. What the mutex
 // does NOT provide is a deterministic order: concurrent emitters append in
 // goroutine-scheduling order. Producers that need byte-identical output
 // across runs must impose their own order — the fabric buffers one
 // MessageEvent per transfer slot (single writer each) during a round and
 // flushes them in transfer order afterwards, which is why fabric traces are
-// byte-identical across serial/parallel engines and repeat runs. Span and
+// byte-identical across LP counts and repeat runs. Span and
 // counter emitters in the simulation layer run on the single driver
 // goroutine, so their order is the program order.
 type Recorder struct {

@@ -172,18 +172,22 @@ func TestModeledWeakScalingLinear(t *testing.T) {
 
 func TestHaloTimeOrdering(t *testing.T) {
 	per := 65536.0 / 3072.0
-	mk := func(v sim.Variant) float64 {
-		tm, err := HaloTime(ModelSpec{
+	spec := func(v sim.Variant) ModelSpec {
+		return ModelSpec{
 			Kind: LJ, Variant: v,
 			FullShape:    vec.I3{X: 8, Y: 12, Z: 8},
 			TileShape:    vec.I3{X: 4, Y: 6, Z: 4},
 			AtomsPerRank: per,
-		})
+		}
+	}
+	run := func(spec ModelSpec) float64 {
+		tm, err := HaloTime(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return tm
 	}
+	mk := func(v sim.Variant) float64 { return run(spec(v)) }
 	ref := mk(sim.Ref())
 	mpiP2P := mk(sim.MPIP2P())
 	u3 := mk(sim.UTofu3Stage())
@@ -199,6 +203,15 @@ func TestHaloTimeOrdering(t *testing.T) {
 	red := 1 - p4/ref
 	if red < 0.6 || red > 0.92 {
 		t.Errorf("p2p reduction vs MPI 3-stage = %.0f%%, paper 79%%", 100*red)
+	}
+	// HaloTime honours the placement ablation as Modeled does: linear
+	// placement stretches neighbor links over more hops (section 3.5.3).
+	linear := spec(sim.Opt())
+	linear.LinearMap = true
+	lin := run(linear)
+	t.Logf("opt halo: %.3g s topo placement, %.3g s linear", opt, lin)
+	if lin <= opt {
+		t.Errorf("opt halo under linear placement %.3g not above topo placement %.3g", lin, opt)
 	}
 }
 

@@ -53,15 +53,6 @@ type ModelSpec struct {
 	Stats *des.ParallelStats
 }
 
-// setupParallel applies the spec's engine settings to a fresh fabric.
-func (spec ModelSpec) setupParallel(fab *tofu.Fabric) error {
-	if err := fab.SetParallel(spec.LPs); err != nil {
-		return err
-	}
-	fab.SetProfiling(spec.Profile)
-	return nil
-}
-
 // captureStats copies the fabric's engine profile into spec.Stats.
 func (spec ModelSpec) captureStats(fab *tofu.Fabric) {
 	if spec.Stats != nil {
@@ -117,9 +108,22 @@ type modelLink struct {
 
 type simRes struct{ thread, tni, vcq int }
 
-// Modeled runs the timing-only model and returns a RunResult whose
-// Breakdown holds the full-run stage times of an average rank.
-func Modeled(spec ModelSpec) (*RunResult, error) {
+// modelSetup is the state both modeled entry points build from a spec: the
+// tile machine and its fabric, the kind's geometry, and the synthetic link
+// set the halo operations run over.
+type modelSetup struct {
+	v      sim.Variant
+	m      *sim.Machine
+	fab    *tofu.Fabric
+	kp     kindParams
+	links  []modelLink
+	packTh machine.Threading
+}
+
+// setup defaults the tile, builds the machine in the spec's placement mode
+// and a fabric carrying the spec's recorder, metrics and engine settings,
+// and derives the per-rank geometry and links.
+func (spec *ModelSpec) setup() (*modelSetup, error) {
 	if spec.TileShape == (vec.I3{}) {
 		spec.TileShape = DefaultTile(spec.FullShape, 512)
 	}
@@ -131,27 +135,41 @@ func Modeled(spec ModelSpec) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	kp := paramsFor(spec.Kind)
 	fab := tofu.NewFabric(m.Map, m.Params)
 	fab.Rec = spec.Rec
 	fab.SetMetrics(spec.Met)
-	if err := spec.setupParallel(fab); err != nil {
+	if err := fab.SetParallel(spec.LPs); err != nil {
 		return nil, err
 	}
-	cost := m.Cost
-	th := spec.Variant.ComputeThreading
-	packTh := machine.Serial
-	if spec.Variant.CommThreads > 1 {
-		packTh = machine.Pool
-	}
+	fab.SetProfiling(spec.Profile)
 
-	n := spec.AtomsPerRank
-	side := math.Cbrt(n / kp.density)
+	kp := paramsFor(spec.Kind)
+	side := math.Cbrt(spec.AtomsPerRank / kp.density)
 	ghCut := kp.cutoff + kp.skin
 	shells := 1
 	for ghCut > float64(shells)*side {
 		shells++
 	}
+	packTh := machine.Serial
+	if spec.Variant.CommThreads > 1 {
+		packTh = machine.Pool
+	}
+	return &modelSetup{
+		v: spec.Variant, m: m, fab: fab, kp: kp, packTh: packTh,
+		links: buildModelLinks(m, spec.Variant, side, ghCut, shells, kp.density),
+	}, nil
+}
+
+// Modeled runs the timing-only model and returns a RunResult whose
+// Breakdown holds the full-run stage times of an average rank.
+func Modeled(spec ModelSpec) (*RunResult, error) {
+	ms, err := spec.setup()
+	if err != nil {
+		return nil, err
+	}
+	m, fab, kp, cost := ms.m, ms.fab, ms.kp, ms.m.Cost
+	th := spec.Variant.ComputeThreading
+	n := spec.AtomsPerRank
 	fullRanks := spec.FullShape.Prod() * m.Map.RanksPerNode()
 
 	// Expected half-list pair count per rank.
@@ -159,15 +177,13 @@ func Modeled(spec ModelSpec) (*RunResult, error) {
 	pairs := int(n * fullNeigh / 2)
 	candidates := int(n * fullNeigh * 27 / (4.0 / 3.0 * math.Pi)) // 27-bin scan ratio
 
-	links := buildModelLinks(m, spec.Variant, side, ghCut, shells, kp.density)
-
 	bd := &trace.Breakdown{}
 
 	// Per-step stage times (an average rank; the tile is homogeneous).
 	integrate := cost.IntegrateTime(int(n), th)
 
 	commRound := func(perAtomBytes int, reverse, forceMPI bool, extraPerLink int) float64 {
-		return modelRounds(fab, m, spec.Variant, links, perAtomBytes, reverse, forceMPI, extraPerLink, cost, packTh)
+		return ms.rounds(perAtomBytes, reverse, forceMPI, extraPerLink, cost)
 	}
 
 	// Pair-stage time; EAM adds its two in-pair exchanges (section 4.1).
@@ -234,38 +250,16 @@ func Modeled(spec ModelSpec) (*RunResult, error) {
 // followed by a reverse round) for the given spec, excluding data-packing
 // time — the quantity of the paper's Fig. 6 microbenchmark.
 func HaloTime(spec ModelSpec) (float64, error) {
-	if spec.TileShape == (vec.I3{}) {
-		spec.TileShape = DefaultTile(spec.FullShape, 512)
-	}
-	m, err := sim.NewMachine(spec.TileShape)
+	ms, err := spec.setup()
 	if err != nil {
 		return 0, err
 	}
-	kp := paramsFor(spec.Kind)
-	fab := tofu.NewFabric(m.Map, m.Params)
-	fab.Rec = spec.Rec
-	fab.SetMetrics(spec.Met)
-	if err := spec.setupParallel(fab); err != nil {
-		return 0, err
-	}
-	cost := m.Cost
+	cost := ms.m.Cost
 	cost.PackPerByte = 0
 	cost.UnpackPerByte = 0
-	n := spec.AtomsPerRank
-	side := math.Cbrt(n / kp.density)
-	ghCut := kp.cutoff + kp.skin
-	shells := 1
-	for ghCut > float64(shells)*side {
-		shells++
-	}
-	links := buildModelLinks(m, spec.Variant, side, ghCut, shells, kp.density)
-	packTh := machine.Serial
-	if spec.Variant.CommThreads > 1 {
-		packTh = machine.Pool
-	}
-	fwd := modelRounds(fab, m, spec.Variant, links, 24, false, false, 0, cost, packTh)
-	rev := modelRounds(fab, m, spec.Variant, links, 24, true, false, 0, cost, packTh)
-	spec.captureStats(fab)
+	fwd := ms.rounds(24, false, false, 0, cost)
+	rev := ms.rounds(24, true, false, 0, cost)
+	spec.captureStats(ms.fab)
 	return fwd + rev, nil
 }
 
@@ -327,7 +321,7 @@ func buildModelLinks(m *sim.Machine, v sim.Variant, side, ghCut float64, shells 
 				}
 				atoms *= density / float64(shells)
 			} else {
-				atoms = halo.MessageVolumeAniso(clamp1(d), sideV, ghCut) * density
+				atoms = halo.MessageVolumeAniso(d, sideV, ghCut) * density
 			}
 			links[i] = modelLink{
 				src: rank, dst: dst, dir: d, atoms: atoms,
@@ -351,24 +345,10 @@ func buildModelLinks(m *sim.Machine, v sim.Variant, side, ghCut float64, shells 
 	return out
 }
 
-func clamp1(d vec.I3) vec.I3 {
-	c := func(v int) int {
-		if v > 0 {
-			return 1
-		}
-		if v < 0 {
-			return -1
-		}
-		return 0
-	}
-	return vec.I3{X: c(d.X), Y: c(d.Y), Z: c(d.Z)}
-}
-
-// modelRounds executes one halo operation (all its rounds) on the fabric
-// and returns the average per-rank duration including pack/unpack costs.
-func modelRounds(fab *tofu.Fabric, m *sim.Machine, v sim.Variant, links []modelLink,
-	perAtomBytes int, reverse, forceMPI bool, extraPerLink int, cost machine.CostModel, packTh machine.Threading) float64 {
-
+// rounds executes one halo operation (all its rounds) on the fabric and
+// returns the average per-rank duration including pack/unpack costs.
+func (ms *modelSetup) rounds(perAtomBytes int, reverse, forceMPI bool, extraPerLink int, cost machine.CostModel) float64 {
+	fab, m, v, links, packTh := ms.fab, ms.m, ms.v, ms.links, ms.packTh
 	iface := tofu.IfaceUTofu
 	if v.Transport == halo.TransportMPI || forceMPI {
 		iface = tofu.IfaceMPI

@@ -33,6 +33,12 @@ func TestMessageVolumeAniso(t *testing.T) {
 	if got := halo.MessageVolumeAniso(vec.I3{Z: 1}, side, 1.5); got != 2*3*1.5 {
 		t.Errorf("aniso face = %v", got)
 	}
+	// Only which axes are non-zero matters, not sign or shell distance:
+	// multi-shell callers pass their offsets unclamped.
+	if far, near := halo.MessageVolumeAniso(vec.I3{X: 2, Y: -2}, side, 1.5),
+		halo.MessageVolumeAniso(vec.I3{X: 1, Y: 1}, side, 1.5); far != near || near != 1.5*1.5*4 {
+		t.Errorf("aniso edge: shell-2 offset %v, shell-1 offset %v, want %v", far, near, 1.5*1.5*4)
+	}
 }
 
 func TestHopCount(t *testing.T) {

@@ -28,7 +28,7 @@ func FuzzRead(f *testing.F) {
 	}
 	v2 := buf.Bytes()
 	// The version-1 encoding is the same body with the old magic and no
-	// checksum trailer.
+	// checksum trailer: a must-reject seed.
 	v1 := append([]byte(magicV1), v2[len(magicV2):len(v2)-4]...)
 	f.Add(v2)
 	f.Add(v1)
@@ -47,6 +47,9 @@ func FuzzRead(f *testing.F) {
 				t.Fatalf("Read returned both a snapshot and error %v", err)
 			}
 			return
+		}
+		if bytes.HasPrefix(data, []byte(magicV1)) {
+			t.Fatal("un-checksummed version-1 checkpoint accepted")
 		}
 		var out bytes.Buffer
 		if err := Write(&out, got); err != nil {

@@ -23,7 +23,8 @@ import (
 // Restart file magics. Version 2 appends a little-endian IEEE CRC32 of
 // everything before it (magic included), so a torn or bit-flipped
 // checkpoint is rejected instead of resuming a corrupted trajectory.
-// Version 1 files (no trailer) are still read.
+// Version 1 files (no trailer, so unverifiable) are recognized only to be
+// refused by name; nothing writes them.
 const (
 	magicV1 = "TOFUMD01"
 	magicV2 = "TOFUMD02"
@@ -90,8 +91,8 @@ func truncated(err error) error {
 	return err
 }
 
-// Read deserializes a snapshot, accepting the current version-2 format
-// (CRC32-verified) and legacy version-1 files (no trailer).
+// Read deserializes a snapshot in the current version-2 format, verifying
+// its CRC32 trailer. Legacy version-1 files are rejected.
 func Read(r io.Reader) (*Snapshot, error) {
 	br := bufio.NewReader(r)
 	head := make([]byte, len(magicV2))
@@ -99,9 +100,9 @@ func Read(r io.Reader) (*Snapshot, error) {
 		return nil, truncated(fmt.Errorf("restart: %w", err))
 	}
 	switch string(head) {
-	case magicV1:
-		return readBody(br)
 	case magicV2:
+	case magicV1:
+		return nil, fmt.Errorf("restart: version-1 checkpoint (%s, no checksum) is no longer read", magicV1)
 	default:
 		return nil, fmt.Errorf("restart: bad magic %q", head)
 	}
@@ -121,7 +122,7 @@ func Read(r io.Reader) (*Snapshot, error) {
 	return snap, nil
 }
 
-// readBody deserializes the version-independent snapshot body.
+// readBody deserializes the snapshot body between magic and trailer.
 func readBody(r io.Reader) (*Snapshot, error) {
 	readU64 := func() (uint64, error) {
 		var v uint64

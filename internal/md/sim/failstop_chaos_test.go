@@ -59,12 +59,12 @@ func TestChaosTNIFailover(t *testing.T) {
 			t.Errorf("rank %d still holds a VCQ on the quarantined TNI", r.ID)
 		}
 		for _, l := range r.sendLinks {
-			if l.fwd.tni == 2 {
+			if l.fwd.TNI == 2 {
 				t.Fatalf("rank %d link →%d still assigned to quarantined TNI 2", r.ID, l.dst.ID)
 			}
 		}
 		for _, l := range r.recvLinks {
-			if l.rev.tni == 2 {
+			if l.rev.TNI == 2 {
 				t.Fatalf("rank %d reverse link ←%d still assigned to quarantined TNI 2", r.ID, l.src.ID)
 			}
 		}

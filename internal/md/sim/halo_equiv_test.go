@@ -29,6 +29,10 @@ type equivPin struct {
 	variant sim.Variant
 	faults  string
 	lps     int
+	// kind and cells select the workload; the zero values are the Fig. 6
+	// system (LJ, 16^3 cells).
+	kind  core.Kind
+	cells int
 
 	clockSum float64
 	posHash  uint64
@@ -44,22 +48,37 @@ func equivPins() []equivPin {
 	return []equivPin{
 		// The optimized p2p/uTofu variant is bit-identical across every DES
 		// engine configuration (serial and 2/4/8 LPs).
-		{"opt-serial", sim.Opt(), "", 0, optClockSum, optPosHash, optElapsed},
-		{"opt-2lp", sim.Opt(), "", 2, optClockSum, optPosHash, optElapsed},
-		{"opt-4lp", sim.Opt(), "", 4, optClockSum, optPosHash, optElapsed},
-		{"opt-8lp", sim.Opt(), "", 8, optClockSum, optPosHash, optElapsed},
+		{"opt-serial", sim.Opt(), "", 0, core.LJ, 0, optClockSum, optPosHash, optElapsed},
+		{"opt-2lp", sim.Opt(), "", 2, core.LJ, 0, optClockSum, optPosHash, optElapsed},
+		{"opt-4lp", sim.Opt(), "", 4, core.LJ, 0, optClockSum, optPosHash, optElapsed},
+		{"opt-8lp", sim.Opt(), "", 8, core.LJ, 0, optClockSum, optPosHash, optElapsed},
 		// The MPI baseline and the uTofu 3-stage variant share physics (same
 		// pattern) but differ in timing.
-		{"ref-mpi", sim.Ref(), "", 0,
+		{"ref-mpi", sim.Ref(), "", 0, core.LJ, 0,
 			0.110842105619608, 0xb4bcede66d7c07, 0.0034687130980392221},
-		{"utofu-3stage", sim.UTofu3Stage(), "", 0,
+		{"utofu-3stage", sim.UTofu3Stage(), "", 0, core.LJ, 0,
 			0.10818704636274543, 0xb4bcede66d7c07, 0.0033876897931372644},
 		// Fault injection perturbs timing (retransmits) but not physics, and
 		// stays bit-identical between the serial and parallel engines.
-		{"opt-faults-serial", sim.Opt(), "drop=0.0001,seed=7", 0,
+		{"opt-faults-serial", sim.Opt(), "drop=0.0001,seed=7", 0, core.LJ, 0,
 			0.056205977314705773, optPosHash, 0.0017578090666666637},
-		{"opt-faults-4lp", sim.Opt(), "drop=0.0001,seed=7", 4,
+		{"opt-faults-4lp", sim.Opt(), "drop=0.0001,seed=7", 4, core.LJ, 0,
 			0.056205977314705773, optPosHash, 0.0017578090666666637},
+		// Captured on the five hand-written pack/round/unpack loops, before
+		// they became one descriptor-driven runner. EAM at 12^3 cells pins
+		// the two in-pair scalar exchanges (direct forward under opt, inbox
+		// forward under ref); 4tni-p2p pins the non-pre-registered uTofu
+		// forward, whose unpack is charged only when bytes arrived; the
+		// two-shell system (5^3 cells, sub-box below the ghost cutoff) pins
+		// multi-iteration 3-stage rounds and their backwards reverse order.
+		{"eam-opt", sim.Opt(), "", 0, core.EAM, 12,
+			0.053381232494117567, 0x7e9b69afb8552edc, 0.001668940659803919},
+		{"eam-ref", sim.Ref(), "", 0, core.EAM, 12,
+			0.12599192590980374, 0x7e9b69afb8549862, 0.0039389248960784258},
+		{"p2p-4tni", sim.P2P4TNI(), "", 0, core.LJ, 0,
+			0.077991902442156855, optPosHash, 0.0024405929049019603},
+		{"utofu-3stage-2shell", sim.UTofu3Stage(), "", 0, core.LJ, 5,
+			0.033238806741176415, 0x2c9f77c47c7935c, 0.0010394915421568604},
 	}
 }
 
@@ -84,11 +103,15 @@ func TestHaloRefactorEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg, err := core.BaseConfig(core.LJ)
+			cfg, err := core.BaseConfig(pin.kind)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.Cells = vec.I3{X: 16, Y: 16, Z: 16}
+			cells := 16
+			if pin.cells > 0 {
+				cells = pin.cells
+			}
+			cfg.Cells = vec.I3{X: cells, Y: cells, Z: cells}
 			s, err := sim.New(m, pin.variant, cfg)
 			if err != nil {
 				t.Fatal(err)

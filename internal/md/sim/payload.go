@@ -7,33 +7,25 @@ import (
 	"tofumd/internal/vec"
 )
 
-// Message payload encodings, composed from the halo library's primitive
-// wire codec. Wire sizes match the paper's accounting: a forward-stage
-// position is 24 bytes (3 float64), so the 22-atom messages of the
-// 65K/768-node configuration are 528 bytes (section 4.2); border-stage
-// records carry id + type + position (40 bytes).
+// Message payload encodings, composed directly from the halo library's
+// primitive wire codec (a contiguous scalar range is halo.EncodeScalars /
+// DecodeScalars as is). Wire sizes match the paper's accounting: a
+// forward-stage position is 24 bytes (3 float64), so the 22-atom messages
+// of the 65K/768-node configuration are 528 bytes (section 4.2);
+// border-stage records carry id + type + position (40 bytes).
 
 const (
 	posBytes    = 24
 	borderBytes = 40
 	exchBytes   = 64 // id + type + position + velocity
-	f64Bytes    = halo.F64Bytes
 )
-
-func putF64(b []byte, v float64) { halo.PutF64(b, v) }
-
-func getF64(b []byte) float64 { return halo.GetF64(b) }
-
-func putV3(b []byte, v vec.V3) { halo.PutV3(b, v) }
-
-func getV3(b []byte) vec.V3 { return halo.GetV3(b) }
 
 // encodePositions packs X[idx]+shift for each index in list.
 func encodePositions(dst []byte, x []vec.V3, list []int32, shift vec.V3) []byte {
 	need := len(list) * posBytes
-	dst = grow(dst, need)
+	dst = halo.Grow(dst, need)
 	for k, idx := range list {
-		putV3(dst[k*posBytes:], x[idx].Add(shift))
+		halo.PutV3(dst[k*posBytes:], x[idx].Add(shift))
 	}
 	return dst[:need]
 }
@@ -41,16 +33,16 @@ func encodePositions(dst []byte, x []vec.V3, list []int32, shift vec.V3) []byte 
 // decodePositions unpacks count positions into x starting at base.
 func decodePositions(src []byte, x []vec.V3, base, count int) {
 	for k := 0; k < count; k++ {
-		x[base+k] = getV3(src[k*posBytes:])
+		x[base+k] = halo.GetV3(src[k*posBytes:])
 	}
 }
 
 // encodeVectors packs raw vectors (forces) for a ghost range.
 func encodeVectors(dst []byte, f []vec.V3, base, count int) []byte {
 	need := count * posBytes
-	dst = grow(dst, need)
+	dst = halo.Grow(dst, need)
 	for k := 0; k < count; k++ {
-		putV3(dst[k*posBytes:], f[base+k])
+		halo.PutV3(dst[k*posBytes:], f[base+k])
 	}
 	return dst[:need]
 }
@@ -58,41 +50,24 @@ func encodeVectors(dst []byte, f []vec.V3, base, count int) []byte {
 // decodeAddVectors accumulates count vectors into f at the listed indices.
 func decodeAddVectors(src []byte, f []vec.V3, list []int32) {
 	for k, idx := range list {
-		f[idx] = f[idx].Add(getV3(src[k*posBytes:]))
+		f[idx] = f[idx].Add(halo.GetV3(src[k*posBytes:]))
 	}
 }
 
 // encodeScalars packs Rho/Fp values for the listed indices.
 func encodeScalars(dst []byte, s []float64, list []int32) []byte {
-	need := len(list) * f64Bytes
-	dst = grow(dst, need)
+	need := len(list) * halo.F64Bytes
+	dst = halo.Grow(dst, need)
 	for k, idx := range list {
-		putF64(dst[k*f64Bytes:], s[idx])
+		halo.PutF64(dst[k*halo.F64Bytes:], s[idx])
 	}
 	return dst[:need]
-}
-
-// encodeScalarRange packs s[base:base+count].
-func encodeScalarRange(dst []byte, s []float64, base, count int) []byte {
-	need := count * f64Bytes
-	dst = grow(dst, need)
-	for k := 0; k < count; k++ {
-		putF64(dst[k*f64Bytes:], s[base+k])
-	}
-	return dst[:need]
-}
-
-// decodeScalars writes count scalars into s starting at base.
-func decodeScalars(src []byte, s []float64, base, count int) {
-	for k := 0; k < count; k++ {
-		s[base+k] = getF64(src[k*f64Bytes:])
-	}
 }
 
 // decodeAddScalars accumulates scalars into s at the listed indices.
 func decodeAddScalars(src []byte, s []float64, list []int32) {
 	for k, idx := range list {
-		s[idx] += getF64(src[k*f64Bytes:])
+		s[idx] += halo.GetF64(src[k*halo.F64Bytes:])
 	}
 }
 
@@ -106,12 +81,12 @@ type borderRecord struct {
 // encodeBorder packs border records for the listed indices.
 func encodeBorder(dst []byte, ids []int64, types []int32, x []vec.V3, list []int32, shift vec.V3) []byte {
 	need := len(list) * borderBytes
-	dst = grow(dst, need)
+	dst = halo.Grow(dst, need)
 	for k, idx := range list {
 		o := k * borderBytes
 		binary.LittleEndian.PutUint64(dst[o:], uint64(ids[idx]))
 		binary.LittleEndian.PutUint64(dst[o+8:], uint64(types[idx]))
-		putV3(dst[o+16:], x[idx].Add(shift))
+		halo.PutV3(dst[o+16:], x[idx].Add(shift))
 	}
 	return dst[:need]
 }
@@ -125,7 +100,7 @@ func decodeBorder(src []byte) []borderRecord {
 		out[k] = borderRecord{
 			id:  int64(binary.LittleEndian.Uint64(src[o:])),
 			typ: int32(binary.LittleEndian.Uint64(src[o+8:])),
-			pos: getV3(src[o+16:]),
+			pos: halo.GetV3(src[o+16:]),
 		}
 	}
 	return out
@@ -142,13 +117,13 @@ type exchRecord struct {
 // encodeExchange packs migrating atoms.
 func encodeExchange(dst []byte, recs []exchRecord) []byte {
 	need := len(recs) * exchBytes
-	dst = grow(dst, need)
+	dst = halo.Grow(dst, need)
 	for k, r := range recs {
 		o := k * exchBytes
 		binary.LittleEndian.PutUint64(dst[o:], uint64(r.id))
 		binary.LittleEndian.PutUint64(dst[o+8:], uint64(r.typ))
-		putV3(dst[o+16:], r.pos)
-		putV3(dst[o+40:], r.vel)
+		halo.PutV3(dst[o+16:], r.pos)
+		halo.PutV3(dst[o+40:], r.vel)
 	}
 	return dst[:need]
 }
@@ -162,11 +137,9 @@ func decodeExchange(src []byte) []exchRecord {
 		out[k] = exchRecord{
 			id:  int64(binary.LittleEndian.Uint64(src[o:])),
 			typ: int32(binary.LittleEndian.Uint64(src[o+8:])),
-			pos: getV3(src[o+16:]),
-			vel: getV3(src[o+40:]),
+			pos: halo.GetV3(src[o+16:]),
+			vel: halo.GetV3(src[o+40:]),
 		}
 	}
 	return out
 }
-
-func grow(b []byte, n int) []byte { return halo.Grow(b, n) }

@@ -21,9 +21,8 @@ func (s *Simulation) HaloPlan() string {
 		m.Grid.X, m.Grid.Y, m.Grid.Z, m.Ranks(), m.Ranks()/m.RanksPerNode(), s.ghCut, s.shells)
 
 	specs := halo.BuildLinkSpecs(m, s.Var.Pattern, s.shells, s.sendDirs())
-	rounds := halo.Rounds(s.Var.Pattern, s.shells)
 	fmt.Fprintf(&sb, "%d directed links, %d per rank, %d round(s) per exchange\n",
-		len(specs), len(specs)/m.Ranks(), len(rounds))
+		len(specs), len(specs)/m.Ranks(), len(s.rounds))
 
 	if s.Var.Pattern == halo.P2P {
 		// Hop histogram: faces/edges/corners of the neighbor shell.
@@ -35,7 +34,7 @@ func (s *Simulation) HaloPlan() string {
 			hops[1], hops[2], hops[3])
 		return sb.String()
 	}
-	for _, rk := range rounds {
+	for _, rk := range s.rounds {
 		n := 0
 		for _, sp := range specs {
 			if halo.InRound(sp.Stage3Dim, sp.Stage3Iter, rk) {

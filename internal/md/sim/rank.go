@@ -18,16 +18,13 @@ import (
 // (section 3.4); sharing the struct makes that exchange functional here
 // while its *time* is still charged explicitly.
 type link struct {
+	// spec is the halo-plan entry the link was built from: the endpoint
+	// rank ids, the neighbor offset from src to dst in the rank grid, and
+	// the 3-stage round it belongs to (Stage3Dim -1 for p2p).
+	spec     halo.LinkSpec
 	src, dst *Rank
-	// dir is the neighbor offset from src to dst in the rank grid.
-	dir vec.I3
 	// shift is the PBC position shift src applies when packing.
 	shift vec.V3
-	// stage3Dim is the dimension (0..2) of a 3-stage link, -1 for p2p.
-	stage3Dim int
-	// stage3Iter is the forwarding iteration of a multi-shell 3-stage
-	// link (0-based).
-	stage3Iter int
 
 	// sendList holds src-side atom indices shipped on this link (locals,
 	// or earlier-stage ghosts under 3-stage forwarding).
@@ -35,32 +32,36 @@ type link struct {
 	// recvStart/recvCount locate the ghosts on dst.
 	recvStart, recvCount int
 
-	// fwd and rev are the communication resources used when src sends
-	// (border/forward) and when dst sends back (reverse).
-	fwd, rev commRes
+	// fwd is the side used when src sends (border/forward), rev the side
+	// used when dst sends back (reverse).
+	fwd, rev side
 
-	// seq counts uses of the inbox for round-robin buffer rotation.
+	// seq counts uses of the inboxes for round-robin buffer rotation.
 	seq int
-	// inbox holds dst's registered receive buffers (uTofu transport);
-	// revInbox holds src's buffers for the reverse direction.
-	inbox    *halo.Inbox
-	revInbox *halo.Inbox
-	// sendBuf is src's packing scratch.
-	sendBuf []byte
-	// revBuf is dst's packing scratch for the reverse direction.
-	revBuf []byte
 }
 
-// commRes is the TNI/thread/VCQ assignment of one sending side.
-type commRes struct {
-	thread int
-	tni    int
-	vcqTag int
+// side is one sending direction of a link: the sender's thread/TNI
+// assignment and packing scratch, and the receiver's registered buffers.
+type side struct {
+	halo.Res
+	// inbox holds the receiver's receive buffers (uTofu transport).
+	inbox halo.Inbox
+	// buf is the sender's packing scratch.
+	buf []byte
 }
 
-// bytesFwd returns the forward-direction wire size for a per-atom payload
-// width.
-func (l *link) bytesFwd(perAtom int) int { return len(l.sendList) * perAtom }
+// side returns the link's reverse or forward sending side.
+func (l *link) side(rev bool) *side {
+	if rev {
+		return &l.rev
+	}
+	return &l.fwd
+}
+
+// inRound reports whether the link belongs to round k.
+func (l *link) inRound(k halo.RoundKey) bool {
+	return halo.InRound(l.spec.Stage3Dim, l.spec.Stage3Iter, k)
+}
 
 // Rank is the per-MPI-rank simulation state.
 type Rank struct {
@@ -100,7 +101,8 @@ type Rank struct {
 	binDirs [27][]vec.I3
 	binOK   bool
 
-	// pe accumulates the rank's force-evaluation result each step.
+	// peLocal and virLocal hold the rank's force-evaluation result of the
+	// current step.
 	peLocal  float64
 	virLocal float64
 
@@ -111,13 +113,10 @@ type Rank struct {
 	// exchScratch buffers migrating atoms per destination rank.
 	exchScratch map[int][]exchRecord
 
-	// registered tracks whether setup-time registration has been charged.
+	// maxAtomsEstimate is the theoretical maximum atom count (locals plus
+	// ghost shell) that sizes the pre-registered position region.
 	maxAtomsEstimate int
 }
-
-// ghostRangeOf returns the ghost index range [start, start+count) that dst
-// received over l.
-func (l *link) ghostRange() (int, int) { return l.recvStart, l.recvCount }
 
 // resetPlan clears the per-reneighbor link state of a rank's send links.
 func (r *Rank) resetPlan() {
@@ -140,39 +139,4 @@ func (r *Rank) boundaryLocalCount() int {
 		}
 	}
 	return len(seen)
-}
-
-// totalGhostBytes returns the bytes this rank receives per forward stage.
-func (r *Rank) totalGhostBytes(perAtom int) int {
-	total := 0
-	for _, l := range r.recvLinks {
-		total += l.recvCount * perAtom
-	}
-	return total
-}
-
-// totalSendBytes returns the bytes this rank sends per forward stage.
-func (r *Rank) totalSendBytes(perAtom int) int {
-	total := 0
-	for _, l := range r.sendLinks {
-		total += len(l.sendList) * perAtom
-	}
-	return total
-}
-
-// neighborPairKey orders links deterministically.
-func linkLess(a, b *link) bool {
-	if a.stage3Dim != b.stage3Dim {
-		return a.stage3Dim < b.stage3Dim
-	}
-	if a.stage3Iter != b.stage3Iter {
-		return a.stage3Iter < b.stage3Iter
-	}
-	if a.dir.Z != b.dir.Z {
-		return a.dir.Z < b.dir.Z
-	}
-	if a.dir.Y != b.dir.Y {
-		return a.dir.Y < b.dir.Y
-	}
-	return a.dir.X < b.dir.X
 }

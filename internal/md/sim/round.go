@@ -7,42 +7,50 @@ import (
 	"tofumd/internal/utofu"
 )
 
-// rmsg is one message of a bulk-synchronous communication round, carrying
-// absolute virtual times.
+// rmsg is one message of a bulk-synchronous communication round: the
+// engine's halo.Msg (endpoints, resources, payload, absolute virtual times)
+// plus the link it travels on.
 type rmsg struct {
-	src, dst *Rank
+	halo.Msg
 	// link is the channel; nil for exchange-stage messages.
 	link *link
-	// res is the sender-side communication resource.
-	res commRes
-	// dstThread is the receiver-side polling context.
-	dstThread int
-	// data is the payload.
-	data []byte
-	// known marks length-known messages (forward/reverse reuse border
-	// lists); unknown-length messages pay the MPI two-step protocol.
-	known bool
-	// inboxDst selects the uTofu destination: the link's forward inbox,
-	// reverse inbox, or the pre-registered position array.
-	inboxDst inboxKind
-	// dstOff is the byte offset for direct-to-array puts.
-	dstOff int
-	// readyAt is the absolute sender time the payload is packed.
-	readyAt float64
-
-	// complete is the absolute receiver completion; issueDone the absolute
-	// sender CPU-free time.
-	complete, issueDone float64
+	// inbox is the uTofu destination: the receiver's registered buffers of
+	// the sending side, or nil when the payload lands directly in the
+	// receiver's pre-registered position array at DstOff.
+	inbox *halo.Inbox
 }
 
-// inboxKind selects the uTofu destination region of a message.
-type inboxKind int
+// msg builds the message sent on one side of the link, carrying the side's
+// packing scratch; the caller stamps ReadyAt.
+func (l *link) msg(rev, known bool) *rmsg {
+	from, to, sd := l.src, l.dst, l.side(rev)
+	if rev {
+		from, to = to, from
+	}
+	return &rmsg{link: l, inbox: &sd.inbox, Msg: halo.Msg{
+		Src: from.ID, Dst: to.ID,
+		Thread: sd.Thread, TNI: sd.TNI, DstThread: l.side(!rev).Thread,
+		Data: sd.buf, Known: known,
+	}}
+}
 
-const (
-	inboxFwd inboxKind = iota
-	inboxRev
-	inboxXArray
-)
+// batch collects a round's messages: the engine's view of them, and a
+// per-receiver index so unpacking stays linear in the message count.
+type batch struct {
+	msgs  []*rmsg
+	wire  []*halo.Msg
+	byDst [][]*rmsg
+}
+
+func (s *Simulation) newBatch() *batch {
+	return &batch{byDst: make([][]*rmsg, len(s.ranks))}
+}
+
+func (b *batch) add(m *rmsg) {
+	b.msgs = append(b.msgs, m)
+	b.wire = append(b.wire, &m.Msg)
+	b.byDst[m.Dst] = append(b.byDst[m.Dst], m)
+}
 
 // fallbackK is the graceful-degradation threshold: after this many
 // consecutive uTofu delivery failures to the same neighbor, traffic to
@@ -55,10 +63,10 @@ const fallbackK = 3
 // spans all stay on this side of the seam.
 func (s *Simulation) newEngine() *halo.Engine {
 	return &halo.Engine{
-		Fab: s.fab,
-		UTS: s.uts,
-		MPI: s.mpiComm,
-		VCQ: func(rank, tni int) *utofu.VCQ { return s.ranks[rank].vcqByTNI[tni] },
+		Fab:   s.fab,
+		UTS:   s.uts,
+		MPI:   s.mpiComm,
+		VCQ:   func(rank, tni int) *utofu.VCQ { return s.ranks[rank].vcqByTNI[tni] },
 		Clock: func(rank int) float64 { return s.ranks[rank].Clock },
 		Advance: func(rank int, t float64) {
 			if r := s.ranks[rank]; t > r.Clock {
@@ -101,56 +109,47 @@ func (s *Simulation) newEngine() *halo.Engine {
 	}
 }
 
-// runRound executes the messages through the variant's transport and
-// advances the participating ranks' clocks to their completion times.
-// Payload delivery is functional: after the call, receivers read the data
-// from the rmsg (the caller unpacks).
-func (s *Simulation) runRound(msgs []*rmsg) {
-	if len(msgs) == 0 {
-		return
-	}
-	hm := make([]*halo.Msg, len(msgs))
-	for i, m := range msgs {
-		hm[i] = &halo.Msg{
-			Src: m.src.ID, Dst: m.dst.ID,
-			Thread: m.res.thread, DstThread: m.dstThread, TNI: m.res.tni,
-			Data: m.data, Known: m.known,
-			ReadyAt: m.readyAt,
-		}
-		if s.Var.Transport == halo.TransportUTofu {
-			hm[i].Region, hm[i].DstOff = s.putTarget(m)
+// runRound executes the batch through transport t and advances the
+// participating ranks' clocks to their completion times. Payload delivery
+// is functional: after the call, receivers read the data from the rmsg (the
+// caller unpacks).
+func (s *Simulation) runRound(t halo.Transport, b *batch) {
+	if t == halo.TransportUTofu {
+		for _, m := range b.msgs {
+			if m.inbox == nil {
+				m.Region = s.xRegion[m.Dst]
+			} else {
+				m.Region = m.inbox.Regions[m.link.seq%4]
+			}
 		}
 	}
-	s.eng.RunRound(s.Var.Transport, hm)
-	for i, m := range msgs {
-		m.readyAt = hm[i].ReadyAt
-		m.complete = hm[i].Complete
-		m.issueDone = hm[i].IssueDone
-	}
+	s.eng.RunRound(t, b.wire)
 }
 
-// putTarget resolves the destination region and offset of a uTofu message.
-func (s *Simulation) putTarget(m *rmsg) (*utofu.MemRegion, int) {
-	switch m.inboxDst {
-	case inboxXArray:
-		return s.xRegion[m.dst.ID], m.dstOff
-	case inboxRev:
-		ib := m.link.revInbox
-		return ib.Regions[m.link.seq%4], 0
-	default:
-		ib := m.link.inbox
-		return ib.Regions[m.link.seq%4], 0
+// deliverToInboxes copies payloads into the uTofu receive buffers, making
+// the round-robin rotation functional: the receiver decodes from its own
+// registered buffer, not the sender's scratch.
+func (s *Simulation) deliverToInboxes(b *batch) {
+	if s.Var.Transport != halo.TransportUTofu {
+		return
+	}
+	for _, m := range b.msgs {
+		if m.inbox == nil {
+			continue
+		}
+		buf := m.inbox.Bufs[m.link.seq%4]
+		copy(buf, m.Data)
+		m.Data = buf[:len(m.Data)]
 	}
 }
 
 // ensureInbox grows (and re-registers) an inbox to hold at least need
 // bytes, charging the registration cost to the owning rank unless the
-// buffers were pre-registered at their maximum size during setup. Returns
-// the virtual-time cost charged.
-func (s *Simulation) ensureInbox(owner *Rank, ib *halo.Inbox, need int) float64 {
+// buffers were pre-registered at their maximum size during setup.
+func (s *Simulation) ensureInbox(owner *Rank, ib *halo.Inbox, need int) {
 	cost := ib.Ensure(s.uts, owner.ID, need, s.Var.Preregistered)
 	if cost == 0 {
-		return 0
+		return
 	}
 	owner.Clock += cost
 	if s.rec.Enabled() {
@@ -158,5 +157,4 @@ func (s *Simulation) ensureInbox(owner *Rank, ib *halo.Inbox, need int) float64 
 			Rank: owner.ID, Name: "register", Time: owner.Clock,
 		})
 	}
-	return cost
 }

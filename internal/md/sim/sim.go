@@ -157,8 +157,11 @@ type Simulation struct {
 	// survivors.
 	health *health.Tracker
 
-	step    int
-	shells  int
+	step   int
+	shells int
+	// rounds are the bulk-synchronous rounds of one halo operation: a
+	// single {-1, 0} for p2p, one (Dim, Iter) pair per 3-stage round.
+	rounds  []halo.RoundKey
 	ghCut   float64 // ghost cutoff = force cutoff + skin
 	density float64 // atoms per volume, for buffer estimates
 
@@ -221,6 +224,7 @@ func New(m *Machine, v Variant, cfg Config) (*Simulation, error) {
 	s.health = health.New(0, 0)
 	s.health.SetTNITotal(m.Params.TNIsPerNode)
 	s.shells = dec.ShellsFor(s.ghCut)
+	s.rounds = halo.Rounds(v.Pattern, s.shells)
 	s.nve = &integrate.NVE{Dt: dt, Mass: cfg.Potential.Mass(), Mvv2e: u.Mvv2e}
 	s.eng = s.newEngine()
 
@@ -336,10 +340,10 @@ func (s *Simulation) replanTNIs() {
 		}
 		need := map[int]bool{}
 		for _, l := range r.sendLinks {
-			need[l.fwd.tni] = true
+			need[l.fwd.TNI] = true
 		}
 		for _, l := range r.recvLinks {
-			need[l.rev.tni] = true
+			need[l.rev.TNI] = true
 		}
 		for _, tni := range surviving {
 			if need[tni] && r.vcqByTNI[tni] == nil {
@@ -588,18 +592,14 @@ func (s *Simulation) sendDirs() []vec.I3 {
 func (s *Simulation) createLinks() {
 	for _, sp := range halo.BuildLinkSpecs(s.M.Map, s.Var.Pattern, s.shells, s.sendDirs()) {
 		src, dst := s.ranks[sp.Src], s.ranks[sp.Dst]
-		l := &link{
-			src: src, dst: dst, dir: sp.Dir,
-			shift:      s.dec.PBCShift(src.Coord, sp.Dir),
-			stage3Dim:  sp.Stage3Dim,
-			stage3Iter: sp.Stage3Iter,
-		}
+		l := &link{spec: sp, src: src, dst: dst, shift: s.dec.PBCShift(src.Coord, sp.Dir)}
 		src.sendLinks = append(src.sendLinks, l)
 		dst.recvLinks = append(dst.recvLinks, l)
 	}
 	for _, r := range s.ranks {
-		sort.SliceStable(r.sendLinks, func(i, j int) bool { return linkLess(r.sendLinks[i], r.sendLinks[j]) })
-		sort.SliceStable(r.recvLinks, func(i, j int) bool { return linkLess(r.recvLinks[i], r.recvLinks[j]) })
+		for _, links := range [][]*link{r.sendLinks, r.recvLinks} {
+			sort.SliceStable(links, func(i, j int) bool { return halo.SpecLess(links[i].spec, links[j].spec) })
+		}
 	}
 }
 
@@ -619,17 +619,17 @@ func (s *Simulation) assignResourcesOver(tnis []int) {
 	avgSide := (side.X + side.Y + side.Z) / 3
 	for _, r := range s.ranks {
 		_, slot := s.M.Map.NodeOf(r.ID)
-		assignSide := func(links []*link, pick func(l *link) *commRes, hopOf func(l *link) int) []int {
+		assignSide := func(links []*link, rev bool) []int {
 			// Only the thread-bound policy consults the per-link specs.
 			var specs []halo.Link
 			if s.Var.TNIPolicy != halo.TNIPerRankSlot && s.Var.TNIPolicy != halo.TNISprayAll {
 				specs = make([]halo.Link, len(links))
 				for i, l := range links {
-					vol := halo.MessageVolume(l.dir, avgSide, s.ghCut)
+					vol := halo.MessageVolume(l.spec.Dir, avgSide, s.ghCut)
 					specs[i] = halo.Link{
-						Dir:   l.dir,
+						Dir:   l.spec.Dir,
 						Bytes: int(vol*s.density) * borderBytes,
-						Hops:  hopOf(l),
+						Hops:  s.M.Map.Hops(l.spec.Src, l.spec.Dst),
 					}
 				}
 			}
@@ -637,15 +637,13 @@ func (s *Simulation) assignResourcesOver(tnis []int) {
 				specs, len(links), s.M.Params.LinkBandwidth, s.M.Params.HopLatency)
 			threads := make([]int, len(links))
 			for i, l := range links {
-				*pick(l) = commRes{thread: res[i].Thread, tni: res[i].TNI, vcqTag: 0}
+				l.side(rev).Res = res[i]
 				threads[i] = res[i].Thread
 			}
 			return threads
 		}
-		sendThreads := assignSide(r.sendLinks, func(l *link) *commRes { return &l.fwd },
-			func(l *link) int { return s.M.Map.Hops(l.src.ID, l.dst.ID) })
-		assignSide(r.recvLinks, func(l *link) *commRes { return &l.rev },
-			func(l *link) int { return s.M.Map.Hops(l.dst.ID, l.src.ID) })
+		sendThreads := assignSide(r.sendLinks, false)
+		assignSide(r.recvLinks, true)
 		if r.plan == nil {
 			p, err := threadpool.NewPlan(max(1, s.Var.CommThreads), sendThreads)
 			if err != nil {
@@ -687,21 +685,20 @@ func (s *Simulation) setupTransport() error {
 	s.xRegion = make([]*utofu.MemRegion, len(s.ranks))
 	for _, r := range s.ranks {
 		for _, l := range r.sendLinks {
-			l.inbox = &halo.Inbox{}
-			l.revInbox = &halo.Inbox{}
+			fwd, rev := &l.fwd.inbox, &l.rev.inbox
 			if s.Var.Preregistered {
 				// Sized to the theoretical maximum once (section 3.4):
 				// no mid-run expansion, ever.
-				vol := halo.MessageVolumeAniso(clampDir(l.dir), s.dec.Side(), s.ghCut)
+				vol := halo.MessageVolumeAniso(l.spec.Dir, s.dec.Side(), s.ghCut)
 				maxAtoms := int(vol*s.density*1.5) + 16
-				s.SetupTime += l.inbox.Preregister(s.uts, l.dst.ID, maxAtoms*borderBytes)
-				s.SetupTime += l.revInbox.Preregister(s.uts, l.src.ID, maxAtoms*borderBytes)
+				s.SetupTime += fwd.Preregister(s.uts, l.dst.ID, maxAtoms*borderBytes)
+				s.SetupTime += rev.Preregister(s.uts, l.src.ID, maxAtoms*borderBytes)
 			} else {
 				// Default-size buffers registered during setup, like the
 				// baseline; they re-register whenever a bigger message
 				// forces an expansion mid-run.
-				s.SetupTime += l.inbox.Preregister(s.uts, l.dst.ID, initialInboxBytes)
-				s.SetupTime += l.revInbox.Preregister(s.uts, l.src.ID, initialInboxBytes)
+				s.SetupTime += fwd.Preregister(s.uts, l.dst.ID, initialInboxBytes)
+				s.SetupTime += rev.Preregister(s.uts, l.src.ID, initialInboxBytes)
 			}
 		}
 		if s.Var.Preregistered {
@@ -717,19 +714,6 @@ func (s *Simulation) setupTransport() error {
 // initialInboxBytes is the default receive-buffer size of the non-pre-
 // registered uTofu variants (LAMMPS's BUFMIN-style initial allocation).
 const initialInboxBytes = 1 << 12
-
-func clampDir(d vec.I3) vec.I3 {
-	c := func(v int) int {
-		if v > 0 {
-			return 1
-		}
-		if v < 0 {
-			return -1
-		}
-		return 0
-	}
-	return vec.I3{X: c(d.X), Y: c(d.Y), Z: c(d.Z)}
-}
 
 // setupRun performs the initial border + neighbor build + force evaluation
 // outside the timed step loop, as LAMMPS's setup() does.

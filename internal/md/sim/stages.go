@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"sort"
+
 	"tofumd/internal/halo"
 	"tofumd/internal/machine"
 	"tofumd/internal/md/neighbor"
@@ -19,44 +21,179 @@ func (s *Simulation) packThreading() machine.Threading {
 	return machine.Serial
 }
 
-// commRounds enumerates the bulk-synchronous rounds of one halo operation:
-// a single {-1, 0} for p2p, or one (Dim, Iter) pair per 3-stage round.
-func (s *Simulation) commRounds() []halo.RoundKey {
-	return halo.Rounds(s.Var.Pattern, s.shells)
+// --- the halo-operation runner -----------------------------------------
+
+// haloOp describes one ghost operation over the static link graph. The
+// section 3.4 message path — pack, one bulk-synchronous round per stage,
+// unpack — is the same for every operation; only the payload, the sending
+// side and the landing place differ, and those are the fields here.
+type haloOp struct {
+	// rev sends from the ghost holder back to the owner: every link's rev
+	// side, the rounds in reverse order so forwarded contributions cascade
+	// home. Otherwise the owner sends on the fwd side.
+	rev bool
+	// known marks length-known payloads (forward/reverse reuse the border
+	// lists); unknown-length messages pay the MPI two-step protocol.
+	known bool
+	// direct lands the payload in the receiver's pre-registered position
+	// array at the link's ghost offset: no inbox and no unpack copy, so no
+	// unpack charge.
+	direct bool
+	// unpackIfAny skips the unpack region of a rank that received no bytes
+	// in a round; without it the region opens regardless.
+	unpackIfAny bool
+	// pack encodes sender r's payload for l into buf; unpack applies the
+	// received data on receiver r.
+	pack   func(r *Rank, l *link, buf []byte) []byte
+	unpack func(r *Rank, l *link, data []byte)
 }
 
-// inRound reports whether link l belongs to round k.
-func inRound(l *link, k halo.RoundKey) bool {
-	return halo.InRound(l.stage3Dim, l.stage3Iter, k)
+// links returns the links on which rank r is the operation's sender.
+func (op haloOp) links(r *Rank) []*link {
+	if op.rev {
+		return r.recvLinks
+	}
+	return r.sendLinks
 }
 
-// linksOfRound returns the send links of rank r belonging to round k, in
-// deterministic order.
-func linksOfRound(r *Rank, k halo.RoundKey) []*link {
-	var out []*link
-	for _, l := range r.sendLinks {
-		if inRound(l, k) {
-			out = append(out, l)
+// runOp executes the operation over every round of the variant's pattern.
+func (s *Simulation) runOp(op haloOp) {
+	for i, k := range s.rounds {
+		if op.rev {
+			k = s.rounds[len(s.rounds)-1-i]
+		}
+		s.runOpRound(op, k)
+	}
+}
+
+// runOpRound packs, ships and unpacks the operation's messages of round k.
+func (s *Simulation) runOpRound(op haloOp, k halo.RoundKey) {
+	packTh := s.packThreading()
+	s.forRanks(func(id int) {
+		r := s.ranks[id]
+		bytes := 0
+		for _, l := range op.links(r) {
+			if l.inRound(k) {
+				sd := l.side(op.rev)
+				sd.buf = op.pack(r, l, sd.buf)
+				bytes += len(sd.buf)
+			}
+		}
+		r.Clock += s.M.Cost.PackTime(units.Bytes(bytes), packTh)
+	})
+	b := s.newBatch()
+	for _, r := range s.ranks {
+		for _, l := range op.links(r) {
+			if !l.inRound(k) {
+				continue
+			}
+			m := l.msg(op.rev, op.known)
+			if op.direct {
+				m.inbox, m.DstOff = nil, l.recvStart*posBytes
+			} else if s.Var.Transport == halo.TransportUTofu {
+				s.ensureInbox(s.ranks[m.Dst], m.inbox, len(m.Data))
+			}
+			// Stamped after ensureInbox: a registration on a self-link (the
+			// rank's own periodic image) delays its own send.
+			m.ReadyAt = r.Clock
+			b.add(m)
 		}
 	}
-	return out
+	s.runRound(s.Var.Transport, b)
+	s.deliverToInboxes(b)
+	s.forRanks(func(id int) {
+		r := s.ranks[id]
+		bytes := 0
+		for _, m := range b.byDst[id] {
+			op.unpack(r, m.link, m.Data)
+			m.link.seq++
+			bytes += len(m.Data)
+		}
+		if !op.direct && (bytes > 0 || !op.unpackIfAny) {
+			r.Clock += s.M.Cost.UnpackTime(units.Bytes(bytes), packTh)
+		}
+	})
 }
 
-// batch collects a round's messages with a per-receiver index so unpacking
-// stays linear in the message count.
-type batch struct {
-	msgs  []*rmsg
-	byDst [][]*rmsg
+// --- the five operations -----------------------------------------------
+
+// borderOp ships id/type/position records of the send lists; receivers
+// append them as ghosts and record the recv_ptr range. Lengths are not yet
+// known to the receiver.
+var borderOp = haloOp{
+	pack: func(r *Rank, l *link, buf []byte) []byte {
+		return encodeBorder(buf, r.Atoms.ID, r.Atoms.Type, r.Atoms.X, l.sendList, l.shift)
+	},
+	unpack: func(r *Rank, l *link, data []byte) {
+		recs := decodeBorder(data)
+		l.recvStart, l.recvCount = r.Atoms.Total(), len(recs)
+		for _, rec := range recs {
+			r.Atoms.AddGhost(rec.id, rec.typ, rec.pos)
+		}
+	},
 }
 
-func (s *Simulation) newBatch() *batch {
-	return &batch{byDst: make([][]*rmsg, len(s.ranks))}
+// forwardOp updates ghost positions from their owners, written into the
+// receiver's position array — directly via RDMA under the pre-registered
+// scheme, via receive buffers otherwise.
+func forwardOp(direct bool) haloOp {
+	return haloOp{
+		known: true, direct: direct, unpackIfAny: true,
+		pack: func(r *Rank, l *link, buf []byte) []byte {
+			return encodePositions(buf, r.Atoms.X, l.sendList, l.shift)
+		},
+		unpack: func(r *Rank, l *link, data []byte) {
+			decodePositions(data, r.Atoms.X, l.recvStart, l.recvCount)
+		},
+	}
 }
 
-func (b *batch) add(m *rmsg) {
-	b.msgs = append(b.msgs, m)
-	b.byDst[m.dst.ID] = append(b.byDst[m.dst.ID], m)
+// reverseOp returns ghost forces to their owners (Newton's 3rd law): each
+// ghost holder packs the force range of its ghosts and the owner
+// accumulates into the send-list atoms.
+var reverseOp = haloOp{
+	rev: true, known: true,
+	pack: func(r *Rank, l *link, buf []byte) []byte {
+		return encodeVectors(buf, r.Atoms.F, l.recvStart, l.recvCount)
+	},
+	unpack: func(r *Rank, l *link, data []byte) {
+		decodeAddVectors(data, r.Atoms.F, l.sendList)
+	},
 }
+
+// scalarReverseOp sends ghost scalar contributions (EAM densities) home.
+func scalarReverseOp(arr func(*Rank) []float64) haloOp {
+	return haloOp{
+		rev: true, known: true,
+		pack: func(r *Rank, l *link, buf []byte) []byte {
+			return halo.EncodeScalars(buf, arr(r), l.recvStart, l.recvCount)
+		},
+		unpack: func(r *Rank, l *link, data []byte) {
+			decodeAddScalars(data, arr(r), l.sendList)
+		},
+	}
+}
+
+// scalarForwardOp distributes an owner scalar (EAM embedding derivative)
+// to ghosts. It always lands in the forward inbox: only the position array
+// is pre-registered for direct writes.
+func scalarForwardOp(arr func(*Rank) []float64) haloOp {
+	return haloOp{
+		known: true,
+		pack: func(r *Rank, l *link, buf []byte) []byte {
+			return encodeScalars(buf, arr(r), l.sendList)
+		},
+		unpack: func(r *Rank, l *link, data []byte) {
+			halo.DecodeScalars(data, arr(r), l.recvStart, l.recvCount)
+		},
+	}
+}
+
+// doForward is the forward stage of an ordinary step.
+func (s *Simulation) doForward() { s.runOp(forwardOp(s.Var.Preregistered)) }
+
+// doReverse is the reverse stage of a Newton-on step.
+func (s *Simulation) doReverse() { s.runOp(reverseOp) }
 
 // --- border stage -----------------------------------------------------
 
@@ -77,11 +214,11 @@ func (s *Simulation) doBorder() {
 	if s.Var.Pattern == halo.P2P {
 		s.buildP2PSendLists()
 	}
-	for _, k := range s.commRounds() {
+	for _, k := range s.rounds {
 		if s.Var.Pattern == halo.ThreeStage {
 			s.build3StageSendLists(k)
 		}
-		s.borderRound(k)
+		s.runOpRound(borderOp, k)
 	}
 	if s.Var.Preregistered {
 		s.piggybackOffsets()
@@ -97,7 +234,7 @@ func (s *Simulation) buildP2PSendLists() {
 		if r.binOK {
 			byDir := make(map[vec.I3]*link, len(r.sendLinks))
 			for _, l := range r.sendLinks {
-				byDir[l.dir] = l
+				byDir[l.spec.Dir] = l
 			}
 			for i := 0; i < a.NLocal; i++ {
 				bin := r.qual.Bin(a.X[i])
@@ -110,7 +247,7 @@ func (s *Simulation) buildP2PSendLists() {
 		} else {
 			for _, l := range r.sendLinks {
 				for i := 0; i < a.NLocal; i++ {
-					if r.qual.Qualifies(a.X[i], l.dir) {
+					if r.qual.Qualifies(a.X[i], l.spec.Dir) {
 						l.sendList = append(l.sendList, int32(i))
 					}
 				}
@@ -133,9 +270,12 @@ func (s *Simulation) build3StageSendLists(k halo.RoundKey) {
 		r := s.ranks[id]
 		a := r.Atoms
 		scanned := 0
-		for _, l := range linksOfRound(r, k) {
+		for _, l := range r.sendLinks {
+			if !l.inRound(k) {
+				continue
+			}
 			l.sendList = l.sendList[:0]
-			sign := l.dir.Comp(k.Dim)
+			sign := l.spec.Dir.Comp(k.Dim)
 			qualify := func(i int) bool {
 				x := a.X[i].Comp(k.Dim)
 				if sign > 0 {
@@ -143,324 +283,49 @@ func (s *Simulation) build3StageSendLists(k halo.RoundKey) {
 				}
 				return x < r.Lo.Comp(k.Dim)+s.ghCut
 			}
-			if k.Iter == 0 {
-				for i := 0; i < r.dimGhostMark; i++ {
-					if qualify(i) {
-						l.sendList = append(l.sendList, int32(i))
-					}
+			start, count := 0, r.dimGhostMark
+			if k.Iter > 0 {
+				prev := r.findRecvLink(halo.RoundKey{Dim: k.Dim, Iter: k.Iter - 1}, l.spec.Dir)
+				if prev == nil {
+					continue
 				}
-				scanned += r.dimGhostMark
-			} else if prev := r.findRecvLink(k.Dim, k.Iter-1, l.dir); prev != nil {
-				start, count := prev.ghostRange()
-				for i := start; i < start+count; i++ {
-					if qualify(i) {
-						l.sendList = append(l.sendList, int32(i))
-					}
-				}
-				scanned += count
+				start, count = prev.recvStart, prev.recvCount
 			}
+			for i := start; i < start+count; i++ {
+				if qualify(i) {
+					l.sendList = append(l.sendList, int32(i))
+				}
+			}
+			scanned += count
 		}
 		r.Clock += s.M.Cost.BorderDecideTime(scanned, false)
 	})
 }
 
 // findRecvLink locates the rank's receive link of a 3-stage round.
-func (r *Rank) findRecvLink(dim, iter int, dir vec.I3) *link {
+func (r *Rank) findRecvLink(k halo.RoundKey, dir vec.I3) *link {
 	for _, l := range r.recvLinks {
-		if l.stage3Dim == dim && l.stage3Iter == iter && l.dir == dir {
+		if l.inRound(k) && l.spec.Dir == dir {
 			return l
 		}
 	}
 	return nil
 }
 
-// borderRound packs, ships and unpacks the border messages of one round.
-func (s *Simulation) borderRound(k halo.RoundKey) {
-	packTh := s.packThreading()
-	s.forRanks(func(id int) {
-		r := s.ranks[id]
-		bytes := 0
-		for _, l := range linksOfRound(r, k) {
-			l.sendBuf = encodeBorder(l.sendBuf, r.Atoms.ID, r.Atoms.Type, r.Atoms.X, l.sendList, l.shift)
-			bytes += len(l.sendBuf)
-		}
-		r.Clock += s.M.Cost.PackTime(units.Bytes(bytes), packTh)
-	})
-	b := s.newBatch()
-	for _, r := range s.ranks {
-		for _, l := range linksOfRound(r, k) {
-			if s.Var.Transport == halo.TransportUTofu {
-				s.ensureInbox(l.dst, l.inbox, len(l.sendBuf))
-			}
-			b.add(&rmsg{
-				src: r, dst: l.dst, link: l, res: l.fwd, dstThread: l.rev.thread,
-				data: l.sendBuf, known: false, inboxDst: inboxFwd,
-				readyAt: r.Clock,
-			})
-		}
-	}
-	s.runRound(b.msgs)
-	s.deliverToInboxes(b.msgs)
-	s.forRanks(func(id int) {
-		r := s.ranks[id]
-		bytes := 0
-		for _, m := range b.byDst[id] {
-			l := m.link
-			recs := decodeBorder(m.data)
-			l.recvStart = r.Atoms.Total()
-			l.recvCount = len(recs)
-			l.seq++
-			for _, rec := range recs {
-				r.Atoms.AddGhost(rec.id, rec.typ, rec.pos)
-			}
-			bytes += len(m.data)
-		}
-		r.Clock += s.M.Cost.UnpackTime(units.Bytes(bytes), packTh)
-	})
-}
-
-// deliverToInboxes copies payloads into the uTofu receive buffers, making
-// the round-robin rotation functional: the receiver decodes from its own
-// registered buffer, not the sender's scratch.
-func (s *Simulation) deliverToInboxes(msgs []*rmsg) {
-	if s.Var.Transport != halo.TransportUTofu {
-		return
-	}
-	for _, m := range msgs {
-		if m.link == nil || m.inboxDst == inboxXArray {
-			continue
-		}
-		ib := m.link.inbox
-		if m.inboxDst == inboxRev {
-			ib = m.link.revInbox
-		}
-		buf := ib.Bufs[m.link.seq%4]
-		copy(buf, m.data)
-		m.data = buf[:len(m.data)]
-	}
-}
-
 // piggybackOffsets ships each receiver's ghost offset (recv_ptr) back to
 // the sender as an 8-byte descriptor immediate. Functionally the shared
-// link struct already carries the offset; this round charges its time.
+// link struct already carries the offset; this round charges its time. It
+// has no codec and no pack/unpack charge, so it is not a haloOp.
 func (s *Simulation) piggybackOffsets() {
 	b := s.newBatch()
 	for _, r := range s.ranks {
 		for _, l := range r.recvLinks {
-			b.add(&rmsg{
-				src: r, dst: l.src, link: l, res: l.rev, dstThread: l.fwd.thread,
-				data: make([]byte, 8), known: true, inboxDst: inboxRev,
-				readyAt: r.Clock,
-			})
+			m := l.msg(true, true)
+			m.Data, m.ReadyAt = make([]byte, 8), r.Clock
+			b.add(m)
 		}
 	}
-	s.runRound(b.msgs)
-}
-
-// --- forward stage ----------------------------------------------------
-
-// doForward updates ghost positions from their owners: positions packed per
-// send list, shipped over the variant's transport, and written into the
-// receiver's position array — directly via RDMA under the pre-registered
-// scheme (no unpack copy), via receive buffers otherwise.
-func (s *Simulation) doForward() {
-	packTh := s.packThreading()
-	for _, k := range s.commRounds() {
-		s.forRanks(func(id int) {
-			r := s.ranks[id]
-			bytes := 0
-			for _, l := range linksOfRound(r, k) {
-				l.sendBuf = encodePositions(l.sendBuf, r.Atoms.X, l.sendList, l.shift)
-				bytes += len(l.sendBuf)
-			}
-			r.Clock += s.M.Cost.PackTime(units.Bytes(bytes), packTh)
-		})
-		b := s.newBatch()
-		for _, r := range s.ranks {
-			for _, l := range linksOfRound(r, k) {
-				m := &rmsg{
-					src: r, dst: l.dst, link: l, res: l.fwd, dstThread: l.rev.thread,
-					data: l.sendBuf, known: true,
-					readyAt: r.Clock,
-				}
-				if s.Var.Preregistered {
-					m.inboxDst = inboxXArray
-					m.dstOff = l.recvStart * posBytes
-				} else {
-					m.inboxDst = inboxFwd
-					if s.Var.Transport == halo.TransportUTofu {
-						s.ensureInbox(l.dst, l.inbox, len(l.sendBuf))
-					}
-				}
-				b.add(m)
-			}
-		}
-		s.runRound(b.msgs)
-		s.deliverToInboxes(b.msgs)
-		s.forRanks(func(id int) {
-			r := s.ranks[id]
-			bytes := 0
-			for _, m := range b.byDst[id] {
-				l := m.link
-				decodePositions(m.data, r.Atoms.X, l.recvStart, l.recvCount)
-				l.seq++
-				if !s.Var.Preregistered {
-					bytes += len(m.data)
-				}
-			}
-			if bytes > 0 {
-				r.Clock += s.M.Cost.UnpackTime(units.Bytes(bytes), packTh)
-			}
-		})
-	}
-}
-
-// --- reverse stage ----------------------------------------------------
-
-// doReverse returns ghost forces to their owners (Newton's 3rd law): each
-// ghost holder packs the force range of its ghosts and the owner
-// accumulates into the send-list atoms. 3-stage runs its rounds in reverse
-// order so forwarded contributions cascade home.
-func (s *Simulation) doReverse() {
-	packTh := s.packThreading()
-	rounds := s.commRounds()
-	for i := len(rounds) - 1; i >= 0; i-- {
-		k := rounds[i]
-		s.forRanks(func(id int) {
-			r := s.ranks[id]
-			bytes := 0
-			for _, l := range r.recvLinks {
-				if !inRound(l, k) {
-					continue
-				}
-				l.revBuf = encodeVectors(l.revBuf, r.Atoms.F, l.recvStart, l.recvCount)
-				bytes += len(l.revBuf)
-			}
-			r.Clock += s.M.Cost.PackTime(units.Bytes(bytes), packTh)
-		})
-		b := s.newBatch()
-		for _, r := range s.ranks {
-			for _, l := range r.recvLinks {
-				if !inRound(l, k) {
-					continue
-				}
-				if s.Var.Transport == halo.TransportUTofu {
-					s.ensureInbox(l.src, l.revInbox, len(l.revBuf))
-				}
-				b.add(&rmsg{
-					src: r, dst: l.src, link: l, res: l.rev, dstThread: l.fwd.thread,
-					data: l.revBuf, known: true, inboxDst: inboxRev,
-					readyAt: r.Clock,
-				})
-			}
-		}
-		s.runRound(b.msgs)
-		s.deliverToInboxes(b.msgs)
-		s.forRanks(func(id int) {
-			r := s.ranks[id]
-			bytes := 0
-			for _, m := range b.byDst[id] {
-				decodeAddVectors(m.data, r.Atoms.F, m.link.sendList)
-				m.link.seq++
-				bytes += len(m.data)
-			}
-			r.Clock += s.M.Cost.UnpackTime(units.Bytes(bytes), packTh)
-		})
-	}
-}
-
-// --- EAM scalar exchanges (charged inside the pair stage) --------------
-
-// reverseScalar sends ghost scalar contributions (EAM densities) home.
-func (s *Simulation) reverseScalar(arr func(*Rank) []float64) {
-	packTh := s.packThreading()
-	rounds := s.commRounds()
-	for i := len(rounds) - 1; i >= 0; i-- {
-		k := rounds[i]
-		s.forRanks(func(id int) {
-			r := s.ranks[id]
-			bytes := 0
-			for _, l := range r.recvLinks {
-				if !inRound(l, k) {
-					continue
-				}
-				l.revBuf = encodeScalarRange(l.revBuf, arr(r), l.recvStart, l.recvCount)
-				bytes += len(l.revBuf)
-			}
-			r.Clock += s.M.Cost.PackTime(units.Bytes(bytes), packTh)
-		})
-		b := s.newBatch()
-		for _, r := range s.ranks {
-			for _, l := range r.recvLinks {
-				if !inRound(l, k) {
-					continue
-				}
-				if s.Var.Transport == halo.TransportUTofu {
-					s.ensureInbox(l.src, l.revInbox, len(l.revBuf))
-				}
-				b.add(&rmsg{
-					src: r, dst: l.src, link: l, res: l.rev, dstThread: l.fwd.thread,
-					data: l.revBuf, known: true, inboxDst: inboxRev,
-					readyAt: r.Clock,
-				})
-			}
-		}
-		s.runRound(b.msgs)
-		s.deliverToInboxes(b.msgs)
-		s.forRanks(func(id int) {
-			r := s.ranks[id]
-			bytes := 0
-			for _, m := range b.byDst[id] {
-				decodeAddScalars(m.data, arr(r), m.link.sendList)
-				m.link.seq++
-				bytes += len(m.data)
-			}
-			r.Clock += s.M.Cost.UnpackTime(units.Bytes(bytes), packTh)
-		})
-	}
-}
-
-// forwardScalar distributes an owner scalar (EAM embedding derivative) to
-// ghosts.
-func (s *Simulation) forwardScalar(arr func(*Rank) []float64) {
-	packTh := s.packThreading()
-	for _, k := range s.commRounds() {
-		s.forRanks(func(id int) {
-			r := s.ranks[id]
-			bytes := 0
-			for _, l := range linksOfRound(r, k) {
-				l.sendBuf = encodeScalars(l.sendBuf, arr(r), l.sendList)
-				bytes += len(l.sendBuf)
-			}
-			r.Clock += s.M.Cost.PackTime(units.Bytes(bytes), packTh)
-		})
-		b := s.newBatch()
-		for _, r := range s.ranks {
-			for _, l := range linksOfRound(r, k) {
-				if s.Var.Transport == halo.TransportUTofu {
-					s.ensureInbox(l.dst, l.inbox, len(l.sendBuf))
-				}
-				b.add(&rmsg{
-					src: r, dst: l.dst, link: l, res: l.fwd, dstThread: l.rev.thread,
-					data: l.sendBuf, known: true, inboxDst: inboxFwd,
-					readyAt: r.Clock,
-				})
-			}
-		}
-		s.runRound(b.msgs)
-		s.deliverToInboxes(b.msgs)
-		s.forRanks(func(id int) {
-			r := s.ranks[id]
-			bytes := 0
-			for _, m := range b.byDst[id] {
-				l := m.link
-				decodeScalars(m.data, arr(r), l.recvStart, l.recvCount)
-				l.seq++
-				bytes += len(m.data)
-			}
-			r.Clock += s.M.Cost.UnpackTime(units.Bytes(bytes), packTh)
-		})
-	}
+	s.runRound(s.Var.Transport, b)
 }
 
 // --- exchange stage -----------------------------------------------------
@@ -495,45 +360,27 @@ func (s *Simulation) doExchange() {
 		r.Clock += s.M.Cost.ScanTime(a.NLocal)
 	})
 	b := s.newBatch()
-	payloads := map[*rmsg][]exchRecord{}
 	for _, r := range s.ranks {
 		dsts := make([]int, 0, len(r.exchScratch))
 		for d := range r.exchScratch {
 			dsts = append(dsts, d)
 		}
-		sortInts(dsts)
+		sort.Ints(dsts)
 		for _, d := range dsts {
-			recs := r.exchScratch[d]
-			m := &rmsg{
-				src: r, dst: s.ranks[d],
-				data: encodeExchange(nil, recs), known: false,
-				readyAt: r.Clock + s.M.Cost.PackTime(units.Bytes(len(recs)*exchBytes), machine.Serial),
-			}
-			b.add(m)
-			payloads[m] = recs
+			data := encodeExchange(nil, r.exchScratch[d])
+			b.add(&rmsg{Msg: halo.Msg{
+				Src: r.ID, Dst: d, Data: data,
+				ReadyAt: r.Clock + s.M.Cost.PackTime(units.Bytes(len(data)), machine.Serial),
+			}})
 		}
 	}
-	if len(b.msgs) == 0 {
-		return
-	}
-	savedTransport := s.Var.Transport
-	s.Var.Transport = halo.TransportMPI
-	s.runRound(b.msgs)
-	s.Var.Transport = savedTransport
+	s.runRound(halo.TransportMPI, b)
 	for _, m := range b.msgs {
-		recs := payloads[m]
-		for _, rec := range recs {
-			m.dst.Atoms.AddLocal(rec.id, rec.typ, rec.pos, rec.vel)
+		dst := s.ranks[m.Dst]
+		for _, rec := range decodeExchange(m.Data) {
+			dst.Atoms.AddLocal(rec.id, rec.typ, rec.pos, rec.vel)
 		}
-		m.dst.Clock += s.M.Cost.UnpackTime(units.Bytes(len(recs)*exchBytes), machine.Serial)
-	}
-}
-
-func sortInts(v []int) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
+		dst.Clock += s.M.Cost.UnpackTime(units.Bytes(len(m.Data)), machine.Serial)
 	}
 }
 
@@ -582,7 +429,7 @@ func (s *Simulation) computeForces() {
 		if s.Var.OverlapEAM {
 			preComm = s.snapshotClocks()
 		}
-		s.reverseScalar(func(r *Rank) []float64 { return r.Atoms.Rho })
+		s.runOp(scalarReverseOp(func(r *Rank) []float64 { return r.Atoms.Rho }))
 		s.forRanks(func(id int) {
 			r := s.ranks[id]
 			embed := mb.FinishRho(r.Atoms)
@@ -599,7 +446,7 @@ func (s *Simulation) computeForces() {
 				r.Clock += s.M.Cost.EAMEmbedTime(r.Atoms.NLocal, th)
 			}
 		})
-		s.forwardScalar(func(r *Rank) []float64 { return r.Atoms.Fp })
+		s.runOp(scalarForwardOp(func(r *Rank) []float64 { return r.Atoms.Fp }))
 		s.forRanks(func(id int) {
 			r := s.ranks[id]
 			res := mb.ComputeForce(r.Atoms, r.NL)

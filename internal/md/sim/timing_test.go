@@ -132,3 +132,25 @@ func TestSmallSystemMessageSizes(t *testing.T) {
 		t.Errorf("largest forward message %dB suspiciously small", maxBytes)
 	}
 }
+
+// bytesFwd returns the forward-direction wire size for a per-atom payload
+// width.
+func (l *link) bytesFwd(perAtom int) int { return len(l.sendList) * perAtom }
+
+// totalGhostBytes returns the bytes this rank receives per forward stage.
+func (r *Rank) totalGhostBytes(perAtom int) int {
+	total := 0
+	for _, l := range r.recvLinks {
+		total += l.recvCount * perAtom
+	}
+	return total
+}
+
+// totalSendBytes returns the bytes this rank sends per forward stage.
+func (r *Rank) totalSendBytes(perAtom int) int {
+	total := 0
+	for _, l := range r.sendLinks {
+		total += l.bytesFwd(perAtom)
+	}
+	return total
+}

@@ -39,13 +39,13 @@ func main() {
 	var (
 		experiment = flag.String("experiment", "all",
 			"which experiment: all, "+strings.Join(experimentOrder, ", "))
-		full      = flag.Bool("full", false, "paper-scale parameters (slow)")
-		steps     = flag.Int("steps", 0, "override step count")
-		traceFile = flag.String("trace", "", "write a Chrome trace-event JSON of the fabric-level experiments to this file")
-		jsonDir   = flag.String("json", "", "write BENCH_<experiment>.json artifacts into this directory")
-		metFile   = flag.String("metrics", "", "dump the metrics registry to this file at exit (.json for JSON, text otherwise)")
-		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for long -full runs")
-		faultsStr = flag.String("faults", "", `fault injection spec for the raw-fabric experiments, e.g. "drop=0.01,seed=7"`)
+		full       = flag.Bool("full", false, "paper-scale parameters (slow)")
+		steps      = flag.Int("steps", 0, "override step count")
+		traceFile  = flag.String("trace", "", "write a Chrome trace-event JSON of the fabric-level experiments to this file")
+		jsonDir    = flag.String("json", "", "write BENCH_<experiment>.json artifacts into this directory")
+		metFile    = flag.String("metrics", "", "dump the metrics registry to this file at exit (.json for JSON, text otherwise)")
+		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for long -full runs")
+		faultsStr  = flag.String("faults", "", `fault injection spec for the raw-fabric experiments, e.g. "drop=0.01,seed=7"`)
 		par        = flag.Int("par", 0, "logical processes for the pdes engine-speedup experiment (0 = default)")
 		statusAddr = flag.String("status", "", "serve a live JSON run-status endpoint on this address (GET /status; reports the experiment in flight)")
 		explain    = flag.Bool("explain", false, "append the scaling-diagnosis report (per-LP profile + critical path) to the pdes experiment")

@@ -33,25 +33,25 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("mdsim: ")
 	var (
-		potName   = flag.String("potential", "lj", "potential: lj or eam")
-		atoms     = flag.Int("atoms", 65536, "approximate atom count")
-		nodes     = flag.String("nodes", "4x6x4", "node torus shape XxYxZ")
-		variant   = flag.String("variant", "opt", "code variant: ref, mpi-p2p, utofu-3stage, 4tni-p2p, 6tni-p2p, opt")
-		steps     = flag.Int("steps", 99, "MD steps")
-		thermoEv  = flag.Int("thermo", 20, "thermo output interval (0 = off)")
-		newton    = flag.Bool("newton", true, "Newton's 3rd law")
-		inFile    = flag.String("in", "", "LAMMPS-style input deck (overrides potential/atoms/steps flags)")
-		dumpFile  = flag.String("dump", "", "write an extended-XYZ trajectory to this file")
-		dumpEv    = flag.Int("dumpevery", 20, "dump interval in steps")
-		traceFile = flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file")
-		metFile   = flag.String("metrics", "", "dump the metrics registry to this file at exit (.json for JSON, text otherwise)")
-		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-		faultsStr = flag.String("faults", "", `fault injection spec, e.g. "drop=0.01,seed=7" (see package faultinject)`)
-		ckptEvery = flag.Int("checkpoint-every", 0, "write a checkpoint every N steps (0 = off)")
-		ckptFile  = flag.String("checkpoint", "tofumd.restart", "checkpoint file written by -checkpoint-every")
-		restartIn = flag.String("restart", "", "resume from a checkpoint file written by -checkpoint-every")
-		par       = flag.Int("par", 1, "logical processes the event engine shards the fabric into (N <= 1: serial loop; results bit-identical at every N)")
-		planOnly  = flag.Bool("plan", false, "print the static halo neighbor-plan summary (pattern, link graph, rounds) and exit without running")
+		potName    = flag.String("potential", "lj", "potential: lj or eam")
+		atoms      = flag.Int("atoms", 65536, "approximate atom count")
+		nodes      = flag.String("nodes", "4x6x4", "node torus shape XxYxZ")
+		variant    = flag.String("variant", "opt", "code variant: ref, mpi-p2p, utofu-3stage, 4tni-p2p, 6tni-p2p, opt")
+		steps      = flag.Int("steps", 99, "MD steps")
+		thermoEv   = flag.Int("thermo", 20, "thermo output interval (0 = off)")
+		newton     = flag.Bool("newton", true, "Newton's 3rd law")
+		inFile     = flag.String("in", "", "LAMMPS-style input deck (overrides potential/atoms/steps flags)")
+		dumpFile   = flag.String("dump", "", "write an extended-XYZ trajectory to this file")
+		dumpEv     = flag.Int("dumpevery", 20, "dump interval in steps")
+		traceFile  = flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file")
+		metFile    = flag.String("metrics", "", "dump the metrics registry to this file at exit (.json for JSON, text otherwise)")
+		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+		faultsStr  = flag.String("faults", "", `fault injection spec, e.g. "drop=0.01,seed=7" (see package faultinject)`)
+		ckptEvery  = flag.Int("checkpoint-every", 0, "write a checkpoint every N steps (0 = off)")
+		ckptFile   = flag.String("checkpoint", "tofumd.restart", "checkpoint file written by -checkpoint-every")
+		restartIn  = flag.String("restart", "", "resume from a checkpoint file written by -checkpoint-every")
+		par        = flag.Int("par", 1, "logical processes the event engine shards the fabric into (N <= 1: serial loop; results bit-identical at every N)")
+		planOnly   = flag.Bool("plan", false, "print the static halo neighbor-plan summary (pattern, link graph, rounds) and exit without running")
 		statusAddr = flag.String("status", "", "serve a live JSON run-status endpoint on this address (e.g. localhost:8080, port 0 picks one; GET /status)")
 		explain    = flag.Bool("explain", false, "print the scaling-diagnosis report (per-LP engine profile + critical path) after the run")
 	)

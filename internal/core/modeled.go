@@ -112,11 +112,13 @@ type simRes struct{ thread, tni, vcq int }
 // tile machine and its fabric, the kind's geometry, and the synthetic link
 // set the halo operations run over.
 type modelSetup struct {
-	v      sim.Variant
-	m      *sim.Machine
-	fab    *tofu.Fabric
-	kp     kindParams
-	links  []modelLink
+	v   sim.Variant
+	m   *sim.Machine
+	fab *tofu.Fabric
+	kp  kindParams
+	// stages holds the links of each bulk-synchronous round of a forward
+	// operation: all of them for p2p, one set per dimension for 3-stage.
+	stages [][]modelLink
 	packTh machine.Threading
 }
 
@@ -154,10 +156,15 @@ func (spec *ModelSpec) setup() (*modelSetup, error) {
 	if spec.Variant.CommThreads > 1 {
 		packTh = machine.Pool
 	}
-	return &modelSetup{
-		v: spec.Variant, m: m, fab: fab, kp: kp, packTh: packTh,
-		links: buildModelLinks(m, spec.Variant, side, ghCut, shells, kp.density),
-	}, nil
+	stages := [][]modelLink{buildModelLinks(m, spec.Variant, side, ghCut, shells, kp.density)}
+	if spec.Variant.Pattern == halo.ThreeStage {
+		byDim := make([][]modelLink, 3)
+		for _, l := range stages[0] {
+			byDim[l.stage3Dim] = append(byDim[l.stage3Dim], l)
+		}
+		stages = byDim
+	}
+	return &modelSetup{v: spec.Variant, m: m, fab: fab, kp: kp, packTh: packTh, stages: stages}, nil
 }
 
 // Modeled runs the timing-only model and returns a RunResult whose
@@ -266,7 +273,6 @@ func HaloTime(spec ModelSpec) (float64, error) {
 // buildModelLinks constructs the synthetic link set of one pattern over the
 // tile, mirroring the functional engine's resource assignment.
 func buildModelLinks(m *sim.Machine, v sim.Variant, side, ghCut float64, shells int, density float64) []modelLink {
-	var out []modelLink
 	tnis := m.Params.TNIsPerNode
 	sideV := vec.V3{X: side, Y: side, Z: side}
 	mkRes := func(rank, idx, nLinks int, hops int, bytes int) simRes {
@@ -281,29 +287,31 @@ func buildModelLinks(m *sim.Machine, v sim.Variant, side, ghCut float64, shells 
 			return simRes{} // filled by balancing below
 		}
 	}
-	for rank := 0; rank < m.Map.Ranks(); rank++ {
-		var dirs []vec.I3
-		var dims []int
-		if v.Pattern == halo.P2P {
-			// Newton on: send to the lower half-shell (Fig. 5).
-			for _, d := range halo.HalfDirections(shells) {
-				dirs = append(dirs, vec.I3{X: -d.X, Y: -d.Y, Z: -d.Z})
-				dims = append(dims, -1)
-			}
-		} else {
-			for dim := 0; dim < 3; dim++ {
-				for iter := 0; iter < shells; iter++ {
-					for _, sign := range []int{-1, 1} {
-						d := vec.I3{}
-						d = d.SetComp(dim, sign)
-						dirs = append(dirs, d)
-						dims = append(dims, dim)
-					}
+	// The direction set is the same for every rank of the homogeneous tile.
+	var dirs []vec.I3
+	var dims []int
+	if v.Pattern == halo.P2P {
+		// Newton on: send to the lower half-shell (Fig. 5).
+		for _, d := range halo.HalfDirections(shells) {
+			dirs = append(dirs, vec.I3{X: -d.X, Y: -d.Y, Z: -d.Z})
+			dims = append(dims, -1)
+		}
+	} else {
+		for dim := 0; dim < 3; dim++ {
+			for iter := 0; iter < shells; iter++ {
+				for _, sign := range []int{-1, 1} {
+					d := vec.I3{}
+					d = d.SetComp(dim, sign)
+					dirs = append(dirs, d)
+					dims = append(dims, dim)
 				}
 			}
 		}
-		links := make([]modelLink, len(dirs))
-		specs := make([]halo.Link, len(dirs))
+	}
+	out := make([]modelLink, m.Map.Ranks()*len(dirs))
+	specs := make([]halo.Link, len(dirs))
+	for rank := 0; rank < m.Map.Ranks(); rank++ {
+		links := out[rank*len(dirs):][:len(dirs)]
 		for i, d := range dirs {
 			dst := m.Map.NeighborRank(rank, d)
 			var atoms float64
@@ -340,7 +348,6 @@ func buildModelLinks(m *sim.Machine, v sim.Variant, side, ghCut float64, shells 
 				links[i].rev = simRes{thread: t, tni: t % tnis, vcq: links[i].dst*8 + t}
 			}
 		}
-		out = append(out, links...)
 	}
 	return out
 }
@@ -348,29 +355,24 @@ func buildModelLinks(m *sim.Machine, v sim.Variant, side, ghCut float64, shells 
 // rounds executes one halo operation (all its rounds) on the fabric and
 // returns the average per-rank duration including pack/unpack costs.
 func (ms *modelSetup) rounds(perAtomBytes int, reverse, forceMPI bool, extraPerLink int, cost machine.CostModel) float64 {
-	fab, m, v, links, packTh := ms.fab, ms.m, ms.v, ms.links, ms.packTh
+	fab, m, v, packTh := ms.fab, ms.m, ms.v, ms.packTh
 	iface := tofu.IfaceUTofu
 	if v.Transport == halo.TransportMPI || forceMPI {
 		iface = tofu.IfaceMPI
 	}
-	rounds := [][]modelLink{links}
-	if v.Pattern == halo.ThreeStage {
-		byDim := map[int][]modelLink{}
-		for _, l := range links {
-			byDim[l.stage3Dim] = append(byDim[l.stage3Dim], l)
-		}
-		rounds = [][]modelLink{byDim[0], byDim[1], byDim[2]}
-		if reverse {
-			rounds = [][]modelLink{byDim[2], byDim[1], byDim[0]}
-		}
-	}
 	total := 0.0
-	for _, round := range rounds {
+	for i := range ms.stages {
+		round := ms.stages[i]
+		if reverse {
+			// Forwarded contributions cascade home: last dimension first.
+			round = ms.stages[len(ms.stages)-1-i]
+		}
 		if len(round) == 0 {
 			continue
 		}
 		var bytesPerRank float64
-		transfers := make([]*tofu.Transfer, 0, len(round))
+		transfers := fab.Transfers(len(round))
+		n := 0
 		for _, l := range round {
 			bytes := int(l.atoms*float64(perAtomBytes)) + extraPerLink
 			if bytes == 0 {
@@ -380,17 +382,19 @@ func (ms *modelSetup) rounds(perAtomBytes int, reverse, forceMPI bool, extraPerL
 			if reverse {
 				src, dst, res, dres = l.dst, l.src, l.rev, l.fwd
 			}
-			transfers = append(transfers, &tofu.Transfer{
+			*transfers[n] = tofu.Transfer{
 				Src: src, Dst: dst, TNI: res.tni, VCQ: res.vcq, Thread: res.thread,
 				DstThread: dres.thread,
 				Bytes:     bytes,
 				TwoStep:   iface == tofu.IfaceMPI && perAtomBytes == 0 && !v.CombineLength,
-			})
+			}
+			n++
 			bytesPerRank += float64(bytes)
 		}
-		if len(transfers) == 0 {
+		if n == 0 {
 			continue
 		}
+		transfers = transfers[:n]
 		// A round that fails to drain is a fabric invariant violation, not a
 		// modeling outcome; the timing model has no recovery for it.
 		if err := fab.RunRound(transfers, iface); err != nil {

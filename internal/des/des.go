@@ -12,11 +12,18 @@ package des
 
 import "fmt"
 
-// event is a scheduled callback. The ordering key is the full tuple
-// (time, sendTime, src, seq): time is when the event fires, sendTime is the
-// scheduler's clock at the moment it called Schedule, src is the scheduling
-// logical process (always 0 for the serial Engine) and seq is the
-// scheduler's per-LP scheduling counter.
+// event is a scheduled callback or a scheduled tag. The ordering key is the
+// full tuple (time, sendTime, src, seq): time is when the event fires,
+// sendTime is the scheduler's clock at the moment it called Schedule, src is
+// the scheduling logical process (always 0 for the serial Engine) and seq is
+// the scheduler's per-LP scheduling counter.
+//
+// fn == nil marks a tagged event: the engine hands tag to the handler its
+// owner registered (ParallelEngine.SetHandler) instead of calling a closure,
+// so scheduling one allocates nothing. tag sits in the four bytes that were
+// padding after src, which keeps the struct at 40 bytes: every sift step
+// moves whole events, and a wider one measured slower on both the closure
+// and the tagged path (TestEventIs40Bytes pins the size).
 //
 // For the serial engine this collapses to the historical (time, seq) order:
 // sendTime is non-decreasing in seq (the clock never rewinds), so comparing
@@ -27,6 +34,7 @@ type event struct {
 	time     float64
 	sendTime float64
 	src      int32
+	tag      uint32
 	seq      uint64
 	fn       func()
 }
@@ -52,32 +60,41 @@ func (a *event) before(b *event) bool {
 // push/pop below allocate only when the backing array grows.
 type eventHeap []event
 
-// push inserts ev, restoring the heap invariant by sifting up.
+// push inserts ev, restoring the heap invariant by sifting up. The sift
+// moves a hole instead of swapping: each level copies one event down and ev
+// is written once, where the hole stops.
 func (h *eventHeap) push(ev event) {
 	*h = append(*h, ev)
 	s := *h
 	i := len(s) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !s[i].before(&s[parent]) {
+		if !ev.before(&s[parent]) {
 			break
 		}
-		s[i], s[parent] = s[parent], s[i]
+		s[i] = s[parent]
 		i = parent
 	}
+	s[i] = ev
 }
 
 // pop removes and returns the minimum event. The vacated slot is zeroed so
 // the popped closure (and everything it captures) is not retained by the
 // backing array until the slot is overwritten by a later push.
+//
+// Like push it sifts a hole: the last event is lifted out, the smaller child
+// moves up into the hole level by level, and the lifted event lands where
+// neither child precedes it.
 func (h *eventHeap) pop() event {
 	s := *h
 	n := len(s) - 1
-	top := s[0]
-	s[0] = s[n]
+	top, last := s[0], s[n]
 	s[n] = event{}
 	s = s[:n]
 	*h = s
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
 		left := 2*i + 1
@@ -88,12 +105,13 @@ func (h *eventHeap) pop() event {
 		if right := left + 1; right < n && s[right].before(&s[left]) {
 			min = right
 		}
-		if !s[min].before(&s[i]) {
+		if !s[min].before(&last) {
 			break
 		}
-		s[i], s[min] = s[min], s[i]
+		s[i] = s[min]
 		i = min
 	}
+	s[i] = last
 	return top
 }
 

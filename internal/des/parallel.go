@@ -106,6 +106,8 @@ type ParallelEngine struct {
 	lookahead float64
 	lps       []*LP
 	bar       spinBarrier
+	// handler executes tagged events (SetHandler); nil until one is set.
+	handler func(l *LP, tag uint32)
 
 	// Epoch state: written only by the lead LP between the merge barrier and
 	// the publish barrier (or before workers spawn), read by all LPs after.
@@ -160,6 +162,14 @@ func NewParallel(lps int, lookahead float64) (*ParallelEngine, error) {
 	}
 	return p, nil
 }
+
+// SetHandler registers the function that executes tagged events: an event
+// scheduled with ScheduleTagAt or SendTagAt runs as h(l, tag) on the LP l it
+// was scheduled on, under the same rule as a closure event — h must only
+// touch state owned by l. The engine has one handler and its owner decides
+// what a tag means; call SetHandler from the driving goroutine, not during
+// a run.
+func (p *ParallelEngine) SetHandler(h func(l *LP, tag uint32)) { p.handler = h }
 
 // LPs returns the number of logical processes.
 func (p *ParallelEngine) LPs() int { return len(p.lps) }
@@ -251,15 +261,24 @@ func (p *ParallelEngine) runSerial(budget int) {
 			p.budgetErr = &BudgetError{Budget: budget, Now: l.now, NextAt: l.pq[0].time, Pending: len(l.pq)}
 			break
 		}
-		ev := l.pq.pop()
-		l.now = ev.time
-		ev.fn()
-		l.ran++
+		l.exec(l.pq.pop())
 		n++
 	}
 	if n > 0 {
 		l.prof.events.Add(int64(n))
 	}
+}
+
+// exec advances the LP's clock to ev and runs it: the closure when it has
+// one, otherwise the engine's handler on its tag.
+func (l *LP) exec(ev event) {
+	l.now = ev.time
+	if ev.fn != nil {
+		ev.fn()
+	} else {
+		l.eng.handler(l, ev.tag)
+	}
+	l.ran++
 }
 
 // runParallel drives the barrier-epoch loop: the calling goroutine runs LP 0
@@ -321,10 +340,7 @@ func (l *LP) runEpoch(horizon float64, budget int) {
 		if budget > 0 && l.ran >= budget {
 			break
 		}
-		ev := l.pq.pop()
-		l.now = ev.time
-		ev.fn()
-		l.ran++
+		l.exec(l.pq.pop())
 		n++
 	}
 	if n > 0 {
@@ -416,11 +432,25 @@ func (l *LP) Schedule(t float64, fn func()) {
 // ScheduleAt registers fn to run on this LP at virtual time t, rejecting
 // times in the past, exactly like Engine.ScheduleAt.
 func (l *LP) ScheduleAt(t float64, fn func()) error {
+	return l.scheduleAt(t, 0, fn)
+}
+
+// ScheduleTagAt is ScheduleAt for a tagged event: at time t the engine's
+// handler runs with tag on this LP. Same ordering key, same past-time
+// rejection; nothing is allocated.
+func (l *LP) ScheduleTagAt(t float64, tag uint32) error {
+	if l.eng.handler == nil {
+		return fmt.Errorf("des: ScheduleTagAt on an engine with no handler (SetHandler)")
+	}
+	return l.scheduleAt(t, tag, nil)
+}
+
+func (l *LP) scheduleAt(t float64, tag uint32, fn func()) error {
 	if t < l.now {
 		return fmt.Errorf("des: ScheduleAt(%g) is before now (%g)", t, l.now)
 	}
 	l.seq++
-	l.pq.push(event{time: t, sendTime: l.now, src: l.id, seq: l.seq, fn: fn})
+	l.pq.push(event{time: t, sendTime: l.now, src: l.id, tag: tag, seq: l.seq, fn: fn})
 	return nil
 }
 
@@ -431,12 +461,25 @@ func (l *LP) ScheduleAt(t float64, fn func()) error {
 // event is staged locally and merged into dst's queue at the next epoch
 // barrier; the barrier-epoch invariant guarantees that is never too late.
 func (l *LP) SendAt(dst *LP, t float64, fn func()) error {
+	return l.sendAt(dst, t, 0, fn)
+}
+
+// SendTagAt is SendAt for a tagged event: the engine's handler runs with tag
+// on LP dst at time t, under the same lookahead contract.
+func (l *LP) SendTagAt(dst *LP, t float64, tag uint32) error {
+	if l.eng.handler == nil {
+		return fmt.Errorf("des: SendTagAt on an engine with no handler (SetHandler)")
+	}
+	return l.sendAt(dst, t, tag, nil)
+}
+
+func (l *LP) sendAt(dst *LP, t float64, tag uint32, fn func()) error {
 	if dst.eng != l.eng {
 		return fmt.Errorf("des: SendAt to an LP of a different engine")
 	}
 	if dst == l {
 		l.prof.sends.Add(1)
-		return l.ScheduleAt(t, fn)
+		return l.scheduleAt(t, tag, fn)
 	}
 	if t < l.now+l.eng.lookahead {
 		return fmt.Errorf("des: SendAt(%g) to LP %d violates lookahead %g from now %g",
@@ -445,6 +488,6 @@ func (l *LP) SendAt(dst *LP, t float64, fn func()) error {
 	l.seq++
 	l.prof.sends.Add(1)
 	l.prof.staged.Add(1)
-	l.out[dst.id] = append(l.out[dst.id], event{time: t, sendTime: l.now, src: l.id, seq: l.seq, fn: fn})
+	l.out[dst.id] = append(l.out[dst.id], event{time: t, sendTime: l.now, src: l.id, tag: tag, seq: l.seq, fn: fn})
 	return nil
 }

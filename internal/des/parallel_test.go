@@ -148,6 +148,121 @@ func TestParallelMatchesSerialProperty(t *testing.T) {
 	}
 }
 
+// tagSched drives a ParallelEngine the way the fabric does — tagged events
+// executed by one registered handler — mixed with closure events: every
+// other event of an LP goes through ScheduleTagAt/SendTagAt, its closure
+// parked in a table the tag indexes. Tables are fixed-size and per
+// scheduling LP, so a slot is written by its LP before the event is sent and
+// read by the executing LP after the epoch barrier, never concurrently.
+type tagSched struct {
+	p   *ParallelEngine
+	tab [][]func()
+	n   []int
+}
+
+func newTagSched(p *ParallelEngine) *tagSched {
+	s := &tagSched{p: p, tab: make([][]func(), p.LPs()), n: make([]int, p.LPs())}
+	for i := range s.tab {
+		s.tab[i] = make([]func(), 1<<12)
+	}
+	p.SetHandler(func(_ *LP, tag uint32) { s.tab[tag>>12][tag&(1<<12-1)]() })
+	return s
+}
+
+// park stores fn in from's table and returns its tag; ok is false on the
+// turns that stay closure events.
+func (s *tagSched) park(from int, fn func()) (tag uint32, ok bool) {
+	i := s.n[from]
+	s.n[from]++
+	if i%2 == 1 {
+		return 0, false
+	}
+	s.tab[from][i] = fn
+	return uint32(from)<<12 | uint32(i), true
+}
+
+func (s *tagSched) now(lp int) float64 { return s.p.LP(lp).Now() }
+func (s *tagSched) at(lp int, t float64, fn func()) error {
+	if tag, ok := s.park(lp, fn); ok {
+		return s.p.LP(lp).ScheduleTagAt(t, tag)
+	}
+	return s.p.LP(lp).ScheduleAt(t, fn)
+}
+func (s *tagSched) send(from, to int, t float64, fn func()) error {
+	if tag, ok := s.park(from, fn); ok {
+		return s.p.LP(from).SendTagAt(s.p.LP(to), t, tag)
+	}
+	return s.p.LP(from).SendAt(s.p.LP(to), t, fn)
+}
+func (s *tagSched) run() float64 { return s.p.Run() }
+
+// The cascade of TestParallelMatchesSerialProperty expressed as tagged
+// events mixed with closure events: at 1 to 4 LPs every LP executes it in
+// the order, and at the times, the reference Engine executes the closure
+// form.
+func TestTaggedEventsMatchSerialProperty(t *testing.T) {
+	const lookahead = 0.3
+	for lps := 1; lps <= 4; lps++ {
+		for seed := int64(1); seed <= 4; seed++ {
+			ser, serFinal := runWorkload(t, &serialSched{}, lps, lookahead, seed)
+			par, err := NewParallel(lps, lookahead)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := newTagSched(par)
+			pr, parFinal := runWorkload(t, ts, lps, lookahead, seed)
+			if parFinal != serFinal {
+				t.Errorf("lps=%d seed=%d: final time tagged %g != serial %g", lps, seed, parFinal, serFinal)
+			}
+			for lp := 0; lp < lps; lp++ {
+				if len(pr[lp]) != len(ser[lp]) {
+					t.Fatalf("lps=%d seed=%d lp=%d: %d events tagged vs %d serial",
+						lps, seed, lp, len(pr[lp]), len(ser[lp]))
+				}
+				for i := range ser[lp] {
+					if pr[lp][i] != ser[lp][i] {
+						t.Fatalf("lps=%d seed=%d lp=%d event %d: tagged %+v != serial %+v",
+							lps, seed, lp, i, pr[lp][i], ser[lp][i])
+					}
+				}
+				if ts.n[lp] < 8 {
+					t.Errorf("lps=%d seed=%d lp=%d: only %d events scheduled", lps, seed, lp, ts.n[lp])
+				}
+			}
+		}
+	}
+}
+
+// A tagged event needs a handler to run it; scheduling one on an engine
+// without is refused instead of crashing the event loop later.
+func TestTaggedEventNeedsHandler(t *testing.T) {
+	p, err := NewParallel(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.LP(0).ScheduleTagAt(1, 7); err == nil {
+		t.Error("ScheduleTagAt without a handler accepted")
+	}
+	if err := p.LP(0).SendTagAt(p.LP(1), 1, 7); err == nil {
+		t.Error("SendTagAt without a handler accepted")
+	}
+	got := make([][]uint32, 2) // per executing LP
+	p.SetHandler(func(l *LP, tag uint32) { got[l.ID()] = append(got[l.ID()], tag) })
+	if err := p.LP(0).ScheduleTagAt(2, 7); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.LP(0).SendTagAt(p.LP(1), 1, 9); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.LP(0).SendTagAt(p.LP(1), 0.5, 9); err == nil {
+		t.Error("SendTagAt inside the lookahead window accepted")
+	}
+	p.Run()
+	if len(got[0]) != 1 || got[0][0] != 7 || len(got[1]) != 1 || got[1][0] != 9 {
+		t.Errorf("handler saw %v, want tag 7 on LP 0 and tag 9 on LP 1", got)
+	}
+}
+
 func TestParallelSingleLPDegenerate(t *testing.T) {
 	p, err := NewParallel(1, 0)
 	if err != nil {

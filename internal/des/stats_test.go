@@ -108,7 +108,7 @@ func TestStatsTotalsInvariantAcrossLPCounts(t *testing.T) {
 			}
 		}
 		for s := 0; s < sites; s++ {
-			if err := p.LP(s % lps).ScheduleAt(float64(s)*1e-9, chain(s, 0)); err != nil {
+			if err := p.LP(s%lps).ScheduleAt(float64(s)*1e-9, chain(s, 0)); err != nil {
 				t.Fatal(err)
 			}
 		}

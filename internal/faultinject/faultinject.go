@@ -340,7 +340,7 @@ type Model struct {
 	spec  Spec
 	root  *xrand.Source
 	round uint64
-	mu sync.Mutex
+	mu    sync.Mutex
 	// base is the current round's stream root; guarded by mu.
 	base *xrand.Source
 	// links caches the per-link streams split from base; guarded by mu.

@@ -16,8 +16,8 @@ import (
 // Rollback phases.
 const (
 	RBRunning uint8 = iota
-	RBDone           // terminal: steps completed
-	RBGaveUp         // terminal: rollback budget exhausted
+	RBDone          // terminal: steps completed
+	RBGaveUp        // terminal: rollback budget exhausted
 )
 
 // RollbackConfig binds the run length, checkpoint cadence, and budget.

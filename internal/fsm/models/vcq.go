@@ -68,9 +68,9 @@ const (
 
 // VCQEvent is one caller operation.
 type VCQEvent struct {
-	Kind  uint8
-	Rank  int8
-	TNI   int8
+	Kind uint8
+	Rank int8
+	TNI  int8
 }
 
 func (e VCQEvent) String() string {

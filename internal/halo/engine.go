@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"tofumd/internal/mpi"
+	"tofumd/internal/slab"
 	"tofumd/internal/tofu"
 	"tofumd/internal/utofu"
 )
@@ -75,6 +76,10 @@ type Engine struct {
 	// (trace spans).
 	OnFallback     func(msgs []*Msg)
 	OnFallbackDone func(msgs []*Msg)
+
+	// puts and mm back the transport records a round is translated into.
+	puts slab.Slab[utofu.Put]
+	mm   slab.Slab[mpi.Message]
 }
 
 // RunRound executes the messages through the transport and advances the
@@ -110,9 +115,9 @@ func (e *Engine) RunRound(t Transport, msgs []*Msg) {
 }
 
 func (e *Engine) runMPIRound(msgs []*Msg, base float64) {
-	mm := make([]*mpi.Message, len(msgs))
+	mm := e.mm.Take(len(msgs))
 	for i, m := range msgs {
-		mm[i] = &mpi.Message{
+		*mm[i] = mpi.Message{
 			Src:         m.Src,
 			Dst:         m.Dst,
 			Tag:         i,
@@ -127,6 +132,7 @@ func (e *Engine) runMPIRound(msgs []*Msg, base float64) {
 		m.Complete = base + mm[i].RecvComplete
 		m.IssueDone = base + mm[i].IssueDone
 	}
+	e.mm.Release()
 }
 
 // runUTofuRoundReliable delivers a uTofu round even under fault injection:
@@ -167,13 +173,13 @@ func (e *Engine) runUTofuRound(msgs []*Msg, base float64) []*Msg {
 	if len(msgs) == 0 {
 		return nil
 	}
-	puts := make([]*utofu.Put, len(msgs))
+	puts := e.puts.Take(len(msgs))
 	for i, m := range msgs {
 		vcq := e.VCQ(m.Src, m.TNI)
 		if vcq == nil {
 			panic(fmt.Sprintf("halo: rank %d has no VCQ on TNI %d", m.Src, m.TNI))
 		}
-		puts[i] = &utofu.Put{
+		*puts[i] = utofu.Put{
 			VCQ:       vcq,
 			Thread:    m.Thread,
 			DstThread: m.DstThread,
@@ -204,6 +210,7 @@ func (e *Engine) runUTofuRound(msgs []*Msg, base float64) []*Msg {
 		m.Complete = base + puts[i].RecvComplete
 		m.IssueDone = base + puts[i].IssueDone
 	}
+	e.puts.Release()
 	if replan && e.OnReplan != nil {
 		// A TNI crossed into quarantine this round: re-balance over the
 		// survivors before the next round injects on a dead interface.

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"tofumd/internal/mpi"
 	"tofumd/internal/tofu"
 	"tofumd/internal/topo"
 	"tofumd/internal/utofu"
@@ -455,5 +456,73 @@ func TestValidate(t *testing.T) {
 	}
 	if err := Validate(P2P, TransportUTofu, TNIPerRankSlot, 4); err == nil {
 		t.Error("multi-thread per-rank-slot accepted")
+	}
+}
+
+// engineFixture wires an Engine to bare rank clocks over a 2x2x2 torus with
+// one rank per node: a VCQ per rank on TNI 0 and one registered inbox each.
+func engineFixture(t *testing.T) (*Engine, []*Msg) {
+	t.Helper()
+	m := testRankMap(t, vec.I3{X: 2, Y: 2, Z: 2})
+	fab := tofu.NewFabric(m, tofu.DefaultParams())
+	uts := utofu.NewSystem(fab)
+	ranks := m.Ranks()
+	clocks := make([]float64, ranks)
+	vcqs := make([]*utofu.VCQ, ranks)
+	regions := make([]*utofu.MemRegion, ranks)
+	const msgBytes = 120
+	for r := 0; r < ranks; r++ {
+		v, err := uts.CreateVCQ(r, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vcqs[r] = v
+		regions[r], _ = uts.Register(r, make([]byte, 3*msgBytes))
+	}
+	e := &Engine{
+		Fab: fab, UTS: uts, MPI: mpi.NewComm(fab),
+		VCQ:   func(rank, tni int) *utofu.VCQ { return vcqs[rank] },
+		Clock: func(rank int) float64 { return clocks[rank] },
+		Advance: func(rank int, at float64) {
+			if at > clocks[rank] {
+				clocks[rank] = at
+			}
+		},
+	}
+	payload := make([]byte, msgBytes)
+	var msgs []*Msg
+	for r := 0; r < ranks; r++ {
+		for i, d := range []vec.I3{{X: 1}, {Y: 1}, {Z: 1}} {
+			dst := m.NeighborRank(r, d)
+			msgs = append(msgs, &Msg{
+				Src: r, Dst: dst, Data: payload, Known: true,
+				Region: regions[dst], DstOff: i * msgBytes,
+			})
+		}
+	}
+	return e, msgs
+}
+
+// A fault-free round allocates nothing from the second call on, over either
+// transport: the engine translates into its own put and message slabs.
+func TestEngineRunRoundDoesNotAllocate(t *testing.T) {
+	for _, tr := range []Transport{TransportUTofu, TransportMPI} {
+		e, msgs := engineFixture(t)
+		run := func() {
+			for _, m := range msgs {
+				m.ReadyAt = e.Clock(m.Src)
+			}
+			e.RunRound(tr, msgs)
+		}
+		run()
+		if avg := testing.AllocsPerRun(20, run); avg != 0 {
+			t.Errorf("transport %v: RunRound allocates %.1f per round in steady state, want 0", tr, avg)
+		}
+		for i, m := range msgs {
+			if m.Complete <= m.ReadyAt || m.IssueDone <= m.ReadyAt {
+				t.Fatalf("transport %v: message %d not completed: ready %v issue %v complete %v",
+					tr, i, m.ReadyAt, m.IssueDone, m.Complete)
+			}
+		}
 	}
 }

@@ -73,8 +73,8 @@ type Farm struct {
 
 	// Metric handles, cached at construction (nil-safe when disabled).
 	mSubmitted, mDone, mFailed, mCancelled, mShed *metrics.Counter
-	mPreempt, mRetry, mPanic                     *metrics.Counter
-	gQueue, gRunning                             *metrics.Gauge
+	mPreempt, mRetry, mPanic                      *metrics.Counter
+	gQueue, gRunning                              *metrics.Gauge
 }
 
 // New builds and starts a farm: workers launch immediately, and any jobs

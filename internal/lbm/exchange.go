@@ -121,10 +121,10 @@ func (s *System) setupTransport(params tofu.Params) error {
 // through the engine's built-in path.
 func (s *System) newEngine() *halo.Engine {
 	return &halo.Engine{
-		Fab: s.fab,
-		UTS: s.ts.uts,
-		MPI: s.ts.mpi,
-		VCQ: func(rank, tni int) *utofu.VCQ { return s.ranks[rank].vcq },
+		Fab:   s.fab,
+		UTS:   s.ts.uts,
+		MPI:   s.ts.mpi,
+		VCQ:   func(rank, tni int) *utofu.VCQ { return s.ranks[rank].vcq },
 		Clock: func(rank int) float64 { return s.ranks[rank].Clock },
 		Advance: func(rank int, t float64) {
 			if r := s.ranks[rank]; t > r.Clock {

@@ -6,7 +6,7 @@ import (
 )
 
 // splineSin fits the test spline used throughout: sin(x) on [0, pi], which
-// happens to satisfy the natural boundary condition (sin'' = -sin = 0 at
+// happens to satisfy the natural boundary condition (sin″ = -sin = 0 at
 // both ends), so the fit converges to the analytic function everywhere
 // including the end intervals.
 func splineSin(t *testing.T, n int) *Spline {
@@ -62,10 +62,10 @@ func TestSplineDerivativeContinuity(t *testing.T) {
 	}
 }
 
-// TestSplineNaturalBoundary verifies the natural boundary condition y'' = 0
+// TestSplineNaturalBoundary verifies the natural boundary condition y″ = 0
 // at both table ends analytically from the fitted coefficients: the second
-// derivative of interval j at local offset u is 2c[j] + 6d[j]u, so y''(x0)
-// = 2c[0] and y''(x_{n-1}) = 2c[n-2] + 6d[n-2]dx. This pins the end
+// derivative of interval j at local offset u is 2c[j] + 6d[j]u, so y″(x0)
+// = 2c[0] and y″(x_{n-1}) = 2c[n-2] + 6d[n-2]dx. This pins the end
 // intervals the deleted staging vector `m` was once suspected of feeding
 // (the condition is in fact carried by z[0] = 0 and c[n-1] = 0).
 func TestSplineNaturalBoundary(t *testing.T) {

@@ -3,6 +3,7 @@ package sim
 import (
 	"tofumd/internal/halo"
 	"tofumd/internal/health"
+	"tofumd/internal/slab"
 	"tofumd/internal/trace"
 	"tofumd/internal/utofu"
 )
@@ -22,12 +23,12 @@ type rmsg struct {
 
 // msg builds the message sent on one side of the link, carrying the side's
 // packing scratch; the caller stamps ReadyAt.
-func (l *link) msg(rev, known bool) *rmsg {
+func (l *link) msg(rev, known bool) rmsg {
 	from, to, sd := l.src, l.dst, l.side(rev)
 	if rev {
 		from, to = to, from
 	}
-	return &rmsg{link: l, inbox: &sd.inbox, Msg: halo.Msg{
+	return rmsg{link: l, inbox: &sd.inbox, Msg: halo.Msg{
 		Src: from.ID, Dst: to.ID,
 		Thread: sd.Thread, TNI: sd.TNI, DstThread: l.side(!rev).Thread,
 		Data: sd.buf, Known: known,
@@ -35,21 +36,35 @@ func (l *link) msg(rev, known bool) *rmsg {
 }
 
 // batch collects a round's messages: the engine's view of them, and a
-// per-receiver index so unpacking stays linear in the message count.
+// per-receiver index so unpacking stays linear in the message count. The
+// simulation has one and reuses it for every round: reset takes the round's
+// records from a slab, and msgs is the used prefix of what it took.
 type batch struct {
+	slab  slab.Slab[rmsg]
+	room  []*rmsg
 	msgs  []*rmsg
 	wire  []*halo.Msg
 	byDst [][]*rmsg
 }
 
-func (s *Simulation) newBatch() *batch {
-	return &batch{byDst: make([][]*rmsg, len(s.ranks))}
+// reset empties the batch and makes room for up to n messages.
+func (b *batch) reset(n int) {
+	b.room = b.slab.Take(n)
+	b.msgs, b.wire = b.room[:0], b.wire[:0]
+	for i := range b.byDst {
+		b.byDst[i] = b.byDst[i][:0]
+	}
 }
 
-func (b *batch) add(m *rmsg) {
-	b.msgs = append(b.msgs, m)
+// add stores rec in the batch and returns the stored message, which the
+// caller may still adjust (everything but Dst).
+func (b *batch) add(rec rmsg) *rmsg {
+	m := b.room[len(b.msgs)]
+	*m = rec
+	b.msgs = b.room[:len(b.msgs)+1]
 	b.wire = append(b.wire, &m.Msg)
 	b.byDst[m.Dst] = append(b.byDst[m.Dst], m)
+	return m
 }
 
 // fallbackK is the graceful-degradation threshold: after this many

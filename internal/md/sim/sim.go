@@ -138,6 +138,10 @@ type Simulation struct {
 	// eng executes the bulk-synchronous halo rounds; its hooks close over
 	// the simulation's clocks, VCQ tables and health trackers.
 	eng *halo.Engine
+	// batch holds the messages of the round in flight; nLinks, the size of
+	// the static link graph, bounds the messages of a halo round.
+	batch  *batch
+	nLinks int
 
 	ranks   []*Rank
 	xRegion []*utofu.MemRegion
@@ -595,7 +599,9 @@ func (s *Simulation) createLinks() {
 		l := &link{spec: sp, src: src, dst: dst, shift: s.dec.PBCShift(src.Coord, sp.Dir)}
 		src.sendLinks = append(src.sendLinks, l)
 		dst.recvLinks = append(dst.recvLinks, l)
+		s.nLinks++
 	}
+	s.batch = &batch{byDst: make([][]*rmsg, len(s.ranks))}
 	for _, r := range s.ranks {
 		for _, links := range [][]*link{r.sendLinks, r.recvLinks} {
 			sort.SliceStable(links, func(i, j int) bool { return halo.SpecLess(links[i].spec, links[j].spec) })

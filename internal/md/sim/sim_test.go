@@ -269,3 +269,23 @@ func TestStageBreakdownPopulated(t *testing.T) {
 		}
 	}
 }
+
+// maxStepAllocs bounds the heap allocations of one ordinary step (no
+// rebuild, no thermo output) of the 2x2x2 optimized LJ run. What is left is
+// per stage, not per message: the stage closures and the thread pool's
+// region bookkeeping, 26 as measured. The step's forward and reverse rounds
+// carry 416 messages each, so one allocation per message would be 30 times
+// over.
+const maxStepAllocs = 64
+
+func TestStepAllocationsBounded(t *testing.T) {
+	cfg := ljConfig()
+	cfg.ThermoEvery = 0
+	s := newSim(t, Opt(), cfg)
+	s.Step()
+	s.Step()
+	// Steps 3..13: the next rebuild is at step 20.
+	if avg := testing.AllocsPerRun(10, s.Step); avg > maxStepAllocs {
+		t.Errorf("an ordinary step allocates %.0f times, want at most %d", avg, maxStepAllocs)
+	}
+}

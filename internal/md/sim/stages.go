@@ -81,13 +81,14 @@ func (s *Simulation) runOpRound(op haloOp, k halo.RoundKey) {
 		}
 		r.Clock += s.M.Cost.PackTime(units.Bytes(bytes), packTh)
 	})
-	b := s.newBatch()
+	b := s.batch
+	b.reset(s.nLinks)
 	for _, r := range s.ranks {
 		for _, l := range op.links(r) {
 			if !l.inRound(k) {
 				continue
 			}
-			m := l.msg(op.rev, op.known)
+			m := b.add(l.msg(op.rev, op.known))
 			if op.direct {
 				m.inbox, m.DstOff = nil, l.recvStart*posBytes
 			} else if s.Var.Transport == halo.TransportUTofu {
@@ -96,7 +97,6 @@ func (s *Simulation) runOpRound(op haloOp, k halo.RoundKey) {
 			// Stamped after ensureInbox: a registration on a self-link (the
 			// rank's own periodic image) delays its own send.
 			m.ReadyAt = r.Clock
-			b.add(m)
 		}
 	}
 	s.runRound(s.Var.Transport, b)
@@ -317,12 +317,12 @@ func (r *Rank) findRecvLink(k halo.RoundKey, dir vec.I3) *link {
 // link struct already carries the offset; this round charges its time. It
 // has no codec and no pack/unpack charge, so it is not a haloOp.
 func (s *Simulation) piggybackOffsets() {
-	b := s.newBatch()
+	b := s.batch
+	b.reset(s.nLinks)
 	for _, r := range s.ranks {
 		for _, l := range r.recvLinks {
-			m := l.msg(true, true)
+			m := b.add(l.msg(true, true))
 			m.Data, m.ReadyAt = make([]byte, 8), r.Clock
-			b.add(m)
 		}
 	}
 	s.runRound(s.Var.Transport, b)
@@ -359,7 +359,12 @@ func (s *Simulation) doExchange() {
 		}
 		r.Clock += s.M.Cost.ScanTime(a.NLocal)
 	})
-	b := s.newBatch()
+	b := s.batch
+	pairs := 0
+	for _, r := range s.ranks {
+		pairs += len(r.exchScratch)
+	}
+	b.reset(pairs)
 	for _, r := range s.ranks {
 		dsts := make([]int, 0, len(r.exchScratch))
 		for d := range r.exchScratch {
@@ -368,7 +373,7 @@ func (s *Simulation) doExchange() {
 		sort.Ints(dsts)
 		for _, d := range dsts {
 			data := encodeExchange(nil, r.exchScratch[d])
-			b.add(&rmsg{Msg: halo.Msg{
+			b.add(rmsg{Msg: halo.Msg{
 				Src: r.ID, Dst: d, Data: data,
 				ReadyAt: r.Clock + s.M.Cost.PackTime(units.Bytes(len(data)), machine.Serial),
 			}})

@@ -36,6 +36,10 @@ type Comm struct {
 
 	// met caches metric handles (see SetMetrics); nil when metrics are off.
 	met *commMetrics
+
+	// tniOf[rank] is the TNI Fujitsu MPI would drive for the rank: ranks are
+	// spread round-robin over the node's TNIs by their local slot.
+	tniOf []int
 }
 
 // commMetrics caches the MPI layer's metric handles.
@@ -65,7 +69,12 @@ func (c *Comm) SetMetrics(reg *metrics.Registry) {
 
 // NewComm returns a communicator over the fabric's ranks.
 func NewComm(fab *tofu.Fabric) *Comm {
-	return &Comm{Fab: fab}
+	c := &Comm{Fab: fab, tniOf: make([]int, fab.Map.Ranks())}
+	for rank := range c.tniOf {
+		_, slot := fab.Map.NodeOf(rank)
+		c.tniOf[rank] = slot % fab.Params.TNIsPerNode
+	}
+	return c
 }
 
 // Size returns the number of ranks.
@@ -115,7 +124,7 @@ func (c *Comm) ExchangeRound(msgs []*Message) {
 		return
 	}
 	p := &c.Fab.Params
-	transfers := make([]*tofu.Transfer, len(msgs))
+	transfers := c.Fab.Transfers(len(msgs))
 	for i, m := range msgs {
 		twoStep := !m.KnownLength && !c.CombineLength
 		bytes := len(m.Data)
@@ -123,10 +132,10 @@ func (c *Comm) ExchangeRound(msgs []*Message) {
 			bytes += 8 // length header rides in the payload
 		}
 		m.Attempts = 0
-		transfers[i] = &tofu.Transfer{
+		*transfers[i] = tofu.Transfer{
 			Src:     m.Src,
 			Dst:     m.Dst,
-			TNI:     c.tniFor(m.Src),
+			TNI:     c.tniOf[m.Src],
 			VCQ:     m.Src, // one software channel per rank
 			Thread:  0,
 			Bytes:   bytes,
@@ -134,32 +143,31 @@ func (c *Comm) ExchangeRound(msgs []*Message) {
 			TwoStep: twoStep,
 		}
 	}
-	pending := make([]int, len(msgs))
-	for i := range pending {
-		pending[i] = i
-	}
 	var last, bytes float64
 	limit := p.MPIRetryLimit
 	if limit <= 0 {
 		limit = 64
 	}
-	for wave := 0; len(pending) > 0; wave++ {
+	// Wave 0 is the slab's slice itself; a later wave is the re-driven
+	// transfers compacted to its front, owner mapping each to its message.
+	var owner []int
+	for wave := 0; len(transfers) > 0; wave++ {
 		if wave >= limit {
 			panic(fmt.Sprintf("mpi: exchange round did not complete within %d retry waves; "+
 				"the injected fault rate starves the reliable transport", limit))
 		}
-		batch := make([]*tofu.Transfer, len(pending))
-		for j, i := range pending {
-			batch[j] = transfers[i]
-		}
-		if err := c.Fab.RunRound(batch, tofu.IfaceMPI); err != nil {
+		if err := c.Fab.RunRound(transfers, tofu.IfaceMPI); err != nil {
 			// The reliable transport cannot proceed on an undrained fabric
 			// round; like retry-wave exhaustion this is a hard stop.
 			panic("mpi: " + err.Error())
 		}
-		var retry []int
-		for _, i := range pending {
-			tr, m := transfers[i], msgs[i]
+		lost := 0
+		for j, tr := range transfers {
+			i := j
+			if wave > 0 {
+				i = owner[j]
+			}
+			m := msgs[i]
 			m.Attempts++
 			if tr.Failed() {
 				// Sender re-drives the protocol after the completion timeout.
@@ -173,8 +181,11 @@ func (c *Comm) ExchangeRound(msgs []*Message) {
 				nt.ReadyAt = detect + backoff
 				nt.IssueDone, nt.Arrival, nt.RecvComplete = 0, 0, 0
 				nt.Dropped, nt.Nacked = false, false
-				transfers[i] = &nt
-				retry = append(retry, i)
+				if owner == nil {
+					owner = make([]int, len(transfers))
+				}
+				transfers[lost], owner[lost] = &nt, i
+				lost++
 				if c.met != nil {
 					c.met.retransmits.Inc()
 				}
@@ -192,7 +203,7 @@ func (c *Comm) ExchangeRound(msgs []*Message) {
 			}
 			bytes += float64(tr.Bytes)
 		}
-		pending = retry
+		transfers = transfers[:lost]
 	}
 	if c.met != nil {
 		c.met.p2pRounds.Inc()
@@ -205,13 +216,6 @@ func (c *Comm) ExchangeRound(msgs []*Message) {
 			Start: c.Fab.RecBase, End: c.Fab.RecBase + last,
 		})
 	}
-}
-
-// tniFor picks the TNI Fujitsu MPI would drive for a rank: ranks are spread
-// round-robin over the node's TNIs by their local slot.
-func (c *Comm) tniFor(rank int) int {
-	_, slot := c.Fab.Map.NodeOf(rank)
-	return slot % c.Fab.Params.TNIsPerNode
 }
 
 // ReduceOp enumerates supported allreduce operations.

@@ -211,3 +211,22 @@ func TestEmptyRoundNoop(t *testing.T) {
 	c := testComm(t)
 	c.ExchangeRound(nil)
 }
+
+// A fault-free exchange round allocates nothing from the second call on.
+func TestExchangeRoundDoesNotAllocate(t *testing.T) {
+	c := testComm(t)
+	payload := make([]byte, 128)
+	var msgs []*Message
+	for r := 0; r < c.Size(); r++ {
+		for i, d := range []vec.I3{{X: 2}, {Y: -2}, {Z: 1}} {
+			msgs = append(msgs, &Message{
+				Src: r, Dst: c.Fab.Map.NeighborRank(r, d), Tag: i, Data: payload, KnownLength: i > 0,
+			})
+		}
+	}
+	run := func() { c.ExchangeRound(msgs) }
+	run()
+	if avg := testing.AllocsPerRun(20, run); avg != 0 {
+		t.Errorf("ExchangeRound allocates %.1f per round in steady state, want 0", avg)
+	}
+}

@@ -71,22 +71,22 @@ type CritPath struct {
 
 // segment is the internal unit of the dependency walk.
 type segment struct {
-	kind                 int // index into segKinds
-	msg                  int
-	start, end           float64
-	res                  resKey
-	hasRes               bool
-	prevStage            int // same-message previous segment index, -1 if none
-	bucket               int // index of res bucket, -1 if none
-	posInBucket          int
-	src, dst, bytes      int
+	kind            int // index into segKinds
+	msg             int
+	start, end      float64
+	res             resKey
+	hasRes          bool
+	prevStage       int // same-message previous segment index, -1 if none
+	bucket          int // index of res bucket, -1 if none
+	posInBucket     int
+	src, dst, bytes int
 }
 
 var segKinds = [4]string{"issue", "tx", "wire", "recv"}
 
 type resKey struct {
-	class   int // 0 = cpu thread, 1 = tni engine, 2 = recv context
-	a, b    int
+	class int // 0 = cpu thread, 1 = tni engine, 2 = recv context
+	a, b  int
 }
 
 // Analyze builds the critical path of a set of recorded messages. The

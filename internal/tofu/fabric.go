@@ -2,14 +2,15 @@ package tofu
 
 import (
 	"fmt"
-	"sort"
 
 	"tofumd/internal/des"
 	"tofumd/internal/faultinject"
 	"tofumd/internal/metrics"
+	"tofumd/internal/slab"
 	"tofumd/internal/topo"
 	"tofumd/internal/trace"
 	"tofumd/internal/units"
+	"tofumd/internal/vec"
 )
 
 // Transfer is one message of a communication round. The caller fills the
@@ -102,16 +103,18 @@ type Fabric struct {
 	// met caches metric handles (see SetMetrics); nil when metrics are off.
 	met *fabricMetrics
 
-	// par is the event engine, rebuilt by SetParallel; never nil.
+	// par is the event engine, rebuilt by SetParallel; never nil. The fabric
+	// schedules only tagged events on it, executed by handle.
 	par *des.ParallelEngine
 	// profile requests barrier-wait wall profiling on the engine
 	// (SetProfiling); remembered here so SetParallel can re-apply it.
 	profile bool
 	// lpOfRank maps each rank to the LP owning its node.
 	lpOfRank []int32
-	// state holds the round-scoped mutable maps, sharded one entry per LP.
-	// Every key is only touched by events executing on the shard's LP.
-	state []lpState
+	// nodeOfRank[r] is the node hosting rank r and nodeCoord[n] the torus
+	// coordinate of node n: the rank map's answers, tabulated once.
+	nodeOfRank []int32
+	nodeCoord  []vec.I3
 
 	// tniFree[node*TNIsPerNode+tni] is the time the TNI engine frees up;
 	// tniLastVCQ tracks the last VCQ served per TNI (unused slot = -1).
@@ -120,38 +123,49 @@ type Fabric struct {
 	tniFree    []float64
 	tniLastVCQ []int
 
+	// slab backs the records Transfers hands out.
+	slab slab.Slab[Transfer]
+
+	// The fields below are the state of the round in flight, rebuilt by every
+	// RunRound in storage that is kept between rounds. A (rank, thread) pair
+	// is the slot rank*threads+thread; a slot's entries are only touched by
+	// events executing on the LP that owns the rank.
+	round               []*Transfer
+	iface               Interface
+	gap, sendOv, recvOv float64
+	// threads is one more than the round's largest Thread or DstThread.
+	threads int
+	// order lists transfer indices grouped by issuing slot, each group in the
+	// caller's order: slot k's FIFO is order[fifo[k]:fifo[k+1]] and head[k]
+	// is the position of its next transfer to issue.
+	order []int32
+	fifo  []int32
+	head  []int32
+	// recvFree[slot] is when the slot's receive context is free again.
+	recvFree []float64
+
 	// msgEvs/msgSet buffer one MessageEvent per transfer index during a
-	// round (only while Rec is enabled). Each slot has a single writer (the
-	// transfer's completion or failure event), and the buffered events are
-	// flushed to Rec in transfer order after the round — making trace
+	// round (only while Rec is enabled, which tracing records). The issue and
+	// transmit events of a transfer fill its slot on the source LP; the
+	// completion event — on the destination LP, ordered after them by the
+	// epoch barrier — or the failure path marks it set. The buffered events
+	// are flushed to Rec in transfer order after the round, making trace
 	// output both thread-safe and independent of event interleaving.
-	msgEvs []trace.MessageEvent
-	msgSet []bool
+	tracing bool
+	msgEvs  []trace.MessageEvent
+	msgSet  []bool
 }
 
-// lpState is one LP's shard of the per-round mutable state.
-type lpState struct {
-	// queues holds the per (rank, thread) FIFO of not-yet-issued transfers.
-	queues map[threadKey][]queuedTransfer
-	// threadFree tracks per (rank, thread) CPU availability within a round.
-	threadFree map[threadKey]float64
-	// recvCtxFree tracks per (rank, thread) receive-context availability.
-	recvCtxFree map[threadKey]float64
-	// lastVCQByThread tracks the previous VCQ used by each thread to charge
-	// the VCQ-switch overhead.
-	lastVCQByThread map[threadKey]int
-}
+// The fabric's three event kinds, packed into a des tag as index<<2|kind:
+// evIssue carries a slot, evTransmit and evArrive a transfer index.
+const (
+	evIssue uint32 = iota
+	evTransmit
+	evArrive
+)
 
-// queuedTransfer pairs a transfer with its index in the round's slice (the
-// index keys the deterministic trace slot).
-type queuedTransfer struct {
-	tr  *Transfer
-	idx int
-}
-
-type threadKey struct {
-	rank, thread int
-}
+// maxTagIndex bounds what fits beside the kind in a 32-bit tag.
+const maxTagIndex = 1 << 30
 
 // fabricMetrics caches the fabric's metric handles so the per-message cost
 // is an atomic add, not a registry lookup. Per-TNI families are indexed by
@@ -240,11 +254,17 @@ func NewFabric(m *topo.RankMap, p Params) *Fabric {
 	f := &Fabric{
 		Params:     p,
 		Map:        m,
+		nodeOfRank: make([]int32, m.Ranks()),
+		nodeCoord:  make([]vec.I3, nodes),
 		tniFree:    make([]float64, nodes*p.TNIsPerNode),
 		tniLastVCQ: make([]int, nodes*p.TNIsPerNode),
 	}
-	for i := range f.tniLastVCQ {
-		f.tniLastVCQ[i] = -1
+	for r := range f.nodeOfRank {
+		node, _ := m.NodeOf(r)
+		f.nodeOfRank[r] = int32(node)
+	}
+	for n := range f.nodeCoord {
+		f.nodeCoord[n] = m.Torus.CoordOf(n)
 	}
 	if err := f.SetParallel(1); err != nil {
 		// One LP needs no lookahead, so this cannot fail.
@@ -278,20 +298,11 @@ func (f *Fabric) SetParallel(lps int) error {
 		return err
 	}
 	par.SetProfiling(f.profile)
+	par.SetHandler(f.handle)
 	f.par = par
-	f.lpOfRank = make([]int32, f.Map.Ranks())
-	for r := range f.lpOfRank {
-		node, _ := f.Map.NodeOf(r)
-		f.lpOfRank[r] = int32(node * lps / nodes)
-	}
-	f.state = make([]lpState, lps)
-	for i := range f.state {
-		f.state[i] = lpState{
-			queues:          make(map[threadKey][]queuedTransfer),
-			threadFree:      make(map[threadKey]float64),
-			recvCtxFree:     make(map[threadKey]float64),
-			lastVCQByThread: make(map[threadKey]int),
-		}
+	f.lpOfRank = make([]int32, len(f.nodeOfRank))
+	for r, node := range f.nodeOfRank {
+		f.lpOfRank[r] = int32(int(node) * lps / nodes)
 	}
 	return nil
 }
@@ -315,32 +326,46 @@ func (f *Fabric) ParallelStats() (des.ParallelStats, bool) {
 // Parallel returns the number of logical processes rounds run on.
 func (f *Fabric) Parallel() int { return f.par.LPs() }
 
-// lpForRank returns the LP owning rank.
-func (f *Fabric) lpForRank(rank int) *des.LP {
-	return f.par.LP(int(f.lpOfRank[rank]))
+// Transfers returns n zeroed transfer records for the caller to fill and
+// hand to RunRound. They live in a slab the fabric owns and are valid until
+// the next call to Transfers: the same one-round-at-a-time contract as
+// RunRound itself. A caller that replaces an entry of the returned slice (a
+// retransmit follow-up) changes nothing for the next call, which points
+// every entry back at the slab.
+func (f *Fabric) Transfers(n int) []*Transfer { return f.slab.Take(n) }
+
+// hops returns the torus distance between two nodes.
+func (f *Fabric) hops(srcNode, dstNode int32) int {
+	if srcNode == dstNode {
+		return 0
+	}
+	return f.Map.Torus.Hops(f.nodeCoord[srcNode], f.nodeCoord[dstNode])
 }
 
-// shardForRank returns the state shard of the LP owning rank.
-func (f *Fabric) shardForRank(rank int) *lpState {
-	return &f.state[f.lpOfRank[rank]]
-}
+// packTag packs an event kind and its slot or transfer index.
+func packTag(idx int, kind uint32) uint32 { return uint32(idx)<<2 | kind }
 
-// mustSchedule wraps LP.ScheduleAt: every time the fabric computes is
+// schedule puts a tagged event on c, the LP executing the current event (or,
+// for the seeds, the LP owning the slot). Every time the fabric computes is
 // monotone by construction (costs are non-negative), so a past time is an
-// arithmetic bug that must not be masked by Schedule's clamping.
-func (f *Fabric) mustSchedule(c *des.LP, t float64, fn func()) {
-	if err := c.ScheduleAt(t, fn); err != nil {
+// arithmetic bug worth crashing on.
+func (f *Fabric) schedule(c *des.LP, t float64, tag uint32) {
+	if err := c.ScheduleTagAt(t, tag); err != nil {
 		panic("tofu: " + err.Error())
 	}
 }
 
-// sendAt schedules fn at time t on the LP owning rank, from the event
-// currently executing on c. The engine checks a cross-LP send against its
-// lookahead — a violation means the fabric computed an inter-node delivery
-// faster than the minimum link latency, an arithmetic bug worth crashing on.
-func (f *Fabric) sendAt(c *des.LP, rank int, t float64, fn func()) {
-	if err := c.SendAt(f.lpForRank(rank), t, fn); err != nil {
-		panic("tofu: " + err.Error())
+// handle executes one of the fabric's events on c, the LP it was scheduled
+// on; it is the engine's tag handler.
+func (f *Fabric) handle(c *des.LP, tag uint32) {
+	idx := int(tag >> 2)
+	switch tag & 3 {
+	case evIssue:
+		f.issue(c, idx)
+	case evTransmit:
+		f.transmit(c, idx)
+	case evArrive:
+		f.arrive(c, idx)
 	}
 }
 
@@ -351,26 +376,16 @@ func (f *Fabric) countAbandoned(n int) {
 	}
 }
 
-// setTrace buffers the MessageEvent of transfer idx. Each slot is written
-// by exactly one event (the transfer's completion or its failure), so the
-// buffer needs no lock when LPs run concurrently.
-func (f *Fabric) setTrace(idx int, ev trace.MessageEvent) {
-	if f.msgEvs == nil {
+// flushTrace emits the buffered events in transfer order.
+func (f *Fabric) flushTrace() {
+	if !f.tracing {
 		return
 	}
-	f.msgEvs[idx] = ev
-	f.msgSet[idx] = true
-}
-
-// flushTrace emits the buffered events in transfer order and releases the
-// buffers.
-func (f *Fabric) flushTrace() {
 	for i := range f.msgEvs {
 		if f.msgSet[i] {
 			f.Rec.Message(f.msgEvs[i])
 		}
 	}
-	f.msgEvs, f.msgSet = nil, nil
 }
 
 // WireTime returns the bandwidth serialization time of a message.
@@ -391,12 +406,24 @@ func (f *Fabric) PutLatency(hops int, bytes units.Bytes) float64 {
 	return f.Params.UTofuPutOverhead + f.WireTime(bytes) + f.Latency(hops)
 }
 
+// zeroed returns s with length n and every element zero, reusing its
+// backing array when that is large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 // RunRound simulates one communication round: all transfers are injected
 // respecting per-thread injection gaps, serialized on their TNI engines, and
 // routed across the torus. Timing outputs are written into the transfers.
 // Virtual time within the round starts at 0; ReadyAt values are relative to
 // the round start. The round is deterministic for a given transfer slice,
-// at every LP count.
+// at every LP count. In steady state — no round larger than an earlier one,
+// metrics and Rec off — a round allocates nothing.
 //
 // RunRound returns an error when the event engine does not drain: events
 // stranded from a previous round (which Reset would silently discard — a
@@ -418,100 +445,70 @@ func (f *Fabric) RunRound(transfers []*Transfer, iface Interface) error {
 		f.tniFree[i] = 0
 		f.tniLastVCQ[i] = -1
 	}
-	for i := range f.state {
-		st := &f.state[i]
-		clear(st.queues)
-		clear(st.threadFree)
-		clear(st.recvCtxFree)
-		clear(st.lastVCQByThread)
-	}
 	// Each RunRound is one fault round: retransmission waves re-run the
 	// round and therefore draw from fresh (seed, round, link) streams.
 	f.Faults.BeginRound()
 
-	if f.Rec.Enabled() {
-		f.msgEvs = make([]trace.MessageEvent, len(transfers))
-		f.msgSet = make([]bool, len(transfers))
-	}
-
-	// Build per-thread FIFO queues preserving the caller's order, which is
-	// the order the comm plan issues messages.
-	var keys []threadKey
-	for i, tr := range transfers {
+	threads := 1
+	for _, tr := range transfers {
 		if tr.TNI < 0 || tr.TNI >= p.TNIsPerNode {
 			panic(fmt.Sprintf("tofu: transfer TNI %d out of range", tr.TNI))
 		}
+		if tr.Thread < 0 || tr.DstThread < 0 {
+			panic(fmt.Sprintf("tofu: transfer thread %d / receive thread %d out of range", tr.Thread, tr.DstThread))
+		}
 		tr.Dropped, tr.Nacked = false, false
-		k := threadKey{tr.Src, tr.Thread}
-		st := f.shardForRank(tr.Src)
-		if _, ok := st.queues[k]; !ok {
-			keys = append(keys, k)
-		}
-		st.queues[k] = append(st.queues[k], queuedTransfer{tr: tr, idx: i})
+		threads = max(threads, tr.Thread+1, tr.DstThread+1)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].rank != keys[j].rank {
-			return keys[i].rank < keys[j].rank
-		}
-		return keys[i].thread < keys[j].thread
-	})
-
-	gap := p.InjectGap(iface)
-	sendOv := p.SendOverhead(iface)
-	recvOv := p.RecvOverhead(iface)
-
-	var issueNext func(k threadKey)
-	issueNext = func(k threadKey) {
-		st := f.shardForRank(k.rank)
-		q := st.queues[k]
-		if len(q) == 0 {
-			return
-		}
-		item := q[0]
-		st.queues[k] = q[1:]
-		tr := item.tr
-		c := f.lpForRank(k.rank)
-		start := c.Now()
-		if tr.ReadyAt > start {
-			// The thread idles until the message is packed.
-			f.mustSchedule(c, tr.ReadyAt, func() {
-				st.queues[k] = append([]queuedTransfer{item}, st.queues[k]...)
-				issueNext(k)
-			})
-			return
-		}
-		if f.met != nil {
-			f.met.stall[iface].Observe(start - tr.ReadyAt)
-		}
-		cost := gap + sendOv
-		if tr.TwoStep {
-			cost += gap // separate length message
-		}
-		if last, ok := st.lastVCQByThread[k]; ok && last != tr.VCQ {
-			cost += p.VCQSwitchOverhead
-		}
-		st.lastVCQByThread[k] = tr.VCQ
-		done := start + cost
-		tr.IssueDone = done
-		st.threadFree[k] = done
-		// Hand the command to the TNI engine at issue completion.
-		f.mustSchedule(c, done, func() { f.transmit(c, item, iface, recvOv, start) })
-		// The thread can issue its next message immediately after.
-		f.mustSchedule(c, done, func() { issueNext(k) })
+	slots := len(f.nodeOfRank) * threads
+	if slots >= maxTagIndex || len(transfers) >= maxTagIndex {
+		panic(fmt.Sprintf("tofu: round of %d transfers over %d thread slots exceeds the event tag range", len(transfers), slots))
+	}
+	f.round, f.iface, f.threads = transfers, iface, threads
+	f.gap, f.sendOv, f.recvOv = p.InjectGap(iface), p.SendOverhead(iface), p.RecvOverhead(iface)
+	f.recvFree = zeroed(f.recvFree, slots)
+	f.tracing = f.Rec.Enabled()
+	if f.tracing {
+		f.msgEvs = zeroed(f.msgEvs, len(transfers))
+		f.msgSet = zeroed(f.msgSet, len(transfers))
 	}
 
-	for _, k := range keys {
-		k := k
-		f.mustSchedule(f.lpForRank(k.rank), 0, func() { issueNext(k) })
+	// Build the per-slot FIFOs with a stable counting sort, preserving the
+	// caller's order within a slot: the order the comm plan issues messages.
+	f.fifo = zeroed(f.fifo, slots+1)
+	f.head = zeroed(f.head, slots)
+	f.order = zeroed(f.order, len(transfers))
+	for _, tr := range transfers {
+		f.fifo[tr.Src*threads+tr.Thread+1]++
+	}
+	for k := 0; k < slots; k++ {
+		f.fifo[k+1] += f.fifo[k]
+	}
+	copy(f.head, f.fifo)
+	for i, tr := range transfers {
+		k := tr.Src*threads + tr.Thread
+		f.order[f.head[k]] = int32(i)
+		f.head[k]++
+	}
+	copy(f.head, f.fifo)
+
+	// Seed one issue event per non-empty FIFO, in ascending (rank, thread).
+	fifos := 0
+	for k := 0; k < slots; k++ {
+		if f.fifo[k] < f.fifo[k+1] {
+			f.schedule(f.par.LP(int(f.lpOfRank[k/threads])), 0, packTag(k, evIssue))
+			fifos++
+		}
 	}
 	// Each transfer contributes a bounded number of events (seed, at most
-	// one ready-wait requeue, issue chain, transmit, receive completion), so
-	// this budget is never reached by a correct round; hitting it means a
+	// one ready-wait, issue chain, transmit, receive completion), so this
+	// budget is never reached by a correct round; hitting it means a
 	// scheduling cycle and stops what would otherwise be a livelock.
-	budget := 8*len(transfers) + 8*len(keys) + 64
+	budget := 8*len(transfers) + 8*fifos + 64
 	_, runErr := f.par.RunBudget(budget)
 	f.flushTrace()
 	f.publishLPStats()
+	f.round = nil
 	if runErr != nil {
 		n := f.par.Pending()
 		f.countAbandoned(n)
@@ -524,22 +521,61 @@ func (f *Fabric) RunRound(transfers []*Transfer, iface Interface) error {
 	return nil
 }
 
-// transmit serializes the command on the source TNI engine and computes the
+// issue runs slot k's issuing thread: it charges the software cost of the
+// FIFO's head, hands the command to the TNI engine and re-arms itself for
+// the next one. A head that is not packed yet stays in the FIFO while the
+// thread idles until its ReadyAt.
+func (f *Fabric) issue(c *des.LP, k int) {
+	pos := f.head[k]
+	if pos == f.fifo[k+1] {
+		return
+	}
+	idx := int(f.order[pos])
+	tr := f.round[idx]
+	start := c.Now()
+	if tr.ReadyAt > start {
+		f.schedule(c, tr.ReadyAt, packTag(k, evIssue))
+		return
+	}
+	f.head[k] = pos + 1
+	if f.met != nil {
+		f.met.stall[f.iface].Observe(start - tr.ReadyAt)
+	}
+	cost := f.gap + f.sendOv
+	if tr.TwoStep {
+		cost += f.gap // separate length message
+	}
+	// The thread's previous command is the transfer before this one in its
+	// FIFO; the first has none, whatever its VCQ id.
+	if pos > f.fifo[k] && f.round[f.order[pos-1]].VCQ != tr.VCQ {
+		cost += f.Params.VCQSwitchOverhead
+	}
+	done := start + cost
+	tr.IssueDone = done
+	if f.tracing {
+		f.msgEvs[idx].IssueStart = f.RecBase + start
+	}
+	// Hand the command to the TNI engine at issue completion; the thread
+	// can issue its next message immediately after.
+	f.schedule(c, done, packTag(idx, evTransmit))
+	f.schedule(c, done, packTag(k, evIssue))
+}
+
+// transmit serializes transfer idx on the source TNI engine and computes the
 // network arrival time. It executes on c, the LP owning the source rank;
-// everything it touches (TNI slots of the source node, the source shard) is
-// owned by that LP, and the receive completion is forwarded to the LP
-// owning the completion context's rank. issueStart is when the issuing
-// thread started on the command (for stall attribution in the trace).
-func (f *Fabric) transmit(c *des.LP, item queuedTransfer, iface Interface, recvOv, issueStart float64) {
+// everything it touches (TNI slots of the source node, the transfer's trace
+// slot) is owned by that LP, and the receive completion is forwarded to the
+// LP owning the completion context's rank.
+func (f *Fabric) transmit(c *des.LP, idx int) {
 	p := &f.Params
-	tr := item.tr
-	srcNode, _ := f.Map.NodeOf(tr.Src)
-	dstNode, _ := f.Map.NodeOf(tr.Dst)
-	idx := srcNode*p.TNIsPerNode + tr.TNI
+	tr := f.round[idx]
+	iface := f.iface
+	srcNode, dstNode := f.nodeOfRank[tr.Src], f.nodeOfRank[tr.Dst]
+	tni := int(srcNode)*p.TNIsPerNode + tr.TNI
 
 	txStart := c.Now()
-	if f.tniFree[idx] > txStart {
-		txStart = f.tniFree[idx]
+	if f.tniFree[tni] > txStart {
+		txStart = f.tniFree[tni]
 	}
 	// Fault verdict for this transmission: drawn per (seed, round, link),
 	// judged at the time the TNI engine would start serving the command.
@@ -576,24 +612,21 @@ func (f *Fabric) transmit(c *des.LP, item queuedTransfer, iface Interface, recvO
 	// comes from a different VCQ than the previous one it served: the
 	// descriptor-ring context must be refetched. This is what degrades
 	// spraying many VCQs over shared TNIs beyond the sender-side software
-	// cost already charged in issueNext.
-	vcqSwitch := f.tniLastVCQ[idx] >= 0 && f.tniLastVCQ[idx] != tr.VCQ
+	// cost already charged in issue.
+	vcqSwitch := f.tniLastVCQ[tni] >= 0 && f.tniLastVCQ[tni] != tr.VCQ
 	if vcqSwitch {
 		busy += p.TNIVCQSwitchGap
 	}
 	txDone := txStart + busy
-	f.tniFree[idx] = txDone
-	f.tniLastVCQ[idx] = tr.VCQ
+	f.tniFree[tni] = txDone
+	f.tniLastVCQ[tni] = tr.VCQ
 
+	hops := f.hops(srcNode, dstNode)
 	if f.met != nil {
 		f.met.msgs[tr.TNI].Inc()
 		f.met.bytes[tr.TNI].Add(int64(tr.Bytes))
 		if vcqSwitch {
 			f.met.switches[tr.TNI].Inc()
-		}
-		hops := 0
-		if srcNode != dstNode {
-			hops = f.Map.Hops(tr.Src, tr.Dst)
 		}
 		f.met.hops[iface].Observe(float64(hops))
 	}
@@ -604,7 +637,6 @@ func (f *Fabric) transmit(c *des.LP, item queuedTransfer, iface Interface, recvO
 		// loopback path for uniformity).
 		tr.Arrival = txDone + p.BaseLatency/2
 	} else {
-		hops := f.Map.Hops(tr.Src, tr.Dst)
 		lat := f.Latency(hops)
 		if iface == IfaceMPI && units.Bytes(tr.Bytes) > p.MPIEagerLimit {
 			// Rendezvous: RTS/CTS round trip before the payload moves.
@@ -615,6 +647,19 @@ func (f *Fabric) transmit(c *des.LP, item queuedTransfer, iface Interface, recvO
 			lat += f.Latency(hops)
 		}
 		tr.Arrival = txDone + lat
+	}
+	if f.tracing {
+		// Everything known at transmit time; arrive adds the completion.
+		b, ev := f.RecBase, &f.msgEvs[idx]
+		*ev = trace.MessageEvent{
+			Src: tr.Src, Dst: tr.Dst, SrcNode: int(srcNode),
+			TNI: tr.TNI, VCQ: tr.VCQ, Thread: tr.Thread, DstThread: tr.DstThread,
+			Bytes: tr.Bytes, Hops: hops, Iface: iface.String(),
+			TwoStep: tr.TwoStep, IsGet: tr.IsGet, VCQSwitch: vcqSwitch,
+			Attempt: tr.Attempt,
+			ReadyAt: b + tr.ReadyAt, IssueStart: ev.IssueStart,
+			IssueDone: b + tr.IssueDone, TxStart: b + txStart, TxDone: b + txDone,
+		}
 	}
 	if fo.Failed() {
 		// The TNI engine was charged (the command did transmit); the payload
@@ -632,35 +677,15 @@ func (f *Fabric) transmit(c *des.LP, item queuedTransfer, iface Interface, recvO
 				f.met.nacks.Inc()
 			}
 		}
-		if f.Rec.Enabled() {
-			hops := 0
-			if srcNode != dstNode {
-				hops = f.Map.Hops(tr.Src, tr.Dst)
-			}
-			b := f.RecBase
-			arrival := 0.0
+		if f.tracing {
+			ev := &f.msgEvs[idx]
+			ev.Dropped, ev.Nacked = tr.Dropped, tr.Nacked
 			if tr.Nacked {
-				arrival = b + tr.Arrival
+				ev.Arrival = f.RecBase + tr.Arrival
 			}
-			f.setTrace(item.idx, trace.MessageEvent{
-				Src: tr.Src, Dst: tr.Dst, SrcNode: srcNode,
-				TNI: tr.TNI, VCQ: tr.VCQ, Thread: tr.Thread, DstThread: tr.DstThread,
-				Bytes: tr.Bytes, Hops: hops, Iface: iface.String(),
-				TwoStep: tr.TwoStep, IsGet: tr.IsGet, VCQSwitch: vcqSwitch,
-				Attempt: tr.Attempt, Dropped: tr.Dropped, Nacked: tr.Nacked,
-				ReadyAt: b + tr.ReadyAt, IssueStart: b + issueStart,
-				IssueDone: b + tr.IssueDone, TxStart: b + txStart, TxDone: b + txDone,
-				Arrival: arrival, RecvComplete: 0,
-			})
+			f.msgSet[idx] = true
 		}
 		return
-	}
-	cost := recvOv
-	if !p.CacheInjection {
-		cost += p.CacheMissPenalty
-	}
-	if tr.TwoStep {
-		cost += recvOv // match the length message too
 	}
 	// The receiver's polling context handles completions one at a time.
 	// For a get, the payload returns to the issuer, whose own context
@@ -668,36 +693,45 @@ func (f *Fabric) transmit(c *des.LP, item queuedTransfer, iface Interface, recvO
 	// executes on) the LP owning the context's rank; for gets and
 	// intra-node puts that is the source's own LP, and the only truly
 	// cross-LP hop — an inter-node arrival — is at least one link latency
-	// (= the engine's lookahead) away.
-	ctx := threadKey{tr.Dst, tr.DstThread}
+	// (= the engine's lookahead) away. The engine checks that: a violation
+	// means the fabric computed an inter-node delivery faster than the
+	// minimum link latency, an arithmetic bug worth crashing on.
+	ctxRank := tr.Dst
 	if tr.IsGet {
-		ctx = threadKey{tr.Src, tr.Thread}
+		ctxRank = tr.Src
 	}
-	rp := f.lpForRank(ctx.rank)
-	st := f.shardForRank(ctx.rank)
-	f.sendAt(c, ctx.rank, tr.Arrival, func() {
-		start := rp.Now()
-		if free := st.recvCtxFree[ctx]; free > start {
-			start = free
-		}
-		tr.RecvComplete = start + cost
-		st.recvCtxFree[ctx] = tr.RecvComplete
-		if f.Rec.Enabled() {
-			hops := 0
-			if srcNode != dstNode {
-				hops = f.Map.Hops(tr.Src, tr.Dst)
-			}
-			b := f.RecBase
-			f.setTrace(item.idx, trace.MessageEvent{
-				Src: tr.Src, Dst: tr.Dst, SrcNode: srcNode,
-				TNI: tr.TNI, VCQ: tr.VCQ, Thread: tr.Thread, DstThread: tr.DstThread,
-				Bytes: tr.Bytes, Hops: hops, Iface: iface.String(),
-				TwoStep: tr.TwoStep, IsGet: tr.IsGet, VCQSwitch: vcqSwitch,
-				Attempt: tr.Attempt,
-				ReadyAt: b + tr.ReadyAt, IssueStart: b + issueStart,
-				IssueDone: b + tr.IssueDone, TxStart: b + txStart, TxDone: b + txDone,
-				Arrival: b + tr.Arrival, RecvComplete: b + tr.RecvComplete,
-			})
-		}
-	})
+	if err := c.SendTagAt(f.par.LP(int(f.lpOfRank[ctxRank])), tr.Arrival, packTag(idx, evArrive)); err != nil {
+		panic("tofu: " + err.Error())
+	}
+}
+
+// arrive completes transfer idx on its receive context, which handles
+// completions one at a time. It executes on c, the LP owning the context's
+// rank.
+func (f *Fabric) arrive(c *des.LP, idx int) {
+	p := &f.Params
+	tr := f.round[idx]
+	ctx := tr.Dst*f.threads + tr.DstThread
+	if tr.IsGet {
+		ctx = tr.Src*f.threads + tr.Thread
+	}
+	cost := f.recvOv
+	if !p.CacheInjection {
+		cost += p.CacheMissPenalty
+	}
+	if tr.TwoStep {
+		cost += f.recvOv // match the length message too
+	}
+	start := c.Now()
+	if free := f.recvFree[ctx]; free > start {
+		start = free
+	}
+	tr.RecvComplete = start + cost
+	f.recvFree[ctx] = tr.RecvComplete
+	if f.tracing {
+		ev := &f.msgEvs[idx]
+		ev.Arrival = f.RecBase + tr.Arrival
+		ev.RecvComplete = f.RecBase + tr.RecvComplete
+		f.msgSet[idx] = true
+	}
 }

@@ -1,7 +1,10 @@
 package tofu
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
+	"strings"
 	"testing"
 
 	"tofumd/internal/faultinject"
@@ -367,6 +370,27 @@ func TestBadTNIPanics(t *testing.T) {
 	f.RunRound([]*Transfer{{Src: 0, Dst: 1, TNI: 99, Bytes: 8}}, IfaceUTofu)
 }
 
+// A negative thread id has no slot in the round's dense per-thread state; it
+// must be refused up front like an out-of-range TNI, not surface as an index
+// panic inside an event handler.
+func TestNegativeThreadPanics(t *testing.T) {
+	for _, tr := range []*Transfer{
+		{Src: 0, Dst: 1, Thread: -1, Bytes: 8},
+		{Src: 0, Dst: 1, DstThread: -2, Bytes: 8},
+	} {
+		func() {
+			f := testFabric(t, vec.I3{X: 2, Y: 2, Z: 2})
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "tofu: transfer thread") {
+					t.Errorf("Thread %d / DstThread %d: recovered %q, want the fabric's range panic", tr.Thread, tr.DstThread, msg)
+				}
+			}()
+			f.RunRound([]*Transfer{tr}, IfaceUTofu)
+		}()
+	}
+}
+
 func TestCacheInjectionSavesReceiveTime(t *testing.T) {
 	f := testFabric(t, vec.I3{X: 2, Y: 2, Z: 2})
 	dst := f.Map.NeighborRank(0, vec.I3{X: 2, Y: 0, Z: 0})
@@ -527,5 +551,172 @@ func TestRunRoundStallAndDegradeDelayOnly(t *testing.T) {
 	}
 	if !slower {
 		t.Error("stall+degrade faults changed nothing")
+	}
+}
+
+// goldenRound is one round whose timing outputs are pinned bit for bit. The
+// hashes were captured at the commit before the fabric's round state moved
+// from maps and closures to dense slices and tagged events; they hold at
+// every LP count.
+type goldenRound struct {
+	name   string
+	iface  Interface
+	faults string
+	mk     func(f *Fabric) []*Transfer
+	want   uint64
+}
+
+// roundHash folds every timing output of a round into one FNV-1a value.
+func roundHash(trs []*Transfer) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	word := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	for _, tr := range trs {
+		word(math.Float64bits(tr.IssueDone))
+		word(math.Float64bits(tr.Arrival))
+		word(math.Float64bits(tr.RecvComplete))
+		flags := uint64(0)
+		if tr.Dropped {
+			flags |= 1
+		}
+		if tr.Nacked {
+			flags |= 2
+		}
+		word(flags)
+	}
+	return h.Sum64()
+}
+
+var goldenRounds = []goldenRound{
+	{
+		// The ready-wait path: heads that are not packed yet when their
+		// thread reaches them (at round start and mid-queue), next to ones
+		// that are, on two threads per rank.
+		name: "staggered-ready", iface: IfaceUTofu, want: 0x7e92329ef655484d,
+		mk: func(f *Fabric) []*Transfer {
+			var out []*Transfer
+			for r := 0; r < f.Map.Ranks(); r++ {
+				xp := f.Map.NeighborRank(r, vec.I3{X: 2})
+				zm := f.Map.NeighborRank(r, vec.I3{Z: -1})
+				for i, ready := range []float64{0.4e-6, 3e-6, 0.5e-6, 3e-6, 9e-6} {
+					out = append(out, &Transfer{Src: r, Dst: xp, TNI: r % 6, VCQ: r<<3 | 1, Thread: 0, Bytes: 64 * (i + 1), ReadyAt: ready})
+				}
+				out = append(out,
+					&Transfer{Src: r, Dst: zm, TNI: (r + 1) % 6, VCQ: r<<3 | 2, Thread: 1, DstThread: 1, Bytes: 256},
+					&Transfer{Src: r, Dst: zm, TNI: (r + 1) % 6, VCQ: r<<3 | 2, Thread: 1, DstThread: 1, Bytes: 256, ReadyAt: float64(r%5) * 1e-6},
+				)
+			}
+			return out
+		},
+	},
+	{
+		// Only thread 5 issues and polls: threads 0..4 have no FIFO.
+		name: "sparse-thread-5", iface: IfaceUTofu, want: 0x1491504c258cdddd,
+		mk: func(f *Fabric) []*Transfer {
+			var out []*Transfer
+			for r := 0; r < f.Map.Ranks(); r += 2 {
+				yp := f.Map.NeighborRank(r, vec.I3{Y: 2})
+				in := f.Map.NeighborRank(r, vec.I3{X: 1})
+				out = append(out,
+					&Transfer{Src: r, Dst: yp, TNI: 5, VCQ: r<<3 | 5, Thread: 5, DstThread: 5, Bytes: 512},
+					&Transfer{Src: r, Dst: in, TNI: 5, VCQ: r<<3 | 5, Thread: 5, DstThread: 5, Bytes: 96},
+				)
+			}
+			return out
+		},
+	},
+	{
+		name: "mixed-twostep-get-mpi", iface: IfaceMPI, want: 0x73ff6a9d1360e0b1,
+		mk: func(f *Fabric) []*Transfer {
+			trs := mixedRound(f)
+			for i, tr := range trs {
+				tr.TwoStep = i%3 == 0
+				if i%7 == 0 {
+					tr.Bytes = int(f.Params.MPIEagerLimit) + 1 + i
+				}
+			}
+			return trs
+		},
+	},
+	{
+		name: "mixed-get-utofu", iface: IfaceUTofu, want: 0x367b9b0bf3da4ea5,
+		mk: mixedRound,
+	},
+	{
+		// VCQ 0 is a legal id: the first command of a thread or a TNI pays
+		// no switch, and 0 -> 1 -> 0 pays one each time.
+		name: "vcq-zero", iface: IfaceUTofu, want: 0x2722be4805259b95,
+		mk: func(f *Fabric) []*Transfer {
+			var out []*Transfer
+			for r := 0; r < f.Map.Ranks(); r += 3 {
+				xm := f.Map.NeighborRank(r, vec.I3{X: -2})
+				for _, vcq := range []int{0, 0, 1, 0} {
+					out = append(out, &Transfer{Src: r, Dst: xm, TNI: 2, VCQ: vcq, Thread: 0, Bytes: 128})
+				}
+			}
+			return out
+		},
+	},
+	{
+		name: "faults-drop-nack", iface: IfaceUTofu, faults: "drop=0.2,nack=0.2,seed=11", want: 0x2961e59ffa0da733,
+		mk: mixedRound,
+	},
+}
+
+// TestGoldenRounds holds the fabric's virtual-time results to the pinned
+// bits on one, two and three LPs.
+func TestGoldenRounds(t *testing.T) {
+	for _, g := range goldenRounds {
+		for _, lps := range []int{1, 2, 3} {
+			f := testFabric(t, vec.I3{X: 3, Y: 2, Z: 2})
+			if err := f.SetParallel(lps); err != nil {
+				t.Fatal(err)
+			}
+			if g.faults != "" {
+				spec, err := faultinject.ParseSpec(g.faults)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f.Faults = faultinject.New(spec)
+			}
+			trs := g.mk(f)
+			if err := f.RunRound(trs, g.iface); err != nil {
+				t.Fatalf("%s at %d LPs: %v", g.name, lps, err)
+			}
+			if got := roundHash(trs); got != g.want {
+				t.Errorf("%s at %d LPs: round hash %#016x, want %#016x", g.name, lps, got, g.want)
+			}
+			if g.faults != "" {
+				failed := 0
+				for _, tr := range trs {
+					if tr.Failed() {
+						failed++
+					}
+				}
+				if failed == 0 || failed == len(trs) {
+					t.Errorf("%s: %d of %d transfers failed, want some but not all", g.name, failed, len(trs))
+				}
+			}
+		}
+	}
+}
+
+// The round path is allocation-free in steady state: with metrics and Rec
+// off, every round after the first reuses the fabric's dense tables and the
+// engine's heap.
+func TestRunRoundDoesNotAllocate(t *testing.T) {
+	f := testFabric(t, vec.I3{X: 2, Y: 2, Z: 2})
+	trs := mixedRound(f)
+	run := func() {
+		if err := f.RunRound(trs, IfaceUTofu); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	if avg := testing.AllocsPerRun(20, run); avg != 0 {
+		t.Errorf("RunRound allocates %.1f per round in steady state, want 0", avg)
 	}
 }

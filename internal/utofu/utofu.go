@@ -41,8 +41,9 @@ type System struct {
 	nextSTADD  uint64
 	nextVCQTag int
 
-	// met caches metric handles (see SetMetrics); nil when metrics are off.
-	met *utofuMetrics
+	// met caches metric handles (see SetMetrics); its counters are nil, and
+	// their methods no-ops, when metrics are off.
+	met utofuMetrics
 }
 
 // utofuMetrics caches the uTofu layer's metric handles.
@@ -60,10 +61,10 @@ type utofuMetrics struct {
 // SetMetrics enables (or, with a nil registry, disables) metric collection.
 func (s *System) SetMetrics(reg *metrics.Registry) {
 	if !reg.Enabled() {
-		s.met = nil
+		s.met = utofuMetrics{}
 		return
 	}
-	s.met = &utofuMetrics{
+	s.met = utofuMetrics{
 		puts:          reg.Counter("utofu_ops", "put"),
 		gets:          reg.Counter("utofu_ops", "get"),
 		putBytes:      reg.Counter("utofu_bytes", "put"),
@@ -181,9 +182,7 @@ func (s *System) FreeVCQ(v *VCQ) error {
 // calls this once per buffer during setup; a naive implementation pays it on
 // every buffer growth.
 func (s *System) Register(rank int, buf []byte) (*MemRegion, float64) {
-	if s.met != nil {
-		s.met.registrations.Inc()
-	}
+	s.met.registrations.Inc()
 	s.nextSTADD++
 	r := &MemRegion{Rank: rank, STADD: s.nextSTADD, Buf: buf}
 	s.regions[r.STADD] = r
@@ -233,6 +232,10 @@ type Put struct {
 	// NOT delivered — the caller must recover (e.g. fall back to MPI).
 	Failed   bool
 	FailedAt float64
+
+	// dst is the region DstSTADD resolved to when ExecuteRound validated the
+	// put, kept for the delivery.
+	dst *MemRegion
 }
 
 // Get is one queued one-sided RDMA read: bytes from a remote registered
@@ -257,6 +260,10 @@ type Get struct {
 	Attempts int
 	Failed   bool
 	FailedAt float64
+
+	// src is the region SrcSTADD resolved to when ExecuteGetRound validated
+	// the get, kept for the delivery.
+	src *MemRegion
 }
 
 // RetryBackoff returns the backoff delay inserted before re-injecting a
@@ -304,6 +311,51 @@ func (s *System) checkVCQ(v *VCQ, what string, i int) error {
 	return nil
 }
 
+// runWaves executes the transfers of one operation batch as a fabric round
+// and, under fault injection, re-runs the lost ones in follow-up waves with
+// capped exponential backoff. transfers[i] belongs to operation i. Wave 0 is
+// the caller's slice itself; a later wave is the retransmit records compacted
+// to its front, owner mapping each back to its operation. settle is called
+// once per operation, when its fate is known: with the delivering transfer,
+// or with the last failed one and the time the final loss was detected.
+func (s *System) runWaves(transfers []*tofu.Transfer, kind string, retransmits *metrics.Counter,
+	settle func(i int, tr *tofu.Transfer, failedAt float64)) error {
+	var owner []int
+	for wave := 0; len(transfers) > 0; wave++ {
+		if err := s.Fab.RunRound(transfers, tofu.IfaceUTofu); err != nil {
+			return err
+		}
+		if wave > 0 {
+			kind = "utofu-retransmit"
+		}
+		s.recordRound(kind, transfers)
+		lost := 0
+		for j, tr := range transfers {
+			i := j
+			if wave > 0 {
+				i = owner[j]
+			}
+			if !tr.Failed() {
+				settle(i, tr, 0)
+				continue
+			}
+			next, detect := s.retryPlan(tr)
+			if next == nil {
+				settle(i, tr, detect)
+				continue
+			}
+			if owner == nil {
+				owner = make([]int, len(transfers))
+			}
+			transfers[lost], owner[lost] = next, i
+			lost++
+			retransmits.Inc()
+		}
+		transfers = transfers[:lost]
+	}
+	return nil
+}
+
 // ExecuteGetRound runs a batch of gets as one fabric round, copying remote
 // bytes into the local destinations. Under fault injection, lost gets are
 // retransmitted in follow-up waves with capped exponential backoff; a get
@@ -313,7 +365,7 @@ func (s *System) ExecuteGetRound(gets []*Get) error {
 	if len(gets) == 0 {
 		return nil
 	}
-	transfers := make([]*tofu.Transfer, len(gets))
+	transfers := s.Fab.Transfers(len(gets))
 	for i, g := range gets {
 		if err := s.checkVCQ(g.VCQ, "get", i); err != nil {
 			return err
@@ -326,8 +378,8 @@ func (s *System) ExecuteGetRound(gets []*Get) error {
 			return fmt.Errorf("utofu: get %d reads [%d,%d) outside region of %d bytes",
 				i, g.SrcOff, g.SrcOff+len(g.Dst), len(src.Buf))
 		}
-		g.Attempts, g.Failed, g.FailedAt = 0, false, 0
-		transfers[i] = &tofu.Transfer{
+		g.Attempts, g.Failed, g.FailedAt, g.src = 0, false, 0, src
+		*transfers[i] = tofu.Transfer{
 			Src:     g.VCQ.Rank,
 			Dst:     src.Rank,
 			TNI:     g.VCQ.TNI,
@@ -338,53 +390,22 @@ func (s *System) ExecuteGetRound(gets []*Get) error {
 			IsGet:   true,
 		}
 	}
-	pending := make([]int, len(gets))
-	for i := range pending {
-		pending[i] = i
-	}
-	for wave := 0; len(pending) > 0; wave++ {
-		batch := make([]*tofu.Transfer, len(pending))
-		for j, i := range pending {
-			batch[j] = transfers[i]
+	err := s.runWaves(transfers, "utofu-get", s.met.getRetransmits, func(i int, tr *tofu.Transfer, failedAt float64) {
+		g := gets[i]
+		g.Attempts = tr.Attempt + 1
+		if tr.Failed() {
+			g.Failed, g.FailedAt = true, failedAt
+			s.met.getFailures.Inc()
+			return
 		}
-		if err := s.Fab.RunRound(batch, tofu.IfaceUTofu); err != nil {
-			return fmt.Errorf("utofu: get round: %w", err)
-		}
-		kind := "utofu-get"
-		if wave > 0 {
-			kind = "utofu-retransmit"
-		}
-		s.recordRound(kind, batch)
-		var retry []int
-		for _, i := range pending {
-			tr, g := transfers[i], gets[i]
-			g.Attempts++
-			if !tr.Failed() {
-				src, _ := s.Lookup(g.SrcSTADD)
-				copy(g.Dst, src.Buf[g.SrcOff:])
-				g.IssueDone = tr.IssueDone
-				g.Complete = tr.RecvComplete
-				if s.met != nil {
-					s.met.gets.Inc()
-					s.met.getBytes.Add(int64(len(g.Dst)))
-				}
-				continue
-			}
-			next, detect := s.retryPlan(tr)
-			if next == nil {
-				g.Failed, g.FailedAt = true, detect
-				if s.met != nil {
-					s.met.getFailures.Inc()
-				}
-				continue
-			}
-			transfers[i] = next
-			retry = append(retry, i)
-			if s.met != nil {
-				s.met.getRetransmits.Inc()
-			}
-		}
-		pending = retry
+		copy(g.Dst, g.src.Buf[g.SrcOff:])
+		g.IssueDone = tr.IssueDone
+		g.Complete = tr.RecvComplete
+		s.met.gets.Inc()
+		s.met.getBytes.Add(int64(len(g.Dst)))
+	})
+	if err != nil {
+		return fmt.Errorf("utofu: get round: %w", err)
 	}
 	return nil
 }
@@ -422,7 +443,7 @@ func (s *System) ExecuteRound(puts []*Put) error {
 	if len(puts) == 0 {
 		return nil
 	}
-	transfers := make([]*tofu.Transfer, len(puts))
+	transfers := s.Fab.Transfers(len(puts))
 	for i, p := range puts {
 		if err := s.checkVCQ(p.VCQ, "put", i); err != nil {
 			return err
@@ -439,8 +460,8 @@ func (s *System) ExecuteRound(puts []*Put) error {
 		if p.HasPiggyback && bytes == 0 {
 			bytes = 8 // descriptor-only message
 		}
-		p.Attempts, p.Failed, p.FailedAt = 0, false, 0
-		transfers[i] = &tofu.Transfer{
+		p.Attempts, p.Failed, p.FailedAt, p.dst = 0, false, 0, dst
+		*transfers[i] = tofu.Transfer{
 			Src:       p.VCQ.Rank,
 			Dst:       dst.Rank,
 			TNI:       p.VCQ.TNI,
@@ -451,57 +472,26 @@ func (s *System) ExecuteRound(puts []*Put) error {
 			ReadyAt:   p.ReadyAt,
 		}
 	}
-	pending := make([]int, len(puts))
-	for i := range pending {
-		pending[i] = i
-	}
-	for wave := 0; len(pending) > 0; wave++ {
-		batch := make([]*tofu.Transfer, len(pending))
-		for j, i := range pending {
-			batch[j] = transfers[i]
+	err := s.runWaves(transfers, "utofu-put", s.met.putRetransmits, func(i int, tr *tofu.Transfer, failedAt float64) {
+		p := puts[i]
+		p.Attempts = tr.Attempt + 1
+		if tr.Failed() {
+			p.Failed, p.FailedAt = true, failedAt
+			s.met.putFailures.Inc()
+			return
 		}
-		if err := s.Fab.RunRound(batch, tofu.IfaceUTofu); err != nil {
-			return fmt.Errorf("utofu: put round: %w", err)
+		copy(p.dst.Buf[p.DstOff:], p.Src)
+		p.IssueDone = tr.IssueDone
+		p.Arrival = tr.Arrival
+		p.RecvComplete = tr.RecvComplete
+		s.met.puts.Inc()
+		s.met.putBytes.Add(int64(tr.Bytes))
+		if p.HasPiggyback {
+			s.met.piggybacks.Inc()
 		}
-		kind := "utofu-put"
-		if wave > 0 {
-			kind = "utofu-retransmit"
-		}
-		s.recordRound(kind, batch)
-		var retry []int
-		for _, i := range pending {
-			tr, p := transfers[i], puts[i]
-			p.Attempts++
-			if !tr.Failed() {
-				dst, _ := s.Lookup(p.DstSTADD)
-				copy(dst.Buf[p.DstOff:], p.Src)
-				p.IssueDone = tr.IssueDone
-				p.Arrival = tr.Arrival
-				p.RecvComplete = tr.RecvComplete
-				if s.met != nil {
-					s.met.puts.Inc()
-					s.met.putBytes.Add(int64(tr.Bytes))
-					if p.HasPiggyback {
-						s.met.piggybacks.Inc()
-					}
-				}
-				continue
-			}
-			next, detect := s.retryPlan(tr)
-			if next == nil {
-				p.Failed, p.FailedAt = true, detect
-				if s.met != nil {
-					s.met.putFailures.Inc()
-				}
-				continue
-			}
-			transfers[i] = next
-			retry = append(retry, i)
-			if s.met != nil {
-				s.met.putRetransmits.Inc()
-			}
-		}
-		pending = retry
+	})
+	if err != nil {
+		return fmt.Errorf("utofu: put round: %w", err)
 	}
 	return nil
 }

@@ -432,3 +432,44 @@ func TestGetBoundsChecked(t *testing.T) {
 		t.Errorf("empty get round: %v", err)
 	}
 }
+
+// A fault-free put round allocates nothing from the second call on: the
+// transfer records come from the fabric's slab and wave 0 runs on them
+// directly.
+func TestExecuteRoundDoesNotAllocate(t *testing.T) {
+	s := testSystem(t)
+	ranks := s.Fab.Map.Ranks()
+	payload := make([]byte, 96)
+	var puts []*Put
+	regions := make([]*MemRegion, ranks)
+	for r := range regions {
+		regions[r], _ = s.Register(r, make([]byte, 2*len(payload)))
+	}
+	for r := 0; r < ranks; r++ {
+		for tni := 0; tni < 2; tni++ {
+			v, err := s.CreateVCQ(r, tni)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst := s.Fab.Map.NeighborRank(r, vec.I3{X: 2 - 3*tni})
+			puts = append(puts, &Put{
+				VCQ: v, Thread: tni, DstThread: tni,
+				DstSTADD: regions[dst].STADD, DstOff: tni * len(payload), Src: payload,
+			})
+		}
+	}
+	run := func() {
+		if err := s.ExecuteRound(puts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	if avg := testing.AllocsPerRun(20, run); avg != 0 {
+		t.Errorf("ExecuteRound allocates %.1f per round in steady state, want 0", avg)
+	}
+	for i, p := range puts {
+		if p.Attempts != 1 || p.RecvComplete <= 0 {
+			t.Fatalf("put %d: attempts %d, RecvComplete %v", i, p.Attempts, p.RecvComplete)
+		}
+	}
+}

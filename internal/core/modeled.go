@@ -97,34 +97,25 @@ func paramsFor(k Kind) kindParams {
 	}
 }
 
-// modelLink is one synthetic neighbor channel.
-type modelLink struct {
-	src, dst  int
-	dir       vec.I3
-	atoms     float64 // expected ghost atoms on the link
-	fwd, rev  simRes
-	stage3Dim int
-}
-
-type simRes struct{ thread, tni, vcq int }
-
 // modelSetup is the state both modeled entry points build from a spec: the
-// tile machine and its fabric, the kind's geometry, and the synthetic link
-// set the halo operations run over.
+// tile machine and its fabric, the kind's geometry, and the halo plan the
+// functional engine would run on the tile, with its thread/TNI assignment.
 type modelSetup struct {
 	v   sim.Variant
 	m   *sim.Machine
 	fab *tofu.Fabric
 	kp  kindParams
-	// stages holds the links of each bulk-synchronous round of a forward
-	// operation: all of them for p2p, one set per dimension for 3-stage.
-	stages [][]modelLink
-	packTh machine.Threading
+	// side, ghCut and shells are the homogeneous sub-box geometry.
+	side, ghCut float64
+	shells      int
+	plan        *halo.Plan
+	// fwd and rev are the resources of each plan link's two sending sides.
+	fwd, rev []halo.Res
 }
 
 // setup defaults the tile, builds the machine in the spec's placement mode
 // and a fabric carrying the spec's recorder, metrics and engine settings,
-// and derives the per-rank geometry and links.
+// and derives the per-rank geometry and the halo plan.
 func (spec *ModelSpec) setup() (*modelSetup, error) {
 	if spec.TileShape == (vec.I3{}) {
 		spec.TileShape = DefaultTile(spec.FullShape, 512)
@@ -146,25 +137,20 @@ func (spec *ModelSpec) setup() (*modelSetup, error) {
 	fab.SetProfiling(spec.Profile)
 
 	kp := paramsFor(spec.Kind)
-	side := math.Cbrt(spec.AtomsPerRank / kp.density)
-	ghCut := kp.cutoff + kp.skin
-	shells := 1
-	for ghCut > float64(shells)*side {
-		shells++
+	ms := &modelSetup{v: spec.Variant, m: m, fab: fab, kp: kp,
+		side: math.Cbrt(spec.AtomsPerRank / kp.density), ghCut: kp.cutoff + kp.skin, shells: 1}
+	for ms.ghCut > float64(ms.shells)*ms.side {
+		ms.shells++
 	}
-	packTh := machine.Serial
-	if spec.Variant.CommThreads > 1 {
-		packTh = machine.Pool
-	}
-	stages := [][]modelLink{buildModelLinks(m, spec.Variant, side, ghCut, shells, kp.density)}
-	if spec.Variant.Pattern == halo.ThreeStage {
-		byDim := make([][]modelLink, 3)
-		for _, l := range stages[0] {
-			byDim[l.stage3Dim] = append(byDim[l.stage3Dim], l)
-		}
-		stages = byDim
-	}
-	return &modelSetup{v: spec.Variant, m: m, fab: fab, kp: kp, packTh: packTh, stages: stages}, nil
+	// Both benchmark kinds run Newton on with half lists.
+	ms.plan = halo.NewPlan(m.Map, spec.Variant.Pattern, ms.shells, halo.SendDirections(ms.shells, true))
+	ms.fwd, ms.rev = ms.plan.Assign(spec.Variant.TNIPolicy,
+		halo.SurvivingTNIs(m.Params.TNIsPerNode, nil), spec.Variant.CommThreads, halo.Balance{
+			// 40 bytes: md/sim's border record (id, type, position).
+			Side: ms.side, Cutoff: ms.ghCut, Density: kp.density, AtomBytes: 40,
+			Bandwidth: m.Params.LinkBandwidth, HopLatency: m.Params.HopLatency,
+		})
+	return ms, nil
 }
 
 // Modeled runs the timing-only model and returns a RunResult whose
@@ -270,126 +256,70 @@ func HaloTime(spec ModelSpec) (float64, error) {
 	return fwd + rev, nil
 }
 
-// buildModelLinks constructs the synthetic link set of one pattern over the
-// tile, mirroring the functional engine's resource assignment.
-func buildModelLinks(m *sim.Machine, v sim.Variant, side, ghCut float64, shells int, density float64) []modelLink {
-	tnis := m.Params.TNIsPerNode
-	sideV := vec.V3{X: side, Y: side, Z: side}
-	mkRes := func(rank, idx, nLinks int, hops int, bytes int) simRes {
-		_, slot := m.Map.NodeOf(rank)
-		switch v.TNIPolicy {
-		case halo.TNIPerRankSlot:
-			return simRes{thread: 0, tni: slot % tnis, vcq: rank}
-		case halo.TNISprayAll:
-			t := idx % tnis
-			return simRes{thread: 0, tni: t, vcq: rank*8 + t}
-		default:
-			return simRes{} // filled by balancing below
-		}
+// atoms returns the expected ghost atoms on a plan link: the staged slabs
+// grow with forwarded ghosts (Table 1: a^2 r, then ar(a+2r), then
+// (a+2r)^2 r, split over the forwarding iterations); a p2p message carries
+// its neighbor's ghost-region volume.
+func (ms *modelSetup) atoms(l halo.LinkSpec) float64 {
+	a, r := ms.side, ms.ghCut
+	perIter := ms.kp.density / float64(ms.shells)
+	switch l.Stage3Dim {
+	case -1:
+		return halo.MessageVolume(l.Dir, a, r) * ms.kp.density
+	case 0:
+		return a * a * r * perIter
+	case 1:
+		return a * r * (a + 2*r) * perIter
 	}
-	// The direction set is the same for every rank of the homogeneous tile.
-	var dirs []vec.I3
-	var dims []int
-	if v.Pattern == halo.P2P {
-		// Newton on: send to the lower half-shell (Fig. 5).
-		for _, d := range halo.HalfDirections(shells) {
-			dirs = append(dirs, vec.I3{X: -d.X, Y: -d.Y, Z: -d.Z})
-			dims = append(dims, -1)
-		}
-	} else {
-		for dim := 0; dim < 3; dim++ {
-			for iter := 0; iter < shells; iter++ {
-				for _, sign := range []int{-1, 1} {
-					d := vec.I3{}
-					d = d.SetComp(dim, sign)
-					dirs = append(dirs, d)
-					dims = append(dims, dim)
-				}
-			}
-		}
-	}
-	out := make([]modelLink, m.Map.Ranks()*len(dirs))
-	specs := make([]halo.Link, len(dirs))
-	for rank := 0; rank < m.Map.Ranks(); rank++ {
-		links := out[rank*len(dirs):][:len(dirs)]
-		for i, d := range dirs {
-			dst := m.Map.NeighborRank(rank, d)
-			var atoms float64
-			if v.Pattern == halo.ThreeStage {
-				// Staged slabs grow with forwarded ghosts (Table 1):
-				// a^2 r, then ar(a+2r), then (a+2r)^2 r.
-				a, r := side, ghCut
-				switch dims[i] {
-				case 0:
-					atoms = a * a * r
-				case 1:
-					atoms = a * r * (a + 2*r)
-				default:
-					atoms = (a + 2*r) * (a + 2*r) * r
-				}
-				atoms *= density / float64(shells)
-			} else {
-				atoms = halo.MessageVolumeAniso(d, sideV, ghCut) * density
-			}
-			links[i] = modelLink{
-				src: rank, dst: dst, dir: d, atoms: atoms,
-				stage3Dim: dims[i],
-			}
-			hops := m.Map.Hops(rank, dst)
-			links[i].fwd = mkRes(rank, i, len(dirs), hops, int(atoms*24))
-			links[i].rev = mkRes(dst, i, len(dirs), hops, int(atoms*24))
-			specs[i] = halo.Link{Dir: d, Bytes: int(atoms * 40), Hops: hops}
-		}
-		if v.TNIPolicy == halo.TNIThreadBound {
-			assign := halo.BalanceThreads(specs, v.CommThreads, m.Params.LinkBandwidth, m.Params.HopLatency)
-			for i := range links {
-				t := assign[i]
-				links[i].fwd = simRes{thread: t, tni: t % tnis, vcq: links[i].src*8 + t}
-				links[i].rev = simRes{thread: t, tni: t % tnis, vcq: links[i].dst*8 + t}
-			}
-		}
-	}
-	return out
+	return (a + 2*r) * (a + 2*r) * r * perIter
 }
 
-// rounds executes one halo operation (all its rounds) on the fabric and
-// returns the average per-rank duration including pack/unpack costs.
+// rounds executes one halo operation (all the plan's rounds, backwards for
+// a reverse operation) on the fabric and returns the average per-rank
+// duration including pack/unpack costs. Each round issues rank by rank in
+// the plan's order, as the functional engine does.
 func (ms *modelSetup) rounds(perAtomBytes int, reverse, forceMPI bool, extraPerLink int, cost machine.CostModel) float64 {
-	fab, m, v, packTh := ms.fab, ms.m, ms.v, ms.packTh
+	fab, m, v, plan := ms.fab, ms.m, ms.v, ms.plan
 	iface := tofu.IfaceUTofu
 	if v.Transport == halo.TransportMPI || forceMPI {
 		iface = tofu.IfaceMPI
 	}
+	senders, res, dres := plan.Send, ms.fwd, ms.rev
+	if reverse {
+		senders, res, dres = plan.Recv, ms.rev, ms.fwd
+	}
 	total := 0.0
-	for i := range ms.stages {
-		round := ms.stages[i]
+	for i := range plan.Rounds {
+		k := plan.Rounds[i]
 		if reverse {
-			// Forwarded contributions cascade home: last dimension first.
-			round = ms.stages[len(ms.stages)-1-i]
-		}
-		if len(round) == 0 {
-			continue
+			k = plan.Rounds[len(plan.Rounds)-1-i]
 		}
 		var bytesPerRank float64
-		transfers := fab.Transfers(len(round))
+		transfers := fab.Transfers(len(plan.Links) / len(plan.Rounds))
 		n := 0
-		for _, l := range round {
-			bytes := int(l.atoms*float64(perAtomBytes)) + extraPerLink
-			if bytes == 0 {
-				continue
+		for src, links := range senders {
+			for _, li := range links {
+				l := plan.Links[li]
+				if !halo.InRound(l.Stage3Dim, l.Stage3Iter, k) {
+					continue
+				}
+				bytes := int(ms.atoms(l)*float64(perAtomBytes)) + extraPerLink
+				if bytes == 0 {
+					continue
+				}
+				dst := l.Dst
+				if reverse {
+					dst = l.Src
+				}
+				*transfers[n] = tofu.Transfer{
+					Src: src, Dst: dst, TNI: res[li].TNI, VCQ: src*8 + res[li].TNI,
+					Thread: res[li].Thread, DstThread: dres[li].Thread,
+					Bytes:   bytes,
+					TwoStep: iface == tofu.IfaceMPI && perAtomBytes == 0 && !v.CombineLength,
+				}
+				n++
+				bytesPerRank += float64(bytes)
 			}
-			src, dst, res, dres := l.src, l.dst, l.fwd, l.rev
-			if reverse {
-				src, dst, res, dres = l.dst, l.src, l.rev, l.fwd
-			}
-			*transfers[n] = tofu.Transfer{
-				Src: src, Dst: dst, TNI: res.tni, VCQ: res.vcq, Thread: res.thread,
-				DstThread: dres.thread,
-				Bytes:     bytes,
-				TwoStep:   iface == tofu.IfaceMPI && perAtomBytes == 0 && !v.CombineLength,
-			}
-			n++
-			bytesPerRank += float64(bytes)
 		}
 		if n == 0 {
 			continue
@@ -407,8 +337,8 @@ func (ms *modelSetup) rounds(perAtomBytes int, reverse, forceMPI bool, extraPerL
 			}
 		}
 		perRankBytes := int(bytesPerRank / float64(m.Map.Ranks()))
-		pack := cost.PackTime(units.Bytes(perRankBytes), packTh)
-		unpack := cost.UnpackTime(units.Bytes(perRankBytes), packTh)
+		pack := cost.PackTime(units.Bytes(perRankBytes), v.PackThreading())
+		unpack := cost.UnpackTime(units.Bytes(perRankBytes), v.PackThreading())
 		if v.Preregistered && !reverse && perAtomBytes == 24 {
 			unpack = 0 // direct RDMA write into the position array
 		}

@@ -1,7 +1,8 @@
 package halo
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"tofumd/internal/vec"
 )
@@ -23,16 +24,13 @@ func BalanceThreads(links []Link, nThreads int, bytesPerSec, hopLatency float64)
 	if nThreads <= 1 {
 		return assign
 	}
-	cost := func(l Link) float64 {
-		return float64(l.Bytes)/bytesPerSec + float64(l.Hops)*hopLatency
-	}
+	cost := make([]float64, len(links))
 	order := make([]int, len(links))
-	for i := range order {
+	for i, l := range links {
+		cost[i] = float64(l.Bytes)/bytesPerSec + float64(l.Hops)*hopLatency
 		order[i] = i
 	}
-	sort.SliceStable(order, func(x, y int) bool {
-		return cost(links[order[x]]) > cost(links[order[y]])
-	})
+	slices.SortStableFunc(order, func(x, y int) int { return cmp.Compare(cost[y], cost[x]) })
 	load := make([]float64, nThreads)
 	for _, idx := range order {
 		best := 0
@@ -42,7 +40,7 @@ func BalanceThreads(links []Link, nThreads int, bytesPerSec, hopLatency float64)
 			}
 		}
 		assign[idx] = best
-		load[best] += cost(links[idx])
+		load[best] += cost[idx]
 	}
 	return assign
 }
@@ -71,38 +69,4 @@ func SurvivorTNI(th int, surviving []int) int {
 		panic("halo: no surviving TNIs to bind a comm thread to")
 	}
 	return surviving[th%len(surviving)]
-}
-
-// Res is the thread/TNI assignment of one link's sending side.
-type Res struct {
-	Thread, TNI int
-}
-
-// Assign maps one rank's links onto communication threads and TNIs per the
-// policy, over an explicit surviving-TNI set: the per-rank-slot policy binds
-// everything to the slot's TNI, spray-all round-robins link index over the
-// TNIs, and the thread-bound policy runs the §3.3 balance (specs must carry
-// the per-link bytes and hops; the other policies ignore specs and may pass
-// nil). slot is the rank's node slot; bw and hopLatency parameterize the
-// balance criterion.
-func Assign(policy TNIPolicy, slot int, surviving []int, commThreads int,
-	specs []Link, n int, bw, hopLatency float64) []Res {
-
-	out := make([]Res, n)
-	switch policy {
-	case TNIPerRankSlot:
-		for i := range out {
-			out[i] = Res{Thread: 0, TNI: SurvivorTNI(slot, surviving)}
-		}
-	case TNISprayAll:
-		for i := range out {
-			out[i] = Res{Thread: 0, TNI: SurvivorTNI(i, surviving)}
-		}
-	default: // thread-bound: balance links over the comm threads
-		assign := BalanceThreads(specs, commThreads, bw, hopLatency)
-		for i, th := range assign {
-			out[i] = Res{Thread: th, TNI: SurvivorTNI(th, surviving)}
-		}
-	}
-	return out
 }

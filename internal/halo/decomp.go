@@ -1,6 +1,7 @@
 package halo
 
 import (
+	"cmp"
 	"fmt"
 
 	"tofumd/internal/topo"
@@ -191,6 +192,20 @@ func HalfDirections(shells int) []vec.I3 {
 	return out
 }
 
+// SendDirections returns the directions a rank sends ghosts to under the p2p
+// pattern: with half (Newton on, half neighbor lists) the lower half, whose
+// upper-half neighbors receive (Fig. 5); the full s-shell otherwise.
+func SendDirections(shells int, half bool) []vec.I3 {
+	if !half {
+		return Directions(shells)
+	}
+	out := HalfDirections(shells)
+	for i, d := range out {
+		out[i] = vec.I3{X: -d.X, Y: -d.Y, Z: -d.Z}
+	}
+	return out
+}
+
 // LinkSpec is one directed channel of a halo plan: rank Src ships a
 // payload to the neighbor Dst at grid offset Dir. Staged links additionally
 // carry the dimension round and forwarding iteration they belong to.
@@ -211,8 +226,8 @@ type LinkSpec struct {
 // direction set (apps choose full shell vs Newton half shell) and is
 // ignored by the staged pattern; shells is the forwarding depth.
 func BuildLinkSpecs(m *topo.RankMap, p Pattern, shells int, sendDirs []vec.I3) []LinkSpec {
-	var out []LinkSpec
 	if p == P2P {
+		out := make([]LinkSpec, 0, m.Ranks()*len(sendDirs))
 		for src := 0; src < m.Ranks(); src++ {
 			for _, d := range sendDirs {
 				out = append(out, LinkSpec{
@@ -224,6 +239,7 @@ func BuildLinkSpecs(m *topo.RankMap, p Pattern, shells int, sendDirs []vec.I3) [
 		return out
 	}
 	// Staged: per dimension, per forwarding iteration, both signs.
+	out := make([]LinkSpec, 0, 6*shells*m.Ranks())
 	for dim := 0; dim < 3; dim++ {
 		for iter := 0; iter < shells; iter++ {
 			for _, sign := range []int{-1, 1} {
@@ -243,21 +259,22 @@ func BuildLinkSpecs(m *topo.RankMap, p Pattern, shells int, sendDirs []vec.I3) [
 
 // SpecLess orders link specs deterministically: by stage dimension, then
 // forwarding iteration, then direction (z, y, x) — the per-rank link order
-// every consumer sorts into.
-func SpecLess(a, b LinkSpec) bool {
-	if a.Stage3Dim != b.Stage3Dim {
-		return a.Stage3Dim < b.Stage3Dim
+// every rank issues its links in (Plan.Send, Plan.Recv).
+func SpecLess(a, b LinkSpec) bool { return specCompare(&a, &b) < 0 }
+
+// specCompare is the three-way form of SpecLess, for slices.SortStableFunc.
+func specCompare(a, b *LinkSpec) int {
+	switch {
+	case a.Stage3Dim != b.Stage3Dim:
+		return cmp.Compare(a.Stage3Dim, b.Stage3Dim)
+	case a.Stage3Iter != b.Stage3Iter:
+		return cmp.Compare(a.Stage3Iter, b.Stage3Iter)
+	case a.Dir.Z != b.Dir.Z:
+		return cmp.Compare(a.Dir.Z, b.Dir.Z)
+	case a.Dir.Y != b.Dir.Y:
+		return cmp.Compare(a.Dir.Y, b.Dir.Y)
 	}
-	if a.Stage3Iter != b.Stage3Iter {
-		return a.Stage3Iter < b.Stage3Iter
-	}
-	if a.Dir.Z != b.Dir.Z {
-		return a.Dir.Z < b.Dir.Z
-	}
-	if a.Dir.Y != b.Dir.Y {
-		return a.Dir.Y < b.Dir.Y
-	}
-	return a.Dir.X < b.Dir.X
+	return cmp.Compare(a.Dir.X, b.Dir.X)
 }
 
 // RoundKey identifies one bulk-synchronous round of a halo operation: a

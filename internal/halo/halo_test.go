@@ -286,30 +286,103 @@ func TestSurvivingTNIs(t *testing.T) {
 }
 
 func TestAssignPolicies(t *testing.T) {
+	torus, err := topo.NewTorus3D(vec.I3{X: 2, Y: 2, Z: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := topo.NewRankMap(torus, topo.DefaultBlock, topo.MapTopo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPlan(m, P2P, 1, SendDirections(1, true))
 	surviving := []int{0, 1, 2}
-	perSlot := Assign(TNIPerRankSlot, 2, surviving, 4, nil, 5, 1e9, 1e-6)
-	for _, r := range perSlot {
-		if r.Thread != 0 || r.TNI != 2 {
-			t.Fatalf("per-slot assign = %+v", r)
+	b := Balance{Side: 3, Cutoff: 2, Density: 1, AtomBytes: 40, Bandwidth: 1e9, HopLatency: 1e-6}
+
+	// Per-rank-slot: both sides of a link on their sender's slot TNI.
+	fwd, rev := p.Assign(TNIPerRankSlot, surviving, 1, b)
+	for i, l := range p.Links {
+		_, src := m.NodeOf(l.Src)
+		_, dst := m.NodeOf(l.Dst)
+		if fwd[i] != (Res{TNI: SurvivorTNI(src, surviving)}) || rev[i] != (Res{TNI: SurvivorTNI(dst, surviving)}) {
+			t.Fatalf("per-slot link %d: fwd %+v rev %+v", i, fwd[i], rev[i])
 		}
 	}
-	spray := Assign(TNISprayAll, 0, surviving, 4, nil, 5, 1e9, 1e-6)
-	for i, r := range spray {
-		if r.TNI != surviving[i%len(surviving)] {
-			t.Fatalf("spray assign %d = %+v", i, r)
+	// The other policies assign each rank's send and receive sides as
+	// separate batches, in issue order.
+	type side struct {
+		links []int32
+		res   []Res
+	}
+	sides := func(r int, fwd, rev []Res) []side { return []side{{p.Send[r], fwd}, {p.Recv[r], rev}} }
+	fwd, rev = p.Assign(TNISprayAll, surviving, 1, b)
+	for r := range p.Send {
+		for _, sd := range sides(r, fwd, rev) {
+			for j, i := range sd.links {
+				if sd.res[i] != (Res{TNI: surviving[j%len(surviving)]}) {
+					t.Fatalf("spray rank %d link %d = %+v", r, j, sd.res[i])
+				}
+			}
 		}
 	}
-	specs := []Link{{Bytes: 100, Hops: 1}, {Bytes: 100, Hops: 1}, {Bytes: 100, Hops: 1}}
-	bound := Assign(TNIThreadBound, 0, surviving, 3, specs, 3, 1e9, 1e-6)
-	threads := map[int]bool{}
-	for _, r := range bound {
-		threads[r.Thread] = true
-		if r.TNI != surviving[r.Thread%len(surviving)] {
-			t.Fatalf("thread-bound TNI pairing broken: %+v", r)
+	fwd, rev = p.Assign(TNIThreadBound, surviving, 3, b)
+	for r := range p.Send {
+		for _, sd := range sides(r, fwd, rev) {
+			threads := map[int]bool{}
+			for _, i := range sd.links {
+				res := sd.res[i]
+				threads[res.Thread] = true
+				if res.TNI != surviving[res.Thread%len(surviving)] {
+					t.Fatalf("thread-bound TNI pairing broken: %+v", res)
+				}
+			}
+			if len(threads) != 3 {
+				t.Errorf("rank %d: 13 links over 3 threads used %d threads", r, len(threads))
+			}
 		}
 	}
-	if len(threads) != 3 {
-		t.Errorf("3 equal links over 3 threads used %d threads", len(threads))
+}
+
+// TestPlanIssueOrder: every link is issued exactly once by its sender
+// (forward) and once by its receiver (reverse), each rank's lists in
+// SpecLess order, and every staged round holds as many links as the others.
+func TestPlanIssueOrder(t *testing.T) {
+	m := testRankMap(t, vec.I3{X: 2, Y: 3, Z: 2})
+	for _, pat := range []Pattern{P2P, ThreeStage} {
+		p := NewPlan(m, pat, 2, SendDirections(2, true))
+		seen := make([]int, len(p.Links))
+		for r := range p.Send {
+			for side, links := range [][]int32{p.Send[r], p.Recv[r]} {
+				for j, i := range links {
+					l := p.Links[i]
+					if (side == 0 && l.Src != r) || (side == 1 && l.Dst != r) {
+						t.Fatalf("%s: rank %d lists link %+v on side %d", pat, r, l, side)
+					}
+					if j > 0 && SpecLess(l, p.Links[links[j-1]]) {
+						t.Fatalf("%s: rank %d side %d out of SpecLess order at %d", pat, r, side, j)
+					}
+					seen[i]++
+				}
+			}
+		}
+		for i, n := range seen {
+			if n != 2 {
+				t.Fatalf("%s: link %d listed %d times, want 2", pat, i, n)
+			}
+		}
+		if pat == ThreeStage && len(p.Rounds) != 6 {
+			t.Errorf("2-shell staged plan has %d rounds, want 6", len(p.Rounds))
+		}
+		for _, k := range p.Rounds {
+			n := 0
+			for _, l := range p.Links {
+				if InRound(l.Stage3Dim, l.Stage3Iter, k) {
+					n++
+				}
+			}
+			if n != len(p.Links)/len(p.Rounds) {
+				t.Errorf("%s: round %+v holds %d links, want %d", pat, k, n, len(p.Links)/len(p.Rounds))
+			}
+		}
 	}
 }
 

@@ -20,9 +20,9 @@ func (s *Simulation) HaloPlan() string {
 	fmt.Fprintf(&sb, "rank grid %dx%dx%d (%d ranks on %d nodes), ghost cutoff %.3f -> %d shell(s)\n",
 		m.Grid.X, m.Grid.Y, m.Grid.Z, m.Ranks(), m.Ranks()/m.RanksPerNode(), s.ghCut, s.shells)
 
-	specs := halo.BuildLinkSpecs(m, s.Var.Pattern, s.shells, s.sendDirs())
+	specs := s.plan.Links
 	fmt.Fprintf(&sb, "%d directed links, %d per rank, %d round(s) per exchange\n",
-		len(specs), len(specs)/m.Ranks(), len(s.rounds))
+		len(specs), len(specs)/m.Ranks(), len(s.plan.Rounds))
 
 	if s.Var.Pattern == halo.P2P {
 		// Hop histogram: faces/edges/corners of the neighbor shell.
@@ -34,15 +34,9 @@ func (s *Simulation) HaloPlan() string {
 			hops[1], hops[2], hops[3])
 		return sb.String()
 	}
-	for _, rk := range s.rounds {
-		n := 0
-		for _, sp := range specs {
-			if halo.InRound(sp.Stage3Dim, sp.Stage3Iter, rk) {
-				n++
-			}
-		}
-		fmt.Fprintf(&sb, "round dim=%d iter=%d: %d links (%d per rank)\n",
-			rk.Dim, rk.Iter, n, n/m.Ranks())
+	n := len(specs) / len(s.plan.Rounds) // every round holds as many links
+	for _, rk := range s.plan.Rounds {
+		fmt.Fprintf(&sb, "round dim=%d iter=%d: %d links (%d per rank)\n", rk.Dim, rk.Iter, n, n/m.Ranks())
 	}
 	return sb.String()
 }

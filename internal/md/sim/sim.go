@@ -8,7 +8,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 
 	"tofumd/internal/des"
 	"tofumd/internal/faultinject"
@@ -138,10 +137,11 @@ type Simulation struct {
 	// eng executes the bulk-synchronous halo rounds; its hooks close over
 	// the simulation's clocks, VCQ tables and health trackers.
 	eng *halo.Engine
-	// batch holds the messages of the round in flight; nLinks, the size of
-	// the static link graph, bounds the messages of a halo round.
-	batch  *batch
-	nLinks int
+	// plan is the halo plan (links, per-rank issue order, rounds); links
+	// holds one link per plan link; batch the messages of the round in flight.
+	plan  *halo.Plan
+	links []link
+	batch *batch
 
 	ranks   []*Rank
 	xRegion []*utofu.MemRegion
@@ -161,11 +161,8 @@ type Simulation struct {
 	// survivors.
 	health *health.Tracker
 
-	step   int
-	shells int
-	// rounds are the bulk-synchronous rounds of one halo operation: a
-	// single {-1, 0} for p2p, one (Dim, Iter) pair per 3-stage round.
-	rounds  []halo.RoundKey
+	step    int
+	shells  int
 	ghCut   float64 // ghost cutoff = force cutoff + skin
 	density float64 // atoms per volume, for buffer estimates
 
@@ -228,7 +225,7 @@ func New(m *Machine, v Variant, cfg Config) (*Simulation, error) {
 	s.health = health.New(0, 0)
 	s.health.SetTNITotal(m.Params.TNIsPerNode)
 	s.shells = dec.ShellsFor(s.ghCut)
-	s.rounds = halo.Rounds(v.Pattern, s.shells)
+	s.plan = halo.NewPlan(m.Map, v.Pattern, s.shells, s.sendDirs())
 	s.nve = &integrate.NVE{Dt: dt, Mass: cfg.Potential.Mass(), Mvv2e: u.Mvv2e}
 	s.eng = s.newEngine()
 
@@ -577,36 +574,30 @@ func (s *Simulation) initVelocities() {
 }
 
 // sendDirs returns the neighbor directions a rank sends ghosts to under the
-// p2p pattern: the lower half with Newton on and a half list (the upper
-// neighbors receive, Fig. 5); the full shell when Newton is off or the
-// potential needs a full neighbor list (Tersoff-class, section 4.4).
+// p2p pattern: the lower half with Newton on and a half list; the full shell
+// when Newton is off or the potential needs a full neighbor list
+// (Tersoff-class, section 4.4).
 func (s *Simulation) sendDirs() []vec.I3 {
-	if s.Cfg.NewtonOn && !s.Cfg.Potential.NeedsFullList() {
-		var out []vec.I3
-		for _, d := range halo.HalfDirections(s.shells) {
-			out = append(out, vec.I3{X: -d.X, Y: -d.Y, Z: -d.Z})
-		}
-		return out
-	}
-	return halo.Directions(s.shells)
+	return halo.SendDirections(s.shells, s.Cfg.NewtonOn && !s.Cfg.Potential.NeedsFullList())
 }
 
-// createLinks builds the static link graph of the variant's pattern from
-// the generic halo plan.
+// createLinks builds the static link graph from the halo plan: one link per
+// plan link, each rank's send and receive lists in the plan's issue order.
 func (s *Simulation) createLinks() {
-	for _, sp := range halo.BuildLinkSpecs(s.M.Map, s.Var.Pattern, s.shells, s.sendDirs()) {
+	s.links = make([]link, len(s.plan.Links))
+	for i, sp := range s.plan.Links {
 		src, dst := s.ranks[sp.Src], s.ranks[sp.Dst]
-		l := &link{spec: sp, src: src, dst: dst, shift: s.dec.PBCShift(src.Coord, sp.Dir)}
-		src.sendLinks = append(src.sendLinks, l)
-		dst.recvLinks = append(dst.recvLinks, l)
-		s.nLinks++
+		s.links[i] = link{spec: sp, src: src, dst: dst, shift: s.dec.PBCShift(src.Coord, sp.Dir)}
 	}
-	s.batch = &batch{byDst: make([][]*rmsg, len(s.ranks))}
 	for _, r := range s.ranks {
-		for _, links := range [][]*link{r.sendLinks, r.recvLinks} {
-			sort.SliceStable(links, func(i, j int) bool { return halo.SpecLess(links[i].spec, links[j].spec) })
+		for _, i := range s.plan.Send[r.ID] {
+			r.sendLinks = append(r.sendLinks, &s.links[i])
+		}
+		for _, i := range s.plan.Recv[r.ID] {
+			r.recvLinks = append(r.recvLinks, &s.links[i])
 		}
 	}
+	s.batch = &batch{byDst: make([][]*rmsg, len(s.ranks))}
 }
 
 // assignResources maps every link's two sending sides onto TNIs, threads
@@ -615,41 +606,26 @@ func (s *Simulation) assignResources() {
 	s.assignResourcesOver(halo.SurvivingTNIs(s.M.Params.TNIsPerNode, nil))
 }
 
-// assignResourcesOver runs the resource assignment over an explicit set of
-// surviving TNIs. Over the full set it reproduces the modulo policies
-// bit-identically; the fail-stop recovery path re-invokes it with the
-// quarantined TNIs removed, re-running the §3.3 balancer and replanning
+// assignResourcesOver runs the plan's resource assignment over an explicit
+// set of surviving TNIs. Over the full set it reproduces the modulo
+// policies bit-identically; the fail-stop recovery path re-invokes it with
+// the quarantined TNIs removed, re-running the §3.3 balancer and replanning
 // each rank's neighbor→thread table mid-run.
 func (s *Simulation) assignResourcesOver(tnis []int) {
 	side := s.dec.Side()
-	avgSide := (side.X + side.Y + side.Z) / 3
+	fwd, rev := s.plan.Assign(s.Var.TNIPolicy, tnis, s.Var.CommThreads, halo.Balance{
+		Side: (side.X + side.Y + side.Z) / 3, Cutoff: s.ghCut, Density: s.density,
+		AtomBytes: borderBytes,
+		Bandwidth: s.M.Params.LinkBandwidth, HopLatency: s.M.Params.HopLatency,
+	})
+	for i := range s.links {
+		s.links[i].fwd.Res, s.links[i].rev.Res = fwd[i], rev[i]
+	}
 	for _, r := range s.ranks {
-		_, slot := s.M.Map.NodeOf(r.ID)
-		assignSide := func(links []*link, rev bool) []int {
-			// Only the thread-bound policy consults the per-link specs.
-			var specs []halo.Link
-			if s.Var.TNIPolicy != halo.TNIPerRankSlot && s.Var.TNIPolicy != halo.TNISprayAll {
-				specs = make([]halo.Link, len(links))
-				for i, l := range links {
-					vol := halo.MessageVolume(l.spec.Dir, avgSide, s.ghCut)
-					specs[i] = halo.Link{
-						Dir:   l.spec.Dir,
-						Bytes: int(vol*s.density) * borderBytes,
-						Hops:  s.M.Map.Hops(l.spec.Src, l.spec.Dst),
-					}
-				}
-			}
-			res := halo.Assign(s.Var.TNIPolicy, slot, tnis, s.Var.CommThreads,
-				specs, len(links), s.M.Params.LinkBandwidth, s.M.Params.HopLatency)
-			threads := make([]int, len(links))
-			for i, l := range links {
-				l.side(rev).Res = res[i]
-				threads[i] = res[i].Thread
-			}
-			return threads
+		sendThreads := make([]int, len(r.sendLinks))
+		for i, l := range r.sendLinks {
+			sendThreads[i] = l.fwd.Thread
 		}
-		sendThreads := assignSide(r.sendLinks, false)
-		assignSide(r.recvLinks, true)
 		if r.plan == nil {
 			p, err := threadpool.NewPlan(max(1, s.Var.CommThreads), sendThreads)
 			if err != nil {

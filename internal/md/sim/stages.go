@@ -11,16 +11,6 @@ import (
 	"tofumd/internal/vec"
 )
 
-// packThreading returns the threading mode used for message packing and
-// unpacking: parallelized by the comm threads under the fine-grained
-// scheme, serial otherwise.
-func (s *Simulation) packThreading() machine.Threading {
-	if s.Var.CommThreads > 1 {
-		return machine.Pool
-	}
-	return machine.Serial
-}
-
 // --- the halo-operation runner -----------------------------------------
 
 // haloOp describes one ghost operation over the static link graph. The
@@ -58,9 +48,9 @@ func (op haloOp) links(r *Rank) []*link {
 
 // runOp executes the operation over every round of the variant's pattern.
 func (s *Simulation) runOp(op haloOp) {
-	for i, k := range s.rounds {
+	for i, k := range s.plan.Rounds {
 		if op.rev {
-			k = s.rounds[len(s.rounds)-1-i]
+			k = s.plan.Rounds[len(s.plan.Rounds)-1-i]
 		}
 		s.runOpRound(op, k)
 	}
@@ -68,7 +58,7 @@ func (s *Simulation) runOp(op haloOp) {
 
 // runOpRound packs, ships and unpacks the operation's messages of round k.
 func (s *Simulation) runOpRound(op haloOp, k halo.RoundKey) {
-	packTh := s.packThreading()
+	packTh := s.Var.PackThreading()
 	s.forRanks(func(id int) {
 		r := s.ranks[id]
 		bytes := 0
@@ -82,7 +72,7 @@ func (s *Simulation) runOpRound(op haloOp, k halo.RoundKey) {
 		r.Clock += s.M.Cost.PackTime(units.Bytes(bytes), packTh)
 	})
 	b := s.batch
-	b.reset(s.nLinks)
+	b.reset(len(s.links))
 	for _, r := range s.ranks {
 		for _, l := range op.links(r) {
 			if !l.inRound(k) {
@@ -214,7 +204,7 @@ func (s *Simulation) doBorder() {
 	if s.Var.Pattern == halo.P2P {
 		s.buildP2PSendLists()
 	}
-	for _, k := range s.rounds {
+	for _, k := range s.plan.Rounds {
 		if s.Var.Pattern == halo.ThreeStage {
 			s.build3StageSendLists(k)
 		}
@@ -318,7 +308,7 @@ func (r *Rank) findRecvLink(k halo.RoundKey, dir vec.I3) *link {
 // has no codec and no pack/unpack charge, so it is not a haloOp.
 func (s *Simulation) piggybackOffsets() {
 	b := s.batch
-	b.reset(s.nLinks)
+	b.reset(len(s.links))
 	for _, r := range s.ranks {
 		for _, l := range r.recvLinks {
 			m := b.add(l.msg(true, true))

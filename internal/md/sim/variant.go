@@ -114,6 +114,16 @@ func StepByStepVariants() []Variant {
 	return []Variant{Ref(), MPIP2P(), UTofu3Stage(), P2P4TNI(), P2P6TNI(), Opt()}
 }
 
+// PackThreading is the threading mode message packing and unpacking run
+// under: parallelized by the comm threads under the fine-grained scheme,
+// serial otherwise.
+func (v Variant) PackThreading() machine.Threading {
+	if v.CommThreads > 1 {
+		return machine.Pool
+	}
+	return machine.Serial
+}
+
 // Validate checks the variant's internal consistency.
 func (v Variant) Validate() error {
 	if err := halo.Validate(v.Pattern, v.Transport, v.TNIPolicy, v.CommThreads); err != nil {

@@ -119,79 +119,131 @@ func Build(a *atom.Arrays, cutoff float64, mode Mode) *List {
 		cz := clamp(int((x.Z-lo.Z)*inv.Z), 0, bz-1)
 		return cx + bx*(cy+by*cz)
 	}
-	// Counting sort into bins.
+	// Stable counting sort into bins: within a bin, atoms keep ascending
+	// index order, so its locals precede its ghosts.
 	nbins := bx * by * bz
 	count := make([]int32, nbins+1)
+	locals := make([]int32, nbins) // locals per bin
 	binIdx := make([]int32, n)
 	for i := 0; i < n; i++ {
 		b := binOf(a.X[i])
 		binIdx[i] = int32(b)
 		count[b+1]++
+		if i < a.NLocal {
+			locals[b]++
+		}
 	}
 	for b := 0; b < nbins; b++ {
 		count[b+1] += count[b]
 	}
 	order := make([]int32, n)
+	xs := make([]vec.V3, n) // positions in bin order, so scans stream
 	fill := make([]int32, nbins)
 	for i := 0; i < n; i++ {
 		b := binIdx[i]
-		order[count[b]+fill[b]] = int32(i)
+		k := count[b] + fill[b]
+		order[k] = int32(i)
+		xs[k] = a.X[i]
 		fill[b]++
 	}
 
+	// seen[b] counts the locals of bin b already visited as i. They are the
+	// bin's first entries, and exactly the locals j < i a half list skips
+	// without counting them as candidates, so half scans start past them.
+	seen := make([]int32, nbins)
+	half := mode != Full
+	s := scan{xs: xs, order: order, cut2: cut2}
 	for i := 0; i < a.NLocal; i++ {
-		l.Start[i] = int32(len(l.Neigh))
+		l.Start[i] = int32(len(s.neigh))
 		xi := a.X[i]
-		cx := clamp(int((xi.X-lo.X)*inv.X), 0, bx-1)
-		cy := clamp(int((xi.Y-lo.Y)*inv.Y), 0, by-1)
-		cz := clamp(int((xi.Z-lo.Z)*inv.Z), 0, bz-1)
-		for dz := -1; dz <= 1; dz++ {
-			z := cz + dz
-			if z < 0 || z >= bz {
-				continue
-			}
-			for dy := -1; dy <= 1; dy++ {
-				y := cy + dy
-				if y < 0 || y >= by {
+		bi := int(binIdx[i])
+		self := int(count[bi] + seen[bi]) // i's own slot in bin order
+		cx, cy, cz := bi%bx, bi/bx%by, bi/(bx*by)
+		x0, x1 := max(cx-1, 0), min(cx+1, bx-1)
+		y0, y1 := max(cy-1, 0), min(cy+1, by-1)
+		z0, z1 := max(cz-1, 0), min(cz+1, bz-1)
+		for z := z0; z <= z1; z++ {
+			for y := y0; y <= y1; y++ {
+				row := bx * (y + by*z)
+				if !half {
+					// The row's bins are adjacent in bin order: one range.
+					s.around(xi, int(count[row+x0]), int(count[row+x1+1]), self)
 					continue
 				}
-				for dx := -1; dx <= 1; dx++ {
-					x := cx + dx
-					if x < 0 || x >= bx {
+				for b := row + x0; b <= row+x1; b++ {
+					lo, hi := int(count[b]+seen[b]), int(count[b+1])
+					if b == bi {
+						lo++ // i itself sits first past the seen locals
+					}
+					if mode == HalfShell {
+						s.within(xi, lo, hi)
 						continue
 					}
-					b := x + bx*(y+by*z)
-					for _, j32 := range order[count[b]:count[b+1]] {
-						j := int(j32)
-						if j == i {
-							continue
-						}
-						switch mode {
-						case HalfNewton:
-							if j < a.NLocal {
-								if j < i {
-									continue
-								}
-							} else if !upper(xi, a.X[j]) {
-								continue
-							}
-						case HalfShell:
-							if j < a.NLocal && j < i {
-								continue
-							}
-						}
-						l.Candidates++
-						d := a.X[j].Sub(xi)
-						if d.Norm2() <= cut2 {
-							l.Neigh = append(l.Neigh, j32)
-						}
-					}
+					// HalfNewton: locals j > i always, ghosts by tie-break.
+					mid := int(count[b] + locals[b])
+					s.within(xi, lo, mid)
+					s.above(xi, mid, hi)
 				}
 			}
 		}
+		seen[bi]++
 	}
+	l.Neigh = s.neigh
+	l.Candidates = s.candidates
 	l.Start[a.NLocal] = int32(len(l.Neigh))
 	return l
+}
+
+// scan is the candidate-distance check of one Build, over positions stored
+// in bin order.
+type scan struct {
+	xs         []vec.V3
+	order      []int32
+	cut2       float64
+	neigh      []int32
+	candidates int
+}
+
+// within checks bin-order slots [lo, hi) against xi and appends the atoms
+// inside the cutoff.
+func (s *scan) within(xi vec.V3, lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	s.candidates += hi - lo
+	xs, order := s.xs[lo:hi], s.order[lo:hi]
+	for k := range xs {
+		d := xs[k].Sub(xi)
+		if d.Norm2() <= s.cut2 {
+			s.neigh = append(s.neigh, order[k])
+		}
+	}
+}
+
+// above is within restricted to the slots upper of xi: the HalfNewton rule
+// for ghosts. Slots it passes over are not candidates.
+func (s *scan) above(xi vec.V3, lo, hi int) {
+	for k := lo; k < hi; k++ {
+		xj := s.xs[k]
+		if !upper(xi, xj) {
+			continue
+		}
+		s.candidates++
+		d := xj.Sub(xi)
+		if d.Norm2() <= s.cut2 {
+			s.neigh = append(s.neigh, s.order[k])
+		}
+	}
+}
+
+// around is within over [lo, hi) minus slot self, which holds i itself.
+func (s *scan) around(xi vec.V3, lo, hi, self int) {
+	if self < lo || self >= hi {
+		s.within(xi, lo, hi)
+		return
+	}
+	s.within(xi, lo, self)
+	s.within(xi, self+1, hi)
 }
 
 func clamp(v, lo, hi int) int {

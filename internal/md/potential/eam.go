@@ -6,6 +6,7 @@ import (
 
 	"tofumd/internal/md/atom"
 	"tofumd/internal/md/neighbor"
+	"tofumd/internal/vec"
 )
 
 // EAM is an embedded-atom-method potential (Equation 2 of the paper):
@@ -33,11 +34,31 @@ type EAM struct {
 	// A and B are the solved embedding and pair amplitudes.
 	A, B float64
 
-	phi *Spline // pair term phi(r)
-	psi *Spline // density contribution psi(r)
-	f   *Spline // embedding F(rho)
+	// pair fuses the pair term phi(r) and the density contribution psi(r),
+	// which share one r grid, so a pair reads both from one 64-byte record.
+	pair     []pairKnot
+	pairGrid grid
+	f        *Spline // embedding F(rho)
 
 	cut2 float64
+}
+
+// pairKnot is one r interval of the fused phi/psi table.
+type pairKnot struct{ phi, psi knot }
+
+// fusePair interleaves two splines tabulated on the same grid into one
+// table. The fused lookup locates r once for both, so it refuses splines
+// whose (x0, dx, n) differ.
+func fusePair(phi, psi *Spline) (grid, []pairKnot, error) {
+	if phi.x0 != psi.x0 || phi.dx != psi.dx || phi.n != psi.n {
+		return grid{}, nil, fmt.Errorf("potential: EAM phi grid (%v, %v, %d) and psi grid (%v, %v, %d) differ",
+			phi.x0, phi.dx, phi.n, psi.x0, psi.dx, psi.n)
+	}
+	pair := make([]pairKnot, phi.n)
+	for i := range pair {
+		pair[i] = pairKnot{phi: phi.k[i], psi: psi.k[i]}
+	}
+	return phi.grid, pair, nil
 }
 
 // EAM analytic parameters (copper).
@@ -118,13 +139,15 @@ func NewEAMCu(cut float64) (*EAM, error) {
 		return nil, fmt.Errorf("potential: EAM calibration produced non-physical amplitudes A=%.4f B=%.4f", e.A, e.B)
 	}
 
-	var err error
-	e.phi, err = Tabulate(func(r float64) float64 { return e.B * phiRaw(r) }, 0.5, cut, eamTableN)
+	phi, err := Tabulate(func(r float64) float64 { return e.B * phiRaw(r) }, 0.5, cut, eamTableN)
 	if err != nil {
 		return nil, err
 	}
-	e.psi, err = Tabulate(psiRaw, 0.5, cut, eamTableN)
+	psi, err := Tabulate(psiRaw, 0.5, cut, eamTableN)
 	if err != nil {
+		return nil, err
+	}
+	if e.pairGrid, e.pair, err = fusePair(phi, psi); err != nil {
 		return nil, err
 	}
 	rhoMax := 4 * rho0 // generous headroom over the equilibrium density
@@ -137,17 +160,23 @@ func NewEAMCu(cut float64) (*EAM, error) {
 	return e, nil
 }
 
+// pairAt locates r in the fused phi/psi table.
+func (e *EAM) pairAt(r float64) (*pairKnot, float64) {
+	i, u := e.pairGrid.locate(r)
+	return &e.pair[i], u
+}
+
 // PsiAt returns the density contribution psi(r) from the spline table.
-func (e *EAM) PsiAt(r float64) float64 { v, _ := e.psi.Eval(r); return v }
+func (e *EAM) PsiAt(r float64) float64 { k, u := e.pairAt(r); return k.psi.val(u) }
 
 // DPsiAt returns psi'(r).
-func (e *EAM) DPsiAt(r float64) float64 { _, d := e.psi.Eval(r); return d }
+func (e *EAM) DPsiAt(r float64) float64 { k, u := e.pairAt(r); return k.psi.deriv(u) }
 
 // PhiAt returns the pair term phi(r).
-func (e *EAM) PhiAt(r float64) float64 { v, _ := e.phi.Eval(r); return v }
+func (e *EAM) PhiAt(r float64) float64 { k, u := e.pairAt(r); return k.phi.val(u) }
 
 // DPhiAt returns phi'(r).
-func (e *EAM) DPhiAt(r float64) float64 { _, d := e.phi.Eval(r); return d }
+func (e *EAM) DPhiAt(r float64) float64 { k, u := e.pairAt(r); return k.phi.deriv(u) }
 
 // FAt returns the embedding energy F(rho).
 func (e *EAM) FAt(rho float64) float64 { v, _ := e.f.Eval(rho); return v }
@@ -171,22 +200,28 @@ func (e *EAM) NeedsFullList() bool { return false }
 // both endpoints (ghosts included; the caller reverse-communicates ghost
 // densities home). Returns the interaction count for the cost model.
 func (e *EAM) AccumulateRho(a *atom.Arrays, nl *neighbor.List) int {
+	x, rho := a.X, a.Rho
+	start, neigh := nl.Start, nl.Neigh
+	cut2 := e.cut2
 	count := 0
 	for i := 0; i < a.NLocal; i++ {
-		xi := a.X[i]
-		for _, j32 := range nl.NeighborsOf(i) {
-			j := int(j32)
-			d := xi.Sub(a.X[j])
-			r2 := d.Norm2()
-			if r2 > e.cut2 {
+		xi := x[i]
+		// j != i, so rho_i can stay in a register until the row ends.
+		rhoi := rho[i]
+		for _, j := range neigh[start[i]:start[i+1]] {
+			xj := &x[j]
+			dx, dy, dz := xi.X-xj.X, xi.Y-xj.Y, xi.Z-xj.Z
+			r2 := dx*dx + dy*dy + dz*dz
+			if r2 > cut2 {
 				continue
 			}
 			count++
-			r := math.Sqrt(r2)
-			p, _ := e.psi.Eval(r)
-			a.Rho[i] += p
-			a.Rho[j] += p
+			k, u := e.pairAt(math.Sqrt(r2))
+			p := k.psi.val(u)
+			rhoi += p
+			rho[j] += p
 		}
+		rho[i] = rhoi
 	}
 	return count
 }
@@ -209,32 +244,37 @@ func (e *EAM) FinishRho(a *atom.Arrays) float64 {
 // reaction forces land on j (ghosts included) and flow home in the reverse
 // stage.
 func (e *EAM) ComputeForce(a *atom.Arrays, nl *neighbor.List) Result {
-	var res Result
+	x, f, fp := a.X, a.F, a.Fp
+	start, neigh := nl.Start, nl.Neigh
+	cut2 := e.cut2
+	var pe, vir float64
+	n := 0
 	for i := 0; i < a.NLocal; i++ {
-		xi := a.X[i]
-		fi := a.F[i]
-		for _, j32 := range nl.NeighborsOf(i) {
-			j := int(j32)
-			d := xi.Sub(a.X[j])
-			r2 := d.Norm2()
-			if r2 > e.cut2 {
+		xi := x[i]
+		fx, fy, fz := f[i].X, f[i].Y, f[i].Z
+		fpi := fp[i]
+		for _, j := range neigh[start[i]:start[i+1]] {
+			xj := &x[j]
+			dx, dy, dz := xi.X-xj.X, xi.Y-xj.Y, xi.Z-xj.Z
+			r2 := dx*dx + dy*dy + dz*dz
+			if r2 > cut2 {
 				continue
 			}
-			res.Interactions++
+			n++
 			r := math.Sqrt(r2)
-			phi, dphi := e.phi.Eval(r)
-			_, dpsi := e.psi.Eval(r)
+			k, u := e.pairAt(r)
 			// f(r) = -[phi'(r) + (Fp_i + Fp_j) psi'(r)] rhat
-			fmag := -(dphi + (a.Fp[i]+a.Fp[j])*dpsi) / r
-			fv := d.Scale(fmag)
-			fi = fi.Add(fv)
-			a.F[j] = a.F[j].Sub(fv)
-			res.PotentialEnergy += phi
-			res.Virial += r2 * fmag
+			fmag := -(k.phi.deriv(u) + (fpi+fp[j])*k.psi.deriv(u)) / r
+			fvx, fvy, fvz := fmag*dx, fmag*dy, fmag*dz
+			fx, fy, fz = fx+fvx, fy+fvy, fz+fvz
+			fj := &f[j]
+			fj.X, fj.Y, fj.Z = fj.X-fvx, fj.Y-fvy, fj.Z-fvz
+			pe += k.phi.val(u)
+			vir += r2 * fmag
 		}
-		a.F[i] = fi
+		f[i] = vec.V3{X: fx, Y: fy, Z: fz}
 	}
-	return res
+	return Result{PotentialEnergy: pe, Virial: vir, Interactions: n}
 }
 
 // Compute implements Pair for contexts without a communication layer: an

@@ -3,6 +3,7 @@ package potential
 import (
 	"tofumd/internal/md/atom"
 	"tofumd/internal/md/neighbor"
+	"tofumd/internal/vec"
 )
 
 // LJ is the Lennard-Jones 12-6 pair potential (Equation 1 of the paper)
@@ -61,35 +62,72 @@ func (l *LJ) NeedsFullList() bool { return l.FullList }
 // twice (once per endpoint) and only i receives force, with energy and
 // virial halved.
 func (l *LJ) Compute(a *atom.Arrays, nl *neighbor.List) Result {
-	var res Result
-	half := nl.Mode != neighbor.Full
+	if nl.Mode == neighbor.Full {
+		return l.computeFull(a, nl)
+	}
+	return l.computeHalf(a, nl)
+}
+
+// computeHalf is Compute over a half list: the reaction force lands on j.
+func (l *LJ) computeHalf(a *atom.Arrays, nl *neighbor.List) Result {
+	x, f := a.X, a.F
+	start, neigh := nl.Start, nl.Neigh
+	cut2, lj1, lj2, lj3, lj4 := l.cut2, l.lj1, l.lj2, l.lj3, l.lj4
+	var pe, vir float64
+	n := 0
 	for i := 0; i < a.NLocal; i++ {
-		xi := a.X[i]
-		fi := a.F[i]
-		for _, j32 := range nl.NeighborsOf(i) {
-			j := int(j32)
-			d := xi.Sub(a.X[j])
-			r2 := d.Norm2()
-			if r2 > l.cut2 {
+		xi := x[i]
+		fx, fy, fz := f[i].X, f[i].Y, f[i].Z
+		for _, j := range neigh[start[i]:start[i+1]] {
+			xj := &x[j]
+			dx, dy, dz := xi.X-xj.X, xi.Y-xj.Y, xi.Z-xj.Z
+			r2 := dx*dx + dy*dy + dz*dz
+			if r2 > cut2 {
 				continue
 			}
-			res.Interactions++
+			n++
 			inv2 := 1 / r2
 			inv6 := inv2 * inv2 * inv2
-			fpair := inv6 * (l.lj1*inv6 - l.lj2) * inv2
-			fv := d.Scale(fpair)
-			fi = fi.Add(fv)
-			e := inv6 * (l.lj3*inv6 - l.lj4)
-			if half {
-				a.F[j] = a.F[j].Sub(fv)
-				res.PotentialEnergy += e
-				res.Virial += r2 * fpair
-			} else {
-				res.PotentialEnergy += 0.5 * e
-				res.Virial += 0.5 * r2 * fpair
-			}
+			fpair := inv6 * (lj1*inv6 - lj2) * inv2
+			fvx, fvy, fvz := fpair*dx, fpair*dy, fpair*dz
+			fx, fy, fz = fx+fvx, fy+fvy, fz+fvz
+			fj := &f[j]
+			fj.X, fj.Y, fj.Z = fj.X-fvx, fj.Y-fvy, fj.Z-fvz
+			pe += inv6 * (lj3*inv6 - lj4)
+			vir += r2 * fpair
 		}
-		a.F[i] = fi
+		f[i] = vec.V3{X: fx, Y: fy, Z: fz}
 	}
-	return res
+	return Result{PotentialEnergy: pe, Virial: vir, Interactions: n}
+}
+
+// computeFull is Compute over a full list: each pair appears once per
+// endpoint, so only i receives force and energy and virial are halved.
+func (l *LJ) computeFull(a *atom.Arrays, nl *neighbor.List) Result {
+	x, f := a.X, a.F
+	start, neigh := nl.Start, nl.Neigh
+	cut2, lj1, lj2, lj3, lj4 := l.cut2, l.lj1, l.lj2, l.lj3, l.lj4
+	var pe, vir float64
+	n := 0
+	for i := 0; i < a.NLocal; i++ {
+		xi := x[i]
+		fx, fy, fz := f[i].X, f[i].Y, f[i].Z
+		for _, j := range neigh[start[i]:start[i+1]] {
+			xj := &x[j]
+			dx, dy, dz := xi.X-xj.X, xi.Y-xj.Y, xi.Z-xj.Z
+			r2 := dx*dx + dy*dy + dz*dz
+			if r2 > cut2 {
+				continue
+			}
+			n++
+			inv2 := 1 / r2
+			inv6 := inv2 * inv2 * inv2
+			fpair := inv6 * (lj1*inv6 - lj2) * inv2
+			fx, fy, fz = fx+fpair*dx, fy+fpair*dy, fz+fpair*dz
+			pe += 0.5 * (inv6 * (lj3*inv6 - lj4))
+			vir += 0.5 * r2 * fpair
+		}
+		f[i] = vec.V3{X: fx, Y: fy, Z: fz}
+	}
+	return Result{PotentialEnergy: pe, Virial: vir, Interactions: n}
 }

@@ -201,6 +201,31 @@ func TestEAMCutoffValidation(t *testing.T) {
 	}
 }
 
+// TestEAMPairGridMismatch pins the fused phi/psi table's precondition: it
+// locates r once for both functions, so their grids must agree exactly.
+func TestEAMPairGridMismatch(t *testing.T) {
+	mk := func(x0, x1 float64, n int) *Spline {
+		s, err := Tabulate(math.Exp, x0, x1, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	base := mk(0.5, 4.95, 64)
+	if _, _, err := fusePair(base, mk(0.5, 4.95, 64)); err != nil {
+		t.Fatalf("matching grids rejected: %v", err)
+	}
+	for name, other := range map[string]*Spline{
+		"x0": mk(0.6, 4.95, 64),
+		"dx": mk(0.5, 5.0, 64),
+		"n":  mk(0.5, 4.95, 65),
+	} {
+		if _, _, err := fusePair(base, other); err == nil {
+			t.Errorf("grids differing in %s accepted", name)
+		}
+	}
+}
+
 func TestEAMDimerNewton(t *testing.T) {
 	e, err := NewEAMCu(4.95)
 	if err != nil {

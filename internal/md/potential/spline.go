@@ -2,15 +2,59 @@ package potential
 
 import "fmt"
 
+// knot holds one interval's cubic coefficients side by side, so a lookup
+// touches one 32-byte record instead of four separate arrays (the layout of
+// LAMMPS pair_eam's rhor_spline[m][0..6]).
+type knot struct {
+	// y = a + b*u + c*u^2 + d*u^3, u = x - x_i.
+	a, b, c, d float64
+}
+
+// val returns the interval's cubic at local offset u.
+func (k *knot) val(u float64) float64 { return k.a + u*(k.b+u*(k.c+u*k.d)) }
+
+// deriv returns the interval's first derivative at local offset u.
+func (k *knot) deriv(u float64) float64 { return k.b + u*(2*k.c+3*u*k.d) }
+
+// grid is a uniform sample grid x0 + i*dx, i in [0, n).
+type grid struct {
+	x0, dx float64
+	hi     float64 // x0 + (n-1)*dx, the last sample
+	n      int
+}
+
+func newGrid(x0, dx float64, n int) grid {
+	return grid{x0: x0, dx: dx, hi: x0 + float64(n-1)*dx, n: n}
+}
+
+// locate clamps x to [x0, hi] and returns the interval index i and the local
+// offset u = x - x_i. Out-of-range arguments hold the value at the end
+// sample and the derivative at the end interval's edge slope, rather than
+// silently extrapolating the end cubic. The division by dx (never a
+// reciprocal multiply) keeps i exact at knot edges.
+func (g *grid) locate(x float64) (i int, u float64) {
+	if x < g.x0 {
+		x = g.x0
+	} else if x > g.hi {
+		x = g.hi
+	}
+	i = int((x - g.x0) / g.dx)
+	if i < 0 {
+		i = 0
+	}
+	if i > g.n-2 {
+		i = g.n - 2
+	}
+	return i, x - (g.x0 + float64(i)*g.dx)
+}
+
 // Spline is a natural cubic spline over uniformly spaced samples, the
 // interpolation LAMMPS applies to tabulated EAM potentials (the Cu_u3.eam
 // file of Table 2 is a table; our analytic copper EAM is tabulated the same
 // way so the code path matches).
 type Spline struct {
-	x0, dx float64
-	n      int
-	// Coefficients per interval: y = a + b*t + c*t^2 + d*t^3, t = x - x_i.
-	a, b, c, d []float64
+	grid
+	k []knot // one per sample; the last carries a = y[n-1], c = 0
 }
 
 // NewSpline fits a natural cubic spline through the samples y[i] taken at
@@ -39,39 +83,24 @@ func NewSpline(x0, dx float64, y []float64) (*Spline, error) {
 		z[i] = (alpha - dx*z[i-1]) / l[i]
 	}
 	l[n-1] = 1
-	c := make([]float64, n)
-	b := make([]float64, n)
-	d := make([]float64, n)
-	for j := n - 2; j >= 0; j-- {
-		c[j] = z[j] - mu[j]*c[j+1]
-		b[j] = (y[j+1]-y[j])/dx - dx*(c[j+1]+2*c[j])/3
-		d[j] = (c[j+1] - c[j]) / (3 * dx)
+	k := make([]knot, n)
+	for i := range k {
+		k[i].a = y[i]
 	}
-	return &Spline{x0: x0, dx: dx, n: n, a: append([]float64(nil), y...), b: b, c: c, d: d}, nil
+	for j := n - 2; j >= 0; j-- {
+		k[j].c = z[j] - mu[j]*k[j+1].c
+		k[j].b = (y[j+1]-y[j])/dx - dx*(k[j+1].c+2*k[j].c)/3
+		k[j].d = (k[j+1].c - k[j].c) / (3 * dx)
+	}
+	return &Spline{grid: newGrid(x0, dx, n), k: k}, nil
 }
 
-// Eval returns the spline value and first derivative at x. Arguments
-// outside [x0, x0+(n-1)dx] are clamped to the table range: the value is
-// held at the end sample and the derivative at the end interval's edge
-// slope, rather than silently extrapolating the end cubic.
+// Eval returns the spline value and first derivative at x, clamped to the
+// table range as locate describes.
 func (s *Spline) Eval(x float64) (y, dy float64) {
-	hi := s.x0 + float64(s.n-1)*s.dx
-	if x < s.x0 {
-		x = s.x0
-	} else if x > hi {
-		x = hi
-	}
-	i := int((x - s.x0) / s.dx)
-	if i < 0 {
-		i = 0
-	}
-	if i > s.n-2 {
-		i = s.n - 2
-	}
-	u := x - (s.x0 + float64(i)*s.dx)
-	y = s.a[i] + u*(s.b[i]+u*(s.c[i]+u*s.d[i]))
-	dy = s.b[i] + u*(2*s.c[i]+3*u*s.d[i])
-	return y, dy
+	i, u := s.locate(x)
+	k := &s.k[i]
+	return k.val(u), k.deriv(u)
 }
 
 // Tabulate samples fn at n uniform points over [x0, x1] and fits a spline.

@@ -64,10 +64,10 @@ func TestSplineDerivativeContinuity(t *testing.T) {
 
 // TestSplineNaturalBoundary verifies the natural boundary condition y″ = 0
 // at both table ends analytically from the fitted coefficients: the second
-// derivative of interval j at local offset u is 2c[j] + 6d[j]u, so y″(x0)
-// = 2c[0] and y″(x_{n-1}) = 2c[n-2] + 6d[n-2]dx. This pins the end
+// derivative of interval j at local offset u is 2c_j + 6d_j u, so y″(x0)
+// = 2c_0 and y″(x_{n-1}) = 2c_{n-2} + 6d_{n-2}dx. This pins the end
 // intervals the deleted staging vector `m` was once suspected of feeding
-// (the condition is in fact carried by z[0] = 0 and c[n-1] = 0).
+// (the condition is in fact carried by z[0] = 0 and c_{n-1} = 0).
 func TestSplineNaturalBoundary(t *testing.T) {
 	// A function with non-zero curvature at the ends, so the test would
 	// catch a boundary condition that merely copied the analytic y''.
@@ -77,16 +77,16 @@ func TestSplineNaturalBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := 2 * s.c[0]; got != 0 {
+	if got := 2 * s.k[0].c; got != 0 {
 		t.Errorf("y''(x0) = %v, natural BC wants 0", got)
 	}
-	last := s.n - 2
-	if got := 2*s.c[last] + 6*s.d[last]*s.dx; math.Abs(got) > 1e-10 {
+	last := s.k[s.n-2]
+	if got := 2*last.c + 6*last.d*s.dx; math.Abs(got) > 1e-10 {
 		t.Errorf("y''(x_end) = %v, natural BC wants 0", got)
 	}
-	// c[n-1] itself is the back-substitution seed and must be exactly zero.
-	if s.c[s.n-1] != 0 {
-		t.Errorf("c[n-1] = %v, want 0", s.c[s.n-1])
+	// c_{n-1} itself is the back-substitution seed and must be exactly zero.
+	if c := s.k[s.n-1].c; c != 0 {
+		t.Errorf("c[n-1] = %v, want 0", c)
 	}
 }
 

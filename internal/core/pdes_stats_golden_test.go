@@ -29,10 +29,11 @@ func fig6Spec(lps int, rec *trace.Recorder, stats *des.ParallelStats, profile bo
 
 // TestParallelStatsTotalsInvariantAcrossLPCounts pins the partition
 // invariance of the profile: the same halo exchange run with 1, 2, 4 and 8
-// LPs executes the same events and the same sends, however they are split
-// across LPs. (Staged counts the cross-LP subset, so it legitimately varies
-// with the partition; epochs depend on the lookahead window per LP count.)
-// LPs left unset (0) is one LP and fills Stats like any other count.
+// LPs executes the same events, however they are split across LPs. A fabric
+// round sends no event to another LP (receive completions are applied after
+// the engine drains), so at every LP count it sends and stages nothing;
+// epochs depend on the lookahead window per LP count. LPs left unset (0) is
+// one LP and fills Stats like any other count.
 func TestParallelStatsTotalsInvariantAcrossLPCounts(t *testing.T) {
 	var ref des.ParallelStats
 	for i, lps := range []int{0, 1, 2, 4, 8} {
@@ -43,8 +44,11 @@ func TestParallelStatsTotalsInvariantAcrossLPCounts(t *testing.T) {
 		if want := max(lps, 1); len(st.LPs) != want {
 			t.Fatalf("%d LPs: stats carry %d LP rows, want %d", lps, len(st.LPs), want)
 		}
-		if st.TotalEvents() == 0 || st.TotalSends() == 0 {
+		if st.TotalEvents() == 0 {
 			t.Fatalf("%d LPs: empty profile %+v", lps, st)
+		}
+		if st.TotalSends() != 0 || st.TotalStaged() != 0 {
+			t.Errorf("%d LPs: fabric rounds sent %d events (%d staged across LPs), want none", lps, st.TotalSends(), st.TotalStaged())
 		}
 		if i == 0 {
 			ref = st
@@ -53,13 +57,6 @@ func TestParallelStatsTotalsInvariantAcrossLPCounts(t *testing.T) {
 		if st.TotalEvents() != ref.TotalEvents() {
 			t.Errorf("%d LPs: total events %d != 1-LP total %d", lps, st.TotalEvents(), ref.TotalEvents())
 		}
-		if st.TotalSends() != ref.TotalSends() {
-			t.Errorf("%d LPs: total sends %d != 1-LP total %d", lps, st.TotalSends(), ref.TotalSends())
-		}
-	}
-	// One LP stages nothing: every send is LP-local.
-	if ref.TotalStaged() != 0 {
-		t.Errorf("1-LP run staged %d cross-LP sends, want 0", ref.TotalStaged())
 	}
 }
 

@@ -1,7 +1,9 @@
 package tofu
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"tofumd/internal/des"
 	"tofumd/internal/faultinject"
@@ -81,9 +83,9 @@ func (tr *Transfer) Failed() bool { return tr.Dropped || tr.Nacked }
 // Every round runs on a des.ParallelEngine: one logical process by default
 // (a plain serial loop), or the node blocks SetParallel shards the fabric
 // into. Results are bit-identical at every LP count, because all per-round
-// mutable state is partitioned by the node that owns it and only inter-node
-// arrivals cross LPs — always at least one link latency (the engine's
-// lookahead) in the future.
+// mutable state the events touch is partitioned by the node that owns it and
+// no event crosses LPs: receive completions, the one cross-node effect, are
+// applied after the engine drains, in the order their events would have run.
 type Fabric struct {
 	Params Params
 	Map    *topo.RankMap
@@ -129,7 +131,8 @@ type Fabric struct {
 	// The fields below are the state of the round in flight, rebuilt by every
 	// RunRound in storage that is kept between rounds. A (rank, thread) pair
 	// is the slot rank*threads+thread; a slot's entries are only touched by
-	// events executing on the LP that owns the rank.
+	// events executing on the LP that owns the rank, or by the completion
+	// sweep once the engine has drained.
 	round               []*Transfer
 	iface               Interface
 	gap, sendOv, recvOv float64
@@ -141,14 +144,21 @@ type Fabric struct {
 	order []int32
 	fifo  []int32
 	head  []int32
-	// recvFree[slot] is when the slot's receive context is free again.
-	recvFree []float64
+	// lpSent[lp] counts the deliveries LP lp has transmitted so far, and
+	// sentKey[idx] = lp<<32 | ordinal names transfer idx's place in that
+	// sequence: the (src LP, seq) tail of the completion's ordering key.
+	lpSent  []uint64
+	sentKey []uint64
+	// recvs holds the deliveries grouped by receive context (the completion
+	// sweep's counting sort); recvAt[k] is where slot k's group starts while
+	// they are placed, and where it ends after.
+	recvAt []int32
+	recvs  []completion
 
 	// msgEvs/msgSet buffer one MessageEvent per transfer index during a
 	// round (only while Rec is enabled, which tracing records). The issue and
 	// transmit events of a transfer fill its slot on the source LP; the
-	// completion event — on the destination LP, ordered after them by the
-	// epoch barrier — or the failure path marks it set. The buffered events
+	// completion sweep or the failure path marks it set. The buffered events
 	// are flushed to Rec in transfer order after the round, making trace
 	// output both thread-safe and independent of event interleaving.
 	tracing bool
@@ -156,16 +166,25 @@ type Fabric struct {
 	msgSet  []bool
 }
 
-// The fabric's three event kinds, packed into a des tag as index<<2|kind:
-// evIssue carries a slot, evTransmit and evArrive a transfer index.
+// completion is one delivery in the completion sweep, carrying the key its
+// receive event would have been ordered by: (Arrival, IssueDone, src LP,
+// seq), with IssueDone the time of the event that transmitted it.
+type completion struct {
+	arrival, issueDone float64
+	key                uint64
+	idx                int32
+}
+
+// The fabric's two event kinds, packed into a des tag as index<<1|kind:
+// evIssue carries a slot whose head is not packed yet, evTransmit a
+// transfer index.
 const (
 	evIssue uint32 = iota
 	evTransmit
-	evArrive
 )
 
 // maxTagIndex bounds what fits beside the kind in a 32-bit tag.
-const maxTagIndex = 1 << 30
+const maxTagIndex = 1 << 31
 
 // fabricMetrics caches the fabric's metric handles so the per-message cost
 // is an atomic add, not a registry lookup. Per-TNI families are indexed by
@@ -343,12 +362,12 @@ func (f *Fabric) hops(srcNode, dstNode int32) int {
 }
 
 // packTag packs an event kind and its slot or transfer index.
-func packTag(idx int, kind uint32) uint32 { return uint32(idx)<<2 | kind }
+func packTag(idx int, kind uint32) uint32 { return uint32(idx)<<1 | kind }
 
 // schedule puts a tagged event on c, the LP executing the current event (or,
-// for the seeds, the LP owning the slot). Every time the fabric computes is
-// monotone by construction (costs are non-negative), so a past time is an
-// arithmetic bug worth crashing on.
+// for the inline seeds, the LP owning the slot). Every time the fabric
+// computes is monotone by construction (costs are non-negative), so a past
+// time is an arithmetic bug worth crashing on.
 func (f *Fabric) schedule(c *des.LP, t float64, tag uint32) {
 	if err := c.ScheduleTagAt(t, tag); err != nil {
 		panic("tofu: " + err.Error())
@@ -357,16 +376,21 @@ func (f *Fabric) schedule(c *des.LP, t float64, tag uint32) {
 
 // handle executes one of the fabric's events on c, the LP it was scheduled
 // on; it is the engine's tag handler.
+//
+// A transmit event also runs its thread's next issue. Scheduled apart, the
+// two would share time, sending clock and LP with consecutive seq, so no
+// event could sort between them in the engine's key (time, sendTime, src LP,
+// seq), and transmit schedules nothing: fused, they keep that order at one
+// event per transfer instead of two.
 func (f *Fabric) handle(c *des.LP, tag uint32) {
-	idx := int(tag >> 2)
-	switch tag & 3 {
-	case evIssue:
+	idx := int(tag >> 1)
+	if tag&1 == evIssue {
 		f.issue(c, idx)
-	case evTransmit:
-		f.transmit(c, idx)
-	case evArrive:
-		f.arrive(c, idx)
+		return
 	}
+	f.transmit(c, idx)
+	tr := f.round[idx]
+	f.issue(c, tr.Src*f.threads+tr.Thread)
 }
 
 // countAbandoned records events stranded in the engine.
@@ -466,7 +490,8 @@ func (f *Fabric) RunRound(transfers []*Transfer, iface Interface) error {
 	}
 	f.round, f.iface, f.threads = transfers, iface, threads
 	f.gap, f.sendOv, f.recvOv = p.InjectGap(iface), p.SendOverhead(iface), p.RecvOverhead(iface)
-	f.recvFree = zeroed(f.recvFree, slots)
+	f.lpSent = zeroed(f.lpSent, f.par.LPs())
+	f.sentKey = zeroed(f.sentKey, len(transfers))
 	f.tracing = f.Rec.Enabled()
 	if f.tracing {
 		f.msgEvs = zeroed(f.msgEvs, len(transfers))
@@ -492,20 +517,23 @@ func (f *Fabric) RunRound(transfers []*Transfer, iface Interface) error {
 	}
 	copy(f.head, f.fifo)
 
-	// Seed one issue event per non-empty FIFO, in ascending (rank, thread).
-	fifos := 0
+	// Start every thread inline, in ascending (rank, thread). As events the
+	// seeds would all sort first on their LP — key (0, 0, lp, seq) with
+	// everything they schedule later in seq — and LPs share no round state,
+	// so calling issue directly runs them in the same order.
 	for k := 0; k < slots; k++ {
-		if f.fifo[k] < f.fifo[k+1] {
-			f.schedule(f.par.LP(int(f.lpOfRank[k/threads])), 0, packTag(k, evIssue))
-			fifos++
-		}
+		f.issue(f.par.LP(int(f.lpOfRank[k/threads])), k)
 	}
-	// Each transfer contributes a bounded number of events (seed, at most
-	// one ready-wait, issue chain, transmit, receive completion), so this
-	// budget is never reached by a correct round; hitting it means a
-	// scheduling cycle and stops what would otherwise be a livelock.
-	budget := 8*len(transfers) + 8*fifos + 64
+	// Each transfer is exactly one transmit event (which also issues the
+	// thread's next command) plus at most one ready-wait, after which its
+	// ReadyAt has passed: a correct round runs at most 2*len(transfers)
+	// events, so reaching this budget means a scheduling cycle and stops
+	// what would otherwise be a livelock.
+	budget := 2*len(transfers) + 64
 	_, runErr := f.par.RunBudget(budget)
+	if runErr == nil {
+		f.complete(slots)
+	}
 	f.flushTrace()
 	f.publishLPStats()
 	f.round = nil
@@ -522,9 +550,9 @@ func (f *Fabric) RunRound(transfers []*Transfer, iface Interface) error {
 }
 
 // issue runs slot k's issuing thread: it charges the software cost of the
-// FIFO's head, hands the command to the TNI engine and re-arms itself for
-// the next one. A head that is not packed yet stays in the FIFO while the
-// thread idles until its ReadyAt.
+// FIFO's head and hands the command to the TNI engine, whose transmit event
+// issues the thread's next one. A head that is not packed yet stays in the
+// FIFO while the thread idles until its ReadyAt (a ready-wait event).
 func (f *Fabric) issue(c *des.LP, k int) {
 	pos := f.head[k]
 	if pos == f.fifo[k+1] {
@@ -556,16 +584,15 @@ func (f *Fabric) issue(c *des.LP, k int) {
 		f.msgEvs[idx].IssueStart = f.RecBase + start
 	}
 	// Hand the command to the TNI engine at issue completion; the thread
-	// can issue its next message immediately after.
+	// can issue its next message immediately after, in the same event.
 	f.schedule(c, done, packTag(idx, evTransmit))
-	f.schedule(c, done, packTag(k, evIssue))
 }
 
 // transmit serializes transfer idx on the source TNI engine and computes the
 // network arrival time. It executes on c, the LP owning the source rank;
-// everything it touches (TNI slots of the source node, the transfer's trace
-// slot) is owned by that LP, and the receive completion is forwarded to the
-// LP owning the completion context's rank.
+// everything it touches (TNI slots of the source node, the LP's delivery
+// count, the transfer's trace slot) is owned by that LP. A delivery is
+// completed by the sweep after the round (complete).
 func (f *Fabric) transmit(c *des.LP, idx int) {
 	p := &f.Params
 	tr := f.round[idx]
@@ -649,7 +676,7 @@ func (f *Fabric) transmit(c *des.LP, idx int) {
 		tr.Arrival = txDone + lat
 	}
 	if f.tracing {
-		// Everything known at transmit time; arrive adds the completion.
+		// Everything known at transmit time; complete adds the completion.
 		b, ev := f.RecBase, &f.msgEvs[idx]
 		*ev = trace.MessageEvent{
 			Src: tr.Src, Dst: tr.Dst, SrcNode: int(srcNode),
@@ -687,51 +714,93 @@ func (f *Fabric) transmit(c *des.LP, idx int) {
 		}
 		return
 	}
-	// The receiver's polling context handles completions one at a time.
-	// For a get, the payload returns to the issuer, whose own context
-	// harvests the TCQ completion. The completion event belongs to (and
-	// executes on) the LP owning the context's rank; for gets and
-	// intra-node puts that is the source's own LP, and the only truly
-	// cross-LP hop — an inter-node arrival — is at least one link latency
-	// (= the engine's lookahead) away. The engine checks that: a violation
-	// means the fabric computed an inter-node delivery faster than the
-	// minimum link latency, an arithmetic bug worth crashing on.
-	ctxRank := tr.Dst
-	if tr.IsGet {
-		ctxRank = tr.Src
-	}
-	if err := c.SendTagAt(f.par.LP(int(f.lpOfRank[ctxRank])), tr.Arrival, packTag(idx, evArrive)); err != nil {
-		panic("tofu: " + err.Error())
-	}
+	// The delivery's place among this LP's transmissions: the seq its
+	// receive event would have carried, up to a monotone renumbering.
+	lp := c.ID()
+	f.sentKey[idx] = uint64(lp)<<32 | f.lpSent[lp]
+	f.lpSent[lp]++
 }
 
-// arrive completes transfer idx on its receive context, which handles
-// completions one at a time. It executes on c, the LP owning the context's
-// rank.
-func (f *Fabric) arrive(c *des.LP, idx int) {
-	p := &f.Params
-	tr := f.round[idx]
-	ctx := tr.Dst*f.threads + tr.DstThread
+// recvCtx returns the slot of the polling context that completes tr. For a
+// get, the payload returns to the issuer, whose own context harvests the TCQ
+// completion.
+func (f *Fabric) recvCtx(tr *Transfer) int {
 	if tr.IsGet {
-		ctx = tr.Src*f.threads + tr.Thread
+		return tr.Src*f.threads + tr.Thread
+	}
+	return tr.Dst*f.threads + tr.DstThread
+}
+
+// complete runs every delivery's receive completion after the engine has
+// drained. A receive context handles completions one at a time, and a
+// completion touches only its context's free time and its own transfer, so
+// all that matters is the order within each context: the order the
+// completions would run in as events at their Arrival, sent from the
+// transmit event at IssueDone — (Arrival, IssueDone, src LP, seq). Ties on
+// the times are common (homogeneous rounds), so the full key is needed.
+func (f *Fabric) complete(slots int) {
+	p := &f.Params
+	// Group the deliveries by context with a stable counting sort.
+	f.recvAt = zeroed(f.recvAt, slots+1)
+	n := 0
+	for _, tr := range f.round {
+		if !tr.Failed() {
+			f.recvAt[f.recvCtx(tr)+1]++
+			n++
+		}
+	}
+	for k := 0; k < slots; k++ {
+		f.recvAt[k+1] += f.recvAt[k]
+	}
+	f.recvs = zeroed(f.recvs, n)
+	for idx, tr := range f.round {
+		if tr.Failed() {
+			continue
+		}
+		k := f.recvCtx(tr)
+		f.recvs[f.recvAt[k]] = completion{arrival: tr.Arrival, issueDone: tr.IssueDone, key: f.sentKey[idx], idx: int32(idx)}
+		f.recvAt[k]++
 	}
 	cost := f.recvOv
 	if !p.CacheInjection {
 		cost += p.CacheMissPenalty
 	}
-	if tr.TwoStep {
-		cost += f.recvOv // match the length message too
+	lo := int32(0)
+	for _, hi := range f.recvAt[:slots] {
+		group := f.recvs[lo:hi]
+		lo = hi
+		slices.SortFunc(group, completionOrder)
+		free := 0.0 // when the context is free again
+		for _, d := range group {
+			tr := f.round[d.idx]
+			ov := cost
+			if tr.TwoStep {
+				ov += f.recvOv // match the length message too
+			}
+			start := tr.Arrival
+			if free > start {
+				start = free
+			}
+			tr.RecvComplete = start + ov
+			free = tr.RecvComplete
+			if f.tracing {
+				ev := &f.msgEvs[d.idx]
+				ev.Arrival = f.RecBase + tr.Arrival
+				ev.RecvComplete = f.RecBase + tr.RecvComplete
+				f.msgSet[d.idx] = true
+			}
+		}
 	}
-	start := c.Now()
-	if free := f.recvFree[ctx]; free > start {
-		start = free
+}
+
+// completionOrder orders one context's deliveries by their receive event's
+// key.
+func completionOrder(a, b completion) int {
+	if a.arrival != b.arrival {
+		return cmp.Compare(a.arrival, b.arrival)
 	}
-	tr.RecvComplete = start + cost
-	f.recvFree[ctx] = tr.RecvComplete
-	if f.tracing {
-		ev := &f.msgEvs[idx]
-		ev.Arrival = f.RecBase + tr.Arrival
-		ev.RecvComplete = f.RecBase + tr.RecvComplete
-		f.msgSet[idx] = true
+	if a.issueDone != b.issueDone {
+		return cmp.Compare(a.issueDone, b.issueDone)
 	}
+	return cmp.Compare(a.key, b.key)
 }

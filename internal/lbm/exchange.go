@@ -52,36 +52,50 @@ func (r *Rank) cellAt(dim, layer, a, b int) int {
 	}
 }
 
+// bStride is the flat-index step of the b axis of a dim-d plane: b is z
+// on the x and y planes, y on the z planes.
+func (r *Rank) bStride(dim int) int {
+	if dim == 2 {
+		return r.N.Z + 2
+	}
+	return 1
+}
+
 // packPlane serializes the fpost plane at the given layer of the exchange
-// axis into dst.
+// axis into dst. The wire layout is (a, b, q), q fastest; it is written
+// one a-row at a time, q outer and b inner, so each source walk is a
+// constant-stride run through one distribution array.
 func (r *Rank) packPlane(dim, layer int, dst []byte) []byte {
 	n := [3]int{r.N.X, r.N.Y, r.N.Z}
 	aLo, aHi, bLo, bHi := planeRange(dim, n)
 	dst = halo.Grow(dst, r.planeBytes(dim))
-	o := 0
+	nb, stride := bHi-bLo+1, r.bStride(dim)
+	const cell = Q * halo.F64Bytes
 	for a := aLo; a <= aHi; a++ {
-		for b := bLo; b <= bHi; b++ {
-			i := r.cellAt(dim, layer, a, b)
-			for q := 0; q < Q; q++ {
-				halo.PutF64(dst[o:], r.fpost[q][i])
-				o += halo.F64Bytes
+		row := dst[(a-aLo)*nb*cell:][:nb*cell]
+		i0 := r.cellAt(dim, layer, a, bLo)
+		for q, src := range &r.fpost {
+			for o, i := q*halo.F64Bytes, i0; o < len(row); o, i = o+cell, i+stride {
+				halo.PutF64(row[o:], src[i])
 			}
 		}
 	}
-	return dst[:o]
+	return dst
 }
 
-// unpackPlane deserializes a received plane into the fpost ghost layer.
+// unpackPlane deserializes a received plane into the fpost ghost layer,
+// row by row in packPlane's order.
 func (r *Rank) unpackPlane(dim, layer int, src []byte) {
 	n := [3]int{r.N.X, r.N.Y, r.N.Z}
 	aLo, aHi, bLo, bHi := planeRange(dim, n)
-	o := 0
+	nb, stride := bHi-bLo+1, r.bStride(dim)
+	const cell = Q * halo.F64Bytes
 	for a := aLo; a <= aHi; a++ {
-		for b := bLo; b <= bHi; b++ {
-			i := r.cellAt(dim, layer, a, b)
-			for q := 0; q < Q; q++ {
-				r.fpost[q][i] = halo.GetF64(src[o:])
-				o += halo.F64Bytes
+		row := src[(a-aLo)*nb*cell:][:nb*cell]
+		i0 := r.cellAt(dim, layer, a, bLo)
+		for q, dst := range &r.fpost {
+			for o, i := q*halo.F64Bytes, i0; o < len(row); o, i = o+cell, i+stride {
+				dst[i] = halo.GetF64(row[o:])
 			}
 		}
 	}
@@ -134,13 +148,14 @@ func (s *System) newEngine() *halo.Engine {
 	}
 }
 
-// lmsg tracks one in-flight plane message of a dimension round.
-type lmsg struct {
-	hm       *halo.Msg
-	dst      *Rank
-	dim      int
-	ghost    int // receiver ghost layer the payload lands in
-	wireCost int // payload bytes, for the unpack charge
+// plane is one outgoing face plane of a dimension round. The sender's pack
+// task fills its slot, the serial gather resolves the uTofu region and
+// queues it, and the receiver's unpack task consumes it.
+type plane struct {
+	hm    halo.Msg
+	dst   *Rank // nil: periodic self-image, applied by the pack task
+	side  int   // receiver inbox: 0 the low ghost layer, 1 the high
+	ghost int   // receiver ghost layer the payload lands in
 }
 
 // exchange runs the three staged dimension rounds over the post-collision
@@ -149,11 +164,9 @@ type lmsg struct {
 // (exchange start + core collide time), so communication time under the
 // compute envelope is hidden.
 func (s *System) exchange() {
-	var commStart []float64
 	if s.Cfg.Overlap {
-		commStart = make([]float64, len(s.ranks))
 		for i, r := range s.ranks {
-			commStart[i] = r.Clock
+			s.commStart[i] = r.Clock
 		}
 	}
 	for dim := 0; dim < 3; dim++ {
@@ -161,7 +174,7 @@ func (s *System) exchange() {
 	}
 	if s.Cfg.Overlap {
 		for i, r := range s.ranks {
-			if t := commStart[i] + s.Cost.LBMCollideTime(coreCells(r.N), machine.Pool); t > r.Clock {
+			if t := s.commStart[i] + s.Cost.LBMCollideTime(coreCells(r.N), machine.Pool); t > r.Clock {
 				r.Clock = t
 			}
 		}
@@ -170,53 +183,78 @@ func (s *System) exchange() {
 
 // exchangeDim runs one dimension round: every rank ships its two boundary
 // planes to its -dim and +dim neighbors (or copies them locally when the
-// grid is one rank wide on the axis).
+// grid is one rank wide on the axis). Packing runs per sender and
+// unpacking per receiver in parallel; between them a serial gather builds
+// the message list in sender order, -dim before +dim, and assigns the
+// receivers' inbox regions, so the round and every clock addition happen in
+// the same order as a serial loop over the ranks.
 func (s *System) exchangeDim(dim int) {
-	var msgs []lmsg
-	for _, r := range s.ranks {
-		for _, sign := range []int{-1, 1} {
-			dir := vec.I3{}.SetComp(dim, sign)
-			dst := s.ranks[s.Map.NeighborRank(r.ID, dir)]
-			// The sender's boundary layer and the ghost layer it fills on
-			// the receiver: +dim sends the top interior layer into the
-			// receiver's low ghost, -dim the bottom layer into the high one.
-			var layer, ghost, side int
-			if sign > 0 {
-				layer, ghost, side = r.N.Comp(dim), 0, 0
-			} else {
-				layer, ghost, side = 1, dst.N.Comp(dim)+1, 1
-			}
-			data := r.packPlane(dim, layer, nil)
-			r.Clock += s.packCost(len(data))
-			if dst == r {
-				// Periodic self-image on a one-rank axis: local copy.
-				r.unpackPlane(dim, ghost, data)
-				r.Clock += s.unpackCost(len(data))
-				continue
-			}
-			hm := &halo.Msg{
-				Src: r.ID, Dst: dst.ID, TNI: r.tni,
-				Data: data, Known: true, ReadyAt: r.Clock,
-			}
-			if s.Cfg.Transport == halo.TransportUTofu {
-				ib := dst.inboxes[dim][side]
-				hm.Region = ib.Regions[dst.seq[dim][side]%4]
-				dst.seq[dim][side]++
-			}
-			msgs = append(msgs, lmsg{hm: hm, dst: dst, dim: dim, ghost: ghost, wireCost: len(data)})
+	s.forRanks(func(r *Rank) { s.sendPlanes(r, dim) })
+	for i := range s.planes {
+		p := &s.planes[i]
+		if p.dst == nil {
+			continue
 		}
+		if s.Cfg.Transport == halo.TransportUTofu {
+			ib := p.dst.inboxes[dim][p.side]
+			p.hm.Region = ib.Regions[p.dst.seq[dim][p.side]%len(ib.Regions)]
+			p.dst.seq[dim][p.side]++
+		}
+		s.hms = append(s.hms, &p.hm)
+		p.dst.recv = append(p.dst.recv, p)
 	}
-	if len(msgs) == 0 {
+	if len(s.hms) == 0 {
 		return
 	}
-	hms := make([]*halo.Msg, len(msgs))
-	for i := range msgs {
-		hms[i] = msgs[i].hm
-	}
-	s.eng.RunRound(s.Cfg.Transport, hms)
-	for i := range msgs {
-		m := &msgs[i]
-		m.dst.unpackPlane(m.dim, m.ghost, m.hm.Data)
-		m.dst.Clock += s.unpackCost(m.wireCost)
+	s.eng.RunRound(s.Cfg.Transport, s.hms)
+	s.forRanks(func(r *Rank) {
+		for _, p := range r.recv {
+			r.unpackPlane(dim, p.ghost, p.hm.Data)
+			r.Clock += s.unpackCost(len(p.hm.Data))
+		}
+		r.recv = r.recv[:0]
+	})
+	// The slots hold the only references to the round's payloads (hms and
+	// the receive lists point into them): clear them so the planes do not
+	// outlive the round and hold a step's worth of payload in the live heap.
+	clear(s.planes)
+	s.hms = s.hms[:0]
+}
+
+// sendPlanes is the pack half of a dimension round for rank r: it packs
+// the -dim and +dim boundary planes into r's two slots of s.planes,
+// charging r's clock, and applies a periodic self-image in place. It
+// reads other ranks only for their immutable extents.
+func (s *System) sendPlanes(r *Rank, dim int) {
+	for k, sign := range [2]int{-1, 1} {
+		dst := s.ranks[s.Map.NeighborRank(r.ID, vec.I3{}.SetComp(dim, sign))]
+		// The sender's boundary layer and the ghost layer it fills on the
+		// receiver: +dim sends the top interior layer into the receiver's
+		// low ghost, -dim the bottom layer into the high one.
+		var layer, ghost, side int
+		if sign > 0 {
+			layer, ghost, side = r.N.Comp(dim), 0, 0
+		} else {
+			layer, ghost, side = 1, dst.N.Comp(dim)+1, 1
+		}
+		p := &s.planes[2*r.ID+k]
+		if dst == r {
+			// Periodic self-image on a one-rank axis: local copy.
+			r.selfBuf = r.packPlane(dim, layer, r.selfBuf)
+			r.Clock += s.packCost(len(r.selfBuf))
+			r.unpackPlane(dim, ghost, r.selfBuf)
+			r.Clock += s.unpackCost(len(r.selfBuf))
+			*p = plane{}
+			continue
+		}
+		data := r.packPlane(dim, layer, nil)
+		r.Clock += s.packCost(len(data))
+		*p = plane{
+			hm: halo.Msg{
+				Src: r.ID, Dst: dst.ID, TNI: r.tni,
+				Data: data, Known: true, ReadyAt: r.Clock,
+			},
+			dst: dst, side: side, ghost: ghost,
+		}
 	}
 }

@@ -19,6 +19,9 @@ package lbm
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"tofumd/internal/halo"
 	"tofumd/internal/machine"
@@ -103,6 +106,13 @@ type Rank struct {
 	inboxes [3][2]*halo.Inbox
 	seq     [3][2]int
 
+	// recv lists the planes this rank receives in the current dimension
+	// round, in message order (the serial gather fills it, the rank's unpack
+	// task drains it). selfBuf is the staging buffer of a periodic
+	// self-image copy, allocated only on ranks that have one.
+	recv    []*plane
+	selfBuf []byte
+
 	// vcq and tni are the rank's uTofu injection resources (per-rank-slot
 	// policy; nil/0 under the MPI transport).
 	vcq *utofu.VCQ
@@ -126,6 +136,14 @@ type System struct {
 
 	ranks []*Rank
 	step  int
+
+	// planes has two slots per rank, [2*id] for the -dim and [2*id+1] for
+	// the +dim plane of the current dimension round; hms is the round's
+	// message list. commStart holds each rank's clock at the start of an
+	// overlapped exchange. All three are scratch reused every step.
+	planes    []plane
+	hms       []*halo.Msg
+	commStart []float64
 
 	// SetupTime is the virtual time spent registering buffers and creating
 	// VCQs, kept out of the per-step accounting.
@@ -151,13 +169,18 @@ func New(m *topo.RankMap, params tofu.Params, cost machine.CostModel, cfg Config
 	for id := range s.ranks {
 		c := m.RankCoord(id)
 		lo, hi := halo.CellRange(cfg.Cells, m.Grid, c)
-		r := &Rank{ID: id, Coord: c, Lo: lo, Hi: hi, N: hi.Sub(lo)}
+		r := &Rank{ID: id, Coord: c, Lo: lo, Hi: hi, N: hi.Sub(lo), recv: make([]*plane, 0, 2)}
 		n := (r.N.X + 2) * (r.N.Y + 2) * (r.N.Z + 2)
 		for q := 0; q < Q; q++ {
 			r.f[q] = make([]float64, n)
 			r.fpost[q] = make([]float64, n)
 		}
 		s.ranks[id] = r
+	}
+	s.planes = make([]plane, 2*len(s.ranks))
+	s.hms = make([]*halo.Msg, 0, len(s.planes))
+	if cfg.Overlap {
+		s.commStart = make([]float64, len(s.ranks))
 	}
 	if err := s.setupTransport(params); err != nil {
 		return nil, err
@@ -226,7 +249,10 @@ func (s *System) setEquilibrium(r *Rank, x, y, z int, rho float64, u vec.V3) {
 }
 
 // Step advances the lattice one time step: collide, exchange the
-// post-collision boundary planes, stream.
+// post-collision boundary planes, stream. Collide, stream and the pack and
+// unpack halves of every dimension round run the ranks in parallel
+// (forRanks); each task touches only its own rank, so the result is
+// bit-identical at every GOMAXPROCS.
 func (s *System) Step() {
 	s.collide()
 	s.exchange()
@@ -234,16 +260,40 @@ func (s *System) Step() {
 	s.step++
 }
 
+// forRanks runs fn once for every rank on min(GOMAXPROCS, ranks)
+// goroutines, the caller among them, and returns when all calls have.
+// Ranks are handed out one at a time from a shared counter, so uneven
+// blocks balance themselves. fn must touch only the state of the rank it
+// is given: the calls of one region run concurrently.
+func (s *System) forRanks(fn func(*Rank)) {
+	workers := min(runtime.GOMAXPROCS(0), len(s.ranks))
+	var region struct {
+		next atomic.Int64
+		done sync.WaitGroup
+	}
+	work := func() {
+		for i := int(region.next.Add(1)) - 1; i < len(s.ranks); i = int(region.next.Add(1)) - 1 {
+			fn(s.ranks[i])
+		}
+		region.done.Done()
+	}
+	region.done.Add(workers)
+	for w := 1; w < workers; w++ {
+		go work()
+	}
+	work()
+	region.done.Wait()
+}
+
 // collide relaxes every interior cell toward its local equilibrium,
 // writing fpost. Under the overlap variant only the boundary shell is
 // charged here; the interior core's cost is overlapped with the exchange.
 func (s *System) collide() {
-	for _, r := range s.ranks {
+	invTau := 1 / s.Cfg.Tau
+	s.forRanks(func(r *Rank) {
 		for x := 1; x <= r.N.X; x++ {
 			for y := 1; y <= r.N.Y; y++ {
-				for z := 1; z <= r.N.Z; z++ {
-					s.collideCell(r, r.idx(x, y, z))
-				}
+				collideRow(&r.f, &r.fpost, r.idx(x, y, 1), r.N.Z, invTau)
 			}
 		}
 		cells := r.N.Prod()
@@ -253,7 +303,7 @@ func (s *System) collide() {
 		} else {
 			r.Clock += s.Cost.LBMCollideTime(cells, machine.Pool)
 		}
-	}
+	})
 }
 
 // coreCells counts the interior cells at least one layer away from every
@@ -272,46 +322,79 @@ func coreCells(n vec.I3) int {
 	return cx * cy * cz
 }
 
-// collideCell applies the BGK relaxation to one cell.
-func (s *System) collideCell(r *Rank, i int) {
-	var rho float64
-	var ux, uy, uz float64
-	for q := 0; q < Q; q++ {
-		fq := r.f[q][i]
-		rho += fq
-		ux += fq * float64(dirs[q].X)
-		uy += fq * float64(dirs[q].Y)
-		uz += fq * float64(dirs[q].Z)
-	}
-	inv := 1 / rho
-	ux, uy, uz = ux*inv, uy*inv, uz*inv
-	u2 := ux*ux + uy*uy + uz*uz
-	invTau := 1 / s.Cfg.Tau
-	for q := 0; q < Q; q++ {
-		eu := float64(dirs[q].X)*ux + float64(dirs[q].Y)*uy + float64(dirs[q].Z)*uz
-		feq := weights[q] * rho * (1 + 3*eu + 4.5*eu*eu - 1.5*u2)
-		r.fpost[q][i] = r.f[q][i] + (feq-r.f[q][i])*invTau
+// collideRow applies the BGK relaxation to the n cells [i, i+n) of one
+// z-row, with the 19 directions written out. It is the loop over dirs
+// unrolled, bit for bit: the moment sums add the same terms in q order
+// less those whose coefficient is 0, and eu is the dot product in
+// ±ux±uy form, which is exact (x·1 = x, x·(−1) = −x, x + (−y) = x − y). A
+// dropped ±0 term can change only the sign of an exact zero, and a zero
+// eu enters feq only through 1+3·eu and eu² (relax), where its sign is
+// lost. rho keeps the loop's leading 0, the one place a zero's sign would
+// survive (as the sign of 1/rho).
+func collideRow(f, fpost *[Q][]float64, i, n int, invTau float64) {
+	j := i + n
+	f0, f1, f2, f3, f4, f5, f6 := f[0][i:j], f[1][i:j], f[2][i:j], f[3][i:j], f[4][i:j], f[5][i:j], f[6][i:j]
+	f7, f8, f9, f10, f11, f12 := f[7][i:j], f[8][i:j], f[9][i:j], f[10][i:j], f[11][i:j], f[12][i:j]
+	f13, f14, f15, f16, f17, f18 := f[13][i:j], f[14][i:j], f[15][i:j], f[16][i:j], f[17][i:j], f[18][i:j]
+	for z := range f0 {
+		v0, v1, v2, v3, v4, v5, v6 := f0[z], f1[z], f2[z], f3[z], f4[z], f5[z], f6[z]
+		v7, v8, v9, v10, v11, v12 := f7[z], f8[z], f9[z], f10[z], f11[z], f12[z]
+		v13, v14, v15, v16, v17, v18 := f13[z], f14[z], f15[z], f16[z], f17[z], f18[z]
+		rho := 0 + v0 + v1 + v2 + v3 + v4 + v5 + v6 + v7 + v8 + v9 + v10 + v11 + v12 + v13 + v14 + v15 + v16 + v17 + v18
+		ux := v1 - v2 + v7 - v8 + v9 - v10 + v11 - v12 + v13 - v14
+		uy := v3 - v4 + v7 - v8 - v9 + v10 + v15 - v16 + v17 - v18
+		uz := v5 - v6 + v11 - v12 - v13 + v14 + v15 - v16 - v17 + v18
+		inv := 1 / rho
+		ux, uy, uz = ux*inv, uy*inv, uz*inv
+		u15 := 1.5 * (ux*ux + uy*uy + uz*uz)
+		w0, w1, w2 := weights[0]*rho, weights[1]*rho, weights[7]*rho
+		fpost[0][i+z] = relax(v0, w0, 0, u15, invTau)
+		fpost[1][i+z] = relax(v1, w1, ux, u15, invTau)
+		fpost[2][i+z] = relax(v2, w1, -ux, u15, invTau)
+		fpost[3][i+z] = relax(v3, w1, uy, u15, invTau)
+		fpost[4][i+z] = relax(v4, w1, -uy, u15, invTau)
+		fpost[5][i+z] = relax(v5, w1, uz, u15, invTau)
+		fpost[6][i+z] = relax(v6, w1, -uz, u15, invTau)
+		fpost[7][i+z] = relax(v7, w2, ux+uy, u15, invTau)
+		fpost[8][i+z] = relax(v8, w2, -ux-uy, u15, invTau)
+		fpost[9][i+z] = relax(v9, w2, ux-uy, u15, invTau)
+		fpost[10][i+z] = relax(v10, w2, -ux+uy, u15, invTau)
+		fpost[11][i+z] = relax(v11, w2, ux+uz, u15, invTau)
+		fpost[12][i+z] = relax(v12, w2, -ux-uz, u15, invTau)
+		fpost[13][i+z] = relax(v13, w2, ux-uz, u15, invTau)
+		fpost[14][i+z] = relax(v14, w2, -ux+uz, u15, invTau)
+		fpost[15][i+z] = relax(v15, w2, uy+uz, u15, invTau)
+		fpost[16][i+z] = relax(v16, w2, -uy-uz, u15, invTau)
+		fpost[17][i+z] = relax(v17, w2, uy-uz, u15, invTau)
+		fpost[18][i+z] = relax(v18, w2, -uy+uz, u15, invTau)
 	}
 }
 
+// relax returns the post-collision value of a distribution v with
+// weighted density wRho, velocity projection eu and 1.5·u² = u15.
+func relax(v, wRho, eu, u15, invTau float64) float64 {
+	feq := wRho * (1 + 3*eu + 4.5*eu*eu - u15)
+	return v + (feq-v)*invTau
+}
+
 // stream performs the pull streaming: every interior cell reads the
-// post-collision value from its upwind neighbor (ghosts included) into f.
+// post-collision value from its upwind neighbor (ghosts included) into f,
+// one copy per (q, x, y) z-row.
 func (s *System) stream() {
-	for _, r := range s.ranks {
+	s.forRanks(func(r *Rank) {
 		for q := 0; q < Q; q++ {
 			e := dirs[q]
 			src := r.fpost[q]
 			dst := r.f[q]
 			for x := 1; x <= r.N.X; x++ {
 				for y := 1; y <= r.N.Y; y++ {
-					for z := 1; z <= r.N.Z; z++ {
-						dst[r.idx(x, y, z)] = src[r.idx(x-e.X, y-e.Y, z-e.Z)]
-					}
+					i, k := r.idx(x, y, 1), r.idx(x-e.X, y-e.Y, 1-e.Z)
+					copy(dst[i:i+r.N.Z], src[k:k+r.N.Z])
 				}
 			}
 		}
 		r.Clock += s.Cost.LBMStreamTime(r.N.Prod(), machine.Pool)
-	}
+	})
 }
 
 // Mass returns the global mass (sum of all distributions), an invariant of
@@ -397,11 +480,13 @@ func (s *System) Fingerprint() uint64 {
 	return h
 }
 
-// PackTimeBytes exposes the pack cost model for the exchange layer.
+// packCost is the virtual time of packing a plane of the given wire size.
 func (s *System) packCost(bytes int) float64 {
 	return s.Cost.PackTime(units.Bytes(bytes), machine.Pool)
 }
 
+// unpackCost is the virtual time of unpacking a plane of the given wire
+// size into a ghost layer.
 func (s *System) unpackCost(bytes int) float64 {
 	return s.Cost.UnpackTime(units.Bytes(bytes), machine.Pool)
 }

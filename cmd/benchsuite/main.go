@@ -30,7 +30,7 @@ import (
 // experimentOrder is the canonical run order; it doubles as the known-name
 // list that -experiment values are validated against.
 var experimentOrder = []string{
-	"table1", "fig6", "fig8", "fig11", "fig12", "fig13", "table3", "fig14", "fig15", "ablations", "faults", "failstop", "pdes", "lbm",
+	"table1", "fig6", "fig8", "fig11", "fig12", "fig13", "table3", "fig14", "fig15", "ablations", "faults", "failstop", "lbm",
 }
 
 func main() {
@@ -46,16 +46,15 @@ func main() {
 		metFile    = flag.String("metrics", "", "dump the metrics registry to this file at exit (.json for JSON, text otherwise)")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for long -full runs")
 		faultsStr  = flag.String("faults", "", `fault injection spec for the raw-fabric experiments, e.g. "drop=0.01,seed=7"`)
-		par        = flag.Int("par", 0, "logical processes for the pdes engine-speedup experiment (0 = default)")
+		par        = flag.Int("par", 0, "logical processes for the lbm experiment's serial-vs-parallel determinism check (0 = default)")
 		statusAddr = flag.String("status", "", "serve a live JSON run-status endpoint on this address (GET /status; reports the experiment in flight)")
-		explain    = flag.Bool("explain", false, "append the scaling-diagnosis report (per-LP profile + critical path) to the pdes experiment")
 	)
 	flag.Parse()
 	faults, err := faultinject.ParseSpec(*faultsStr)
 	if err != nil {
 		log.Fatal(err)
 	}
-	opt := bench.Options{Full: *full, Steps: *steps, Faults: faults, Par: *par, Explain: *explain}
+	opt := bench.Options{Full: *full, Steps: *steps, Faults: faults, Par: *par}
 	if *traceFile != "" {
 		opt.Rec = trace.NewRecorder()
 	}
@@ -197,10 +196,6 @@ func main() {
 	})
 	run("failstop", func() (string, *bench.Artifact, error) {
 		r, err := bench.Failstop(opt)
-		return r.Format(), r.Artifact(opt), err
-	})
-	run("pdes", func() (string, *bench.Artifact, error) {
-		r, err := bench.Pdes(opt)
 		return r.Format(), r.Artifact(opt), err
 	})
 	run("lbm", func() (string, *bench.Artifact, error) {

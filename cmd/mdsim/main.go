@@ -8,6 +8,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -154,14 +155,14 @@ func main() {
 		return
 	}
 	status.SetSteps(*steps)
+	closeDump := func() error { return nil }
 	if *dumpFile != "" {
 		f, err := os.Create(*dumpFile)
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer f.Close()
 		w := dump.NewWriter(f)
-		defer w.Flush()
+		closeDump = func() error { return errors.Join(w.Flush(), f.Close()) }
 		every := *dumpEv
 		if every < 1 {
 			every = 1
@@ -215,6 +216,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	if err := closeDump(); err != nil {
+		log.Fatalf("dump: %v", err)
+	}
 	status.Finish()
 
 	fmt.Printf("tofumd (%s potential, %s variant) on %d nodes / %d ranks\n",
@@ -240,7 +244,6 @@ func main() {
 	}
 	writeTrace(*traceFile, rec)
 	finishMetrics(*metFile, met)
-	os.Exit(0)
 }
 
 // observeStep is the diagnosis layer's step-boundary hook: it samples the

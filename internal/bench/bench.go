@@ -34,11 +34,9 @@ type Options struct {
 	// sweeps its own rates and ignores this field.
 	Faults faultinject.Spec
 	// Par is the logical-process count of the parallel event engine for the
-	// pdes experiment (0 picks a default; 1 would compare serial to serial).
+	// lbm experiment's serial-vs-parallel determinism check (0 picks a
+	// default).
 	Par int
-	// Explain, when set, renders the scaling-diagnosis report (per-LP
-	// profile + critical path) into the pdes result.
-	Explain bool
 }
 
 // tileFor returns the functional tile for experiments pinned at 768 nodes.

@@ -25,12 +25,7 @@ var DefaultTolerances = map[string]float64{
 	"ablations": 0.35,
 	"faults":    0.50,
 	"failstop":  0.50,
-	// pdes gates a wall-clock speedup, which tracks the measuring host's
-	// core count and load; only a collapse should trip the gate.
-	"pdes": 0.75,
-	// lbm is fully virtual-time deterministic; headroom only for cost-model
-	// recalibrations.
-	"lbm": 0.25,
+	"lbm":       0.25,
 }
 
 // compareAbsFloor is the magnitude below which two values are considered

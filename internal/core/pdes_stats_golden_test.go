@@ -7,6 +7,7 @@ import (
 
 	"tofumd/internal/des"
 	"tofumd/internal/md/sim"
+	"tofumd/internal/obs"
 	"tofumd/internal/trace"
 	"tofumd/internal/vec"
 )
@@ -50,6 +51,11 @@ func TestParallelStatsTotalsInvariantAcrossLPCounts(t *testing.T) {
 		if st.TotalSends() != 0 || st.TotalStaged() != 0 {
 			t.Errorf("%d LPs: fabric rounds sent %d events (%d staged across LPs), want none", lps, st.TotalSends(), st.TotalStaged())
 		}
+		// max/mean events across LPs: exactly 1 when one LP holds them all,
+		// never below 1 when they are split.
+		if imb := st.ImbalanceMax(); (lps <= 1 && imb != 1) || imb < 1 {
+			t.Errorf("%d LPs: ImbalanceMax = %v, want 1 at one LP and >= 1 otherwise", lps, imb)
+		}
 		if i == 0 {
 			ref = st
 			continue
@@ -62,8 +68,9 @@ func TestParallelStatsTotalsInvariantAcrossLPCounts(t *testing.T) {
 
 // TestProfilingDoesNotChangeResults is the bit-identity golden: the same
 // 4-LP run with profiling on and off must agree on the halo time, on every
-// recorded message event, and on the exported Chrome trace bytes. Only the
-// stats may differ (barrier-wait timing appears when profiled).
+// recorded message event, on the critical-path fraction read from them, and
+// on the exported Chrome trace bytes. Only the stats may differ
+// (barrier-wait timing appears when profiled).
 func TestProfilingDoesNotChangeResults(t *testing.T) {
 	run := func(profile bool) (float64, *trace.Recorder, des.ParallelStats) {
 		rec := trace.NewRecorder()
@@ -81,6 +88,9 @@ func TestProfilingDoesNotChangeResults(t *testing.T) {
 	}
 	if !reflect.DeepEqual(recOn.Messages(), recOff.Messages()) {
 		t.Error("profiling changed the recorded message events")
+	}
+	if on, off := obs.Analyze(recOn.Messages()).PathFrac, obs.Analyze(recOff.Messages()).PathFrac; on != off {
+		t.Errorf("profiled critical-path fraction %v != unprofiled %v", on, off)
 	}
 	var bufOff, bufOn bytes.Buffer
 	if err := recOff.WriteChrome(&bufOff); err != nil {

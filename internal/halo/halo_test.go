@@ -421,6 +421,57 @@ func TestFallbackLifecycle(t *testing.T) {
 	}
 }
 
+func TestFallbackTripsAfterK(t *testing.T) {
+	f := NewFallback(3)
+	for i := 0; i < 2; i++ {
+		f.RecordFailure(0, 1)
+	}
+	if f.Degraded(0, 1) {
+		t.Error("degraded after 2 failures with K=3")
+	}
+	f.RecordFailure(0, 1)
+	if !f.Degraded(0, 1) {
+		t.Error("not degraded after 3 consecutive failures")
+	}
+	if f.Degraded(1, 0) {
+		t.Error("reverse direction degraded; pairs are ordered")
+	}
+	if f.DegradedCount() != 1 {
+		t.Errorf("DegradedCount = %d, want 1", f.DegradedCount())
+	}
+}
+
+func TestFallbackSuccessReArms(t *testing.T) {
+	f := NewFallback(2)
+	f.RecordFailure(4, 7)
+	f.RecordSuccess(4, 7)
+	f.RecordFailure(4, 7)
+	if f.Degraded(4, 7) {
+		t.Error("success did not reset the consecutive-failure count")
+	}
+	f.RecordFailure(4, 7)
+	if !f.Degraded(4, 7) {
+		t.Error("pair not degraded after 2 consecutive failures")
+	}
+	f.Reset()
+	if f.Degraded(4, 7) || f.DegradedCount() != 0 {
+		t.Error("Reset left degraded state")
+	}
+}
+
+func TestFallbackNilSafe(t *testing.T) {
+	var f *Fallback
+	f.RecordFailure(0, 1)
+	f.RecordSuccess(0, 1)
+	f.Reset()
+	if f.Degraded(0, 1) || f.DegradedCount() != 0 {
+		t.Error("nil tracker reports degradation")
+	}
+	if NewFallback(0) != nil {
+		t.Error("NewFallback(0) should be nil (disabled)")
+	}
+}
+
 func TestCodecRoundTrip(t *testing.T) {
 	b := make([]byte, 3*F64Bytes)
 	PutF64(b, math.Pi)

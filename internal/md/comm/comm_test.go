@@ -1,6 +1,6 @@
 // Package comm holds the tests of the communication-plan half of
 // internal/halo (Table 1, the section 3.1 time model, thread balancing,
-// validation, the fallback tracker) that predate the library's extraction.
+// validation) that predate the library's extraction.
 // The alias layer they were written against is gone; the tests call halo
 // directly and stay at this path because the repository's test floor pins
 // their names here.
@@ -211,56 +211,5 @@ func TestStringers(t *testing.T) {
 	if halo.TNIPerRankSlot.String() != "per-rank-slot" || halo.TNISprayAll.String() != "spray-all" ||
 		halo.TNIThreadBound.String() != "thread-bound" {
 		t.Error("policy names")
-	}
-}
-
-func TestFallbackTripsAfterK(t *testing.T) {
-	f := halo.NewFallback(3)
-	for i := 0; i < 2; i++ {
-		f.RecordFailure(0, 1)
-	}
-	if f.Degraded(0, 1) {
-		t.Error("degraded after 2 failures with K=3")
-	}
-	f.RecordFailure(0, 1)
-	if !f.Degraded(0, 1) {
-		t.Error("not degraded after 3 consecutive failures")
-	}
-	if f.Degraded(1, 0) {
-		t.Error("reverse direction degraded; pairs are ordered")
-	}
-	if f.DegradedCount() != 1 {
-		t.Errorf("DegradedCount = %d, want 1", f.DegradedCount())
-	}
-}
-
-func TestFallbackSuccessReArms(t *testing.T) {
-	f := halo.NewFallback(2)
-	f.RecordFailure(4, 7)
-	f.RecordSuccess(4, 7)
-	f.RecordFailure(4, 7)
-	if f.Degraded(4, 7) {
-		t.Error("success did not reset the consecutive-failure count")
-	}
-	f.RecordFailure(4, 7)
-	if !f.Degraded(4, 7) {
-		t.Error("pair not degraded after 2 consecutive failures")
-	}
-	f.Reset()
-	if f.Degraded(4, 7) || f.DegradedCount() != 0 {
-		t.Error("Reset left degraded state")
-	}
-}
-
-func TestFallbackNilSafe(t *testing.T) {
-	var f *halo.Fallback
-	f.RecordFailure(0, 1)
-	f.RecordSuccess(0, 1)
-	f.Reset()
-	if f.Degraded(0, 1) || f.DegradedCount() != 0 {
-		t.Error("nil tracker reports degradation")
-	}
-	if halo.NewFallback(0) != nil {
-		t.Error("halo.NewFallback(0) should be nil (disabled)")
 	}
 }

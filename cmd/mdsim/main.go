@@ -14,7 +14,6 @@ import (
 	"log"
 	_ "net/http/pprof"
 	"os"
-	"strings"
 
 	"tofumd/internal/core"
 	"tofumd/internal/des"
@@ -27,7 +26,6 @@ import (
 	"tofumd/internal/script"
 	"tofumd/internal/trace"
 	"tofumd/internal/units"
-	"tofumd/internal/vec"
 )
 
 func main() {
@@ -41,7 +39,7 @@ func main() {
 		steps      = flag.Int("steps", 99, "MD steps")
 		thermoEv   = flag.Int("thermo", 20, "thermo output interval (0 = off)")
 		newton     = flag.Bool("newton", true, "Newton's 3rd law")
-		inFile     = flag.String("in", "", "LAMMPS-style input deck (overrides potential/atoms/steps flags)")
+		inFile     = flag.String("in", "", "LAMMPS-style input deck (overrides potential/atoms/steps/thermo/newton flags)")
 		dumpFile   = flag.String("dump", "", "write an extended-XYZ trajectory to this file")
 		dumpEv     = flag.Int("dumpevery", 20, "dump interval in steps")
 		traceFile  = flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file")
@@ -102,39 +100,15 @@ func main() {
 			}
 		}()
 	}
-	shape, err := parseShape(*nodes)
+	shape, err := core.ParseShape(*nodes)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *inFile != "" {
-		if *restartIn != "" || *ckptEvery > 0 {
-			log.Fatal("-restart and -checkpoint-every apply to the flag-driven path, not -in decks")
-		}
-		runDeck(*inFile, shape, *variant, faults, rec, met, *par, status, *explain)
-		writeTrace(*traceFile, rec)
-		finishMetrics(*metFile, met)
-		return
-	}
-	kind := core.LJ
-	if *potName == "eam" {
-		kind = core.EAM
-	} else if *potName != "lj" {
-		log.Fatalf("unknown potential %q", *potName)
-	}
-	v, err := variantByName(*variant)
+	v, err := sim.VariantByName(*variant)
 	if err != nil {
 		log.Fatal(err)
-	}
-
-	wl := core.Workload{
-		Name:      fmt.Sprintf("%s-%d", kind, *atoms),
-		Kind:      kind,
-		Atoms:     *atoms,
-		FullShape: shape,
-		Steps:     *steps,
 	}
 	spec := core.RunSpec{
-		Workload:    wl,
 		TileShape:   shape,
 		Variant:     v,
 		Steps:       *steps,
@@ -146,6 +120,33 @@ func main() {
 		ParallelLPs: *par,
 		Profile:     *explain || status.Enabled(),
 	}
+	var title string
+	if *inFile != "" {
+		// The deck's geometry, potential, steps, thermo and newton settings
+		// win over the matching flags.
+		cfg, n, err := readDeck(*inFile)
+		if err != nil {
+			log.Fatalf("%s: %v", *inFile, err)
+		}
+		spec.Config, spec.Steps = &cfg, n
+		if cfg.UnitsStyle == units.Metal {
+			spec.Workload.Kind = core.EAM // metal-units perf metric: simulated us/day
+		}
+		title = fmt.Sprintf("< %s (%s variant)", *inFile, v.Name)
+	} else {
+		kind, err := core.ParseKind(*potName)
+		if err != nil {
+			log.Fatal(err)
+		}
+		spec.Workload = core.Workload{
+			Name:      fmt.Sprintf("%s-%d", kind, *atoms),
+			Kind:      kind,
+			Atoms:     *atoms,
+			FullShape: shape,
+			Steps:     *steps,
+		}
+		title = fmt.Sprintf("(%s potential, %s variant)", kind, v.Name)
+	}
 	if *planOnly {
 		plan, err := core.Plan(spec)
 		if err != nil {
@@ -154,7 +155,7 @@ func main() {
 		fmt.Print(plan)
 		return
 	}
-	status.SetSteps(*steps)
+	status.SetSteps(spec.Steps)
 	closeDump := func() error { return nil }
 	if *dumpFile != "" {
 		f, err := os.Create(*dumpFile)
@@ -176,12 +177,7 @@ func main() {
 		}
 	}
 	if *restartIn != "" {
-		f, err := os.Open(*restartIn)
-		if err != nil {
-			log.Fatal(err)
-		}
-		snap, err := restart.Read(f)
-		f.Close()
+		snap, err := restart.ReadFile(*restartIn)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -198,7 +194,7 @@ func main() {
 				prev(s, step)
 			}
 			if step%every == 0 {
-				if err := writeCheckpoint(path, s, step); err != nil {
+				if err := restart.WriteFile(path, restart.Capture(s, step)); err != nil {
 					log.Fatal(err)
 				}
 			}
@@ -221,8 +217,7 @@ func main() {
 	}
 	status.Finish()
 
-	fmt.Printf("tofumd (%s potential, %s variant) on %d nodes / %d ranks\n",
-		kind, v.Name, shape.Prod(), res.Ranks)
+	fmt.Printf("tofumd %s on %d nodes / %d ranks\n", title, shape.Prod(), res.Ranks)
 	fmt.Printf("%d atoms (%.1f per rank), %d steps\n\n", res.Atoms, res.AtomsPerRank, res.Steps)
 	if len(res.Thermo) > 0 {
 		fmt.Println("Step  Temp        E_pair      Press")
@@ -234,7 +229,7 @@ func main() {
 	fmt.Println("MPI task timing breakdown (virtual seconds, rank average):")
 	fmt.Println(res.Breakdown.Report())
 	unit := "tau/day"
-	if kind == core.EAM {
+	if spec.Workload.Kind == core.EAM {
 		unit = "us/day"
 	}
 	fmt.Printf("Performance: %.6g %s (virtual wall clock %.6f s)\n", res.PerfPerDay, unit, res.Elapsed)
@@ -257,24 +252,19 @@ func observeStep(s *sim.Simulation, step int, rec *trace.Recorder, status *obs.S
 	return &st
 }
 
-// writeCheckpoint captures the simulation state and writes it atomically:
-// the CRC-trailed file appears under its final name only once complete, so
-// a crash mid-write can never leave a truncated checkpoint behind.
-func writeCheckpoint(path string, s *sim.Simulation, step int) error {
-	snap := restart.Capture(s, step)
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+// readDeck parses a LAMMPS-style input deck into its run configuration and
+// step count.
+func readDeck(path string) (sim.Config, int, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return sim.Config{}, 0, err
 	}
-	if err := restart.Write(f, snap); err != nil {
-		f.Close()
-		return err
+	defer f.Close()
+	deck, err := script.Parse(f)
+	if err != nil {
+		return sim.Config{}, 0, err
 	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return deck.ToConfig()
 }
 
 // finishMetrics prints the top-5 metric families as an exit summary and
@@ -322,105 +312,4 @@ func writeTrace(path string, rec *trace.Recorder) {
 	}
 	fmt.Printf("\nTrace written to %s (load in ui.perfetto.dev or chrome://tracing)\n\n", path)
 	fmt.Print(rec.Summarize().Format())
-}
-
-// runDeck executes a parsed LAMMPS-style input file on the machine.
-func runDeck(path string, shape vec.I3, variantName string, faults faultinject.Spec,
-	rec *trace.Recorder, met *metrics.Registry, par int, status *obs.StatusServer, explain bool) {
-	f, err := os.Open(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	deck, err := script.Parse(f)
-	if err != nil {
-		log.Fatalf("%s: %v", path, err)
-	}
-	cfg, steps, err := deck.ToConfig()
-	if err != nil {
-		log.Fatalf("%s: %v", path, err)
-	}
-	v, err := variantByName(variantName)
-	if err != nil {
-		log.Fatal(err)
-	}
-	m, err := sim.NewMachine(shape)
-	if err != nil {
-		log.Fatal(err)
-	}
-	s, err := sim.New(m, v, cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer s.Close()
-	if rec != nil {
-		s.SetRecorder(rec)
-	}
-	if met != nil {
-		s.SetMetrics(met)
-	}
-	if faults.Enabled() {
-		s.SetFaults(faultinject.New(faults))
-	}
-	if err := s.SetParallel(par); err != nil {
-		log.Fatal(err)
-	}
-	s.SetProfiling(explain || status.Enabled())
-	status.SetSteps(steps)
-	var lastStats *des.ParallelStats
-	for i := 1; i <= steps; i++ {
-		s.Step()
-		lastStats = observeStep(s, i, rec, status)
-	}
-	status.Finish()
-
-	kind := core.LJ
-	unit := "tau/day"
-	if cfg.UnitsStyle == units.Metal {
-		kind = core.EAM // metal-units perf metric: simulated us/day
-		unit = "us/day"
-	}
-	fmt.Printf("tofumd < %s (%s variant) on %d nodes / %d ranks\n",
-		path, v.Name, shape.Prod(), len(s.Ranks()))
-	fmt.Printf("%d atoms, %d steps\n\n", s.TotalAtoms(), steps)
-	if len(s.Thermo) > 0 {
-		fmt.Println("Step  Temp        E_pair      Press")
-		for _, t := range s.Thermo {
-			fmt.Printf("%-5d %-11.6g %-11.6g %-11.6g\n", t.Step, t.Temperature, t.PEPerAtom, t.Pressure)
-		}
-		fmt.Println()
-	}
-	bd := trace.Merge(s.Breakdowns())
-	fmt.Println("MPI task timing breakdown (virtual seconds, rank average):")
-	fmt.Println(bd.Report())
-	elapsed := s.ElapsedMax()
-	fmt.Printf("Performance: %.6g %s (virtual wall clock %.6f s)\n",
-		core.PerfPerDay(kind, steps, cfg.Dt, elapsed), unit, elapsed)
-	if explain {
-		fmt.Println("\nScaling diagnosis:")
-		fmt.Print(obs.Explain(lastStats, rec, 10))
-	}
-}
-
-func parseShape(s string) (vec.I3, error) {
-	parts := strings.Split(strings.ToLower(s), "x")
-	if len(parts) != 3 {
-		return vec.I3{}, fmt.Errorf("shape %q: want XxYxZ", s)
-	}
-	var out [3]int
-	for i, p := range parts {
-		if _, err := fmt.Sscanf(p, "%d", &out[i]); err != nil {
-			return vec.I3{}, fmt.Errorf("shape %q: %v", s, err)
-		}
-	}
-	return vec.I3{X: out[0], Y: out[1], Z: out[2]}, nil
-}
-
-func variantByName(name string) (sim.Variant, error) {
-	for _, v := range sim.StepByStepVariants() {
-		if v.Name == name {
-			return v, nil
-		}
-	}
-	return sim.Variant{}, fmt.Errorf("unknown variant %q", name)
 }

@@ -8,6 +8,8 @@ package core
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"tofumd/internal/faultinject"
 	"tofumd/internal/md/lattice"
@@ -38,6 +40,38 @@ func (k Kind) String() string {
 		return "eam"
 	}
 	return "lj"
+}
+
+// ParseKind resolves a potential name, "lj" or "eam".
+func ParseKind(name string) (Kind, error) {
+	switch name {
+	case "lj":
+		return LJ, nil
+	case "eam":
+		return EAM, nil
+	}
+	return LJ, fmt.Errorf("potential %q: want lj or eam", name)
+}
+
+// ParseShape resolves a node shape "XxYxZ"; every dimension must be a
+// positive integer.
+func ParseShape(s string) (vec.I3, error) {
+	parts := strings.Split(strings.ToLower(s), "x")
+	if len(parts) != 3 {
+		return vec.I3{}, fmt.Errorf("nodes %q: want XxYxZ", s)
+	}
+	var out [3]int
+	for i, p := range parts {
+		n, err := strconv.Atoi(p)
+		if err != nil {
+			return vec.I3{}, fmt.Errorf("nodes %q: want XxYxZ: %v", s, err)
+		}
+		if n <= 0 {
+			return vec.I3{}, fmt.Errorf("nodes %q: dimensions must be positive", s)
+		}
+		out[i] = n
+	}
+	return vec.I3{X: out[0], Y: out[1], Z: out[2]}, nil
 }
 
 // Workload is one paper benchmark configuration at full machine scale.
@@ -143,13 +177,16 @@ type RunSpec struct {
 	Workload  Workload
 	TileShape vec.I3
 	Variant   sim.Variant
+	// Config, when non-nil, is the run's configuration as given (an input
+	// deck's): Start uses it in place of BaseConfig plus the geometry
+	// Workload derives, and NewtonOff and ThermoEvery do not apply.
+	// Workload.Kind still picks the performance unit.
+	Config *sim.Config
 	// Steps overrides the workload's step count when non-zero.
 	Steps int
 	// NewtonOff disables Newton's 3rd law (full lists, no reverse stage) —
 	// the Fig. 15 regimes.
 	NewtonOff bool
-	// FullList forces a full-list LJ potential (Tersoff/DeePMD stand-in).
-	FullList bool
 	// ThermoEvery records thermo output (0 = off).
 	ThermoEvery int
 	// LinearMap disables the topology-preserving rank placement (the
@@ -223,24 +260,21 @@ func Start(spec RunSpec) (*Running, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg, err := BaseConfig(spec.Workload.Kind)
-	if err != nil {
-		return nil, err
-	}
-	fullRanks := spec.Workload.FullShape.Prod() * m.Map.RanksPerNode()
-	tileRanks := m.Map.Ranks()
-	tileAtoms := int(float64(spec.Workload.Atoms) * float64(tileRanks) / float64(fullRanks))
-	cfg.Cells = lattice.CellsForAtomsOnGrid(tileAtoms, m.Map.Grid)
-	cfg.ScaleRanks = fullRanks
-	cfg.ThermoEvery = spec.ThermoEvery
-	if spec.NewtonOff {
-		cfg.NewtonOn = false
-	}
-	if spec.FullList {
-		lj := potential.NewLJ(1, 1, 2.5)
-		lj.FullList = true
-		cfg.Potential = lj
-		cfg.NewtonOn = false
+	var cfg sim.Config
+	if spec.Config != nil {
+		cfg = *spec.Config
+	} else {
+		if cfg, err = BaseConfig(spec.Workload.Kind); err != nil {
+			return nil, err
+		}
+		fullRanks := spec.Workload.FullShape.Prod() * m.Map.RanksPerNode()
+		tileAtoms := int(float64(spec.Workload.Atoms) * float64(m.Map.Ranks()) / float64(fullRanks))
+		cfg.Cells = lattice.CellsForAtomsOnGrid(tileAtoms, m.Map.Grid)
+		cfg.ScaleRanks = fullRanks
+		cfg.ThermoEvery = spec.ThermoEvery
+		if spec.NewtonOff {
+			cfg.NewtonOn = false
+		}
 	}
 	steps := spec.Steps
 	if steps == 0 {
@@ -325,34 +359,15 @@ func Run(spec RunSpec) (*RunResult, error) {
 	return r.Finish(), nil
 }
 
-// Plan builds the simulation the spec describes and returns its static
+// Plan starts the simulation the spec describes and returns its static
 // halo neighbor-plan summary without stepping it.
 func Plan(spec RunSpec) (string, error) {
-	mode := topo.MapTopo
-	if spec.LinearMap {
-		mode = topo.MapLinear
-	}
-	m, err := sim.NewMachineMode(spec.TileShape, mode)
+	r, err := Start(spec)
 	if err != nil {
 		return "", err
 	}
-	cfg, err := BaseConfig(spec.Workload.Kind)
-	if err != nil {
-		return "", err
-	}
-	fullRanks := spec.Workload.FullShape.Prod() * m.Map.RanksPerNode()
-	tileAtoms := int(float64(spec.Workload.Atoms) * float64(m.Map.Ranks()) / float64(fullRanks))
-	cfg.Cells = lattice.CellsForAtomsOnGrid(tileAtoms, m.Map.Grid)
-	cfg.ScaleRanks = fullRanks
-	if spec.NewtonOff {
-		cfg.NewtonOn = false
-	}
-	s, err := sim.New(m, spec.Variant, cfg)
-	if err != nil {
-		return "", err
-	}
-	defer s.Close()
-	return s.HaloPlan(), nil
+	defer r.Close()
+	return r.Sim().HaloPlan(), nil
 }
 
 func summarize(spec RunSpec, s *sim.Simulation, steps int, cfg sim.Config) *RunResult {
@@ -408,14 +423,4 @@ func DefaultTile(full vec.I3, maxNodes int) vec.I3 {
 		}
 	}
 	return t
-}
-
-// FormatResult renders a result as a short report line.
-func FormatResult(r *RunResult) string {
-	unit := "tau/day"
-	if r.Spec.Workload.Kind == EAM {
-		unit = "us/day"
-	}
-	return fmt.Sprintf("%-12s %-14s ranks=%-6d atoms=%-9d steps=%-4d elapsed=%.4fs perf=%.4g %s",
-		r.Spec.Workload.Name, r.Spec.Variant.Name, r.Ranks, r.Atoms, r.Steps, r.Elapsed, r.PerfPerDay, unit)
 }

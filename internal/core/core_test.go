@@ -2,9 +2,12 @@ package core
 
 import (
 	"math"
+	"os"
+	"reflect"
 	"testing"
 
 	"tofumd/internal/md/sim"
+	"tofumd/internal/script"
 	"tofumd/internal/trace"
 	"tofumd/internal/vec"
 )
@@ -73,6 +76,83 @@ func TestRunFunctionalTile(t *testing.T) {
 	}
 	if res.Breakdown.Get(trace.Comm) <= 0 {
 		t.Error("comm stage empty")
+	}
+}
+
+// TestStartDeckConfigMatchesSimNew runs an input deck's config through
+// Start, the way mdsim -in does, and requires the same trajectory and
+// virtual clock as a simulation built and stepped by hand on the same
+// machine. Plan must be the started simulation's plan.
+func TestStartDeckConfigMatchesSimNew(t *testing.T) {
+	f, err := os.Open("../../inputs/in.lj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deck, err := script.Parse(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, _, err := deck.ToConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const steps = 40
+	shape := vec.I3{X: 2, Y: 2, Z: 2}
+	res, err := Run(RunSpec{TileShape: shape, Variant: sim.Opt(), Config: &cfg, Steps: steps, ThermoEvery: 7, NewtonOff: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	m, err := sim.NewMachine(shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sim.New(m, sim.Opt(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < steps; i++ {
+		s.Step()
+	}
+	if want := trace.Merge(s.Breakdowns()); *res.Breakdown != *want {
+		t.Errorf("breakdown:\n%s\nwant:\n%s", res.Breakdown.Report(), want.Report())
+	}
+	if want := s.ElapsedMax(); res.Elapsed != want {
+		t.Errorf("elapsed %v, want %v", res.Elapsed, want)
+	}
+	if len(s.Thermo) == 0 || !reflect.DeepEqual(res.Thermo, s.Thermo) {
+		t.Errorf("thermo %+v, want the deck's every-20 samples %+v", res.Thermo, s.Thermo)
+	}
+
+	base := RunSpec{Workload: LJSmall(), TileShape: shape, Variant: sim.Opt()}
+	linear, newtonOff := base, base
+	linear.LinearMap = true
+	newtonOff.NewtonOff = true
+	plain, err := Plan(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, spec := range map[string]RunSpec{"linear": linear, "newton-off": newtonOff} {
+		got, err := Plan(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := Start(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := r.Sim().HaloPlan()
+		r.Close()
+		if got != want {
+			t.Errorf("%s: Plan\n%s\nwant Start's\n%s", name, got, want)
+		}
+		// The plan text lists links, not placements, so only Newton's
+		// setting shows: full shells double the links.
+		if name == "newton-off" && got == plain {
+			t.Errorf("%s: plan equals the default spec's; the setting did not reach it", name)
+		}
 	}
 }
 

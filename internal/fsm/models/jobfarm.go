@@ -35,15 +35,6 @@ const (
 	JFLost
 )
 
-// JFPhaseName names a phase for traces and conformance diffs.
-func JFPhaseName(p uint8) string {
-	names := []string{"none", "queued", "running", "preempting", "checkpointed", "retrying", "done", "failed", "cancelled", "shed", "lost"}
-	if int(p) < len(names) {
-		return names[p]
-	}
-	return fmt.Sprintf("phase-%d", p)
-}
-
 // JobCell is one job's observable lifecycle state.
 type JobCell struct {
 	Phase   uint8

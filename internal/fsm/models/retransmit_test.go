@@ -110,7 +110,7 @@ func TestRetryBackoffConformance(t *testing.T) {
 	}
 	prev := 0.0
 	for n := 0; n <= p.MaxRetransmits; n++ {
-		got := utofu.RetryBackoff(p, n)
+		got := p.RetryBackoff(n)
 		want := math.Min(p.RetransmitBackoff*math.Pow(2, float64(n)), p.RetransmitBackoffCap)
 		if got != want {
 			t.Errorf("RetryBackoff(%d) = %v, want %v", n, got, want)

@@ -10,8 +10,7 @@ import (
 
 // Decomposition splits a continuous global periodic box over a 3D rank
 // grid, one sub-box per rank — the spatial half of a halo plan. The rank
-// grid normally comes from a topo.RankMap (NewDecompositionFor); apps with
-// integer extents (lattice stencils) use CellRange instead of SubBox.
+// grid normally comes from a topo.RankMap's Grid; apps with integer extents (lattice stencils) use CellRange instead of SubBox.
 type Decomposition struct {
 	// Box is the global periodic box lengths.
 	Box vec.V3
@@ -34,11 +33,6 @@ func NewDecomposition(box vec.V3, grid vec.I3) (*Decomposition, error) {
 		Grid: grid,
 		side: box.Div(grid.ToV3()),
 	}, nil
-}
-
-// NewDecompositionFor builds the decomposition over a rank map's grid.
-func NewDecompositionFor(m *topo.RankMap, box vec.V3) (*Decomposition, error) {
-	return NewDecomposition(box, m.Grid)
 }
 
 // Side returns the sub-box side lengths.

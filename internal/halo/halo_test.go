@@ -161,6 +161,49 @@ func TestDirectionsAndHalves(t *testing.T) {
 	}
 }
 
+func TestMessageVolumeClasses(t *testing.T) {
+	a, r := 3.0, 2.0
+	if got := MessageVolume(vec.I3{X: 1}, a, r); got != a*a*r {
+		t.Errorf("face volume = %v", got)
+	}
+	if got := MessageVolume(vec.I3{X: 1, Y: 1}, a, r); got != a*r*r {
+		t.Errorf("edge volume = %v", got)
+	}
+	if got := MessageVolume(vec.I3{X: 1, Y: -1, Z: 1}, a, r); got != r*r*r {
+		t.Errorf("corner volume = %v", got)
+	}
+}
+
+func TestMessageVolumeAniso(t *testing.T) {
+	side := vec.V3{X: 2, Y: 3, Z: 4}
+	if got := MessageVolumeAniso(vec.I3{Z: 1}, side, 1.5); got != 2*3*1.5 {
+		t.Errorf("aniso face = %v", got)
+	}
+	// Only which axes are non-zero matters, not sign or shell distance:
+	// multi-shell callers pass their offsets unclamped.
+	if far, near := MessageVolumeAniso(vec.I3{X: 2, Y: -2}, side, 1.5),
+		MessageVolumeAniso(vec.I3{X: 1, Y: 1}, side, 1.5); far != near || near != 1.5*1.5*4 {
+		t.Errorf("aniso edge: shell-2 offset %v, shell-1 offset %v, want %v", far, near, 1.5*1.5*4)
+	}
+}
+
+func TestHopCount(t *testing.T) {
+	cases := []struct {
+		d    vec.I3
+		want int
+	}{
+		{vec.I3{X: 1}, 1},
+		{vec.I3{X: -1, Y: 1}, 2},
+		{vec.I3{X: 1, Y: 1, Z: -1}, 3},
+		{vec.I3{}, 0},
+	}
+	for _, c := range cases {
+		if got := HopCount(c.d); got != c.want {
+			t.Errorf("HopCount(%+v) = %d, want %d", c.d, got, c.want)
+		}
+	}
+}
+
 func TestBuildLinkSpecsP2P(t *testing.T) {
 	m := testRankMap(t, vec.I3{X: 2, Y: 2, Z: 2})
 	dirs := Directions(1)

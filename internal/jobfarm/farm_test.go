@@ -150,6 +150,8 @@ func TestFarmValidationRejects(t *testing.T) {
 		{Potential: "tersoff", Atoms: 100, Nodes: "1x1x1", Steps: 10},
 		{Potential: "lj", Atoms: -1, Nodes: "1x1x1", Steps: 10},
 		{Potential: "lj", Atoms: 100, Nodes: "banana", Steps: 10},
+		{Potential: "lj", Atoms: 100, Nodes: "2junkx2x2", Steps: 10},
+		{Potential: "lj", Atoms: 100, Nodes: "2x2x2x", Steps: 10},
 		{Potential: "lj", Atoms: 100, Nodes: "1x1x1", Steps: 0},
 		{Potential: "lj", Atoms: 100, Nodes: "1x1x1", Steps: 10, CheckpointEvery: 7},
 		{Potential: "eam", Atoms: 100, Nodes: "1x1x1", Steps: 10, CheckpointEvery: 12},

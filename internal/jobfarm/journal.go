@@ -66,22 +66,7 @@ func (jn *Journal) SaveCheckpoint(id string, snap *restart.Snapshot) error {
 	if jn == nil || snap == nil {
 		return nil
 	}
-	path := filepath.Join(jn.dir, id+".ckpt")
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := restart.Write(f, snap); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	return restart.WriteFile(filepath.Join(jn.dir, id+".ckpt"), snap)
 }
 
 // LoadCheckpoint reads a job's checkpoint, nil when absent.
@@ -89,15 +74,11 @@ func (jn *Journal) LoadCheckpoint(id string) (*restart.Snapshot, error) {
 	if jn == nil {
 		return nil, nil
 	}
-	f, err := os.Open(filepath.Join(jn.dir, id+".ckpt"))
+	snap, err := restart.ReadFile(filepath.Join(jn.dir, id+".ckpt"))
 	if os.IsNotExist(err) {
 		return nil, nil
 	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return restart.Read(f)
+	return snap, err
 }
 
 // LoadAll reads every journaled job, sorted by ID. Non-terminal jobs come

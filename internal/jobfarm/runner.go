@@ -6,6 +6,7 @@ import (
 
 	"tofumd/internal/core"
 	"tofumd/internal/md/restart"
+	"tofumd/internal/md/sim"
 )
 
 // OutcomeKind classifies how an attempt ended.
@@ -79,7 +80,7 @@ func MDRunner(ctx context.Context, a Attempt, preempt <-chan struct{}) Outcome {
 	sp := a.Spec
 	kind := sp.Kind()
 	shape := sp.Shape()
-	variant, err := variantByName(sp.Variant)
+	variant, err := sim.VariantByName(sp.Variant)
 	if err != nil {
 		return Outcome{Kind: OutcomeFailed, StepsDone: a.StepsDone, Snapshot: a.Resume, Err: err}
 	}

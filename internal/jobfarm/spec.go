@@ -17,7 +17,6 @@ package jobfarm
 
 import (
 	"fmt"
-	"strings"
 
 	"tofumd/internal/core"
 	"tofumd/internal/md/sim"
@@ -60,27 +59,24 @@ type Spec struct {
 
 // Kind resolves the potential family. Call only after Validate.
 func (sp *Spec) Kind() core.Kind {
-	if sp.Potential == "eam" {
-		return core.EAM
-	}
-	return core.LJ
+	kind, _ := core.ParseKind(sp.Potential)
+	return kind
 }
 
 // Shape resolves the node shape. Call only after Validate.
 func (sp *Spec) Shape() vec.I3 {
-	shape, _ := parseShape(sp.Nodes)
+	shape, _ := core.ParseShape(sp.Nodes)
 	return shape
 }
 
 // Validate normalizes defaults and rejects malformed specs. It is the
 // single admission gate: a Spec that passes is runnable as-is.
 func (sp *Spec) Validate() error {
-	switch sp.Potential {
-	case "", "lj":
+	if sp.Potential == "" {
 		sp.Potential = "lj"
-	case "eam":
-	default:
-		return fmt.Errorf("potential %q: want lj or eam", sp.Potential)
+	}
+	if _, err := core.ParseKind(sp.Potential); err != nil {
+		return err
 	}
 	if sp.Atoms <= 0 {
 		return fmt.Errorf("atoms %d: must be positive", sp.Atoms)
@@ -91,13 +87,13 @@ func (sp *Spec) Validate() error {
 	if sp.Nodes == "" {
 		sp.Nodes = "2x2x2"
 	}
-	if _, err := parseShape(sp.Nodes); err != nil {
+	if _, err := core.ParseShape(sp.Nodes); err != nil {
 		return err
 	}
 	if sp.Variant == "" {
 		sp.Variant = "opt"
 	}
-	if _, err := variantByName(sp.Variant); err != nil {
+	if _, err := sim.VariantByName(sp.Variant); err != nil {
 		return err
 	}
 	switch sp.Priority {
@@ -126,16 +122,6 @@ func (sp *Spec) Validate() error {
 	return nil
 }
 
-// variantByName resolves a comm-variant name against the step-by-step set.
-func variantByName(name string) (sim.Variant, error) {
-	for _, v := range sim.StepByStepVariants() {
-		if v.Name == name {
-			return v, nil
-		}
-	}
-	return sim.Variant{}, fmt.Errorf("unknown variant %q", name)
-}
-
 // neighEvery reads the reneighbor cadence from the kind's base config.
 func neighEvery(k core.Kind) (int, error) {
 	cfg, err := core.BaseConfig(k)
@@ -143,21 +129,4 @@ func neighEvery(k core.Kind) (int, error) {
 		return 0, err
 	}
 	return cfg.NeighEvery, nil
-}
-
-func parseShape(s string) (vec.I3, error) {
-	parts := strings.Split(strings.ToLower(s), "x")
-	if len(parts) != 3 {
-		return vec.I3{}, fmt.Errorf("nodes %q: want XxYxZ", s)
-	}
-	var out [3]int
-	for i, p := range parts {
-		if _, err := fmt.Sscanf(p, "%d", &out[i]); err != nil {
-			return vec.I3{}, fmt.Errorf("nodes %q: %v", s, err)
-		}
-		if out[i] <= 0 {
-			return vec.I3{}, fmt.Errorf("nodes %q: dimensions must be positive", s)
-		}
-	}
-	return vec.I3{X: out[0], Y: out[1], Z: out[2]}, nil
 }

@@ -12,51 +12,7 @@ import (
 	"testing/quick"
 
 	"tofumd/internal/halo"
-	"tofumd/internal/vec"
 )
-
-func TestMessageVolumeClasses(t *testing.T) {
-	a, r := 3.0, 2.0
-	if got := halo.MessageVolume(vec.I3{X: 1}, a, r); got != a*a*r {
-		t.Errorf("face volume = %v", got)
-	}
-	if got := halo.MessageVolume(vec.I3{X: 1, Y: 1}, a, r); got != a*r*r {
-		t.Errorf("edge volume = %v", got)
-	}
-	if got := halo.MessageVolume(vec.I3{X: 1, Y: -1, Z: 1}, a, r); got != r*r*r {
-		t.Errorf("corner volume = %v", got)
-	}
-}
-
-func TestMessageVolumeAniso(t *testing.T) {
-	side := vec.V3{X: 2, Y: 3, Z: 4}
-	if got := halo.MessageVolumeAniso(vec.I3{Z: 1}, side, 1.5); got != 2*3*1.5 {
-		t.Errorf("aniso face = %v", got)
-	}
-	// Only which axes are non-zero matters, not sign or shell distance:
-	// multi-shell callers pass their offsets unclamped.
-	if far, near := halo.MessageVolumeAniso(vec.I3{X: 2, Y: -2}, side, 1.5),
-		halo.MessageVolumeAniso(vec.I3{X: 1, Y: 1}, side, 1.5); far != near || near != 1.5*1.5*4 {
-		t.Errorf("aniso edge: shell-2 offset %v, shell-1 offset %v, want %v", far, near, 1.5*1.5*4)
-	}
-}
-
-func TestHopCount(t *testing.T) {
-	cases := []struct {
-		d    vec.I3
-		want int
-	}{
-		{vec.I3{X: 1}, 1},
-		{vec.I3{X: -1, Y: 1}, 2},
-		{vec.I3{X: 1, Y: 1, Z: -1}, 3},
-		{vec.I3{}, 0},
-	}
-	for _, c := range cases {
-		if got := halo.HopCount(c.d); got != c.want {
-			t.Errorf("halo.HopCount(%+v) = %d, want %d", c.d, got, c.want)
-		}
-	}
-}
 
 func TestAnalyzeTable1(t *testing.T) {
 	a, r := 2.94, 2.8

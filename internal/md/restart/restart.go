@@ -14,6 +14,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"os"
 	"sort"
 
 	"tofumd/internal/md/sim"
@@ -80,6 +81,39 @@ func Write(w io.Writer, snap *Snapshot) error {
 		return err
 	}
 	return bw.Flush()
+}
+
+// WriteFile writes the snapshot to path atomically: it goes to a temporary
+// file that is renamed into place only once complete, so a crash mid-write
+// never leaves a truncated checkpoint under the final name. On error the
+// temporary file is removed.
+func WriteFile(path string, snap *Snapshot) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	err = Write(f, snap)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
+}
+
+// ReadFile reads the checkpoint at path.
+func ReadFile(path string) (*Snapshot, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return Read(f)
 }
 
 // truncated classifies short-read errors so every truncation surfaces as

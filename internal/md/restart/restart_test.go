@@ -2,6 +2,8 @@ package restart
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -59,6 +61,38 @@ func TestRoundTrip(t *testing.T) {
 		if got.Atoms[i] != snap.Atoms[i] {
 			t.Fatalf("atom %d differs after round trip", i)
 		}
+	}
+}
+
+// TestWriteFileAtomic round-trips a checkpoint file and requires a failed
+// write to leave neither a temporary file nor a changed target behind.
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	snap := &Snapshot{Step: 7, Box: vec.V3{X: 1, Y: 2, Z: 3}, Atoms: make([]sim.InitAtom, 3)}
+	path := filepath.Join(dir, "ckpt")
+	if err := WriteFile(path, snap); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Step != snap.Step || got.Box != snap.Box || len(got.Atoms) != len(snap.Atoms) {
+		t.Errorf("read back %+v, want %+v", got, snap)
+	}
+	// A directory in the way makes the final rename fail.
+	blocked := filepath.Join(dir, "blocked")
+	if err := os.Mkdir(blocked, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFile(blocked, snap); err == nil {
+		t.Error("write over a directory succeeded")
+	}
+	if _, err := os.Stat(blocked + ".tmp"); !os.IsNotExist(err) {
+		t.Errorf("temporary file left behind after a failed write: %v", err)
+	}
+	if _, err := ReadFile(filepath.Join(dir, "absent")); !os.IsNotExist(err) {
+		t.Errorf("reading a missing file: %v, want not-exist", err)
 	}
 }
 

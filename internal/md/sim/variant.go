@@ -114,6 +114,16 @@ func StepByStepVariants() []Variant {
 	return []Variant{Ref(), MPIP2P(), UTofu3Stage(), P2P4TNI(), P2P6TNI(), Opt()}
 }
 
+// VariantByName resolves a variant name against the step-by-step set.
+func VariantByName(name string) (Variant, error) {
+	for _, v := range StepByStepVariants() {
+		if v.Name == name {
+			return v, nil
+		}
+	}
+	return Variant{}, fmt.Errorf("unknown variant %q", name)
+}
+
 // PackThreading is the threading mode message packing and unpacking run
 // under: parallelized by the comm threads under the fine-grained scheme,
 // serial otherwise.

@@ -172,13 +172,9 @@ func (c *Comm) ExchangeRound(msgs []*Message) {
 			if tr.Failed() {
 				// Sender re-drives the protocol after the completion timeout.
 				detect := tr.IssueDone + c.Fab.WireTime(units.Bytes(tr.Bytes)) + p.CompletionTimeout
-				backoff := p.RetransmitBackoff * float64(uint64(1)<<uint(tr.Attempt))
-				if p.RetransmitBackoffCap > 0 && backoff > p.RetransmitBackoffCap {
-					backoff = p.RetransmitBackoffCap
-				}
 				nt := *tr
 				nt.Attempt++
-				nt.ReadyAt = detect + backoff
+				nt.ReadyAt = detect + p.RetryBackoff(tr.Attempt)
 				nt.IssueDone, nt.Arrival, nt.RecvComplete = 0, 0, 0
 				nt.Dropped, nt.Nacked = false, false
 				if owner == nil {

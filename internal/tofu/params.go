@@ -189,6 +189,19 @@ func (p *Params) Lookahead(minHops int) float64 {
 	return p.BaseLatency + float64(minHops)*p.HopLatency
 }
 
+// RetryBackoff returns the backoff delay inserted before re-injecting a
+// transfer whose attempt-th transmission was lost: attempt n waits
+// min(RetransmitBackoff·2^n, RetransmitBackoffCap) after loss detection.
+// The uTofu retry planner and the MPI reliable transport both use it, and
+// the internal/fsm retransmit model asserts conformance with it.
+func (p *Params) RetryBackoff(attempt int) float64 {
+	backoff := p.RetransmitBackoff * float64(uint64(1)<<uint(attempt))
+	if p.RetransmitBackoffCap > 0 && backoff > p.RetransmitBackoffCap {
+		backoff = p.RetransmitBackoffCap
+	}
+	return backoff
+}
+
 // RecvOverhead returns the per-message receiver software cost.
 func (p *Params) RecvOverhead(i Interface) float64 {
 	if i == IfaceMPI {

@@ -266,26 +266,13 @@ type Get struct {
 	src *MemRegion
 }
 
-// RetryBackoff returns the backoff delay inserted before re-injecting a
-// transfer whose attempt-th transmission was lost: attempt n waits
-// min(RetransmitBackoff·2^n, RetransmitBackoffCap) after loss detection.
-// Exported so the internal/fsm retransmit model can assert conformance
-// with the schedule the real retry planner computes.
-func RetryBackoff(p tofu.Params, attempt int) float64 {
-	backoff := p.RetransmitBackoff * float64(uint64(1)<<uint(attempt))
-	if p.RetransmitBackoffCap > 0 && backoff > p.RetransmitBackoffCap {
-		backoff = p.RetransmitBackoffCap
-	}
-	return backoff
-}
-
 // retryPlan decides a failed transfer's fate: either schedules a
 // retransmission transfer for the next wave (returned non-nil) or reports
 // the operation permanently failed at detect time. Loss is detected by a
 // completion timeout after the expected wire time; attempt n backs off
-// RetryBackoff before re-injecting. Round-robin receive buffers (section
-// 3.4) make re-execution idempotent: the retransmitted put lands in the
-// same slot the lost one targeted.
+// Params.RetryBackoff before re-injecting. Round-robin receive buffers
+// (section 3.4) make re-execution idempotent: the retransmitted put lands
+// in the same slot the lost one targeted.
 func (s *System) retryPlan(tr *tofu.Transfer) (next *tofu.Transfer, detect float64) {
 	p := s.Fab.Params
 	detect = tr.IssueDone + s.Fab.WireTime(units.Bytes(tr.Bytes)) + p.CompletionTimeout
@@ -294,7 +281,7 @@ func (s *System) retryPlan(tr *tofu.Transfer) (next *tofu.Transfer, detect float
 	}
 	nt := *tr
 	nt.Attempt++
-	nt.ReadyAt = detect + RetryBackoff(p, tr.Attempt)
+	nt.ReadyAt = detect + p.RetryBackoff(tr.Attempt)
 	nt.IssueDone, nt.Arrival, nt.RecvComplete = 0, 0, 0
 	nt.Dropped, nt.Nacked = false, false
 	return &nt, detect

@@ -1,18 +1,17 @@
-// Command benchcmp compares two benchmark artifact sets produced by
-// `benchsuite -json` and gates on regressions. It loads a baseline and a
-// candidate (each a single BENCH_*.json file or a directory of them),
-// aligns series by experiment + key, prints a delta table, and exits
-// non-zero when any series moved beyond its experiment's tolerance in the
-// bad direction.
+// Command benchcmp reports what moved between two benchmark artifact sets
+// produced by `benchsuite -json`. It loads a baseline and a candidate (each
+// a single BENCH_*.json file or a directory of them), aligns series by
+// experiment + key and prints a delta table: which series moved, by how
+// much, and first in which experiment. Every artifact is deterministic
+// virtual time, so any change in a directed series is a move.
 //
-// Exit codes: 0 = clean, 1 = regressions (suppressed to a warning by
-// -soft), 2 = schema or shape mismatch (always fatal) or usage error.
+// Exit codes: 0 = nothing moved, 1 = a directed series moved, 2 = schema or
+// shape mismatch or usage error.
 //
 // Example:
 //
 //	benchsuite -experiment all -json out/
 //	benchcmp results/baseline out/
-//	benchcmp -soft -tol 0.5 results/baseline out/
 package main
 
 import (
@@ -27,14 +26,9 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchcmp: ")
-	var (
-		tol  = flag.Float64("tol", -1, "override the per-experiment tolerance with one relative tolerance for every experiment (e.g. 0.5)")
-		soft = flag.Bool("soft", false, "report regressions as warnings and exit 0 (schema/shape mismatches still exit 2)")
-	)
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: benchcmp [-tol frac] [-soft] <baseline> <candidate>\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: benchcmp <baseline> <candidate>\n")
 		fmt.Fprintf(flag.CommandLine.Output(), "baseline/candidate: a BENCH_*.json file or a directory of them\n")
-		flag.PrintDefaults()
 	}
 	flag.Parse()
 	if flag.NArg() != 2 {
@@ -53,26 +47,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	var tolerances map[string]float64
-	if *tol >= 0 {
-		tolerances = map[string]float64{}
-		for e := range base {
-			tolerances[e] = *tol
-		}
-	}
-	res := bench.Compare(base, cand, tolerances)
+	res := bench.Compare(base, cand)
 	fmt.Print(res.FormatTable())
-
 	switch {
 	case len(res.Errors) > 0:
-		log.Printf("FAIL: %d schema/shape mismatches", len(res.Errors))
 		os.Exit(2)
-	case len(res.Regressions) > 0 && !*soft:
-		log.Printf("FAIL: %d regressions beyond tolerance", len(res.Regressions))
+	case len(res.Moved) > 0:
 		os.Exit(1)
-	case len(res.Regressions) > 0:
-		log.Printf("WARN: %d regressions beyond tolerance (-soft: not failing)", len(res.Regressions))
-	default:
-		fmt.Println("OK: no regressions")
 	}
 }

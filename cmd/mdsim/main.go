@@ -118,7 +118,6 @@ func main() {
 		Metrics:     met,
 		Faults:      faults,
 		ParallelLPs: *par,
-		Profile:     *explain || status.Enabled(),
 	}
 	var title string
 	if *inFile != "" {

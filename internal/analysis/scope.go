@@ -35,16 +35,12 @@ var scopes = map[string][]string{
 		"tofumd/internal/bench",
 		"tofumd/internal/obs",
 	},
-	// The spin-wait thread pool (paper section 3.3) and the event engine's
-	// epoch barrier: the whole point of both is that dispatch/join and epoch
-	// release never park a thread in the kernel on the hot path, so the
-	// regions that spin on atomics must not block. (The barrier's
-	// bounded-spin channel fallback sits after its spin loop, which is
-	// exactly the pattern the analyzer permits.)
-	"spinlock": {
-		"tofumd/internal/threadpool",
-		"tofumd/internal/des",
-	},
+	// The spin-wait thread pool (paper section 3.3): the whole point is that
+	// dispatch and join never park a thread in the kernel on the hot path, so
+	// the regions that spin on atomics must not block. (The countdown's
+	// channel fallback sits after its bounded spin, which is exactly the
+	// pattern the analyzer permits.)
+	"spinlock": {"tofumd/internal/threadpool"},
 	// The packages of the halo-exchange path, where a blank assignment
 	// silencing "declared and not used" has twice hidden a real defect: the
 	// dead `grid` in the MD simulation's rank constructor and the orphaned

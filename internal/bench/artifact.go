@@ -14,15 +14,16 @@ import (
 // loud, not silently tolerated).
 const ArtifactSchemaVersion = 1
 
-// Series directions tell the regression gate which way is worse. Info-only
-// series (direction "") are recorded but never gated.
+// Series directions tell a reader which way is better. Every directed series
+// is held to equality by Compare; info-only series (direction "") are
+// recorded but never gated.
 const (
 	// DirLower marks series where lower is better (times).
 	DirLower = "lower"
 	// DirHigher marks series where higher is better (rates, speedups).
 	DirHigher = "higher"
-	// DirEqual marks series that must stay put within tolerance in either
-	// direction (deterministic analyses, accuracy checks, winner flags).
+	// DirEqual marks series with no better side (deterministic analyses,
+	// accuracy checks, winner flags).
 	DirEqual = "equal"
 )
 
@@ -34,8 +35,8 @@ type Series struct {
 	Direction string  `json:"direction,omitempty"`
 }
 
-// Artifact is the machine-readable result of one experiment, the unit the
-// benchcmp regression gate aligns and diffs.
+// Artifact is the machine-readable result of one experiment, the unit
+// benchcmp aligns and diffs.
 type Artifact struct {
 	SchemaVersion int            `json:"schema_version"`
 	Experiment    string         `json:"experiment"`

@@ -7,70 +7,34 @@ import (
 	"strings"
 )
 
-// DefaultTolerances is the per-experiment relative tolerance of the
-// regression gate. Experiments built on the closed-form analysis (table1)
-// must not move at all; virtual-time experiments are deterministic too, but
-// get generous headroom so intentional model recalibrations only trip the
-// gate when they change results materially.
-var DefaultTolerances = map[string]float64{
-	"table1":    0,
-	"fig6":      0.25,
-	"fig8":      0.25,
-	"fig11":     0.50,
-	"fig12":     0.25,
-	"fig13":     0.25,
-	"table3":    0.30,
-	"fig14":     0.25,
-	"fig15":     0.25,
-	"ablations": 0.35,
-	"faults":    0.50,
-	"failstop":  0.50,
-	"lbm":       0.25,
-}
-
-// compareAbsFloor is the magnitude below which two values are considered
-// equal regardless of their ratio (tiny-vs-tiny noise, exact zeros).
-const compareAbsFloor = 1e-12
-
 // Delta is one aligned series pair.
 type Delta struct {
 	Experiment, Key, Direction string
 	Base, Cand                 float64
-	// Rel is (cand-base)/|base|, 0 when both sides sit under the floor.
+	// Rel is (cand-base)/|base|: 0 when the values are equal, infinite when
+	// only the baseline is zero.
 	Rel float64
-	// Regressed marks deltas beyond the experiment's tolerance in the bad
-	// direction.
-	Regressed bool
+	// Moved marks a directed series whose value differs at all. Info series
+	// (no direction) never move.
+	Moved bool
 }
 
 // CompareResult is the outcome of aligning a baseline against a candidate.
 type CompareResult struct {
 	Deltas []Delta
-	// Regressions is the subset of Deltas that regressed.
-	Regressions []Delta
+	// Moved is the subset of Deltas that moved, in experiment order.
+	Moved []Delta
 	// Errors are schema/shape mismatches: missing experiments or series,
-	// direction flips. These are always fatal, never softened.
+	// direction flips.
 	Errors []string
 }
 
 // Compare aligns candidate artifacts against baseline artifacts by
-// experiment + series key and classifies every pair. tol overrides
-// DefaultTolerances per experiment (nil uses the defaults; experiments in
-// neither map get 0.25).
-func Compare(base, cand map[string]*Artifact, tol map[string]float64) *CompareResult {
+// experiment + series key and reports every pair. Every artifact holds
+// deterministic virtual-time series, so the contract is equality: a directed
+// series moves when its value changes at all, in either direction.
+func Compare(base, cand map[string]*Artifact) *CompareResult {
 	res := &CompareResult{}
-	tolFor := func(exp string) float64 {
-		if tol != nil {
-			if t, ok := tol[exp]; ok {
-				return t
-			}
-		}
-		if t, ok := DefaultTolerances[exp]; ok {
-			return t
-		}
-		return 0.25
-	}
-
 	exps := make([]string, 0, len(base))
 	for e := range base {
 		exps = append(exps, e)
@@ -91,7 +55,6 @@ func Compare(base, cand map[string]*Artifact, tol map[string]float64) *CompareRe
 			}
 			cSeries[s.Key] = s
 		}
-		t := tolFor(e)
 		bSeen := map[string]bool{}
 		for _, bs := range b.Series {
 			if bSeen[bs.Key] {
@@ -111,26 +74,17 @@ func Compare(base, cand map[string]*Artifact, tol map[string]float64) *CompareRe
 				continue
 			}
 			d := Delta{Experiment: e, Key: bs.Key, Direction: bs.Direction, Base: bs.Value, Cand: cs.Value}
-			if math.Abs(d.Base) >= compareAbsFloor || math.Abs(d.Cand) >= compareAbsFloor {
-				if math.Abs(d.Base) < compareAbsFloor {
-					// Base is zero, candidate is not: infinite relative
-					// change; signal with the sign of the move.
+			if d.Cand != d.Base {
+				if d.Base == 0 {
 					d.Rel = math.Copysign(math.Inf(1), d.Cand)
 				} else {
 					d.Rel = (d.Cand - d.Base) / math.Abs(d.Base)
 				}
-			}
-			switch d.Direction {
-			case DirLower:
-				d.Regressed = d.Rel > t
-			case DirHigher:
-				d.Regressed = d.Rel < -t
-			case DirEqual:
-				d.Regressed = math.Abs(d.Rel) > t
+				d.Moved = d.Direction != ""
 			}
 			res.Deltas = append(res.Deltas, d)
-			if d.Regressed {
-				res.Regressions = append(res.Regressions, d)
+			if d.Moved {
+				res.Moved = append(res.Moved, d)
 			}
 		}
 		leftover := make([]string, 0, len(cSeries))
@@ -155,26 +109,30 @@ func Compare(base, cand map[string]*Artifact, tol map[string]float64) *CompareRe
 	return res
 }
 
-// FormatTable renders the aligned deltas, flagging regressions.
+// FormatTable renders the aligned deltas, flagging the moved series, and
+// ends with the first series that moved.
 func (r *CompareResult) FormatTable() string {
 	var rows [][]string
 	for _, d := range r.Deltas {
 		flag := ""
-		if d.Regressed {
-			flag = "REGRESSED"
+		if d.Moved {
+			flag = "MOVED"
 		}
 		rows = append(rows, []string{
 			d.Experiment, d.Key, orInfo(d.Direction),
 			fmt.Sprintf("%.6g", d.Base), fmt.Sprintf("%.6g", d.Cand),
-			fmt.Sprintf("%+.2f%%", 100*d.Rel), flag,
+			fmt.Sprintf("%+.3g%%", 100*d.Rel), flag,
 		})
 	}
 	var sb strings.Builder
 	sb.WriteString(table([]string{"experiment", "series", "dir", "baseline", "candidate", "delta", ""}, rows))
-	fmt.Fprintf(&sb, "\n%d series compared, %d regressions, %d errors\n",
-		len(r.Deltas), len(r.Regressions), len(r.Errors))
+	fmt.Fprintf(&sb, "\n%d series compared, %d moved, %d errors\n",
+		len(r.Deltas), len(r.Moved), len(r.Errors))
 	for _, e := range r.Errors {
 		sb.WriteString("ERROR: " + e + "\n")
+	}
+	if len(r.Moved) > 0 {
+		fmt.Fprintf(&sb, "first moved: %s/%s\n", r.Moved[0].Experiment, r.Moved[0].Key)
 	}
 	return sb.String()
 }

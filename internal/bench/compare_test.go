@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -17,39 +18,42 @@ func TestCompareCleanAndPerturbed(t *testing.T) {
 			Series{Key: "opt/small_time", Value: 10e-6, Direction: DirLower},
 			Series{Key: "reduction", Value: 0.79, Direction: DirHigher},
 		),
+		"fig8": mkArtifact("fig8", Series{Key: "rate", Value: 3, Direction: DirHigher}),
 	}
-	// Identical candidate: clean.
 	cand := map[string]*Artifact{
 		"fig6": mkArtifact("fig6",
 			Series{Key: "opt/small_time", Value: 10e-6, Direction: DirLower},
 			Series{Key: "reduction", Value: 0.79, Direction: DirHigher},
 		),
+		"fig8": mkArtifact("fig8", Series{Key: "rate", Value: 3, Direction: DirHigher}),
 	}
-	res := Compare(base, cand, nil)
-	if len(res.Errors) != 0 || len(res.Regressions) != 0 {
-		t.Fatalf("identical sets: errors=%v regressions=%v", res.Errors, res.Regressions)
+	// Identical candidate: clean.
+	res := Compare(base, cand)
+	if len(res.Errors) != 0 || len(res.Moved) != 0 || len(res.Deltas) != 3 {
+		t.Fatalf("identical sets: errors=%v moved=%v deltas=%d", res.Errors, res.Moved, len(res.Deltas))
 	}
-
-	// Time up 50% with a 25% tolerance: regression.
-	cand["fig6"].Series[0].Value = 15e-6
-	res = Compare(base, cand, nil)
-	if len(res.Regressions) != 1 || res.Regressions[0].Key != "opt/small_time" {
-		t.Fatalf("perturbed lower-is-better series not flagged: %+v", res.Regressions)
+	if strings.Contains(res.FormatTable(), "first moved") {
+		t.Errorf("clean report names a moved series:\n%s", res.FormatTable())
 	}
 
-	// Time down 50%: an improvement, not a regression.
-	cand["fig6"].Series[0].Value = 5e-6
-	res = Compare(base, cand, nil)
-	if len(res.Regressions) != 0 {
-		t.Fatalf("improvement flagged as regression: %+v", res.Regressions)
+	// Any change moves a directed series, whichever way it goes: a 1e-9
+	// relative drift, an improvement and a regression alike.
+	for _, v := range []float64{10e-6 * (1 + 1e-9), 5e-6, 15e-6} {
+		cand["fig6"].Series[0].Value = v
+		res = Compare(base, cand)
+		if len(res.Moved) != 1 || res.Moved[0].Key != "opt/small_time" {
+			t.Fatalf("value %v: moved = %+v, want opt/small_time", v, res.Moved)
+		}
 	}
 
-	// Higher-is-better series dropping beyond tolerance: regression.
-	cand["fig6"].Series[0].Value = 10e-6
-	cand["fig6"].Series[1].Value = 0.3
-	res = Compare(base, cand, nil)
-	if len(res.Regressions) != 1 || res.Regressions[0].Key != "reduction" {
-		t.Fatalf("dropped higher-is-better series not flagged: %+v", res.Regressions)
+	// The report ends with the first move in experiment order.
+	cand["fig8"].Series[0].Value = 2
+	res = Compare(base, cand)
+	if len(res.Moved) != 2 {
+		t.Fatalf("moved = %+v, want two series", res.Moved)
+	}
+	if out := res.FormatTable(); !strings.HasSuffix(out, "first moved: fig6/opt/small_time\n") {
+		t.Errorf("report does not end with the first move:\n%s", out)
 	}
 }
 
@@ -64,18 +68,16 @@ func TestCompareEqualDirectionAndZeroTolerance(t *testing.T) {
 			Series{Key: "total_msgs/p2p", Value: 14, Direction: DirEqual},
 		),
 	}
-	// table1's default tolerance is 0: any move regresses, either direction.
-	res := Compare(base, cand, nil)
-	if len(res.Regressions) != 1 {
-		t.Fatalf("equal-direction move not flagged at zero tolerance: %+v", res.Deltas)
-	}
-	cand["table1"].Series[0].Value = 12
-	if res = Compare(base, cand, nil); len(res.Regressions) != 1 {
-		t.Fatalf("equal-direction downward move not flagged: %+v", res.Deltas)
+	// Every directed series is held to equality: any move, either direction.
+	for _, v := range []float64{14, 12} {
+		cand["table1"].Series[0].Value = v
+		if res := Compare(base, cand); len(res.Moved) != 1 {
+			t.Fatalf("equal-direction move to %v not flagged: %+v", v, res.Deltas)
+		}
 	}
 	cand["table1"].Series[0].Value = 13
-	if res = Compare(base, cand, nil); len(res.Regressions) != 0 {
-		t.Fatalf("exact match flagged: %+v", res.Regressions)
+	if res := Compare(base, cand); len(res.Moved) != 0 {
+		t.Fatalf("exact match flagged: %+v", res.Moved)
 	}
 }
 
@@ -91,14 +93,14 @@ func TestCompareShapeMismatchesAreErrors(t *testing.T) {
 		),
 		"fig15": mkArtifact("fig15", Series{Key: "c", Value: 1, Direction: DirLower}),
 	}
-	res := Compare(base, cand, nil)
+	res := Compare(base, cand)
 	// Expect: fig8 missing from candidate, direction flip on fig6/a, extra
 	// series fig6/extra, fig15 not in baseline.
 	if len(res.Errors) != 4 {
 		t.Fatalf("want 4 shape errors, got %d: %v", len(res.Errors), res.Errors)
 	}
-	if len(res.Regressions) != 0 {
-		t.Fatalf("shape mismatches must be errors, not regressions: %+v", res.Regressions)
+	if len(res.Moved) != 0 {
+		t.Fatalf("shape mismatches must be errors, not moves: %+v", res.Moved)
 	}
 }
 
@@ -109,9 +111,13 @@ func TestCompareInfoSeriesNeverGate(t *testing.T) {
 	cand := map[string]*Artifact{
 		"ablations": mkArtifact("ablations", Series{Key: "x/comm_penalty", Value: 100.0}),
 	}
-	res := Compare(base, cand, nil)
-	if len(res.Regressions) != 0 || len(res.Errors) != 0 {
-		t.Fatalf("info-only series gated: %+v %v", res.Regressions, res.Errors)
+	res := Compare(base, cand)
+	if len(res.Moved) != 0 || len(res.Errors) != 0 {
+		t.Fatalf("info-only series gated: %+v %v", res.Moved, res.Errors)
+	}
+	// Listed with its change all the same.
+	if len(res.Deltas) != 1 || res.Deltas[0].Rel != 99 {
+		t.Fatalf("info series not listed with its change: %+v", res.Deltas)
 	}
 }
 
@@ -123,13 +129,14 @@ func TestCompareZeroBaseline(t *testing.T) {
 	cand := map[string]*Artifact{
 		"fig11": mkArtifact("fig11", Series{Key: "diff", Value: 0, Direction: DirLower}),
 	}
-	if res := Compare(base, cand, nil); len(res.Regressions) != 0 {
-		t.Fatalf("0 vs 0 flagged: %+v", res.Regressions)
+	if res := Compare(base, cand); len(res.Moved) != 0 {
+		t.Fatalf("0 vs 0 flagged: %+v", res.Moved)
 	}
-	// Zero baseline, real candidate: infinite relative growth, regresses.
+	// Zero baseline, real candidate: an infinite relative move.
 	cand["fig11"].Series[0].Value = 0.5
-	if res := Compare(base, cand, nil); len(res.Regressions) != 1 {
-		t.Fatalf("growth from zero not flagged")
+	res := Compare(base, cand)
+	if len(res.Moved) != 1 || !math.IsInf(res.Moved[0].Rel, 1) {
+		t.Fatalf("growth from zero not flagged as an infinite move: %+v", res.Moved)
 	}
 }
 

@@ -212,9 +212,6 @@ type RunSpec struct {
 	// communication rounds run on (the -par flag); <= 1 is one LP, a serial
 	// loop. Results are bit-identical at every count.
 	ParallelLPs int
-	// Profile enables the event engine's barrier-wait wall timing (the
-	// event/epoch counters are always on). Never changes virtual results.
-	Profile bool
 }
 
 // RunResult is the outcome of a run.
@@ -302,7 +299,6 @@ func Start(spec RunSpec) (*Running, error) {
 		s.Close()
 		return nil, err
 	}
-	s.SetProfiling(spec.Profile)
 	return &Running{spec: spec, cfg: cfg, s: s, steps: steps}, nil
 }
 

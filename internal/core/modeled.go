@@ -45,9 +45,6 @@ type ModelSpec struct {
 	// (LPs <= 1: one LP, a serial loop); results are bit-identical at every
 	// count.
 	LPs int
-	// Profile enables the engine's barrier-wait wall timing (the event and
-	// epoch counters are always on). Never changes virtual results.
-	Profile bool
 	// Stats, when non-nil, receives the engine's cumulative per-LP profile
 	// after the run.
 	Stats *des.ParallelStats
@@ -134,7 +131,6 @@ func (spec *ModelSpec) setup() (*modelSetup, error) {
 	if err := fab.SetParallel(spec.LPs); err != nil {
 		return nil, err
 	}
-	fab.SetProfiling(spec.Profile)
 
 	kp := paramsFor(spec.Kind)
 	ms := &modelSetup{v: spec.Variant, m: m, fab: fab, kp: kp,

@@ -13,33 +13,29 @@ import (
 )
 
 // The golden checks of the scaling-diagnosis layer on the Fig. 6
-// configuration: the engine's profiling counters must describe the same
-// virtual computation at every LP count, and turning profiling on must not
-// perturb any observable result — times, message traces, or the exported
-// Chrome bytes.
+// configuration: the engine's event counters must describe the same virtual
+// computation at every LP count, and requesting them must not perturb any
+// observable result — times, message traces, or the exported Chrome bytes.
 
-func fig6Spec(lps int, rec *trace.Recorder, stats *des.ParallelStats, profile bool) ModelSpec {
+func fig6Spec(lps int, rec *trace.Recorder, stats *des.ParallelStats) ModelSpec {
 	full := LJSmall().FullShape
 	return ModelSpec{
 		Kind: LJ, Variant: sim.StepByStepVariants()[0],
 		FullShape: full, TileShape: vec.I3{X: 4, Y: 6, Z: 4},
 		AtomsPerRank: float64(LJSmall().Atoms) / float64(full.Prod()*4),
-		LPs:          lps, Rec: rec, Stats: stats, Profile: profile,
+		LPs:          lps, Rec: rec, Stats: stats,
 	}
 }
 
 // TestParallelStatsTotalsInvariantAcrossLPCounts pins the partition
 // invariance of the profile: the same halo exchange run with 1, 2, 4 and 8
-// LPs executes the same events, however they are split across LPs. A fabric
-// round sends no event to another LP (receive completions are applied after
-// the engine drains), so at every LP count it sends and stages nothing;
-// epochs depend on the lookahead window per LP count. LPs left unset (0) is
-// one LP and fills Stats like any other count.
+// LPs executes the same events, however they are split across LPs. LPs left
+// unset (0) is one LP and fills Stats like any other count.
 func TestParallelStatsTotalsInvariantAcrossLPCounts(t *testing.T) {
 	var ref des.ParallelStats
 	for i, lps := range []int{0, 1, 2, 4, 8} {
 		var st des.ParallelStats
-		if _, err := HaloTime(fig6Spec(lps, nil, &st, false)); err != nil {
+		if _, err := HaloTime(fig6Spec(lps, nil, &st)); err != nil {
 			t.Fatalf("%d LPs: %v", lps, err)
 		}
 		if want := max(lps, 1); len(st.LPs) != want {
@@ -47,9 +43,6 @@ func TestParallelStatsTotalsInvariantAcrossLPCounts(t *testing.T) {
 		}
 		if st.TotalEvents() == 0 {
 			t.Fatalf("%d LPs: empty profile %+v", lps, st)
-		}
-		if st.TotalSends() != 0 || st.TotalStaged() != 0 {
-			t.Errorf("%d LPs: fabric rounds sent %d events (%d staged across LPs), want none", lps, st.TotalSends(), st.TotalStaged())
 		}
 		// max/mean events across LPs: exactly 1 when one LP holds them all,
 		// never below 1 when they are split.
@@ -67,30 +60,32 @@ func TestParallelStatsTotalsInvariantAcrossLPCounts(t *testing.T) {
 }
 
 // TestProfilingDoesNotChangeResults is the bit-identity golden: the same
-// 4-LP run with profiling on and off must agree on the halo time, on every
-// recorded message event, on the critical-path fraction read from them, and
-// on the exported Chrome trace bytes. Only the stats may differ
-// (barrier-wait timing appears when profiled).
+// 4-LP run with Stats requested and with Stats nil must agree on the halo
+// time, on every recorded message event, on the critical-path fraction read
+// from them, and on the exported Chrome trace bytes.
 func TestProfilingDoesNotChangeResults(t *testing.T) {
-	run := func(profile bool) (float64, *trace.Recorder, des.ParallelStats) {
+	run := func(stats *des.ParallelStats) (float64, *trace.Recorder) {
 		rec := trace.NewRecorder()
-		var st des.ParallelStats
-		tm, err := HaloTime(fig6Spec(4, rec, &st, profile))
+		tm, err := HaloTime(fig6Spec(4, rec, stats))
 		if err != nil {
-			t.Fatalf("profile=%v: %v", profile, err)
+			t.Fatalf("stats=%v: %v", stats != nil, err)
 		}
-		return tm, rec, st
+		return tm, rec
 	}
-	tOff, recOff, stOff := run(false)
-	tOn, recOn, stOn := run(true)
+	var st des.ParallelStats
+	tOff, recOff := run(nil)
+	tOn, recOn := run(&st)
+	if st.TotalEvents() == 0 {
+		t.Fatalf("requested stats left empty: %+v", st)
+	}
 	if tOn != tOff {
-		t.Errorf("profiled halo time %v != unprofiled %v", tOn, tOff)
+		t.Errorf("halo time with stats %v != without %v", tOn, tOff)
 	}
 	if !reflect.DeepEqual(recOn.Messages(), recOff.Messages()) {
-		t.Error("profiling changed the recorded message events")
+		t.Error("requesting stats changed the recorded message events")
 	}
 	if on, off := obs.Analyze(recOn.Messages()).PathFrac, obs.Analyze(recOff.Messages()).PathFrac; on != off {
-		t.Errorf("profiled critical-path fraction %v != unprofiled %v", on, off)
+		t.Errorf("critical-path fraction with stats %v != without %v", on, off)
 	}
 	var bufOff, bufOn bytes.Buffer
 	if err := recOff.WriteChrome(&bufOff); err != nil {
@@ -100,17 +95,7 @@ func TestProfilingDoesNotChangeResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(bufOff.Bytes(), bufOn.Bytes()) {
-		t.Error("profiling changed the Chrome trace bytes")
-	}
-	// The always-on counters agree; only the wall-clock waits are gated.
-	if stOn.TotalEvents() != stOff.TotalEvents() || stOn.TotalSends() != stOff.TotalSends() {
-		t.Errorf("profiling changed the counters: %+v vs %+v", stOn, stOff)
-	}
-	if !stOn.Profiled || stOff.Profiled {
-		t.Errorf("Profiled flags wrong: on=%v off=%v", stOn.Profiled, stOff.Profiled)
-	}
-	if stOff.TotalBarrierWait() != 0 {
-		t.Errorf("unprofiled run reports barrier wait %v, want 0", stOff.TotalBarrierWait())
+		t.Error("requesting stats changed the Chrome trace bytes")
 	}
 }
 
@@ -136,30 +121,28 @@ func TestModeledRunFillsStats(t *testing.T) {
 	}
 }
 
-// TestFunctionalRunProfileMatchesUnprofiled drives core.Run with
-// RunSpec.Profile on a functional melt: virtual results must be identical
-// to the unprofiled run at the same LP count.
+// TestFunctionalRunProfileMatchesUnprofiled drives core.Run on a
+// functional melt at 4 LPs: its virtual results must equal the 1-LP run's.
 func TestFunctionalRunProfileMatchesUnprofiled(t *testing.T) {
-	run := func(profile bool) *RunResult {
+	run := func(lps int) *RunResult {
 		res, err := Run(RunSpec{
 			Workload:    LJSmall(),
 			TileShape:   vec.I3{X: 2, Y: 2, Z: 2},
 			Variant:     sim.Opt(),
 			Steps:       8,
-			ParallelLPs: 4,
-			Profile:     profile,
+			ParallelLPs: lps,
 		})
 		if err != nil {
-			t.Fatalf("profile=%v: %v", profile, err)
+			t.Fatalf("%d LPs: %v", lps, err)
 		}
 		return res
 	}
-	plain := run(false)
-	prof := run(true)
-	if prof.Elapsed != plain.Elapsed {
-		t.Errorf("profiled elapsed %v != plain %v", prof.Elapsed, plain.Elapsed)
+	serial := run(1)
+	sharded := run(4)
+	if sharded.Elapsed != serial.Elapsed {
+		t.Errorf("4-LP elapsed %v != 1-LP %v", sharded.Elapsed, serial.Elapsed)
 	}
-	if !reflect.DeepEqual(prof.Breakdown, plain.Breakdown) {
-		t.Error("profiling changed the stage breakdown")
+	if !reflect.DeepEqual(sharded.Breakdown, serial.Breakdown) {
+		t.Error("4 LPs changed the stage breakdown")
 	}
 }

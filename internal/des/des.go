@@ -5,9 +5,9 @@
 // regardless of how the caller enumerated the messages.
 //
 // ParallelEngine (parallel.go) is the engine the simulator runs on: the
-// event loop sharded into 1..N logical processes, a plain serial loop at one
-// LP and conservative barrier epochs above. Engine — one clock, one queue,
-// one goroutine — is its reference implementation; see the type's comment.
+// event loop sharded into 1..N independent logical processes, each drained
+// by the same serial loop. Engine — one clock, one queue, one goroutine — is
+// its reference implementation; see the type's comment.
 package des
 
 import "fmt"
@@ -28,8 +28,8 @@ import "fmt"
 // For the serial engine this collapses to the historical (time, seq) order:
 // sendTime is non-decreasing in seq (the clock never rewinds), so comparing
 // (time, sendTime, 0, seq) and (time, seq) yields the same total order. The
-// longer key exists for the parallel engine, where events from different LPs
-// meet in one queue and the tie-break must not depend on merge order.
+// fabric's post-drain completion sweep orders deliveries from every LP by
+// the same longer key (tofu.completionOrder).
 type event struct {
 	time     float64
 	sendTime float64

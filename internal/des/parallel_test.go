@@ -5,229 +5,175 @@ import (
 	"testing"
 )
 
-// --- serial-vs-parallel equivalence harness ------------------------------
+// --- per-LP equivalence harness --------------------------------------------
 //
-// The property the fabric relies on: for the same event graph, every LP of
-// the parallel engine executes its events in exactly the order (and at
-// exactly the times) the serial engine would execute that LP's events in.
-// The harness runs one randomly generated workload on both engines through
-// a common scheduling interface and compares the per-LP execution traces
-// bit for bit.
+// The property the fabric relies on: every LP of the parallel engine executes
+// its events in exactly the order (and at exactly the times) the serial
+// Engine executes the same workload in, however many other LPs drain
+// concurrently beside it. The harness gives each LP its own randomly
+// generated cascade, runs all of them at once on the parallel engine, runs
+// each alone on a reference Engine, and compares the traces bit for bit.
 
 type traceEntry struct {
-	lp   int
 	time float64
 	id   int
 }
 
-// testSched abstracts the two engines behind one scheduling surface.
+// testSched is one cascade's scheduling surface: a reference Engine or one LP.
 type testSched interface {
-	now(lp int) float64
-	at(lp int, t float64, fn func()) error
-	send(from, to int, t float64, fn func()) error
-	run() float64
+	now() float64
+	at(t float64, fn func()) error
 }
 
-type serialSched struct{ e Engine }
+type serialSched struct{ e *Engine }
 
-func (s *serialSched) now(int) float64                           { return s.e.Now() }
-func (s *serialSched) at(_ int, t float64, fn func()) error      { return s.e.ScheduleAt(t, fn) }
-func (s *serialSched) send(_, _ int, t float64, fn func()) error { return s.e.ScheduleAt(t, fn) }
-func (s *serialSched) run() float64                              { return s.e.Run() }
+func (s serialSched) now() float64                  { return s.e.Now() }
+func (s serialSched) at(t float64, fn func()) error { return s.e.ScheduleAt(t, fn) }
 
-type parSched struct{ p *ParallelEngine }
+type lpSched struct{ l *LP }
 
-func (s *parSched) now(lp int) float64 { return s.p.LP(lp).Now() }
-func (s *parSched) at(lp int, t float64, fn func()) error {
-	return s.p.LP(lp).ScheduleAt(t, fn)
-}
-func (s *parSched) send(from, to int, t float64, fn func()) error {
-	return s.p.LP(from).SendAt(s.p.LP(to), t, fn)
-}
-func (s *parSched) run() float64 { return s.p.Run() }
+func (s lpSched) now() float64                  { return s.l.Now() }
+func (s lpSched) at(t float64, fn func()) error { return s.l.ScheduleAt(t, fn) }
 
-// runWorkload expands a deterministic pseudo-random event graph on s and
-// returns the per-LP execution traces. All mutable generator state (RNG
-// stream, id counter, spawn budget) is per-LP and only touched by events
-// executing on that LP, so the expansion is identical on both engines and
-// race-free on the parallel one. Cross-LP send times carry a random factor
-// in [1,2) of the lookahead so arrival times never tie exactly with events
-// from other LPs (exact cross-LP time ties are outside the determinism
-// contract; the fabric's link latencies never produce them either).
-func runWorkload(t *testing.T, s testSched, lps int, lookahead float64, seed int64) ([][]traceEntry, float64) {
+// cascade schedules a deterministic pseudo-random event cascade on s and
+// returns the trace its events append to as they run. All generator state
+// (RNG stream, id counter, spawn budget) belongs to the cascade and its
+// events schedule only on s, so it expands identically on the reference
+// Engine and on an LP draining concurrently with others.
+func cascade(t *testing.T, s testSched, seed int64) *[]traceEntry {
 	t.Helper()
-	traces := make([][]traceEntry, lps)
-	rngs := make([]*rand.Rand, lps)
-	counters := make([]int, lps)
-	budget := make([]int, lps)
-
+	trace := new([]traceEntry)
+	rng := rand.New(rand.NewSource(seed))
+	ids, budget := 0, 80
 	fail := func(err error) {
 		if err != nil {
-			t.Errorf("workload scheduling failed: %v", err)
+			t.Errorf("cascade scheduling failed: %v", err)
 		}
 	}
-	// newEvent mints an event created by srcLP (consuming srcLP's id
-	// counter) that will execute on execLP (consuming execLP's RNG and
-	// budget when it runs).
-	var newEvent func(srcLP, execLP int) func()
-	newEvent = func(srcLP, execLP int) func() {
-		id := srcLP*1_000_000 + counters[srcLP]
-		counters[srcLP]++
+	var newEvent func() func()
+	newEvent = func() func() {
+		id := ids
+		ids++
 		return func() {
-			traces[execLP] = append(traces[execLP], traceEntry{execLP, s.now(execLP), id})
-			if budget[execLP] <= 0 {
+			*trace = append(*trace, traceEntry{s.now(), id})
+			if budget <= 0 {
 				return
 			}
-			r := rngs[execLP]
-			roll := r.Float64()
+			roll := rng.Float64()
 			if roll < 0.7 {
-				budget[execLP]--
-				// Quantized deltas, including 0, to exercise same-LP
-				// same-time tie-breaking.
-				delta := float64(r.Intn(4)) * 0.25
-				fail(s.at(execLP, s.now(execLP)+delta, newEvent(execLP, execLP)))
+				budget--
+				// Quantized deltas, including 0, to exercise same-time
+				// tie-breaking.
+				fail(s.at(s.now()+float64(rng.Intn(4))*0.25, newEvent()))
 			}
-			if roll < 0.4 && lps > 1 {
-				budget[execLP]--
-				to := r.Intn(lps - 1)
-				if to >= execLP {
-					to++
-				}
-				at := s.now(execLP) + lookahead*(1+r.Float64())
-				fail(s.send(execLP, to, at, newEvent(execLP, to)))
+			if roll < 0.4 {
+				budget--
+				fail(s.at(s.now()+0.3*(1+rng.Float64()), newEvent()))
 			}
 		}
 	}
-	for lp := 0; lp < lps; lp++ {
-		rngs[lp] = rand.New(rand.NewSource(seed + int64(lp)*1_000_003))
-		budget[lp] = 80
-		for i := 0; i < 8; i++ {
-			fail(s.at(lp, float64(i%3)*0.5, newEvent(lp, lp)))
+	for i := 0; i < 8; i++ {
+		fail(s.at(float64(i%3)*0.5, newEvent()))
+	}
+	return trace
+}
+
+// cascadeSeed gives each LP of a run its own workload.
+func cascadeSeed(seed int64, lp int) int64 { return seed + int64(lp)*1_000_003 }
+
+// checkAgainstEngine runs LP lp's cascade alone on a reference Engine and
+// compares it with got, the trace the LP produced; it returns the Engine's
+// final time.
+func checkAgainstEngine(t *testing.T, lps, lp int, seed int64, got []traceEntry) float64 {
+	t.Helper()
+	var e Engine
+	want := cascade(t, serialSched{&e}, cascadeSeed(seed, lp))
+	final := e.Run()
+	if len(*want) < 8 {
+		t.Errorf("lps=%d seed=%d lp=%d: cascade degenerated to %d events", lps, seed, lp, len(*want))
+	}
+	if len(got) != len(*want) {
+		t.Fatalf("lps=%d seed=%d lp=%d: %d events parallel vs %d serial", lps, seed, lp, len(got), len(*want))
+	}
+	for i := range got {
+		if got[i] != (*want)[i] {
+			t.Fatalf("lps=%d seed=%d lp=%d event %d: parallel %+v != serial %+v", lps, seed, lp, i, got[i], (*want)[i])
 		}
 	}
-	return traces, s.run()
+	return final
 }
 
 func TestParallelMatchesSerialProperty(t *testing.T) {
-	const lookahead = 0.3
 	for _, lps := range []int{2, 3, 5} {
 		for seed := int64(1); seed <= 4; seed++ {
-			ser, serFinal := runWorkload(t, &serialSched{}, lps, lookahead, seed)
-			par, err := NewParallel(lps, lookahead)
+			par, err := NewParallel(lps)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pr, parFinal := runWorkload(t, &parSched{p: par}, lps, lookahead, seed)
+			traces := make([]*[]traceEntry, lps)
+			for lp := range traces {
+				traces[lp] = cascade(t, lpSched{par.LP(lp)}, cascadeSeed(seed, lp))
+			}
+			parFinal := par.Run()
+			serFinal := 0.0
+			for lp, tr := range traces {
+				serFinal = max(serFinal, checkAgainstEngine(t, lps, lp, seed, *tr))
+			}
 			if parFinal != serFinal {
 				t.Errorf("lps=%d seed=%d: final time parallel %g != serial %g", lps, seed, parFinal, serFinal)
-			}
-			crossed, total := 0, 0
-			for lp := 0; lp < lps; lp++ {
-				if len(pr[lp]) != len(ser[lp]) {
-					t.Fatalf("lps=%d seed=%d lp=%d: %d events parallel vs %d serial",
-						lps, seed, lp, len(pr[lp]), len(ser[lp]))
-				}
-				total += len(ser[lp])
-				for i := range ser[lp] {
-					if pr[lp][i] != ser[lp][i] {
-						t.Fatalf("lps=%d seed=%d lp=%d event %d: parallel %+v != serial %+v",
-							lps, seed, lp, i, pr[lp][i], ser[lp][i])
-					}
-					if pr[lp][i].id/1_000_000 != lp {
-						crossed++
-					}
-				}
-			}
-			if total < 8*lps {
-				t.Errorf("lps=%d seed=%d: workload degenerated to %d events", lps, seed, total)
-			}
-			if crossed == 0 {
-				t.Errorf("lps=%d seed=%d: no cross-LP events exercised", lps, seed)
 			}
 		}
 	}
 }
 
-// tagSched drives a ParallelEngine the way the fabric does — tagged events
-// executed by one registered handler — mixed with closure events: every
-// other event of an LP goes through ScheduleTagAt/SendTagAt, its closure
-// parked in a table the tag indexes. Tables are fixed-size and per
-// scheduling LP, so a slot is written by its LP before the event is sent and
-// read by the executing LP after the epoch barrier, never concurrently.
+// tagSched schedules one LP's cascade the way the fabric does — tagged
+// events run by the engine's one handler — mixed with closure events: every
+// other event parks its closure in the LP's own table under the tag it is
+// scheduled with. Only that LP's events touch the table.
 type tagSched struct {
-	p   *ParallelEngine
-	tab [][]func()
-	n   []int
+	l   *LP
+	n   int
+	tab []func()
 }
 
-func newTagSched(p *ParallelEngine) *tagSched {
-	s := &tagSched{p: p, tab: make([][]func(), p.LPs()), n: make([]int, p.LPs())}
-	for i := range s.tab {
-		s.tab[i] = make([]func(), 1<<12)
+func (s *tagSched) now() float64 { return s.l.Now() }
+func (s *tagSched) at(t float64, fn func()) error {
+	s.n++
+	if s.n%2 == 0 {
+		return s.l.ScheduleAt(t, fn)
 	}
-	p.SetHandler(func(_ *LP, tag uint32) { s.tab[tag>>12][tag&(1<<12-1)]() })
-	return s
+	s.tab = append(s.tab, fn)
+	return s.l.ScheduleTagAt(t, uint32(len(s.tab)-1))
 }
 
-// park stores fn in from's table and returns its tag; ok is false on the
-// turns that stay closure events.
-func (s *tagSched) park(from int, fn func()) (tag uint32, ok bool) {
-	i := s.n[from]
-	s.n[from]++
-	if i%2 == 1 {
-		return 0, false
-	}
-	s.tab[from][i] = fn
-	return uint32(from)<<12 | uint32(i), true
-}
-
-func (s *tagSched) now(lp int) float64 { return s.p.LP(lp).Now() }
-func (s *tagSched) at(lp int, t float64, fn func()) error {
-	if tag, ok := s.park(lp, fn); ok {
-		return s.p.LP(lp).ScheduleTagAt(t, tag)
-	}
-	return s.p.LP(lp).ScheduleAt(t, fn)
-}
-func (s *tagSched) send(from, to int, t float64, fn func()) error {
-	if tag, ok := s.park(from, fn); ok {
-		return s.p.LP(from).SendTagAt(s.p.LP(to), t, tag)
-	}
-	return s.p.LP(from).SendAt(s.p.LP(to), t, fn)
-}
-func (s *tagSched) run() float64 { return s.p.Run() }
-
-// The cascade of TestParallelMatchesSerialProperty expressed as tagged
-// events mixed with closure events: at 1 to 4 LPs every LP executes it in
-// the order, and at the times, the reference Engine executes the closure
-// form.
+// The cascades of TestParallelMatchesSerialProperty expressed as tagged
+// events mixed with closure events: at 1 to 4 LPs every LP executes its
+// cascade in the order, and at the times, the reference Engine executes the
+// closure form, and the handler sees each tag on the LP it was scheduled on.
 func TestTaggedEventsMatchSerialProperty(t *testing.T) {
-	const lookahead = 0.3
 	for lps := 1; lps <= 4; lps++ {
 		for seed := int64(1); seed <= 4; seed++ {
-			ser, serFinal := runWorkload(t, &serialSched{}, lps, lookahead, seed)
-			par, err := NewParallel(lps, lookahead)
+			par, err := NewParallel(lps)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ts := newTagSched(par)
-			pr, parFinal := runWorkload(t, ts, lps, lookahead, seed)
+			scheds := make([]*tagSched, lps)
+			par.SetHandler(func(l *LP, tag uint32) { scheds[l.ID()].tab[tag]() })
+			traces := make([]*[]traceEntry, lps)
+			for lp := range traces {
+				scheds[lp] = &tagSched{l: par.LP(lp)}
+				traces[lp] = cascade(t, scheds[lp], cascadeSeed(seed, lp))
+			}
+			parFinal := par.Run()
+			serFinal := 0.0
+			for lp, tr := range traces {
+				serFinal = max(serFinal, checkAgainstEngine(t, lps, lp, seed, *tr))
+				if len(scheds[lp].tab) < 4 {
+					t.Errorf("lps=%d seed=%d lp=%d: only %d tagged events scheduled", lps, seed, lp, len(scheds[lp].tab))
+				}
+			}
 			if parFinal != serFinal {
 				t.Errorf("lps=%d seed=%d: final time tagged %g != serial %g", lps, seed, parFinal, serFinal)
-			}
-			for lp := 0; lp < lps; lp++ {
-				if len(pr[lp]) != len(ser[lp]) {
-					t.Fatalf("lps=%d seed=%d lp=%d: %d events tagged vs %d serial",
-						lps, seed, lp, len(pr[lp]), len(ser[lp]))
-				}
-				for i := range ser[lp] {
-					if pr[lp][i] != ser[lp][i] {
-						t.Fatalf("lps=%d seed=%d lp=%d event %d: tagged %+v != serial %+v",
-							lps, seed, lp, i, pr[lp][i], ser[lp][i])
-					}
-				}
-				if ts.n[lp] < 8 {
-					t.Errorf("lps=%d seed=%d lp=%d: only %d events scheduled", lps, seed, lp, ts.n[lp])
-				}
 			}
 		}
 	}
@@ -236,26 +182,20 @@ func TestTaggedEventsMatchSerialProperty(t *testing.T) {
 // A tagged event needs a handler to run it; scheduling one on an engine
 // without is refused instead of crashing the event loop later.
 func TestTaggedEventNeedsHandler(t *testing.T) {
-	p, err := NewParallel(2, 1)
+	p, err := NewParallel(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := p.LP(0).ScheduleTagAt(1, 7); err == nil {
 		t.Error("ScheduleTagAt without a handler accepted")
 	}
-	if err := p.LP(0).SendTagAt(p.LP(1), 1, 7); err == nil {
-		t.Error("SendTagAt without a handler accepted")
-	}
 	got := make([][]uint32, 2) // per executing LP
 	p.SetHandler(func(l *LP, tag uint32) { got[l.ID()] = append(got[l.ID()], tag) })
 	if err := p.LP(0).ScheduleTagAt(2, 7); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.LP(0).SendTagAt(p.LP(1), 1, 9); err != nil {
+	if err := p.LP(1).ScheduleTagAt(1, 9); err != nil {
 		t.Fatal(err)
-	}
-	if err := p.LP(0).SendTagAt(p.LP(1), 0.5, 9); err == nil {
-		t.Error("SendTagAt inside the lookahead window accepted")
 	}
 	p.Run()
 	if len(got[0]) != 1 || got[0][0] != 7 || len(got[1]) != 1 || got[1][0] != 9 {
@@ -264,7 +204,7 @@ func TestTaggedEventNeedsHandler(t *testing.T) {
 }
 
 func TestParallelSingleLPDegenerate(t *testing.T) {
-	p, err := NewParallel(1, 0)
+	p, err := NewParallel(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,19 +222,24 @@ func TestParallelSingleLPDegenerate(t *testing.T) {
 }
 
 func TestNewParallelValidation(t *testing.T) {
-	if _, err := NewParallel(0, 1); err == nil {
-		t.Error("NewParallel(0) accepted")
+	for _, lps := range []int{0, -1} {
+		if _, err := NewParallel(lps); err == nil {
+			t.Errorf("NewParallel(%d) accepted", lps)
+		}
 	}
-	if _, err := NewParallel(2, 0); err == nil {
-		t.Error("NewParallel(2, lookahead=0) accepted")
-	}
-	if _, err := NewParallel(2, -1); err == nil {
-		t.Error("NewParallel(2, lookahead<0) accepted")
+	for _, lps := range []int{1, 2} {
+		p, err := NewParallel(lps)
+		if err != nil {
+			t.Fatalf("NewParallel(%d): %v", lps, err)
+		}
+		if p.LPs() != lps {
+			t.Errorf("NewParallel(%d) has %d LPs", lps, p.LPs())
+		}
 	}
 }
 
 func TestParallelTieBreakBySchedulingOrderWithinLP(t *testing.T) {
-	p, err := NewParallel(2, 1)
+	p, err := NewParallel(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +257,7 @@ func TestParallelTieBreakBySchedulingOrderWithinLP(t *testing.T) {
 }
 
 func TestParallelScheduleAtRejectsPast(t *testing.T) {
-	p, err := NewParallel(2, 1)
+	p, err := NewParallel(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,74 +272,50 @@ func TestParallelScheduleAtRejectsPast(t *testing.T) {
 	}
 }
 
-func TestParallelSendAtEnforcesLookahead(t *testing.T) {
-	p, err := NewParallel(2, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Below the lookahead window: rejected.
-	if err := p.LP(0).SendAt(p.LP(1), 0.5, func() {}); err == nil {
-		t.Error("SendAt inside the lookahead window accepted")
-	}
-	// Exactly at the window: accepted.
-	ran := false
-	if err := p.LP(0).SendAt(p.LP(1), 1.0, func() { ran = true }); err != nil {
-		t.Errorf("SendAt at exactly now+lookahead rejected: %v", err)
-	}
-	// Same-LP sends are local and exempt from the window.
-	if err := p.LP(0).SendAt(p.LP(0), 0.1, func() {}); err != nil {
-		t.Errorf("same-LP SendAt rejected: %v", err)
-	}
-	p.Run()
-	if !ran {
-		t.Error("accepted cross-LP event never ran")
-	}
-
-	other, _ := NewParallel(2, 1.0)
-	if err := p.LP(0).SendAt(other.LP(1), 5, func() {}); err == nil {
-		t.Error("SendAt to an LP of a different engine accepted")
-	}
-}
-
+// Every LP runs its own 50-event chain at its own pace, concurrently with
+// the others; each ends at its own clock and the run at the latest.
 func TestParallelCascadeAcrossLPs(t *testing.T) {
-	p, err := NewParallel(2, 1.0)
+	const lps, chain = 4, 50
+	p, err := NewParallel(lps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	count := 0
-	var bounce func(on int) func()
-	bounce = func(on int) func() {
-		return func() {
-			count++
-			if count < 50 {
-				src, dst := p.LP(on), p.LP(1-on)
-				if err := src.SendAt(dst, src.Now()+1, bounce(1-on)); err != nil {
+	counts := make([]int, lps)
+	for i := 0; i < lps; i++ {
+		l, step := p.LP(i), float64(i+1)
+		var tick func()
+		tick = func() {
+			counts[i]++
+			if counts[i] < chain {
+				if err := l.ScheduleAt(l.Now()+step, tick); err != nil {
 					t.Error(err)
 				}
 			}
 		}
+		l.Schedule(0, tick)
 	}
-	p.LP(0).Schedule(0, bounce(0))
-	final := p.Run()
-	if count != 50 {
-		t.Errorf("count = %d, want 50", count)
+	if final := p.Run(); final != (chain-1)*lps {
+		t.Errorf("final = %g, want %d", final, (chain-1)*lps)
 	}
-	if final != 49 {
-		t.Errorf("final = %g, want 49", final)
+	for i, n := range counts {
+		if n != chain {
+			t.Errorf("LP %d ran %d events, want %d", i, n, chain)
+		}
+		if now, want := p.LP(i).Now(), float64((chain-1)*(i+1)); now != want {
+			t.Errorf("LP %d clock = %g, want %g", i, now, want)
+		}
 	}
 }
 
 func TestParallelReset(t *testing.T) {
-	p, err := NewParallel(2, 1.0)
+	p, err := NewParallel(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.LP(0).Schedule(5, func() {})
-	if err := p.LP(1).SendAt(p.LP(0), 7, func() {}); err != nil {
-		t.Fatal(err)
-	}
+	p.LP(1).Schedule(7, func() {})
 	if p.Pending() != 2 {
-		t.Errorf("pending = %d, want 2 (one queued, one staged)", p.Pending())
+		t.Errorf("pending = %d, want 2", p.Pending())
 	}
 	p.Reset()
 	if p.Pending() != 0 {
@@ -413,17 +334,33 @@ func TestParallelReset(t *testing.T) {
 	}
 }
 
+// The budget is per LP: on a 4-LP engine where LP 2 is stuck in a zero-delay
+// self-rescheduling cycle, LP 2 stops within its budget naming the stuck
+// time while the other three drain their finite cascades completely.
 func TestParallelRunBudgetStopsLivelock(t *testing.T) {
-	p, err := NewParallel(2, 0.5)
+	const lps, stuck, budget, chain = 4, 2, 200, 150
+	p, err := NewParallel(lps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := p.LP(0)
-	var tick func()
-	tick = func() { l.Schedule(l.Now(), tick) }
-	l.Schedule(5, tick)
-	p.LP(1).Schedule(1, func() {})
-	_, runErr := p.RunBudget(200)
+	counts := make([]int, lps)
+	for i := 0; i < lps; i++ {
+		l := p.LP(i)
+		var tick func()
+		if i == stuck {
+			tick = func() { counts[i]++; l.Schedule(l.Now(), tick) }
+			l.Schedule(5, tick)
+			continue
+		}
+		tick = func() {
+			counts[i]++
+			if counts[i] < chain {
+				l.Schedule(l.Now()+1, tick)
+			}
+		}
+		l.Schedule(0, tick)
+	}
+	_, runErr := p.RunBudget(budget)
 	if runErr == nil {
 		t.Fatal("RunBudget returned nil on a scheduling cycle")
 	}
@@ -431,10 +368,22 @@ func TestParallelRunBudgetStopsLivelock(t *testing.T) {
 	if !ok {
 		t.Fatalf("error type = %T, want *BudgetError", runErr)
 	}
-	if be.NextAt != 5 {
-		t.Errorf("BudgetError names t=%g, want the stuck time 5", be.NextAt)
+	if be.NextAt != 5 || be.Now != 5 {
+		t.Errorf("BudgetError names now=%g next=%g, want the stuck time 5", be.Now, be.NextAt)
 	}
-	if p.Pending() == 0 {
-		t.Error("cycle's events discarded instead of left queued")
+	if counts[stuck] > budget {
+		t.Errorf("stuck LP ran %d events, beyond its budget %d", counts[stuck], budget)
+	}
+	if p.LP(stuck).Pending() == 0 || be.Pending != p.Pending() {
+		t.Errorf("stuck LP holds %d events, error reports %d pending of %d", p.LP(stuck).Pending(), be.Pending, p.Pending())
+	}
+	for i := 0; i < lps; i++ {
+		if i == stuck {
+			continue
+		}
+		if counts[i] != chain || p.LP(i).Pending() != 0 || p.LP(i).Now() != chain-1 {
+			t.Errorf("LP %d: ran %d of %d events, %d pending, clock %g: did not drain",
+				i, counts[i], chain, p.LP(i).Pending(), p.LP(i).Now())
+		}
 	}
 }

@@ -1,42 +1,14 @@
 package des
 
-import "sync/atomic"
-
-// This file holds the parallel engine's profiling surface. The counters
-// answer the strong-scaling question one level up from the fabric: when the
-// parallel engine fails to speed the simulator up, is it LP load imbalance
-// (events executed per LP), barrier cost (wall time spent waiting at the
-// epoch barrier), or a lookahead window too narrow to batch useful work per
-// epoch (lookahead-limited epochs)?
+// This file holds the engine's profiling surface: events executed per LP.
+// When more LPs fail to speed the simulator up, the per-LP counts show
+// whether the partition is to blame — the run lasts as long as its busiest
+// shard.
 //
-// The profile never observes or advances virtual time: every counter is a
-// side effect of work the engine already does, so profiled runs stay
-// bit-identical to unprofiled runs. Event/epoch/send counters are always on
-// (one atomic add per epoch or per send); only the barrier-wait wall-clock
-// timing is gated behind SetProfiling, because it adds two host-clock reads
-// per barrier crossing.
-//
-// All counters are atomics so a Stats snapshot may be read concurrently
-// with a run — this is what the live -status HTTP endpoint does.
-
-// lpProf is one LP's cumulative profile. Counts accumulate across rounds
-// (Reset does not clear them); ResetStats rewinds explicitly.
-type lpProf struct {
-	// events counts executed events, added once per epoch (or serial drain).
-	events atomic.Int64
-	// epochs counts barrier epochs this LP participated in.
-	epochs atomic.Int64
-	// sends counts deliveries routed through SendAt, including sends that
-	// land on the sending LP itself — the total is therefore invariant
-	// under re-partitioning the same event graph across LP counts.
-	sends atomic.Int64
-	// staged counts the subset of sends staged to a different LP's inbox.
-	staged atomic.Int64
-	// barrierNs is wall-clock nanoseconds spent inside barrier waits
-	// (bounded spin plus channel fallback); only advanced when profiling
-	// is enabled.
-	barrierNs atomic.Int64
-}
+// The counters never observe or advance virtual time: each is one atomic add
+// per LP per run, a side effect of work the engine already does. They are
+// atomics so a Stats snapshot may be read concurrently with a run — this is
+// what the live -status HTTP endpoint does.
 
 // LPStats is a point-in-time snapshot of one LP's cumulative profile.
 type LPStats struct {
@@ -44,32 +16,12 @@ type LPStats struct {
 	LP int
 	// Events is the number of events this LP executed.
 	Events int64
-	// Epochs is the number of barrier epochs this LP participated in.
-	Epochs int64
-	// Sends counts deliveries routed through SendAt from this LP (including
-	// those landing on this LP); Staged is the cross-LP subset.
-	Sends, Staged int64
-	// BarrierWait is wall-clock seconds this LP spent waiting at the epoch
-	// barrier; zero unless profiling was enabled (SetProfiling).
-	BarrierWait float64
 }
 
 // ParallelStats is a snapshot of the engine's cumulative profile. Snapshots
-// are safe to take while a run is in flight (all counters are atomics), in
-// which case they show a consistent-enough mid-run progress view: per-LP
-// event counts advance at epoch granularity.
+// are safe to take while a run is in flight, in which case each LP's count
+// includes its runs that have finished draining.
 type ParallelStats struct {
-	// Lookahead is the conservative lookahead window in seconds.
-	Lookahead float64
-	// Profiled reports whether barrier-wait wall timing was enabled.
-	Profiled bool
-	// Epochs is the number of horizons the lead LP published. An epoch is
-	// LookaheadLimited when some LP's earliest pending event already lay at
-	// or beyond the published horizon — that LP idled through the epoch
-	// because the window was too narrow, not because it lacked work. The
-	// remainder (Epochs - LookaheadLimited) are granted advances in which
-	// every non-empty LP could execute.
-	Epochs, LookaheadLimited int64
 	// LPs holds one entry per logical process, ordered by LP index.
 	LPs []LPStats
 }
@@ -81,35 +33,6 @@ func (s ParallelStats) TotalEvents() int64 {
 		n += lp.Events
 	}
 	return n
-}
-
-// TotalSends sums SendAt deliveries across LPs. Because self-sends count
-// too, the total depends only on the event graph, not on how it was
-// partitioned — the invariant the golden tests pin.
-func (s ParallelStats) TotalSends() int64 {
-	var n int64
-	for _, lp := range s.LPs {
-		n += lp.Sends
-	}
-	return n
-}
-
-// TotalStaged sums cross-LP staged sends; zero on a single LP.
-func (s ParallelStats) TotalStaged() int64 {
-	var n int64
-	for _, lp := range s.LPs {
-		n += lp.Staged
-	}
-	return n
-}
-
-// TotalBarrierWait sums barrier-wait wall seconds across LPs.
-func (s ParallelStats) TotalBarrierWait() float64 {
-	t := 0.0
-	for _, lp := range s.LPs {
-		t += lp.BarrierWait
-	}
-	return t
 }
 
 // ImbalanceMax is the load-imbalance ratio max/mean of per-LP executed
@@ -130,48 +53,21 @@ func (s ParallelStats) ImbalanceMax() float64 {
 	return float64(max) / mean
 }
 
-// SetProfiling enables or disables barrier-wait wall-clock timing. Call it
-// before Run/RunBudget from the driving goroutine; the other counters are
-// always collected. Profiling never changes virtual times or event order.
-func (p *ParallelEngine) SetProfiling(on bool) { p.profile = on }
-
-// Profiling reports whether barrier-wait wall timing is enabled.
-func (p *ParallelEngine) Profiling() bool { return p.profile }
-
 // Stats snapshots the cumulative profile. Safe to call concurrently with a
 // run in flight (the live status endpoint does).
 func (p *ParallelEngine) Stats() ParallelStats {
-	st := ParallelStats{
-		Lookahead:        p.lookahead,
-		Profiled:         p.profile,
-		Epochs:           p.epochs.Load(),
-		LookaheadLimited: p.laLimited.Load(),
-		LPs:              make([]LPStats, len(p.lps)),
-	}
+	st := ParallelStats{LPs: make([]LPStats, len(p.lps))}
 	for i, l := range p.lps {
-		st.LPs[i] = LPStats{
-			LP:          i,
-			Events:      l.prof.events.Load(),
-			Epochs:      l.prof.epochs.Load(),
-			Sends:       l.prof.sends.Load(),
-			Staged:      l.prof.staged.Load(),
-			BarrierWait: float64(l.prof.barrierNs.Load()) / 1e9,
-		}
+		st.LPs[i] = LPStats{LP: i, Events: l.events.Load()}
 	}
 	return st
 }
 
-// ResetStats rewinds every profiling counter to zero. Reset (the per-round
-// queue clear) deliberately leaves the profile alone so it accumulates
+// ResetStats rewinds every event counter to zero. Reset (the per-round
+// queue clear) deliberately leaves the counters alone so they accumulate
 // across the rounds of one run.
 func (p *ParallelEngine) ResetStats() {
-	p.epochs.Store(0)
-	p.laLimited.Store(0)
 	for _, l := range p.lps {
-		l.prof.events.Store(0)
-		l.prof.epochs.Store(0)
-		l.prof.sends.Store(0)
-		l.prof.staged.Store(0)
-		l.prof.barrierNs.Store(0)
+		l.events.Store(0)
 	}
 }

@@ -2,46 +2,42 @@ package des
 
 import (
 	"math"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
-// cascadeGraph schedules a deterministic event cascade across nLPs: a seed
-// event per LP that repeatedly does local work and sends to the next LP
-// (round-robin) at now+lookahead, depth levels deep. Returns the expected
-// total event count.
+// cascadeGraph seeds every LP with a chain of depth+1 events, each
+// scheduling the next on its own LP, and returns the expected total event
+// count.
 func cascadeGraph(t *testing.T, p *ParallelEngine, depth int) int {
 	t.Helper()
-	n := p.LPs()
-	total := 0
 	var chain func(l *LP, level int) func()
 	chain = func(l *LP, level int) func() {
 		return func() {
 			if level >= depth {
 				return
 			}
-			dst := p.LP((l.ID() + 1) % n)
-			if err := l.SendAt(dst, l.Now()+p.Lookahead(), chain(dst, level+1)); err != nil {
-				t.Errorf("SendAt: %v", err)
+			if err := l.ScheduleAt(l.Now()+1e-6, chain(l, level+1)); err != nil {
+				t.Errorf("ScheduleAt: %v", err)
 			}
 		}
 	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < p.LPs(); i++ {
 		l := p.LP(i)
 		if err := l.ScheduleAt(float64(i)*1e-9, chain(l, 0)); err != nil {
 			t.Fatalf("ScheduleAt: %v", err)
 		}
-		total += depth + 1 // the seed plus depth chained events
 	}
-	return total
+	return p.LPs() * (depth + 1) // the seed plus depth chained events per LP
 }
 
 // TestStatsCountsEventsAndSends pins the counting semantics: every executed
-// event is counted, every SendAt delivery is a send, and only cross-LP
-// sends are staged.
+// event is counted, on the LP that executed it.
 func TestStatsCountsEventsAndSends(t *testing.T) {
 	const depth = 16
 	for _, lps := range []int{1, 2, 4, 8} {
-		p, err := NewParallel(lps, 1e-6)
+		p, err := NewParallel(lps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,124 +47,100 @@ func TestStatsCountsEventsAndSends(t *testing.T) {
 		if got := st.TotalEvents(); got != int64(want) {
 			t.Errorf("%d LPs: TotalEvents = %d, want %d", lps, got, want)
 		}
-		wantSends := int64(lps * depth)
-		if got := st.TotalSends(); got != wantSends {
-			t.Errorf("%d LPs: TotalSends = %d, want %d", lps, got, wantSends)
+		if len(st.LPs) != lps {
+			t.Fatalf("%d LPs: %d stats rows", lps, len(st.LPs))
 		}
-		if lps == 1 {
-			if got := st.TotalStaged(); got != 0 {
-				t.Errorf("1 LP: TotalStaged = %d, want 0 (self-sends are not staged)", got)
+		for i, lp := range st.LPs {
+			if lp.LP != i || lp.Events != depth+1 {
+				t.Errorf("%d LPs: row %d = %+v, want LP %d with %d events", lps, i, lp, i, depth+1)
 			}
-		} else {
-			// Every send in the cascade targets the next LP, so all of them
-			// cross.
-			if got := st.TotalStaged(); got != wantSends {
-				t.Errorf("%d LPs: TotalStaged = %d, want %d", lps, got, wantSends)
-			}
-			if st.Epochs == 0 {
-				t.Errorf("%d LPs: no epochs recorded", lps)
-			}
-			for _, lp := range st.LPs {
-				if lp.Epochs == 0 {
-					t.Errorf("%d LPs: LP %d participated in no epochs", lps, lp.LP)
-				}
-			}
-		}
-		if st.LookaheadLimited > st.Epochs {
-			t.Errorf("%d LPs: LookaheadLimited %d > Epochs %d", lps, st.LookaheadLimited, st.Epochs)
 		}
 	}
 }
 
 // TestStatsTotalsInvariantAcrossLPCounts is the partition-invariance
-// property: the same event graph run on 1/2/4/8 LPs reports identical
-// TotalEvents and TotalSends (Staged naturally varies).
+// property: the same workload spread over 1/2/4/8 LPs reports identical
+// TotalEvents.
 func TestStatsTotalsInvariantAcrossLPCounts(t *testing.T) {
-	totals := map[int][2]int64{}
+	totals := map[int]int64{}
 	for _, lps := range []int{1, 2, 4, 8} {
-		p, err := NewParallel(lps, 1e-6)
+		p, err := NewParallel(lps)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Build the graph over 8 virtual "sites" mapped onto the available
-		// LPs so the workload is identical regardless of the LP count.
+		// One chain per virtual "site", sites mapped onto the available LPs,
+		// so the workload is identical regardless of the LP count.
 		const sites, depth = 8, 12
-		var chain func(site, level int) func()
-		chain = func(site, level int) func() {
-			l := p.LP(site % lps)
+		var chain func(l *LP, level int) func()
+		chain = func(l *LP, level int) func() {
 			return func() {
-				if level >= depth {
-					return
-				}
-				next := (site + 1) % sites
-				dst := p.LP(next % lps)
-				if err := l.SendAt(dst, l.Now()+p.Lookahead(), chain(next, level+1)); err != nil {
-					t.Errorf("SendAt: %v", err)
+				if level < depth {
+					l.Schedule(l.Now()+1e-6, chain(l, level+1))
 				}
 			}
 		}
 		for s := 0; s < sites; s++ {
-			if err := p.LP(s%lps).ScheduleAt(float64(s)*1e-9, chain(s, 0)); err != nil {
+			l := p.LP(s % lps)
+			if err := l.ScheduleAt(float64(s)*1e-9, chain(l, 0)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		p.Run()
-		st := p.Stats()
-		totals[lps] = [2]int64{st.TotalEvents(), st.TotalSends()}
+		totals[lps] = p.Stats().TotalEvents()
 	}
-	ref := totals[1]
 	for _, lps := range []int{2, 4, 8} {
-		if totals[lps] != ref {
-			t.Errorf("%d LPs: totals (events, sends) = %v, want %v (1 LP)", lps, totals[lps], ref)
+		if totals[lps] != totals[1] {
+			t.Errorf("%d LPs: TotalEvents = %d, want %d (1 LP)", lps, totals[lps], totals[1])
 		}
 	}
 }
 
-// TestStatsProfilingDoesNotChangeResults runs the same graph with and
-// without profiling and demands identical final virtual times and counts —
-// the bit-identity side of the profiling contract.
+// TestStatsProfilingDoesNotChangeResults polls Stats from another goroutine
+// throughout a 4-LP run and demands the final virtual time and counts of an
+// unobserved run: reading the profile mid-run is race-free (checked under
+// -race) and changes nothing.
 func TestStatsProfilingDoesNotChangeResults(t *testing.T) {
-	run := func(profile bool) (float64, int64) {
-		p, err := NewParallel(4, 1e-6)
+	run := func(poll bool) (float64, int64) {
+		p, err := NewParallel(4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.SetProfiling(profile)
-		cascadeGraph(t, p, 24)
+		want := cascadeGraph(t, p, 2000)
+		var stop atomic.Bool
+		var wg sync.WaitGroup
+		if poll {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var last int64
+				for !stop.Load() {
+					n := p.Stats().TotalEvents()
+					if n < last || n > int64(want) {
+						t.Errorf("mid-run TotalEvents %d after %d, want monotone up to %d", n, last, want)
+					}
+					last = n
+				}
+			}()
+		}
 		final := p.Run()
+		stop.Store(true)
+		wg.Wait()
 		return final, p.Stats().TotalEvents()
 	}
 	plainT, plainN := run(false)
-	profT, profN := run(true)
-	if plainT != profT {
-		t.Errorf("profiled final time %v != unprofiled %v", profT, plainT)
+	polledT, polledN := run(true)
+	if plainT != polledT {
+		t.Errorf("polled final time %v != unpolled %v", polledT, plainT)
 	}
-	if plainN != profN {
-		t.Errorf("profiled event count %d != unprofiled %d", profN, plainN)
-	}
-}
-
-// TestStatsBarrierWaitOnlyWhenProfiled: the wall-clock barrier timer stays
-// zero unless SetProfiling(true).
-func TestStatsBarrierWaitOnlyWhenProfiled(t *testing.T) {
-	p, err := NewParallel(4, 1e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cascadeGraph(t, p, 24)
-	p.Run()
-	if w := p.Stats().TotalBarrierWait(); w != 0 {
-		t.Errorf("unprofiled run recorded %v s of barrier wait, want 0", w)
-	}
-	if p.Stats().Profiled {
-		t.Error("Profiled = true without SetProfiling")
+	if plainN != polledN {
+		t.Errorf("polled event count %d != unpolled %d", polledN, plainN)
 	}
 }
 
 // TestStatsAccumulateAcrossResets: Reset clears queues but not the profile;
 // ResetStats clears the profile.
 func TestStatsAccumulateAcrossResets(t *testing.T) {
-	p, err := NewParallel(2, 1e-6)
+	p, err := NewParallel(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,15 +157,14 @@ func TestStatsAccumulateAcrossResets(t *testing.T) {
 		t.Errorf("after Reset + rerun: TotalEvents = %d, want %d (accumulating)", got, 2*first)
 	}
 	p.ResetStats()
-	st := p.Stats()
-	if st.TotalEvents() != 0 || st.TotalSends() != 0 || st.Epochs != 0 || st.LookaheadLimited != 0 {
+	if st := p.Stats(); st.TotalEvents() != 0 {
 		t.Errorf("ResetStats left nonzero profile: %+v", st)
 	}
 }
 
 // TestStatsImbalance pins ImbalanceMax on a deliberately skewed load.
 func TestStatsImbalance(t *testing.T) {
-	p, err := NewParallel(2, 1e-6)
+	p, err := NewParallel(2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -294,12 +294,6 @@ func (s *Simulation) SetParallel(lps int) error {
 	return s.fab.SetParallel(lps)
 }
 
-// SetProfiling toggles the event engine's barrier-wait wall timing (the
-// event/epoch counters are always on). Never changes virtual results.
-func (s *Simulation) SetProfiling(on bool) {
-	s.fab.SetProfiling(on)
-}
-
 // ParallelStats returns the event engine's cumulative per-LP profile; ok is
 // always true (see tofu.Fabric.ParallelStats).
 func (s *Simulation) ParallelStats() (des.ParallelStats, bool) {

@@ -325,21 +325,13 @@ func Explain(stats *des.ParallelStats, rec *trace.Recorder, topK int) string {
 	msgs := rec.Messages()
 	var sb strings.Builder
 	if stats != nil && len(stats.LPs) > 0 {
-		fmt.Fprintf(&sb, "Parallel engine: %d LPs, lookahead %.3f us\n", len(stats.LPs), 1e6*stats.Lookahead)
-		granted := stats.Epochs - stats.LookaheadLimited
-		fmt.Fprintf(&sb, "  epochs %d (%d granted, %d lookahead-limited)   events %d   sends %d (%d staged cross-LP)\n",
-			stats.Epochs, granted, stats.LookaheadLimited, stats.TotalEvents(), stats.TotalSends(), stats.TotalStaged())
-		fmt.Fprintf(&sb, "  lp    | events     | epochs   | sends      | staged     | barrier wait (ms)\n")
+		fmt.Fprintf(&sb, "Parallel engine: %d LPs, %d events\n", len(stats.LPs), stats.TotalEvents())
+		fmt.Fprintf(&sb, "  lp    | events\n")
 		for _, lp := range stats.LPs {
-			fmt.Fprintf(&sb, "  %-5d | %-10d | %-8d | %-10d | %-10d | %.3f\n",
-				lp.LP, lp.Events, lp.Epochs, lp.Sends, lp.Staged, 1e3*lp.BarrierWait)
+			fmt.Fprintf(&sb, "  %-5d | %d\n", lp.LP, lp.Events)
 		}
-		fmt.Fprintf(&sb, "  load imbalance (max/mean events) %.3f -> speedup bound %.2fx of %d LPs\n",
+		fmt.Fprintf(&sb, "  load imbalance (max/mean events) %.3f -> speedup bound %.2fx of %d LPs\n\n",
 			stats.ImbalanceMax(), float64(len(stats.LPs))/stats.ImbalanceMax(), len(stats.LPs))
-		if !stats.Profiled {
-			sb.WriteString("  (barrier-wait wall timing off: enable profiling for wait costs)\n")
-		}
-		sb.WriteString("\n")
 	}
 	if names, vals := StageShares(rec.Spans()); len(names) > 0 {
 		sb.WriteString("MD stage spans (rank-summed virtual ms): ")
@@ -372,6 +364,5 @@ func SampleLPCounters(rec *trace.Recorder, st des.ParallelStats, t float64) {
 	}
 	for _, lp := range st.LPs {
 		rec.Counter(fmt.Sprintf("lp%d events", lp.LP), t, float64(lp.Events))
-		rec.Counter(fmt.Sprintf("lp%d staged", lp.LP), t, float64(lp.Staged))
 	}
 }

@@ -123,13 +123,7 @@ func TestAnalyzeDeterministic(t *testing.T) {
 
 func TestReportAndExplain(t *testing.T) {
 	msgs := []trace.MessageEvent{msg(0, 1, 0, 0, 0), msg(1, 0, 1, 0, 2e-6)}
-	st := &des.ParallelStats{
-		Lookahead: 1e-6, Profiled: true, Epochs: 10, LookaheadLimited: 3,
-		LPs: []des.LPStats{
-			{LP: 0, Events: 30, Epochs: 10, Sends: 5, Staged: 2, BarrierWait: 0.001},
-			{LP: 1, Events: 10, Epochs: 10, Sends: 1, Staged: 1, BarrierWait: 0.004},
-		},
-	}
+	st := &des.ParallelStats{LPs: []des.LPStats{{LP: 0, Events: 30}, {LP: 1, Events: 10}}}
 	rec := trace.NewRecorder()
 	for _, m := range msgs {
 		rec.Message(m)
@@ -138,8 +132,7 @@ func TestReportAndExplain(t *testing.T) {
 	rec.Span(trace.SpanEvent{Rank: 0, Name: "border", Stage: "Comm", Step: 1, Start: 3e-6, End: 4e-6})
 	out := Explain(st, rec, 5)
 	for _, want := range []string{
-		"Parallel engine: 2 LPs",
-		"lookahead-limited",
+		"Parallel engine: 2 LPs, 40 events",
 		"Critical path over 2 messages",
 		"speedup bound",
 		"load imbalance (max/mean events) 1.500",
@@ -182,20 +175,18 @@ func TestStageShares(t *testing.T) {
 }
 
 func TestSampleLPCounters(t *testing.T) {
-	st := des.ParallelStats{LPs: []des.LPStats{
-		{LP: 0, Events: 7, Staged: 2}, {LP: 1, Events: 9, Staged: 4},
-	}}
+	st := des.ParallelStats{LPs: []des.LPStats{{LP: 0, Events: 7}, {LP: 1, Events: 9}}}
 	rec := trace.NewRecorder()
 	SampleLPCounters(rec, st, 1e-6)
 	ctrs := rec.Counters()
-	if len(ctrs) != 4 {
-		t.Fatalf("counters = %d, want 4", len(ctrs))
+	if len(ctrs) != 2 {
+		t.Fatalf("counters = %d, want 2", len(ctrs))
 	}
 	if ctrs[0].Name != "lp0 events" || ctrs[0].Value != 7 {
 		t.Errorf("first sample = %+v", ctrs[0])
 	}
-	if ctrs[3].Name != "lp1 staged" || ctrs[3].Value != 4 {
-		t.Errorf("last sample = %+v", ctrs[3])
+	if ctrs[1].Name != "lp1 events" || ctrs[1].Value != 9 {
+		t.Errorf("last sample = %+v", ctrs[1])
 	}
 	// Nil recorder: no-op, no panic.
 	SampleLPCounters(nil, st, 1e-6)

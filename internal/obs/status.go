@@ -26,22 +26,14 @@ import (
 
 // LPStatus is one LP's cumulative progress in a Status snapshot.
 type LPStatus struct {
-	LP                 int     `json:"lp"`
-	Events             int64   `json:"events"`
-	Epochs             int64   `json:"epochs"`
-	Sends              int64   `json:"sends"`
-	Staged             int64   `json:"staged"`
-	BarrierWaitSeconds float64 `json:"barrier_wait_seconds"`
+	LP     int   `json:"lp"`
+	Events int64 `json:"events"`
 }
 
 // EngineStatus is the event engine's progress in a Status snapshot. Absent
 // (null) until the driver's first Observe with a profile.
 type EngineStatus struct {
-	Lookahead        float64    `json:"lookahead"`
-	Profiled         bool       `json:"profiled"`
-	Epochs           int64      `json:"epochs"`
-	LookaheadLimited int64      `json:"lookahead_limited"`
-	LPs              []LPStatus `json:"lps"`
+	LPs []LPStatus `json:"lps"`
 }
 
 // HealthStatus is the cached health-tracker state in a Status snapshot.
@@ -130,17 +122,9 @@ func (s *StatusServer) Observe(step int, stats *des.ParallelStats, h *health.Tra
 	}
 	var eng *EngineStatus
 	if stats != nil {
-		eng = &EngineStatus{
-			Lookahead:        stats.Lookahead,
-			Profiled:         stats.Profiled,
-			Epochs:           stats.Epochs,
-			LookaheadLimited: stats.LookaheadLimited,
-		}
+		eng = &EngineStatus{}
 		for _, lp := range stats.LPs {
-			eng.LPs = append(eng.LPs, LPStatus{
-				LP: lp.LP, Events: lp.Events, Epochs: lp.Epochs,
-				Sends: lp.Sends, Staged: lp.Staged, BarrierWaitSeconds: lp.BarrierWait,
-			})
+			eng.LPs = append(eng.LPs, LPStatus{LP: lp.LP, Events: lp.Events})
 		}
 	}
 	var hs *HealthStatus

@@ -43,13 +43,7 @@ func TestStatusServerSnapshotAndHandler(t *testing.T) {
 	reg.Counter("fabric_msgs", "utofu").Add(42)
 	s.SetMetrics(reg)
 
-	stats := &des.ParallelStats{
-		Lookahead: 1e-6, Profiled: true, Epochs: 9, LookaheadLimited: 2,
-		LPs: []des.LPStats{
-			{LP: 0, Events: 30, Epochs: 9, Sends: 4, Staged: 1, BarrierWait: 0.002},
-			{LP: 1, Events: 20, Epochs: 9, Sends: 2, Staged: 2, BarrierWait: 0.001},
-		},
-	}
+	stats := &des.ParallelStats{LPs: []des.LPStats{{LP: 0, Events: 30}, {LP: 1, Events: 20}}}
 	h := health.New(0, 0)
 	s.Observe(7, stats, h)
 
@@ -71,7 +65,7 @@ func TestStatusServerSnapshotAndHandler(t *testing.T) {
 	if st.Engine == nil || len(st.Engine.LPs) != 2 {
 		t.Fatalf("engine section wrong: %+v", st.Engine)
 	}
-	if st.Engine.LPs[0].Events != 30 || st.Engine.LPs[1].BarrierWaitSeconds != 0.001 {
+	if st.Engine.LPs[0].Events != 30 || st.Engine.LPs[1].LP != 1 || st.Engine.LPs[1].Events != 20 {
 		t.Errorf("lp rows wrong: %+v", st.Engine.LPs)
 	}
 	if st.Health == nil {

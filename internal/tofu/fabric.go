@@ -108,9 +108,6 @@ type Fabric struct {
 	// par is the event engine, rebuilt by SetParallel; never nil. The fabric
 	// schedules only tagged events on it, executed by handle.
 	par *des.ParallelEngine
-	// profile requests barrier-wait wall profiling on the engine
-	// (SetProfiling); remembered here so SetParallel can re-apply it.
-	profile bool
 	// lpOfRank maps each rank to the LP owning its node.
 	lpOfRank []int32
 	// nodeOfRank[r] is the node hosting rank r and nodeCoord[n] the torus
@@ -202,10 +199,8 @@ type fabricMetrics struct {
 	// reg backs the lazily-sized per-LP engine gauges (publishLPStats): the
 	// LP count is not known at SetMetrics time.
 	reg *metrics.Registry
-	// lpEvents/lpBarrier are per-LP gauges, indexed by LP; limited/epochs
-	// are the engine-wide epoch gauges.
-	lpEvents, lpBarrier []*metrics.Gauge
-	limited, epochs     *metrics.Gauge
+	// lpEvents are the per-LP event gauges, indexed by LP.
+	lpEvents []*metrics.Gauge
 }
 
 // SetMetrics enables (or, with a nil registry, disables) metric collection.
@@ -238,11 +233,11 @@ func (f *Fabric) SetMetrics(reg *metrics.Registry) {
 	f.met = m
 }
 
-// publishLPStats exports the engine's cumulative profile into the
-// registry after a round: des_lp_events and des_lp_barrier_wait per LP, and
-// the engine-wide epoch gauges. Gauges carry cumulative values, so scraping
-// them mid-run (the -status endpoint) shows monotone progress. Metrics only
-// observe the profile; they never feed back into virtual time.
+// publishLPStats exports the engine's cumulative per-LP event counts into
+// the registry after a round as des_lp_events. Gauges carry cumulative
+// values, so scraping them mid-run (the -status endpoint) shows monotone
+// progress. Metrics only observe the counts; they never feed back into
+// virtual time.
 func (f *Fabric) publishLPStats() {
 	if f.met == nil {
 		return
@@ -250,20 +245,11 @@ func (f *Fabric) publishLPStats() {
 	st := f.par.Stats()
 	m := f.met
 	for len(m.lpEvents) < len(st.LPs) {
-		label := fmt.Sprintf("lp%d", len(m.lpEvents))
-		m.lpEvents = append(m.lpEvents, m.reg.Gauge("des_lp_events", label))
-		m.lpBarrier = append(m.lpBarrier, m.reg.Gauge("des_lp_barrier_wait", label))
-	}
-	if m.limited == nil {
-		m.limited = m.reg.Gauge("des_epochs_lookahead_limited", "total")
-		m.epochs = m.reg.Gauge("des_epochs", "total")
+		m.lpEvents = append(m.lpEvents, m.reg.Gauge("des_lp_events", fmt.Sprintf("lp%d", len(m.lpEvents))))
 	}
 	for i, lp := range st.LPs {
 		m.lpEvents[i].Set(float64(lp.Events))
-		m.lpBarrier[i].Set(lp.BarrierWait)
 	}
-	m.limited.Set(float64(st.LookaheadLimited))
-	m.epochs.Set(float64(st.Epochs))
 }
 
 // NewFabric builds a fabric over the rank map with the given parameters,
@@ -286,7 +272,6 @@ func NewFabric(m *topo.RankMap, p Params) *Fabric {
 		f.nodeCoord[n] = m.Torus.CoordOf(n)
 	}
 	if err := f.SetParallel(1); err != nil {
-		// One LP needs no lookahead, so this cannot fail.
 		panic("tofu: " + err.Error())
 	}
 	return f
@@ -294,29 +279,18 @@ func NewFabric(m *topo.RankMap, p Params) *Fabric {
 
 // SetParallel partitions the nodes into lps contiguous blocks, one logical
 // process each, for subsequent rounds. lps <= 1 means one LP: a serial loop
-// with no goroutines and no barriers. lps >= 2 runs the conservative
-// barrier-epoch loop with lookahead equal to the minimum inter-node latency
-// — the soonest an event on one node can affect another. lps is clamped to
-// the node count (an LP without nodes would only slow the barrier down).
-// Results and the per-LP profile (ParallelStats) are the same kind at every
-// LP count; the profile restarts from zero.
+// with no goroutines. lps >= 2 drains every LP on its own goroutine; no event
+// crosses LPs, so they need no synchronization. lps is clamped to the node
+// count (an LP without nodes would have nothing to run). Results and the
+// per-LP profile (ParallelStats) are the same kind at every LP count; the
+// profile restarts from zero.
 func (f *Fabric) SetParallel(lps int) error {
 	nodes := f.Map.Torus.Nodes()
-	if lps > nodes {
-		lps = nodes
-	}
-	if lps < 1 {
-		lps = 1
-	}
-	la := f.Params.Lookahead(f.Map.MinInterNodeHops())
-	if lps > 1 && !(la > 0) {
-		return fmt.Errorf("tofu: cannot shard the fabric: non-positive lookahead %g", la)
-	}
-	par, err := des.NewParallel(lps, la)
+	lps = min(max(lps, 1), nodes)
+	par, err := des.NewParallel(lps)
 	if err != nil {
 		return err
 	}
-	par.SetProfiling(f.profile)
 	par.SetHandler(f.handle)
 	f.par = par
 	f.lpOfRank = make([]int32, len(f.nodeOfRank))
@@ -324,14 +298,6 @@ func (f *Fabric) SetParallel(lps int) error {
 		f.lpOfRank[r] = int32(int(node) * lps / nodes)
 	}
 	return nil
-}
-
-// SetProfiling enables barrier-wait wall-clock timing on the engine (the
-// current one and any SetParallel builds later). Profiling never changes
-// virtual times; it only fills ParallelStats.BarrierWait.
-func (f *Fabric) SetProfiling(on bool) {
-	f.profile = on
-	f.par.SetProfiling(on)
 }
 
 // ParallelStats snapshots the engine's cumulative per-LP profile. ok is

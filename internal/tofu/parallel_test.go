@@ -30,9 +30,9 @@ func mixedRound(f *Fabric) []*Transfer {
 }
 
 // TestParallelRoundBitIdentical is the fabric-level golden check of the
-// conservative engine: the same round on one LP (a fresh fabric's serial
-// loop) and on several LP counts must produce bit-identical per-transfer
-// timings and the same trace, for both uTofu and MPI interfaces.
+// sharded engine: the same round on one LP (a fresh fabric's serial loop)
+// and on several LP counts must produce bit-identical per-transfer timings
+// and the same trace, for both uTofu and MPI interfaces.
 func TestParallelRoundBitIdentical(t *testing.T) {
 	for _, iface := range []Interface{IfaceUTofu, IfaceMPI} {
 		ref := testFabric(t, vec.I3{X: 4, Y: 4, Z: 4})

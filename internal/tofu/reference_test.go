@@ -16,11 +16,13 @@ import (
 
 // refFabric runs a round the way the fabric did with three event kinds per
 // transfer: a seed event per non-empty FIFO, issue and transmit as separate
-// events, and every delivery's receive completion as an arrive event sent to
-// the LP owning its context. It borrows a Fabric for the static tables, the
-// round tables, the fault model and the recorder, and takes over its engine's
-// handler. The method bodies are verbatim copies of that implementation; only
-// the receiver type and the tag-kind names differ.
+// events, and every delivery's receive completion as an arrive event. It
+// borrows a one-LP Fabric for the static tables, the round tables, the fault
+// model and the recorder, and takes over its engine's handler. The method
+// bodies are verbatim copies of that implementation; only the receiver type,
+// the tag-kind names and the arrive event's scheduling call differ: it was
+// sent to the LP owning the receive context, which on one LP is the sending
+// LP, so ScheduleTagAt schedules it identically.
 type refFabric struct {
 	*Fabric
 	// recvFree[slot] is when the slot's receive context is free again.
@@ -35,8 +37,11 @@ const (
 
 const refMaxTagIndex = 1 << 30
 
-// newRefFabric wraps a fabric already set to its LP count.
+// newRefFabric wraps a fabric running on one LP.
 func newRefFabric(f *Fabric) *refFabric {
+	if f.Parallel() != 1 {
+		panic("tofu: the reference round runs on one LP")
+	}
 	r := &refFabric{Fabric: f}
 	f.par.SetHandler(r.handle)
 	return r
@@ -272,13 +277,7 @@ func (f *refFabric) transmit(c *des.LP, idx int) {
 		}
 		return
 	}
-	ctxRank := tr.Dst
-	if tr.IsGet {
-		ctxRank = tr.Src
-	}
-	if err := c.SendTagAt(f.par.LP(int(f.lpOfRank[ctxRank])), tr.Arrival, refPackTag(idx, refArrive)); err != nil {
-		panic("tofu: " + err.Error())
-	}
+	f.schedule(c, tr.Arrival, refPackTag(idx, refArrive))
 }
 
 func (f *refFabric) arrive(c *des.LP, idx int) {
@@ -362,11 +361,11 @@ func randomRound(f *Fabric, c refCase, rng *rand.Rand) []*Transfer {
 	return out
 }
 
-// TestRoundMatchesReference holds the fabric's round to the three-event
-// reference bit for bit: every timing output, every failure flag and the
-// recorded trace, on 1, 2 and 4 LPs, over several consecutive rounds of one
-// fabric (so retransmit-style reuse of the round tables and per-round fault
-// streams are covered too).
+// TestRoundMatchesReference holds the fabric's round on 1, 2 and 4 LPs to
+// the three-event reference on one LP bit for bit: every timing output,
+// every failure flag and the recorded trace, over several consecutive rounds
+// of one fabric (so retransmit-style reuse of the round tables and per-round
+// fault streams are covered too).
 func TestRoundMatchesReference(t *testing.T) {
 	staggered := []float64{0, 0, 0.2e-6, 0.5e-6, 1e-6, 3e-6}
 	cases := []refCase{
@@ -386,10 +385,10 @@ func TestRoundMatchesReference(t *testing.T) {
 				name := fmt.Sprintf("%s/lps=%d/seed=%d", c.name, lps, seed)
 				got := testFabric(t, vec.I3{X: 3, Y: 2, Z: 2})
 				want := testFabric(t, vec.I3{X: 3, Y: 2, Z: 2})
+				if err := got.SetParallel(lps); err != nil {
+					t.Fatal(err)
+				}
 				for _, f := range []*Fabric{got, want} {
-					if err := f.SetParallel(lps); err != nil {
-						t.Fatal(err)
-					}
 					if c.faults != nil {
 						f.Faults = faultinject.New(*c.faults)
 					}

@@ -17,7 +17,7 @@ import (
 func TestRecorderConcurrentEmissionFromLPs(t *testing.T) {
 	const lps, perLP = 4, 200
 	rec := trace.NewRecorder()
-	p, err := des.NewParallel(lps, 1e-6)
+	p, err := des.NewParallel(lps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,10 +32,9 @@ func TestRecorderConcurrentEmissionFromLPs(t *testing.T) {
 				rec.Counter("lp events", l.Now(), float64(seq))
 				rec.Instant(trace.InstantEvent{Rank: id, Name: "tick", Time: l.Now()})
 				rec.Message(trace.MessageEvent{Src: id, Dst: (id + 1) % lps, Bytes: 64, Iface: "utofu"})
-				// Keep the LPs crossing epochs while they emit.
-				dst := p.LP((id + 1) % lps)
-				if err := l.SendAt(dst, l.Now()+p.Lookahead(), func() {}); err != nil {
-					t.Errorf("SendAt: %v", err)
+				// Keep every LP scheduling while the others emit.
+				if err := l.ScheduleAt(l.Now()+1e-6, func() {}); err != nil {
+					t.Errorf("ScheduleAt: %v", err)
 				}
 			}); err != nil {
 				t.Fatal(err)

@@ -46,7 +46,6 @@ func main() {
 		metFile    = flag.String("metrics", "", "dump the metrics registry to this file at exit (.json for JSON, text otherwise)")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for long -full runs")
 		faultsStr  = flag.String("faults", "", `fault injection spec for the raw-fabric experiments, e.g. "drop=0.01,seed=7"`)
-		par        = flag.Int("par", 0, "logical processes for the lbm experiment's serial-vs-parallel determinism check (0 = default)")
 		statusAddr = flag.String("status", "", "serve a live JSON run-status endpoint on this address (GET /status; reports the experiment in flight)")
 	)
 	flag.Parse()
@@ -54,7 +53,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opt := bench.Options{Full: *full, Steps: *steps, Faults: faults, Par: *par}
+	opt := bench.Options{Full: *full, Steps: *steps, Faults: faults}
 	if *traceFile != "" {
 		opt.Rec = trace.NewRecorder()
 	}

@@ -13,6 +13,7 @@ import (
 	"log"
 	"math"
 	"os"
+	"path/filepath"
 
 	"tofumd/internal/core"
 	"tofumd/internal/md/analysis"
@@ -22,21 +23,18 @@ import (
 )
 
 func main() {
-	m, err := sim.NewMachine(vec.I3{X: 2, Y: 2, Z: 2})
-	if err != nil {
-		log.Fatal(err)
-	}
 	cfg, err := core.BaseConfig(core.LJ)
 	if err != nil {
 		log.Fatal(err)
 	}
 	cfg.Cells = vec.I3{X: 8, Y: 8, Z: 8}
 	cfg.Temperature = 1.8 // above melting at this density
-	s, err := sim.New(m, sim.Opt(), cfg)
+	r, err := core.Start(core.RunSpec{Config: &cfg, TileShape: vec.I3{X: 2, Y: 2, Z: 2}, Variant: sim.Opt()})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer s.Close()
+	defer r.Close()
+	s := r.Sim()
 
 	a := math.Cbrt(4 / 0.8442)
 	fmt.Printf("melting %d LJ atoms (FCC, nearest neighbor %.3f sigma) at T*=1.8\n\n",
@@ -65,13 +63,9 @@ func main() {
 		sample(fmt.Sprintf("after %d steps", 50*i))
 	}
 
-	f, err := os.CreateTemp("", "melt-*.restart")
-	if err != nil {
+	path := filepath.Join(os.TempDir(), "melt.restart")
+	if err := restart.WriteFile(path, r.Capture(200)); err != nil {
 		log.Fatal(err)
 	}
-	defer f.Close()
-	if err := restart.Write(f, restart.Capture(s, 200)); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\ncheckpoint written to %s — resume with restart.Read + Snapshot.Apply\n", f.Name())
+	fmt.Printf("\ncheckpoint written to %s — resume with restart.ReadFile + Snapshot.Apply\n", path)
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"log"
 
+	"tofumd/internal/core"
 	"tofumd/internal/md/analysis"
 	"tofumd/internal/md/lattice"
 	"tofumd/internal/md/potential"
@@ -23,11 +24,7 @@ import (
 )
 
 func main() {
-	m, err := sim.NewMachine(vec.I3{X: 2, Y: 2, Z: 2})
-	if err != nil {
-		log.Fatal(err)
-	}
-	s, err := sim.New(m, sim.Opt(), sim.Config{
+	cfg := sim.Config{
 		UnitsStyle:  units.Metal,
 		Potential:   potential.NewTersoffSi(),
 		Cells:       vec.I3{X: 4, Y: 4, Z: 4},
@@ -40,11 +37,13 @@ func main() {
 		Seed:        8,
 		NewtonOn:    true,
 		ThermoEvery: 25,
-	})
+	}
+	r, err := core.Start(core.RunSpec{Config: &cfg, TileShape: vec.I3{X: 2, Y: 2, Z: 2}, Variant: sim.Opt()})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer s.Close()
+	defer r.Close()
+	s := r.Sim()
 
 	fmt.Printf("Tersoff silicon: %d atoms, diamond lattice, 300 K\n", s.TotalAtoms())
 	fmt.Printf("full neighbor list -> %d p2p links per rank (vs 13 for half lists)\n\n",

@@ -33,10 +33,6 @@ type Options struct {
 	// raw-fabric microbenchmarks (Fig. 8). The "faults" chaos experiment
 	// sweeps its own rates and ignores this field.
 	Faults faultinject.Spec
-	// Par is the logical-process count of the parallel event engine for the
-	// lbm experiment's serial-vs-parallel determinism check (0 picks a
-	// default).
-	Par int
 }
 
 // tileFor returns the functional tile for experiments pinned at 768 nodes.

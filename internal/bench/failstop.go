@@ -3,11 +3,7 @@ package bench
 import (
 	"fmt"
 
-	"tofumd/internal/core"
 	"tofumd/internal/faultinject"
-	"tofumd/internal/md/sim"
-	"tofumd/internal/metrics"
-	"tofumd/internal/vec"
 )
 
 // FailstopResult is the fail-stop failover experiment: an LJ melt with TNI 2
@@ -37,58 +33,19 @@ type FailstopResult struct {
 	PhysicsIdentical, ReplayIdentical bool
 }
 
-// failstopOutcome is one run's comparable summary.
-type failstopOutcome struct {
-	hash                 uint64
-	energy, elapsed      float64
-	replans, quarantined int64
-	fallbackMsgs         int64
-}
-
 // Failstop measures the TNI-failover path of the fail-stop recovery layer.
 func Failstop(opt Options) (FailstopResult, error) {
-	steps := opt.steps(100)
-	if opt.Full && opt.Steps == 0 {
-		steps = 400
-	}
-	run := func(spec faultinject.Spec) (failstopOutcome, error) {
-		m, err := sim.NewMachine(vec.I3{X: 2, Y: 2, Z: 2})
-		if err != nil {
-			return failstopOutcome{}, err
-		}
-		cfg, err := core.BaseConfig(core.LJ)
-		if err != nil {
-			return failstopOutcome{}, err
-		}
-		cfg.Cells = vec.I3{X: 8, Y: 8, Z: 8}
-		s, err := sim.New(m, sim.Opt(), cfg)
-		if err != nil {
-			return failstopOutcome{}, err
-		}
-		defer s.Close()
-		reg := metrics.New()
-		s.SetMetrics(reg)
-		s.SetFaults(faultinject.New(spec))
-		s.Run(steps)
-		return failstopOutcome{
-			hash:         stateHash(s),
-			energy:       s.TotalEnergyPerAtom(),
-			elapsed:      s.ElapsedMax(),
-			replans:      reg.Counter("sim_tni_replans", "total").Value(),
-			quarantined:  int64(reg.Gauge("health_quarantined", "tnis").Value()),
-			fallbackMsgs: reg.Counter("sim_p2p_fallback", "msgs").Value(),
-		}, nil
-	}
-	clean, err := run(faultinject.Spec{})
+	steps := meltSteps(opt)
+	clean, err := chaosMelt(steps, faultinject.Spec{})
 	if err != nil {
 		return FailstopResult{}, err
 	}
 	spec := faultinject.Spec{Seed: 5, TNIFails: []faultinject.TNIFail{{Idx: 2, At: 0}}}
-	first, err := run(spec)
+	first, err := chaosMelt(steps, spec)
 	if err != nil {
 		return FailstopResult{}, err
 	}
-	replay, err := run(spec)
+	replay, err := chaosMelt(steps, spec)
 	if err != nil {
 		return FailstopResult{}, err
 	}

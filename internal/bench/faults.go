@@ -35,50 +35,61 @@ type FaultsResult struct {
 	Steps int
 }
 
-// faultsOutcome is one run's comparable summary.
-type faultsOutcome struct {
+// meltOutcome is one chaos melt's comparable summary: the final state and
+// every fault counter the faults and failstop experiments report.
+type meltOutcome struct {
 	hash                             uint64
 	energy, elapsed                  float64
 	retransmits, drops, fallbackMsgs int64
+	replans, quarantined             int64
+}
+
+// meltSteps is the chaos melts' step count: 100, 400 under Full, or
+// Options.Steps.
+func meltSteps(opt Options) int {
+	if opt.Full && opt.Steps == 0 {
+		return 400
+	}
+	return opt.steps(100)
+}
+
+// chaosMelt runs the LJ melt of the chaos experiments (8x8x8 FCC cells on a
+// 2x2x2 tile, the opt variant) for steps steps under a fault spec.
+func chaosMelt(steps int, spec faultinject.Spec) (meltOutcome, error) {
+	cfg, err := core.BaseConfig(core.LJ)
+	if err != nil {
+		return meltOutcome{}, err
+	}
+	cfg.Cells = vec.I3{X: 8, Y: 8, Z: 8}
+	reg := metrics.New()
+	r, err := core.Start(core.RunSpec{
+		Config: &cfg, TileShape: vec.I3{X: 2, Y: 2, Z: 2}, Variant: sim.Opt(),
+		Metrics: reg, Faults: spec,
+	})
+	if err != nil {
+		return meltOutcome{}, err
+	}
+	defer r.Close()
+	s := r.Sim()
+	s.Run(steps)
+	return meltOutcome{
+		hash:         stateHash(s),
+		energy:       s.TotalEnergyPerAtom(),
+		elapsed:      s.ElapsedMax(),
+		retransmits:  reg.Counter("utofu_retransmits", "put").Value(),
+		drops:        reg.Counter("fabric_faults", "drops").Value(),
+		fallbackMsgs: reg.Counter("sim_p2p_fallback", "msgs").Value(),
+		replans:      reg.Counter("sim_tni_replans", "total").Value(),
+		quarantined:  int64(reg.Gauge("health_quarantined", "tnis").Value()),
+	}, nil
 }
 
 // Faults runs the chaos sweep: drop rates {0, 1e-4, 1e-3, 1e-2} plus a
 // forced-fallback point where a NACK storm starves the uTofu path and the
 // per-neighbor MPI fallback must carry the round.
 func Faults(opt Options) (FaultsResult, error) {
-	steps := opt.steps(100)
-	if opt.Full && opt.Steps == 0 {
-		steps = 400
-	}
-	run := func(spec faultinject.Spec) (faultsOutcome, error) {
-		m, err := sim.NewMachine(vec.I3{X: 2, Y: 2, Z: 2})
-		if err != nil {
-			return faultsOutcome{}, err
-		}
-		cfg, err := core.BaseConfig(core.LJ)
-		if err != nil {
-			return faultsOutcome{}, err
-		}
-		cfg.Cells = vec.I3{X: 8, Y: 8, Z: 8}
-		s, err := sim.New(m, sim.Opt(), cfg)
-		if err != nil {
-			return faultsOutcome{}, err
-		}
-		defer s.Close()
-		reg := metrics.New()
-		s.SetMetrics(reg)
-		s.SetFaults(faultinject.New(spec))
-		s.Run(steps)
-		return faultsOutcome{
-			hash:         stateHash(s),
-			energy:       s.TotalEnergyPerAtom(),
-			elapsed:      s.ElapsedMax(),
-			retransmits:  reg.Counter("utofu_retransmits", "put").Value(),
-			drops:        reg.Counter("fabric_faults", "drops").Value(),
-			fallbackMsgs: reg.Counter("sim_p2p_fallback", "msgs").Value(),
-		}, nil
-	}
-	baseline, err := run(faultinject.Spec{})
+	steps := meltSteps(opt)
+	baseline, err := chaosMelt(steps, faultinject.Spec{})
 	if err != nil {
 		return FaultsResult{}, err
 	}
@@ -91,11 +102,11 @@ func Faults(opt Options) (FaultsResult, error) {
 	}
 	res := FaultsResult{Steps: steps}
 	for _, spec := range specs {
-		first, err := run(spec)
+		first, err := chaosMelt(steps, spec)
 		if err != nil {
 			return res, err
 		}
-		replay, err := run(spec)
+		replay, err := chaosMelt(steps, spec)
 		if err != nil {
 			return res, err
 		}

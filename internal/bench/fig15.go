@@ -71,13 +71,13 @@ func Fig15(opt Options) (Fig15Result, error) {
 	}
 
 	runComm := func(v sim.Variant, cfg sim.Config) (float64, error) {
-		s, err := sim.New(m, v, cfg)
+		r, err := core.Start(core.RunSpec{Config: &cfg, TileShape: opt.tileFor(), Variant: v})
 		if err != nil {
 			return 0, err
 		}
-		defer s.Close()
-		s.Run(steps)
-		return trace.Merge(s.Breakdowns()).Get(trace.Comm), nil
+		defer r.Close()
+		r.Sim().Run(steps)
+		return trace.Merge(r.Sim().Breakdowns()).Get(trace.Comm), nil
 	}
 
 	var out Fig15Result

@@ -50,7 +50,7 @@ type LbmResult struct {
 	ParIdentical bool
 }
 
-// lbmLPs is the default logical-process count when Options.Par is unset.
+// lbmLPs is the logical-process count of the serial-vs-parallel check.
 const lbmLPs = 4
 
 // lbmConfig sizes the lattice at 4 cells per rank per axis over the tile's
@@ -94,16 +94,12 @@ func Lbm(opt Options) (LbmResult, error) {
 	}
 	cfg := lbmConfig(m, opt)
 	steps := opt.steps(30)
-	lps := opt.Par
-	if lps <= 0 {
-		lps = lbmLPs
-	}
 	res := LbmResult{
 		Nodes: m.Map.Ranks() / m.Map.RanksPerNode(),
 		Ranks: m.Map.Ranks(),
 		Cells: cfg.Cells,
 		Steps: steps,
-		LPs:   lps,
+		LPs:   lbmLPs,
 	}
 
 	// Blocking uTofu: the reference run. Physics series come from here.
@@ -152,9 +148,9 @@ func Lbm(opt Options) (LbmResult, error) {
 	// Parallel event engine on the reference configuration: distributions
 	// AND clocks must match the serial run bit-for-bit.
 	cfg.Transport, cfg.Overlap = halo.TransportUTofu, false
-	par, fpPar, err := lbmRun(m, cfg, steps, lps)
+	par, fpPar, err := lbmRun(m, cfg, steps, lbmLPs)
 	if err != nil {
-		return LbmResult{}, fmt.Errorf("parallel run (%d LPs): %w", lps, err)
+		return LbmResult{}, fmt.Errorf("parallel run (%d LPs): %w", lbmLPs, err)
 	}
 	res.ParIdentical = fpPar == fpRef
 	for i, r := range par.Ranks() {

@@ -6,7 +6,6 @@ import (
 	"tofumd/internal/mpi"
 	"tofumd/internal/tofu"
 	"tofumd/internal/utofu"
-	"tofumd/internal/vec"
 )
 
 // transport state attached to System by setupTransport.
@@ -101,19 +100,19 @@ func (r *Rank) unpackPlane(dim, layer int, src []byte) {
 	}
 }
 
-// setupTransport creates the per-rank VCQs (one per rank on its node
-// slot's TNI) and pre-registers the six face inboxes at their exact plane
-// sizes. Registration and VCQ costs accrue to SetupTime.
+// setupTransport binds every rank's one VCQ to the TNI the plan assigns its
+// send links (per-rank-slot over all TNIs) and pre-registers the six face
+// inboxes at their exact plane sizes. Registration and VCQ costs accrue to
+// SetupTime. The MPI transport needs neither.
 func (s *System) setupTransport(params tofu.Params) error {
 	s.ts.uts = utofu.NewSystem(s.fab)
 	s.ts.mpi = mpi.NewComm(s.fab)
 	if s.Cfg.Transport != halo.TransportUTofu {
 		return nil
 	}
+	s.fwd, _ = s.plan.Assign(halo.TNIPerRankSlot, halo.SurvivingTNIs(params.TNIsPerNode, nil), 1, halo.Balance{})
 	for _, r := range s.ranks {
-		_, slot := s.Map.NodeOf(r.ID)
-		r.tni = slot % params.TNIsPerNode
-		vcq, err := s.ts.uts.CreateVCQ(r.ID, r.tni)
+		vcq, err := s.ts.uts.CreateVCQ(r.ID, s.fwd[s.plan.Send[r.ID][0]].TNI)
 		if err != nil {
 			return err
 		}
@@ -182,12 +181,13 @@ func (s *System) exchange() {
 }
 
 // exchangeDim runs one dimension round: every rank ships its two boundary
-// planes to its -dim and +dim neighbors (or copies them locally when the
+// planes over the plan's links of the round (or copies them locally when the
 // grid is one rank wide on the axis). Packing runs per sender and
 // unpacking per receiver in parallel; between them a serial gather builds
-// the message list in sender order, -dim before +dim, and assigns the
-// receivers' inbox regions, so the round and every clock addition happen in
-// the same order as a serial loop over the ranks.
+// the message list in the plan's issue order (rank by rank, each rank's Send
+// links in SpecLess order, so -dim before +dim) and assigns the receivers'
+// inbox regions, so the round and every clock addition happen in the same
+// order as a serial loop over the ranks.
 func (s *System) exchangeDim(dim int) {
 	s.forRanks(func(r *Rank) { s.sendPlanes(r, dim) })
 	for i := range s.planes {
@@ -222,22 +222,29 @@ func (s *System) exchangeDim(dim int) {
 }
 
 // sendPlanes is the pack half of a dimension round for rank r: it packs
-// the -dim and +dim boundary planes into r's two slots of s.planes,
-// charging r's clock, and applies a periodic self-image in place. It
-// reads other ranks only for their immutable extents.
+// the boundary planes of r's Send links in the round into r's two slots of
+// s.planes, charging r's clock, and applies a periodic self-image (a link
+// back to r) in place. It reads other ranks only for their immutable
+// extents.
 func (s *System) sendPlanes(r *Rank, dim int) {
-	for k, sign := range [2]int{-1, 1} {
-		dst := s.ranks[s.Map.NeighborRank(r.ID, vec.I3{}.SetComp(dim, sign))]
+	k := 0
+	for _, i := range s.plan.Send[r.ID] {
+		l := &s.plan.Links[i]
+		if !halo.InRound(l.Stage3Dim, l.Stage3Iter, s.plan.Rounds[dim]) {
+			continue
+		}
+		dst := s.ranks[l.Dst]
 		// The sender's boundary layer and the ghost layer it fills on the
 		// receiver: +dim sends the top interior layer into the receiver's
 		// low ghost, -dim the bottom layer into the high one.
 		var layer, ghost, side int
-		if sign > 0 {
+		if l.Dir.Comp(dim) > 0 {
 			layer, ghost, side = r.N.Comp(dim), 0, 0
 		} else {
 			layer, ghost, side = 1, dst.N.Comp(dim)+1, 1
 		}
 		p := &s.planes[2*r.ID+k]
+		k++
 		if dst == r {
 			// Periodic self-image on a one-rank axis: local copy.
 			r.selfBuf = r.packPlane(dim, layer, r.selfBuf)
@@ -247,11 +254,15 @@ func (s *System) sendPlanes(r *Rank, dim int) {
 			*p = plane{}
 			continue
 		}
+		var tni int
+		if s.fwd != nil {
+			tni = s.fwd[i].TNI
+		}
 		data := r.packPlane(dim, layer, nil)
 		r.Clock += s.packCost(len(data))
 		*p = plane{
 			hm: halo.Msg{
-				Src: r.ID, Dst: dst.ID, TNI: r.tni,
+				Src: r.ID, Dst: dst.ID, TNI: tni,
 				Data: data, Known: true, ReadyAt: r.Clock,
 			},
 			dst: dst, side: side, ghost: ghost,

@@ -113,10 +113,8 @@ type Rank struct {
 	recv    []*plane
 	selfBuf []byte
 
-	// vcq and tni are the rank's uTofu injection resources (per-rank-slot
-	// policy; nil/0 under the MPI transport).
+	// vcq is the rank's uTofu injection queue (nil under the MPI transport).
 	vcq *utofu.VCQ
-	tni int
 }
 
 // idx maps ghost-extended local coordinates to the flat array index.
@@ -133,6 +131,12 @@ type System struct {
 	fab *tofu.Fabric
 	eng *halo.Engine
 	ts  transportState
+
+	// plan is the face exchange: one 3-stage shell, whose Send links give
+	// each rank's receivers and issue order. fwd is its per-rank-slot TNI
+	// assignment (nil under the MPI transport).
+	plan *halo.Plan
+	fwd  []halo.Res
 
 	ranks []*Rank
 	step  int
@@ -151,10 +155,11 @@ type System struct {
 }
 
 // New builds the system over an existing rank map: the lattice is split by
-// halo.CellRange, buffers are registered at their exact plane sizes, and
-// every rank gets one VCQ on its node slot's TNI (the per-rank-slot
-// policy; face exchange has six messages per rank, far below the TNI
-// contention regime the finer policies address).
+// halo.CellRange, the face exchange is a one-shell 3-stage halo.Plan,
+// buffers are registered at their exact plane sizes, and every rank gets
+// one VCQ on the TNI the plan's per-rank-slot assignment gives its links
+// (face exchange has six messages per rank, far below the TNI contention
+// regime the finer policies address).
 func New(m *topo.RankMap, params tofu.Params, cost machine.CostModel, cfg Config) (*System, error) {
 	if err := cfg.Validate(m.Grid); err != nil {
 		return nil, err
@@ -164,6 +169,7 @@ func New(m *topo.RankMap, params tofu.Params, cost machine.CostModel, cfg Config
 		Map:  m,
 		Cost: cost,
 		fab:  tofu.NewFabric(m, params),
+		plan: halo.NewPlan(m, halo.ThreeStage, 1, nil),
 	}
 	s.ranks = make([]*Rank, m.Ranks())
 	for id := range s.ranks {

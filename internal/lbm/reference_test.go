@@ -127,6 +127,16 @@ func refUnpackPlane(r *Rank, dim, layer int, src []byte) {
 	}
 }
 
+// refTNI is the TNI a rank sends on: its node slot's, modulo the TNIs per
+// node (the per-rank-slot policy), and 0 under MPI.
+func refTNI(s *System, r *Rank) int {
+	if s.Cfg.Transport != halo.TransportUTofu {
+		return 0
+	}
+	_, slot := s.Map.NodeOf(r.ID)
+	return slot % s.fab.Params.TNIsPerNode
+}
+
 type refMsg struct {
 	hm       *halo.Msg
 	dst      *Rank
@@ -155,7 +165,7 @@ func refExchangeDim(s *System, dim int) {
 				continue
 			}
 			hm := &halo.Msg{
-				Src: r.ID, Dst: dst.ID, TNI: r.tni,
+				Src: r.ID, Dst: dst.ID, TNI: refTNI(s, r),
 				Data: data, Known: true, ReadyAt: r.Clock,
 			}
 			if s.Cfg.Transport == halo.TransportUTofu {
@@ -245,11 +255,11 @@ func sameState(t *testing.T, step int, got, want *System) {
 
 // TestStepMatchesReference holds System.Step bit for bit to the plain
 // serial step above, after every step: every f and fpost value, ghosts
-// included, every clock, the inbox sequence numbers and the packed planes.
-// It covers both transports, the overlap variant, a self-image tile, an
-// uneven split of the lattice and perturbed states with signed zeros and
-// negative distributions. Run it at several -cpu values: forRanks uses
-// GOMAXPROCS workers.
+// included, every clock, the inbox sequence numbers and the packed planes,
+// and each rank's VCQ to the reference's TNI. It covers both transports,
+// the overlap variant, a self-image tile, an uneven split of the lattice and
+// perturbed states with signed zeros and negative distributions. Run it at
+// several -cpu values: forRanks uses GOMAXPROCS workers.
 func TestStepMatchesReference(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -279,6 +289,11 @@ func TestStepMatchesReference(t *testing.T) {
 				return s
 			}
 			got, want := build(), build()
+			for _, r := range got.ranks {
+				if r.vcq != nil && r.vcq.TNI != refTNI(want, r) {
+					t.Fatalf("rank %d: VCQ on TNI %d, reference %d", r.ID, r.vcq.TNI, refTNI(want, r))
+				}
+			}
 			sameState(t, 0, got, want)
 			for step := 1; step <= 5; step++ {
 				got.Step()

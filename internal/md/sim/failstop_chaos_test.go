@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"tofumd/internal/faultinject"
@@ -174,4 +175,56 @@ func TestChaosFallbackRearmAfterWindow(t *testing.T) {
 		t.Errorf("%d links quarantined by a transient window", n)
 	}
 	assertSamePhysics(t, "nack window", base, fingerprint(s), baseE, s.TotalEnergyPerAtom())
+}
+
+// TestReplanVCQsMatchAssignment holds every variant's VCQ set to its links'
+// TNI assignment: after New each rank holds VCQs on exactly the TNIs its
+// send links (fwd) and receive links (rev) are assigned, none under MPI; after
+// tnifail=2@0 quarantines TNI 2 and replans, the held set is the survivors'
+// assignment set and no VCQ sits on TNI 2.
+func TestReplanVCQsMatchAssignment(t *testing.T) {
+	spec, err := faultinject.ParseSpec("seed=5,tnifail=2@0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(s *Simulation, when string) {
+		t.Helper()
+		for _, r := range s.Ranks() {
+			want := make([]bool, s.M.Params.TNIsPerNode)
+			if s.Var.Transport == halo.TransportUTofu {
+				for _, l := range r.sendLinks {
+					want[l.fwd.TNI] = true
+				}
+				for _, l := range r.recvLinks {
+					want[l.rev.TNI] = true
+				}
+			}
+			held := make([]bool, len(want))
+			for tni := range r.vcqByTNI {
+				held[tni] = true
+			}
+			if !slices.Equal(held, want) {
+				t.Fatalf("%s %s: rank %d holds VCQs on TNIs %v, its links are assigned %v",
+					s.Var.Name, when, r.ID, held, want)
+			}
+		}
+	}
+	for _, v := range StepByStepVariants() {
+		s := newSim(t, v, failstopConfig())
+		check(s, "after New")
+		if v.Transport != halo.TransportUTofu {
+			continue
+		}
+		s.SetFaults(faultinject.New(spec))
+		s.Run(20)
+		if !s.Health().TNIQuarantined(2) {
+			t.Fatalf("%s: dead TNI 2 not quarantined", v.Name)
+		}
+		check(s, "after the TNI 2 replan")
+		for _, r := range s.Ranks() {
+			if r.vcqByTNI[2] != nil {
+				t.Fatalf("%s: rank %d still holds a VCQ on the quarantined TNI", v.Name, r.ID)
+			}
+		}
+	}
 }

@@ -311,45 +311,53 @@ func (s *Simulation) FailedRanks() []int {
 }
 
 // replanTNIs re-runs the §3.3 balance over the surviving TNIs after a TNI
-// quarantine (or probe re-arm) and moves the uTofu transport with it: VCQs
-// on quarantined TNIs are freed and newly needed survivor VCQs created.
+// quarantine (or probe re-arm) and moves the uTofu transport with it: each
+// rank's VCQs follow its links' new TNI assignment (syncVCQs).
 // The link graph is untouched — only the resources behind it move.
 func (s *Simulation) replanTNIs() {
-	surviving := halo.SurvivingTNIs(s.M.Params.TNIsPerNode, s.health.TNIQuarantined)
-	s.assignResourcesOver(surviving)
+	s.assignResources()
 	if s.met != nil {
 		s.met.tniReplans.Inc()
 	}
 	if s.Var.Transport != halo.TransportUTofu {
 		return
 	}
-	quarantined := s.health.QuarantinedTNIs()
 	for _, r := range s.ranks {
-		for _, tni := range quarantined {
-			if vcq := r.vcqByTNI[tni]; vcq != nil {
-				if err := s.uts.FreeVCQ(vcq); err != nil {
-					panic("sim: " + err.Error())
-				}
-				delete(r.vcqByTNI, tni)
-			}
-		}
-		need := map[int]bool{}
-		for _, l := range r.sendLinks {
-			need[l.fwd.TNI] = true
-		}
-		for _, l := range r.recvLinks {
-			need[l.rev.TNI] = true
-		}
-		for _, tni := range surviving {
-			if need[tni] && r.vcqByTNI[tni] == nil {
-				vcq, err := s.uts.CreateVCQ(r.ID, tni)
-				if err != nil {
-					panic("sim: " + err.Error())
-				}
-				r.vcqByTNI[tni] = vcq
-			}
+		if err := s.syncVCQs(r); err != nil {
+			panic(err.Error())
 		}
 	}
+}
+
+// syncVCQs makes rank r hold a VCQ on exactly the TNIs its links are
+// assigned (its send links' fwd side, its receive links' rev side): in
+// ascending TNI order it frees the VCQs on any other TNI (a quarantined or
+// no longer used one) and creates the missing ones.
+func (s *Simulation) syncVCQs(r *Rank) error {
+	need := make([]bool, s.M.Params.TNIsPerNode)
+	for _, l := range r.sendLinks {
+		need[l.fwd.TNI] = true
+	}
+	for _, l := range r.recvLinks {
+		need[l.rev.TNI] = true
+	}
+	for tni, ok := range need {
+		vcq := r.vcqByTNI[tni]
+		switch {
+		case !ok && vcq != nil:
+			if err := s.uts.FreeVCQ(vcq); err != nil {
+				return fmt.Errorf("sim: rank %d: %w", r.ID, err)
+			}
+			delete(r.vcqByTNI, tni)
+		case ok && vcq == nil:
+			vcq, err := s.uts.CreateVCQ(r.ID, tni)
+			if err != nil {
+				return fmt.Errorf("sim: rank %d: %w", r.ID, err)
+			}
+			r.vcqByTNI[tni] = vcq
+		}
+	}
+	return nil
 }
 
 // ProbeHealth actively probes every quarantined resource against the fault
@@ -594,18 +602,13 @@ func (s *Simulation) createLinks() {
 	s.batch = &batch{byDst: make([][]*rmsg, len(s.ranks))}
 }
 
-// assignResources maps every link's two sending sides onto TNIs, threads
-// and VCQs per the variant's policy, over the machine's full TNI set.
+// assignResources runs the plan's resource assignment over the TNIs the
+// health tracker has not quarantined: at setup that is the machine's full
+// set; the fail-stop recovery path re-invokes it after a quarantine,
+// re-running the §3.3 balancer and replanning each rank's neighbor→thread
+// table mid-run.
 func (s *Simulation) assignResources() {
-	s.assignResourcesOver(halo.SurvivingTNIs(s.M.Params.TNIsPerNode, nil))
-}
-
-// assignResourcesOver runs the plan's resource assignment over an explicit
-// set of surviving TNIs. Over the full set it reproduces the modulo
-// policies bit-identically; the fail-stop recovery path re-invokes it with
-// the quarantined TNIs removed, re-running the §3.3 balancer and replanning
-// each rank's neighbor→thread table mid-run.
-func (s *Simulation) assignResourcesOver(tnis []int) {
+	tnis := halo.SurvivingTNIs(s.M.Params.TNIsPerNode, s.health.TNIQuarantined)
 	side := s.dec.Side()
 	fwd, rev := s.plan.Assign(s.Var.TNIPolicy, tnis, s.Var.CommThreads, halo.Balance{
 		Side: (side.X + side.Y + side.Z) / 3, Cutoff: s.ghCut, Density: s.density,
@@ -637,24 +640,9 @@ func (s *Simulation) setupTransport() error {
 	if s.Var.Transport != halo.TransportUTofu {
 		return nil
 	}
-	tnis := s.M.Params.TNIsPerNode
 	for _, r := range s.ranks {
-		var need []int
-		switch s.Var.TNIPolicy {
-		case halo.TNIPerRankSlot:
-			_, slot := s.M.Map.NodeOf(r.ID)
-			need = []int{slot % tnis}
-		default:
-			for t := 0; t < tnis; t++ {
-				need = append(need, t)
-			}
-		}
-		for _, tni := range need {
-			vcq, err := s.uts.CreateVCQ(r.ID, tni)
-			if err != nil {
-				return fmt.Errorf("sim: rank %d: %w", r.ID, err)
-			}
-			r.vcqByTNI[tni] = vcq
+		if err := s.syncVCQs(r); err != nil {
+			return err
 		}
 	}
 	// Inboxes: forward inbox on dst, reverse inbox on src.

@@ -6,8 +6,10 @@
 //
 // ParallelEngine (parallel.go) is the engine the simulator runs on: the
 // event loop sharded into 1..N independent logical processes, each drained
-// by the same serial loop. Engine — one clock, one queue, one goroutine — is
-// its reference implementation; see the type's comment.
+// by the same serial loop. Each LP queues its events in a run queue keyed
+// (time, seq) (runq.go): FIFO runs of same-time events under a small heap.
+// Engine — one clock, one binary heap of events under the full key, one
+// goroutine — is the reference both are held to; see the type's comment.
 package des
 
 import "fmt"
@@ -25,11 +27,14 @@ import "fmt"
 // moves whole events, and a wider one measured slower on both the closure
 // and the tagged path (TestEventIs40Bytes pins the size).
 //
-// For the serial engine this collapses to the historical (time, seq) order:
+// On one clock this collapses to the order (time, seq): src is constant and
 // sendTime is non-decreasing in seq (the clock never rewinds), so comparing
-// (time, sendTime, 0, seq) and (time, seq) yields the same total order. The
-// fabric's post-drain completion sweep orders deliveries from every LP by
-// the same longer key (tofu.completionOrder).
+// (time, sendTime, src, seq) and (time, seq) yields the same total order.
+// No event crosses LPs, so an LP's run queue (runq.go) keys on (time, seq)
+// alone and keeps its events as 16-byte slots; this 40-byte event and its
+// heap serve the reference Engine, which TestRunQueueMatchesHeap holds the
+// run queue to. The fabric's post-drain completion sweep orders deliveries
+// from every LP by a key of the same shape (tofu.completionOrder).
 type event struct {
 	time     float64
 	sendTime float64

@@ -7,17 +7,18 @@ import (
 )
 
 // This file implements the sharded engine. The event loop is split into
-// logical processes (LPs), each with its own clock, heap and scheduling
+// logical processes (LPs), each with its own clock, queue and scheduling
 // counter, and an event schedules only on the LP it runs on: no event ever
 // crosses LPs. An LP is therefore an independent shard, and a run drains
-// every LP's heap to empty with the same serial loop — LP 0 on the calling
+// every LP's queue to empty with the same serial loop — LP 0 on the calling
 // goroutine, one goroutine per further LP — with no synchronization between
 // them until the last one stops.
 //
-// Determinism: each LP pops its heap in the strict total order
-// (time, sendTime, src, seq), so its execution order is exactly the order a
-// serial Engine would run that LP's events in, whatever the goroutine
-// interleaving across LPs.
+// Determinism: each LP pops its run queue (runq.go) in the strict total
+// order (time, seq), which on one LP is the order of the Engine's key
+// (time, sendTime, src, seq). Its execution order is therefore exactly the
+// order a serial Engine would run that LP's events in, whatever the
+// goroutine interleaving across LPs.
 
 // ParallelEngine executes events on one or more LPs. Construct with
 // NewParallel, schedule the initial events on the LPs (LP method), then call
@@ -41,7 +42,7 @@ type LP struct {
 	id  int32
 	now float64
 	seq uint64
-	pq  eventHeap
+	q   runQueue
 	// stopped is the budget error of this LP's last drain; nil when it
 	// drained.
 	stopped *BudgetError
@@ -58,6 +59,7 @@ func NewParallel(lps int) (*ParallelEngine, error) {
 	p := &ParallelEngine{lps: make([]*LP, lps)}
 	for i := range p.lps {
 		p.lps[i] = &LP{eng: p, id: int32(i)}
+		p.lps[i].q.reset()
 	}
 	return p, nil
 }
@@ -79,21 +81,21 @@ func (p *ParallelEngine) LP(i int) *LP { return p.lps[i] }
 func (p *ParallelEngine) Pending() int {
 	n := 0
 	for _, l := range p.lps {
-		n += len(l.pq)
+		n += l.q.n
 	}
 	return n
 }
 
-// Reset clears every LP's queue and rewinds every clock to 0, retaining
-// (zeroed) backing arrays for reuse. The event counters are left alone so
-// they accumulate across the rounds of one run; see ResetStats.
+// Reset clears every LP's queue and rewinds every clock and scheduling
+// counter to 0, retaining (zeroed) backing arrays for reuse. The event
+// counters are left alone so they accumulate across the rounds of one run;
+// see ResetStats.
 func (p *ParallelEngine) Reset() {
 	for _, l := range p.lps {
 		l.now = 0
 		l.seq = 0
 		l.stopped = nil
-		clear(l.pq)
-		l.pq = l.pq[:0]
+		l.q.reset()
 	}
 }
 
@@ -121,7 +123,7 @@ func (p *ParallelEngine) RunBudget(budget int) (float64, error) {
 	var stopped *BudgetError
 	for _, l := range p.lps {
 		final = max(final, l.now)
-		pending += len(l.pq)
+		pending += l.q.n
 		if stopped == nil {
 			stopped = l.stopped
 		}
@@ -154,17 +156,17 @@ func (p *ParallelEngine) drainShards(budget int) {
 func (l *LP) drain(budget int) {
 	l.stopped = nil
 	n := 0
-	for len(l.pq) > 0 {
+	for l.q.n > 0 {
 		if budget > 0 && n >= budget {
-			l.stopped = &BudgetError{Budget: budget, Now: l.now, NextAt: l.pq[0].time, Pending: len(l.pq)}
+			l.stopped = &BudgetError{Budget: budget, Now: l.now, NextAt: l.q.peek(), Pending: l.q.n}
 			break
 		}
-		ev := l.pq.pop()
-		l.now = ev.time
-		if ev.fn != nil {
-			ev.fn()
+		t, tag, fn := l.q.pop()
+		l.now = t
+		if fn != nil {
+			fn()
 		} else {
-			l.eng.handler(l, ev.tag)
+			l.eng.handler(l, tag)
 		}
 		n++
 	}
@@ -180,7 +182,7 @@ func (l *LP) ID() int { return int(l.id) }
 func (l *LP) Now() float64 { return l.now }
 
 // Pending returns the number of events queued on this LP.
-func (l *LP) Pending() int { return len(l.pq) }
+func (l *LP) Pending() int { return l.q.n }
 
 // Schedule registers fn to run on this LP at virtual time t, clamping past
 // times to Now exactly like Engine.Schedule.
@@ -189,7 +191,7 @@ func (l *LP) Schedule(t float64, fn func()) {
 		t = l.now
 	}
 	l.seq++
-	l.pq.push(event{time: t, sendTime: l.now, src: l.id, seq: l.seq, fn: fn})
+	l.q.push(t, l.seq, 0, fn)
 }
 
 // ScheduleAt registers fn to run on this LP at virtual time t, rejecting
@@ -213,6 +215,6 @@ func (l *LP) scheduleAt(t float64, tag uint32, fn func()) error {
 		return fmt.Errorf("des: ScheduleAt(%g) is before now (%g)", t, l.now)
 	}
 	l.seq++
-	l.pq.push(event{time: t, sendTime: l.now, src: l.id, tag: tag, seq: l.seq, fn: fn})
+	l.q.push(t, l.seq, tag, fn)
 	return nil
 }

@@ -65,6 +65,37 @@ func TestCounterAndGauge(t *testing.T) {
 	}
 }
 
+// ObserveN of a tallied batch leaves a histogram exactly where one Observe
+// per value would: buckets, count, sum, min and max, for integer values.
+func TestObserveNMatchesObserve(t *testing.T) {
+	r := New()
+	one := r.HistogramWith("one", "a", LinearBuckets(0, 1, 33))
+	batched := r.HistogramWith("batched", "a", LinearBuckets(0, 1, 33))
+	tally := map[int]uint64{}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 5000; i++ {
+		v := rng.Intn(40) // past the last bucket too
+		one.Observe(float64(v))
+		tally[v]++
+	}
+	for v := 39; v >= 0; v-- {
+		batched.ObserveN(float64(v), tally[v])
+	}
+	batched.ObserveN(7, 0) // an empty batch changes nothing
+	c1, s1, lo1, hi1, _, _, _ := one.snapshot()
+	c2, s2, lo2, hi2, _, _, _ := batched.snapshot()
+	if c1 != c2 || s1 != s2 || lo1 != lo2 || hi1 != hi2 {
+		t.Errorf("batched (count %d, sum %g, min %g, max %g), want (%d, %g, %g, %g)", c2, s2, lo2, hi2, c1, s1, lo1, hi1)
+	}
+	for i := range one.counts {
+		if one.counts[i] != batched.counts[i] {
+			t.Fatalf("bucket %d: batched %d, want %d", i, batched.counts[i], one.counts[i])
+		}
+	}
+	var nilHist *Histogram
+	nilHist.ObserveN(1, 3)
+}
+
 func TestFamilyKindMismatchPanics(t *testing.T) {
 	r := New()
 	r.Counter("f", "a")

@@ -183,8 +183,9 @@ const (
 // maxTagIndex bounds what fits beside the kind in a 32-bit tag.
 const maxTagIndex = 1 << 31
 
-// fabricMetrics caches the fabric's metric handles so the per-message cost
-// is an atomic add, not a registry lookup. Per-TNI families are indexed by
+// fabricMetrics caches the fabric's metric handles so no message pays a
+// registry lookup; the per-transfer families are tallied per LP and
+// published once per round. Per-TNI families are indexed by
 // TNI number and aggregate across nodes; distributions are labeled by the
 // software interface ("utofu"/"mpi").
 type fabricMetrics struct {
@@ -201,6 +202,17 @@ type fabricMetrics struct {
 	reg *metrics.Registry
 	// lpEvents are the per-LP event gauges, indexed by LP.
 	lpEvents []*metrics.Gauge
+	// tallies, indexed by LP, batch the per-transfer updates of msgs, bytes,
+	// switches and hops through a drain (see publishTallies).
+	tallies []tally
+}
+
+// tally is one LP's share of a round's per-transfer metrics: plain adds on
+// the LP's own goroutine in place of an atomic add or a histogram lock per
+// transfer.
+type tally struct {
+	msgs, bytes, switches []int64  // per TNI index
+	hops                  []uint64 // observations per hop count
 }
 
 // SetMetrics enables (or, with a nil registry, disables) metric collection.
@@ -249,6 +261,37 @@ func (f *Fabric) publishLPStats() {
 	}
 	for i, lp := range st.LPs {
 		m.lpEvents[i].Set(float64(lp.Events))
+	}
+}
+
+// publishTallies adds the round's per-LP tallies to the registry in LP order
+// and zeroes them. Counter sums do not depend on the order of the adds, and
+// the hop histogram only sees integers, whose float sums are exact, so the
+// registry ends where one update per transfer would have left it.
+func (f *Fabric) publishTallies() {
+	if f.met == nil {
+		return
+	}
+	m := f.met
+	for i := range m.tallies {
+		t := &m.tallies[i]
+		for tni := range t.msgs {
+			if t.msgs[tni] != 0 {
+				m.msgs[tni].Add(t.msgs[tni])
+				m.bytes[tni].Add(t.bytes[tni])
+				t.msgs[tni], t.bytes[tni] = 0, 0
+			}
+			if t.switches[tni] != 0 {
+				m.switches[tni].Add(t.switches[tni])
+				t.switches[tni] = 0
+			}
+		}
+		for h, n := range t.hops {
+			if n != 0 {
+				m.hops[f.iface].ObserveN(float64(h), n)
+				t.hops[h] = 0
+			}
+		}
 	}
 }
 
@@ -344,10 +387,9 @@ func (f *Fabric) schedule(c *des.LP, t float64, tag uint32) {
 // on; it is the engine's tag handler.
 //
 // A transmit event also runs its thread's next issue. Scheduled apart, the
-// two would share time, sending clock and LP with consecutive seq, so no
-// event could sort between them in the engine's key (time, sendTime, src LP,
-// seq), and transmit schedules nothing: fused, they keep that order at one
-// event per transfer instead of two.
+// two would share time and LP with consecutive seq, so no event could sort
+// between them in the LP's key (time, seq), and transmit schedules nothing:
+// fused, they keep that order at one event per transfer instead of two.
 func (f *Fabric) handle(c *des.LP, tag uint32) {
 	idx := int(tag >> 1)
 	if tag&1 == evIssue {
@@ -463,6 +505,12 @@ func (f *Fabric) RunRound(transfers []*Transfer, iface Interface) error {
 		f.msgEvs = zeroed(f.msgEvs, len(transfers))
 		f.msgSet = zeroed(f.msgSet, len(transfers))
 	}
+	if m := f.met; m != nil {
+		for len(m.tallies) < f.par.LPs() {
+			n := p.TNIsPerNode
+			m.tallies = append(m.tallies, tally{msgs: make([]int64, n), bytes: make([]int64, n), switches: make([]int64, n)})
+		}
+	}
 
 	// Build the per-slot FIFOs with a stable counting sort, preserving the
 	// caller's order within a slot: the order the comm plan issues messages.
@@ -484,8 +532,8 @@ func (f *Fabric) RunRound(transfers []*Transfer, iface Interface) error {
 	copy(f.head, f.fifo)
 
 	// Start every thread inline, in ascending (rank, thread). As events the
-	// seeds would all sort first on their LP — key (0, 0, lp, seq) with
-	// everything they schedule later in seq — and LPs share no round state,
+	// seeds would all sort first on their LP — key (0, seq) with everything
+	// they schedule later in seq — and LPs share no round state,
 	// so calling issue directly runs them in the same order.
 	for k := 0; k < slots; k++ {
 		f.issue(f.par.LP(int(f.lpOfRank[k/threads])), k)
@@ -501,6 +549,7 @@ func (f *Fabric) RunRound(transfers []*Transfer, iface Interface) error {
 		f.complete(slots)
 	}
 	f.flushTrace()
+	f.publishTallies()
 	f.publishLPStats()
 	f.round = nil
 	if runErr != nil {
@@ -616,12 +665,16 @@ func (f *Fabric) transmit(c *des.LP, idx int) {
 
 	hops := f.hops(srcNode, dstNode)
 	if f.met != nil {
-		f.met.msgs[tr.TNI].Inc()
-		f.met.bytes[tr.TNI].Add(int64(tr.Bytes))
+		t := &f.met.tallies[c.ID()]
+		t.msgs[tr.TNI]++
+		t.bytes[tr.TNI] += int64(tr.Bytes)
 		if vcqSwitch {
-			f.met.switches[tr.TNI].Inc()
+			t.switches[tr.TNI]++
 		}
-		f.met.hops[iface].Observe(float64(hops))
+		for hops >= len(t.hops) {
+			t.hops = append(t.hops, 0)
+		}
+		t.hops[hops]++
 	}
 
 	if srcNode == dstNode {

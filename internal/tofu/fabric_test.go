@@ -706,7 +706,7 @@ func TestGoldenRounds(t *testing.T) {
 
 // The round path is allocation-free in steady state: with metrics and Rec
 // off, every round after the first reuses the fabric's dense tables and the
-// engine's heap.
+// engine's queue arenas.
 func TestRunRoundDoesNotAllocate(t *testing.T) {
 	f := testFabric(t, vec.I3{X: 2, Y: 2, Z: 2})
 	trs := mixedRound(f)

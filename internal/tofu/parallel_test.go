@@ -1,6 +1,7 @@
 package tofu
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -120,6 +121,54 @@ func TestParallelRoundDrains(t *testing.T) {
 		}
 		if got := reg.Counter("des_abandoned_events", "total").Value(); got != 0 {
 			t.Fatalf("%d LPs: des_abandoned_events = %v, want 0", lps, got)
+		}
+	}
+}
+
+// TestTalliedMetricsMatchPerTransfer holds the per-LP metric tallies to one
+// update per transfer: after two rounds on 1, 2 and 4 LPs, the per-TNI
+// counters and the hop histograms equal those of a registry fed from every
+// recorded message.
+func TestTalliedMetricsMatchPerTransfer(t *testing.T) {
+	families := map[string]bool{
+		"fabric_tni_msgs": true, "fabric_tni_bytes": true,
+		"fabric_tni_vcq_switches": true, "fabric_msg_hops": true,
+	}
+	pick := func(reg *metrics.Registry) []metrics.FamilySnapshot {
+		var out []metrics.FamilySnapshot
+		for _, fam := range reg.Snapshot() {
+			if families[fam.Name] {
+				out = append(out, fam)
+			}
+		}
+		return out
+	}
+	for _, lps := range []int{1, 2, 4} {
+		f := testFabric(t, vec.I3{X: 4, Y: 4, Z: 4})
+		if err := f.SetParallel(lps); err != nil {
+			t.Fatal(err)
+		}
+		got := metrics.New()
+		f.SetMetrics(got)
+		f.Rec = trace.NewRecorder()
+		want := metrics.New()
+		(&Fabric{Params: f.Params}).SetMetrics(want)
+		for _, iface := range []Interface{IfaceUTofu, IfaceMPI} {
+			if err := f.RunRound(mixedRound(f), iface); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, m := range f.Rec.Messages() {
+			label := fmt.Sprintf("tni%d", m.TNI)
+			want.Counter("fabric_tni_msgs", label).Inc()
+			want.Counter("fabric_tni_bytes", label).Add(int64(m.Bytes))
+			if m.VCQSwitch {
+				want.Counter("fabric_tni_vcq_switches", label).Inc()
+			}
+			want.HistogramWith("fabric_msg_hops", m.Iface, nil).Observe(float64(m.Hops))
+		}
+		if g, w := pick(got), pick(want); !reflect.DeepEqual(g, w) {
+			t.Errorf("%d LPs: tallied metrics\n%+v\nwant per-transfer\n%+v", lps, g, w)
 		}
 	}
 }

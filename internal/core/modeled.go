@@ -108,6 +108,12 @@ type modelSetup struct {
 	plan        *halo.Plan
 	// fwd and rev are the resources of each plan link's two sending sides.
 	fwd, rev []halo.Res
+	// atoms is the expected ghost atoms on a link, by linkClass.
+	atoms [4 * 8]float64
+	// recs back one round's transfers, which rounds writes in place; trs
+	// points at them.
+	recs []tofu.Transfer
+	trs  []*tofu.Transfer
 }
 
 // setup defaults the tile, builds the machine in the spec's placement mode
@@ -146,6 +152,12 @@ func (spec *ModelSpec) setup() (*modelSetup, error) {
 			Side: ms.side, Cutoff: ms.ghCut, Density: kp.density, AtomBytes: 40,
 			Bandwidth: m.Params.LinkBandwidth, HopLatency: m.Params.HopLatency,
 		})
+	ms.setAtoms()
+	ms.recs = make([]tofu.Transfer, len(ms.plan.Links)/len(ms.plan.Rounds))
+	ms.trs = make([]*tofu.Transfer, len(ms.recs))
+	for i := range ms.recs {
+		ms.trs[i] = &ms.recs[i]
+	}
 	return ms, nil
 }
 
@@ -156,6 +168,15 @@ func Modeled(spec ModelSpec) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	return spec.modeled(ms, ms.rounds), nil
+}
+
+// roundsFunc is the signature of modelSetup.rounds.
+type roundsFunc func(perAtomBytes int, reverse, forceMPI bool, extraPerLink int, cost machine.CostModel) float64
+
+// modeled assembles Modeled's result on a setup, running each halo
+// operation through rounds.
+func (spec ModelSpec) modeled(ms *modelSetup, rounds roundsFunc) *RunResult {
 	m, fab, kp, cost := ms.m, ms.fab, ms.kp, ms.m.Cost
 	th := spec.Variant.ComputeThreading
 	n := spec.AtomsPerRank
@@ -172,7 +193,7 @@ func Modeled(spec ModelSpec) (*RunResult, error) {
 	integrate := cost.IntegrateTime(int(n), th)
 
 	commRound := func(perAtomBytes int, reverse, forceMPI bool, extraPerLink int) float64 {
-		return ms.rounds(perAtomBytes, reverse, forceMPI, extraPerLink, cost)
+		return rounds(perAtomBytes, reverse, forceMPI, extraPerLink, cost)
 	}
 
 	// Pair-stage time; EAM adds its two in-pair exchanges (section 4.1).
@@ -232,7 +253,7 @@ func Modeled(spec ModelSpec) (*RunResult, error) {
 		AtomsPerRank: n,
 		Steps:        steps,
 		PerfPerDay:   PerfPerDay(spec.Kind, steps, kp.dt, elapsed),
-	}, nil
+	}
 }
 
 // HaloTime returns the modeled time of one ghost exchange (a forward round
@@ -252,22 +273,46 @@ func HaloTime(spec ModelSpec) (float64, error) {
 	return fwd + rev, nil
 }
 
-// atoms returns the expected ghost atoms on a plan link: the staged slabs
-// grow with forwarded ghosts (Table 1: a^2 r, then ar(a+2r), then
+// linkClass indexes modelSetup.atoms: a link's expected ghost atoms depend
+// only on its stage dimension and, for p2p, on which axes its direction
+// moves along.
+func linkClass(stage3Dim int, dir vec.I3) int {
+	c := (stage3Dim + 1) << 3
+	if dir.X != 0 {
+		c |= 1
+	}
+	if dir.Y != 0 {
+		c |= 2
+	}
+	if dir.Z != 0 {
+		c |= 4
+	}
+	return c
+}
+
+// setAtoms fills the expected ghost atoms of every link class: the staged
+// slabs grow with forwarded ghosts (Table 1: a^2 r, then ar(a+2r), then
 // (a+2r)^2 r, split over the forwarding iterations); a p2p message carries
 // its neighbor's ghost-region volume.
-func (ms *modelSetup) atoms(l halo.LinkSpec) float64 {
+func (ms *modelSetup) setAtoms() {
 	a, r := ms.side, ms.ghCut
 	perIter := ms.kp.density / float64(ms.shells)
-	switch l.Stage3Dim {
-	case -1:
-		return halo.MessageVolume(l.Dir, a, r) * ms.kp.density
-	case 0:
-		return a * a * r * perIter
-	case 1:
-		return a * r * (a + 2*r) * perIter
+	for c := range ms.atoms {
+		var n float64
+		switch c >> 3 {
+		case 0:
+			// MessageVolume reads only which components are zero.
+			dir := vec.I3{X: c & 1, Y: c >> 1 & 1, Z: c >> 2 & 1}
+			n = halo.MessageVolume(dir, a, r) * ms.kp.density
+		case 1:
+			n = a * a * r * perIter
+		case 2:
+			n = a * r * (a + 2*r) * perIter
+		default:
+			n = (a + 2*r) * (a + 2*r) * r * perIter
+		}
+		ms.atoms[c] = n
 	}
-	return (a + 2*r) * (a + 2*r) * r * perIter
 }
 
 // rounds executes one halo operation (all the plan's rounds, backwards for
@@ -280,9 +325,14 @@ func (ms *modelSetup) rounds(perAtomBytes int, reverse, forceMPI bool, extraPerL
 	if v.Transport == halo.TransportMPI || forceMPI {
 		iface = tofu.IfaceMPI
 	}
+	twoStep := iface == tofu.IfaceMPI && perAtomBytes == 0 && !v.CombineLength
 	senders, res, dres := plan.Send, ms.fwd, ms.rev
 	if reverse {
 		senders, res, dres = plan.Recv, ms.rev, ms.fwd
+	}
+	var classBytes [len(ms.atoms)]int
+	for c, n := range ms.atoms {
+		classBytes[c] = int(n*float64(perAtomBytes)) + extraPerLink
 	}
 	total := 0.0
 	for i := range plan.Rounds {
@@ -291,15 +341,14 @@ func (ms *modelSetup) rounds(perAtomBytes int, reverse, forceMPI bool, extraPerL
 			k = plan.Rounds[len(plan.Rounds)-1-i]
 		}
 		var bytesPerRank float64
-		transfers := fab.Transfers(len(plan.Links) / len(plan.Rounds))
 		n := 0
 		for src, links := range senders {
 			for _, li := range links {
-				l := plan.Links[li]
+				l := &plan.Links[li]
 				if !halo.InRound(l.Stage3Dim, l.Stage3Iter, k) {
 					continue
 				}
-				bytes := int(ms.atoms(l)*float64(perAtomBytes)) + extraPerLink
+				bytes := classBytes[linkClass(l.Stage3Dim, l.Dir)]
 				if bytes == 0 {
 					continue
 				}
@@ -307,12 +356,11 @@ func (ms *modelSetup) rounds(perAtomBytes int, reverse, forceMPI bool, extraPerL
 				if reverse {
 					dst = l.Src
 				}
-				*transfers[n] = tofu.Transfer{
-					Src: src, Dst: dst, TNI: res[li].TNI, VCQ: src*8 + res[li].TNI,
-					Thread: res[li].Thread, DstThread: dres[li].Thread,
-					Bytes:   bytes,
-					TwoStep: iface == tofu.IfaceMPI && perAtomBytes == 0 && !v.CombineLength,
-				}
+				// Every field RunRound reads is written here or never set;
+				// it writes every output of a drained round.
+				tr, r := &ms.recs[n], res[li]
+				tr.Src, tr.Dst, tr.TNI, tr.VCQ = src, dst, r.TNI, src*8+r.TNI
+				tr.Thread, tr.DstThread, tr.Bytes, tr.TwoStep = r.Thread, dres[li].Thread, bytes, twoStep
 				n++
 				bytesPerRank += float64(bytes)
 			}
@@ -320,16 +368,15 @@ func (ms *modelSetup) rounds(perAtomBytes int, reverse, forceMPI bool, extraPerL
 		if n == 0 {
 			continue
 		}
-		transfers = transfers[:n]
 		// A round that fails to drain is a fabric invariant violation, not a
 		// modeling outcome; the timing model has no recovery for it.
-		if err := fab.RunRound(transfers, iface); err != nil {
+		if err := fab.RunRound(ms.trs[:n], iface); err != nil {
 			panic("core: " + err.Error())
 		}
 		var maxDone float64
-		for _, tr := range transfers {
-			if tr.RecvComplete > maxDone {
-				maxDone = tr.RecvComplete
+		for j := range ms.recs[:n] {
+			if d := ms.recs[j].RecvComplete; d > maxDone {
+				maxDone = d
 			}
 		}
 		perRankBytes := int(bytesPerRank / float64(m.Map.Ranks()))

@@ -53,3 +53,36 @@ func TestOwnerCoordMatchesSubBox(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestOwnerCoordBoxEdge(t *testing.T) {
+	d := mustDecomp(t, vec.V3{X: 9, Y: 9, Z: 9}, vec.I3{X: 3, Y: 3, Z: 3})
+	c := d.OwnerCoord(vec.V3{X: 9, Y: 9, Z: 9}) // exactly at the box edge
+	if c != (vec.I3{X: 2, Y: 2, Z: 2}) {
+		t.Errorf("edge owner = %+v", c)
+	}
+}
+
+func TestDirectionsCounts(t *testing.T) {
+	if got := len(halo.Directions(1)); got != 26 {
+		t.Errorf("1-shell directions = %d", got)
+	}
+	if got := len(halo.Directions(2)); got != 124 {
+		t.Errorf("2-shell directions = %d", got)
+	}
+	if got := len(halo.HalfDirections(1)); got != 13 {
+		t.Errorf("1-shell half = %d", got)
+	}
+	if got := len(halo.HalfDirections(2)); got != 62 {
+		t.Errorf("2-shell half = %d", got)
+	}
+}
+
+func TestUpperHalfPartitions(t *testing.T) {
+	// Every direction is upper xor its negation is upper.
+	for _, d := range halo.Directions(2) {
+		neg := vec.I3{X: -d.X, Y: -d.Y, Z: -d.Z}
+		if halo.UpperHalf(d) == halo.UpperHalf(neg) {
+			t.Errorf("direction %+v and its negation agree", d)
+		}
+	}
+}

@@ -13,7 +13,7 @@ import (
 // Msg is one message of a bulk-synchronous halo round, carrying absolute
 // virtual times. The app packs Data and, under the uTofu transport, resolves
 // the destination Region/DstOff before handing the message to the Engine;
-// the Engine fills Complete and IssueDone.
+// the Engine fills Complete, IssueDone and OverMPI.
 type Msg struct {
 	// Src and Dst are rank ids.
 	Src, Dst int
@@ -36,6 +36,10 @@ type Msg struct {
 	// Complete is the absolute receiver completion; IssueDone the absolute
 	// sender CPU-free time.
 	Complete, IssueDone float64
+	// OverMPI reports the message went over the MPI path: every message of
+	// an MPI round, and a uTofu round's fallback. A uTofu put wrote Data into
+	// Region at DstOff; an MPI message left it with the receiver as Data.
+	OverMPI bool
 }
 
 // Engine executes bulk-synchronous halo rounds over the uTofu one-sided
@@ -131,6 +135,7 @@ func (e *Engine) runMPIRound(msgs []*Msg, base float64) {
 	for i, m := range msgs {
 		m.Complete = base + mm[i].RecvComplete
 		m.IssueDone = base + mm[i].IssueDone
+		m.OverMPI = true
 	}
 	e.mm.Release()
 }
@@ -209,6 +214,7 @@ func (e *Engine) runUTofuRound(msgs []*Msg, base float64) []*Msg {
 		}
 		m.Complete = base + puts[i].RecvComplete
 		m.IssueDone = base + puts[i].IssueDone
+		m.OverMPI = false
 	}
 	e.puts.Release()
 	if replan && e.OnReplan != nil {

@@ -9,9 +9,10 @@ import (
 	"tofumd/internal/vec"
 )
 
-// The decomposition and direction tests below exercise internal/halo; they
-// predate the library's extraction and stay here, calling halo directly,
-// until they move to internal/halo a few at a time.
+// TestShellsFor, TestPBCShift and TestWrapPosition below exercise
+// internal/halo; they predate the library's extraction and stay here,
+// calling halo directly, because internal/halo already has tests of those
+// names. The other decomposition and direction tests moved to internal/halo.
 
 func mustDecomp(t *testing.T, box vec.V3, grid vec.I3) *halo.Decomposition {
 	t.Helper()
@@ -20,14 +21,6 @@ func mustDecomp(t *testing.T, box vec.V3, grid vec.I3) *halo.Decomposition {
 		t.Fatal(err)
 	}
 	return d
-}
-
-func TestOwnerCoordBoxEdge(t *testing.T) {
-	d := mustDecomp(t, vec.V3{X: 9, Y: 9, Z: 9}, vec.I3{X: 3, Y: 3, Z: 3})
-	c := d.OwnerCoord(vec.V3{X: 9, Y: 9, Z: 9}) // exactly at the box edge
-	if c != (vec.I3{X: 2, Y: 2, Z: 2}) {
-		t.Errorf("edge owner = %+v", c)
-	}
 }
 
 func TestShellsFor(t *testing.T) {
@@ -40,31 +33,6 @@ func TestShellsFor(t *testing.T) {
 	}
 	if got := d.ShellsFor(4.5); got != 3 {
 		t.Errorf("ShellsFor(4.5) = %d", got)
-	}
-}
-
-func TestDirectionsCounts(t *testing.T) {
-	if got := len(halo.Directions(1)); got != 26 {
-		t.Errorf("1-shell directions = %d", got)
-	}
-	if got := len(halo.Directions(2)); got != 124 {
-		t.Errorf("2-shell directions = %d", got)
-	}
-	if got := len(halo.HalfDirections(1)); got != 13 {
-		t.Errorf("1-shell half = %d", got)
-	}
-	if got := len(halo.HalfDirections(2)); got != 62 {
-		t.Errorf("2-shell half = %d", got)
-	}
-}
-
-func TestUpperHalfPartitions(t *testing.T) {
-	// Every direction is upper xor its negation is upper.
-	for _, d := range halo.Directions(2) {
-		neg := vec.I3{X: -d.X, Y: -d.Y, Z: -d.Z}
-		if halo.UpperHalf(d) == halo.UpperHalf(neg) {
-			t.Errorf("direction %+v and its negation agree", d)
-		}
 	}
 }
 

@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"bytes"
+	"fmt"
 	"sort"
+	"sync"
 	"testing"
 
 	"tofumd/internal/faultinject"
@@ -146,5 +149,79 @@ func TestChaosForcedFallback(t *testing.T) {
 	}
 	if spans == 0 {
 		t.Error("no p2p-fallback span recorded")
+	}
+}
+
+// TestInboxHoldsPayloadOverPutAndFallback: after a uTofu round every inbox message
+// is read from the receiver's current round-robin buffer, and that buffer
+// holds the bytes the sender packed, both when the put wrote them and when
+// the message fell back to MPI over a degraded link. Every buffer is
+// poisoned first, so one the round left unwritten shows.
+func TestInboxHoldsPayloadOverPutAndFallback(t *testing.T) {
+	for _, degrade := range []bool{false, true} {
+		s := newSim(t, Opt(), failstopConfig())
+		// In the reverse operation rank 0 sends each receive link's rev
+		// side back to the link's source.
+		src, dst := s.Ranks()[0].ID, s.Ranks()[0].recvLinks[0].src.ID
+		if degrade {
+			for range fallbackK {
+				s.fb.RecordFailure(src, dst)
+			}
+		}
+		for i := range s.links {
+			for _, sd := range []*side{&s.links[i].fwd, &s.links[i].rev} {
+				for _, buf := range sd.inbox.Bufs {
+					for j := range buf {
+						buf[j] = 0xa5
+					}
+				}
+			}
+		}
+		// unpack runs on the rank workers: collect, report after the op.
+		var (
+			mu      sync.Mutex
+			checked int
+			bad     []string
+		)
+		op := reverseOp
+		op.unpack = func(r *Rank, l *link, data []byte) {
+			if len(data) == 0 {
+				return
+			}
+			sd := l.side(true)
+			buf := sd.inbox.Bufs[l.seq%4]
+			mu.Lock()
+			defer mu.Unlock()
+			switch {
+			case &data[0] != &buf[0]:
+				bad = append(bad, fmt.Sprintf("link %d→%d payload not read from its inbox slot", l.dst.ID, l.src.ID))
+			case !bytes.Equal(data, sd.buf):
+				bad = append(bad, fmt.Sprintf("link %d→%d inbox slot does not hold the packed payload", l.dst.ID, l.src.ID))
+			}
+			checked++
+		}
+		s.runOp(op)
+		if len(bad) > 0 {
+			t.Fatalf("degrade=%v: %d of %d messages wrong, first: %s", degrade, len(bad), checked, bad[0])
+		}
+		if checked == 0 {
+			t.Fatalf("degrade=%v: no inbox message checked", degrade)
+		}
+		overMPI := 0
+		for _, m := range s.batch.msgs {
+			if m.OverMPI {
+				overMPI++
+				if m.Src != src || m.Dst != dst {
+					t.Errorf("degrade=%v: message %d→%d went over MPI", degrade, m.Src, m.Dst)
+				}
+			}
+		}
+		want := 0
+		if degrade {
+			want = 1
+		}
+		if overMPI != want {
+			t.Errorf("degrade=%v: %d messages over MPI, want %d", degrade, overMPI, want)
+		}
 	}
 }

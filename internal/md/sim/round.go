@@ -141,9 +141,11 @@ func (s *Simulation) runRound(t halo.Transport, b *batch) {
 	s.eng.RunRound(t, b.wire)
 }
 
-// deliverToInboxes copies payloads into the uTofu receive buffers, making
-// the round-robin rotation functional: the receiver decodes from its own
-// registered buffer, not the sender's scratch.
+// deliverToInboxes points every inbox message of a uTofu round at its
+// receive buffer, making the round-robin rotation functional: the receiver
+// decodes from its own registered buffer, not the sender's scratch. A put
+// already wrote the payload there (the buffer is the region's); only the
+// messages that fell back to MPI are copied in.
 func (s *Simulation) deliverToInboxes(b *batch) {
 	if s.Var.Transport != halo.TransportUTofu {
 		return
@@ -153,7 +155,9 @@ func (s *Simulation) deliverToInboxes(b *batch) {
 			continue
 		}
 		buf := m.inbox.Bufs[m.link.seq%4]
-		copy(buf, m.Data)
+		if m.OverMPI {
+			copy(buf, m.Data)
+		}
 		m.Data = buf[:len(m.Data)]
 	}
 }

@@ -127,6 +127,11 @@ func main() {
 			log.Fatalf("%s: %v", name, err)
 		}
 		fmt.Println(out)
+		if art != nil {
+			if tbl := bench.FormatTargets(art); tbl != "" {
+				fmt.Println("paper targets:\n" + tbl)
+			}
+		}
 		fmt.Printf("[%s regenerated in %.1fs]\n\n", name, time.Since(start).Seconds())
 		if *jsonDir != "" && art != nil {
 			if err := art.WriteFile(*jsonDir); err != nil {

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"tofumd/internal/trace"
 )
 
 // ArtifactSchemaVersion is the version stamp of the BENCH_*.json format.
@@ -257,7 +259,8 @@ func (f Fig13Result) Artifact(opt Options) *Artifact {
 }
 
 // Table3Artifact emits the Table 3 series (the stage breakdown at the last
-// strong-scaling point) as its own experiment.
+// strong-scaling point) as its own experiment: each code's total, then each
+// stage's share of it.
 func (f Fig13Result) Table3Artifact(opt Options) *Artifact {
 	a := NewArtifact("table3", opt)
 	names := make([]string, 0, len(f.Table3))
@@ -269,17 +272,29 @@ func (f Fig13Result) Table3Artifact(opt Options) *Artifact {
 		bd := f.Table3[name]
 		a.Add(key(name, "total"), "s", bd.Total(), DirLower)
 	}
+	for _, name := range names {
+		bd := f.Table3[name]
+		for _, st := range trace.Stages() {
+			a.Add(key(name, "share", strings.ToLower(st.String())), "frac", bd.Get(st)/bd.Total(), DirEqual)
+		}
+	}
 	return a
 }
 
 // Artifact emits the Fig. 14 series: aggregate throughput per point (higher
-// is better) and linearity vs the first point.
+// is better), linearity vs the first point, and each kind's final atom count.
 func (f Fig14Result) Artifact(opt Options) *Artifact {
 	a := NewArtifact("fig14", opt)
 	for _, r := range f.Rows {
 		nodes := fmt.Sprintf("n%d", r.Nodes)
 		a.Add(key(r.Kind, nodes, "atom_steps_per_sec"), "atom*step/s", r.AtomStepsPerSec, DirHigher)
 		a.Add(key(r.Kind, nodes, "linearity"), "frac", r.LinearityVsFirst, DirHigher)
+	}
+	// Rows run kind by kind, so a kind's final atom count is at its last row.
+	for i, r := range f.Rows {
+		if i == len(f.Rows)-1 || f.Rows[i+1].Kind != r.Kind {
+			a.Add(key("atoms", r.Kind), "atoms", float64(r.Atoms), DirEqual)
+		}
 	}
 	return a
 }

@@ -112,8 +112,5 @@ func (f Fig11Result) Format() string {
 		rows = append(rows, row)
 	}
 	s := "Fig. 11: pressure of the 65K-atom system, baseline vs optimized\n"
-	s += table([]string{"step", "lj_ref", "lj_opt", "eam_ref(bar)", "eam_opt(bar)"}, rows)
-	s += fmt.Sprintf("max relative ref/opt deviation: LJ %.2e, EAM %.2e (paper: traces coincide)\n",
-		f.MaxRelDiffLJ, f.MaxRelDiffEAM)
-	return s
+	return s + table([]string{"step", "lj_ref", "lj_opt", "eam_ref(bar)", "eam_opt(bar)"}, rows)
 }

@@ -22,11 +22,10 @@ type Fig12Row struct {
 // on the 768-node configuration for the 65K and 1.7M systems, LJ and EAM.
 type Fig12Result struct {
 	Rows []Fig12Row
-	// SpeedupSmallLJ etc. are the headline opt-vs-ref speedups
-	// (paper: 3.01x LJ / 2.45x EAM small, 1.6x / 1.4x big).
+	// SpeedupSmallLJ etc. are the headline opt-vs-ref speedups.
 	SpeedupSmallLJ, SpeedupSmallEAM, SpeedupBigLJ, SpeedupBigEAM float64
 	// CommReductionSmallLJ is opt's comm-time reduction on the small LJ
-	// system (paper: 77%).
+	// system.
 	CommReductionSmallLJ float64
 }
 
@@ -107,9 +106,5 @@ func (f Fig12Result) Format() string {
 		})
 	}
 	s := "Fig. 12: step-by-step performance (stage times in ms over the run)\n"
-	s += table([]string{"system", "variant", "Pair", "Neigh", "Comm", "Modify", "Other", "Total", "speedup"}, rows)
-	s += fmt.Sprintf("opt speedups: LJ small %.2fx (paper 3.01x), EAM small %.2fx (2.45x), LJ big %.2fx (1.6x), EAM big %.2fx (1.4x)\n",
-		f.SpeedupSmallLJ, f.SpeedupSmallEAM, f.SpeedupBigLJ, f.SpeedupBigEAM)
-	s += "opt comm reduction, small LJ: " + pct(f.CommReductionSmallLJ) + " (paper: 77%)\n"
-	return s
+	return s + table([]string{"system", "variant", "Pair", "Neigh", "Comm", "Modify", "Other", "Total", "speedup"}, rows)
 }

@@ -29,10 +29,9 @@ type Fig13Result struct {
 	// Table3 holds the last point's breakdowns keyed "Origin-L-J",
 	// "Opt-L-J", "Origin-EAM", "Opt-EAM".
 	Table3 map[string]*trace.Breakdown
-	// Headline speedups at the last point (paper: 2.9x LJ, 2.2x EAM).
+	// Headline speedups at the last point.
 	SpeedupLJ, SpeedupEAM float64
-	// PairDropLJ/EAM is the pair-stage reduction at the last point
-	// (paper: 40% and 57%).
+	// PairDropLJ/EAM is the pair-stage reduction at the last point.
 	PairDropLJ, PairDropEAM float64
 }
 
@@ -121,12 +120,8 @@ func (f Fig13Result) Format() string {
 		})
 	}
 	s := "Fig. 13: strong scaling 768 -> 36864 nodes (perf in tau/day or us/day; stage times ms/run)\n"
-	s += table([]string{"nodes", "pot", "ref perf", "opt perf", "ref eff", "opt eff",
+	return s + table([]string{"nodes", "pot", "ref perf", "opt perf", "ref eff", "opt eff",
 		"ref pair", "opt pair", "ref comm", "opt comm", "speedup"}, rows)
-	s += fmt.Sprintf("last-point speedups: LJ %.2fx (paper 2.9x), EAM %.2fx (paper 2.2x)\n", f.SpeedupLJ, f.SpeedupEAM)
-	s += fmt.Sprintf("last-point pair-stage drop: LJ %s (paper 40%%), EAM %s (paper 57%%)\n",
-		pct(f.PairDropLJ), pct(f.PairDropEAM))
-	return s
 }
 
 // FormatTable3 renders the Table 3 reproduction: stage times and their

@@ -25,9 +25,9 @@ type Fig14Row struct {
 }
 
 // Fig14Result reproduces Fig. 14: weak scaling from 768 to 20,736 nodes
-// with 100K (LJ) / 72K (EAM) atoms per core, reaching 99 and 72 billion
-// atoms. Runs are modeled — no machine on Earth holds 99 billion functional
-// atoms in one process.
+// with 100K (LJ) / 72K (EAM) atoms per core, up to the final atom counts
+// Targets holds. Runs are modeled — no machine on Earth holds ~1e11
+// functional atoms in one process.
 type Fig14Result struct {
 	Rows []Fig14Row
 }
@@ -88,7 +88,5 @@ func (f Fig14Result) Format() string {
 		})
 	}
 	s := "Fig. 14: weak scaling, 100K/72K atoms per core (opt code)\n"
-	s += table([]string{"nodes", "pot", "atoms", "perf", "atom-steps/s", "linearity"}, rows)
-	s += "paper: nearly linear scaling to 99 and 72 billion atoms\n"
-	return s
+	return s + table([]string{"nodes", "pot", "atoms", "perf", "atom-steps/s", "linearity"}, rows)
 }

@@ -118,7 +118,5 @@ func (f Fig15Result) Format() string {
 		})
 	}
 	s := "Fig. 15: comm time by neighbor count (ms per run)\n"
-	s += table([]string{"neighbors", "uTofu-3stage", "opt p2p", "winner"}, rows)
-	s += "paper: p2p wins at 26 and 62 neighbors, loses at 124\n"
-	return s
+	return s + table([]string{"neighbors", "uTofu-3stage", "opt p2p", "winner"}, rows)
 }

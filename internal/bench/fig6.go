@@ -18,7 +18,7 @@ type Fig6Row struct {
 type Fig6Result struct {
 	Rows []Fig6Row
 	// ReductionVsMPI3Stage is the uTofu-p2p improvement over the MPI
-	// 3-stage pattern on the small system (79% in the paper).
+	// 3-stage pattern on the small system.
 	ReductionVsMPI3Stage float64
 }
 
@@ -62,7 +62,5 @@ func (f Fig6Result) Format() string {
 		rows = append(rows, []string{r.Variant, us(r.SmallTime), us(r.BigTime)})
 	}
 	s := "Fig. 6: ghost-exchange message time, excluding packing (us per exchange)\n"
-	s += table([]string{"variant", "65K atoms", "1.7M atoms"}, rows)
-	s += "uTofu-p2p reduction vs MPI 3-stage (small system): " + pct(f.ReductionVsMPI3Stage) + " (paper: 79%)\n"
-	return s
+	return s + table([]string{"variant", "65K atoms", "1.7M atoms"}, rows)
 }

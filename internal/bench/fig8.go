@@ -25,9 +25,7 @@ type Fig8Row struct {
 type Fig8Result struct {
 	Rows []Fig8Row
 	// BoostBytes is the largest size at which parallel injection boosts
-	// the message rate by at least 50% over the single-thread 4-TNI scheme
-	// (the paper: "we can boost the message-sending rate by at least 50%"
-	// for the sub-512B messages of the strong-scaling regime).
+	// the message rate by at least 50% over the single-thread 4-TNI scheme.
 	BoostBytes int
 }
 
@@ -122,9 +120,7 @@ func (f Fig8Result) Format() string {
 		})
 	}
 	s := "Fig. 8: one-node message rate (Mmsg/s) and bandwidth vs size\n"
-	s += table([]string{"size", "single-4TNI", "single-6TNI", "parallel", "BW(par)"}, rows)
-	s += "parallel boosts rate >=50% vs single-4TNI up to: " + byteLabel(f.BoostBytes) + " (paper: small messages, <~1KB)\n"
-	return s
+	return s + table([]string{"size", "single-4TNI", "single-6TNI", "parallel", "BW(par)"}, rows)
 }
 
 func rate(r float64) string { return fmt.Sprintf("%.3f Mmsg/s", r/1e6) }

@@ -1,17 +1,25 @@
 package bench
 
 import (
+	"strings"
 	"testing"
 
 	"tofumd/internal/trace"
 )
 
+// checkTargets fails t for every Targets row of a's experiment that a
+// misses.
+func checkTargets(t *testing.T, a *Artifact) {
+	t.Helper()
+	for _, err := range CheckTargets(a) {
+		t.Error(err)
+	}
+}
+
 func TestTable1(t *testing.T) {
 	res := Table1(2.94, 2.8)
 	t.Log("\n" + res.Format())
-	if res.TotalMsgsP2P != 13 || res.TotalMsgsThreeStage != 6 {
-		t.Errorf("message counts %d/%d, want 6/13", res.TotalMsgsThreeStage, res.TotalMsgsP2P)
-	}
+	checkTargets(t, res.Artifact(Options{}))
 	if res.TotalP2P >= res.TotalThreeStage {
 		t.Error("p2p must halve the exchanged volume with Newton on")
 	}
@@ -44,10 +52,7 @@ func TestFig6(t *testing.T) {
 	if !(tm["4tni-p2p"][1] < tm["utofu-3stage"][1] && tm["opt"][1] < tm["utofu-3stage"][1]) {
 		t.Error("at 1.7M atoms all uTofu p2p variants must beat 3-stage")
 	}
-	// Headline reduction ~79%.
-	if res.ReductionVsMPI3Stage < 0.65 || res.ReductionVsMPI3Stage > 0.9 {
-		t.Errorf("reduction %.0f%% outside [65%%, 90%%] (paper 79%%)", 100*res.ReductionVsMPI3Stage)
-	}
+	checkTargets(t, res.Artifact(Options{}))
 }
 
 func TestFig8(t *testing.T) {
@@ -56,21 +61,10 @@ func TestFig8(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Log("\n" + res.Format())
-	small := res.Rows[0]
-	if small.Rate6TNI >= small.Rate4TNI {
+	if small := res.Rows[0]; small.Rate6TNI >= small.Rate4TNI {
 		t.Error("6-TNI spraying must lower the single-thread message rate")
 	}
-	if small.RateParallel < 1.5*small.Rate4TNI {
-		t.Error("parallel injection must boost the small-message rate by >=50%")
-	}
-	if res.BoostBytes < 128 || res.BoostBytes > 2048 {
-		t.Errorf("boost cutoff %dB outside the paper's small-message band", res.BoostBytes)
-	}
-	// Large messages converge to link-limited bandwidth.
-	last := res.Rows[len(res.Rows)-1]
-	if last.Bandwidth < 35e9 || last.Bandwidth > 41e9 {
-		t.Errorf("large-message bandwidth %.1f GB/s, want ~40.8 (6 x 6.8)", last.Bandwidth/1e9)
-	}
+	checkTargets(t, res.Artifact(Options{}))
 }
 
 func TestFig11(t *testing.T) {
@@ -79,12 +73,7 @@ func TestFig11(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Log("\n" + res.Format())
-	if res.MaxRelDiffLJ > 1e-9 {
-		t.Errorf("LJ ref/opt pressure deviation %.2e", res.MaxRelDiffLJ)
-	}
-	if res.MaxRelDiffEAM > 1e-9 {
-		t.Errorf("EAM ref/opt pressure deviation %.2e", res.MaxRelDiffEAM)
-	}
+	checkTargets(t, res.Artifact(Options{Steps: 60}))
 	if len(res.LJRef.Steps) < 3 {
 		t.Error("too few samples")
 	}
@@ -99,20 +88,7 @@ func TestFig12(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Log("\n" + res.Format())
-	// Headline speedups in generous bands around the paper's values.
-	check := func(name string, got, paper, lo, hi float64) {
-		t.Helper()
-		if got < lo || got > hi {
-			t.Errorf("%s speedup %.2fx outside [%.1f, %.1f] (paper %.2fx)", name, got, lo, hi, paper)
-		}
-	}
-	check("lj-65k", res.SpeedupSmallLJ, 3.01, 2.0, 4.5)
-	check("eam-65k", res.SpeedupSmallEAM, 2.45, 2.0, 4.5)
-	check("lj-1.7m", res.SpeedupBigLJ, 1.6, 1.2, 2.6)
-	check("eam-1.7m", res.SpeedupBigEAM, 1.4, 1.2, 2.6)
-	if res.CommReductionSmallLJ < 0.65 || res.CommReductionSmallLJ > 0.93 {
-		t.Errorf("comm reduction %.0f%% (paper 77%%)", 100*res.CommReductionSmallLJ)
-	}
+	checkTargets(t, res.Artifact(Options{Steps: 10}))
 	// The big systems must improve less than the small ones (pair-bound).
 	if res.SpeedupBigLJ >= res.SpeedupSmallLJ {
 		t.Error("1.7M speedup must be below 65K speedup")
@@ -132,15 +108,8 @@ func TestFig13(t *testing.T) {
 	}
 	t.Log("\n" + res.Format())
 	t.Log("\n" + res.FormatTable3())
-	if res.SpeedupLJ < 2.2 || res.SpeedupLJ > 4.2 {
-		t.Errorf("LJ last-point speedup %.2fx (paper 2.9x)", res.SpeedupLJ)
-	}
-	if res.SpeedupEAM < 1.8 || res.SpeedupEAM > 3.8 {
-		t.Errorf("EAM last-point speedup %.2fx (paper 2.2x)", res.SpeedupEAM)
-	}
-	if res.PairDropLJ < 0.25 || res.PairDropLJ > 0.6 {
-		t.Errorf("LJ pair drop %.0f%% (paper 40%%)", 100*res.PairDropLJ)
-	}
+	checkTargets(t, res.Artifact(Options{Steps: 99}))
+	checkTargets(t, res.Table3Artifact(Options{Steps: 99}))
 	// Speedup must grow with scale (communication increasingly dominates).
 	var prev float64
 	for _, r := range res.Rows {
@@ -157,17 +126,7 @@ func TestFig13(t *testing.T) {
 	if last.OptEff <= last.RefEff {
 		t.Error("optimized parallel efficiency must exceed baseline")
 	}
-	// Table 3 qualitative facts.
-	origin := res.Table3["Origin-L-J"]
-	if origin == nil {
-		t.Fatal("missing Origin-L-J breakdown")
-	}
-	commShare := origin.Get(benchCommStage()) / origin.Total()
-	if commShare < 0.45 {
-		t.Errorf("baseline comm share %.0f%% too low (paper 64.85%%)", 100*commShare)
-	}
-	optEAM := res.Table3["Opt-EAM"]
-	if optEAM.Get(benchOtherStage()) <= optEAM.Get(benchCommStage()) {
+	if optEAM := res.Table3["Opt-EAM"]; optEAM == nil || optEAM.Get(trace.Other) <= optEAM.Get(trace.Comm) {
 		t.Error("Opt-EAM 'Other' must exceed 'Comm' (the check-yes allreduce at scale)")
 	}
 }
@@ -178,23 +137,19 @@ func TestFig14(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Log("\n" + res.Format())
-	for _, r := range res.Rows {
-		if r.LinearityVsFirst < 0.9 || r.LinearityVsFirst > 1.1 {
-			t.Errorf("%s at %d nodes: linearity %.2f", r.Kind, r.Nodes, r.LinearityVsFirst)
+	checkTargets(t, res.Artifact(Options{Steps: 20}))
+	// The table holds each kind's last point; every earlier point must lie
+	// in the same linearity band.
+	for _, tg := range targetsOf("fig14") {
+		if !strings.HasSuffix(tg.Key, "/linearity") {
+			continue
 		}
-	}
-	// Final atom counts reach the paper's 99/72 billion.
-	var maxLJ, maxEAM int
-	for _, r := range res.Rows {
-		if r.Kind == "lj" && r.Atoms > maxLJ {
-			maxLJ = r.Atoms
+		kind, _, _ := strings.Cut(tg.Key, "/")
+		for _, r := range res.Rows {
+			if r.Kind == kind && !tg.holds(r.LinearityVsFirst) {
+				t.Errorf("%s at %d nodes: linearity %.4f outside %s", r.Kind, r.Nodes, r.LinearityVsFirst, tg.band())
+			}
 		}
-		if r.Kind == "eam" && r.Atoms > maxEAM {
-			maxEAM = r.Atoms
-		}
-	}
-	if maxLJ < 90e9 || maxEAM < 65e9 {
-		t.Errorf("final atom counts %d / %d below the paper's 99e9 / 72e9", maxLJ, maxEAM)
 	}
 }
 
@@ -204,16 +159,8 @@ func TestFig15(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Log("\n" + res.Format())
-	want := map[int]bool{26: true, 62: true, 124: false}
-	for _, r := range res.Rows {
-		if r.P2PWins != want[r.Neighbors] {
-			t.Errorf("%d neighbors: p2pWins=%v, paper says %v", r.Neighbors, r.P2PWins, want[r.Neighbors])
-		}
-	}
+	checkTargets(t, res.Artifact(Options{Steps: 10}))
 }
-
-func benchCommStage() trace.Stage  { return trace.Comm }
-func benchOtherStage() trace.Stage { return trace.Other }
 
 func TestFaults(t *testing.T) {
 	res, err := Faults(Options{Steps: 40})

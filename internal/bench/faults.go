@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"tofumd/internal/core"
 	"tofumd/internal/faultinject"
@@ -127,27 +126,12 @@ func Faults(opt Options) (FaultsResult, error) {
 // stateHash folds every atom's ID, position and velocity bits into one
 // order-independent-of-rank fingerprint (atoms sorted by global ID).
 func stateHash(s *sim.Simulation) uint64 {
-	type rec struct {
-		id   int64
-		bits [6]uint64
-	}
-	var all []rec
-	for _, r := range s.Ranks() {
-		for i := 0; i < r.Atoms.NLocal; i++ {
-			all = append(all, rec{id: r.Atoms.ID[i], bits: [6]uint64{
-				math.Float64bits(r.Atoms.X[i].X), math.Float64bits(r.Atoms.X[i].Y),
-				math.Float64bits(r.Atoms.X[i].Z), math.Float64bits(r.Atoms.V[i].X),
-				math.Float64bits(r.Atoms.V[i].Y), math.Float64bits(r.Atoms.V[i].Z),
-			}})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].id < all[j].id })
 	const prime = 1099511628211
 	h := uint64(14695981039346656037)
-	for _, a := range all {
-		h = (h ^ uint64(a.id)) * prime
-		for _, b := range a.bits {
-			h = (h ^ b) * prime
+	for _, a := range s.Gather() {
+		h = (h ^ uint64(a.ID)) * prime
+		for _, v := range [6]float64{a.Pos.X, a.Pos.Y, a.Pos.Z, a.Vel.X, a.Vel.Y, a.Vel.Z} {
+			h = (h ^ math.Float64bits(v)) * prime
 		}
 	}
 	return h

@@ -612,17 +612,25 @@ func TestInboxFixedOverflowPanics(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	if err := Validate(ThreeStage, TransportUTofu, TNIThreadBound, 4); err != nil {
-		t.Errorf("valid combination rejected: %v", err)
-	}
-	if err := Validate(P2P, TransportMPI, TNISprayAll, 1); err == nil {
-		t.Error("MPI + spray-all TNI policy accepted")
-	}
-	if err := Validate(ThreeStage, TransportMPI, TNIThreadBound, 4); err == nil {
-		t.Error("MPI + thread-bound TNI policy accepted")
-	}
-	if err := Validate(P2P, TransportUTofu, TNIPerRankSlot, 4); err == nil {
-		t.Error("multi-thread per-rank-slot accepted")
+	for _, c := range []struct {
+		name    string
+		pat     Pattern
+		tr      Transport
+		pol     TNIPolicy
+		threads int
+		ok      bool
+	}{
+		{"uTofu 3-stage thread-bound", ThreeStage, TransportUTofu, TNIThreadBound, 4, true},
+		{"MPI p2p at one thread", P2P, TransportMPI, TNIPerRankSlot, 1, true},
+		{"uTofu p2p thread-bound at six threads", P2P, TransportUTofu, TNIThreadBound, 6, true},
+		{"MPI + spray-all", P2P, TransportMPI, TNISprayAll, 1, false},
+		{"MPI 3-stage + thread-bound", ThreeStage, TransportMPI, TNIThreadBound, 4, false},
+		{"MPI p2p + thread-bound", P2P, TransportMPI, TNIThreadBound, 6, false},
+		{"multi-thread per-rank-slot", P2P, TransportUTofu, TNIPerRankSlot, 4, false},
+	} {
+		if err := Validate(c.pat, c.tr, c.pol, c.threads); (err == nil) != c.ok {
+			t.Errorf("%s: Validate = %v, want accepted %v", c.name, err, c.ok)
+		}
 	}
 }
 

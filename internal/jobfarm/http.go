@@ -17,7 +17,7 @@ import (
 //	GET    /healthz     liveness (503 while draining)
 //
 // Admission failures are explicit shed-load responses: 429 when the
-// queue is full, 503 while draining.
+// queue is full, 503 while draining, 413 for a spec body over 64 KiB.
 func (f *Farm) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", f.handleSubmit)
@@ -29,12 +29,20 @@ func (f *Farm) Handler() http.Handler {
 	return mux
 }
 
+// maxSpecBytes caps a submit body; a job spec is a few hundred bytes.
+const maxSpecBytes = 64 << 10
+
 func (f *Farm) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var sp Spec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&sp); err != nil {
-		httpError(w, http.StatusBadRequest, "bad spec: "+err.Error())
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, status, "bad spec: "+err.Error())
 		return
 	}
 	id, err := f.Submit(sp)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -148,5 +149,29 @@ func TestHTTPDrainingResponses(t *testing.T) {
 	r.Body.Close()
 	if r.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("draining healthz: status %d, want 503", r.StatusCode)
+	}
+}
+
+// TestHTTPSubmitBodyCapped: a submit body over the cap is refused with 413
+// and queues nothing.
+func TestHTTPSubmitBodyCapped(t *testing.T) {
+	f, err := New(Config{Workers: 1, Runner: fakeRunner(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Shutdown(context.Background())
+	srv := httptest.NewServer(f.Handler())
+	defer srv.Close()
+	body := `{"name":"` + strings.Repeat("a", 65<<10) + `"}`
+	resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("65 KiB spec: status %d, want 413", resp.StatusCode)
+	}
+	if jobs := f.Snapshot().Jobs; len(jobs) != 0 {
+		t.Errorf("oversized spec queued %d jobs", len(jobs))
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"tofumd/internal/halo"
 	"tofumd/internal/machine"
+	"tofumd/internal/oracle"
 	"tofumd/internal/tofu"
 	"tofumd/internal/topo"
 	"tofumd/internal/vec"
@@ -75,15 +76,13 @@ func TestMassAndMomentumConserved(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		s.Step()
 	}
-	if rel := math.Abs(s.Mass()-mass0) / mass0; rel > 1e-12 {
-		t.Errorf("mass drifted by %.3g", rel)
+	if err := oracle.Check("lbm-mass", math.Abs(s.Mass()-mass0)/mass0); err != nil {
+		t.Error(err)
 	}
-	mom := s.Momentum()
-	scale := float64(s.Cfg.Cells.Prod())
-	if math.Abs(mom.X-mom0.X)/scale > 1e-14 ||
-		math.Abs(mom.Y-mom0.Y)/scale > 1e-14 ||
-		math.Abs(mom.Z-mom0.Z)/scale > 1e-14 {
-		t.Errorf("momentum drifted: %+v -> %+v", mom0, mom)
+	d := s.Momentum().Sub(mom0)
+	perCell := max(math.Abs(d.X), math.Abs(d.Y), math.Abs(d.Z)) / float64(s.Cfg.Cells.Prod())
+	if err := oracle.Check("lbm-momentum", perCell); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -105,8 +104,8 @@ func TestShearWaveDecay(t *testing.T) {
 	k := 2 * math.Pi / float64(s.Cfg.Cells.X)
 	nuMeasured := -math.Log(aT/a0) / (k * k * float64(steps))
 	nu := s.Cfg.Nu()
-	if rel := math.Abs(nuMeasured-nu) / nu; rel > 0.05 {
-		t.Errorf("measured viscosity %.5f, analytic %.5f (rel %.3f)", nuMeasured, nu, rel)
+	if err := oracle.Check("lbm-viscosity", math.Abs(nuMeasured-nu)/nu); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -145,8 +144,12 @@ func TestTransportsAgreeOnPhysics(t *testing.T) {
 	}
 	fpU, elU := run(halo.TransportUTofu)
 	fpM, elM := run(halo.TransportMPI)
+	mismatches := 0.0
 	if fpU != fpM {
-		t.Errorf("transports disagree on physics: %#x vs %#x", fpU, fpM)
+		mismatches = 1
+	}
+	if err := oracle.Check("lbm-transports", mismatches); err != nil {
+		t.Error(err)
 	}
 	if elU >= elM {
 		t.Errorf("uTofu (%.6g) not faster than MPI (%.6g)", elU, elM)
@@ -203,8 +206,8 @@ func TestSelfImageExchange(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		s.Step()
 	}
-	if rel := math.Abs(s.Mass()-mass0) / mass0; rel > 1e-12 {
-		t.Errorf("mass drifted by %.3g with self-image exchange", rel)
+	if err := oracle.Check("lbm-mass", math.Abs(s.Mass()-mass0)/mass0); err != nil {
+		t.Errorf("self-image exchange: %v", err)
 	}
 }
 

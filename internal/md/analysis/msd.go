@@ -14,59 +14,42 @@ import (
 // atom travels more than half a box length — a few tens of MD steps for any
 // physical temperature.
 type MSD struct {
-	box  vec.V3
-	prev map[int64]vec.V3
-	// disp is the accumulated unwrapped displacement per atom.
-	disp map[int64]vec.V3
+	box vec.V3
+	// prev is the last sample's gather; disp[i] is the accumulated
+	// unwrapped displacement of the atom at prev[i].
+	prev []sim.InitAtom
+	disp []vec.V3
 }
 
 // NewMSD records the reference positions.
 func NewMSD(s *sim.Simulation) *MSD {
-	m := &MSD{
-		box:  s.Decomp().Box,
-		prev: map[int64]vec.V3{},
-		disp: map[int64]vec.V3{},
-	}
-	for _, r := range s.Ranks() {
-		a := r.Atoms
-		for i := 0; i < a.NLocal; i++ {
-			m.prev[a.ID[i]] = a.X[i]
-			m.disp[a.ID[i]] = vec.V3{}
-		}
-	}
-	return m
+	prev := s.Gather()
+	return &MSD{box: s.Decomp().Box, prev: prev, disp: make([]vec.V3, len(prev))}
 }
 
 // Sample accumulates displacements since the previous sample and returns
 // the current mean-squared displacement.
 func (m *MSD) Sample(s *sim.Simulation) (float64, error) {
-	var sum float64
-	n := 0
-	for _, r := range s.Ranks() {
-		a := r.Atoms
-		for i := 0; i < a.NLocal; i++ {
-			id := a.ID[i]
-			prev, ok := m.prev[id]
-			if !ok {
-				return 0, fmt.Errorf("analysis: atom %d appeared after MSD origin", id)
-			}
-			step := vec.V3{
-				X: vec.MinImage(a.X[i].X-prev.X, m.box.X),
-				Y: vec.MinImage(a.X[i].Y-prev.Y, m.box.Y),
-				Z: vec.MinImage(a.X[i].Z-prev.Z, m.box.Z),
-			}
-			d := m.disp[id].Add(step)
-			m.disp[id] = d
-			m.prev[id] = a.X[i]
-			sum += d.Norm2()
-			n++
-		}
-	}
-	if n == 0 {
+	cur := s.Gather()
+	if len(cur) == 0 {
 		return 0, fmt.Errorf("analysis: no atoms")
 	}
-	if n != len(m.prev) {
-		return 0, fmt.Errorf("analysis: %d atoms sampled, origin had %d", n, len(m.prev))
+	if len(cur) != len(m.prev) {
+		return 0, fmt.Errorf("analysis: %d atoms sampled, origin had %d", len(cur), len(m.prev))
 	}
-	return sum / float64(n), nil
+	var sum float64
+	for i, a := range cur {
+		prev := m.prev[i].Pos
+		if a.ID != m.prev[i].ID {
+			return 0, fmt.Errorf("analysis: atom %d appeared after MSD origin", a.ID)
+		}
+		m.disp[i] = m.disp[i].Add(vec.V3{
+			X: vec.MinImage(a.Pos.X-prev.X, m.box.X),
+			Y: vec.MinImage(a.Pos.Y-prev.Y, m.box.Y),
+			Z: vec.MinImage(a.Pos.Z-prev.Z, m.box.Z),
+		})
+		sum += m.disp[i].Norm2()
+	}
+	m.prev = cur
+	return sum / float64(len(cur)), nil
 }

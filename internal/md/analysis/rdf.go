@@ -48,20 +48,16 @@ func NewRDF(s *sim.Simulation, rmax float64, bins int) (*RDF, error) {
 // gather is O(N^2); intended for the analysis-sized systems of the
 // examples and tests.
 func (r *RDF) Accumulate(s *sim.Simulation) {
-	var xs []vec.V3
-	for _, rk := range s.Ranks() {
-		a := rk.Atoms
-		xs = append(xs, a.X[:a.NLocal]...)
-	}
+	atoms := s.Gather()
 	box := s.Decomp().Box
 	r2max := r.RMax * r.RMax
 	scale := float64(r.Bins) / r.RMax
-	for i := range xs {
-		for j := i + 1; j < len(xs); j++ {
+	for i, a := range atoms {
+		for _, b := range atoms[i+1:] {
 			d := vec.V3{
-				X: vec.MinImage(xs[i].X-xs[j].X, box.X),
-				Y: vec.MinImage(xs[i].Y-xs[j].Y, box.Y),
-				Z: vec.MinImage(xs[i].Z-xs[j].Z, box.Z),
+				X: vec.MinImage(a.Pos.X-b.Pos.X, box.X),
+				Y: vec.MinImage(a.Pos.Y-b.Pos.Y, box.Y),
+				Z: vec.MinImage(a.Pos.Z-b.Pos.Z, box.Z),
 			}
 			d2 := d.Norm2()
 			if d2 >= r2max {
@@ -74,7 +70,7 @@ func (r *RDF) Accumulate(s *sim.Simulation) {
 		}
 	}
 	r.frames++
-	r.n = len(xs)
+	r.n = len(atoms)
 }
 
 // Result returns bin-center distances and the normalized g(r).

@@ -8,10 +8,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 
 	"tofumd/internal/md/sim"
-	"tofumd/internal/vec"
 )
 
 // Writer appends XYZ frames to an underlying stream.
@@ -26,23 +24,9 @@ func NewWriter(w io.Writer) *Writer {
 	return &Writer{w: bufio.NewWriter(w), Element: "Ar"}
 }
 
-// atomRec is one gathered atom.
-type atomRec struct {
-	id int64
-	x  vec.V3
-	v  vec.V3
-}
-
 // WriteFrame gathers the simulation's local atoms and appends one frame.
 func (d *Writer) WriteFrame(s *sim.Simulation, step int) error {
-	var atoms []atomRec
-	for _, r := range s.Ranks() {
-		a := r.Atoms
-		for i := 0; i < a.NLocal; i++ {
-			atoms = append(atoms, atomRec{id: a.ID[i], x: a.X[i], v: a.V[i]})
-		}
-	}
-	sort.Slice(atoms, func(i, j int) bool { return atoms[i].id < atoms[j].id })
+	atoms := s.Gather()
 	box := s.Decomp().Box
 	if _, err := fmt.Fprintf(d.w, "%d\n", len(atoms)); err != nil {
 		return err
@@ -54,7 +38,7 @@ func (d *Writer) WriteFrame(s *sim.Simulation, step int) error {
 	}
 	for _, a := range atoms {
 		if _, err := fmt.Fprintf(d.w, "%s %.8g %.8g %.8g %.8g %.8g %.8g\n",
-			d.Element, a.x.X, a.x.Y, a.x.Z, a.v.X, a.v.Y, a.v.Z); err != nil {
+			d.Element, a.Pos.X, a.Pos.Y, a.Pos.Z, a.Vel.X, a.Vel.Y, a.Vel.Z); err != nil {
 			return err
 		}
 	}

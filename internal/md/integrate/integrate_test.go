@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tofumd/internal/md/atom"
+	"tofumd/internal/oracle"
 	"tofumd/internal/vec"
 )
 
@@ -61,8 +62,8 @@ func TestHarmonicEnergyConservation(t *testing.T) {
 		a.F[0] = a.X[0].Scale(-1)
 		nve.FinalIntegrate(a)
 	}
-	if drift := math.Abs(energy() - e0); drift > 1e-4 {
-		t.Errorf("harmonic energy drift %v over 10k steps", drift)
+	if err := oracle.Check("nve-harmonic", math.Abs(energy()-e0)); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -1,10 +1,12 @@
 package neighbor
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
 	"tofumd/internal/md/atom"
+	"tofumd/internal/oracle"
 	"tofumd/internal/vec"
 	"tofumd/internal/xrand"
 )
@@ -83,23 +85,13 @@ func TestHalfNewtonWithGhostsCountsOnce(t *testing.T) {
 		l := Build(a, 2.0, HalfNewton)
 		return l.Pairs()
 	}
-	// Perspective A: ghost above local -> pair stored.
-	// Perspective B (roles swapped): ghost below local -> skipped.
-	up := mk(vec.V3{Z: 0}, vec.V3{Z: 1})
-	down := mk(vec.V3{Z: 1}, vec.V3{Z: 0})
-	if up+down != 1 {
-		t.Errorf("cross pair stored %d times across perspectives, want 1", up+down)
-	}
-	// Tie on z resolves by y, then x.
-	upY := mk(vec.V3{}, vec.V3{Y: 1})
-	downY := mk(vec.V3{Y: 1}, vec.V3{})
-	if upY+downY != 1 {
-		t.Errorf("y tie-break stored %d times", upY+downY)
-	}
-	upX := mk(vec.V3{}, vec.V3{X: 1})
-	downX := mk(vec.V3{X: 1}, vec.V3{})
-	if upX+downX != 1 {
-		t.Errorf("x tie-break stored %d times", upX+downX)
+	// Perspective A: ghost above local -> pair stored. Perspective B (roles
+	// swapped): ghost below local -> skipped. A tie on z resolves by y, then x.
+	for _, d := range []vec.V3{{Z: 1}, {Y: 1}, {X: 1}} {
+		stored := mk(vec.V3{}, d) + mk(d, vec.V3{})
+		if err := oracle.Check("half-newton-once", math.Abs(float64(stored-1))); err != nil {
+			t.Errorf("offset %+v: %v", d, err)
+		}
 	}
 }
 

@@ -1,30 +1,12 @@
 package restart
 
 import (
-	"sort"
 	"testing"
 
 	"tofumd/internal/faultinject"
 	"tofumd/internal/md/sim"
 	"tofumd/internal/vec"
 )
-
-// atomState is one atom's physics-relevant state for bit-exact comparison.
-type atomState struct {
-	id   int64
-	x, v vec.V3
-}
-
-func stateOf(s *sim.Simulation) []atomState {
-	var out []atomState
-	for _, r := range s.Ranks() {
-		for i := 0; i < r.Atoms.NLocal; i++ {
-			out = append(out, atomState{r.Atoms.ID[i], r.Atoms.X[i], r.Atoms.V[i]})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
-}
 
 // TestRankFailRollbackRecovery is the tentpole rankfail guarantee: when a
 // rank fail-stops mid-run, RunWithRecovery rolls back to the last
@@ -95,13 +77,13 @@ func TestRankFailRollbackRecovery(t *testing.T) {
 	defer control.Close()
 	control.Run(10)
 
-	want, have := stateOf(control), stateOf(got)
+	want, have := control.Gather(), got.Gather()
 	if len(want) != len(have) {
 		t.Fatalf("recovered run has %d atoms, control %d", len(have), len(want))
 	}
 	for i := range want {
 		if have[i] != want[i] {
-			t.Fatalf("recovered trajectory diverged at atom %d: %+v != %+v", want[i].id, have[i], want[i])
+			t.Fatalf("recovered trajectory diverged at atom %d: %+v != %+v", want[i].ID, have[i], want[i])
 		}
 	}
 	if ge, we := got.TotalEnergyPerAtom(), control.TotalEnergyPerAtom(); ge != we {
@@ -200,13 +182,13 @@ func TestRunWithRecoveryBackToBackPreemptions(t *testing.T) {
 	defer control.Close()
 	control.Run(10)
 
-	want, have := stateOf(control), stateOf(got)
+	want, have := control.Gather(), got.Gather()
 	if len(want) != len(have) {
 		t.Fatalf("doubly recovered run has %d atoms, control %d", len(have), len(want))
 	}
 	for i := range want {
 		if have[i] != want[i] {
-			t.Fatalf("doubly recovered trajectory diverged at atom %d: %+v != %+v", want[i].id, have[i], want[i])
+			t.Fatalf("doubly recovered trajectory diverged at atom %d: %+v != %+v", want[i].ID, have[i], want[i])
 		}
 	}
 }

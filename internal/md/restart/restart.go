@@ -15,7 +15,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sort"
 
 	"tofumd/internal/md/sim"
 	"tofumd/internal/vec"
@@ -40,17 +39,7 @@ type Snapshot struct {
 
 // Capture gathers a snapshot from a running simulation, sorted by atom id.
 func Capture(s *sim.Simulation, step int) *Snapshot {
-	snap := &Snapshot{Step: int64(step), Box: s.Decomp().Box}
-	for _, r := range s.Ranks() {
-		a := r.Atoms
-		for i := 0; i < a.NLocal; i++ {
-			snap.Atoms = append(snap.Atoms, sim.InitAtom{
-				ID: a.ID[i], Type: a.Type[i], Pos: a.X[i], Vel: a.V[i],
-			})
-		}
-	}
-	sort.Slice(snap.Atoms, func(i, j int) bool { return snap.Atoms[i].ID < snap.Atoms[j].ID })
-	return snap
+	return &Snapshot{Step: int64(step), Box: s.Decomp().Box, Atoms: s.Gather()}
 }
 
 // Write serializes the snapshot in the current (version 2) format: magic,

@@ -2,6 +2,7 @@ package restart
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"tofumd/internal/md/lattice"
 	"tofumd/internal/md/potential"
 	"tofumd/internal/md/sim"
+	"tofumd/internal/oracle"
 	"tofumd/internal/units"
 	"tofumd/internal/vec"
 )
@@ -207,31 +209,10 @@ func TestRestartContinuesTrajectory(t *testing.T) {
 	}
 	resumed.Run(10)
 
-	posOf := func(s *sim.Simulation) map[int64]vec.V3 {
-		out := map[int64]vec.V3{}
-		for _, r := range s.Ranks() {
-			for i := 0; i < r.Atoms.NLocal; i++ {
-				out[r.Atoms.ID[i]] = r.Atoms.X[i]
-			}
-		}
-		return out
-	}
-	pf, pr := posOf(full), posOf(resumed)
-	var worst float64
-	for id, a := range pf {
-		b, ok := pr[id]
-		if !ok {
-			t.Fatalf("atom %d missing after restart", id)
-		}
-		if d := b.Sub(a).Norm(); d > worst {
-			worst = d
-		}
-	}
 	// Atom storage order differs between the runs (the checkpoint sorts by
-	// id), so force summation order may differ by an ULP; anything beyond
-	// rounding noise is a restart bug.
-	if worst > 1e-12 {
-		t.Errorf("restarted trajectory diverged by %.3e after 10 more steps", worst)
+	// id), so force summation order may differ by an ULP.
+	if err := oracle.Check("restart-continue", sim.MaxDisplacement(full.Gather(), resumed.Gather())); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -256,8 +237,8 @@ func TestRestartAcrossDecompositions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if s2.TotalAtoms() != s.TotalAtoms() {
-		t.Fatalf("atoms %d != %d after reshaping", s2.TotalAtoms(), s.TotalAtoms())
+	if err := oracle.Check("restart-reshape", math.Abs(float64(s2.TotalAtoms()-s.TotalAtoms()))); err != nil {
+		t.Fatal(err)
 	}
 	s2.Run(3) // must simply work
 }

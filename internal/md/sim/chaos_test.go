@@ -3,7 +3,6 @@ package sim
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"sync"
 	"testing"
 
@@ -13,27 +12,9 @@ import (
 	"tofumd/internal/vec"
 )
 
-// atomState is one atom's physics-relevant state for bit-exact comparison.
-type atomState struct {
-	id   int64
-	x, v vec.V3
-}
-
-// fingerprint gathers every local atom of every rank, sorted by global ID.
-func fingerprint(s *Simulation) []atomState {
-	var out []atomState
-	for _, r := range s.Ranks() {
-		for i := 0; i < r.Atoms.NLocal; i++ {
-			out = append(out, atomState{r.Atoms.ID[i], r.Atoms.X[i], r.Atoms.V[i]})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
-}
-
 // chaosRun executes an LJ melt under the given fault spec and returns the
 // final atom states, the total energy per atom, and the metrics registry.
-func chaosRun(t *testing.T, steps int, spec faultinject.Spec, rec *trace.Recorder) ([]atomState, float64, *metrics.Registry) {
+func chaosRun(t *testing.T, steps int, spec faultinject.Spec, rec *trace.Recorder) ([]InitAtom, float64, *metrics.Registry) {
 	t.Helper()
 	cfg := ljConfig()
 	cfg.Cells = vec.I3{X: 8, Y: 8, Z: 8}
@@ -46,10 +27,10 @@ func chaosRun(t *testing.T, steps int, spec faultinject.Spec, rec *trace.Recorde
 	// Set after New so setup rounds stay fault-free, as mdsim does.
 	s.SetFaults(faultinject.New(spec))
 	s.Run(steps)
-	return fingerprint(s), s.TotalEnergyPerAtom(), reg
+	return s.Gather(), s.TotalEnergyPerAtom(), reg
 }
 
-func assertSamePhysics(t *testing.T, label string, base, got []atomState, baseE, gotE float64) {
+func assertSamePhysics(t *testing.T, label string, base, got []InitAtom, baseE, gotE float64) {
 	t.Helper()
 	if gotE != baseE {
 		t.Errorf("%s: energy/atom %v != fault-free %v", label, gotE, baseE)
@@ -59,7 +40,7 @@ func assertSamePhysics(t *testing.T, label string, base, got []atomState, baseE,
 	}
 	for i := range base {
 		if got[i] != base[i] {
-			t.Fatalf("%s: atom %d diverged: %+v != %+v", label, base[i].id, got[i], base[i])
+			t.Fatalf("%s: atom %d diverged: %+v != %+v", label, base[i].ID, got[i], base[i])
 		}
 	}
 }
@@ -91,7 +72,7 @@ func TestChaosPhysicsBitIdentical(t *testing.T) {
 // stream keying exists for.
 func TestChaosDeterministicReplay(t *testing.T) {
 	spec := faultinject.Spec{Seed: 7, Drop: 1e-2}
-	run := func() ([]atomState, float64, int64, int64) {
+	run := func() ([]InitAtom, float64, int64, int64) {
 		cfg := ljConfig()
 		cfg.Cells = vec.I3{X: 8, Y: 8, Z: 8}
 		s := newSim(t, Opt(), cfg)
@@ -99,7 +80,7 @@ func TestChaosDeterministicReplay(t *testing.T) {
 		s.SetMetrics(reg)
 		s.SetFaults(faultinject.New(spec))
 		s.Run(100)
-		return fingerprint(s), s.ElapsedMax(),
+		return s.Gather(), s.ElapsedMax(),
 			reg.Counter("utofu_retransmits", "put").Value(),
 			reg.Counter("fabric_faults", "drops").Value()
 	}
@@ -116,7 +97,7 @@ func TestChaosDeterministicReplay(t *testing.T) {
 	}
 	for i := range fp1 {
 		if fp1[i] != fp2[i] {
-			t.Fatalf("replay diverged at atom %d", fp1[i].id)
+			t.Fatalf("replay diverged at atom %d", fp1[i].ID)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"tofumd/internal/md/lattice"
 	"tofumd/internal/md/potential"
+	"tofumd/internal/oracle"
 	"tofumd/internal/units"
 	"tofumd/internal/vec"
 )
@@ -35,24 +36,15 @@ func eamConfig(t *testing.T) Config {
 // bruteEAM computes reference EAM forces with a global all-pairs periodic
 // sum, evaluating the same splines the engine uses.
 func bruteEAM(s *Simulation, pot *potential.EAM) map[int64]vec.V3 {
-	type ga struct {
-		id int64
-		x  vec.V3
-	}
-	var atoms []ga
-	for _, r := range s.Ranks() {
-		for i := 0; i < r.Atoms.NLocal; i++ {
-			atoms = append(atoms, ga{r.Atoms.ID[i], r.Atoms.X[i]})
-		}
-	}
+	atoms := s.Gather()
 	box := s.Decomp().Box
 	cut := pot.Cutoff()
 	cut2 := cut * cut
 	disp := func(i, j int) vec.V3 {
 		return vec.V3{
-			X: vec.MinImage(atoms[i].x.X-atoms[j].x.X, box.X),
-			Y: vec.MinImage(atoms[i].x.Y-atoms[j].x.Y, box.Y),
-			Z: vec.MinImage(atoms[i].x.Z-atoms[j].x.Z, box.Z),
+			X: vec.MinImage(atoms[i].Pos.X-atoms[j].Pos.X, box.X),
+			Y: vec.MinImage(atoms[i].Pos.Y-atoms[j].Pos.Y, box.Y),
+			Z: vec.MinImage(atoms[i].Pos.Z-atoms[j].Pos.Z, box.Z),
 		}
 	}
 	n := len(atoms)
@@ -92,7 +84,7 @@ func bruteEAM(s *Simulation, pot *potential.EAM) map[int64]vec.V3 {
 		}
 	}
 	for i, a := range atoms {
-		out[a.id] = forces[i]
+		out[a.ID] = forces[i]
 	}
 	return out
 }
@@ -105,21 +97,8 @@ func TestEAMForcesMatchBruteForce(t *testing.T) {
 		t.Run(v.Name, func(t *testing.T) {
 			s := newSim(t, v, cfg)
 			s.Step()
-			want := bruteEAM(s, pot)
-			got := simForces(s)
-			var worst float64
-			for id, w := range want {
-				g, ok := got[id]
-				if !ok {
-					t.Fatalf("atom %d missing", id)
-				}
-				d := g.Sub(w).Norm() / (1 + w.Norm())
-				if d > worst {
-					worst = d
-				}
-			}
-			if worst > 1e-9 {
-				t.Errorf("worst relative EAM force error %.3e", worst)
+			if err := oracle.Check("forces-brute", forceError(t, s, bruteEAM(s, pot))); err != nil {
+				t.Error(err)
 			}
 		})
 	}
@@ -130,9 +109,8 @@ func TestEAMEnergyConservation(t *testing.T) {
 	s := newSim(t, Opt(), cfg)
 	e0 := s.TotalEnergyPerAtom()
 	s.Run(20)
-	e1 := s.TotalEnergyPerAtom()
-	if drift := math.Abs(e1 - e0); drift > 2e-4 {
-		t.Errorf("EAM energy drift %.3e eV/atom over 20 steps (%.6f -> %.6f)", drift, e0, e1)
+	if err := oracle.Check("nve-eam-20", math.Abs(s.TotalEnergyPerAtom()-e0)); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -162,14 +140,7 @@ func TestEAMVariantsAgree(t *testing.T) {
 	b := newSim(t, Opt(), cfg)
 	a.Run(5)
 	b.Run(5)
-	pa, pb := positionsByID(a), positionsByID(b)
-	var worst float64
-	for id, w := range pa {
-		if d := pb[id].Sub(w).Norm(); d > worst {
-			worst = d
-		}
-	}
-	if worst > 1e-6 {
-		t.Errorf("EAM positions diverged %.3e between ref and opt after 5 steps", worst)
+	if err := oracle.Check("variants-eam", MaxDisplacement(a.Gather(), b.Gather())); err != nil {
+		t.Error(err)
 	}
 }

@@ -1,10 +1,13 @@
 package sim
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"tofumd/internal/md/lattice"
 	"tofumd/internal/md/potential"
+	"tofumd/internal/oracle"
 	"tofumd/internal/trace"
 	"tofumd/internal/units"
 	"tofumd/internal/vec"
@@ -48,17 +51,8 @@ func TestFullListForcesMatchBruteForce(t *testing.T) {
 		t.Run(v.Name, func(t *testing.T) {
 			s := newSim(t, v, cfg)
 			s.Step()
-			want := bruteForces(s)
-			got := simForces(s)
-			var worst float64
-			for id, w := range want {
-				d := got[id].Sub(w).Norm() / (1 + w.Norm())
-				if d > worst {
-					worst = d
-				}
-			}
-			if worst > 1e-9 {
-				t.Errorf("worst relative force error %.3e", worst)
+			if err := oracle.Check("forces-brute", forceError(t, s, bruteForces(s))); err != nil {
+				t.Error(err)
 			}
 		})
 	}
@@ -87,21 +81,8 @@ func TestTwoShellForcesMatchBruteForce(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				s := newSim(t, v, cfg)
 				s.Step()
-				want := bruteForces(s)
-				got := simForces(s)
-				var worst float64
-				for id, w := range want {
-					g, ok := got[id]
-					if !ok {
-						t.Fatalf("atom %d missing", id)
-					}
-					d := g.Sub(w).Norm() / (1 + w.Norm())
-					if d > worst {
-						worst = d
-					}
-				}
-				if worst > 1e-9 {
-					t.Errorf("worst relative force error %.3e", worst)
+				if err := oracle.Check("forces-brute", forceError(t, s, bruteForces(s))); err != nil {
+					t.Error(err)
 				}
 			})
 		}
@@ -129,8 +110,8 @@ func TestTwoShellAtomCountConserved(t *testing.T) {
 	s := newSim(t, Opt(), twoShellConfig(true))
 	want := s.TotalAtoms()
 	s.Run(25)
-	if got := s.TotalAtoms(); got != want {
-		t.Errorf("atoms = %d, want %d", got, want)
+	if err := oracle.Check("atom-count", math.Abs(float64(s.TotalAtoms()-want))); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -168,11 +149,8 @@ func TestOverlapEAMSavesTimeKeepsPhysics(t *testing.T) {
 	over := newSim(t, v, cfg)
 	over.Run(8)
 
-	pb, po := positionsByID(base), positionsByID(over)
-	for id, p := range pb {
-		if po[id] != p {
-			t.Fatalf("overlap changed the trajectory at atom %d", id)
-		}
+	if !slices.Equal(base.Gather(), over.Gather()) {
+		t.Fatal("overlap changed the trajectory")
 	}
 	tb := trace.Merge(base.Breakdowns()).Total()
 	to := trace.Merge(over.Breakdowns()).Total()

@@ -44,7 +44,7 @@ func TestChaosTNIFailover(t *testing.T) {
 	}
 	rec := trace.NewRecorder()
 	s, reg := run(rec)
-	assertSamePhysics(t, spec.String(), base, fingerprint(s), baseE, s.TotalEnergyPerAtom())
+	assertSamePhysics(t, spec.String(), base, s.Gather(), baseE, s.TotalEnergyPerAtom())
 
 	if !s.Health().TNIQuarantined(2) {
 		t.Fatal("dead TNI 2 not quarantined")
@@ -94,10 +94,10 @@ func TestChaosTNIFailover(t *testing.T) {
 	if s.ElapsedMax() != s2.ElapsedMax() {
 		t.Errorf("elapsed differs across replays: %v != %v", s.ElapsedMax(), s2.ElapsedMax())
 	}
-	fp1, fp2 := fingerprint(s), fingerprint(s2)
+	fp1, fp2 := s.Gather(), s2.Gather()
 	for i := range fp1 {
 		if fp1[i] != fp2[i] {
-			t.Fatalf("replay diverged at atom %d", fp1[i].id)
+			t.Fatalf("replay diverged at atom %d", fp1[i].ID)
 		}
 	}
 }
@@ -121,7 +121,7 @@ func TestChaosLinkFailPermanentMPIRoute(t *testing.T) {
 	s.SetMetrics(reg)
 	s.SetFaults(faultinject.New(spec))
 	s.Run(steps)
-	assertSamePhysics(t, spec.String(), base, fingerprint(s), baseE, s.TotalEnergyPerAtom())
+	assertSamePhysics(t, spec.String(), base, s.Gather(), baseE, s.TotalEnergyPerAtom())
 
 	if !s.Health().LinkQuarantined(src, dst) {
 		t.Fatalf("severed link %d→%d not quarantined after %d steps", src, dst, steps)
@@ -174,7 +174,7 @@ func TestChaosFallbackRearmAfterWindow(t *testing.T) {
 	if n := s.Health().QuarantinedLinkCount(); n != 0 {
 		t.Errorf("%d links quarantined by a transient window", n)
 	}
-	assertSamePhysics(t, "nack window", base, fingerprint(s), baseE, s.TotalEnergyPerAtom())
+	assertSamePhysics(t, "nack window", base, s.Gather(), baseE, s.TotalEnergyPerAtom())
 }
 
 // TestReplanVCQsMatchAssignment holds every variant's VCQ set to its links'

@@ -14,7 +14,7 @@ import (
 // drops and retransmissions reshuffle the event flow across LPs.
 func TestChaosParallelEngineBitIdentical(t *testing.T) {
 	spec := faultinject.Spec{Seed: 7, Drop: 1e-2}
-	run := func(lps int) ([]atomState, float64, float64, int64, int64) {
+	run := func(lps int) ([]InitAtom, float64, float64, int64, int64) {
 		cfg := ljConfig()
 		cfg.Cells = vec.I3{X: 8, Y: 8, Z: 8}
 		s := newSim(t, Opt(), cfg)
@@ -27,7 +27,7 @@ func TestChaosParallelEngineBitIdentical(t *testing.T) {
 			}
 		}
 		s.Run(100)
-		return fingerprint(s), s.TotalEnergyPerAtom(), s.ElapsedMax(),
+		return s.Gather(), s.TotalEnergyPerAtom(), s.ElapsedMax(),
 			reg.Counter("utofu_retransmits", "put").Value(),
 			reg.Counter("fabric_faults", "drops").Value()
 	}

@@ -8,6 +8,8 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"sort"
 
 	"tofumd/internal/des"
 	"tofumd/internal/faultinject"
@@ -473,6 +475,37 @@ func (s *Simulation) TotalAtoms() int {
 		n += r.Atoms.NLocal
 	}
 	return n
+}
+
+// Gather returns every local atom of every rank sorted by global ID: the
+// decomposition-independent state that checkpoints, dumps and the physics
+// oracles read.
+func (s *Simulation) Gather() []InitAtom {
+	out := make([]InitAtom, 0, s.TotalAtoms())
+	for _, r := range s.ranks {
+		a := r.Atoms
+		for i := 0; i < a.NLocal; i++ {
+			out = append(out, InitAtom{ID: a.ID[i], Type: a.Type[i], Pos: a.X[i], Vel: a.V[i]})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
+}
+
+// MaxDisplacement returns the largest |Δx| between two gathers of the same
+// atoms, or +Inf when they do not hold the same atom IDs.
+func MaxDisplacement(a, b []InitAtom) float64 {
+	if len(a) != len(b) {
+		return math.Inf(1)
+	}
+	var worst float64
+	for i := range a {
+		if a[i].ID != b[i].ID {
+			return math.Inf(1)
+		}
+		worst = max(worst, b[i].Pos.Sub(a[i].Pos).Norm())
+	}
+	return worst
 }
 
 // Breakdowns returns the per-rank stage breakdowns.

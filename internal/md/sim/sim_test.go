@@ -6,6 +6,7 @@ import (
 
 	"tofumd/internal/md/lattice"
 	"tofumd/internal/md/potential"
+	"tofumd/internal/oracle"
 	"tofumd/internal/trace"
 	"tofumd/internal/units"
 	"tofumd/internal/vec"
@@ -59,16 +60,7 @@ func TestSetupCreatesAllAtoms(t *testing.T) {
 // bruteForces computes reference forces for every atom with a periodic
 // all-pairs LJ sum over the global system.
 func bruteForces(s *Simulation) map[int64]vec.V3 {
-	type ga struct {
-		id int64
-		x  vec.V3
-	}
-	var atoms []ga
-	for _, r := range s.Ranks() {
-		for i := 0; i < r.Atoms.NLocal; i++ {
-			atoms = append(atoms, ga{r.Atoms.ID[i], r.Atoms.X[i]})
-		}
-	}
+	atoms := s.Gather()
 	box := s.Decomp().Box
 	cut2 := 2.5 * 2.5
 	out := make(map[int64]vec.V3, len(atoms))
@@ -79,9 +71,9 @@ func bruteForces(s *Simulation) map[int64]vec.V3 {
 				continue
 			}
 			d := vec.V3{
-				X: vec.MinImage(atoms[i].x.X-atoms[j].x.X, box.X),
-				Y: vec.MinImage(atoms[i].x.Y-atoms[j].x.Y, box.Y),
-				Z: vec.MinImage(atoms[i].x.Z-atoms[j].x.Z, box.Z),
+				X: vec.MinImage(atoms[i].Pos.X-atoms[j].Pos.X, box.X),
+				Y: vec.MinImage(atoms[i].Pos.Y-atoms[j].Pos.Y, box.Y),
+				Z: vec.MinImage(atoms[i].Pos.Z-atoms[j].Pos.Z, box.Z),
 			}
 			r2 := d.Norm2()
 			if r2 > cut2 {
@@ -92,21 +84,31 @@ func bruteForces(s *Simulation) map[int64]vec.V3 {
 			fpair := inv6 * (48*inv6 - 24) * inv2
 			f = f.Add(d.Scale(fpair))
 		}
-		out[atoms[i].id] = f
+		out[atoms[i].ID] = f
 	}
 	return out
 }
 
-// simForcesWithReverse returns per-atom forces after folding ghost
-// contributions home, as the reverse stage does.
-func simForces(s *Simulation) map[int64]vec.V3 {
-	out := make(map[int64]vec.V3)
+// forceError returns the worst relative error |Δf| / (1 + |f|) of the
+// simulation's local forces, ghost contributions folded home, against
+// reference forces by atom ID.
+func forceError(t *testing.T, s *Simulation, want map[int64]vec.V3) float64 {
+	t.Helper()
+	got := make(map[int64]vec.V3)
 	for _, r := range s.Ranks() {
 		for i := 0; i < r.Atoms.NLocal; i++ {
-			out[r.Atoms.ID[i]] = r.Atoms.F[i]
+			got[r.Atoms.ID[i]] = r.Atoms.F[i]
 		}
 	}
-	return out
+	var worst float64
+	for id, w := range want {
+		g, ok := got[id]
+		if !ok {
+			t.Fatalf("atom %d missing", id)
+		}
+		worst = max(worst, g.Sub(w).Norm()/(1+w.Norm()))
+	}
+	return worst
 }
 
 // TestForcesMatchBruteForce is the keystone correctness test: the full
@@ -122,30 +124,11 @@ func TestForcesMatchBruteForce(t *testing.T) {
 			s := newSim(t, v, cfg)
 			// One full step so reverse communication runs.
 			s.Step()
-			want := bruteForcesAfterStep(t, s)
-			got := simForces(s)
-			var worst float64
-			for id, w := range want {
-				g, ok := got[id]
-				if !ok {
-					t.Fatalf("atom %d missing", id)
-				}
-				d := g.Sub(w).Norm()
-				scale := 1 + w.Norm()
-				if rel := d / scale; rel > worst {
-					worst = rel
-				}
-			}
-			if worst > 1e-9 {
-				t.Errorf("worst relative force error %.3e", worst)
+			if err := oracle.Check("forces-brute", forceError(t, s, bruteForces(s))); err != nil {
+				t.Error(err)
 			}
 		})
 	}
-}
-
-func bruteForcesAfterStep(t *testing.T, s *Simulation) map[int64]vec.V3 {
-	t.Helper()
-	return bruteForces(s)
 }
 
 func TestAtomCountConserved(t *testing.T) {
@@ -153,8 +136,8 @@ func TestAtomCountConserved(t *testing.T) {
 	s := newSim(t, Opt(), cfg)
 	want := s.TotalAtoms()
 	s.Run(45)
-	if got := s.TotalAtoms(); got != want {
-		t.Errorf("atoms after 45 steps = %d, want %d", got, want)
+	if err := oracle.Check("atom-count", math.Abs(float64(s.TotalAtoms()-want))); err != nil {
+		t.Error(err)
 	}
 	for _, r := range s.Ranks() {
 		if err := r.Atoms.Check(); err != nil {
@@ -169,14 +152,12 @@ func TestEnergyConservation(t *testing.T) {
 	s := newSim(t, Opt(), cfg)
 	e0 := s.TotalEnergyPerAtom()
 	s.Run(10) // before the first reneighboring
-	if drift := math.Abs(s.TotalEnergyPerAtom() - e0); drift > 1e-3 {
-		t.Errorf("energy drift %.3e per atom over 10 steps", drift)
+	if err := oracle.Check("nve-lj-10", math.Abs(s.TotalEnergyPerAtom()-e0)); err != nil {
+		t.Error(err)
 	}
 	s.Run(40)
-	// Longer runs accrue the known unshifted-cutoff and stale-list drift
-	// of the LAMMPS melt benchmark; it stays bounded.
-	if drift := math.Abs(s.TotalEnergyPerAtom() - e0); drift > 2e-2 {
-		t.Errorf("energy drift %.3e per atom over 50 steps", drift)
+	if err := oracle.Check("nve-lj-50", math.Abs(s.TotalEnergyPerAtom()-e0)); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -189,43 +170,21 @@ func TestVariantsAgreePhysically(t *testing.T) {
 	cfg := ljConfig()
 	cfg.Cells = vec.I3{X: 8, Y: 8, Z: 8}
 	cfg.ThermoEvery = 0
-	steps := 10
 	run := func(v Variant) *Simulation {
 		s := newSim(t, v, cfg)
-		s.Run(steps)
+		s.Run(10)
 		return s
 	}
 	ref := run(Ref())
-	refPos := positionsByID(ref)
-	maxDiv := func(s *Simulation) float64 {
-		got := positionsByID(s)
-		var worst float64
-		for id, w := range refPos {
-			g, ok := got[id]
-			if !ok {
-				t.Fatalf("atom %d missing", id)
-			}
-			if d := g.Sub(w).Norm(); d > worst {
-				worst = d
-			}
-		}
-		return worst
+	refPos := ref.Gather()
+	if err := oracle.Check("variants-same-pattern", MaxDisplacement(refPos, run(UTofu3Stage()).Gather())); err != nil {
+		t.Error(err)
 	}
-	// Same pattern as ref: bit-for-bit identical trajectory.
-	if d := maxDiv(run(UTofu3Stage())); d != 0 {
-		t.Errorf("utofu-3stage diverged from ref by %.3e; same pattern must be exact", d)
-	}
-	// The p2p family: identical among themselves.
 	p2pRef := run(P2P4TNI())
-	p2pPos := positionsByID(p2pRef)
+	p2pPos := p2pRef.Gather()
 	for _, v := range []Variant{MPIP2P(), P2P6TNI(), Opt()} {
-		s := run(v)
-		got := positionsByID(s)
-		for id, w := range p2pPos {
-			if got[id] != w {
-				t.Errorf("%s diverged from 4tni-p2p at atom %d", v.Name, id)
-				break
-			}
+		if err := oracle.Check("variants-same-pattern", MaxDisplacement(p2pPos, run(v).Gather())); err != nil {
+			t.Errorf("%s: %v", v.Name, err)
 		}
 	}
 	// Across patterns: summation sites differ (FP sensitivity at the
@@ -234,29 +193,19 @@ func TestVariantsAgreePhysically(t *testing.T) {
 	p2pRef.recordThermo(false)
 	a := ref.Thermo[len(ref.Thermo)-1]
 	b := p2pRef.Thermo[len(p2pRef.Thermo)-1]
-	if rel := math.Abs(a.Temperature-b.Temperature) / a.Temperature; rel > 5e-3 {
-		t.Errorf("temperature differs across patterns by %.3e", rel)
+	if err := oracle.Check("variants-temperature", math.Abs(a.Temperature-b.Temperature)/a.Temperature); err != nil {
+		t.Error(err)
 	}
-	if rel := math.Abs(a.PEPerAtom-b.PEPerAtom) / math.Abs(a.PEPerAtom); rel > 5e-3 {
-		t.Errorf("PE/atom differs across patterns by %.3e", rel)
+	if err := oracle.Check("variants-pe", math.Abs(a.PEPerAtom-b.PEPerAtom)/math.Abs(a.PEPerAtom)); err != nil {
+		t.Error(err)
 	}
-	if rel := math.Abs(a.Pressure-b.Pressure) / math.Abs(a.Pressure); rel > 1e-2 {
-		t.Errorf("pressure differs across patterns by %.3e", rel)
+	if err := oracle.Check("variants-pressure", math.Abs(a.Pressure-b.Pressure)/math.Abs(a.Pressure)); err != nil {
+		t.Error(err)
 	}
 	// And positions stay statistically close over a short run.
-	if d := maxDiv(p2pRef); d > 5e-3 {
-		t.Errorf("p2p positions diverged %.3e from 3-stage after %d steps", d, steps)
+	if err := oracle.Check("variants-positions", MaxDisplacement(refPos, p2pPos)); err != nil {
+		t.Error(err)
 	}
-}
-
-func positionsByID(s *Simulation) map[int64]vec.V3 {
-	out := make(map[int64]vec.V3)
-	for _, r := range s.Ranks() {
-		for i := 0; i < r.Atoms.NLocal; i++ {
-			out[r.Atoms.ID[i]] = r.Atoms.X[i]
-		}
-	}
-	return out
 }
 
 func TestStageBreakdownPopulated(t *testing.T) {

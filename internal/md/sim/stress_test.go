@@ -2,10 +2,15 @@ package sim
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
+	"tofumd/internal/md/atom"
 	"tofumd/internal/md/lattice"
+	"tofumd/internal/md/neighbor"
 	"tofumd/internal/md/potential"
+	"tofumd/internal/oracle"
 	"tofumd/internal/trace"
 	"tofumd/internal/units"
 	"tofumd/internal/vec"
@@ -60,20 +65,8 @@ func TestHotGasMigrationStress(t *testing.T) {
 		t.Errorf("only %d rebuilds; the test should cross many exchange cycles", s.Rebuilds)
 	}
 	// After all that churn, forces still match brute force.
-	wantF := bruteForces(s)
-	gotF := simForces(s)
-	var worst float64
-	for id, w := range wantF {
-		g, ok := gotF[id]
-		if !ok {
-			t.Fatalf("atom %d missing from forces", id)
-		}
-		if d := g.Sub(w).Norm() / (1 + w.Norm()); d > worst {
-			worst = d
-		}
-	}
-	if worst > 1e-9 {
-		t.Errorf("worst relative force error after stress: %.3e", worst)
+	if err := oracle.Check("forces-brute", forceError(t, s, bruteForces(s))); err != nil {
+		t.Errorf("after stress: %v", err)
 	}
 }
 
@@ -81,21 +74,19 @@ func TestHotGasMigrationStress(t *testing.T) {
 // bit-identical trajectories and stage breakdowns — the property that makes
 // every benchmark in this repository reproducible.
 func TestDeterministicReplay(t *testing.T) {
-	run := func() (map[int64]vec.V3, float64) {
+	run := func() ([]InitAtom, float64) {
 		cfg := ljConfig()
 		s := newSim(t, Opt(), cfg)
 		s.Run(30)
-		return positionsByID(s), trace.Merge(s.Breakdowns()).Total()
+		return s.Gather(), trace.Merge(s.Breakdowns()).Total()
 	}
 	p1, t1 := run()
 	p2, t2 := run()
 	if t1 != t2 {
 		t.Errorf("breakdown totals differ: %v vs %v", t1, t2)
 	}
-	for id, a := range p1 {
-		if p2[id] != a {
-			t.Fatalf("atom %d position differs between identical runs", id)
-		}
+	if !slices.Equal(p1, p2) {
+		t.Fatal("atom states differ between identical runs")
 	}
 }
 
@@ -119,16 +110,9 @@ func TestColdCrystalStays(t *testing.T) {
 		NewtonOn:    true,
 	}
 	s := newSim(t, Ref(), cfg)
-	start := positionsByID(s)
+	start := s.Gather()
 	s.Run(40)
-	end := positionsByID(s)
-	var worst float64
-	for id, a := range start {
-		if d := end[id].Sub(a).Norm(); d > worst {
-			worst = d
-		}
-	}
-	if worst > 0.02 {
+	if worst := MaxDisplacement(start, s.Gather()); worst > 0.02 {
 		t.Errorf("cold copper crystal drifted %.4f A in 40 steps", worst)
 	}
 }
@@ -136,27 +120,63 @@ func TestColdCrystalStays(t *testing.T) {
 // TestMomentumConservation: with PBC and pair forces, total momentum is an
 // exact invariant of velocity Verlet.
 func TestMomentumConservation(t *testing.T) {
-	cfg := ljConfig()
+	p0, drift := momentumDrift(t, ljConfig())
+	if err := oracle.Check("momentum", drift); err != nil {
+		t.Error(err)
+	}
+	// And the initializer removed the net momentum to begin with.
+	if err := oracle.Check("momentum-initial", p0); err != nil {
+		t.Error(err)
+	}
+}
+
+// momentumDrift runs cfg for 40 steps and returns the magnitude of the
+// initial net momentum (unit mass) and how far it moved.
+func momentumDrift(t *testing.T, cfg Config) (p0, drift float64) {
 	s := newSim(t, Opt(), cfg)
 	mom := func() vec.V3 {
 		var p vec.V3
-		for _, r := range s.Ranks() {
-			for i := 0; i < r.Atoms.NLocal; i++ {
-				p = p.Add(r.Atoms.V[i])
-			}
+		for _, a := range s.Gather() {
+			p = p.Add(a.Vel)
 		}
 		return p
 	}
-	p0 := mom()
+	start := mom()
 	s.Run(40)
-	p1 := mom()
-	if d := p1.Sub(p0).Norm(); d > 1e-9 {
-		t.Errorf("net momentum drifted %.3e over 40 steps (from %+v)", d, p0)
+	return start.Norm(), mom().Sub(start).Norm()
+}
+
+// lostGhostForce stands in for a lost ghost contribution: after the wrapped
+// potential computes, each rank's first local atom keeps half its force.
+type lostGhostForce struct{ potential.Pair }
+
+func (p lostGhostForce) Compute(a *atom.Arrays, nl *neighbor.List) potential.Result {
+	res := p.Pair.Compute(a, nl)
+	a.F[0] = a.F[0].Scale(0.5)
+	return res
+}
+
+// TestOraclesCatchSeededDefect shows the oracles are not vacuous: under a
+// lost ghost force the momentum and LJ decomposition rows fail, each
+// naming itself.
+func TestOraclesCatchSeededDefect(t *testing.T) {
+	cfg := ljConfig()
+	cfg.Potential = lostGhostForce{cfg.Potential}
+	_, drift := momentumDrift(t, cfg)
+	if err := oracle.Check("momentum", drift); err == nil || !strings.HasPrefix(err.Error(), "oracle momentum:") {
+		t.Errorf("momentum row missed the lost ghost force: %v", err)
 	}
-	// And the initializer removed the net momentum to begin with.
-	if p0.Norm() > 1e-9 {
-		t.Errorf("initial net momentum %.3e", p0.Norm())
+	if err := oracle.Check("decomp-lj-eam", decompDivergence(t, cfg)); err == nil || !strings.HasPrefix(err.Error(), "oracle decomp-lj-eam:") {
+		t.Errorf("decomp-lj-eam row missed the lost ghost force: %v", err)
 	}
+	// Energy drift over the first 10 steps stays inside its bound: that row
+	// alone would not catch this defect.
+	cfg.ThermoEvery = 0
+	s := newSim(t, Opt(), cfg)
+	e0 := s.TotalEnergyPerAtom()
+	s.Run(10)
+	d := math.Abs(s.TotalEnergyPerAtom() - e0)
+	t.Logf("under the defect: momentum drift %.2g; nve-lj-10 reads %.2g (clean 2.8e-4), check: %v", drift, d, oracle.Check("nve-lj-10", d))
 }
 
 // TestClockMonotonicity: virtual clocks never move backwards through any

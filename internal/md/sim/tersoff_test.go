@@ -6,6 +6,7 @@ import (
 
 	"tofumd/internal/md/lattice"
 	"tofumd/internal/md/potential"
+	"tofumd/internal/oracle"
 	"tofumd/internal/units"
 	"tofumd/internal/vec"
 )
@@ -41,46 +42,52 @@ func TestTersoffFullShellLinks(t *testing.T) {
 }
 
 func TestTersoffDecompositionIndependent(t *testing.T) {
-	// The decisive distributed-correctness check: the same silicon system
-	// run on different machine shapes must produce (nearly) identical
-	// trajectories — any ghost-coverage or reverse-stage error would break
-	// this immediately for a 3-body potential.
-	run := func(shape vec.I3, v Variant) map[int64]vec.V3 {
-		m, err := NewMachine(shape)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := New(m, v, tersoffConfig(300))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		s.Run(8)
-		return positionsByID(s)
+	// The decisive distributed-correctness check: the same system run on
+	// different machine shapes must produce (nearly) identical trajectories
+	// — any ghost-coverage or reverse-stage error would break this
+	// immediately, for a 3-body potential first.
+	si := tersoffConfig(300)
+	a := runGather(t, vec.I3{X: 2, Y: 2, Z: 2}, Opt(), si)
+	if err := oracle.Check("decomp-tersoff", MaxDisplacement(a, runGather(t, vec.I3{X: 2, Y: 3, Z: 2}, Opt(), si))); err != nil {
+		t.Error(err)
 	}
-	a := run(vec.I3{X: 2, Y: 2, Z: 2}, Opt())
-	b := run(vec.I3{X: 2, Y: 3, Z: 2}, Opt())
-	c := run(vec.I3{X: 2, Y: 2, Z: 2}, Ref())
-	compare := func(name string, other map[int64]vec.V3, tol float64) {
-		t.Helper()
-		var worst float64
-		for id, p := range a {
-			q, ok := other[id]
-			if !ok {
-				t.Fatalf("%s: atom %d missing", name, id)
-			}
-			if d := q.Sub(p).Norm(); d > worst {
-				worst = d
-			}
-		}
-		if worst > tol {
-			t.Errorf("%s diverged by %.3e after 8 steps", name, worst)
+	if err := oracle.Check("variants-tersoff", MaxDisplacement(a, runGather(t, vec.I3{X: 2, Y: 2, Z: 2}, Ref(), si))); err != nil {
+		t.Error(err)
+	}
+	for _, cfg := range []Config{ljConfig(), eamConfig(t)} {
+		if err := oracle.Check("decomp-lj-eam", decompDivergence(t, cfg)); err != nil {
+			t.Errorf("%s: %v", cfg.Potential.Name(), err)
 		}
 	}
-	// Different decomposition: summation order differs -> rounding noise.
-	compare("2x3x2 vs 2x2x2", b, 1e-7)
-	// Different comm pattern, same physics.
-	compare("ref vs opt", c, 1e-7)
+}
+
+// runGather runs cfg for 8 steps on a machine of the given node shape and
+// returns the gathered atoms.
+func runGather(t *testing.T, shape vec.I3, v Variant, cfg Config) []InitAtom {
+	t.Helper()
+	m, err := NewMachine(shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(m, v, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.Run(8)
+	return s.Gather()
+}
+
+// decompDivergence runs cfg on 1×1×1, 2×2×2, 2×3×2 and 2×2×3 nodes and
+// returns the largest max |Δx| against 1×1×1.
+func decompDivergence(t *testing.T, cfg Config) float64 {
+	t.Helper()
+	base := runGather(t, vec.I3{X: 1, Y: 1, Z: 1}, Opt(), cfg)
+	var worst float64
+	for _, shape := range []vec.I3{{X: 2, Y: 2, Z: 2}, {X: 2, Y: 3, Z: 2}, {X: 2, Y: 2, Z: 3}} {
+		worst = max(worst, MaxDisplacement(base, runGather(t, shape, Opt(), cfg)))
+	}
+	return worst
 }
 
 func TestTersoffColdCrystalForcesVanish(t *testing.T) {
@@ -102,12 +109,11 @@ func TestTersoffEnergyConservation(t *testing.T) {
 	s := newSim(t, Opt(), tersoffConfig(300))
 	e0 := s.TotalEnergyPerAtom()
 	s.Run(25)
-	e1 := s.TotalEnergyPerAtom()
-	if math.Abs(e0-(-4.6)) > 0.1 {
-		t.Errorf("initial energy %.4f eV/atom far from silicon cohesive energy", e0)
+	if err := oracle.Check("tersoff-cohesive", math.Abs(e0-(-4.6))); err != nil {
+		t.Error(err)
 	}
-	if drift := math.Abs(e1 - e0); drift > 5e-4 {
-		t.Errorf("Tersoff NVE drift %.2e eV/atom over 25 steps", drift)
+	if err := oracle.Check("nve-tersoff-25", math.Abs(s.TotalEnergyPerAtom()-e0)); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -116,7 +122,7 @@ func TestTersoffAtomConservation(t *testing.T) {
 	s := newSim(t, Opt(), cfg)
 	want := s.TotalAtoms()
 	s.Run(30)
-	if got := s.TotalAtoms(); got != want {
-		t.Errorf("atoms = %d, want %d", got, want)
+	if err := oracle.Check("atom-count", math.Abs(float64(s.TotalAtoms()-want))); err != nil {
+		t.Error(err)
 	}
 }

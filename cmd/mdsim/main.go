@@ -49,7 +49,6 @@ func main() {
 		ckptEvery  = flag.Int("checkpoint-every", 0, "write a checkpoint every N steps (0 = off)")
 		ckptFile   = flag.String("checkpoint", "tofumd.restart", "checkpoint file written by -checkpoint-every")
 		restartIn  = flag.String("restart", "", "resume from a checkpoint file written by -checkpoint-every")
-		par        = flag.Int("par", 1, "logical processes the event engine shards the fabric into (N <= 1: serial loop; results bit-identical at every N)")
 		planOnly   = flag.Bool("plan", false, "print the static halo neighbor-plan summary (pattern, link graph, rounds) and exit without running")
 		statusAddr = flag.String("status", "", "serve a live JSON run-status endpoint on this address (e.g. localhost:8080, port 0 picks one; GET /status)")
 		explain    = flag.Bool("explain", false, "print the scaling-diagnosis report (per-LP engine profile + critical path) after the run")
@@ -117,7 +116,6 @@ func main() {
 		Recorder:    rec,
 		Metrics:     met,
 		Faults:      faults,
-		ParallelLPs: *par,
 	}
 	var title string
 	if *inFile != "" {

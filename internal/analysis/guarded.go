@@ -20,8 +20,8 @@ import (
 //     point of the contract is that all calls happen on one goroutine.
 //
 // The motivating cases are faultinject.Model's per-link stream cache
-// (mutated by the parallel engine's LP goroutines, so every touch must
-// hold mu) and health.Tracker, which is documented NOT concurrency-safe
+// (shared state documented guarded by mu, so every touch must hold it) and
+// health.Tracker, which is documented NOT concurrency-safe
 // and is driven solely from the simulation driver goroutine.
 //
 // The lock check is lexical, not a dataflow analysis: a Lock anywhere

@@ -208,9 +208,11 @@ type RunSpec struct {
 	// Restart, when non-nil, resumes the run from a checkpoint snapshot;
 	// its box must match the one the workload derives.
 	Restart *restart.Snapshot
-	// ParallelLPs is the number of logical processes the fabric's
-	// communication rounds run on (the -par flag); <= 1 is one LP, a serial
-	// loop. Results are bit-identical at every count.
+	// ParallelLPs is the number of logical processes (node blocks) the
+	// fabric's communication rounds are sharded into; <= 1 is one LP. The
+	// LPs drain one after another on the caller, so the count only changes
+	// how the engine profile splits the events: results are bit-identical at
+	// every count.
 	ParallelLPs int
 }
 

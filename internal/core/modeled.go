@@ -41,9 +41,10 @@ type ModelSpec struct {
 	// Met, when non-nil, aggregates fabric counters/histograms of the
 	// modeled rounds.
 	Met *metrics.Registry
-	// LPs is the number of logical processes the fabric rounds run on
-	// (LPs <= 1: one LP, a serial loop); results are bit-identical at every
-	// count.
+	// LPs is the number of logical processes (node blocks) the fabric
+	// rounds are sharded into (LPs <= 1: one LP). The LPs drain one after
+	// another on the caller, so the count only changes how Stats splits the
+	// events: results are bit-identical at every count.
 	LPs int
 	// Stats, when non-nil, receives the engine's cumulative per-LP profile
 	// after the run.

@@ -5,9 +5,10 @@
 // regardless of how the caller enumerated the messages.
 //
 // ParallelEngine (parallel.go) is the engine the simulator runs on: the
-// event loop sharded into 1..N independent logical processes, each drained
-// by the same serial loop. Each LP queues its events in a run queue keyed
-// (time, seq) (runq.go): FIFO runs of same-time events under a small heap.
+// event loop sharded into 1..N independent logical processes, drained one
+// after another by the same serial loop on the calling goroutine. Each LP
+// queues its events in a run queue keyed (time, seq) (runq.go): FIFO runs of
+// same-time events under a small heap.
 // Engine — one clock, one binary heap of events under the full key, one
 // goroutine — is the reference both are held to; see the type's comment.
 package des

@@ -2,7 +2,6 @@ package des
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 )
 
@@ -10,22 +9,23 @@ import (
 // logical processes (LPs), each with its own clock, queue and scheduling
 // counter, and an event schedules only on the LP it runs on: no event ever
 // crosses LPs. An LP is therefore an independent shard, and a run drains
-// every LP's queue to empty with the same serial loop — LP 0 on the calling
-// goroutine, one goroutine per further LP — with no synchronization between
-// them until the last one stops.
+// every LP's queue to empty with the same serial loop, LP 0 first, then LP
+// 1, and so on, all on the calling goroutine.
 //
 // Determinism: each LP pops its run queue (runq.go) in the strict total
 // order (time, seq), which on one LP is the order of the Engine's key
 // (time, sendTime, src, seq). Its execution order is therefore exactly the
-// order a serial Engine would run that LP's events in, whatever the
-// goroutine interleaving across LPs.
+// order a serial Engine would run that LP's events in, and because LPs share
+// no state, the LP count changes nothing but the shard bookkeeping.
+//
+// The LPs drain serially because draining each on its own goroutine
+// measured no end-to-end gain: on a 2-CPU host two LPs ran one fabric round
+// of the 8x12x8 tile at 0.58x to 1.25x the speed of one LP, and a whole
+// modeled step at 1.01x, while every benchmark workload runs one LP.
 
 // ParallelEngine executes events on one or more LPs. Construct with
 // NewParallel, schedule the initial events on the LPs (LP method), then call
-// Run or RunBudget from a single goroutine; the engine spawns its worker
-// goroutines per run and joins them before returning, so no Close is needed.
-//
-// With a single LP a run is a serial loop on the caller with no goroutines.
+// Run or RunBudget; a run drains the LPs in index order on the caller.
 type ParallelEngine struct {
 	lps []*LP
 	// handler executes tagged events (SetHandler); nil until one is set.
@@ -34,7 +34,7 @@ type ParallelEngine struct {
 
 // LP is one logical process: a shard of the event loop with its own clock,
 // queue and scheduling counter. All methods must be called either from the
-// single goroutine that drives the engine (before/after Run) or from event
+// goroutine that drives the engine (before/after Run) or from event
 // callbacks executing on this LP — an event callback must only touch the LP
 // it was scheduled on.
 type LP struct {
@@ -43,9 +43,6 @@ type LP struct {
 	now float64
 	seq uint64
 	q   runQueue
-	// stopped is the budget error of this LP's last drain; nil when it
-	// drained.
-	stopped *BudgetError
 	// events counts executed events across runs (see stats.go); it survives
 	// Reset and is atomic so Stats can read it mid-run.
 	events atomic.Int64
@@ -94,7 +91,6 @@ func (p *ParallelEngine) Reset() {
 	for _, l := range p.lps {
 		l.now = 0
 		l.seq = 0
-		l.stopped = nil
 		l.q.reset()
 	}
 }
@@ -108,57 +104,37 @@ func (p *ParallelEngine) Run() float64 {
 	return t
 }
 
-// RunBudget drains every LP until its queue is empty or it has run budget
-// events; budget <= 0 means unbounded. The budget is per LP, so an LP caught
-// in a scheduling cycle stops alone while the others drain. On exhaustion it
-// returns the *BudgetError of the lowest-index LP that stopped, with Pending
-// summed over all LPs, and leaves the remaining events queued.
+// RunBudget drains every LP, in index order, until its queue is empty or it
+// has run budget events; budget <= 0 means unbounded. The budget is per LP,
+// so an LP caught in a scheduling cycle stops alone while the others drain.
+// On exhaustion it returns the *BudgetError of the lowest-index LP that
+// stopped, with Pending summed over all LPs, and leaves the remaining events
+// queued.
 func (p *ParallelEngine) RunBudget(budget int) (float64, error) {
-	if len(p.lps) == 1 {
-		p.lps[0].drain(budget)
-	} else {
-		p.drainShards(budget)
-	}
 	final, pending := 0.0, 0
 	var stopped *BudgetError
 	for _, l := range p.lps {
+		if err := l.drain(budget); stopped == nil {
+			stopped = err
+		}
 		final = max(final, l.now)
 		pending += l.q.n
-		if stopped == nil {
-			stopped = l.stopped
-		}
 	}
 	if stopped != nil {
-		err := *stopped
-		err.Pending = pending
-		return final, &err
+		stopped.Pending = pending
+		return final, stopped
 	}
 	return final, nil
 }
 
-// drainShards drains LP 0 on the calling goroutine and every further LP on
-// its own, returning once all have stopped.
-func (p *ParallelEngine) drainShards(budget int) {
-	var wg sync.WaitGroup
-	for _, l := range p.lps[1:] {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			l.drain(budget)
-		}()
-	}
-	p.lps[0].drain(budget)
-	wg.Wait()
-}
-
 // drain runs this LP's events in key order until its queue is empty or
-// budget events have run, recording a BudgetError on exhaustion.
-func (l *LP) drain(budget int) {
-	l.stopped = nil
+// budget events have run, returning a BudgetError on exhaustion.
+func (l *LP) drain(budget int) *BudgetError {
+	var stopped *BudgetError
 	n := 0
 	for l.q.n > 0 {
 		if budget > 0 && n >= budget {
-			l.stopped = &BudgetError{Budget: budget, Now: l.now, NextAt: l.q.peek(), Pending: l.q.n}
+			stopped = &BudgetError{Budget: budget, Now: l.now, NextAt: l.q.peek(), Pending: l.q.n}
 			break
 		}
 		t, tag, fn := l.q.pop()
@@ -173,6 +149,7 @@ func (l *LP) drain(budget int) {
 	if n > 0 {
 		l.events.Add(int64(n))
 	}
+	return stopped
 }
 
 // ID returns this LP's index.

@@ -9,10 +9,10 @@ import (
 //
 // The property the fabric relies on: every LP of the parallel engine executes
 // its events in exactly the order (and at exactly the times) the serial
-// Engine executes the same workload in, however many other LPs drain
-// concurrently beside it. The harness gives each LP its own randomly
-// generated cascade, runs all of them at once on the parallel engine, runs
-// each alone on a reference Engine, and compares the traces bit for bit.
+// Engine executes the same workload in, however many other LPs the engine
+// drains beside it. The harness gives each LP its own randomly generated
+// cascade, runs all of them in one run of the parallel engine, runs each
+// alone on a reference Engine, and compares the traces bit for bit.
 
 type traceEntry struct {
 	time float64
@@ -39,7 +39,7 @@ func (s lpSched) at(t float64, fn func()) error { return s.l.ScheduleAt(t, fn) }
 // returns the trace its events append to as they run. All generator state
 // (RNG stream, id counter, spawn budget) belongs to the cascade and its
 // events schedule only on s, so it expands identically on the reference
-// Engine and on an LP draining concurrently with others.
+// Engine and on an LP drained beside others.
 func cascade(t *testing.T, s testSched, seed int64) *[]traceEntry {
 	t.Helper()
 	trace := new([]traceEntry)
@@ -272,7 +272,7 @@ func TestParallelScheduleAtRejectsPast(t *testing.T) {
 	}
 }
 
-// Every LP runs its own 50-event chain at its own pace, concurrently with
+// Every LP runs its own 50-event chain at its own pace, independently of
 // the others; each ends at its own clock and the run at the latest.
 func TestParallelCascadeAcrossLPs(t *testing.T) {
 	const lps, chain = 4, 50

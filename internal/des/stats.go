@@ -1,14 +1,13 @@
 package des
 
 // This file holds the engine's profiling surface: events executed per LP.
-// When more LPs fail to speed the simulator up, the per-LP counts show
-// whether the partition is to blame — the run lasts as long as its busiest
-// shard.
+// The total is the work a run cost, the same at every LP count; the per-LP
+// rows show how the fabric's node blocks split it.
 //
 // The counters never observe or advance virtual time: each is one atomic add
 // per LP per run, a side effect of work the engine already does. They are
-// atomics so a Stats snapshot may be read concurrently with a run — this is
-// what the live -status HTTP endpoint does.
+// atomics so a Stats snapshot may be read from another goroutine while a
+// run is in flight — this is what the live -status HTTP endpoint does.
 
 // LPStats is a point-in-time snapshot of one LP's cumulative profile.
 type LPStats struct {
@@ -33,24 +32,6 @@ func (s ParallelStats) TotalEvents() int64 {
 		n += lp.Events
 	}
 	return n
-}
-
-// ImbalanceMax is the load-imbalance ratio max/mean of per-LP executed
-// events: 1 is perfect balance, and the parallel speedup is bounded above
-// by LPs/ImbalanceMax. Returns 1 when nothing ran.
-func (s ParallelStats) ImbalanceMax() float64 {
-	total := s.TotalEvents()
-	if len(s.LPs) == 0 || total == 0 {
-		return 1
-	}
-	var max int64
-	for _, lp := range s.LPs {
-		if lp.Events > max {
-			max = lp.Events
-		}
-	}
-	mean := float64(total) / float64(len(s.LPs))
-	return float64(max) / mean
 }
 
 // Stats snapshots the cumulative profile. Safe to call concurrently with a

@@ -1,7 +1,6 @@
 package des
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -159,31 +158,5 @@ func TestStatsAccumulateAcrossResets(t *testing.T) {
 	p.ResetStats()
 	if st := p.Stats(); st.TotalEvents() != 0 {
 		t.Errorf("ResetStats left nonzero profile: %+v", st)
-	}
-}
-
-// TestStatsImbalance pins ImbalanceMax on a deliberately skewed load.
-func TestStatsImbalance(t *testing.T) {
-	p, err := NewParallel(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 30 events on LP 0, 10 on LP 1: mean 20, max 30, ratio 1.5.
-	for i := 0; i < 30; i++ {
-		if err := p.LP(0).ScheduleAt(float64(i)*1e-9, func() {}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 10; i++ {
-		if err := p.LP(1).ScheduleAt(float64(i)*1e-9, func() {}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p.Run()
-	if got := p.Stats().ImbalanceMax(); math.Abs(got-1.5) > 1e-12 {
-		t.Errorf("ImbalanceMax = %v, want 1.5", got)
-	}
-	if got := (ParallelStats{}).ImbalanceMax(); got != 1 {
-		t.Errorf("empty ImbalanceMax = %v, want 1", got)
 	}
 }

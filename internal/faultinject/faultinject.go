@@ -330,12 +330,12 @@ type linkState struct {
 	degraded bool
 }
 
-// Model draws fault outcomes for a fabric. Rounds must run one at a time
-// (BeginRound is not concurrent with Judge), but within a round Judge may
-// be called from the parallel engine's LP goroutines: the lazy per-link
-// cache is mutex-protected, and determinism holds because all draws on one
-// link come from the LP owning the source rank, in that LP's deterministic
-// event order.
+// Model draws fault outcomes for a fabric. Rounds run one at a time
+// (BeginRound is not concurrent with Judge), and within a round Judge is
+// called from the fabric's events, which the engine drains on one goroutine;
+// the lazy per-link cache is still mutex-protected. Determinism holds
+// because all draws on one link come from the LP owning the source rank, in
+// that LP's deterministic event order.
 type Model struct {
 	spec  Spec
 	root  *xrand.Source
@@ -456,9 +456,9 @@ func (m *Model) beginRoundLocked() {
 
 // link returns the (round, link) stream, creating it on first use. The
 // stream's first draw decides the link's degradation window for the round.
-// The cache lookup is locked because LPs of the parallel engine create
-// streams for different links concurrently; the draw order on any single
-// link stays deterministic (one owning LP per source rank).
+// The cache lookup is locked, which keeps the Model safe to share; the draw
+// order on any single link is deterministic (one owning LP per source rank,
+// drained in event order).
 func (m *Model) link(src, dst int) *linkState {
 	key := uint64(uint32(src))<<32 | uint64(uint32(dst))
 	m.mu.Lock()

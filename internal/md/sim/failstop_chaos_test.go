@@ -53,9 +53,6 @@ func TestChaosTNIFailover(t *testing.T) {
 		t.Fatalf("surviving TNIs = %v, want the 5 others", surv)
 	}
 	for _, r := range s.Ranks() {
-		if r.plan.Version() < 2 {
-			t.Fatalf("rank %d plan version %d: never replanned", r.ID, r.plan.Version())
-		}
 		if r.vcqByTNI[2] != nil {
 			t.Errorf("rank %d still holds a VCQ on the quarantined TNI", r.ID)
 		}

@@ -5,7 +5,6 @@ import (
 	"tofumd/internal/md/atom"
 	"tofumd/internal/md/domain"
 	"tofumd/internal/md/neighbor"
-	"tofumd/internal/threadpool"
 	"tofumd/internal/trace"
 	"tofumd/internal/utofu"
 	"tofumd/internal/vec"
@@ -89,11 +88,6 @@ type Rank struct {
 
 	// vcqByTNI holds the rank's allocated VCQs.
 	vcqByTNI map[int]*utofu.VCQ
-
-	// plan is the rank's send-side neighbor→thread assignment table; the
-	// fail-stop recovery path replans it mid-run when a TNI is quarantined
-	// (its Version counts plan generations).
-	plan *threadpool.Plan
 
 	// qual decides ghost-send qualification for the sub-box.
 	qual *domain.SendQualifier

@@ -288,9 +288,9 @@ func (s *Simulation) SetFaults(m *faultinject.Model) {
 	s.fab.Faults = m
 }
 
-// SetParallel runs every subsequent communication round on lps logical
-// processes of the fabric's event engine (lps <= 1: one LP, a serial loop)
-// and restarts the engine profile. Results are bit-identical at every
+// SetParallel shards every subsequent communication round into lps logical
+// processes of the fabric's event engine (lps <= 1: one LP) and restarts
+// the engine profile. Results are bit-identical at every
 // count; call it any time between rounds.
 func (s *Simulation) SetParallel(lps int) error {
 	return s.fab.SetParallel(lps)
@@ -638,8 +638,8 @@ func (s *Simulation) createLinks() {
 // assignResources runs the plan's resource assignment over the TNIs the
 // health tracker has not quarantined: at setup that is the machine's full
 // set; the fail-stop recovery path re-invokes it after a quarantine,
-// re-running the §3.3 balancer and replanning each rank's neighbor→thread
-// table mid-run.
+// re-running the §3.3 balancer and moving each link's TNI and thread
+// mid-run.
 func (s *Simulation) assignResources() {
 	tnis := halo.SurvivingTNIs(s.M.Params.TNIsPerNode, s.health.TNIQuarantined)
 	side := s.dec.Side()
@@ -650,21 +650,6 @@ func (s *Simulation) assignResources() {
 	})
 	for i := range s.links {
 		s.links[i].fwd.Res, s.links[i].rev.Res = fwd[i], rev[i]
-	}
-	for _, r := range s.ranks {
-		sendThreads := make([]int, len(r.sendLinks))
-		for i, l := range r.sendLinks {
-			sendThreads[i] = l.fwd.Thread
-		}
-		if r.plan == nil {
-			p, err := threadpool.NewPlan(max(1, s.Var.CommThreads), sendThreads)
-			if err != nil {
-				panic("sim: " + err.Error())
-			}
-			r.plan = p
-		} else if err := r.plan.Replan(sendThreads); err != nil {
-			panic("sim: " + err.Error())
-		}
 	}
 }
 

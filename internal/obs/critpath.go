@@ -330,8 +330,7 @@ func Explain(stats *des.ParallelStats, rec *trace.Recorder, topK int) string {
 		for _, lp := range stats.LPs {
 			fmt.Fprintf(&sb, "  %-5d | %d\n", lp.LP, lp.Events)
 		}
-		fmt.Fprintf(&sb, "  load imbalance (max/mean events) %.3f -> speedup bound %.2fx of %d LPs\n\n",
-			stats.ImbalanceMax(), float64(len(stats.LPs))/stats.ImbalanceMax(), len(stats.LPs))
+		sb.WriteString("\n")
 	}
 	if names, vals := StageShares(rec.Spans()); len(names) > 0 {
 		sb.WriteString("MD stage spans (rank-summed virtual ms): ")

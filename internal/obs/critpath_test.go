@@ -134,8 +134,7 @@ func TestReportAndExplain(t *testing.T) {
 	for _, want := range []string{
 		"Parallel engine: 2 LPs, 40 events",
 		"Critical path over 2 messages",
-		"speedup bound",
-		"load imbalance (max/mean events) 1.500",
+		"  1     | 10\n\n",
 		"MD stage spans",
 		"Pair",
 	} {

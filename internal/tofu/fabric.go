@@ -16,8 +16,7 @@ import (
 )
 
 // Transfer is one message of a communication round. The caller fills the
-// routing and sizing fields; RunRound fills the timing outputs. Payload (if
-// any) is carried untouched — the fabric only computes time.
+// routing and sizing fields; RunRound fills the timing outputs.
 type Transfer struct {
 	// Src and Dst are rank ids in the fabric's rank map.
 	Src, Dst int
@@ -51,8 +50,6 @@ type Transfer struct {
 	// Attempt counts prior transmissions of the same logical message (0 for
 	// the first try); carried into the trace so retransmissions are visible.
 	Attempt int
-	// Payload is the functional data delivered to the receiver.
-	Payload []byte
 
 	// IssueDone is when the issuing thread's CPU is free again.
 	IssueDone float64
@@ -80,12 +77,13 @@ func (tr *Transfer) Failed() bool { return tr.Dropped || tr.Nacked }
 // timing of message rounds. A Fabric is not safe for concurrent rounds; the
 // bulk-synchronous simulation runs rounds one at a time.
 //
-// Every round runs on a des.ParallelEngine: one logical process by default
-// (a plain serial loop), or the node blocks SetParallel shards the fabric
-// into. Results are bit-identical at every LP count, because all per-round
-// mutable state the events touch is partitioned by the node that owns it and
-// no event crosses LPs: receive completions, the one cross-node effect, are
-// applied after the engine drains, in the order their events would have run.
+// Every round runs on a des.ParallelEngine: one logical process by default,
+// or the node blocks SetParallel shards the fabric into, drained one after
+// another on the caller. Results are bit-identical at every LP count,
+// because all per-round mutable state the events touch is partitioned by the
+// node that owns it and no event crosses LPs: receive completions, the one
+// cross-node effect, are applied after the engine drains, in the order their
+// events would have run.
 type Fabric struct {
 	Params Params
 	Map    *topo.RankMap
@@ -141,10 +139,10 @@ type Fabric struct {
 	order []int32
 	fifo  []int32
 	head  []int32
-	// lpSent[lp] counts the deliveries LP lp has transmitted so far, and
-	// sentKey[idx] = lp<<32 | ordinal names transfer idx's place in that
-	// sequence: the (src LP, seq) tail of the completion's ordering key.
-	lpSent  []uint64
+	// sent counts the deliveries the round has transmitted so far, and
+	// sentKey[idx] is transfer idx's place in that sequence: the (src LP,
+	// seq) tail of the completion's ordering key (see transmit).
+	sent    uint64
 	sentKey []uint64
 	// recvs holds the deliveries grouped by receive context (the completion
 	// sweep's counting sort); recvAt[k] is where slot k's group starts while
@@ -157,7 +155,7 @@ type Fabric struct {
 	// transmit events of a transfer fill its slot on the source LP; the
 	// completion sweep or the failure path marks it set. The buffered events
 	// are flushed to Rec in transfer order after the round, making trace
-	// output both thread-safe and independent of event interleaving.
+	// output independent of the LP count and of event order.
 	tracing bool
 	msgEvs  []trace.MessageEvent
 	msgSet  []bool
@@ -165,7 +163,8 @@ type Fabric struct {
 
 // completion is one delivery in the completion sweep, carrying the key its
 // receive event would have been ordered by: (Arrival, IssueDone, src LP,
-// seq), with IssueDone the time of the event that transmitted it.
+// seq), with IssueDone the time of the event that transmitted it and key
+// the round-wide transmit ordinal that stands for (src LP, seq).
 type completion struct {
 	arrival, issueDone float64
 	key                uint64
@@ -184,8 +183,8 @@ const (
 const maxTagIndex = 1 << 31
 
 // fabricMetrics caches the fabric's metric handles so no message pays a
-// registry lookup; the per-transfer families are tallied per LP and
-// published once per round. Per-TNI families are indexed by
+// registry lookup; the per-transfer families are tallied through the round
+// and published once at its end. Per-TNI families are indexed by
 // TNI number and aggregate across nodes; distributions are labeled by the
 // software interface ("utofu"/"mpi").
 type fabricMetrics struct {
@@ -202,14 +201,13 @@ type fabricMetrics struct {
 	reg *metrics.Registry
 	// lpEvents are the per-LP event gauges, indexed by LP.
 	lpEvents []*metrics.Gauge
-	// tallies, indexed by LP, batch the per-transfer updates of msgs, bytes,
-	// switches and hops through a drain (see publishTallies).
-	tallies []tally
+	// tally batches the per-transfer updates of msgs, bytes, switches and
+	// hops through a round (see publishTally).
+	tally tally
 }
 
-// tally is one LP's share of a round's per-transfer metrics: plain adds on
-// the LP's own goroutine in place of an atomic add or a histogram lock per
-// transfer.
+// tally is a round's per-transfer metrics: plain adds in place of an atomic
+// add or a histogram lock per transfer.
 type tally struct {
 	msgs, bytes, switches []int64  // per TNI index
 	hops                  []uint64 // observations per hop count
@@ -217,9 +215,8 @@ type tally struct {
 
 // SetMetrics enables (or, with a nil registry, disables) metric collection.
 // Metrics only observe the computed virtual times: timing outputs are
-// bit-identical with metrics on or off. All handles are safe for the
-// engine's worker goroutines (counters are atomic, histograms
-// mutex-protected, and histogram contents are order-independent).
+// bit-identical with metrics on or off. Counters are atomic and histograms
+// mutex-protected, so the registry may be read while a round runs.
 func (f *Fabric) SetMetrics(reg *metrics.Registry) {
 	if !reg.Enabled() {
 		f.met = nil
@@ -242,6 +239,8 @@ func (f *Fabric) SetMetrics(reg *metrics.Registry) {
 	m.faultStalls = reg.Counter("fabric_faults", "stalls")
 	m.abandoned = reg.Counter("des_abandoned_events", "total")
 	m.reg = reg
+	n := f.Params.TNIsPerNode
+	m.tally = tally{msgs: make([]int64, n), bytes: make([]int64, n), switches: make([]int64, n)}
 	f.met = m
 }
 
@@ -264,33 +263,31 @@ func (f *Fabric) publishLPStats() {
 	}
 }
 
-// publishTallies adds the round's per-LP tallies to the registry in LP order
-// and zeroes them. Counter sums do not depend on the order of the adds, and
-// the hop histogram only sees integers, whose float sums are exact, so the
-// registry ends where one update per transfer would have left it.
-func (f *Fabric) publishTallies() {
+// publishTally adds the round's tally to the registry and zeroes it.
+// Counter sums do not depend on the order of the adds, and the hop
+// histogram only sees integers, whose float sums are exact, so the registry
+// ends where one update per transfer would have left it.
+func (f *Fabric) publishTally() {
 	if f.met == nil {
 		return
 	}
 	m := f.met
-	for i := range m.tallies {
-		t := &m.tallies[i]
-		for tni := range t.msgs {
-			if t.msgs[tni] != 0 {
-				m.msgs[tni].Add(t.msgs[tni])
-				m.bytes[tni].Add(t.bytes[tni])
-				t.msgs[tni], t.bytes[tni] = 0, 0
-			}
-			if t.switches[tni] != 0 {
-				m.switches[tni].Add(t.switches[tni])
-				t.switches[tni] = 0
-			}
+	t := &m.tally
+	for tni := range t.msgs {
+		if t.msgs[tni] != 0 {
+			m.msgs[tni].Add(t.msgs[tni])
+			m.bytes[tni].Add(t.bytes[tni])
+			t.msgs[tni], t.bytes[tni] = 0, 0
 		}
-		for h, n := range t.hops {
-			if n != 0 {
-				m.hops[f.iface].ObserveN(float64(h), n)
-				t.hops[h] = 0
-			}
+		if t.switches[tni] != 0 {
+			m.switches[tni].Add(t.switches[tni])
+			t.switches[tni] = 0
+		}
+	}
+	for h, n := range t.hops {
+		if n != 0 {
+			m.hops[f.iface].ObserveN(float64(h), n)
+			t.hops[h] = 0
 		}
 	}
 }
@@ -321,9 +318,9 @@ func NewFabric(m *topo.RankMap, p Params) *Fabric {
 }
 
 // SetParallel partitions the nodes into lps contiguous blocks, one logical
-// process each, for subsequent rounds. lps <= 1 means one LP: a serial loop
-// with no goroutines. lps >= 2 drains every LP on its own goroutine; no event
-// crosses LPs, so they need no synchronization. lps is clamped to the node
+// process each, for subsequent rounds; lps <= 1 means one LP. Every round
+// drains the LPs one after another on the caller, so the LP count only
+// changes how ParallelStats splits the events. lps is clamped to the node
 // count (an LP without nodes would have nothing to run). Results and the
 // per-LP profile (ParallelStats) are the same kind at every LP count; the
 // profile restarts from zero.
@@ -498,18 +495,12 @@ func (f *Fabric) RunRound(transfers []*Transfer, iface Interface) error {
 	}
 	f.round, f.iface, f.threads = transfers, iface, threads
 	f.gap, f.sendOv, f.recvOv = p.InjectGap(iface), p.SendOverhead(iface), p.RecvOverhead(iface)
-	f.lpSent = zeroed(f.lpSent, f.par.LPs())
+	f.sent = 0
 	f.sentKey = zeroed(f.sentKey, len(transfers))
 	f.tracing = f.Rec.Enabled()
 	if f.tracing {
 		f.msgEvs = zeroed(f.msgEvs, len(transfers))
 		f.msgSet = zeroed(f.msgSet, len(transfers))
-	}
-	if m := f.met; m != nil {
-		for len(m.tallies) < f.par.LPs() {
-			n := p.TNIsPerNode
-			m.tallies = append(m.tallies, tally{msgs: make([]int64, n), bytes: make([]int64, n), switches: make([]int64, n)})
-		}
 	}
 
 	// Build the per-slot FIFOs with a stable counting sort, preserving the
@@ -549,7 +540,7 @@ func (f *Fabric) RunRound(transfers []*Transfer, iface Interface) error {
 		f.complete(slots)
 	}
 	f.flushTrace()
-	f.publishTallies()
+	f.publishTally()
 	f.publishLPStats()
 	f.round = nil
 	if runErr != nil {
@@ -605,9 +596,9 @@ func (f *Fabric) issue(c *des.LP, k int) {
 
 // transmit serializes transfer idx on the source TNI engine and computes the
 // network arrival time. It executes on c, the LP owning the source rank;
-// everything it touches (TNI slots of the source node, the LP's delivery
-// count, the transfer's trace slot) is owned by that LP. A delivery is
-// completed by the sweep after the round (complete).
+// the TNI slots of the source node and the transfer's trace slot it touches
+// are owned by that LP. A delivery is completed by the sweep after the round
+// (complete).
 func (f *Fabric) transmit(c *des.LP, idx int) {
 	p := &f.Params
 	tr := f.round[idx]
@@ -665,7 +656,7 @@ func (f *Fabric) transmit(c *des.LP, idx int) {
 
 	hops := f.hops(srcNode, dstNode)
 	if f.met != nil {
-		t := &f.met.tallies[c.ID()]
+		t := &f.met.tally
 		t.msgs[tr.TNI]++
 		t.bytes[tr.TNI] += int64(tr.Bytes)
 		if vcqSwitch {
@@ -733,11 +724,14 @@ func (f *Fabric) transmit(c *des.LP, idx int) {
 		}
 		return
 	}
-	// The delivery's place among this LP's transmissions: the seq its
-	// receive event would have carried, up to a monotone renumbering.
-	lp := c.ID()
-	f.sentKey[idx] = uint64(lp)<<32 | f.lpSent[lp]
-	f.lpSent[lp]++
+	// The delivery's place among the round's transmissions. As an event,
+	// its receive would carry the key tail (src LP, seq), seq counting this
+	// LP's transmissions. RunBudget drains LP i to empty before LP i+1
+	// starts, so a round-wide ordinal sorts every delivery of LP i before
+	// any of LP i+1 and keeps each LP's own order: the same order as
+	// (src LP, seq), up to a monotone renumbering.
+	f.sentKey[idx] = f.sent
+	f.sent++
 }
 
 // recvCtx returns the slot of the polling context that completes tr. For a

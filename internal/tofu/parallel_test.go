@@ -79,9 +79,9 @@ func TestParallelRoundBitIdentical(t *testing.T) {
 	}
 }
 
-// TestParallelRoundRepeatsDeterministic reruns the same parallel round and
-// demands identical results: goroutine interleaving must not leak into the
-// model.
+// TestParallelRoundRepeatsDeterministic reruns the same 4-LP round and
+// demands identical results: state kept between rounds must not leak into
+// the model.
 func TestParallelRoundRepeatsDeterministic(t *testing.T) {
 	f := testFabric(t, vec.I3{X: 4, Y: 4, Z: 4})
 	if err := f.SetParallel(4); err != nil {
@@ -125,7 +125,7 @@ func TestParallelRoundDrains(t *testing.T) {
 	}
 }
 
-// TestTalliedMetricsMatchPerTransfer holds the per-LP metric tallies to one
+// TestTalliedMetricsMatchPerTransfer holds the round's metric tally to one
 // update per transfer: after two rounds on 1, 2 and 4 LPs, the per-TNI
 // counters and the hop histograms equal those of a registry fed from every
 // recorded message.

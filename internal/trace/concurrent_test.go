@@ -1,48 +1,38 @@
 package trace_test
 
 // The Recorder's concurrency contract says every emission method is safe
-// from the parallel engine's LP goroutines. This test drives a real 4-LP
-// des.ParallelEngine whose events emit spans, counters, instants and
-// messages concurrently; run under -race (the CI default) it guards the
+// from concurrent goroutines: the job farm's workers share one Recorder.
+// This test emits spans, counters, instants and messages from several
+// goroutines at once; run under -race (the CI default) it guards the
 // contract, and the count assertions guard against lost appends.
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
-	"tofumd/internal/des"
 	"tofumd/internal/trace"
 )
 
 func TestRecorderConcurrentEmissionFromLPs(t *testing.T) {
-	const lps, perLP = 4, 200
+	const emitters, perEmitter = 4, 200
 	rec := trace.NewRecorder()
-	p, err := des.NewParallel(lps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < lps; i++ {
-		l := p.LP(i)
-		id := i
-		for j := 0; j < perLP; j++ {
-			at := float64(j) * 1e-7
-			seq := j
-			if err := l.ScheduleAt(at, func() {
-				rec.Span(trace.SpanEvent{Rank: id, Name: "work", Stage: "Other", Step: seq, Start: l.Now(), End: l.Now() + 1e-8})
-				rec.Counter("lp events", l.Now(), float64(seq))
-				rec.Instant(trace.InstantEvent{Rank: id, Name: "tick", Time: l.Now()})
-				rec.Message(trace.MessageEvent{Src: id, Dst: (id + 1) % lps, Bytes: 64, Iface: "utofu"})
-				// Keep every LP scheduling while the others emit.
-				if err := l.ScheduleAt(l.Now()+1e-6, func() {}); err != nil {
-					t.Errorf("ScheduleAt: %v", err)
-				}
-			}); err != nil {
-				t.Fatal(err)
+	var wg sync.WaitGroup
+	for i := 0; i < emitters; i++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			for j := 0; j < perEmitter; j++ {
+				at := float64(j) * 1e-7
+				rec.Span(trace.SpanEvent{Rank: id, Name: "work", Stage: "Other", Step: j, Start: at, End: at + 1e-8})
+				rec.Counter("emitter events", at, float64(j))
+				rec.Instant(trace.InstantEvent{Rank: id, Name: "tick", Time: at})
+				rec.Message(trace.MessageEvent{Src: id, Dst: (id + 1) % emitters, Bytes: 64, Iface: "utofu"})
 			}
-		}
+		}(i)
 	}
-	p.Run()
-	want := lps * perLP
+	wg.Wait()
+	want := emitters * perEmitter
 	if got := len(rec.Spans()); got != want {
 		t.Errorf("spans recorded: %d, want %d", got, want)
 	}

@@ -96,8 +96,8 @@ type CounterSample struct {
 //
 // Concurrency contract: every emission method (Message, Span, Round,
 // Instant, Counter) and every accessor is safe to call concurrently — in
-// particular from the event engine's LP goroutines and thread-pool
-// workers; the internal mutex is held only for the append. What the mutex
+// particular from the job farm's workers and thread-pool workers; the
+// internal mutex is held only for the append. What the mutex
 // does NOT provide is a deterministic order: concurrent emitters append in
 // goroutine-scheduling order. Producers that need byte-identical output
 // across runs must impose their own order — the fabric buffers one

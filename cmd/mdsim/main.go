@@ -51,7 +51,7 @@ func main() {
 		restartIn  = flag.String("restart", "", "resume from a checkpoint file written by -checkpoint-every")
 		planOnly   = flag.Bool("plan", false, "print the static halo neighbor-plan summary (pattern, link graph, rounds) and exit without running")
 		statusAddr = flag.String("status", "", "serve a live JSON run-status endpoint on this address (e.g. localhost:8080, port 0 picks one; GET /status)")
-		explain    = flag.Bool("explain", false, "print the scaling-diagnosis report (per-LP engine profile + critical path) after the run")
+		explain    = flag.Bool("explain", false, "print the scaling-diagnosis report (event total + critical path) after the run")
 	)
 	flag.Parse()
 
@@ -239,9 +239,9 @@ func main() {
 }
 
 // observeStep is the diagnosis layer's step-boundary hook: it samples the
-// per-LP Chrome counter tracks into the trace, pushes a status snapshot, and
-// returns the engine profile for -explain. A nil recorder or status server
-// skips that part.
+// event count's Chrome counter track into the trace, pushes a status
+// snapshot, and returns the event count for -explain. A nil recorder or
+// status server skips that part.
 func observeStep(s *sim.Simulation, step int, rec *trace.Recorder, status *obs.StatusServer) *des.ParallelStats {
 	st, _ := s.ParallelStats()
 	obs.SampleLPCounters(rec, st, s.Now())

@@ -12,10 +12,10 @@ import (
 // used as method-call receivers or through their address — copying one
 // detaches a snapshot from the synchronized cell.
 //
-// The motivating case is the parallel engine's per-LP stats counters
-// (internal/des): a Stats snapshot is taken concurrently with the run, so
-// one plain `lp.events` read next to the atomic adds is a data race the
-// race detector only sees on the schedules that interleave it.
+// The motivating case is the event queue's stats counter (internal/des): a
+// Stats snapshot may be taken concurrently with the run, so one plain
+// `q.events` read next to the atomic adds is a data race the race detector
+// only sees on the schedules that interleave it.
 var AtomicMix = &Analyzer{
 	Name:        "atomicmix",
 	Doc:         "forbid plain access to variables that are accessed atomically elsewhere",

@@ -15,12 +15,11 @@ import (
 // staged uTofu fabric as the MD halo. The headline series is the
 // blocking-vs-overlap ablation (how much exchange latency the interior
 // collision hides); physics correctness (viscosity, conservation) and the
-// bit-identity contracts ride along as gates.
+// bit-identity contract ride along as gates.
 type LbmResult struct {
 	Nodes, Ranks int
 	Cells        vec.I3
 	Steps        int
-	LPs          int
 
 	// BlockingElapsed and OverlapElapsed are the max virtual clock over
 	// ranks after Steps steps, uTofu transport.
@@ -45,13 +44,7 @@ type LbmResult struct {
 	// PhysicsIdentical reports whether blocking, overlap and MPI runs ended
 	// with bit-identical distributions.
 	PhysicsIdentical bool
-	// ParIdentical reports whether the parallel event engine reproduced the
-	// serial blocking run bit-for-bit (distributions and clocks).
-	ParIdentical bool
 }
-
-// lbmLPs is the logical-process count of the serial-vs-parallel check.
-const lbmLPs = 4
 
 // lbmConfig sizes the lattice at 4 cells per rank per axis over the tile's
 // rank grid; Full doubles the per-rank block.
@@ -69,12 +62,9 @@ func lbmConfig(m *sim.Machine, opt Options) lbm.Config {
 
 // lbmRun advances one freshly initialized system and returns it with its
 // fingerprint.
-func lbmRun(m *sim.Machine, cfg lbm.Config, steps, lps int) (*lbm.System, uint64, error) {
+func lbmRun(m *sim.Machine, cfg lbm.Config, steps int) (*lbm.System, uint64, error) {
 	s, err := lbm.New(m.Map, m.Params, m.Cost, cfg)
 	if err != nil {
-		return nil, 0, err
-	}
-	if err := s.SetParallel(lps); err != nil {
 		return nil, 0, err
 	}
 	s.InitShearWave(0.01)
@@ -85,8 +75,7 @@ func lbmRun(m *sim.Machine, cfg lbm.Config, steps, lps int) (*lbm.System, uint64
 }
 
 // Lbm runs the lattice-Boltzmann halo workload: the overlap ablation on the
-// uTofu transport, the MPI fallback comparison, and the serial-vs-parallel
-// determinism check.
+// uTofu transport and the MPI fallback comparison.
 func Lbm(opt Options) (LbmResult, error) {
 	m, err := sim.NewMachine(opt.tileFor())
 	if err != nil {
@@ -99,7 +88,6 @@ func Lbm(opt Options) (LbmResult, error) {
 		Ranks: m.Map.Ranks(),
 		Cells: cfg.Cells,
 		Steps: steps,
-		LPs:   lbmLPs,
 	}
 
 	// Blocking uTofu: the reference run. Physics series come from here.
@@ -124,7 +112,7 @@ func Lbm(opt Options) (LbmResult, error) {
 
 	// Overlap ablation on the same transport.
 	cfg.Overlap = true
-	over, fpOver, err := lbmRun(m, cfg, steps, 1)
+	over, fpOver, err := lbmRun(m, cfg, steps)
 	if err != nil {
 		return LbmResult{}, fmt.Errorf("overlap run: %w", err)
 	}
@@ -135,7 +123,7 @@ func Lbm(opt Options) (LbmResult, error) {
 
 	// MPI fallback comparison, blocking.
 	cfg.Transport, cfg.Overlap = halo.TransportMPI, false
-	mpiSys, fpMPI, err := lbmRun(m, cfg, steps, 1)
+	mpiSys, fpMPI, err := lbmRun(m, cfg, steps)
 	if err != nil {
 		return LbmResult{}, fmt.Errorf("mpi run: %w", err)
 	}
@@ -144,26 +132,8 @@ func Lbm(opt Options) (LbmResult, error) {
 		res.UTofuSpeedup = res.MPIElapsed / res.BlockingElapsed
 	}
 	res.PhysicsIdentical = fpOver == fpRef && fpMPI == fpRef
-
-	// Parallel event engine on the reference configuration: distributions
-	// AND clocks must match the serial run bit-for-bit.
-	cfg.Transport, cfg.Overlap = halo.TransportUTofu, false
-	par, fpPar, err := lbmRun(m, cfg, steps, lbmLPs)
-	if err != nil {
-		return LbmResult{}, fmt.Errorf("parallel run (%d LPs): %w", lbmLPs, err)
-	}
-	res.ParIdentical = fpPar == fpRef
-	for i, r := range par.Ranks() {
-		if r.Clock != ref.Ranks()[i].Clock {
-			res.ParIdentical = false
-			break
-		}
-	}
 	if !res.PhysicsIdentical {
 		return res, fmt.Errorf("lbm: transports/overlap diverged (blocking %#x overlap %#x mpi %#x)", fpRef, fpOver, fpMPI)
-	}
-	if !res.ParIdentical {
-		return res, fmt.Errorf("lbm: %d LPs diverged from one LP", res.LPs)
 	}
 	return res, nil
 }
@@ -177,15 +147,11 @@ func (r LbmResult) Format() string {
 		1e3*r.BlockingElapsed, 1e3*r.OverlapElapsed, 100*r.OverlapGain)
 	s += fmt.Sprintf("mpi fallback: %.3f ms   utofu speedup: %.2fx\n", 1e3*r.MPIElapsed, r.UTofuSpeedup)
 	s += fmt.Sprintf("mass drift: %.2e   viscosity error vs analytic: %.2e\n", r.MassDrift, r.NuRelErr)
-	ident := func(b bool) string {
-		if b {
-			return "yes"
-		}
-		return "NO"
+	ident := "yes"
+	if !r.PhysicsIdentical {
+		ident = "NO"
 	}
-	s += fmt.Sprintf("bit-identical physics across transports/overlap: %s   serial==parallel(%d LPs): %s\n",
-		ident(r.PhysicsIdentical), r.LPs, ident(r.ParIdentical))
-	return s
+	return s + fmt.Sprintf("bit-identical physics across transports/overlap: %s\n", ident)
 }
 
 // Artifact emits the lbm series. Every series is a deterministic function of
@@ -193,7 +159,6 @@ func (r LbmResult) Format() string {
 func (r LbmResult) Artifact(opt Options) *Artifact {
 	a := NewArtifact("lbm", opt)
 	a.Params["steps"] = r.Steps
-	a.Params["lps"] = r.LPs
 	a.Params["cells"] = r.Cells.Prod()
 	a.Add("elapsed/blocking", "s", r.BlockingElapsed, DirLower)
 	a.Add("elapsed/overlap", "s", r.OverlapElapsed, DirLower)
@@ -203,13 +168,10 @@ func (r LbmResult) Artifact(opt Options) *Artifact {
 	a.Add("setup", "s", r.SetupTime, DirLower)
 	a.Add("mass_drift", "rel", r.MassDrift, DirLower)
 	a.Add("nu_rel_err", "rel", r.NuRelErr, DirLower)
-	bool01 := func(b bool) float64 {
-		if b {
-			return 1
-		}
-		return 0
+	identical := 0.0
+	if r.PhysicsIdentical {
+		identical = 1
 	}
-	a.Add("physics_identical", "bool", bool01(r.PhysicsIdentical), DirEqual)
-	a.Add("par_identical", "bool", bool01(r.ParIdentical), DirEqual)
+	a.Add("physics_identical", "bool", identical, DirEqual)
 	return a
 }

@@ -208,11 +208,8 @@ type RunSpec struct {
 	// Restart, when non-nil, resumes the run from a checkpoint snapshot;
 	// its box must match the one the workload derives.
 	Restart *restart.Snapshot
-	// ParallelLPs is the number of logical processes (node blocks) the
-	// fabric's communication rounds are sharded into; <= 1 is one LP. The
-	// LPs drain one after another on the caller, so the count only changes
-	// how the engine profile splits the events: results are bit-identical at
-	// every count.
+	// ParallelLPs is inert: nothing reads it. It is kept only because the
+	// frozen benchmark harness sets it.
 	ParallelLPs int
 }
 
@@ -296,10 +293,6 @@ func Start(spec RunSpec) (*Running, error) {
 	}
 	if spec.Faults.Enabled() {
 		s.SetFaults(faultinject.New(spec.Faults))
-	}
-	if err := s.SetParallel(spec.ParallelLPs); err != nil {
-		s.Close()
-		return nil, err
 	}
 	return &Running{spec: spec, cfg: cfg, s: s, steps: steps}, nil
 }

@@ -41,17 +41,14 @@ type ModelSpec struct {
 	// Met, when non-nil, aggregates fabric counters/histograms of the
 	// modeled rounds.
 	Met *metrics.Registry
-	// LPs is the number of logical processes (node blocks) the fabric
-	// rounds are sharded into (LPs <= 1: one LP). The LPs drain one after
-	// another on the caller, so the count only changes how Stats splits the
-	// events: results are bit-identical at every count.
+	// LPs is inert: nothing reads it. It is kept only because the frozen
+	// benchmark harness sets it.
 	LPs int
-	// Stats, when non-nil, receives the engine's cumulative per-LP profile
-	// after the run.
+	// Stats, when non-nil, receives the fabric's event count after the run.
 	Stats *des.ParallelStats
 }
 
-// captureStats copies the fabric's engine profile into spec.Stats.
+// captureStats copies the fabric's event count into spec.Stats.
 func (spec ModelSpec) captureStats(fab *tofu.Fabric) {
 	if spec.Stats != nil {
 		*spec.Stats, _ = fab.ParallelStats()
@@ -118,8 +115,8 @@ type modelSetup struct {
 }
 
 // setup defaults the tile, builds the machine in the spec's placement mode
-// and a fabric carrying the spec's recorder, metrics and engine settings,
-// and derives the per-rank geometry and the halo plan.
+// and a fabric carrying the spec's recorder and metrics, and derives the
+// per-rank geometry and the halo plan.
 func (spec *ModelSpec) setup() (*modelSetup, error) {
 	if spec.TileShape == (vec.I3{}) {
 		spec.TileShape = DefaultTile(spec.FullShape, 512)
@@ -135,9 +132,6 @@ func (spec *ModelSpec) setup() (*modelSetup, error) {
 	fab := tofu.NewFabric(m.Map, m.Params)
 	fab.Rec = spec.Rec
 	fab.SetMetrics(spec.Met)
-	if err := fab.SetParallel(spec.LPs); err != nil {
-		return nil, err
-	}
 
 	kp := paramsFor(spec.Kind)
 	ms := &modelSetup{v: spec.Variant, m: m, fab: fab, kp: kp,

@@ -4,13 +4,11 @@
 // resources (TNIs, links) are acquired in correct global time order
 // regardless of how the caller enumerated the messages.
 //
-// ParallelEngine (parallel.go) is the engine the simulator runs on: the
-// event loop sharded into 1..N independent logical processes, drained one
-// after another by the same serial loop on the calling goroutine. Each LP
-// queues its events in a run queue keyed (time, seq) (runq.go): FIFO runs of
-// same-time events under a small heap.
-// Engine — one clock, one binary heap of events under the full key, one
-// goroutine — is the reference both are held to; see the type's comment.
+// Queue (queue.go) is the engine the simulator runs on: one clock and one
+// run queue keyed (time, seq) (runq.go), FIFO runs of same-time events under
+// a small heap, drained on the calling goroutine. Engine — one clock, one
+// binary heap of events under the full key — is the reference it is held
+// to; see the type's comment.
 package des
 
 import "fmt"
@@ -18,12 +16,12 @@ import "fmt"
 // event is a scheduled callback or a scheduled tag. The ordering key is the
 // full tuple (time, sendTime, src, seq): time is when the event fires,
 // sendTime is the scheduler's clock at the moment it called Schedule, src is
-// the scheduling logical process (always 0 for the serial Engine) and seq is
-// the scheduler's per-LP scheduling counter.
+// the scheduling process (always 0 for the Engine) and seq is the
+// scheduler's scheduling counter.
 //
 // fn == nil marks a tagged event: the engine hands tag to the handler its
-// owner registered (ParallelEngine.SetHandler) instead of calling a closure,
-// so scheduling one allocates nothing. tag sits in the four bytes that were
+// owner registered (Queue.SetHandler) instead of calling a closure, so
+// scheduling one allocates nothing. tag sits in the four bytes that were
 // padding after src, which keeps the struct at 40 bytes: every sift step
 // moves whole events, and a wider one measured slower on both the closure
 // and the tagged path (TestEventIs40Bytes pins the size).
@@ -31,11 +29,11 @@ import "fmt"
 // On one clock this collapses to the order (time, seq): src is constant and
 // sendTime is non-decreasing in seq (the clock never rewinds), so comparing
 // (time, sendTime, src, seq) and (time, seq) yields the same total order.
-// No event crosses LPs, so an LP's run queue (runq.go) keys on (time, seq)
-// alone and keeps its events as 16-byte slots; this 40-byte event and its
-// heap serve the reference Engine, which TestRunQueueMatchesHeap holds the
-// run queue to. The fabric's post-drain completion sweep orders deliveries
-// from every LP by a key of the same shape (tofu.completionOrder).
+// The Queue's run queue (runq.go) therefore keys on (time, seq) alone and
+// keeps its events as 16-byte slots; this 40-byte event and its heap serve
+// the reference Engine, which TestRunQueueMatchesHeap holds the run queue
+// to. The fabric's post-drain completion sweep orders deliveries by a key
+// of the same shape (tofu.completionOrder).
 type event struct {
 	time     float64
 	sendTime float64
@@ -144,11 +142,11 @@ func (e *BudgetError) Error() string {
 }
 
 // Engine is the reference virtual-time event loop: the independent anchor
-// the Engine-vs-ParallelEngine property tests (parallel_test.go) compare
-// against, and the target of the benchmark harness's des.ns_per_event probe.
-// It has no production caller — the fabric runs every round on
-// ParallelEngine. The zero value is ready to use with the clock at 0.
-// Engines are not safe for concurrent use.
+// the Engine-vs-Queue property tests (queue_test.go) compare against, and
+// the target of the benchmark harness's des.ns_per_event probe. It has no
+// production caller — the fabric runs every round on a Queue. The zero
+// value is ready to use with the clock at 0. Engines are not safe for
+// concurrent use.
 type Engine struct {
 	now float64
 	seq uint64

@@ -1,12 +1,12 @@
 package des
 
-// This file implements the event queue of a ParallelEngine LP: a run queue.
+// This file implements the Queue's event queue: a run queue.
 //
-// An LP's events are ordered by the key (time, seq). That is the Engine's
+// A Queue's events are ordered by the key (time, seq). That is the Engine's
 // full key (time, sendTime, src, seq) with two components dropped, and the
-// order is the same: no event crosses LPs, so src is the LP's own index on
-// every event, and sendTime is the LP's clock when the event was scheduled,
-// which never decreases while seq counts up (Reset rewinds both together).
+// order is the same: there is one scheduler, so src is the same on every
+// event, and sendTime is the clock when the event was scheduled, which never
+// decreases while seq counts up (Reset rewinds both together).
 //
 // The fabric schedules in long bursts at one time: a round's transmit events
 // pile up at a handful of distinct times, and nearly every push lands at the
@@ -46,7 +46,7 @@ type run struct {
 // none ends a slot or run list.
 const none int32 = -1
 
-// runQueue is an LP's event queue; call reset before first use.
+// runQueue is a Queue's event queue; call reset before first use.
 type runQueue struct {
 	slots    []qslot
 	freeSlot int32

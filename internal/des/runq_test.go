@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// TestRunQueueMatchesHeap drives an LP's run queue and the Engine's heap with
-// the same interleavings of push and pop and requires the same pop sequence.
-// The heap gets the full key (time, sendTime, src, seq) with sendTime the
-// clock of an LP that advances to each popped time, so the test holds the
+// TestRunQueueMatchesHeap drives a Queue's run queue and the Engine's heap
+// with the same interleavings of push and pop and requires the same pop
+// sequence. The heap gets the full key (time, sendTime, src, seq) with
+// sendTime a clock that advances to each popped time, so the test holds the
 // key collapse to (time, seq) as well as the run structure. Nine pushes in
 // ten land on a coarse grid of offsets from the clock, in bursts at one
 // time, so ties dominate and one time recurs across several runs.
@@ -70,59 +70,49 @@ func TestRunQueueMatchesHeap(t *testing.T) {
 	}
 }
 
-// Regression (the LP counterpart of TestPopReleasesEventClosure): a popped
-// event's closure must not stay reachable from the LP's slot arena.
+// Regression (the Queue counterpart of TestPopReleasesEventClosure): a
+// popped event's closure must not stay reachable from the slot arena.
 func TestLPPopReleasesEventClosure(t *testing.T) {
-	p, err := NewParallel(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := NewQueue()
 	var wait func() bool
 	func() {
 		payload := new([1 << 20]byte)
 		wait = collected(payload)
-		p.LP(0).Schedule(1, func() { _ = payload[0] })
+		q.Schedule(1, func() { _ = payload[0] })
 	}()
-	p.Run()
+	q.Run()
 	if !wait() {
-		t.Errorf("popped event closure still reachable after Run (pending=%d)", p.Pending())
+		t.Errorf("popped event closure still reachable after Run (pending=%d)", q.Pending())
 	}
 }
 
-// Regression (the LP counterpart of TestResetReleasesAbandonedEvents): Reset
-// must drop the closures of events abandoned mid-round.
+// Regression (the Queue counterpart of TestResetReleasesAbandonedEvents):
+// Reset must drop the closures of events abandoned mid-round.
 func TestLPResetReleasesAbandonedEvents(t *testing.T) {
-	p, err := NewParallel(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := NewQueue()
 	var wait func() bool
 	func() {
 		payload := new([1 << 20]byte)
 		wait = collected(payload)
-		p.LP(1).Schedule(1, func() { _ = payload[0] })
-		p.LP(1).Schedule(2, func() {})
+		q.Schedule(1, func() { _ = payload[0] })
+		q.Schedule(2, func() {})
 	}()
-	p.Reset()
+	q.Reset()
 	if !wait() {
-		t.Errorf("abandoned event closure still reachable after Reset (pending=%d)", p.Pending())
+		t.Errorf("abandoned event closure still reachable after Reset (pending=%d)", q.Pending())
 	}
 }
 
-// The LP counterpart of TestScheduleRunDoesNotAllocate: with warm arenas a
-// round of closure and tagged events allocates nothing. Each round spreads
+// The Queue counterpart of TestScheduleRunDoesNotAllocate: with warm arenas
+// a round of closure and tagged events allocates nothing. Each round spreads
 // long same-time runs over 64 distinct times, pushed out of time order, and
 // tagged chains that reschedule from inside the drain, so runs empty and are
 // recycled while others are still live.
 func TestLPScheduleRunDoesNotAllocate(t *testing.T) {
-	p, err := NewParallel(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := p.LP(0)
-	p.SetHandler(func(l *LP, tag uint32) {
+	q := NewQueue()
+	q.SetHandler(func(tag uint32) {
 		if tag > 0 {
-			if err := l.ScheduleTagAt(l.Now()+float64(tag&1), tag-1); err != nil {
+			if err := q.ScheduleTagAt(q.Now()+float64(tag&1), tag-1); err != nil {
 				t.Error(err)
 			}
 		}
@@ -133,17 +123,17 @@ func TestLPScheduleRunDoesNotAllocate(t *testing.T) {
 			tm := float64(j * 37 % 64)
 			for k := 0; k < 16; k++ {
 				if k%2 == 0 {
-					l.Schedule(tm, fn)
-				} else if err := l.ScheduleTagAt(tm, uint32(k)); err != nil {
+					q.Schedule(tm, fn)
+				} else if err := q.ScheduleTagAt(tm, uint32(k)); err != nil {
 					t.Error(err)
 				}
 			}
 		}
-		p.Run()
-		p.Reset()
+		q.Run()
+		q.Reset()
 	}
 	round()
 	if avg := testing.AllocsPerRun(50, round); avg != 0 {
-		t.Errorf("LP Schedule+Run allocates %.1f per round with warm arenas, want 0", avg)
+		t.Errorf("Queue Schedule+Run allocates %.1f per round with warm arenas, want 0", avg)
 	}
 }

@@ -334,8 +334,7 @@ type linkState struct {
 // (BeginRound is not concurrent with Judge), and within a round Judge is
 // called from the fabric's events, which the engine drains on one goroutine;
 // the lazy per-link cache is still mutex-protected. Determinism holds
-// because all draws on one link come from the LP owning the source rank, in
-// that LP's deterministic event order.
+// because all draws come in the queue's deterministic event order.
 type Model struct {
 	spec  Spec
 	root  *xrand.Source
@@ -457,8 +456,7 @@ func (m *Model) beginRoundLocked() {
 // link returns the (round, link) stream, creating it on first use. The
 // stream's first draw decides the link's degradation window for the round.
 // The cache lookup is locked, which keeps the Model safe to share; the draw
-// order on any single link is deterministic (one owning LP per source rank,
-// drained in event order).
+// order on any single link is deterministic (draws come in event order).
 func (m *Model) link(src, dst int) *linkState {
 	key := uint64(uint32(src))<<32 | uint64(uint32(dst))
 	m.mu.Lock()

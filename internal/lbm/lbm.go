@@ -198,10 +198,6 @@ func New(m *topo.RankMap, params tofu.Params, cost machine.CostModel, cfg Config
 // Ranks exposes the rank slice for diagnostics and tests.
 func (s *System) Ranks() []*Rank { return s.ranks }
 
-// SetParallel shards the fabric's rounds into lps logical processes (lps <=
-// 1: one LP). Results are bit-identical at every count.
-func (s *System) SetParallel(lps int) error { return s.fab.SetParallel(lps) }
-
 // ElapsedMax returns the slowest rank's virtual clock.
 func (s *System) ElapsedMax() float64 {
 	var t float64

@@ -156,42 +156,6 @@ func TestTransportsAgreeOnPhysics(t *testing.T) {
 	}
 }
 
-// TestSerialParallelBitIdentity holds the DES determinism contract on the
-// lattice workload: the parallel event engine must reproduce the serial
-// engine's distributions AND clocks bit-for-bit.
-func TestSerialParallelBitIdentity(t *testing.T) {
-	run := func(lps int) (uint64, []float64) {
-		s := testSystem(t, Config{Transport: halo.TransportUTofu})
-		if lps > 0 {
-			if err := s.SetParallel(lps); err != nil {
-				t.Fatal(err)
-			}
-		}
-		s.InitShearWave(0.01)
-		for i := 0; i < 10; i++ {
-			s.Step()
-		}
-		clocks := make([]float64, len(s.Ranks()))
-		for i, r := range s.Ranks() {
-			clocks[i] = r.Clock
-		}
-		return s.Fingerprint(), clocks
-	}
-	fpS, clS := run(0)
-	for _, lps := range []int{2, 4} {
-		fpP, clP := run(lps)
-		if fpS != fpP {
-			t.Errorf("%d LPs changed physics: %#x vs %#x", lps, fpS, fpP)
-		}
-		for i := range clS {
-			if clS[i] != clP[i] {
-				t.Errorf("%d LPs: rank %d clock %.17g vs serial %.17g", lps, i, clP[i], clS[i])
-				break
-			}
-		}
-	}
-}
-
 // TestSelfImageExchange exercises the one-rank-wide axis path (periodic
 // self copy instead of a fabric message) on a single-node tile.
 func TestSelfImageExchange(t *testing.T) {

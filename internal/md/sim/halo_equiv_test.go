@@ -6,7 +6,9 @@ package sim_test
 // on the monolithic internal/md/sim code (before the halo library existed)
 // on the Fig. 6 configuration — a 2x2x2-node tile, the Table 2 LJ system at
 // 16^3 cells, 20 steps — across the serial and parallel (1/2/4/8 LP) DES
-// engines, the uTofu and MPI transports, and fault injection on/off. Any
+// engines of that time, the uTofu and MPI transports, and fault injection
+// on/off. The LP pins now hold the fabric's SetParallel knob, which is
+// inert, to the same fingerprints. Any
 // drift in the decomposition, link-plan enumeration, resource balance,
 // round execution or buffer management shows up here as a changed clock sum
 // or position hash.
@@ -46,8 +48,8 @@ func equivPins() []equivPin {
 		optElapsed  = 0.0017530724999999974
 	)
 	return []equivPin{
-		// The optimized p2p/uTofu variant is bit-identical across every DES
-		// engine configuration (serial and 2/4/8 LPs).
+		// The optimized p2p/uTofu variant is bit-identical whatever
+		// SetParallel(2, 4 or 8) is given.
 		{"opt-serial", sim.Opt(), "", 0, core.LJ, 0, optClockSum, optPosHash, optElapsed},
 		{"opt-2lp", sim.Opt(), "", 2, core.LJ, 0, optClockSum, optPosHash, optElapsed},
 		{"opt-4lp", sim.Opt(), "", 4, core.LJ, 0, optClockSum, optPosHash, optElapsed},
@@ -59,7 +61,7 @@ func equivPins() []equivPin {
 		{"utofu-3stage", sim.UTofu3Stage(), "", 0, core.LJ, 0,
 			0.10818704636274543, 0xb4bcede66d7c07, 0.0033876897931372644},
 		// Fault injection perturbs timing (retransmits) but not physics, and
-		// stays bit-identical between the serial and parallel engines.
+		// SetParallel(4) changes neither.
 		{"opt-faults-serial", sim.Opt(), "drop=0.0001,seed=7", 0, core.LJ, 0,
 			0.056205977314705773, optPosHash, 0.0017578090666666637},
 		{"opt-faults-4lp", sim.Opt(), "drop=0.0001,seed=7", 4, core.LJ, 0,
@@ -125,7 +127,7 @@ func TestHaloRefactorEquivalence(t *testing.T) {
 				s.SetFaults(faultinject.New(spec))
 			}
 			if pin.lps > 1 {
-				if err := s.SetParallel(pin.lps); err != nil {
+				if err := s.FabricForTest().SetParallel(pin.lps); err != nil {
 					t.Fatal(err)
 				}
 			}

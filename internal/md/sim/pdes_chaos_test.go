@@ -8,10 +8,10 @@ import (
 	"tofumd/internal/vec"
 )
 
-// TestChaosParallelEngineBitIdentical replays a faulty LJ melt on several
-// LPs: positions, velocities, energy, virtual time and fault counters must
-// match the one-LP serial loop bit-for-bit even while
-// drops and retransmissions reshuffle the event flow across LPs.
+// TestChaosParallelEngineBitIdentical replays a faulty LJ melt after the
+// fabric's inert SetParallel(4): positions, velocities, energy, virtual time
+// and fault counters must match the untouched run bit-for-bit while drops
+// and retransmissions reshuffle the event flow.
 func TestChaosParallelEngineBitIdentical(t *testing.T) {
 	spec := faultinject.Spec{Seed: 7, Drop: 1e-2}
 	run := func(lps int) ([]InitAtom, float64, float64, int64, int64) {
@@ -22,7 +22,7 @@ func TestChaosParallelEngineBitIdentical(t *testing.T) {
 		s.SetMetrics(reg)
 		s.SetFaults(faultinject.New(spec))
 		if lps > 1 {
-			if err := s.SetParallel(lps); err != nil {
+			if err := s.fab.SetParallel(lps); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -33,9 +33,9 @@ func TestChaosParallelEngineBitIdentical(t *testing.T) {
 	}
 	base, baseE, baseEl, baseRetr, baseDrop := run(1)
 	got, gotE, gotEl, gotRetr, gotDrop := run(4)
-	assertSamePhysics(t, "parallel 4 LPs", base, got, baseE, gotE)
+	assertSamePhysics(t, "SetParallel(4)", base, got, baseE, gotE)
 	if gotEl != baseEl {
-		t.Errorf("elapsed differs: parallel %v != serial %v", gotEl, baseEl)
+		t.Errorf("elapsed differs: SetParallel(4) %v != untouched %v", gotEl, baseEl)
 	}
 	if gotRetr != baseRetr || gotDrop != baseDrop {
 		t.Errorf("fault counters differ: retr %d/%d drops %d/%d", gotRetr, baseRetr, gotDrop, baseDrop)

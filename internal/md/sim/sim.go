@@ -172,6 +172,9 @@ type Simulation struct {
 	// border/neighbor/force), kept out of the per-step breakdown as LAMMPS
 	// does.
 	SetupTime float64
+	// setupEvents is the fabric's event count at the end of setup, which
+	// ParallelStats leaves out the same way.
+	setupEvents int64
 	// Thermo holds the recorded outputs.
 	Thermo []ThermoSample
 	// lastDangerous counts check-yes rebuild triggers.
@@ -250,6 +253,8 @@ func New(m *Machine, v Variant, cfg Config) (*Simulation, error) {
 		return nil, err
 	}
 	s.setupRun()
+	st, _ := s.fab.ParallelStats()
+	s.setupEvents = st.TotalEvents()
 	return s, nil
 }
 
@@ -288,18 +293,12 @@ func (s *Simulation) SetFaults(m *faultinject.Model) {
 	s.fab.Faults = m
 }
 
-// SetParallel shards every subsequent communication round into lps logical
-// processes of the fabric's event engine (lps <= 1: one LP) and restarts
-// the engine profile. Results are bit-identical at every
-// count; call it any time between rounds.
-func (s *Simulation) SetParallel(lps int) error {
-	return s.fab.SetParallel(lps)
-}
-
-// ParallelStats returns the event engine's cumulative per-LP profile; ok is
+// ParallelStats returns the events the fabric ran since setup ended; ok is
 // always true (see tofu.Fabric.ParallelStats).
 func (s *Simulation) ParallelStats() (des.ParallelStats, bool) {
-	return s.fab.ParallelStats()
+	st, ok := s.fab.ParallelStats()
+	st.Events -= s.setupEvents
+	return st, ok
 }
 
 // Health exposes the fail-stop health tracker for observability and tests.

@@ -156,27 +156,63 @@ func (p lostGhostForce) Compute(a *atom.Arrays, nl *neighbor.List) potential.Res
 	return res
 }
 
+// flippedPairSign stands in for a sign error in a pair's reaction force:
+// after the wrapped potential computes, the first listed pair with a
+// nonzero force has that force added to j once more, so it lands on both
+// atoms with the same sign.
+type flippedPairSign struct{ potential.Pair }
+
+func (p flippedPairSign) Compute(a *atom.Arrays, nl *neighbor.List) potential.Result {
+	res := p.Pair.Compute(a, nl)
+	saved := slices.Clone(a.F)
+	for i := 0; i < a.NLocal; i++ {
+		for _, j := range nl.NeighborsOf(i) {
+			// The pair's force on i, from a list holding only that pair.
+			one := &neighbor.List{Mode: nl.Mode, Start: make([]int32, len(nl.Start)), Neigh: []int32{j}}
+			for k := i + 1; k < len(one.Start); k++ {
+				one.Start[k] = 1
+			}
+			clear(a.F)
+			p.Pair.Compute(a, one)
+			f := a.F[i]
+			copy(a.F, saved)
+			if f != (vec.V3{}) {
+				a.F[j] = a.F[j].Add(f.Scale(2))
+				return res
+			}
+		}
+	}
+	return res
+}
+
+// checkFails asserts that the named row rejects reading and names itself.
+func checkFails(t *testing.T, row, defect string, reading float64) {
+	t.Helper()
+	if err := oracle.Check(row, reading); err == nil || !strings.HasPrefix(err.Error(), "oracle "+row+":") {
+		t.Errorf("%s row missed the %s: %v", row, defect, err)
+	}
+}
+
 // TestOraclesCatchSeededDefect shows the oracles are not vacuous: under a
-// lost ghost force the momentum and LJ decomposition rows fail, each
-// naming itself.
+// lost ghost force the momentum, LJ decomposition and 10-step energy rows
+// fail, and under a flipped pair sign the momentum row fails, each naming
+// itself.
 func TestOraclesCatchSeededDefect(t *testing.T) {
 	cfg := ljConfig()
 	cfg.Potential = lostGhostForce{cfg.Potential}
 	_, drift := momentumDrift(t, cfg)
-	if err := oracle.Check("momentum", drift); err == nil || !strings.HasPrefix(err.Error(), "oracle momentum:") {
-		t.Errorf("momentum row missed the lost ghost force: %v", err)
-	}
-	if err := oracle.Check("decomp-lj-eam", decompDivergence(t, cfg)); err == nil || !strings.HasPrefix(err.Error(), "oracle decomp-lj-eam:") {
-		t.Errorf("decomp-lj-eam row missed the lost ghost force: %v", err)
-	}
-	// Energy drift over the first 10 steps stays inside its bound: that row
-	// alone would not catch this defect.
+	checkFails(t, "momentum", "lost ghost force", drift)
+	checkFails(t, "decomp-lj-eam", "lost ghost force", decompDivergence(t, cfg))
 	cfg.ThermoEvery = 0
 	s := newSim(t, Opt(), cfg)
 	e0 := s.TotalEnergyPerAtom()
 	s.Run(10)
-	d := math.Abs(s.TotalEnergyPerAtom() - e0)
-	t.Logf("under the defect: momentum drift %.2g; nve-lj-10 reads %.2g (clean 2.8e-4), check: %v", drift, d, oracle.Check("nve-lj-10", d))
+	checkFails(t, "nve-lj-10", "lost ghost force", math.Abs(s.TotalEnergyPerAtom()-e0))
+
+	cfg = ljConfig()
+	cfg.Potential = flippedPairSign{cfg.Potential}
+	_, drift = momentumDrift(t, cfg)
+	checkFails(t, "momentum", "flipped pair sign", drift)
 }
 
 // TestClockMonotonicity: virtual clocks never move backwards through any

@@ -23,7 +23,7 @@ import (
 // globally last-finishing segment, always following the predecessor that
 // finished latest, yields the longest dependency chain through the round in
 // virtual time — the critical path. No amount of additional parallelism
-// (more LPs, more TNIs, more threads) can push the round below the path's
+// (more TNIs, more threads) can push the round below the path's
 // span, so TotalWork/PathWork is an Amdahl-style upper bound on achievable
 // speedup, and the segments preceded by the largest slack are where the
 // path is loosest — the first places to look for overlap opportunities.
@@ -316,21 +316,15 @@ func StageShares(spans []trace.SpanEvent) ([]string, []float64) {
 	return names, vals
 }
 
-// Explain renders the full scaling-diagnosis report: the engine's per-LP
-// profile (stats may be nil when the caller has none),
-// the MD stage-span shares when recorded, and the critical path of the
-// recorded messages. rec may be nil (no tracing); topK bounds the slack
-// listing.
+// Explain renders the full scaling-diagnosis report: the event queue's
+// total (stats may be nil when the caller has none), the MD stage-span
+// shares when recorded, and the critical path of the recorded messages. rec
+// may be nil (no tracing); topK bounds the slack listing.
 func Explain(stats *des.ParallelStats, rec *trace.Recorder, topK int) string {
 	msgs := rec.Messages()
 	var sb strings.Builder
-	if stats != nil && len(stats.LPs) > 0 {
-		fmt.Fprintf(&sb, "Parallel engine: %d LPs, %d events\n", len(stats.LPs), stats.TotalEvents())
-		fmt.Fprintf(&sb, "  lp    | events\n")
-		for _, lp := range stats.LPs {
-			fmt.Fprintf(&sb, "  %-5d | %d\n", lp.LP, lp.Events)
-		}
-		sb.WriteString("\n")
+	if stats != nil {
+		fmt.Fprintf(&sb, "Event queue: %d events\n\n", stats.TotalEvents())
 	}
 	if names, vals := StageShares(rec.Spans()); len(names) > 0 {
 		sb.WriteString("MD stage spans (rank-summed virtual ms): ")
@@ -351,17 +345,15 @@ func Explain(stats *des.ParallelStats, rec *trace.Recorder, topK int) string {
 	return sb.String()
 }
 
-// SampleLPCounters appends one counter sample per LP to rec at virtual time
-// t: the per-LP progress tracks of the Chrome export. Callers opt in
+// SampleLPCounters appends the event total to rec at virtual time t as one
+// sample of the Chrome export's "events" counter track. Callers opt in
 // explicitly (typically once per MD step from a run observer) — nothing in
-// the library emits these automatically, which is what keeps traces
+// the library emits it automatically, which is what keeps traces
 // byte-identical between profiled and unprofiled runs unless the caller
-// asks for the tracks.
+// asks for the track.
 func SampleLPCounters(rec *trace.Recorder, st des.ParallelStats, t float64) {
 	if rec == nil {
 		return
 	}
-	for _, lp := range st.LPs {
-		rec.Counter(fmt.Sprintf("lp%d events", lp.LP), t, float64(lp.Events))
-	}
+	rec.Counter("events", t, float64(st.TotalEvents()))
 }

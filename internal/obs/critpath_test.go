@@ -123,7 +123,7 @@ func TestAnalyzeDeterministic(t *testing.T) {
 
 func TestReportAndExplain(t *testing.T) {
 	msgs := []trace.MessageEvent{msg(0, 1, 0, 0, 0), msg(1, 0, 1, 0, 2e-6)}
-	st := &des.ParallelStats{LPs: []des.LPStats{{LP: 0, Events: 30}, {LP: 1, Events: 10}}}
+	st := &des.ParallelStats{Events: 40}
 	rec := trace.NewRecorder()
 	for _, m := range msgs {
 		rec.Message(m)
@@ -132,9 +132,8 @@ func TestReportAndExplain(t *testing.T) {
 	rec.Span(trace.SpanEvent{Rank: 0, Name: "border", Stage: "Comm", Step: 1, Start: 3e-6, End: 4e-6})
 	out := Explain(st, rec, 5)
 	for _, want := range []string{
-		"Parallel engine: 2 LPs, 40 events",
+		"Event queue: 40 events\n\n",
 		"Critical path over 2 messages",
-		"  1     | 10\n\n",
 		"MD stage spans",
 		"Pair",
 	} {
@@ -144,7 +143,7 @@ func TestReportAndExplain(t *testing.T) {
 	}
 	// Serial run: stats nil, still get the critical path.
 	out = Explain(nil, rec, 5)
-	if strings.Contains(out, "Parallel engine") || !strings.Contains(out, "Critical path") {
+	if strings.Contains(out, "Event queue") || !strings.Contains(out, "Critical path") {
 		t.Errorf("serial Explain wrong:\n%s", out)
 	}
 	// No trace: explain says so instead of crashing.
@@ -174,18 +173,15 @@ func TestStageShares(t *testing.T) {
 }
 
 func TestSampleLPCounters(t *testing.T) {
-	st := des.ParallelStats{LPs: []des.LPStats{{LP: 0, Events: 7}, {LP: 1, Events: 9}}}
+	st := des.ParallelStats{Events: 16}
 	rec := trace.NewRecorder()
 	SampleLPCounters(rec, st, 1e-6)
 	ctrs := rec.Counters()
-	if len(ctrs) != 2 {
-		t.Fatalf("counters = %d, want 2", len(ctrs))
+	if len(ctrs) != 1 {
+		t.Fatalf("counters = %d, want 1", len(ctrs))
 	}
-	if ctrs[0].Name != "lp0 events" || ctrs[0].Value != 7 {
-		t.Errorf("first sample = %+v", ctrs[0])
-	}
-	if ctrs[1].Name != "lp1 events" || ctrs[1].Value != 9 {
-		t.Errorf("last sample = %+v", ctrs[1])
+	if c := ctrs[0]; c.Name != "events" || c.Value != 16 || c.Time != 1e-6 {
+		t.Errorf("sample = %+v, want events = 16 at 1e-6", c)
 	}
 	// Nil recorder: no-op, no panic.
 	SampleLPCounters(nil, st, 1e-6)

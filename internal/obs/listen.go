@@ -8,7 +8,7 @@
 //     bound on achievable parallel speedup;
 //   - the live run-status HTTP endpoint (StatusServer), serving JSON
 //     snapshots of the metrics registry, health-tracker state, current
-//     step and per-LP engine progress while a run is in flight;
+//     step and event count while a run is in flight;
 //   - the shared bind-first HTTP listener helper (Listen/Serve) used by the
 //     -status and -pprof flags of the binaries.
 //
@@ -19,6 +19,18 @@ package obs
 import (
 	"net"
 	"net/http"
+	"time"
+)
+
+// The limits of every server Serve builds. A request body is capped at
+// maxBodyBytes: the endpoints read small JSON documents, and a handler that
+// reads past the cap gets an error instead of buffering an unbounded body.
+// There is no write timeout, because /debug/pprof/profile streams for as
+// long as its seconds argument asks.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxBodyBytes      = 1 << 20
 )
 
 // Listen binds addr (host:port; port 0 picks a free one) immediately and
@@ -36,9 +48,21 @@ func Listen(addr string) (net.Listener, string, error) {
 }
 
 // Serve serves h (nil means http.DefaultServeMux, where net/http/pprof
-// registers) on l until the listener closes, returning http.Serve's
+// registers) on l until the listener closes, returning the server's
 // terminal error. Callers typically run `go Serve(...)` after a successful
 // Listen and log the returned error.
 func Serve(l net.Listener, h http.Handler) error {
-	return http.Serve(l, h)
+	return newServer(h).Serve(l)
+}
+
+// newServer wraps h in the limits above.
+func newServer(h http.Handler) *http.Server {
+	if h == nil {
+		h = http.DefaultServeMux
+	}
+	return &http.Server{
+		Handler:           http.MaxBytesHandler(h, maxBodyBytes),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }

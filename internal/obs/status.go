@@ -11,7 +11,7 @@ import (
 )
 
 // The live run-status endpoint. A StatusServer holds the latest snapshot of
-// a run in flight — current step, per-LP engine progress, cached health
+// a run in flight — current step, event count, cached health
 // state — and serves it as JSON over HTTP. The run's driver goroutine pushes
 // updates at step boundaries via Observe; HTTP handler goroutines only read
 // the cached copy under the server's mutex, so nothing on the request path
@@ -24,16 +24,10 @@ import (
 // every method nil-checks the receiver first, so call sites wire it
 // unconditionally.
 
-// LPStatus is one LP's cumulative progress in a Status snapshot.
-type LPStatus struct {
-	LP     int   `json:"lp"`
-	Events int64 `json:"events"`
-}
-
-// EngineStatus is the event engine's progress in a Status snapshot. Absent
+// EngineStatus is the event queue's progress in a Status snapshot. Absent
 // (null) until the driver's first Observe with a profile.
 type EngineStatus struct {
-	LPs []LPStatus `json:"lps"`
+	Events int64 `json:"events"`
 }
 
 // HealthStatus is the cached health-tracker state in a Status snapshot.
@@ -122,10 +116,7 @@ func (s *StatusServer) Observe(step int, stats *des.ParallelStats, h *health.Tra
 	}
 	var eng *EngineStatus
 	if stats != nil {
-		eng = &EngineStatus{}
-		for _, lp := range stats.LPs {
-			eng.LPs = append(eng.LPs, LPStatus{LP: lp.LP, Events: lp.Events})
-		}
+		eng = &EngineStatus{Events: stats.TotalEvents()}
 	}
 	var hs *HealthStatus
 	if h.Enabled() {
@@ -163,7 +154,6 @@ func (s *StatusServer) Snapshot() Status {
 	}
 	if s.engine != nil {
 		e := *s.engine
-		e.LPs = append([]LPStatus(nil), s.engine.LPs...)
 		st.Engine = &e
 	}
 	if s.health != nil {

@@ -1,7 +1,11 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 
@@ -43,7 +47,7 @@ func TestStatusServerSnapshotAndHandler(t *testing.T) {
 	reg.Counter("fabric_msgs", "utofu").Add(42)
 	s.SetMetrics(reg)
 
-	stats := &des.ParallelStats{LPs: []des.LPStats{{LP: 0, Events: 30}, {LP: 1, Events: 20}}}
+	stats := &des.ParallelStats{Events: 50}
 	h := health.New(0, 0)
 	s.Observe(7, stats, h)
 
@@ -62,11 +66,8 @@ func TestStatusServerSnapshotAndHandler(t *testing.T) {
 	if st.Run != "mdsim" || st.Step != 7 || st.Steps != 100 || st.Done {
 		t.Errorf("header fields wrong: %+v", st)
 	}
-	if st.Engine == nil || len(st.Engine.LPs) != 2 {
+	if st.Engine == nil || st.Engine.Events != 50 {
 		t.Fatalf("engine section wrong: %+v", st.Engine)
-	}
-	if st.Engine.LPs[0].Events != 30 || st.Engine.LPs[1].LP != 1 || st.Engine.LPs[1].Events != 20 {
-		t.Errorf("lp rows wrong: %+v", st.Engine.LPs)
 	}
 	if st.Health == nil {
 		t.Fatal("health section missing despite tracker")
@@ -107,11 +108,11 @@ func TestStatusServerSerialRun(t *testing.T) {
 
 func TestStatusServerSnapshotIsCopy(t *testing.T) {
 	s := NewStatus("r")
-	s.Observe(1, &des.ParallelStats{LPs: []des.LPStats{{LP: 0, Events: 1}}}, nil)
+	s.Observe(1, &des.ParallelStats{Events: 1}, nil)
 	st := s.Snapshot()
-	st.Engine.LPs[0].Events = 999
-	if again := s.Snapshot(); again.Engine.LPs[0].Events != 1 {
-		t.Error("Snapshot aliases internal LP slice")
+	st.Engine.Events = 999
+	if again := s.Snapshot(); again.Engine.Events != 1 {
+		t.Error("Snapshot aliases the internal engine section")
 	}
 }
 
@@ -128,5 +129,42 @@ func TestListenBindFirst(t *testing.T) {
 	// whole point of bind-first is surfacing this to the caller.
 	if _, _, err := Listen(addr); err == nil {
 		t.Error("second bind of same address succeeded")
+	}
+}
+
+// The server Serve builds carries the header-read and idle timeouts but no
+// write timeout, and a handler reading a body past the cap gets an error.
+func TestServeLimits(t *testing.T) {
+	srv := newServer(nil)
+	if srv.ReadHeaderTimeout != readHeaderTimeout || srv.IdleTimeout != idleTimeout || srv.WriteTimeout != 0 {
+		t.Errorf("server timeouts: header %v idle %v write %v", srv.ReadHeaderTimeout, srv.IdleTimeout, srv.WriteTimeout)
+	}
+
+	ln, addr, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	readErr := make(chan error, 1)
+	done := make(chan error, 1)
+	go func() {
+		done <- Serve(ln, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			_, err := io.Copy(io.Discard, r.Body)
+			readErr <- err
+			if err != nil {
+				w.WriteHeader(http.StatusRequestEntityTooLarge)
+			}
+		}))
+	}()
+	resp, err := http.Post("http://"+addr+"/", "application/octet-stream", bytes.NewReader(make([]byte, 2<<20)))
+	if err == nil {
+		resp.Body.Close()
+	}
+	var mbe *http.MaxBytesError
+	if got := <-readErr; !errors.As(got, &mbe) || mbe.Limit != maxBodyBytes {
+		t.Errorf("reading a 2 MiB body: err = %v, want a MaxBytesError at %d", got, maxBodyBytes)
+	}
+	ln.Close()
+	if err := <-done; err == nil {
+		t.Error("Serve returned nil after its listener closed")
 	}
 }

@@ -22,7 +22,7 @@ var Rows = []Row{
 
 	// Energy.
 	{"nve-lj-10",
-		"NVE conserves total energy: over the LJ melt's first 10 steps, before any reneighbor, only velocity Verlet's O(dt²) error and the unshifted 2.5σ cutoff move it. Reads 2.8e-4 per atom, and 8.8e-4 under a lost ghost force (F[0] halved per rank), which momentum and decomp-lj-eam catch and this row does not.", 1e-3},
+		"NVE conserves total energy: over the LJ melt's first 10 steps, before any reneighbor, only velocity Verlet's O(dt²) error and the unshifted 2.5σ cutoff move it. Reads 2.8e-4 per atom at -cpu 1 and 4, and 8.8e-4 under a lost ghost force (F[0] halved per rank). The bound 5e-4 sits near their geometric mean, a factor 1.8 from each, so the clean run passes with margin and the defect fails.", 5e-4},
 	{"nve-lj-50",
 		"Over 50 steps the LAMMPS melt accrues the known drift of its unshifted cutoff and of pairs entering the cutoff between reneighbors (skin 0.3σ, every 20 steps): bounded, not zero. Reads 7.2e-3 per atom.", 2e-2},
 	{"nve-eam-20",
@@ -36,7 +36,7 @@ var Rows = []Row{
 
 	// Momentum.
 	{"momentum",
-		"Pair forces obey Newton's third law in a periodic box, so net momentum is an exact invariant of velocity Verlet; over 40 LJ steps only summation rounding moves it: reads 1.5e-13. A lost ghost force (F[0] halved per rank) reads 4.2.", 1e-9},
+		"Pair forces obey Newton's third law in a periodic box, so net momentum is an exact invariant of velocity Verlet; over 40 LJ steps only summation rounding moves it: reads 1.5e-13. A lost ghost force (F[0] halved per rank) reads 4.2, and one pair's force landing on both atoms with the same sign reads 8.8.", 1e-9},
 	{"momentum-initial",
 		"Velocity initialization subtracts the net momentum, so the melt starts at rest up to rounding: reads 2.2e-13.", 1e-9},
 	{"tersoff-net-force",

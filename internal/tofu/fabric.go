@@ -77,13 +77,10 @@ func (tr *Transfer) Failed() bool { return tr.Dropped || tr.Nacked }
 // timing of message rounds. A Fabric is not safe for concurrent rounds; the
 // bulk-synchronous simulation runs rounds one at a time.
 //
-// Every round runs on a des.ParallelEngine: one logical process by default,
-// or the node blocks SetParallel shards the fabric into, drained one after
-// another on the caller. Results are bit-identical at every LP count,
-// because all per-round mutable state the events touch is partitioned by the
-// node that owns it and no event crosses LPs: receive completions, the one
-// cross-node effect, are applied after the engine drains, in the order their
-// events would have run.
+// Every round drains one des.Queue on the caller: the issue and transmit
+// events of every rank's threads, in (time, seq) order. Receive completions,
+// the one cross-node effect, are applied after the queue drains, in the
+// order their events would have run.
 type Fabric struct {
 	Params Params
 	Map    *topo.RankMap
@@ -103,11 +100,9 @@ type Fabric struct {
 	// met caches metric handles (see SetMetrics); nil when metrics are off.
 	met *fabricMetrics
 
-	// par is the event engine, rebuilt by SetParallel; never nil. The fabric
-	// schedules only tagged events on it, executed by handle.
-	par *des.ParallelEngine
-	// lpOfRank maps each rank to the LP owning its node.
-	lpOfRank []int32
+	// q is the event queue every round drains. The fabric schedules only
+	// tagged events on it, executed by handle.
+	q *des.Queue
 	// nodeOfRank[r] is the node hosting rank r and nodeCoord[n] the torus
 	// coordinate of node n: the rank map's answers, tabulated once.
 	nodeOfRank []int32
@@ -115,8 +110,6 @@ type Fabric struct {
 
 	// tniFree[node*TNIsPerNode+tni] is the time the TNI engine frees up;
 	// tniLastVCQ tracks the last VCQ served per TNI (unused slot = -1).
-	// Indexed by node, so each slot is only touched by the LP owning that
-	// node.
 	tniFree    []float64
 	tniLastVCQ []int
 
@@ -125,9 +118,7 @@ type Fabric struct {
 
 	// The fields below are the state of the round in flight, rebuilt by every
 	// RunRound in storage that is kept between rounds. A (rank, thread) pair
-	// is the slot rank*threads+thread; a slot's entries are only touched by
-	// events executing on the LP that owns the rank, or by the completion
-	// sweep once the engine has drained.
+	// is the slot rank*threads+thread.
 	round               []*Transfer
 	iface               Interface
 	gap, sendOv, recvOv float64
@@ -140,8 +131,8 @@ type Fabric struct {
 	fifo  []int32
 	head  []int32
 	// sent counts the deliveries the round has transmitted so far, and
-	// sentKey[idx] is transfer idx's place in that sequence: the (src LP,
-	// seq) tail of the completion's ordering key (see transmit).
+	// sentKey[idx] is transfer idx's place in that sequence: the seq tail of
+	// the completion's ordering key (see transmit).
 	sent    uint64
 	sentKey []uint64
 	// recvs holds the deliveries grouped by receive context (the completion
@@ -152,19 +143,19 @@ type Fabric struct {
 
 	// msgEvs/msgSet buffer one MessageEvent per transfer index during a
 	// round (only while Rec is enabled, which tracing records). The issue and
-	// transmit events of a transfer fill its slot on the source LP; the
-	// completion sweep or the failure path marks it set. The buffered events
-	// are flushed to Rec in transfer order after the round, making trace
-	// output independent of the LP count and of event order.
+	// transmit events of a transfer fill its slot; the completion sweep or
+	// the failure path marks it set. The buffered events are flushed to Rec
+	// in transfer order after the round, making trace output independent of
+	// event order.
 	tracing bool
 	msgEvs  []trace.MessageEvent
 	msgSet  []bool
 }
 
 // completion is one delivery in the completion sweep, carrying the key its
-// receive event would have been ordered by: (Arrival, IssueDone, src LP,
-// seq), with IssueDone the time of the event that transmitted it and key
-// the round-wide transmit ordinal that stands for (src LP, seq).
+// receive event would have been ordered by: (Arrival, IssueDone, seq), with
+// IssueDone the time of the event that transmitted it and key the round's
+// transmit ordinal that stands for seq.
 type completion struct {
 	arrival, issueDone float64
 	key                uint64
@@ -196,11 +187,6 @@ type fabricMetrics struct {
 	// abandoned counts events a round left undrained (see RunRound); any
 	// nonzero value is a fabric bug surfaced instead of silently dropped.
 	abandoned *metrics.Counter
-	// reg backs the lazily-sized per-LP engine gauges (publishLPStats): the
-	// LP count is not known at SetMetrics time.
-	reg *metrics.Registry
-	// lpEvents are the per-LP event gauges, indexed by LP.
-	lpEvents []*metrics.Gauge
 	// tally batches the per-transfer updates of msgs, bytes, switches and
 	// hops through a round (see publishTally).
 	tally tally
@@ -238,29 +224,9 @@ func (f *Fabric) SetMetrics(reg *metrics.Registry) {
 	m.nacks = reg.Counter("fabric_faults", "nacks")
 	m.faultStalls = reg.Counter("fabric_faults", "stalls")
 	m.abandoned = reg.Counter("des_abandoned_events", "total")
-	m.reg = reg
 	n := f.Params.TNIsPerNode
 	m.tally = tally{msgs: make([]int64, n), bytes: make([]int64, n), switches: make([]int64, n)}
 	f.met = m
-}
-
-// publishLPStats exports the engine's cumulative per-LP event counts into
-// the registry after a round as des_lp_events. Gauges carry cumulative
-// values, so scraping them mid-run (the -status endpoint) shows monotone
-// progress. Metrics only observe the counts; they never feed back into
-// virtual time.
-func (f *Fabric) publishLPStats() {
-	if f.met == nil {
-		return
-	}
-	st := f.par.Stats()
-	m := f.met
-	for len(m.lpEvents) < len(st.LPs) {
-		m.lpEvents = append(m.lpEvents, m.reg.Gauge("des_lp_events", fmt.Sprintf("lp%d", len(m.lpEvents))))
-	}
-	for i, lp := range st.LPs {
-		m.lpEvents[i].Set(float64(lp.Events))
-	}
 }
 
 // publishTally adds the round's tally to the registry and zeroes it.
@@ -292,18 +258,19 @@ func (f *Fabric) publishTally() {
 	}
 }
 
-// NewFabric builds a fabric over the rank map with the given parameters,
-// running rounds on one LP; see SetParallel.
+// NewFabric builds a fabric over the rank map with the given parameters.
 func NewFabric(m *topo.RankMap, p Params) *Fabric {
 	nodes := m.Torus.Nodes()
 	f := &Fabric{
 		Params:     p,
 		Map:        m,
+		q:          des.NewQueue(),
 		nodeOfRank: make([]int32, m.Ranks()),
 		nodeCoord:  make([]vec.I3, nodes),
 		tniFree:    make([]float64, nodes*p.TNIsPerNode),
 		tniLastVCQ: make([]int, nodes*p.TNIsPerNode),
 	}
+	f.q.SetHandler(f.handle)
 	for r := range f.nodeOfRank {
 		node, _ := m.NodeOf(r)
 		f.nodeOfRank[r] = int32(node)
@@ -311,45 +278,20 @@ func NewFabric(m *topo.RankMap, p Params) *Fabric {
 	for n := range f.nodeCoord {
 		f.nodeCoord[n] = m.Torus.CoordOf(n)
 	}
-	if err := f.SetParallel(1); err != nil {
-		panic("tofu: " + err.Error())
-	}
 	return f
 }
 
-// SetParallel partitions the nodes into lps contiguous blocks, one logical
-// process each, for subsequent rounds; lps <= 1 means one LP. Every round
-// drains the LPs one after another on the caller, so the LP count only
-// changes how ParallelStats splits the events. lps is clamped to the node
-// count (an LP without nodes would have nothing to run). Results and the
-// per-LP profile (ParallelStats) are the same kind at every LP count; the
-// profile restarts from zero.
-func (f *Fabric) SetParallel(lps int) error {
-	nodes := f.Map.Torus.Nodes()
-	lps = min(max(lps, 1), nodes)
-	par, err := des.NewParallel(lps)
-	if err != nil {
-		return err
-	}
-	par.SetHandler(f.handle)
-	f.par = par
-	f.lpOfRank = make([]int32, len(f.nodeOfRank))
-	for r, node := range f.nodeOfRank {
-		f.lpOfRank[r] = int32(int(node) * lps / nodes)
-	}
-	return nil
-}
+// SetParallel is inert: it changes nothing and returns nil. Rounds drain one
+// queue whatever lps is; the method is kept only because the frozen
+// benchmark harness compiles against it.
+func (f *Fabric) SetParallel(lps int) error { return nil }
 
-// ParallelStats snapshots the engine's cumulative per-LP profile. ok is
-// always true: every fabric runs on LPs, and the two-value signature is
-// what the frozen benchmark harness compiles against. Safe to call while a
-// round is in flight.
+// ParallelStats snapshots the queue's cumulative event count. ok is always
+// true; the two-value signature is what the frozen benchmark harness
+// compiles against. Safe to call while a round is in flight.
 func (f *Fabric) ParallelStats() (des.ParallelStats, bool) {
-	return f.par.Stats(), true
+	return f.q.Stats(), true
 }
-
-// Parallel returns the number of logical processes rounds run on.
-func (f *Fabric) Parallel() int { return f.par.LPs() }
 
 // Transfers returns n zeroed transfer records for the caller to fill and
 // hand to RunRound. They live in a slab the fabric owns and are valid until
@@ -370,32 +312,31 @@ func (f *Fabric) hops(srcNode, dstNode int32) int {
 // packTag packs an event kind and its slot or transfer index.
 func packTag(idx int, kind uint32) uint32 { return uint32(idx)<<1 | kind }
 
-// schedule puts a tagged event on c, the LP executing the current event (or,
-// for the inline seeds, the LP owning the slot). Every time the fabric
-// computes is monotone by construction (costs are non-negative), so a past
-// time is an arithmetic bug worth crashing on.
-func (f *Fabric) schedule(c *des.LP, t float64, tag uint32) {
-	if err := c.ScheduleTagAt(t, tag); err != nil {
+// schedule puts a tagged event on the queue. Every time the fabric computes
+// is monotone by construction (costs are non-negative), so a past time is an
+// arithmetic bug worth crashing on.
+func (f *Fabric) schedule(t float64, tag uint32) {
+	if err := f.q.ScheduleTagAt(t, tag); err != nil {
 		panic("tofu: " + err.Error())
 	}
 }
 
-// handle executes one of the fabric's events on c, the LP it was scheduled
-// on; it is the engine's tag handler.
+// handle executes one of the fabric's events; it is the queue's tag
+// handler.
 //
 // A transmit event also runs its thread's next issue. Scheduled apart, the
-// two would share time and LP with consecutive seq, so no event could sort
-// between them in the LP's key (time, seq), and transmit schedules nothing:
+// two would share time with consecutive seq, so no event could sort between
+// them in the queue's key (time, seq), and transmit schedules nothing:
 // fused, they keep that order at one event per transfer instead of two.
-func (f *Fabric) handle(c *des.LP, tag uint32) {
+func (f *Fabric) handle(tag uint32) {
 	idx := int(tag >> 1)
 	if tag&1 == evIssue {
-		f.issue(c, idx)
+		f.issue(idx)
 		return
 	}
-	f.transmit(c, idx)
+	f.transmit(idx)
 	tr := f.round[idx]
-	f.issue(c, tr.Src*f.threads+tr.Thread)
+	f.issue(tr.Src*f.threads + tr.Thread)
 }
 
 // countAbandoned records events stranded in the engine.
@@ -450,8 +391,8 @@ func zeroed[T any](s []T, n int) []T {
 // respecting per-thread injection gaps, serialized on their TNI engines, and
 // routed across the torus. Timing outputs are written into the transfers.
 // Virtual time within the round starts at 0; ReadyAt values are relative to
-// the round start. The round is deterministic for a given transfer slice,
-// at every LP count. In steady state — no round larger than an earlier one,
+// the round start. The round is deterministic for a given transfer slice.
+// In steady state — no round larger than an earlier one,
 // metrics and Rec off — a round allocates nothing.
 //
 // RunRound returns an error when the event engine does not drain: events
@@ -465,11 +406,11 @@ func (f *Fabric) RunRound(transfers []*Transfer, iface Interface) error {
 		return nil
 	}
 	p := &f.Params
-	if n := f.par.Pending(); n != 0 {
+	if n := f.q.Pending(); n != 0 {
 		f.countAbandoned(n)
 		return fmt.Errorf("tofu: %d events stranded from a previous round at round start (%d abandoned)", n, n)
 	}
-	f.par.Reset()
+	f.q.Reset()
 	for i := range f.tniFree {
 		f.tniFree[i] = 0
 		f.tniLastVCQ[i] = -1
@@ -523,11 +464,11 @@ func (f *Fabric) RunRound(transfers []*Transfer, iface Interface) error {
 	copy(f.head, f.fifo)
 
 	// Start every thread inline, in ascending (rank, thread). As events the
-	// seeds would all sort first on their LP — key (0, seq) with everything
-	// they schedule later in seq — and LPs share no round state,
-	// so calling issue directly runs them in the same order.
+	// seeds would all sort first — key (0, seq) with everything they
+	// schedule later in seq — so calling issue directly runs them in the
+	// same order.
 	for k := 0; k < slots; k++ {
-		f.issue(f.par.LP(int(f.lpOfRank[k/threads])), k)
+		f.issue(k)
 	}
 	// Each transfer is exactly one transmit event (which also issues the
 	// thread's next command) plus at most one ready-wait, after which its
@@ -535,20 +476,19 @@ func (f *Fabric) RunRound(transfers []*Transfer, iface Interface) error {
 	// events, so reaching this budget means a scheduling cycle and stops
 	// what would otherwise be a livelock.
 	budget := 2*len(transfers) + 64
-	_, runErr := f.par.RunBudget(budget)
+	_, runErr := f.q.RunBudget(budget)
 	if runErr == nil {
 		f.complete(slots)
 	}
 	f.flushTrace()
 	f.publishTally()
-	f.publishLPStats()
 	f.round = nil
 	if runErr != nil {
-		n := f.par.Pending()
+		n := f.q.Pending()
 		f.countAbandoned(n)
 		return fmt.Errorf("tofu: round did not drain (%d events abandoned): %w", n, runErr)
 	}
-	if n := f.par.Pending(); n != 0 {
+	if n := f.q.Pending(); n != 0 {
 		f.countAbandoned(n)
 		return fmt.Errorf("tofu: %d events abandoned at end of round", n)
 	}
@@ -559,16 +499,16 @@ func (f *Fabric) RunRound(transfers []*Transfer, iface Interface) error {
 // FIFO's head and hands the command to the TNI engine, whose transmit event
 // issues the thread's next one. A head that is not packed yet stays in the
 // FIFO while the thread idles until its ReadyAt (a ready-wait event).
-func (f *Fabric) issue(c *des.LP, k int) {
+func (f *Fabric) issue(k int) {
 	pos := f.head[k]
 	if pos == f.fifo[k+1] {
 		return
 	}
 	idx := int(f.order[pos])
 	tr := f.round[idx]
-	start := c.Now()
+	start := f.q.Now()
 	if tr.ReadyAt > start {
-		f.schedule(c, tr.ReadyAt, packTag(k, evIssue))
+		f.schedule(tr.ReadyAt, packTag(k, evIssue))
 		return
 	}
 	f.head[k] = pos + 1
@@ -591,22 +531,20 @@ func (f *Fabric) issue(c *des.LP, k int) {
 	}
 	// Hand the command to the TNI engine at issue completion; the thread
 	// can issue its next message immediately after, in the same event.
-	f.schedule(c, done, packTag(idx, evTransmit))
+	f.schedule(done, packTag(idx, evTransmit))
 }
 
 // transmit serializes transfer idx on the source TNI engine and computes the
-// network arrival time. It executes on c, the LP owning the source rank;
-// the TNI slots of the source node and the transfer's trace slot it touches
-// are owned by that LP. A delivery is completed by the sweep after the round
+// network arrival time. A delivery is completed by the sweep after the round
 // (complete).
-func (f *Fabric) transmit(c *des.LP, idx int) {
+func (f *Fabric) transmit(idx int) {
 	p := &f.Params
 	tr := f.round[idx]
 	iface := f.iface
 	srcNode, dstNode := f.nodeOfRank[tr.Src], f.nodeOfRank[tr.Dst]
 	tni := int(srcNode)*p.TNIsPerNode + tr.TNI
 
-	txStart := c.Now()
+	txStart := f.q.Now()
 	if f.tniFree[tni] > txStart {
 		txStart = f.tniFree[tni]
 	}
@@ -725,11 +663,9 @@ func (f *Fabric) transmit(c *des.LP, idx int) {
 		return
 	}
 	// The delivery's place among the round's transmissions. As an event,
-	// its receive would carry the key tail (src LP, seq), seq counting this
-	// LP's transmissions. RunBudget drains LP i to empty before LP i+1
-	// starts, so a round-wide ordinal sorts every delivery of LP i before
-	// any of LP i+1 and keeps each LP's own order: the same order as
-	// (src LP, seq), up to a monotone renumbering.
+	// its receive would carry the key tail seq, which grows with every
+	// transmission: the ordinal is the same order, up to a monotone
+	// renumbering.
 	f.sentKey[idx] = f.sent
 	f.sent++
 }
@@ -749,7 +685,7 @@ func (f *Fabric) recvCtx(tr *Transfer) int {
 // completion touches only its context's free time and its own transfer, so
 // all that matters is the order within each context: the order the
 // completions would run in as events at their Arrival, sent from the
-// transmit event at IssueDone — (Arrival, IssueDone, src LP, seq). Ties on
+// transmit event at IssueDone — (Arrival, IssueDone, seq). Ties on
 // the times are common (homogeneous rounds), so the full key is needed.
 func (f *Fabric) complete(slots int) {
 	p := &f.Params

@@ -556,8 +556,7 @@ func TestRunRoundStallAndDegradeDelayOnly(t *testing.T) {
 
 // goldenRound is one round whose timing outputs are pinned bit for bit. The
 // hashes were captured at the commit before the fabric's round state moved
-// from maps and closures to dense slices and tagged events; they hold at
-// every LP count.
+// from maps and closures to dense slices and tagged events.
 type goldenRound struct {
 	name   string
 	iface  Interface
@@ -667,7 +666,7 @@ var goldenRounds = []goldenRound{
 }
 
 // TestGoldenRounds holds the fabric's virtual-time results to the pinned
-// bits on one, two and three LPs.
+// bits, after the inert SetParallel(1, 2 or 3).
 func TestGoldenRounds(t *testing.T) {
 	for _, g := range goldenRounds {
 		for _, lps := range []int{1, 2, 3} {
@@ -684,10 +683,10 @@ func TestGoldenRounds(t *testing.T) {
 			}
 			trs := g.mk(f)
 			if err := f.RunRound(trs, g.iface); err != nil {
-				t.Fatalf("%s at %d LPs: %v", g.name, lps, err)
+				t.Fatalf("%s after SetParallel(%d): %v", g.name, lps, err)
 			}
 			if got := roundHash(trs); got != g.want {
-				t.Errorf("%s at %d LPs: round hash %#016x, want %#016x", g.name, lps, got, g.want)
+				t.Errorf("%s after SetParallel(%d): round hash %#016x, want %#016x", g.name, lps, got, g.want)
 			}
 			if g.faults != "" {
 				failed := 0

@@ -17,12 +17,13 @@ import (
 // refFabric runs a round the way the fabric did with three event kinds per
 // transfer: a seed event per non-empty FIFO, issue and transmit as separate
 // events, and every delivery's receive completion as an arrive event. It
-// borrows a one-LP Fabric for the static tables, the round tables, the fault
-// model and the recorder, and takes over its engine's handler. The method
-// bodies are verbatim copies of that implementation; only the receiver type,
-// the tag-kind names and the arrive event's scheduling call differ: it was
-// sent to the LP owning the receive context, which on one LP is the sending
-// LP, so ScheduleTagAt schedules it identically.
+// borrows a Fabric for the static tables, the round tables, the fault model
+// and the recorder, and takes over its queue's handler. The method bodies
+// are verbatim copies of that implementation, which ran on one logical
+// process c of a sharded engine; only the type of c, the receiver type, the
+// tag-kind names and the arrive event's scheduling call differ: it was sent
+// to the process owning the receive context, which with one process is the
+// sending one, so ScheduleTagAt schedules it identically.
 type refFabric struct {
 	*Fabric
 	// recvFree[slot] is when the slot's receive context is free again.
@@ -37,25 +38,22 @@ const (
 
 const refMaxTagIndex = 1 << 30
 
-// newRefFabric wraps a fabric running on one LP.
+// newRefFabric wraps a fabric, taking over its queue.
 func newRefFabric(f *Fabric) *refFabric {
-	if f.Parallel() != 1 {
-		panic("tofu: the reference round runs on one LP")
-	}
 	r := &refFabric{Fabric: f}
-	f.par.SetHandler(r.handle)
+	f.q.SetHandler(func(tag uint32) { r.handle(f.q, tag) })
 	return r
 }
 
 func refPackTag(idx int, kind uint32) uint32 { return uint32(idx)<<2 | kind }
 
-func (f *refFabric) schedule(c *des.LP, t float64, tag uint32) {
+func (f *refFabric) schedule(c *des.Queue, t float64, tag uint32) {
 	if err := c.ScheduleTagAt(t, tag); err != nil {
 		panic("tofu: " + err.Error())
 	}
 }
 
-func (f *refFabric) handle(c *des.LP, tag uint32) {
+func (f *refFabric) handle(c *des.Queue, tag uint32) {
 	idx := int(tag >> 2)
 	switch tag & 3 {
 	case refIssue:
@@ -72,11 +70,11 @@ func (f *refFabric) RunRound(transfers []*Transfer, iface Interface) error {
 		return nil
 	}
 	p := &f.Params
-	if n := f.par.Pending(); n != 0 {
+	if n := f.q.Pending(); n != 0 {
 		f.countAbandoned(n)
 		return fmt.Errorf("tofu: %d events stranded from a previous round at round start (%d abandoned)", n, n)
 	}
-	f.par.Reset()
+	f.q.Reset()
 	for i := range f.tniFree {
 		f.tniFree[i] = 0
 		f.tniLastVCQ[i] = -1
@@ -127,28 +125,27 @@ func (f *refFabric) RunRound(transfers []*Transfer, iface Interface) error {
 	fifos := 0
 	for k := 0; k < slots; k++ {
 		if f.fifo[k] < f.fifo[k+1] {
-			f.schedule(f.par.LP(int(f.lpOfRank[k/threads])), 0, refPackTag(k, refIssue))
+			f.schedule(f.q, 0, refPackTag(k, refIssue))
 			fifos++
 		}
 	}
 	budget := 8*len(transfers) + 8*fifos + 64
-	_, runErr := f.par.RunBudget(budget)
+	_, runErr := f.q.RunBudget(budget)
 	f.flushTrace()
-	f.publishLPStats()
 	f.round = nil
 	if runErr != nil {
-		n := f.par.Pending()
+		n := f.q.Pending()
 		f.countAbandoned(n)
 		return fmt.Errorf("tofu: round did not drain (%d events abandoned): %w", n, runErr)
 	}
-	if n := f.par.Pending(); n != 0 {
+	if n := f.q.Pending(); n != 0 {
 		f.countAbandoned(n)
 		return fmt.Errorf("tofu: %d events abandoned at end of round", n)
 	}
 	return nil
 }
 
-func (f *refFabric) issue(c *des.LP, k int) {
+func (f *refFabric) issue(c *des.Queue, k int) {
 	pos := f.head[k]
 	if pos == f.fifo[k+1] {
 		return
@@ -180,7 +177,7 @@ func (f *refFabric) issue(c *des.LP, k int) {
 	f.schedule(c, done, refPackTag(k, refIssue))
 }
 
-func (f *refFabric) transmit(c *des.LP, idx int) {
+func (f *refFabric) transmit(c *des.Queue, idx int) {
 	p := &f.Params
 	tr := f.round[idx]
 	iface := f.iface
@@ -280,7 +277,7 @@ func (f *refFabric) transmit(c *des.LP, idx int) {
 	f.schedule(c, tr.Arrival, refPackTag(idx, refArrive))
 }
 
-func (f *refFabric) arrive(c *des.LP, idx int) {
+func (f *refFabric) arrive(c *des.Queue, idx int) {
 	p := &f.Params
 	tr := f.round[idx]
 	ctx := tr.Dst*f.threads + tr.DstThread
@@ -361,11 +358,11 @@ func randomRound(f *Fabric, c refCase, rng *rand.Rand) []*Transfer {
 	return out
 }
 
-// TestRoundMatchesReference holds the fabric's round on 1, 2 and 4 LPs to
-// the three-event reference on one LP bit for bit: every timing output,
-// every failure flag and the recorded trace, over several consecutive rounds
-// of one fabric (so retransmit-style reuse of the round tables and per-round
-// fault streams are covered too).
+// TestRoundMatchesReference holds the fabric's round, after the inert
+// SetParallel(1, 2 or 4), to the three-event reference bit for bit: every
+// timing output, every failure flag and the recorded trace, over several
+// consecutive rounds of one fabric (so retransmit-style reuse of the round
+// tables and per-round fault streams are covered too).
 func TestRoundMatchesReference(t *testing.T) {
 	staggered := []float64{0, 0, 0.2e-6, 0.5e-6, 1e-6, 3e-6}
 	cases := []refCase{
@@ -426,9 +423,10 @@ func TestRoundMatchesReference(t *testing.T) {
 	}
 }
 
-// TestRoundEventsPerTransfer pins the round's event count: with every
-// transfer packed at round start a fault-free round runs exactly one event
-// per transfer, and ready-waits add at most one more each.
+// TestRoundEventsPerTransfer pins the round's event count, after the inert
+// SetParallel(1, 2 or 4): with every transfer packed at round start a
+// fault-free round runs exactly one event per transfer, and ready-waits add
+// at most one more each.
 func TestRoundEventsPerTransfer(t *testing.T) {
 	for _, lps := range []int{1, 2, 4} {
 		f := testFabric(t, vec.I3{X: 3, Y: 2, Z: 2})
@@ -450,12 +448,12 @@ func TestRoundEventsPerTransfer(t *testing.T) {
 				tr.ReadyAt = 0
 			}
 			if got := events(trs, iface); got != int64(len(trs)) {
-				t.Errorf("%d LPs, %v: packed round ran %d events for %d transfers, want one each", lps, iface, got, len(trs))
+				t.Errorf("SetParallel(%d), %v: packed round ran %d events for %d transfers, want one each", lps, iface, got, len(trs))
 			}
 		}
 		trs := goldenRounds[0].mk(f) // staggered ReadyAt
 		if got := events(trs, IfaceUTofu); got <= int64(len(trs)) || got > 2*int64(len(trs)) {
-			t.Errorf("%d LPs: staggered round ran %d events for %d transfers, want more than one and at most two each", lps, got, len(trs))
+			t.Errorf("SetParallel(%d): staggered round ran %d events for %d transfers, want more than one and at most two each", lps, got, len(trs))
 		}
 	}
 }

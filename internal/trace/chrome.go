@@ -20,7 +20,7 @@ import (
 //   - one "fabric rounds" process for bulk-synchronous round and collective
 //     spans;
 //   - one "engine counters" process carrying counter tracks (Ph "C"), e.g.
-//     the per-LP progress counters of the scaling-diagnosis layer.
+//     the event count of the scaling-diagnosis layer.
 //
 // Timestamps are microseconds of virtual time, the unit the paper reports.
 

@@ -83,8 +83,8 @@ type InstantEvent struct {
 
 // CounterSample is one sample of a named counter track (a Ph "C" event in
 // the Chrome export): the track named Name has value Value at virtual time
-// Time. The scaling-diagnosis layer uses these for per-LP progress tracks
-// ("lp3 events" over virtual time).
+// Time. The scaling-diagnosis layer uses these for its progress track
+// ("events" over virtual time).
 type CounterSample struct {
 	Name  string
 	Time  float64
@@ -103,7 +103,7 @@ type CounterSample struct {
 // across runs must impose their own order — the fabric buffers one
 // MessageEvent per transfer slot (single writer each) during a round and
 // flushes them in transfer order afterwards, which is why fabric traces are
-// byte-identical across LP counts and repeat runs. Span and
+// byte-identical across repeat runs. Span and
 // counter emitters in the simulation layer run on the single driver
 // goroutine, so their order is the program order.
 type Recorder struct {

@@ -6,6 +6,7 @@ import (
 	"tofumd/internal/core"
 	"tofumd/internal/halo"
 	"tofumd/internal/md/sim"
+	"tofumd/internal/topo"
 	"tofumd/internal/trace"
 )
 
@@ -27,47 +28,42 @@ type AblationResult struct {
 	Rows []AblationRow
 }
 
-// Ablations runs the sweep on a medium LJ load (~195 atoms/rank): large
-// enough that the sub-box exceeds twice the ghost cutoff, so the
-// border-bin fast path engages (it cannot in the 65K geometry, where the
-// sub-box is barely one cutoff wide), yet small enough that communication
-// still dominates the baseline.
+// Ablations runs the sweep modeled on the whole 768-node torus with 600K LJ
+// atoms (~195 per rank): enough that the sub-box exceeds twice the ghost
+// cutoff, so the border-bin fast path engages (it cannot in the 65K
+// geometry, where the sub-box is barely one cutoff wide), yet few enough
+// that communication still dominates the baseline.
 func Ablations(opt Options) (AblationResult, error) {
-	steps := opt.steps(45)
-	workload := core.LJSmall()
-	workload.Name = "lj-600k"
-	workload.Atoms = 600_000
-	tile := opt.tileFor()
-
-	type variantMod struct {
+	full := core.LJSmall().FullShape
+	mods := []struct {
 		name   string
-		modify func(v *sim.Variant, spec *core.RunSpec)
-	}
-	mods := []variantMod{
-		{"opt (all on)", func(*sim.Variant, *core.RunSpec) {}},
-		{"- thread pool", func(v *sim.Variant, _ *core.RunSpec) {
-			v.CommThreads = 1
-			v.TNIPolicy = halo.TNIPerRankSlot
+		modify func(spec *core.ModelSpec)
+	}{
+		{"opt (all on)", func(*core.ModelSpec) {}},
+		{"- thread pool", func(s *core.ModelSpec) {
+			s.Variant.CommThreads = 1
+			s.Variant.TNIPolicy = halo.TNIPerRankSlot
 		}},
-		{"- preregistered", func(v *sim.Variant, _ *core.RunSpec) { v.Preregistered = false }},
-		{"- msg combine", func(v *sim.Variant, _ *core.RunSpec) { v.CombineLength = false }},
-		{"- border bins", func(v *sim.Variant, _ *core.RunSpec) { v.BorderBins = false }},
-		{"- topo map", func(_ *sim.Variant, spec *core.RunSpec) { spec.LinearMap = true }},
-		{"ref (all off)", func(v *sim.Variant, _ *core.RunSpec) { *v = sim.Ref() }},
+		{"- preregistered", func(s *core.ModelSpec) { s.Variant.Preregistered = false }},
+		{"- msg combine", func(s *core.ModelSpec) { s.Variant.CombineLength = false }},
+		{"- border bins", func(s *core.ModelSpec) { s.Variant.BorderBins = false }},
+		{"- topo map", func(s *core.ModelSpec) { s.LinearMap = true }},
+		{"ref (all off)", func(s *core.ModelSpec) { s.Variant = sim.Ref() }},
 	}
 
 	var out AblationResult
 	var optComm float64
 	for _, m := range mods {
-		v := sim.Opt()
-		spec := core.RunSpec{
-			Workload:  workload,
-			TileShape: tile,
-			Steps:     steps,
+		spec := core.ModelSpec{
+			Kind:         core.LJ,
+			Variant:      sim.Opt(),
+			FullShape:    full,
+			TileShape:    full,
+			AtomsPerRank: 600_000 / float64(full.Prod()*topo.DefaultBlock.Prod()),
+			Steps:        opt.steps(45),
 		}
-		m.modify(&v, &spec)
-		spec.Variant = v
-		res, err := core.Run(spec)
+		m.modify(&spec)
+		res, err := core.Modeled(spec)
 		if err != nil {
 			return out, fmt.Errorf("%s: %w", m.name, err)
 		}

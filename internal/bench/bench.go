@@ -17,17 +17,17 @@ import (
 
 // Options tunes experiment sizes.
 type Options struct {
-	// Full runs paper-scale parameters (768-node tiles, 99+ steps, 50K-step
-	// accuracy traces). Default is a scaled-down configuration preserving
-	// per-rank loads.
+	// Full runs paper-scale parameters (768-node functional tiles, larger
+	// Fig. 13/14 model tiles, 99-step Fig. 12, 50K-step accuracy traces).
+	// Default is a scaled-down configuration preserving per-rank loads.
 	Full bool
 	// Steps overrides the default step count when non-zero.
 	Steps int
-	// Rec, when non-nil, collects trace events from the experiments that
-	// exercise the fabric (Fig. 6, Fig. 8, Fig. 12).
+	// Rec, when non-nil, collects fabric events from the experiments that
+	// run fabric rounds: Fig. 8's raw-fabric microbenchmark and the modeled
+	// halo rounds of Figs. 6 and 12, each modeled round starting at time 0.
 	Rec *trace.Recorder
-	// Met, when non-nil, aggregates metrics from the experiments that
-	// exercise the fabric or full simulations.
+	// Met, when non-nil, aggregates fabric metrics from the same experiments.
 	Met *metrics.Registry
 	// Faults, when enabled, injects deterministic transport faults into the
 	// raw-fabric microbenchmarks (Fig. 8). The "faults" chaos experiment

@@ -5,6 +5,7 @@ import (
 
 	"tofumd/internal/core"
 	"tofumd/internal/md/sim"
+	"tofumd/internal/topo"
 	"tofumd/internal/trace"
 )
 
@@ -29,39 +30,33 @@ type Fig12Result struct {
 	CommReductionSmallLJ float64
 }
 
-// Fig12 runs the step-by-step experiment.
+// Fig12 runs the step-by-step experiment modeled on the whole 768-node torus
+// at each system's per-rank load.
 func Fig12(opt Options) (Fig12Result, error) {
 	steps := opt.steps(20)
 	if opt.Full && opt.Steps == 0 {
 		steps = 99
 	}
-	systems := []struct {
-		name string
-		wl   core.Workload
-	}{
-		{"lj-65k", core.LJSmall()},
-		{"lj-1.7m", core.LJBig()},
-		{"eam-65k", core.EAMSmall()},
-		{"eam-1.7m", core.EAMBig()},
-	}
 	var out Fig12Result
-	for _, sys := range systems {
+	for _, wl := range []core.Workload{core.LJSmall(), core.LJBig(), core.EAMSmall(), core.EAMBig()} {
 		var refTotal, refComm float64
 		for _, v := range sim.StepByStepVariants() {
-			res, err := core.Run(core.RunSpec{
-				Workload:  sys.wl,
-				TileShape: opt.tileFor(),
-				Variant:   v,
-				Steps:     steps,
-				Recorder:  opt.Rec,
-				Metrics:   opt.Met,
+			res, err := core.Modeled(core.ModelSpec{
+				Kind:         wl.Kind,
+				Variant:      v,
+				FullShape:    wl.FullShape,
+				TileShape:    wl.FullShape,
+				AtomsPerRank: float64(wl.Atoms) / float64(wl.FullShape.Prod()*topo.DefaultBlock.Prod()),
+				Steps:        steps,
+				Rec:          opt.Rec,
+				Met:          opt.Met,
 			})
 			if err != nil {
-				return out, fmt.Errorf("%s/%s: %w", sys.name, v.Name, err)
+				return out, fmt.Errorf("%s/%s: %w", wl.Name, v.Name, err)
 			}
 			bd := res.Breakdown
 			row := Fig12Row{
-				System:  sys.name,
+				System:  wl.Name,
 				Variant: v.Name,
 				Pair:    bd.Get(trace.Pair),
 				Neigh:   bd.Get(trace.Neigh),
@@ -78,7 +73,7 @@ func Fig12(opt Options) (Fig12Result, error) {
 			}
 			out.Rows = append(out.Rows, row)
 			if v.Name == "opt" {
-				switch sys.name {
+				switch wl.Name {
 				case "lj-65k":
 					out.SpeedupSmallLJ = row.Speedup
 					out.CommReductionSmallLJ = 1 - row.Comm/refComm

@@ -29,7 +29,10 @@ type Fig15Result struct {
 	Rows []Fig15Row
 }
 
-// Fig15 runs the three regimes functionally on a tile.
+// Fig15 runs the three regimes functionally on a tile. It stays off
+// core.Modeled, which the other 768-node tables read, because the model
+// assumes Newton on with half lists (see modelSetup in core/modeled.go),
+// while the 26- and 124-neighbor regimes run Newton off with full lists.
 func Fig15(opt Options) (Fig15Result, error) {
 	steps := opt.steps(15)
 	m, err := sim.NewMachine(opt.tileFor())

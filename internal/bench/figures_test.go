@@ -80,9 +80,6 @@ func TestFig11(t *testing.T) {
 }
 
 func TestFig12(t *testing.T) {
-	if testing.Short() {
-		t.Skip("functional 1.7M-atom tile runs are slow")
-	}
 	res, err := Fig12(Options{Steps: 10})
 	if err != nil {
 		t.Fatal(err)

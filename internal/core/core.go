@@ -17,7 +17,6 @@ import (
 	"tofumd/internal/md/restart"
 	"tofumd/internal/md/sim"
 	"tofumd/internal/metrics"
-	"tofumd/internal/topo"
 	"tofumd/internal/trace"
 	"tofumd/internal/units"
 	"tofumd/internal/vec"
@@ -189,9 +188,6 @@ type RunSpec struct {
 	NewtonOff bool
 	// ThermoEvery records thermo output (0 = off).
 	ThermoEvery int
-	// LinearMap disables the topology-preserving rank placement (the
-	// "topo map" ablation, section 3.5.3).
-	LinearMap bool
 	// Observer, when set, is called after every step (trajectory dumps,
 	// custom diagnostics). It must not mutate the simulation.
 	Observer func(s *sim.Simulation, step int)
@@ -248,11 +244,7 @@ type Running struct {
 // Start builds the simulation a spec describes without stepping it. The
 // caller owns Close; Finish summarizes whatever has been stepped so far.
 func Start(spec RunSpec) (*Running, error) {
-	mode := topo.MapTopo
-	if spec.LinearMap {
-		mode = topo.MapLinear
-	}
-	m, err := sim.NewMachineMode(spec.TileShape, mode)
+	m, err := sim.NewMachine(spec.TileShape)
 	if err != nil {
 		return nil, err
 	}

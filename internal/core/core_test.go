@@ -127,32 +127,28 @@ func TestStartDeckConfigMatchesSimNew(t *testing.T) {
 	}
 
 	base := RunSpec{Workload: LJSmall(), TileShape: shape, Variant: sim.Opt()}
-	linear, newtonOff := base, base
-	linear.LinearMap = true
+	newtonOff := base
 	newtonOff.NewtonOff = true
 	plain, err := Plan(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, spec := range map[string]RunSpec{"linear": linear, "newton-off": newtonOff} {
-		got, err := Plan(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := Start(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := r.Sim().HaloPlan()
-		r.Close()
-		if got != want {
-			t.Errorf("%s: Plan\n%s\nwant Start's\n%s", name, got, want)
-		}
-		// The plan text lists links, not placements, so only Newton's
-		// setting shows: full shells double the links.
-		if name == "newton-off" && got == plain {
-			t.Errorf("%s: plan equals the default spec's; the setting did not reach it", name)
-		}
+	got, err := Plan(newtonOff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Start(newtonOff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := r.Sim().HaloPlan()
+	r.Close()
+	if got != want {
+		t.Errorf("newton-off: Plan\n%s\nwant Start's\n%s", got, want)
+	}
+	// Full shells double the links, so the plan shows Newton's setting.
+	if got == plain {
+		t.Error("newton-off: plan equals the default spec's; the setting did not reach it")
 	}
 }
 

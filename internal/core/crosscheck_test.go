@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,76 +11,147 @@ import (
 	"tofumd/internal/vec"
 )
 
-// TestModeledMatchesFunctional cross-validates the modeled (timing-only)
-// runner against the functional engine on the same per-rank load: modeled
-// mode is what produces the largest-scale figures, so its stage structure
-// must track the functional ground truth. Both run one halo.Plan, so total
-// time and comm share must agree within 0.8-1.25. Measured modeled/
-// functional totals on this tile (40 steps): ref 0.99, utofu-3stage 0.87,
-// 4tni-p2p 1.05, 6tni-p2p 1.07, opt 1.05 (the hand-kept mirror read 1.02,
-// 0.87, 1.08, 1.07, 1.07). Per-stage tolerances are ROADMAP 3b.
+// stageBand is a per-stage band on the modeled/functional ratio that the
+// default 0.9-1.1 does not hold, with the reason the two engines part there.
+// An empty variant list covers every variant.
+type stageBand struct {
+	kind     Kind
+	stage    trace.Stage
+	variants []string
+	lo, hi   float64
+	reason   string
+}
+
+// stageBands are the named exceptions to the 10% per-stage agreement on the
+// 4x6x4 tile over 40 steps (two rebuilds), with the readings they cover.
+var stageBands = []stageBand{
+	{LJ, trace.Neigh, nil, 0.9, 1.28,
+		"1.092-1.232, worst on opt: the modeled rebuild charges the homogeneous 27-bin candidate estimate, " +
+			"the functional one the candidates its bins hold at 21 atoms/rank; opt's 1.1 us pool region hides less of the gap than OpenMP's 5.8 us"},
+	{LJ, trace.Other, nil, 0.9, 1.2,
+		"1.167: modeled mode charges one thermo output per run, and these functional runs record none; " +
+			"LJ's Other is otherwise only the fixed per-step cost, while EAM's check-yes allreduce hides it"},
+	{LJ, trace.Comm, []string{"utofu-3stage"}, 0.72, 1.1,
+		"0.748: without pre-registration the functional inboxes grow at each rebuild and re-register " +
+			"(35 us per buffer, 772 registrations over the run), which stalls the staged chain; modeled mode charges no registration"},
+	{LJ, trace.Comm, []string{"4tni-p2p", "6tni-p2p"}, 0.9, 1.15,
+		"1.100-1.109: the modeled exchange sends a two-step MPI message on every one of the 13 p2p links per rebuild, " +
+			"the functional one only to ranks that receive movers"},
+	{EAM, trace.Comm, []string{"utofu-3stage"}, 0.66, 1.1,
+		"0.683: the LJ utofu-3stage registration gap (728 registrations over the run)"},
+	{EAM, trace.Comm, []string{"4tni-p2p", "6tni-p2p"}, 0.9, 1.2,
+		"1.133-1.146: the exchange gap of LJ's 4tni/6tni band"},
+}
+
+// bandFor returns the named band of a kind, variant and stage, or nil when
+// the default applies.
+func bandFor(k Kind, variant string, st trace.Stage) *stageBand {
+	for i, b := range stageBands {
+		if b.kind == k && b.stage == st && (len(b.variants) == 0 || slices.Contains(b.variants, variant)) {
+			return &stageBands[i]
+		}
+	}
+	return nil
+}
+
+// TestModeledMatchesFunctional is the one place the two timing engines
+// meet: the modeled (timing-only) runner that produces every paper table
+// against the functional engine on the same per-rank load, for both
+// benchmark kinds and every step-by-step variant. Both run one halo.Plan, so
+// total time (and LJ's comm share) must agree within 0.8-1.25, and each of
+// the five stages within 10% or within a named band of stageBands whose
+// edges sit within 5% of the worst reading it covers.
 func TestModeledMatchesFunctional(t *testing.T) {
 	tile := vec.I3{X: 4, Y: 6, Z: 4}
-	full := vec.I3{X: 8, Y: 12, Z: 8}
-	steps := 40
-	for _, v := range []sim.Variant{sim.Ref(), sim.UTofu3Stage(), sim.P2P4TNI(), sim.P2P6TNI(), sim.Opt()} {
+	const steps = 40
+	workloads := []Workload{LJSmall(), EAMSmall()}
+	type run struct {
+		kind    Kind
+		variant string
+	}
+	// elapsed holds each run's functional and modeled totals.
+	elapsed := map[run][2]float64{}
+	// span holds the lowest and highest reading under each named band.
+	span := map[*stageBand][2]float64{}
+	for _, v := range sim.StepByStepVariants() {
 		t.Run(v.Name, func(t *testing.T) {
-			fun, err := Run(RunSpec{
-				Workload:  LJSmall(),
-				TileShape: tile,
-				Variant:   v,
-				Steps:     steps,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			mod, err := Modeled(ModelSpec{
-				Kind:         LJ,
-				Variant:      v,
-				FullShape:    full,
-				TileShape:    tile,
-				AtomsPerRank: fun.AtomsPerRank,
-				Steps:        steps,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ratio := mod.Elapsed / fun.Elapsed
-			t.Logf("modeled/functional total = %.2f", ratio)
-			if ratio < 0.8 || ratio > 1.25 {
-				t.Errorf("modeled/functional total = %.2f (%.4fs vs %.4fs)",
-					ratio, mod.Elapsed, fun.Elapsed)
-			}
-			fShare := fun.Breakdown.Get(trace.Comm) / fun.Breakdown.Total()
-			mShare := mod.Breakdown.Get(trace.Comm) / mod.Breakdown.Total()
-			t.Logf("comm share: modeled %.1f%% vs functional %.1f%%", 100*mShare, 100*fShare)
-			if mShare < fShare*0.8 || mShare > fShare*1.25 {
-				t.Errorf("comm share: modeled %.0f%% vs functional %.0f%%",
-					100*mShare, 100*fShare)
+			for _, wl := range workloads {
+				fun, err := Run(RunSpec{Workload: wl, TileShape: tile, Variant: v, Steps: steps})
+				if err != nil {
+					t.Fatal(err)
+				}
+				mod, err := Modeled(ModelSpec{
+					Kind:         wl.Kind,
+					Variant:      v,
+					FullShape:    wl.FullShape,
+					TileShape:    tile,
+					AtomsPerRank: fun.AtomsPerRank,
+					Steps:        steps,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				elapsed[run{wl.Kind, v.Name}] = [2]float64{fun.Elapsed, mod.Elapsed}
+				ratio := mod.Elapsed / fun.Elapsed
+				if ratio < 0.8 || ratio > 1.25 {
+					t.Errorf("%s: modeled/functional total = %.2f (%.4fs vs %.4fs)",
+						wl.Kind, ratio, mod.Elapsed, fun.Elapsed)
+				}
+				fShare := fun.Breakdown.Get(trace.Comm) / fun.Breakdown.Total()
+				mShare := mod.Breakdown.Get(trace.Comm) / mod.Breakdown.Total()
+				// The comm-share window holds LJ, as it always has. EAM's
+				// utofu-3stage share reads 0.74 of functional, from the
+				// registration gap its Comm band names.
+				if wl.Kind == LJ && (mShare < fShare*0.8 || mShare > fShare*1.25) {
+					t.Errorf("%s: comm share: modeled %.0f%% vs functional %.0f%%",
+						wl.Kind, 100*mShare, 100*fShare)
+				}
+				line := fmt.Sprintf("%s: total %.3f, comm share %.1f%% vs %.1f%%, stages", wl.Kind, ratio, 100*mShare, 100*fShare)
+				for _, st := range trace.Stages() {
+					r := mod.Breakdown.Get(st) / fun.Breakdown.Get(st)
+					line += fmt.Sprintf(" %s %.3f", st, r)
+					lo, hi, why := 0.9, 1.1, "the default band"
+					if b := bandFor(wl.Kind, v.Name, st); b != nil {
+						lo, hi, why = b.lo, b.hi, b.reason
+						w, seen := span[b]
+						if !seen {
+							w = [2]float64{r, r}
+						}
+						span[b] = [2]float64{min(w[0], r), max(w[1], r)}
+					}
+					if !(r >= lo && r <= hi) {
+						t.Errorf("%s %s: modeled/functional %.3f outside [%.3g, %.3g] (%.4gs vs %.4gs); %s",
+							wl.Kind, st, r, lo, hi, mod.Breakdown.Get(st), fun.Breakdown.Get(st), why)
+					}
+				}
+				t.Log(line)
 			}
 		})
 	}
-	// And the modeled speedup must track the functional speedup.
-	speedup := func(run func(v sim.Variant) float64) float64 {
-		return run(sim.Ref()) / run(sim.Opt())
+	// A named band is a reading written down, not a loose window: each edge
+	// it moves past the default sits within 5% of the worst reading.
+	for i := range stageBands {
+		b := &stageBands[i]
+		w, seen := span[b]
+		if !seen {
+			t.Errorf("%s %s band %v covers no reading", b.kind, b.stage, b.variants)
+			continue
+		}
+		if (b.lo < 0.9 && w[0] > b.lo*1.05) || (b.hi > 1.1 && w[1] < b.hi/1.05) {
+			t.Errorf("%s %s band [%.3g, %.3g] is loose: readings span [%.3f, %.3f]",
+				b.kind, b.stage, b.lo, b.hi, w[0], w[1])
+		}
 	}
-	fs := speedup(func(v sim.Variant) float64 {
-		r, err := Run(RunSpec{Workload: LJSmall(), TileShape: tile, Variant: v, Steps: steps})
-		if err != nil {
-			t.Fatal(err)
+	// And the modeled opt-vs-ref speedup must track the functional one.
+	for _, wl := range workloads {
+		ref, opt := elapsed[run{wl.Kind, "ref"}], elapsed[run{wl.Kind, "opt"}]
+		if ref[0] == 0 || opt[0] == 0 {
+			continue // a subtest failed before timing them
 		}
-		return r.Elapsed
-	})
-	msu := speedup(func(v sim.Variant) float64 {
-		r, err := Modeled(ModelSpec{Kind: LJ, Variant: v, FullShape: full, TileShape: tile,
-			AtomsPerRank: 21.3, Steps: steps})
-		if err != nil {
-			t.Fatal(err)
+		fs, msu := ref[0]/opt[0], ref[1]/opt[1]
+		if msu < fs*0.6 || msu > fs*1.6 {
+			t.Errorf("%s: modeled speedup %.2fx vs functional %.2fx", wl.Kind, msu, fs)
 		}
-		return r.Elapsed
-	})
-	if msu < fs*0.6 || msu > fs*1.6 {
-		t.Errorf("modeled speedup %.2fx vs functional %.2fx", msu, fs)
 	}
 }
 

@@ -156,6 +156,51 @@ func TestTransportsAgreeOnPhysics(t *testing.T) {
 	}
 }
 
+// TestDecompositionIndependent runs the 16^3 shear wave on three rank grids
+// and gathers every distribution by global cell: the update has no sum
+// whose order depends on the grid, so the values must match bit for bit.
+func TestDecompositionIndependent(t *testing.T) {
+	cells := vec.I3{X: 16, Y: 16, Z: 16}
+	gather := func(nodes vec.I3) []float64 {
+		s, err := New(testMap(t, nodes), tofu.DefaultParams(), machine.DefaultCostModel(),
+			Config{Cells: cells, Tau: 0.8, Transport: halo.TransportUTofu})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.InitShearWave(0.01)
+		for i := 0; i < 10; i++ {
+			s.Step()
+		}
+		out := make([]float64, Q*cells.Prod())
+		for _, r := range s.Ranks() {
+			for x := 1; x <= r.N.X; x++ {
+				for y := 1; y <= r.N.Y; y++ {
+					for z := 1; z <= r.N.Z; z++ {
+						g := ((r.Lo.X+x-1)*cells.Y+r.Lo.Y+y-1)*cells.Z + r.Lo.Z + z - 1
+						for q := 0; q < Q; q++ {
+							out[g*Q+q] = r.f[q][r.idx(x, y, z)]
+						}
+					}
+				}
+			}
+		}
+		return out
+	}
+	want := gather(vec.I3{X: 1, Y: 1, Z: 1})
+	for _, nodes := range []vec.I3{{X: 2, Y: 1, Z: 1}, {X: 2, Y: 2, Z: 2}} {
+		got := gather(nodes)
+		mismatches := 0
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				mismatches++
+			}
+		}
+		if err := oracle.Check("lbm-decomp", float64(mismatches)); err != nil {
+			t.Errorf("%v nodes: %v", nodes, err)
+		}
+	}
+}
+
 // TestSelfImageExchange exercises the one-rank-wide axis path (periodic
 // self copy instead of a fabric message) on a single-node tile.
 func TestSelfImageExchange(t *testing.T) {

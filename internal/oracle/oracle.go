@@ -85,6 +85,8 @@ var Rows = []Row{
 		"A transverse shear wave decays as exp(−ν k² t) with ν = (τ − 1/2)/3; the measured ν matches to the lattice's O(k²) error at 16 cells. Relative; reads 0.019.", 0.05},
 	{"lbm-transports",
 		"uTofu and MPI move the same face planes; only timing differs, so the distributions are bit-identical. Reading: fingerprint mismatches.", 0},
+	{"lbm-decomp",
+		"The 16³ shear wave on 1×1×1, 2×1×1 and 2×2×2 nodes: collide acts per cell and streaming only copies, so no sum changes order with the rank grid, and after 10 steps every distribution by global cell is bit-identical. Reading: differing values of 77,824.", 0},
 }
 
 // Check returns nil when the reading dev is within the named row's bound,

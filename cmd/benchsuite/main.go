@@ -1,8 +1,9 @@
 // Command benchsuite regenerates the paper's tables and figures on the
-// simulated substrate and prints them in the paper's layout. By default it
-// runs scaled-down configurations that finish in minutes; -full selects
-// paper-sized parameters. -json additionally writes one machine-readable
-// BENCH_<experiment>.json per experiment for the benchcmp regression gate.
+// simulated substrate and prints each experiment's series with the paper
+// targets they are held to. By default it runs scaled-down configurations
+// that finish in minutes; -full selects paper-sized parameters. -json
+// additionally writes one machine-readable BENCH_<experiment>.json per
+// experiment for the benchcmp regression gate.
 //
 // Example:
 //
@@ -17,6 +18,7 @@ import (
 	"log"
 	_ "net/http/pprof"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -27,18 +29,23 @@ import (
 	"tofumd/internal/trace"
 )
 
-// experimentOrder is the canonical run order; it doubles as the known-name
-// list that -experiment values are validated against.
-var experimentOrder = []string{
-	"table1", "fig6", "fig8", "fig11", "fig12", "fig13", "table3", "fig14", "fig15", "ablations", "faults", "failstop", "lbm",
+// names lists every artifact the suite writes in run order; -experiment
+// values are validated against it.
+func names() []string {
+	var out []string
+	for _, e := range bench.Experiments {
+		out = append(out, e.Names...)
+	}
+	return out
 }
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchsuite: ")
+	known := names()
 	var (
 		experiment = flag.String("experiment", "all",
-			"which experiment: all, "+strings.Join(experimentOrder, ", "))
+			"which experiment: all, "+strings.Join(known, ", "))
 		full       = flag.Bool("full", false, "paper-scale parameters (slow)")
 		steps      = flag.Int("steps", 0, "override step count")
 		traceFile  = flag.String("trace", "", "write a Chrome trace-event JSON of the fabric-level experiments to this file")
@@ -90,122 +97,56 @@ func main() {
 		}()
 	}
 
-	known := map[string]bool{"all": true}
-	for _, e := range experimentOrder {
-		known[e] = true
-	}
 	want := map[string]bool{}
 	for _, e := range strings.Split(*experiment, ",") {
 		name := strings.TrimSpace(e)
 		if name == "" {
 			continue
 		}
-		if !known[name] {
-			log.Fatalf("unknown experiment %q (known: all, %s)", name, strings.Join(experimentOrder, ", "))
+		if name != "all" && !slices.Contains(known, name) {
+			log.Fatalf("unknown experiment %q (known: all, %s)", name, strings.Join(known, ", "))
 		}
 		want[name] = true
 	}
 	if len(want) == 0 {
 		log.Fatalf("no experiments requested")
 	}
-	all := want["all"]
-	if all {
-		status.SetSteps(len(experimentOrder))
-	} else {
-		status.SetSteps(len(want))
-	}
-	done := 0
-	run := func(name string, fn func() (string, *bench.Artifact, error)) {
-		if !all && !want[name] {
-			return
+	// An entry runs when any of its artifacts is selected, and prints and
+	// writes only the selected ones.
+	selected := func(name string) bool { return want["all"] || want[name] }
+	var runs []bench.Experiment
+	for _, e := range bench.Experiments {
+		if slices.ContainsFunc(e.Names, selected) {
+			runs = append(runs, e)
 		}
+	}
+	status.SetSteps(len(runs))
+	for done, e := range runs {
+		name := strings.Join(e.Names, ",")
 		status.SetRun("benchsuite/" + name)
 		status.Observe(done, nil, nil)
 		start := time.Now()
-		out, art, err := fn()
+		arts, err := e.Run(opt)
 		if err != nil {
 			log.Fatalf("%s: %v", name, err)
 		}
-		fmt.Println(out)
-		if art != nil {
-			if tbl := bench.FormatTargets(art); tbl != "" {
+		for _, a := range arts {
+			if !selected(a.Experiment) {
+				continue
+			}
+			fmt.Println(bench.Format(a))
+			if tbl := bench.FormatTargets(a); tbl != "" {
 				fmt.Println("paper targets:\n" + tbl)
+			}
+			if *jsonDir != "" {
+				if err := a.WriteFile(*jsonDir); err != nil {
+					log.Fatalf("%s: writing artifact: %v", a.Experiment, err)
+				}
 			}
 		}
 		fmt.Printf("[%s regenerated in %.1fs]\n\n", name, time.Since(start).Seconds())
-		if *jsonDir != "" && art != nil {
-			if err := art.WriteFile(*jsonDir); err != nil {
-				log.Fatalf("%s: writing artifact: %v", name, err)
-			}
-		}
-		done++
-		status.Observe(done, nil, nil)
+		status.Observe(done+1, nil, nil)
 	}
-
-	run("table1", func() (string, *bench.Artifact, error) {
-		// The 65K/768-node geometry: cubic sub-box side 2.94, ghost cutoff
-		// 2.8 (Table 2).
-		r := bench.Table1(2.94, 2.8)
-		return r.Format(), r.Artifact(opt), nil
-	})
-	run("fig6", func() (string, *bench.Artifact, error) {
-		r, err := bench.Fig6(opt)
-		return r.Format(), r.Artifact(opt), err
-	})
-	run("fig8", func() (string, *bench.Artifact, error) {
-		r, err := bench.Fig8(opt)
-		return r.Format(), r.Artifact(opt), err
-	})
-	run("fig11", func() (string, *bench.Artifact, error) {
-		r, err := bench.Fig11(opt)
-		return r.Format(), r.Artifact(opt), err
-	})
-	run("fig12", func() (string, *bench.Artifact, error) {
-		r, err := bench.Fig12(opt)
-		return r.Format(), r.Artifact(opt), err
-	})
-	var fig13 *bench.Fig13Result
-	run("fig13", func() (string, *bench.Artifact, error) {
-		r, err := bench.Fig13(opt)
-		if err == nil {
-			fig13 = &r
-		}
-		return r.Format(), r.Artifact(opt), err
-	})
-	run("table3", func() (string, *bench.Artifact, error) {
-		if fig13 == nil {
-			r, err := bench.Fig13(opt)
-			if err != nil {
-				return "", nil, err
-			}
-			fig13 = &r
-		}
-		return fig13.FormatTable3(), fig13.Table3Artifact(opt), nil
-	})
-	run("fig14", func() (string, *bench.Artifact, error) {
-		r, err := bench.Fig14(opt)
-		return r.Format(), r.Artifact(opt), err
-	})
-	run("fig15", func() (string, *bench.Artifact, error) {
-		r, err := bench.Fig15(opt)
-		return r.Format(), r.Artifact(opt), err
-	})
-	run("ablations", func() (string, *bench.Artifact, error) {
-		r, err := bench.Ablations(opt)
-		return r.Format(), r.Artifact(opt), err
-	})
-	run("faults", func() (string, *bench.Artifact, error) {
-		r, err := bench.Faults(opt)
-		return r.Format(), r.Artifact(opt), err
-	})
-	run("failstop", func() (string, *bench.Artifact, error) {
-		r, err := bench.Failstop(opt)
-		return r.Format(), r.Artifact(opt), err
-	})
-	run("lbm", func() (string, *bench.Artifact, error) {
-		r, err := bench.Lbm(opt)
-		return r.Format(), r.Artifact(opt), err
-	})
 
 	if opt.Rec != nil {
 		f, err := os.Create(*traceFile)

@@ -10,30 +10,20 @@ import (
 	"tofumd/internal/trace"
 )
 
-// AblationRow measures the optimized code with one design choice removed.
-type AblationRow struct {
-	Name string
-	// Comm and Total are stage/total virtual times of the run.
-	Comm, Total float64
-	// CommPenalty is the comm-time inflation vs full opt (1.0 = none).
-	CommPenalty float64
-}
-
-// AblationResult quantifies the individual optimizations DESIGN.md calls
-// out: the fine-grained thread pool (section 3.3), pre-registered buffers
-// (3.4), message combine (3.5.1), border bins (3.5.2) and the topology
-// mapping (3.5.3). The paper reports them qualitatively; this harness
-// isolates each on the small-system workload where they matter most.
-type AblationResult struct {
-	Rows []AblationRow
-}
-
-// Ablations runs the sweep modeled on the whole 768-node torus with 600K LJ
-// atoms (~195 per rank): enough that the sub-box exceeds twice the ghost
-// cutoff, so the border-bin fast path engages (it cannot in the 65K
-// geometry, where the sub-box is barely one cutoff wide), yet few enough
-// that communication still dominates the baseline.
-func Ablations(opt Options) (AblationResult, error) {
+// Ablations quantifies the individual optimizations DESIGN.md calls out:
+// the fine-grained thread pool (section 3.3), pre-registered buffers (3.4),
+// message combine (3.5.1), border bins (3.5.2) and the topology mapping
+// (3.5.3). The paper reports them qualitatively; this harness removes each
+// from opt in isolation. The series are each configuration's comm and total
+// times (lower is better) and its comm time over full opt's, which is
+// information only.
+//
+// The sweep is modeled on the whole 768-node torus with 600K LJ atoms (~195
+// per rank): enough that the sub-box exceeds twice the ghost cutoff, so the
+// border-bin fast path engages (it cannot in the 65K geometry, where the
+// sub-box is barely one cutoff wide), yet few enough that communication
+// still dominates the baseline.
+func Ablations(opt Options) (*Artifact, error) {
 	full := core.LJSmall().FullShape
 	mods := []struct {
 		name   string
@@ -51,7 +41,7 @@ func Ablations(opt Options) (AblationResult, error) {
 		{"ref (all off)", func(s *core.ModelSpec) { s.Variant = sim.Ref() }},
 	}
 
-	var out AblationResult
+	a := NewArtifact("ablations", opt)
 	var optComm float64
 	for _, m := range mods {
 		spec := core.ModelSpec{
@@ -65,33 +55,19 @@ func Ablations(opt Options) (AblationResult, error) {
 		m.modify(&spec)
 		res, err := core.Modeled(spec)
 		if err != nil {
-			return out, fmt.Errorf("%s: %w", m.name, err)
+			return nil, fmt.Errorf("%s: %w", m.name, err)
 		}
-		row := AblationRow{
-			Name:  m.name,
-			Comm:  res.Breakdown.Get(trace.Comm),
-			Total: res.Breakdown.Total(),
-		}
+		comm := res.Breakdown.Get(trace.Comm)
 		if m.name == "opt (all on)" {
-			optComm = row.Comm
+			optComm = comm
 		}
+		var penalty float64
 		if optComm > 0 {
-			row.CommPenalty = row.Comm / optComm
+			penalty = comm / optComm
 		}
-		out.Rows = append(out.Rows, row)
+		a.Add(key(m.name, "comm"), "s", comm, DirLower)
+		a.Add(key(m.name, "total"), "s", res.Breakdown.Total(), DirLower)
+		a.Add(key(m.name, "comm_penalty"), "x", penalty, "")
 	}
-	return out, nil
-}
-
-// Format renders the ablation table.
-func (a AblationResult) Format() string {
-	var rows [][]string
-	for _, r := range a.Rows {
-		rows = append(rows, []string{
-			r.Name, ms(r.Comm), ms(r.Total), fmt.Sprintf("%.2fx", r.CommPenalty),
-		})
-	}
-	s := "Ablations: the optimized code minus one design choice (600K-atom load)\n"
-	s += table([]string{"configuration", "Comm(ms)", "Total(ms)", "comm vs opt"}, rows)
-	return s
+	return a, nil
 }

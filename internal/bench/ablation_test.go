@@ -3,61 +3,29 @@ package bench
 import "testing"
 
 func TestAblations(t *testing.T) {
-	res, err := Ablations(Options{Steps: 30})
+	a, err := Ablations(Options{Steps: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Log("\n" + res.Format())
-	byName := map[string]AblationRow{}
-	for _, r := range res.Rows {
-		byName[r.Name] = r
-	}
-	opt := byName["opt (all on)"]
-	if opt.Comm <= 0 {
+	t.Log("\n" + Format(a))
+	opt := value(t, a, "opt (all on)/comm")
+	if opt <= 0 {
 		t.Fatal("opt comm time missing")
 	}
 	// Every removed optimization must cost communication time (or at
 	// worst be neutral), and the baseline must be far worse.
 	for _, name := range []string{"- thread pool", "- preregistered", "- msg combine", "- border bins", "- topo map"} {
-		r, ok := byName[name]
-		if !ok {
-			t.Fatalf("missing row %q", name)
-		}
-		if r.Comm < opt.Comm*0.999 {
-			t.Errorf("%s comm %.3fms below full opt %.3fms", name, 1e3*r.Comm, 1e3*opt.Comm)
+		if comm := value(t, a, name+"/comm"); comm < opt*0.999 {
+			t.Errorf("%s comm %.3fms below full opt %.3fms", name, 1e3*comm, 1e3*opt)
 		}
 	}
 	// The two headline mechanisms must show a clear penalty.
-	if byName["- thread pool"].CommPenalty < 1.1 {
-		t.Errorf("thread-pool ablation penalty %.2fx too small", byName["- thread pool"].CommPenalty)
-	}
-	if byName["- preregistered"].CommPenalty < 1.1 {
-		t.Errorf("preregistration ablation penalty %.2fx too small", byName["- preregistered"].CommPenalty)
-	}
-	if ref := byName["ref (all off)"]; ref.Comm < 3*opt.Comm {
-		t.Errorf("baseline comm %.3fms not far above opt %.3fms", 1e3*ref.Comm, 1e3*opt.Comm)
-	}
-}
-
-func TestLinearMapCostsHops(t *testing.T) {
-	// The topo-map ablation at a scale where hops matter: compare average
-	// neighbor hop counts via a modeled halo exchange is covered in
-	// internal/topo; here assert the end-to-end comm time does not improve
-	// when the mapping is scrambled.
-	res, err := Ablations(Options{Steps: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var opt, linear float64
-	for _, r := range res.Rows {
-		switch r.Name {
-		case "opt (all on)":
-			opt = r.Comm
-		case "- topo map":
-			linear = r.Comm
+	for _, name := range []string{"- thread pool", "- preregistered"} {
+		if p := value(t, a, name+"/comm_penalty"); p < 1.1 {
+			t.Errorf("%s penalty %.2fx too small", name, p)
 		}
 	}
-	if linear < opt*0.999 {
-		t.Errorf("linear mapping comm %.3fms beat topo mapping %.3fms", 1e3*linear, 1e3*opt)
+	if ref := value(t, a, "ref (all off)/comm"); ref < 3*opt {
+		t.Errorf("baseline comm %.3fms not far above opt %.3fms", 1e3*ref, 1e3*opt)
 	}
 }

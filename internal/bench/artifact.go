@@ -5,10 +5,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
-
-	"tofumd/internal/trace"
 )
 
 // ArtifactSchemaVersion is the version stamp of the BENCH_*.json format.
@@ -162,168 +161,92 @@ func LoadArtifacts(path string) (map[string]*Artifact, error) {
 // key joins path segments into a series key.
 func key(parts ...string) string { return strings.Join(parts, "/") }
 
-// Artifact emits the Table 1 series. The analysis is closed-form, so every
-// series must match exactly across runs.
-func (t Table1Result) Artifact(opt Options) *Artifact {
-	a := NewArtifact("table1", opt)
-	a.Params["sub_box_side"] = t.SubBoxSide
-	a.Params["cutoff"] = t.Cutoff
-	a.Add("total_volume/3stage", "volume", t.TotalThreeStage, DirEqual)
-	a.Add("total_volume/p2p", "volume", t.TotalP2P, DirEqual)
-	a.Add("total_msgs/3stage", "msgs", float64(t.TotalMsgsThreeStage), DirEqual)
-	a.Add("total_msgs/p2p", "msgs", float64(t.TotalMsgsP2P), DirEqual)
-	// Rows can repeat a (pattern, hops) pair across message classes, so the
-	// key carries the row's index within its pattern.
-	idx := map[string]int{}
-	for _, r := range t.Rows {
-		i := idx[r.Pattern]
-		idx[r.Pattern]++
-		a.Add(key("volume", r.Pattern, fmt.Sprintf("row%d_hop%d", i, r.Hops)), "volume", r.Volume, DirEqual)
+// Format renders a as text: its experiment and parameters, then its series
+// as tables. A key's last segment, with the series' unit, names a column and
+// the rest of the key names a row; consecutive rows with the same columns
+// share a table.
+func Format(a *Artifact) string {
+	type row struct {
+		name        string
+		cols, cells []string
 	}
-	return a
+	var rows []*row
+	byName := map[string]*row{}
+	for _, s := range a.Series {
+		name, col := "", s.Key
+		if i := strings.LastIndex(s.Key, "/"); i >= 0 {
+			name, col = s.Key[:i], s.Key[i+1:]
+		}
+		if s.Unit != "" {
+			col += " (" + s.Unit + ")"
+		}
+		r := byName[name]
+		if r == nil {
+			r = &row{name: name}
+			byName[name] = r
+			rows = append(rows, r)
+		}
+		r.cols = append(r.cols, col)
+		r.cells = append(r.cells, num(s.Value))
+	}
+	var sb strings.Builder
+	sb.WriteString(a.Experiment)
+	params := make([]string, 0, len(a.Params))
+	for k := range a.Params {
+		params = append(params, k)
+	}
+	sort.Strings(params)
+	for _, k := range params {
+		fmt.Fprintf(&sb, " %s=%v", k, a.Params[k])
+	}
+	sb.WriteString("\n")
+	for i := 0; i < len(rows); {
+		var body [][]string
+		j := i
+		for ; j < len(rows) && slices.Equal(rows[j].cols, rows[i].cols); j++ {
+			body = append(body, append([]string{rows[j].name}, rows[j].cells...))
+		}
+		sb.WriteString(table(append([]string{""}, rows[i].cols...), body))
+		i = j
+	}
+	return sb.String()
 }
 
-// Artifact emits the Fig. 6 series: exchange times per variant (lower is
-// better) and the headline reduction (higher is better).
-func (f Fig6Result) Artifact(opt Options) *Artifact {
-	a := NewArtifact("fig6", opt)
-	for _, r := range f.Rows {
-		a.Add(key(r.Variant, "small_time"), "s", r.SmallTime, DirLower)
-		a.Add(key(r.Variant, "big_time"), "s", r.BigTime, DirLower)
+// table renders rows of columns with a header.
+func table(header []string, rows [][]string) string {
+	w := make([]int, len(header))
+	for i, h := range header {
+		w[i] = len(h)
 	}
-	a.Add("reduction_vs_mpi3stage", "frac", f.ReductionVsMPI3Stage, DirHigher)
-	return a
-}
-
-// Artifact emits the Fig. 8 series: message rates and bandwidth per size
-// (higher is better) and the boost threshold (must not move).
-func (f Fig8Result) Artifact(opt Options) *Artifact {
-	a := NewArtifact("fig8", opt)
-	for _, r := range f.Rows {
-		sz := byteLabel(r.Bytes)
-		a.Add(key("rate_4tni", sz), "msg/s", r.Rate4TNI, DirHigher)
-		a.Add(key("rate_6tni", sz), "msg/s", r.Rate6TNI, DirHigher)
-		a.Add(key("rate_parallel", sz), "msg/s", r.RateParallel, DirHigher)
-		a.Add(key("bandwidth", sz), "B/s", r.Bandwidth, DirHigher)
-	}
-	a.Add("boost_bytes", "B", float64(f.BoostBytes), DirEqual)
-	return a
-}
-
-// Artifact emits the Fig. 11 series: the ref/opt deviations must stay zero
-// (the optimizations do not touch force math).
-func (f Fig11Result) Artifact(opt Options) *Artifact {
-	a := NewArtifact("fig11", opt)
-	a.Add("max_rel_diff/lj", "frac", f.MaxRelDiffLJ, DirLower)
-	a.Add("max_rel_diff/eam", "frac", f.MaxRelDiffEAM, DirLower)
-	if n := len(f.LJRef.Pressure); n > 0 {
-		a.Add("final_pressure/lj_ref", "", f.LJRef.Pressure[n-1], DirEqual)
-	}
-	if n := len(f.EAMRef.Pressure); n > 0 {
-		a.Add("final_pressure/eam_ref", "bar", f.EAMRef.Pressure[n-1], DirEqual)
-	}
-	return a
-}
-
-// Artifact emits the Fig. 12 series: per-system/variant comm and total
-// times (lower is better) plus the headline speedups (higher is better).
-func (f Fig12Result) Artifact(opt Options) *Artifact {
-	a := NewArtifact("fig12", opt)
-	for _, r := range f.Rows {
-		a.Add(key(r.System, r.Variant, "comm"), "s", r.Comm, DirLower)
-		a.Add(key(r.System, r.Variant, "total"), "s", r.Total, DirLower)
-	}
-	a.Add("speedup/small_lj", "x", f.SpeedupSmallLJ, DirHigher)
-	a.Add("speedup/small_eam", "x", f.SpeedupSmallEAM, DirHigher)
-	a.Add("speedup/big_lj", "x", f.SpeedupBigLJ, DirHigher)
-	a.Add("speedup/big_eam", "x", f.SpeedupBigEAM, DirHigher)
-	a.Add("comm_reduction/small_lj", "frac", f.CommReductionSmallLJ, DirHigher)
-	return a
-}
-
-// Artifact emits the Fig. 13 series: per-point perf (higher is better) and
-// the headline last-point speedups.
-func (f Fig13Result) Artifact(opt Options) *Artifact {
-	a := NewArtifact("fig13", opt)
-	for _, r := range f.Rows {
-		nodes := fmt.Sprintf("n%d", r.Nodes)
-		a.Add(key(r.Kind, nodes, "ref_perf"), "perf/day", r.RefPerf, DirHigher)
-		a.Add(key(r.Kind, nodes, "opt_perf"), "perf/day", r.OptPerf, DirHigher)
-		a.Add(key(r.Kind, nodes, "speedup"), "x", r.Speedup, DirHigher)
-	}
-	a.Add("speedup/lj", "x", f.SpeedupLJ, DirHigher)
-	a.Add("speedup/eam", "x", f.SpeedupEAM, DirHigher)
-	a.Add("pair_drop/lj", "frac", f.PairDropLJ, DirHigher)
-	a.Add("pair_drop/eam", "frac", f.PairDropEAM, DirHigher)
-	return a
-}
-
-// Table3Artifact emits the Table 3 series (the stage breakdown at the last
-// strong-scaling point) as its own experiment: each code's total, then each
-// stage's share of it.
-func (f Fig13Result) Table3Artifact(opt Options) *Artifact {
-	a := NewArtifact("table3", opt)
-	names := make([]string, 0, len(f.Table3))
-	for name := range f.Table3 {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		bd := f.Table3[name]
-		a.Add(key(name, "total"), "s", bd.Total(), DirLower)
-	}
-	for _, name := range names {
-		bd := f.Table3[name]
-		for _, st := range trace.Stages() {
-			a.Add(key(name, "share", strings.ToLower(st.String())), "frac", bd.Get(st)/bd.Total(), DirEqual)
+	for _, r := range rows {
+		for i, c := range r {
+			w[i] = max(w[i], len(c))
 		}
 	}
-	return a
-}
-
-// Artifact emits the Fig. 14 series: aggregate throughput per point (higher
-// is better), linearity vs the first point, and each kind's final atom count.
-func (f Fig14Result) Artifact(opt Options) *Artifact {
-	a := NewArtifact("fig14", opt)
-	for _, r := range f.Rows {
-		nodes := fmt.Sprintf("n%d", r.Nodes)
-		a.Add(key(r.Kind, nodes, "atom_steps_per_sec"), "atom*step/s", r.AtomStepsPerSec, DirHigher)
-		a.Add(key(r.Kind, nodes, "linearity"), "frac", r.LinearityVsFirst, DirHigher)
-	}
-	// Rows run kind by kind, so a kind's final atom count is at its last row.
-	for i, r := range f.Rows {
-		if i == len(f.Rows)-1 || f.Rows[i+1].Kind != r.Kind {
-			a.Add(key("atoms", r.Kind), "atoms", float64(r.Atoms), DirEqual)
+	var sb strings.Builder
+	line := func(cols []string) {
+		for i, c := range cols {
+			if i > 0 {
+				sb.WriteString("  ")
+			}
+			if i == len(cols)-1 {
+				sb.WriteString(c)
+			} else {
+				fmt.Fprintf(&sb, "%-*s", w[i], c)
+			}
 		}
+		sb.WriteString("\n")
 	}
-	return a
-}
-
-// Artifact emits the Fig. 15 series: comm times per regime (lower is
-// better) and the winner flag, which must not flip.
-func (f Fig15Result) Artifact(opt Options) *Artifact {
-	a := NewArtifact("fig15", opt)
-	for _, r := range f.Rows {
-		nb := fmt.Sprintf("nb%d", r.Neighbors)
-		a.Add(key(nb, "comm_3stage"), "s", r.CommThreeStage, DirLower)
-		a.Add(key(nb, "comm_p2p"), "s", r.CommP2P, DirLower)
-		wins := 0.0
-		if r.P2PWins {
-			wins = 1
+	line(header)
+	for i := range w {
+		if i > 0 {
+			sb.WriteString("  ")
 		}
-		a.Add(key(nb, "p2p_wins"), "bool", wins, DirEqual)
+		sb.WriteString(strings.Repeat("-", w[i]))
 	}
-	return a
-}
-
-// Artifact emits the ablation series: comm/total per configuration (lower
-// is better); the penalty ratios are informational.
-func (f AblationResult) Artifact(opt Options) *Artifact {
-	a := NewArtifact("ablations", opt)
-	for _, r := range f.Rows {
-		a.Add(key(r.Name, "comm"), "s", r.Comm, DirLower)
-		a.Add(key(r.Name, "total"), "s", r.Total, DirLower)
-		a.Add(key(r.Name, "comm_penalty"), "x", r.CommPenalty, "")
+	sb.WriteString("\n")
+	for _, r := range rows {
+		line(r)
 	}
-	return a
+	return sb.String()
 }

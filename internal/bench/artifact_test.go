@@ -3,6 +3,7 @@ package bench
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -38,5 +39,47 @@ func TestWriteFileReportsUncreatableDir(t *testing.T) {
 	a := mkArtifact("fig6", Series{Key: "k", Value: 1, Direction: DirEqual})
 	if err := a.WriteFile(filepath.Join(blocker, "sub")); err == nil {
 		t.Fatal("WriteFile through a regular file succeeded, want error")
+	}
+}
+
+// TestFormatPrintsEverySeries holds the renderer to printing each series of
+// an artifact once, with its unit in its column's header, whether it is
+// directed or information only, and an artifact with no series to its
+// header line.
+func TestFormatPrintsEverySeries(t *testing.T) {
+	a := mkArtifact("demo",
+		Series{Key: "ref/small", Unit: "s", Value: 1.25, Direction: DirLower},
+		Series{Key: "ref/big", Unit: "s", Value: 2.5, Direction: DirLower},
+		Series{Key: "opt/small", Unit: "s", Value: 3.75, Direction: DirLower},
+		Series{Key: "opt/big", Unit: "s", Value: 4.125, Direction: DirLower},
+		Series{Key: "penalty/opt", Unit: "x", Value: 5.5},
+		Series{Key: "boost", Unit: "B", Value: 6.875, Direction: DirEqual},
+		Series{Key: "pressure", Value: 7.0625, Direction: DirEqual},
+	)
+	a.Params = map[string]any{"steps": 30}
+	out := Format(a)
+	t.Log("\n" + out)
+	if !strings.HasPrefix(out, "demo steps=30\n") {
+		t.Errorf("header missing experiment and params:\n%s", out)
+	}
+	for _, s := range a.Series {
+		if n := strings.Count(out, num(s.Value)); n != 1 {
+			t.Errorf("%s: value %s printed %d times", s.Key, num(s.Value), n)
+		}
+		col := s.Key[strings.LastIndex(s.Key, "/")+1:]
+		if s.Unit != "" {
+			col += " (" + s.Unit + ")"
+		}
+		if !strings.Contains(out, col) {
+			t.Errorf("%s: no column %q", s.Key, col)
+		}
+	}
+	for _, row := range []string{"\nref ", "\nopt ", "\npenalty "} {
+		if strings.Count(out, row) != 1 {
+			t.Errorf("row %q not printed once:\n%s", row, out)
+		}
+	}
+	if out := Format(mkArtifact("empty")); out != "empty\n" {
+		t.Errorf("empty artifact renders %q, want its header", out)
 	}
 }

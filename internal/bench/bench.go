@@ -1,14 +1,14 @@
 // Package bench regenerates every table and figure of the paper's
 // evaluation (section 4) on the simulated Fugaku substrate. Each experiment
-// has a function returning structured rows plus a formatter that prints the
-// same series the paper reports. Default parameters are scaled down so the
-// whole suite runs in seconds; Options.Full selects the paper-sized runs.
+// is a function that builds its *Artifact as it computes: the series the
+// paper reports, with units and directions. Experiments lists them in run
+// order, Format prints any artifact, Targets holds the paper's numbers and
+// orderings over the series, and the BENCH_*.json files are the artifacts
+// themselves. Default parameters are scaled down so the whole suite runs in
+// seconds; Options.Full selects the paper-sized runs.
 package bench
 
 import (
-	"fmt"
-	"strings"
-
 	"tofumd/internal/faultinject"
 	"tofumd/internal/metrics"
 	"tofumd/internal/trace"
@@ -50,43 +50,38 @@ func (o Options) steps(def int) int {
 	return def
 }
 
-// table renders rows of columns with a header.
-func table(header []string, rows [][]string) string {
-	w := make([]int, len(header))
-	for i, h := range header {
-		w[i] = len(h)
-	}
-	for _, r := range rows {
-		for i, c := range r {
-			if i < len(w) && len(c) > w[i] {
-				w[i] = len(c)
-			}
-		}
-	}
-	var sb strings.Builder
-	line := func(cols []string) {
-		for i, c := range cols {
-			if i > 0 {
-				sb.WriteString("  ")
-			}
-			fmt.Fprintf(&sb, "%-*s", w[i], c)
-		}
-		sb.WriteString("\n")
-	}
-	line(header)
-	for i := range w {
-		if i > 0 {
-			sb.WriteString("  ")
-		}
-		sb.WriteString(strings.Repeat("-", w[i]))
-	}
-	sb.WriteString("\n")
-	for _, r := range rows {
-		line(r)
-	}
-	return sb.String()
+// Experiment is one entry of the suite: the artifacts its run returns, in
+// order, and the run.
+type Experiment struct {
+	Names []string
+	Run   func(Options) ([]*Artifact, error)
 }
 
-func us(t float64) string  { return fmt.Sprintf("%.2f", 1e6*t) }
-func ms(t float64) string  { return fmt.Sprintf("%.3f", 1e3*t) }
-func pct(f float64) string { return fmt.Sprintf("%.1f%%", 100*f) }
+// Experiments is the suite in its canonical run order. Its names are the
+// ones benchsuite's -experiment flag accepts; Fig. 13's run also yields
+// Table 3, the breakdown at its last point.
+var Experiments = []Experiment{
+	{[]string{"table1"}, one(Table1)},
+	{[]string{"fig6"}, one(Fig6)},
+	{[]string{"fig8"}, one(Fig8)},
+	{[]string{"fig11"}, one(Fig11)},
+	{[]string{"fig12"}, one(Fig12)},
+	{[]string{"fig13", "table3"}, func(o Options) ([]*Artifact, error) {
+		f, t, err := Fig13(o)
+		return []*Artifact{f, t}, err
+	}},
+	{[]string{"fig14"}, one(Fig14)},
+	{[]string{"fig15"}, one(Fig15)},
+	{[]string{"ablations"}, one(Ablations)},
+	{[]string{"faults"}, one(Faults)},
+	{[]string{"failstop"}, one(Failstop)},
+	{[]string{"lbm"}, one(Lbm)},
+}
+
+// one adapts a single-artifact experiment to the table's run signature.
+func one(run func(Options) (*Artifact, error)) func(Options) ([]*Artifact, error) {
+	return func(o Options) ([]*Artifact, error) {
+		a, err := run(o)
+		return []*Artifact{a}, err
+	}
+}

@@ -19,8 +19,8 @@ type Delta struct {
 	Moved bool
 }
 
-// CompareResult is the outcome of aligning a baseline against a candidate.
-type CompareResult struct {
+// Comparison is the outcome of aligning a baseline against a candidate.
+type Comparison struct {
 	Deltas []Delta
 	// Moved is the subset of Deltas that moved, in experiment order.
 	Moved []Delta
@@ -33,8 +33,8 @@ type CompareResult struct {
 // experiment + series key and reports every pair. Every artifact holds
 // deterministic virtual-time series, so the contract is equality: a directed
 // series moves when its value changes at all, in either direction.
-func Compare(base, cand map[string]*Artifact) *CompareResult {
-	res := &CompareResult{}
+func Compare(base, cand map[string]*Artifact) *Comparison {
+	res := &Comparison{}
 	exps := make([]string, 0, len(base))
 	for e := range base {
 		exps = append(exps, e)
@@ -111,7 +111,7 @@ func Compare(base, cand map[string]*Artifact) *CompareResult {
 
 // FormatTable renders the aligned deltas, flagging the moved series, and
 // ends with the first series that moved.
-func (r *CompareResult) FormatTable() string {
+func (r *Comparison) FormatTable() string {
 	var rows [][]string
 	for _, d := range r.Deltas {
 		flag := ""

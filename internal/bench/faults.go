@@ -11,29 +11,6 @@ import (
 	"tofumd/internal/vec"
 )
 
-// FaultsRow is one point of the chaos sweep: an LJ melt under a fault spec,
-// compared against the fault-free run of the same length.
-type FaultsRow struct {
-	Spec faultinject.Spec
-	// Elapsed is the slowest rank's virtual time; Overhead its increase over
-	// the fault-free run (0 for the fault-free row itself).
-	Elapsed, Overhead float64
-	// Retransmits and Drops come from the uTofu and fabric counters;
-	// FallbackMsgs counts messages re-routed over the MPI path.
-	Retransmits, Drops, FallbackMsgs int64
-	// PhysicsIdentical reports bit-exact final state vs the fault-free run;
-	// ReplayIdentical that a second run with the same spec reproduced the
-	// same state, elapsed time and counters.
-	PhysicsIdentical, ReplayIdentical bool
-}
-
-// FaultsResult is the chaos experiment: fault injection must cost virtual
-// time only — never physics — and must replay bit-identically.
-type FaultsResult struct {
-	Rows  []FaultsRow
-	Steps int
-}
-
 // meltOutcome is one chaos melt's comparable summary: the final state and
 // every fault counter the faults and failstop experiments report.
 type meltOutcome struct {
@@ -41,6 +18,11 @@ type meltOutcome struct {
 	energy, elapsed                  float64
 	retransmits, drops, fallbackMsgs int64
 	replans, quarantined             int64
+}
+
+// samePhysics reports whether m ended in o's final state, bit for bit.
+func (m meltOutcome) samePhysics(o meltOutcome) bool {
+	return m.hash == o.hash && m.energy == o.energy
 }
 
 // meltSteps is the chaos melts' step count: 100, 400 under Full, or
@@ -83,14 +65,22 @@ func chaosMelt(steps int, spec faultinject.Spec) (meltOutcome, error) {
 	}, nil
 }
 
-// Faults runs the chaos sweep: drop rates {0, 1e-4, 1e-3, 1e-2} plus a
-// forced-fallback point where a NACK storm starves the uTofu path and the
-// per-neighbor MPI fallback must carry the round.
-func Faults(opt Options) (FaultsResult, error) {
+// Faults is the chaos experiment: an LJ melt under each point of a fault
+// sweep — drop rates {0, 1e-4, 1e-3, 1e-2} plus a forced-fallback point where
+// a NACK storm starves the uTofu path and the per-neighbor MPI fallback must
+// carry the round — against the fault-free run of the same length. Fault
+// injection must cost virtual time only, never physics, and must replay
+// bit-identically. Per point the series are the slowest rank's elapsed
+// virtual time (lower is better), its overhead over the fault-free run
+// (information only), the uTofu retransmissions and MPI-fallback messages,
+// and the two invariant flags — bit-exact final state against the fault-free
+// run and against a second run of the same spec — which must never move off
+// 1.
+func Faults(opt Options) (*Artifact, error) {
 	steps := meltSteps(opt)
 	baseline, err := chaosMelt(steps, faultinject.Spec{})
 	if err != nil {
-		return FaultsResult{}, err
+		return nil, err
 	}
 	specs := []faultinject.Spec{
 		{},
@@ -99,28 +89,25 @@ func Faults(opt Options) (FaultsResult, error) {
 		{Seed: 7, Drop: 1e-2},
 		{Seed: 3, Nack: 0.9}, // forced fallback: uTofu starved, MPI carries
 	}
-	res := FaultsResult{Steps: steps}
+	a := NewArtifact("faults", opt)
 	for _, spec := range specs {
 		first, err := chaosMelt(steps, spec)
 		if err != nil {
-			return res, err
+			return nil, err
 		}
 		replay, err := chaosMelt(steps, spec)
 		if err != nil {
-			return res, err
+			return nil, err
 		}
-		res.Rows = append(res.Rows, FaultsRow{
-			Spec:             spec,
-			Elapsed:          first.elapsed,
-			Overhead:         first.elapsed/baseline.elapsed - 1,
-			Retransmits:      first.retransmits,
-			Drops:            first.drops,
-			FallbackMsgs:     first.fallbackMsgs,
-			PhysicsIdentical: first.hash == baseline.hash && first.energy == baseline.energy,
-			ReplayIdentical:  first == replay,
-		})
+		lbl := faultLabel(spec)
+		a.Add(key(lbl, "elapsed"), "s", first.elapsed, DirLower)
+		a.Add(key(lbl, "overhead"), "frac", first.elapsed/baseline.elapsed-1, "")
+		a.Add(key(lbl, "retransmits"), "count", float64(first.retransmits), DirEqual)
+		a.Add(key(lbl, "fallback_msgs"), "count", float64(first.fallbackMsgs), DirEqual)
+		a.Add(key(lbl, "physics_identical"), "bool", boolSeries(first.samePhysics(baseline)), DirEqual)
+		a.Add(key(lbl, "replay_identical"), "bool", boolSeries(first == replay), DirEqual)
 	}
-	return res, nil
+	return a, nil
 }
 
 // stateHash folds every atom's ID, position and velocity bits into one
@@ -137,7 +124,7 @@ func stateHash(s *sim.Simulation) uint64 {
 	return h
 }
 
-// faultLabel names a row for tables and artifact keys.
+// faultLabel names a sweep point in artifact keys.
 func faultLabel(s faultinject.Spec) string {
 	switch {
 	case s.Nack > 0:
@@ -147,50 +134,6 @@ func faultLabel(s faultinject.Spec) string {
 	default:
 		return "fault-free"
 	}
-}
-
-// Format renders the chaos sweep.
-func (f FaultsResult) Format() string {
-	var rows [][]string
-	for _, r := range f.Rows {
-		rows = append(rows, []string{
-			faultLabel(r.Spec),
-			fmt.Sprintf("%.6f s", r.Elapsed),
-			fmt.Sprintf("%+.2f%%", 100*r.Overhead),
-			fmt.Sprintf("%d", r.Retransmits),
-			fmt.Sprintf("%d", r.FallbackMsgs),
-			yesNo(r.PhysicsIdentical),
-			yesNo(r.ReplayIdentical),
-		})
-	}
-	s := fmt.Sprintf("Chaos sweep: LJ melt, %d steps, fault injection vs fault-free\n", f.Steps)
-	s += table([]string{"faults", "elapsed", "overhead", "retransmits", "fallback", "physics==", "replay=="}, rows)
-	s += "faults cost virtual time only: physics and replay columns must all be yes\n"
-	return s
-}
-
-func yesNo(b bool) string {
-	if b {
-		return "yes"
-	}
-	return "no"
-}
-
-// Artifact emits the chaos series: elapsed per fault point (lower is
-// better), deterministic counters, and the two invariant flags, which must
-// never move off 1.
-func (f FaultsResult) Artifact(opt Options) *Artifact {
-	a := NewArtifact("faults", opt)
-	for _, r := range f.Rows {
-		lbl := faultLabel(r.Spec)
-		a.Add(key(lbl, "elapsed"), "s", r.Elapsed, DirLower)
-		a.Add(key(lbl, "overhead"), "frac", r.Overhead, "")
-		a.Add(key(lbl, "retransmits"), "count", float64(r.Retransmits), DirEqual)
-		a.Add(key(lbl, "fallback_msgs"), "count", float64(r.FallbackMsgs), DirEqual)
-		a.Add(key(lbl, "physics_identical"), "bool", boolSeries(r.PhysicsIdentical), DirEqual)
-		a.Add(key(lbl, "replay_identical"), "bool", boolSeries(r.ReplayIdentical), DirEqual)
-	}
-	return a
 }
 
 func boolSeries(b bool) float64 {

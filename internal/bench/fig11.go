@@ -8,25 +8,13 @@ import (
 	"tofumd/internal/md/sim"
 )
 
-// Fig11Series is one pressure trace.
-type Fig11Series struct {
-	Steps    []int
-	Pressure []float64
-}
-
-// Fig11Result reproduces Fig. 11: the pressure of the 65K-atom system under
-// the baseline and optimized codes for both potentials. The optimizations
-// do not touch force math, so the traces must coincide.
-type Fig11Result struct {
-	LJRef, LJOpt, EAMRef, EAMOpt Fig11Series
-	// MaxRelDiffLJ/EAM is the maximum relative pressure deviation between
-	// ref and opt along the trace.
-	MaxRelDiffLJ, MaxRelDiffEAM float64
-}
-
-// Fig11 runs the accuracy traces. Default: 400 steps sampled every 20;
-// Full: the paper's 50K steps.
-func Fig11(opt Options) (Fig11Result, error) {
+// Fig11 reproduces Fig. 11: the pressure of the 65K-atom system under the
+// baseline and optimized codes for both potentials. The optimizations do not
+// touch force math, so the traces must coincide: the series are the maximum
+// relative ref/opt deviation along each trace and the ref runs' final
+// pressures. Default: 400 steps sampled every 20; Full: the paper's 50K
+// steps.
+func Fig11(opt Options) (*Artifact, error) {
 	steps := opt.steps(400)
 	if opt.Full && opt.Steps == 0 {
 		steps = 50000
@@ -35,11 +23,7 @@ func Fig11(opt Options) (Fig11Result, error) {
 	if every < 1 {
 		every = 1
 	}
-	run := func(kind core.Kind, v sim.Variant) (Fig11Series, error) {
-		wl := core.LJSmall()
-		if kind == core.EAM {
-			wl = core.EAMSmall()
-		}
+	pressure := func(wl core.Workload, v sim.Variant) ([]float64, error) {
 		res, err := core.Run(core.RunSpec{
 			Workload:    wl,
 			TileShape:   opt.tileFor(),
@@ -48,41 +32,46 @@ func Fig11(opt Options) (Fig11Result, error) {
 			ThermoEvery: every,
 		})
 		if err != nil {
-			return Fig11Series{}, err
+			return nil, err
 		}
-		var s Fig11Series
+		var p []float64
 		for _, t := range res.Thermo {
-			s.Steps = append(s.Steps, t.Step)
-			s.Pressure = append(s.Pressure, t.Pressure)
+			p = append(p, t.Pressure)
 		}
-		return s, nil
+		return p, nil
 	}
-	var out Fig11Result
-	var err error
-	if out.LJRef, err = run(core.LJ, sim.Ref()); err != nil {
-		return out, err
+	a := NewArtifact("fig11", opt)
+	var final [2]float64
+	for i, wl := range []core.Workload{core.LJSmall(), core.EAMSmall()} {
+		ref, err := pressure(wl, sim.Ref())
+		if err != nil {
+			return nil, err
+		}
+		optP, err := pressure(wl, sim.Opt())
+		if err != nil {
+			return nil, err
+		}
+		d, err := maxRelDiff(ref, optP)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", wl.Name, err)
+		}
+		a.Add(key("max_rel_diff", wl.Kind.String()), "frac", d, DirLower)
+		final[i] = ref[len(ref)-1]
 	}
-	if out.LJOpt, err = run(core.LJ, sim.Opt()); err != nil {
-		return out, err
-	}
-	if out.EAMRef, err = run(core.EAM, sim.Ref()); err != nil {
-		return out, err
-	}
-	if out.EAMOpt, err = run(core.EAM, sim.Opt()); err != nil {
-		return out, err
-	}
-	out.MaxRelDiffLJ = maxRelDiff(out.LJRef.Pressure, out.LJOpt.Pressure)
-	out.MaxRelDiffEAM = maxRelDiff(out.EAMRef.Pressure, out.EAMOpt.Pressure)
-	return out, nil
+	a.Add("final_pressure/lj_ref", "", final[0], DirEqual)
+	a.Add("final_pressure/eam_ref", "bar", final[1], DirEqual)
+	return a, nil
 }
 
-func maxRelDiff(a, b []float64) float64 {
-	var worst float64
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
+// maxRelDiff is the largest relative deviation of trace b from trace a. The
+// traces must sample the same steps, at least two of them: a shorter or
+// empty trace would compare nothing and read 0.
+func maxRelDiff(a, b []float64) (float64, error) {
+	if len(a) != len(b) || len(a) < 2 {
+		return 0, fmt.Errorf("pressure traces hold %d and %d samples, want the same count of at least 2", len(a), len(b))
 	}
-	for i := 0; i < n; i++ {
+	var worst float64
+	for i := range a {
 		scale := math.Abs(a[i])
 		if scale < 1e-9 {
 			scale = 1e-9
@@ -91,26 +80,5 @@ func maxRelDiff(a, b []float64) float64 {
 			worst = d
 		}
 	}
-	return worst
-}
-
-// Format renders the Fig. 11 reproduction.
-func (f Fig11Result) Format() string {
-	var rows [][]string
-	n := len(f.LJRef.Steps)
-	for i := 0; i < n; i++ {
-		row := []string{fmt.Sprintf("%d", f.LJRef.Steps[i]),
-			fmt.Sprintf("%.5f", f.LJRef.Pressure[i]),
-			fmt.Sprintf("%.5f", f.LJOpt.Pressure[i])}
-		if i < len(f.EAMRef.Pressure) && i < len(f.EAMOpt.Pressure) {
-			row = append(row,
-				fmt.Sprintf("%.1f", f.EAMRef.Pressure[i]),
-				fmt.Sprintf("%.1f", f.EAMOpt.Pressure[i]))
-		} else {
-			row = append(row, "-", "-")
-		}
-		rows = append(rows, row)
-	}
-	s := "Fig. 11: pressure of the 65K-atom system, baseline vs optimized\n"
-	return s + table([]string{"step", "lj_ref", "lj_opt", "eam_ref(bar)", "eam_opt(bar)"}, rows)
+	return worst, nil
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 
 	"tofumd/internal/core"
 	"tofumd/internal/md/sim"
@@ -9,47 +10,29 @@ import (
 	"tofumd/internal/trace"
 )
 
-// Fig13Row is one strong-scaling point for one potential.
-type Fig13Row struct {
-	Nodes int
-	Kind  string
-	// RefPerf/OptPerf are tau/day (lj) or us/day (metal).
-	RefPerf, OptPerf float64
-	// Efficiency is parallel efficiency relative to the first point.
-	RefEff, OptEff float64
-	// Stage times per run (seconds) for Fig. 13b.
-	RefPair, OptPair, RefComm, OptComm float64
-	Speedup                            float64
-}
-
-// Fig13Result reproduces Fig. 13 (strong scaling 768 to 36,864 nodes) and
-// Table 3 (the stage breakdown at the last point).
-type Fig13Result struct {
-	Rows []Fig13Row
-	// Table3 holds the last point's breakdowns keyed "Origin-L-J",
-	// "Opt-L-J", "Origin-EAM", "Opt-EAM".
-	Table3 map[string]*trace.Breakdown
-	// Headline speedups at the last point.
-	SpeedupLJ, SpeedupEAM float64
-	// PairDropLJ/EAM is the pair-stage reduction at the last point.
-	PairDropLJ, PairDropEAM float64
-}
-
-// Fig13 runs the strong-scaling sweep in modeled mode (the homogeneous
-// benchmark makes a representative tile timing-equivalent; collectives are
-// charged at the full rank count).
-func Fig13(opt Options) (Fig13Result, error) {
+// Fig13 reproduces Fig. 13, strong scaling from 768 to 36,864 nodes, and
+// Table 3, the stage breakdown at its last point. It runs in modeled mode
+// (the homogeneous benchmark makes a representative tile timing-equivalent;
+// collectives are charged at the full rank count). The fig13 series are each
+// point's ref and opt perf (tau/day for LJ, us/day for EAM) and speedup, then
+// the last point's speedups and pair-stage reductions; the table3 series are
+// each code's total time at the last point, then each stage's share of it.
+func Fig13(opt Options) (fig13, table3 *Artifact, err error) {
 	steps := opt.steps(99)
 	shapes := topo.PaperStrongScalingShapes()
 	tileCap := 256
 	if opt.Full {
 		tileCap = 4096
 	}
-	out := Fig13Result{Table3: map[string]*trace.Breakdown{}}
-	for _, kind := range []core.Kind{core.LJ, core.EAM} {
+	fig13 = NewArtifact("fig13", opt)
+	var speedup, pairDrop [2]float64
+	last := map[string]*trace.Breakdown{}
+	for k, sys := range []struct {
+		kind core.Kind
+		code string // Table 3's name for the potential
+	}{{core.LJ, "L-J"}, {core.EAM, "EAM"}} {
+		kind := sys.kind
 		atoms := core.StrongScalingAtoms(kind)
-		var firstRefPerf, firstOptPerf float64
-		var firstNodes int
 		for i, shape := range shapes {
 			ranks := shape.Prod() * 4
 			per := float64(atoms) / float64(ranks)
@@ -65,85 +48,38 @@ func Fig13(opt Options) (Fig13Result, error) {
 			}
 			ref, err := run(sim.Ref())
 			if err != nil {
-				return out, err
+				return nil, nil, err
 			}
 			optR, err := run(sim.Opt())
 			if err != nil {
-				return out, err
+				return nil, nil, err
 			}
-			row := Fig13Row{
-				Nodes:   shape.Prod(),
-				Kind:    kind.String(),
-				RefPerf: ref.PerfPerDay,
-				OptPerf: optR.PerfPerDay,
-				RefPair: ref.Breakdown.Get(trace.Pair),
-				OptPair: optR.Breakdown.Get(trace.Pair),
-				RefComm: ref.Breakdown.Get(trace.Comm),
-				OptComm: optR.Breakdown.Get(trace.Comm),
-				Speedup: ref.Elapsed / optR.Elapsed,
-			}
-			if i == 0 {
-				firstRefPerf, firstOptPerf, firstNodes = ref.PerfPerDay, optR.PerfPerDay, row.Nodes
-			}
-			scale := float64(row.Nodes) / float64(firstNodes)
-			row.RefEff = row.RefPerf / (firstRefPerf * scale)
-			row.OptEff = row.OptPerf / (firstOptPerf * scale)
-			out.Rows = append(out.Rows, row)
+			nodes := fmt.Sprintf("n%d", shape.Prod())
+			fig13.Add(key(kind.String(), nodes, "ref_perf"), "perf/day", ref.PerfPerDay, DirHigher)
+			fig13.Add(key(kind.String(), nodes, "opt_perf"), "perf/day", optR.PerfPerDay, DirHigher)
+			fig13.Add(key(kind.String(), nodes, "speedup"), "x", ref.Elapsed/optR.Elapsed, DirHigher)
 			if i == len(shapes)-1 {
-				if kind == core.LJ {
-					out.SpeedupLJ = row.Speedup
-					out.PairDropLJ = 1 - row.OptPair/row.RefPair
-					out.Table3["Origin-L-J"] = ref.Breakdown
-					out.Table3["Opt-L-J"] = optR.Breakdown
-				} else {
-					out.SpeedupEAM = row.Speedup
-					out.PairDropEAM = 1 - row.OptPair/row.RefPair
-					out.Table3["Origin-EAM"] = ref.Breakdown
-					out.Table3["Opt-EAM"] = optR.Breakdown
-				}
+				speedup[k] = ref.Elapsed / optR.Elapsed
+				pairDrop[k] = 1 - optR.Breakdown.Get(trace.Pair)/ref.Breakdown.Get(trace.Pair)
+				last["Origin-"+sys.code], last["Opt-"+sys.code] = ref.Breakdown, optR.Breakdown
 			}
 		}
 	}
-	return out, nil
-}
+	fig13.Add("speedup/lj", "x", speedup[0], DirHigher)
+	fig13.Add("speedup/eam", "x", speedup[1], DirHigher)
+	fig13.Add("pair_drop/lj", "frac", pairDrop[0], DirHigher)
+	fig13.Add("pair_drop/eam", "frac", pairDrop[1], DirHigher)
 
-// Format renders Fig. 13a/13b.
-func (f Fig13Result) Format() string {
-	var rows [][]string
-	for _, r := range f.Rows {
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", r.Nodes), r.Kind,
-			fmt.Sprintf("%.4g", r.RefPerf), fmt.Sprintf("%.4g", r.OptPerf),
-			pct(r.RefEff), pct(r.OptEff),
-			ms(r.RefPair), ms(r.OptPair), ms(r.RefComm), ms(r.OptComm),
-			fmt.Sprintf("%.2fx", r.Speedup),
-		})
+	table3 = NewArtifact("table3", opt)
+	codes := []string{"Opt-EAM", "Opt-L-J", "Origin-EAM", "Origin-L-J"}
+	for _, name := range codes {
+		table3.Add(key(name, "total"), "s", last[name].Total(), DirLower)
 	}
-	s := "Fig. 13: strong scaling 768 -> 36864 nodes (perf in tau/day or us/day; stage times ms/run)\n"
-	return s + table([]string{"nodes", "pot", "ref perf", "opt perf", "ref eff", "opt eff",
-		"ref pair", "opt pair", "ref comm", "opt comm", "speedup"}, rows)
-}
-
-// FormatTable3 renders the Table 3 reproduction: stage times and their
-// share of the total at the last strong-scaling point.
-func (f Fig13Result) FormatTable3() string {
-	order := []string{"Origin-L-J", "Opt-L-J", "Origin-EAM", "Opt-EAM"}
-	var rows [][]string
-	for _, name := range order {
-		bd := f.Table3[name]
-		if bd == nil {
-			continue
-		}
-		total := bd.Total()
-		timeRow := []string{name}
-		pctRow := []string{""}
+	for _, name := range codes {
+		bd := last[name]
 		for _, st := range trace.Stages() {
-			timeRow = append(timeRow, ms(bd.Get(st)))
-			pctRow = append(pctRow, pct(bd.Get(st)/total))
+			table3.Add(key(name, "share", strings.ToLower(st.String())), "frac", bd.Get(st)/bd.Total(), DirEqual)
 		}
-		rows = append(rows, timeRow, pctRow)
 	}
-	s := "Table 3: stage breakdown at 36864 nodes (ms per run / % of total)\n"
-	s += table([]string{"potential", "Pair", "Neigh", "Comm", "Modify", "Other"}, rows)
-	return s
+	return fig13, table3, nil
 }

@@ -11,33 +11,22 @@ import (
 	"tofumd/internal/units"
 )
 
-// Fig15Row compares the patterns in one neighbor regime.
-type Fig15Row struct {
-	// Neighbors is the per-rank neighbor count: 26 (full list, one shell),
-	// 62 (Newton on, two shells) or 124 (Newton off, two shells).
-	Neighbors int
-	// CommThreeStage and CommP2P are comm-stage times of the run.
-	CommThreeStage, CommP2P float64
-	// P2PWins reports whether the optimized p2p beats 3-stage.
-	P2PWins bool
-}
-
-// Fig15Result reproduces the extended experiment: the optimized p2p pattern
-// helps at 26 and 62 neighbors but loses to 3-stage at 124 (p2p message
-// count grows as n^2-like while 3-stage grows linearly).
-type Fig15Result struct {
-	Rows []Fig15Row
-}
-
-// Fig15 runs the three regimes functionally on a tile. It stays off
-// core.Modeled, which the other 768-node tables read, because the model
-// assumes Newton on with half lists (see modelSetup in core/modeled.go),
-// while the 26- and 124-neighbor regimes run Newton off with full lists.
-func Fig15(opt Options) (Fig15Result, error) {
+// Fig15 reproduces the extended experiment: the optimized p2p pattern helps
+// at 26 and 62 per-rank neighbors but loses to 3-stage at 124 (p2p message
+// count grows as n^2-like while 3-stage grows linearly). The series are each
+// regime's comm-stage time under both patterns (lower is better) and whether
+// p2p wins, which must not flip. The regimes are 26 neighbors (full list,
+// one shell), 62 (Newton on, two shells) and 124 (Newton off, two shells).
+//
+// The regimes run functionally on a tile. They stay off core.Modeled, which
+// the other 768-node tables read, because the model assumes Newton on with
+// half lists (see modelSetup in core/modeled.go), while the 26- and
+// 124-neighbor regimes run Newton off with full lists.
+func Fig15(opt Options) (*Artifact, error) {
 	steps := opt.steps(15)
 	m, err := sim.NewMachine(opt.tileFor())
 	if err != nil {
-		return Fig15Result{}, err
+		return nil, err
 	}
 	grid := m.Map.Grid
 
@@ -83,43 +72,24 @@ func Fig15(opt Options) (Fig15Result, error) {
 		return trace.Merge(r.Sim().Breakdowns()).Get(trace.Comm), nil
 	}
 
-	var out Fig15Result
+	a := NewArtifact("fig15", opt)
 	for _, nb := range []int{26, 62, 124} {
 		cfg, err := mkConfig(nb)
 		if err != nil {
-			return out, err
+			return nil, err
 		}
 		t3, err := runComm(sim.UTofu3Stage(), cfg)
 		if err != nil {
-			return out, fmt.Errorf("3stage %d: %w", nb, err)
+			return nil, fmt.Errorf("3stage %d: %w", nb, err)
 		}
 		tp, err := runComm(sim.Opt(), cfg)
 		if err != nil {
-			return out, fmt.Errorf("p2p %d: %w", nb, err)
+			return nil, fmt.Errorf("p2p %d: %w", nb, err)
 		}
-		out.Rows = append(out.Rows, Fig15Row{
-			Neighbors:      nb,
-			CommThreeStage: t3,
-			CommP2P:        tp,
-			P2PWins:        tp < t3,
-		})
+		label := fmt.Sprintf("nb%d", nb)
+		a.Add(key(label, "comm_3stage"), "s", t3, DirLower)
+		a.Add(key(label, "comm_p2p"), "s", tp, DirLower)
+		a.Add(key(label, "p2p_wins"), "bool", boolSeries(tp < t3), DirEqual)
 	}
-	return out, nil
-}
-
-// Format renders the Fig. 15 reproduction.
-func (f Fig15Result) Format() string {
-	var rows [][]string
-	for _, r := range f.Rows {
-		winner := "3-stage"
-		if r.P2PWins {
-			winner = "p2p"
-		}
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", r.Neighbors),
-			ms(r.CommThreeStage), ms(r.CommP2P), winner,
-		})
-	}
-	s := "Fig. 15: comm time by neighbor count (ms per run)\n"
-	return s + table([]string{"neighbors", "uTofu-3stage", "opt p2p", "winner"}, rows)
+	return a, nil
 }

@@ -9,31 +9,17 @@ import (
 	"tofumd/internal/vec"
 )
 
-// Fig8Row is one message-size point of Fig. 8.
-type Fig8Row struct {
-	Bytes int
-	// Rates are messages/second for one node under the three injection
-	// schemes: a single thread per rank over 4 TNIs, a single thread per
-	// rank spraying 6 TNIs, and 6 threads per rank on 6 TNIs.
-	Rate4TNI, Rate6TNI, RateParallel float64
-	// Bandwidth is the parallel scheme's payload throughput (bytes/s).
-	Bandwidth float64
-}
-
-// Fig8Result reproduces Fig. 8: message rate and bandwidth of one node vs
-// message size.
-type Fig8Result struct {
-	Rows []Fig8Row
-	// BoostBytes is the largest size at which parallel injection boosts
-	// the message rate by at least 50% over the single-thread 4-TNI scheme.
-	BoostBytes int
-}
-
-// Fig8 runs the injection microbenchmark.
-func Fig8(opt Options) (Fig8Result, error) {
+// Fig8 reproduces Fig. 8: one node's message rate (messages/second) vs
+// message size under three injection schemes — a single thread per rank over
+// 4 TNIs, a single thread per rank spraying 6 TNIs, and 6 threads per rank on
+// 6 TNIs — with the parallel scheme's payload bandwidth (bytes/s), and the
+// largest size at which parallel injection boosts the rate by at least 50%
+// over the single-thread 4-TNI scheme. A run with Options.Faults enabled
+// records the spec as the "faults" parameter.
+func Fig8(opt Options) (*Artifact, error) {
 	m, err := sim.NewMachine(vec.I3{X: 2, Y: 2, Z: 2})
 	if err != nil {
-		return Fig8Result{}, err
+		return nil, err
 	}
 	fab := tofu.NewFabric(m.Map, m.Params)
 	fab.Rec = opt.Rec
@@ -78,54 +64,38 @@ func Fig8(opt Options) (Fig8Result, error) {
 		}
 		return last, nil
 	}
-	sizes := []int{8, 32, 128, 512, 2048, 8192, 32768, 131072, 1 << 20}
-	var res Fig8Result
+	a := NewArtifact("fig8", opt)
+	if opt.Faults.Enabled() {
+		a.Params["faults"] = opt.Faults.String()
+	}
+	var boost int
 	totalMsgs := float64(len(senders) * perRank)
-	for _, b := range sizes {
+	for _, b := range []int{8, 32, 128, 512, 2048, 8192, 32768, 131072, 1 << 20} {
 		t4, err := run(b, "4tni")
 		if err != nil {
-			return Fig8Result{}, err
+			return nil, err
 		}
 		t6, err := run(b, "6tni")
 		if err != nil {
-			return Fig8Result{}, err
+			return nil, err
 		}
 		tp, err := run(b, "parallel")
 		if err != nil {
-			return Fig8Result{}, err
+			return nil, err
 		}
-		row := Fig8Row{
-			Bytes:        b,
-			Rate4TNI:     totalMsgs / t4,
-			Rate6TNI:     totalMsgs / t6,
-			RateParallel: totalMsgs / tp,
-			Bandwidth:    totalMsgs * float64(b) / tp,
-		}
-		res.Rows = append(res.Rows, row)
-		if row.RateParallel >= 1.5*row.Rate4TNI {
-			res.BoostBytes = b
+		rate4, rateP := totalMsgs/t4, totalMsgs/tp
+		sz := byteLabel(b)
+		a.Add(key("rate_4tni", sz), "msg/s", rate4, DirHigher)
+		a.Add(key("rate_6tni", sz), "msg/s", totalMsgs/t6, DirHigher)
+		a.Add(key("rate_parallel", sz), "msg/s", rateP, DirHigher)
+		a.Add(key("bandwidth", sz), "B/s", totalMsgs*float64(b)/tp, DirHigher)
+		if rateP >= 1.5*rate4 {
+			boost = b
 		}
 	}
-	return res, nil
+	a.Add("boost_bytes", "B", float64(boost), DirEqual)
+	return a, nil
 }
-
-// Format renders the Fig. 8 reproduction.
-func (f Fig8Result) Format() string {
-	var rows [][]string
-	for _, r := range f.Rows {
-		rows = append(rows, []string{
-			byteLabel(r.Bytes),
-			rate(r.Rate4TNI), rate(r.Rate6TNI), rate(r.RateParallel),
-			gbs(r.Bandwidth),
-		})
-	}
-	s := "Fig. 8: one-node message rate (Mmsg/s) and bandwidth vs size\n"
-	return s + table([]string{"size", "single-4TNI", "single-6TNI", "parallel", "BW(par)"}, rows)
-}
-
-func rate(r float64) string { return fmt.Sprintf("%.3f Mmsg/s", r/1e6) }
-
-func gbs(b float64) string { return fmt.Sprintf("%.3f GB/s", b/1e9) }
 
 func byteLabel(b int) string {
 	switch {

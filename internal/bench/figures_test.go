@@ -4,137 +4,103 @@ import (
 	"strings"
 	"testing"
 
-	"tofumd/internal/trace"
+	"tofumd/internal/faultinject"
 )
 
-// checkTargets fails t for every Targets row of a's experiment that a
-// misses.
-func checkTargets(t *testing.T, a *Artifact) {
+// checkTargets logs a and fails t for every Targets row of a's experiment
+// that a misses.
+func checkTargets(t *testing.T, a *Artifact, err error) {
 	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Log("\n" + Format(a))
 	for _, err := range CheckTargets(a) {
 		t.Error(err)
 	}
 }
 
 func TestTable1(t *testing.T) {
-	res := Table1(2.94, 2.8)
-	t.Log("\n" + res.Format())
-	checkTargets(t, res.Artifact(Options{}))
-	if res.TotalP2P >= res.TotalThreeStage {
-		t.Error("p2p must halve the exchanged volume with Newton on")
-	}
+	a, err := Table1(Options{})
+	checkTargets(t, a, err)
 }
 
 func TestFig6(t *testing.T) {
-	res, err := Fig6(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + res.Format())
-	tm := map[string][2]float64{}
-	for _, r := range res.Rows {
-		tm[r.Variant] = [2]float64{r.SmallTime, r.BigTime}
-	}
-	// The Fig. 6 orderings on the small system.
-	if !(tm["mpi-p2p"][0] > tm["ref"][0]) {
-		t.Error("MPI p2p must be slower than MPI 3-stage")
-	}
-	if !(tm["utofu-3stage"][0] < tm["ref"][0]/2) {
-		t.Error("uTofu 3-stage must at least halve the MPI 3-stage time")
-	}
-	if !(tm["6tni-p2p"][0] > tm["4tni-p2p"][0]) {
-		t.Error("single-thread 6-TNI must lose to 4-TNI")
-	}
-	if !(tm["opt"][0] < tm["4tni-p2p"][0]) {
-		t.Error("thread pool must win")
-	}
-	// Big system: every uTofu p2p beats uTofu 3-stage (section 4.2).
-	if !(tm["4tni-p2p"][1] < tm["utofu-3stage"][1] && tm["opt"][1] < tm["utofu-3stage"][1]) {
-		t.Error("at 1.7M atoms all uTofu p2p variants must beat 3-stage")
-	}
-	checkTargets(t, res.Artifact(Options{}))
+	a, err := Fig6(Options{})
+	checkTargets(t, a, err)
 }
 
 func TestFig8(t *testing.T) {
-	res, err := Fig8(Options{})
+	a, err := Fig8(Options{})
+	checkTargets(t, a, err)
+}
+
+// TestFig8RecordsFaults holds a fault-injected Fig. 8 artifact to naming its
+// spec, so benchcmp shows why its rates moved, and a clean one to carrying
+// no faults parameter at all.
+func TestFig8RecordsFaults(t *testing.T) {
+	clean, err := Fig8(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Log("\n" + res.Format())
-	if small := res.Rows[0]; small.Rate6TNI >= small.Rate4TNI {
-		t.Error("6-TNI spraying must lower the single-thread message rate")
+	if f, ok := clean.Params["faults"]; ok {
+		t.Errorf("clean run records faults=%v", f)
 	}
-	checkTargets(t, res.Artifact(Options{}))
+	spec, err := faultinject.ParseSpec("drop=0.01,seed=7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulty, err := Fig8(Options{Faults: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := faulty.Params["faults"]; got != spec.String() {
+		t.Errorf("fault-injected run records faults=%v, want %q", got, spec.String())
+	}
 }
 
 func TestFig11(t *testing.T) {
-	res, err := Fig11(Options{Steps: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + res.Format())
-	checkTargets(t, res.Artifact(Options{Steps: 60}))
-	if len(res.LJRef.Steps) < 3 {
-		t.Error("too few samples")
+	a, err := Fig11(Options{Steps: 60})
+	checkTargets(t, a, err)
+}
+
+// TestMaxRelDiffRejectsVacuousTraces holds Fig. 11's deviation to comparing
+// whole traces: a mismatched or too-short pair is an error, not a 0 that
+// passes the max_rel_diff rows.
+func TestMaxRelDiffRejectsVacuousTraces(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		a, b    []float64
+		want    float64
+		wantErr bool
+	}{
+		{"mismatched", []float64{1, 2, 3}, []float64{1, 2}, 0, true},
+		{"empty", nil, nil, 0, true},
+		{"one sample", []float64{1}, []float64{1}, 0, true},
+		{"equal", []float64{1, -2, 4}, []float64{1, -2, 4}, 0, false},
+		{"deviating", []float64{2, -4}, []float64{2, -5}, 0.25, false},
+	} {
+		got, err := maxRelDiff(tc.a, tc.b)
+		if (err != nil) != tc.wantErr || got != tc.want {
+			t.Errorf("%s: got %v, %v; want %v, error %v", tc.name, got, err, tc.want, tc.wantErr)
+		}
 	}
 }
 
 func TestFig12(t *testing.T) {
-	res, err := Fig12(Options{Steps: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + res.Format())
-	checkTargets(t, res.Artifact(Options{Steps: 10}))
-	// The big systems must improve less than the small ones (pair-bound).
-	if res.SpeedupBigLJ >= res.SpeedupSmallLJ {
-		t.Error("1.7M speedup must be below 65K speedup")
-	}
-	// MPI p2p must be a slowdown on the small system.
-	for _, r := range res.Rows {
-		if r.System == "lj-65k" && r.Variant == "mpi-p2p" && r.Speedup >= 1 {
-			t.Error("naive MPI p2p must lose to the baseline")
-		}
-	}
+	a, err := Fig12(Options{Steps: 10})
+	checkTargets(t, a, err)
 }
 
 func TestFig13(t *testing.T) {
-	res, err := Fig13(Options{Steps: 99})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + res.Format())
-	t.Log("\n" + res.FormatTable3())
-	checkTargets(t, res.Artifact(Options{Steps: 99}))
-	checkTargets(t, res.Table3Artifact(Options{Steps: 99}))
-	// Speedup must grow with scale (communication increasingly dominates).
-	var prev float64
-	for _, r := range res.Rows {
-		if r.Kind != "lj" {
-			continue
-		}
-		if r.Speedup < prev {
-			t.Errorf("LJ speedup not monotone: %.2fx after %.2fx at %d nodes", r.Speedup, prev, r.Nodes)
-		}
-		prev = r.Speedup
-	}
-	// Opt efficiency beats ref efficiency at the last point.
-	last := res.Rows[4]
-	if last.OptEff <= last.RefEff {
-		t.Error("optimized parallel efficiency must exceed baseline")
-	}
-	if optEAM := res.Table3["Opt-EAM"]; optEAM == nil || optEAM.Get(trace.Other) <= optEAM.Get(trace.Comm) {
-		t.Error("Opt-EAM 'Other' must exceed 'Comm' (the check-yes allreduce at scale)")
-	}
+	fig13, table3, err := Fig13(Options{Steps: 99})
+	checkTargets(t, fig13, err)
+	checkTargets(t, table3, err)
 }
 
 func TestFig14(t *testing.T) {
-	res, err := Fig14(Options{Steps: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + res.Format())
-	checkTargets(t, res.Artifact(Options{Steps: 20}))
+	a, err := Fig14(Options{Steps: 20})
+	checkTargets(t, a, err)
 	// The table holds each kind's last point; every earlier point must lie
 	// in the same linearity band.
 	for _, tg := range targetsOf("fig14") {
@@ -142,51 +108,15 @@ func TestFig14(t *testing.T) {
 			continue
 		}
 		kind, _, _ := strings.Cut(tg.Key, "/")
-		for _, r := range res.Rows {
-			if r.Kind == kind && !tg.holds(r.LinearityVsFirst) {
-				t.Errorf("%s at %d nodes: linearity %.4f outside %s", r.Kind, r.Nodes, r.LinearityVsFirst, tg.band())
+		for _, s := range a.Series {
+			if strings.HasPrefix(s.Key, kind+"/") && strings.HasSuffix(s.Key, "/linearity") && !tg.holds(s.Value) {
+				t.Errorf("%s: %.4f outside %s", s.Key, s.Value, tg.band())
 			}
 		}
 	}
 }
 
 func TestFig15(t *testing.T) {
-	res, err := Fig15(Options{Steps: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + res.Format())
-	checkTargets(t, res.Artifact(Options{Steps: 10}))
-}
-
-func TestFaults(t *testing.T) {
-	res, err := Faults(Options{Steps: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + res.Format())
-	if len(res.Rows) != 5 {
-		t.Fatalf("got %d rows, want 5", len(res.Rows))
-	}
-	var prevElapsed float64
-	for _, r := range res.Rows {
-		lbl := faultLabel(r.Spec)
-		if !r.PhysicsIdentical {
-			t.Errorf("%s: physics diverged from the fault-free run", lbl)
-		}
-		if !r.ReplayIdentical {
-			t.Errorf("%s: replay was not bit-identical", lbl)
-		}
-		if r.Spec.Drop > 0 && r.Elapsed <= prevElapsed {
-			t.Errorf("%s: elapsed %.6g not above the previous rate's %.6g", lbl, r.Elapsed, prevElapsed)
-		}
-		prevElapsed = r.Elapsed
-	}
-	forced := res.Rows[len(res.Rows)-1]
-	if forced.FallbackMsgs == 0 {
-		t.Error("forced-fallback row recorded no fallback messages")
-	}
-	if highest := res.Rows[3]; highest.Retransmits == 0 {
-		t.Error("drop=1e-2 row recorded no retransmissions")
-	}
+	a, err := Fig15(Options{Steps: 10})
+	checkTargets(t, a, err)
 }

@@ -6,61 +6,36 @@ import (
 	"tofumd/internal/halo"
 )
 
-// Table1Row is one row of the communication-pattern analysis.
-type Table1Row struct {
-	Pattern  string
-	Volume   float64
-	Hops     int
-	Messages int
-}
-
-// Table1Result reproduces Table 1: per-class message volumes, hop counts and
-// message counts of the 3-stage and p2p patterns, plus total volumes.
-type Table1Result struct {
-	SubBoxSide, Cutoff        float64
-	Rows                      []Table1Row
-	TotalThreeStage, TotalP2P float64
-	TotalMsgsThreeStage       int
-	TotalMsgsP2P              int
-}
-
-// Table1 runs the analysis for the paper's exemplary geometry: the sub-box
-// side a and cutoff r of the 65K/768-node configuration.
-func Table1(a, r float64) Table1Result {
-	rows, t3, tp := halo.AnalyzeTable1(a, r)
-	res := Table1Result{SubBoxSide: a, Cutoff: r, TotalThreeStage: t3, TotalP2P: tp}
-	for _, row := range rows {
-		res.Rows = append(res.Rows, Table1Row{
-			Pattern:  row.Pattern.String(),
-			Volume:   row.Volume,
-			Hops:     row.Hops,
-			Messages: row.Messages,
-		})
-		if row.Pattern == halo.ThreeStage {
-			res.TotalMsgsThreeStage += row.Messages
+// Table1 reproduces Table 1: per-class message volumes of the 3-stage and
+// p2p patterns, plus their total volumes and message counts, for the
+// paper's exemplary geometry: the 65K/768-node configuration's cubic sub-box
+// side 2.94 and ghost cutoff 2.8 (Table 2). The analysis is closed-form, so
+// every series must match exactly across runs.
+func Table1(opt Options) (*Artifact, error) {
+	const side, cutoff = 2.94, 2.8
+	rows, t3, tp := halo.AnalyzeTable1(side, cutoff)
+	var msgs3, msgsP2P int
+	for _, r := range rows {
+		if r.Pattern == halo.ThreeStage {
+			msgs3 += r.Messages
 		} else {
-			res.TotalMsgsP2P += row.Messages
+			msgsP2P += r.Messages
 		}
 	}
-	return res
-}
-
-// Format renders the Table 1 reproduction.
-func (t Table1Result) Format() string {
-	var rows [][]string
-	for _, r := range t.Rows {
-		rows = append(rows, []string{
-			r.Pattern,
-			fmt.Sprintf("%.2f", r.Volume),
-			fmt.Sprintf("%d", r.Hops),
-			fmt.Sprintf("%d", r.Messages),
-		})
+	a := NewArtifact("table1", opt)
+	a.Params["sub_box_side"] = side
+	a.Params["cutoff"] = cutoff
+	a.Add("total_volume/3stage", "volume", t3, DirEqual)
+	a.Add("total_volume/p2p", "volume", tp, DirEqual)
+	a.Add("total_msgs/3stage", "msgs", float64(msgs3), DirEqual)
+	a.Add("total_msgs/p2p", "msgs", float64(msgsP2P), DirEqual)
+	// Rows can repeat a (pattern, hops) pair across message classes, so the
+	// key carries the row's index within its pattern.
+	idx := map[string]int{}
+	for _, r := range rows {
+		p := r.Pattern.String()
+		a.Add(key("volume", p, fmt.Sprintf("row%d_hop%d", idx[p], r.Hops)), "volume", r.Volume, DirEqual)
+		idx[p]++
 	}
-	s := fmt.Sprintf("Table 1: communication pattern analysis (a=%.2f, r=%.2f)\n", t.SubBoxSide, t.Cutoff)
-	s += table([]string{"pattern", "msg_volume", "hop", "msg"}, rows)
-	s += fmt.Sprintf("3-stage: total volume %.2f over %d messages (8r^3+12ar^2+6a^2r)\n",
-		t.TotalThreeStage, t.TotalMsgsThreeStage)
-	s += fmt.Sprintf("p2p:     total volume %.2f over %d messages (4r^3+6ar^2+3a^2r)\n",
-		t.TotalP2P, t.TotalMsgsP2P)
-	return s
+	return a, nil
 }

@@ -42,6 +42,9 @@ func TestTargetsHoldOnBaseline(t *testing.T) {
 		if !tg.holds(tg.Paper) && tg.Reason == "" {
 			t.Errorf("%s: band %s excludes the paper value %s and gives no reason", id, tg.band(), num(tg.Paper))
 		}
+		if tg.isOrdering() && !strings.HasSuffix(tg.Reason, ordering) {
+			t.Errorf("%s: an ordering row's reason must end %q", id, ordering)
+		}
 		if arts[tg.Experiment] == nil {
 			t.Errorf("%s: no baseline artifact", id)
 		}
@@ -54,9 +57,9 @@ func TestTargetsHoldOnBaseline(t *testing.T) {
 }
 
 // TestCheckTargetsNamesRowOutOfBand seeds defects into the baseline Fig. 12
-// artifact: a reading pushed out of its band must fail exactly that row and
-// name its value and band, and a dropped series must fail, not panic or
-// pass.
+// and Fig. 6 artifacts: a reading pushed out of its band, or a series that
+// breaks an ordering, must fail exactly that row and name its band, and a
+// dropped series must fail, not panic or pass.
 func TestCheckTargetsNamesRowOutOfBand(t *testing.T) {
 	a := loadBaseline(t, "fig12")
 	if errs := CheckTargets(a); len(errs) != 0 {
@@ -64,14 +67,14 @@ func TestCheckTargetsNamesRowOutOfBand(t *testing.T) {
 	}
 	for i := range a.Series {
 		if a.Series[i].Key == "speedup/small_lj" {
-			a.Series[i].Value = 1.0
+			a.Series[i].Value = 5.0
 		}
 	}
 	errs := CheckTargets(a)
 	if len(errs) != 1 {
 		t.Fatalf("got %d errors, want 1: %v", len(errs), errs)
 	}
-	for _, want := range []string{"fig12 speedup/small_lj", "= 1 ", "[2, 4.5]"} {
+	for _, want := range []string{"fig12 speedup/small_lj", "= 5 ", "[2, 4.5]"} {
 		if !strings.Contains(errs[0].Error(), want) {
 			t.Errorf("error %q does not name %q", errs[0], want)
 		}
@@ -86,8 +89,32 @@ func TestCheckTargetsNamesRowOutOfBand(t *testing.T) {
 	}
 	a.Series = kept
 	errs = CheckTargets(a)
-	if len(errs) != 1 || !strings.Contains(errs[0].Error(), "speedup/small_lj") {
-		t.Fatalf("dropped series: got %v, want one error naming speedup/small_lj", errs)
+	// Two rows read it: its own band and the big ÷ small ordering.
+	if len(errs) != 2 {
+		t.Fatalf("dropped series: got %v, want two errors naming speedup/small_lj", errs)
+	}
+	for _, err := range errs {
+		if !strings.Contains(err.Error(), "speedup/small_lj") {
+			t.Errorf("dropped series: error %q does not name speedup/small_lj", err)
+		}
+	}
+
+	// MPI p2p made twice as fast as the MPI 3-stage baseline.
+	a = loadBaseline(t, "fig6")
+	ref, _ := a.series("ref/small_time")
+	for i := range a.Series {
+		if a.Series[i].Key == "mpi-p2p/small_time" {
+			a.Series[i].Value = 0.5 * ref.Value
+		}
+	}
+	errs = CheckTargets(a)
+	if len(errs) != 1 {
+		t.Fatalf("ordering defect: got %d errors, want 1: %v", len(errs), errs)
+	}
+	for _, want := range []string{"fig6 mpi-p2p/small_time ÷ ref/small_time", "= 0.5 ", "≥ 1"} {
+		if !strings.Contains(errs[0].Error(), want) {
+			t.Errorf("error %q does not name %q", errs[0], want)
+		}
 	}
 }
 

@@ -102,8 +102,10 @@ func (a *Arrays) AddGhost(id int64, typ int32, x vec.V3) int {
 }
 
 // GrowGhosts reserves room for n more ghosts and returns the index of the
-// first; the caller fills ID/Type/X directly. Used by the pre-registered
-// RDMA path where remote ranks write positions in place.
+// first; the caller fills ID/Type/X directly. The simulation does not use
+// it: ghosts arrive as border records (AddGhost), and the pre-registered
+// forward puts then write their positions in place through the position
+// array's registered view.
 func (a *Arrays) GrowGhosts(n int) int {
 	first := a.Total()
 	for i := 0; i < n; i++ {

@@ -3,10 +3,12 @@ package sim
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
 	"tofumd/internal/faultinject"
+	"tofumd/internal/halo"
 	"tofumd/internal/metrics"
 	"tofumd/internal/trace"
 	"tofumd/internal/vec"
@@ -204,5 +206,108 @@ func TestInboxHoldsPayloadOverPutAndFallback(t *testing.T) {
 		if overMPI != want {
 			t.Errorf("degrade=%v: %d messages over MPI, want %d", degrade, overMPI, want)
 		}
+	}
+}
+
+// TestForwardLandsInPositionArray: under the pre-registered scheme the
+// forward put writes straight into the receiver's ghost slots (the
+// registered position region is a view of Atoms.X), so after a forward
+// operation every ghost holds its owner's X + shift bit for bit, whether
+// the put delivered it or the message fell back to MPI over a degraded
+// link, and only the fallback is decoded. Ghost X is poisoned first, so a
+// slot the operation left unwritten shows. After an exchange and border
+// rebuild that moves X, the registered region follows it.
+func TestForwardLandsInPositionArray(t *testing.T) {
+	s := newSim(t, Opt(), failstopConfig())
+	sent := s.Ranks()[0].sendLinks[0]
+	src, dst := sent.src.ID, sent.dst.ID
+	pairLinks := 0
+	for i := range s.links {
+		if l := &s.links[i]; l.src.ID == src && l.dst.ID == dst {
+			pairLinks++
+		}
+	}
+	// forward runs the op and returns how many messages were decoded and
+	// how many went over MPI, and on which pairs.
+	forward := func(label string) (decoded, overMPI, pairMPI int) {
+		t.Helper()
+		poison := math.Float64frombits(0x7ff4_dead_beef_0001)
+		for _, r := range s.Ranks() {
+			for i := r.Atoms.NLocal; i < r.Atoms.Total(); i++ {
+				r.Atoms.X[i] = vec.V3{X: poison, Y: poison, Z: poison}
+			}
+		}
+		var mu sync.Mutex
+		op := forwardOp(true)
+		unpack := op.unpack
+		op.unpack = func(r *Rank, l *link, data []byte) {
+			mu.Lock()
+			decoded++
+			mu.Unlock()
+			unpack(r, l, data)
+		}
+		s.runOp(op)
+		for i := range s.links {
+			l := &s.links[i]
+			for k, idx := range l.sendList {
+				want, got := l.src.Atoms.X[idx].Add(l.shift), l.dst.Atoms.X[l.recvStart+k]
+				if math.Float64bits(got.X) != math.Float64bits(want.X) ||
+					math.Float64bits(got.Y) != math.Float64bits(want.Y) ||
+					math.Float64bits(got.Z) != math.Float64bits(want.Z) {
+					t.Fatalf("%s: link %d→%d ghost %d = %v, owner's X+shift %v",
+						label, l.src.ID, l.dst.ID, l.recvStart+k, got, want)
+				}
+			}
+		}
+		for _, m := range s.batch.msgs {
+			if m.OverMPI {
+				overMPI++
+				if m.Src == src && m.Dst == dst {
+					pairMPI++
+				}
+			}
+		}
+		return decoded, overMPI, pairMPI
+	}
+
+	for _, degrade := range []bool{false, true} {
+		if degrade {
+			for range fallbackK {
+				s.fb.RecordFailure(src, dst)
+			}
+		}
+		label := fmt.Sprintf("degrade=%v", degrade)
+		decoded, overMPI, pairMPI := forward(label)
+		want := 0
+		if degrade {
+			want = pairLinks
+		}
+		if overMPI != want || pairMPI != want {
+			t.Errorf("%s: %d messages over MPI (%d on %d→%d), want exactly the %d on the degraded link",
+				label, overMPI, pairMPI, src, dst, want)
+		}
+		if decoded != overMPI {
+			t.Errorf("%s: %d messages decoded, want only the %d that fell back to MPI", label, decoded, overMPI)
+		}
+	}
+
+	// Move every rank's X to a fresh array, as outgrowing its reserve
+	// would; the rebuild must re-take the registered view.
+	for _, r := range s.Ranks() {
+		x := make([]vec.V3, len(r.Atoms.X), cap(r.Atoms.X)+1)
+		copy(x, r.Atoms.X)
+		r.Atoms.X = x
+	}
+	s.doExchange()
+	s.doBorder()
+	for _, r := range s.Ranks() {
+		view := halo.V3s(s.xRegion[r.ID].Buf)
+		if len(view) != r.maxAtomsEstimate || &view[0] != &r.Atoms.X[:1][0] {
+			t.Fatalf("rank %d: registered region (%d slots) no longer aliases Atoms.X after a rebuild",
+				r.ID, len(view))
+		}
+	}
+	if decoded, overMPI, _ := forward("after rebuild"); decoded != 0 || overMPI != 0 {
+		t.Errorf("after rebuild: %d decoded, %d over MPI; want every put to land", decoded, overMPI)
 	}
 }

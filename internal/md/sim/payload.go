@@ -8,11 +8,13 @@ import (
 )
 
 // Message payload encodings, composed directly from the halo library's
-// primitive wire codec (a contiguous scalar range is halo.EncodeScalars /
-// DecodeScalars as is). Wire sizes match the paper's accounting: a
-// forward-stage position is 24 bytes (3 float64), so the 22-atom messages
-// of the 65K/768-node configuration are 528 bytes (section 4.2);
-// border-stage records carry id + type + position (40 bytes).
+// host-layout codec: payload bytes never leave the process, so a position
+// or force payload is a halo.V3s view and a contiguous range is one copy (a
+// contiguous scalar range is halo.EncodeScalars / DecodeScalars as is).
+// Wire sizes match the paper's accounting: a forward-stage position is 24
+// bytes (3 float64), so the 22-atom messages of the 65K/768-node
+// configuration are 528 bytes (section 4.2); border-stage records carry
+// id + type + position (40 bytes).
 
 const (
 	posBytes    = 24
@@ -22,52 +24,49 @@ const (
 
 // encodePositions packs X[idx]+shift for each index in list.
 func encodePositions(dst []byte, x []vec.V3, list []int32, shift vec.V3) []byte {
-	need := len(list) * posBytes
-	dst = halo.Grow(dst, need)
+	dst = halo.Grow(dst, len(list)*posBytes)
+	out := halo.V3s(dst)
 	for k, idx := range list {
-		halo.PutV3(dst[k*posBytes:], x[idx].Add(shift))
+		out[k] = x[idx].Add(shift)
 	}
-	return dst[:need]
+	return dst
 }
 
 // decodePositions unpacks count positions into x starting at base.
 func decodePositions(src []byte, x []vec.V3, base, count int) {
-	for k := 0; k < count; k++ {
-		x[base+k] = halo.GetV3(src[k*posBytes:])
-	}
+	copy(x[base:base+count], halo.V3s(src[:count*posBytes]))
 }
 
 // encodeVectors packs raw vectors (forces) for a ghost range.
 func encodeVectors(dst []byte, f []vec.V3, base, count int) []byte {
-	need := count * posBytes
-	dst = halo.Grow(dst, need)
-	for k := 0; k < count; k++ {
-		halo.PutV3(dst[k*posBytes:], f[base+k])
-	}
-	return dst[:need]
+	dst = halo.Grow(dst, count*posBytes)
+	copy(halo.V3s(dst), f[base:base+count])
+	return dst
 }
 
 // decodeAddVectors accumulates count vectors into f at the listed indices.
 func decodeAddVectors(src []byte, f []vec.V3, list []int32) {
+	in := halo.V3s(src[:len(list)*posBytes])
 	for k, idx := range list {
-		f[idx] = f[idx].Add(halo.GetV3(src[k*posBytes:]))
+		f[idx] = f[idx].Add(in[k])
 	}
 }
 
 // encodeScalars packs Rho/Fp values for the listed indices.
 func encodeScalars(dst []byte, s []float64, list []int32) []byte {
-	need := len(list) * halo.F64Bytes
-	dst = halo.Grow(dst, need)
+	dst = halo.Grow(dst, len(list)*halo.F64Bytes)
+	out := halo.F64s(dst)
 	for k, idx := range list {
-		halo.PutF64(dst[k*halo.F64Bytes:], s[idx])
+		out[k] = s[idx]
 	}
-	return dst[:need]
+	return dst
 }
 
 // decodeAddScalars accumulates scalars into s at the listed indices.
 func decodeAddScalars(src []byte, s []float64, list []int32) {
+	in := halo.F64s(src[:len(list)*halo.F64Bytes])
 	for k, idx := range list {
-		s[idx] += halo.GetF64(src[k*halo.F64Bytes:])
+		s[idx] += in[k]
 	}
 }
 
@@ -84,8 +83,8 @@ func encodeBorder(dst []byte, ids []int64, types []int32, x []vec.V3, list []int
 	dst = halo.Grow(dst, need)
 	for k, idx := range list {
 		o := k * borderBytes
-		binary.LittleEndian.PutUint64(dst[o:], uint64(ids[idx]))
-		binary.LittleEndian.PutUint64(dst[o+8:], uint64(types[idx]))
+		binary.NativeEndian.PutUint64(dst[o:], uint64(ids[idx]))
+		binary.NativeEndian.PutUint64(dst[o+8:], uint64(types[idx]))
 		halo.PutV3(dst[o+16:], x[idx].Add(shift))
 	}
 	return dst[:need]
@@ -98,8 +97,8 @@ func decodeBorder(src []byte) []borderRecord {
 	for k := 0; k < n; k++ {
 		o := k * borderBytes
 		out[k] = borderRecord{
-			id:  int64(binary.LittleEndian.Uint64(src[o:])),
-			typ: int32(binary.LittleEndian.Uint64(src[o+8:])),
+			id:  int64(binary.NativeEndian.Uint64(src[o:])),
+			typ: int32(binary.NativeEndian.Uint64(src[o+8:])),
 			pos: halo.GetV3(src[o+16:]),
 		}
 	}
@@ -120,8 +119,8 @@ func encodeExchange(dst []byte, recs []exchRecord) []byte {
 	dst = halo.Grow(dst, need)
 	for k, r := range recs {
 		o := k * exchBytes
-		binary.LittleEndian.PutUint64(dst[o:], uint64(r.id))
-		binary.LittleEndian.PutUint64(dst[o+8:], uint64(r.typ))
+		binary.NativeEndian.PutUint64(dst[o:], uint64(r.id))
+		binary.NativeEndian.PutUint64(dst[o+8:], uint64(r.typ))
 		halo.PutV3(dst[o+16:], r.pos)
 		halo.PutV3(dst[o+40:], r.vel)
 	}
@@ -135,8 +134,8 @@ func decodeExchange(src []byte) []exchRecord {
 	for k := 0; k < n; k++ {
 		o := k * exchBytes
 		out[k] = exchRecord{
-			id:  int64(binary.LittleEndian.Uint64(src[o:])),
-			typ: int32(binary.LittleEndian.Uint64(src[o+8:])),
+			id:  int64(binary.NativeEndian.Uint64(src[o:])),
+			typ: int32(binary.NativeEndian.Uint64(src[o+8:])),
 			pos: halo.GetV3(src[o+16:]),
 			vel: halo.GetV3(src[o+40:]),
 		}

@@ -112,6 +112,13 @@ type Rank struct {
 	maxAtomsEstimate int
 }
 
+// positionBytes is the byte view of the rank's first maxAtomsEstimate
+// position slots, the pre-registered position region; X's capacity was
+// reserved to that size at setup.
+func (r *Rank) positionBytes() []byte {
+	return halo.V3Bytes(r.Atoms.X[:r.maxAtomsEstimate])
+}
+
 // resetPlan clears the per-reneighbor link state of a rank's send links.
 func (r *Rank) resetPlan() {
 	for _, l := range r.sendLinks {

@@ -16,8 +16,10 @@ type rmsg struct {
 	// link is the channel; nil for exchange-stage messages.
 	link *link
 	// inbox is the uTofu destination: the receiver's registered buffers of
-	// the sending side, or nil when the payload lands directly in the
-	// receiver's pre-registered position array at DstOff.
+	// the sending side, or nil for a direct forward message, whose put
+	// writes the positions straight into the receiver's Atoms.X at DstOff
+	// (the registered position region is a view of X). Only a direct
+	// message that fell back to MPI is decoded, from Data.
 	inbox *halo.Inbox
 }
 

@@ -145,7 +145,9 @@ type Simulation struct {
 	links []link
 	batch *batch
 
-	ranks   []*Rank
+	ranks []*Rank
+	// xRegion is each rank's registered position region under the
+	// pre-registered scheme: a view of the rank's Atoms.X (positionBytes).
 	xRegion []*utofu.MemRegion
 	nve     *integrate.NVE
 	rec     *trace.Recorder
@@ -652,7 +654,8 @@ func (s *Simulation) assignResources() {
 	}
 }
 
-// setupTransport allocates VCQs, inboxes and registered regions.
+// setupTransport allocates VCQs, inboxes and registered regions: under the
+// pre-registered scheme, each rank's position array as well.
 func (s *Simulation) setupTransport() error {
 	if s.Var.Transport != halo.TransportUTofu {
 		return nil
@@ -683,8 +686,14 @@ func (s *Simulation) setupTransport() error {
 			}
 		}
 		if s.Var.Preregistered {
-			buf := make([]byte, r.maxAtomsEstimate*posBytes)
-			region, cost := s.uts.Register(r.ID, buf)
+			// The position array itself is registered (section 3.4): X is
+			// reserved to the theoretical maximum, and the region is its
+			// byte view, so a forward put lands in the ghost slots.
+			a := r.Atoms
+			if cap(a.X) < r.maxAtomsEstimate {
+				a.X = append(make([]vec.V3, 0, r.maxAtomsEstimate), a.X...)
+			}
+			region, cost := s.uts.Register(r.ID, r.positionBytes())
 			s.xRegion[r.ID] = region
 			s.SetupTime += cost
 		}

@@ -26,8 +26,9 @@ type haloOp struct {
 	// lists); unknown-length messages pay the MPI two-step protocol.
 	known bool
 	// direct lands the payload in the receiver's pre-registered position
-	// array at the link's ghost offset: no inbox and no unpack copy, so no
-	// unpack charge.
+	// array at the link's ghost offset: the put is the unpack, so there is
+	// no inbox, no unpack charge, and unpack runs only for a message that
+	// fell back to MPI.
 	direct bool
 	// unpackIfAny skips the unpack region of a rank that received no bytes
 	// in a round; without it the region opens regardless.
@@ -95,7 +96,9 @@ func (s *Simulation) runOpRound(op haloOp, k halo.RoundKey) {
 		r := s.ranks[id]
 		bytes := 0
 		for _, m := range b.byDst[id] {
-			op.unpack(r, m.link, m.Data)
+			if !op.direct || m.OverMPI {
+				op.unpack(r, m.link, m.Data)
+			}
 			m.link.seq++
 			bytes += len(m.Data)
 		}
@@ -124,8 +127,9 @@ var borderOp = haloOp{
 }
 
 // forwardOp updates ghost positions from their owners, written into the
-// receiver's position array — directly via RDMA under the pre-registered
-// scheme, via receive buffers otherwise.
+// receiver's position array: by the put itself under the pre-registered
+// scheme (unpack decodes only what fell back to MPI), from the receive
+// buffers otherwise.
 func forwardOp(direct bool) haloOp {
 	return haloOp{
 		known: true, direct: direct, unpackIfAny: true,
@@ -211,6 +215,13 @@ func (s *Simulation) doBorder() {
 		s.runOpRound(borderOp, k)
 	}
 	if s.Var.Preregistered {
+		// The exchange and the ghosts appended above only move X if it
+		// outgrew its reserve; re-take the registered view so forward puts
+		// keep landing in the live array (its size, and so the region's
+		// bounds, are unchanged).
+		for _, r := range s.ranks {
+			s.xRegion[r.ID].Buf = r.positionBytes()
+		}
 		s.piggybackOffsets()
 	}
 }

@@ -37,8 +37,10 @@ type System struct {
 	// rankCQOnTNI[rank][tni] counts CQs the rank holds on that TNI.
 	rankCQOnTNI [][]int
 
-	regions    map[uint64]*MemRegion
-	nextSTADD  uint64
+	// regions is the registration table indexed by STADD. STADDs are
+	// issued from 1 in sequence, so entry 0 is never used; a deregistered
+	// STADD's entry is nil and its number is not reissued.
+	regions    []*MemRegion
 	nextVCQTag int
 
 	// met caches metric handles (see SetMetrics); its counters are nil, and
@@ -121,7 +123,7 @@ func NewSystem(fab *tofu.Fabric) *System {
 		Fab:         fab,
 		cqUsed:      cq,
 		rankCQOnTNI: rc,
-		regions:     make(map[uint64]*MemRegion),
+		regions:     []*MemRegion{nil},
 	}
 }
 
@@ -183,21 +185,26 @@ func (s *System) FreeVCQ(v *VCQ) error {
 // every buffer growth.
 func (s *System) Register(rank int, buf []byte) (*MemRegion, float64) {
 	s.met.registrations.Inc()
-	s.nextSTADD++
-	r := &MemRegion{Rank: rank, STADD: s.nextSTADD, Buf: buf}
-	s.regions[r.STADD] = r
+	r := &MemRegion{Rank: rank, STADD: uint64(len(s.regions)), Buf: buf}
+	s.regions = append(s.regions, r)
 	return r, s.Fab.Params.RegistrationCost
 }
 
-// Deregister removes a region.
+// Deregister removes a region; its STADD is not reissued.
 func (s *System) Deregister(r *MemRegion) {
-	delete(s.regions, r.STADD)
+	if r.STADD < uint64(len(s.regions)) {
+		s.regions[r.STADD] = nil
+	}
 }
 
-// Lookup resolves a STADD to its region.
+// Lookup resolves a STADD to its region; 0, a STADD never issued and a
+// deregistered one all report false.
 func (s *System) Lookup(stadd uint64) (*MemRegion, bool) {
-	r, ok := s.regions[stadd]
-	return r, ok
+	if stadd >= uint64(len(s.regions)) {
+		return nil, false
+	}
+	r := s.regions[stadd]
+	return r, r != nil
 }
 
 // Put is one queued one-sided RDMA put.

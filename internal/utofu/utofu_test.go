@@ -2,6 +2,7 @@ package utofu
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"tofumd/internal/faultinject"
@@ -171,6 +172,48 @@ func TestRegisterLookupDeregister(t *testing.T) {
 	s.Deregister(r)
 	if _, ok := s.Lookup(r.STADD); ok {
 		t.Error("Lookup succeeded after Deregister")
+	}
+}
+
+// TestLookupAfterDeregister pins the edges of the STADD-indexed table: 0 is
+// never issued, nothing past the last STADD resolves, a deregistered entry
+// stays dead while its neighbours live, and a put to it fails as it would
+// to any unregistered STADD.
+func TestLookupAfterDeregister(t *testing.T) {
+	s := testSystem(t)
+	var regions []*MemRegion
+	for rank := range 3 {
+		r, _ := s.Register(rank, make([]byte, 64))
+		regions = append(regions, r)
+	}
+	gone := regions[1]
+	s.Deregister(gone)
+	s.Deregister(gone) // a second deregistration is a no-op
+	last := regions[len(regions)-1].STADD
+	for _, c := range []struct {
+		name  string
+		stadd uint64
+	}{{"zero", 0}, {"past the last", last + 1}, {"far past the last", last + 1<<40}, {"deregistered", gone.STADD}} {
+		if r, ok := s.Lookup(c.stadd); ok || r != nil {
+			t.Errorf("Lookup(%s STADD %d) = %v, %v; want nil, false", c.name, c.stadd, r, ok)
+		}
+	}
+	for _, r := range []*MemRegion{regions[0], regions[2]} {
+		if got, ok := s.Lookup(r.STADD); !ok || got != r {
+			t.Errorf("Lookup(%d) lost a live region after its neighbour was deregistered", r.STADD)
+		}
+	}
+	if next, _ := s.Register(0, make([]byte, 8)); next.STADD <= last {
+		t.Errorf("STADD %d reissued; want one past %d", next.STADD, last)
+	}
+
+	vcq, err := s.CreateVCQ(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = s.ExecuteRound([]*Put{{VCQ: vcq, DstSTADD: gone.STADD, Src: []byte("x")}})
+	if err == nil || !strings.Contains(err.Error(), "unregistered STADD") {
+		t.Errorf("put to a deregistered region: err = %v, want unregistered STADD", err)
 	}
 }
 

@@ -21,8 +21,8 @@ var blockingPkgs = map[string]bool{
 // calls — inside spin-wait regions: any for-loop that polls a sync/atomic
 // Load or CompareAndSwap. Spinning exists to keep dispatch latency at the
 // paper's 1.1us; one hidden futex or syscall in the loop and the pool is
-// an expensive mutex. Blocking *after* the bounded spin (the countdown's
-// channel fallback) is fine and not flagged.
+// an expensive mutex. Blocking *after* a bounded spin is fine and not
+// flagged.
 var SpinLock = &Analyzer{
 	Name:        "spinlock",
 	Doc:         "forbid blocking operations inside thread-pool spin-wait regions",

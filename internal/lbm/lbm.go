@@ -20,11 +20,10 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"tofumd/internal/halo"
 	"tofumd/internal/machine"
+	"tofumd/internal/threadpool"
 	"tofumd/internal/tofu"
 	"tofumd/internal/topo"
 	"tofumd/internal/units"
@@ -263,28 +262,11 @@ func (s *System) Step() {
 }
 
 // forRanks runs fn once for every rank on min(GOMAXPROCS, ranks)
-// goroutines, the caller among them, and returns when all calls have.
-// Ranks are handed out one at a time from a shared counter, so uneven
-// blocks balance themselves. fn must touch only the state of the rank it
-// is given: the calls of one region run concurrently.
+// goroutines, the caller among them, and returns when all calls have
+// (threadpool.ForEach). fn must touch only the state of the rank it is
+// given: the calls of one region run concurrently.
 func (s *System) forRanks(fn func(*Rank)) {
-	workers := min(runtime.GOMAXPROCS(0), len(s.ranks))
-	var region struct {
-		next atomic.Int64
-		done sync.WaitGroup
-	}
-	work := func() {
-		for i := int(region.next.Add(1)) - 1; i < len(s.ranks); i = int(region.next.Add(1)) - 1 {
-			fn(s.ranks[i])
-		}
-		region.done.Done()
-	}
-	region.done.Add(workers)
-	for w := 1; w < workers; w++ {
-		go work()
-	}
-	work()
-	region.done.Wait()
+	threadpool.ForEach(runtime.GOMAXPROCS(0), len(s.ranks), func(i int) { fn(s.ranks[i]) })
 }
 
 // collide relaxes every interior cell toward its local equilibrium,

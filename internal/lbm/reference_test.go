@@ -259,7 +259,8 @@ func sameState(t *testing.T, step int, got, want *System) {
 // and each rank's VCQ to the reference's TNI. It covers both transports,
 // the overlap variant, a self-image tile, an uneven split of the lattice and
 // perturbed states with signed zeros and negative distributions. Run it at
-// several -cpu values: forRanks uses GOMAXPROCS workers.
+// several -cpu values: forRanks runs threadpool.ForEach on GOMAXPROCS
+// workers.
 func TestStepMatchesReference(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -309,12 +310,14 @@ func TestStepMatchesReference(t *testing.T) {
 // purpose: retaining send buffers across steps grows the live heap by a
 // step's worth of planes. Beyond that, each parallel region (collide,
 // stream, and the pack and unpack half of every dimension round that has
-// messages) allocates regionAllocs objects at any worker count: the
-// region's task closure, forRanks' work closure, and the counter and
-// WaitGroup the workers share. Self-image planes reuse their rank's
-// staging buffer; the message list, plane slots, receive lists and the
-// engine's records are scratch. At 32 ranks that is 192 + 8×3 = 216 a
-// step, where the serial per-message loop allocated 408.
+// messages) allocates at most regionAllocs objects. AllocsPerRun measures
+// at GOMAXPROCS 1, where threadpool.ForEach runs the region on the caller
+// and it allocates two: the region's task closure and forRanks' wrapper
+// that indexes the rank. With helpers, ForEach adds its shared counter and
+// WaitGroup and the helpers' work method value. Self-image planes reuse
+// their rank's staging buffer; the message list, plane slots, receive lists
+// and the engine's records are scratch. At 32 ranks that is 192 + 8×2 =
+// 208 a step, where the serial per-message loop allocated 408.
 func TestStepAllocs(t *testing.T) {
 	const regionAllocs = 3
 	for _, tc := range []struct {

@@ -1,23 +1,27 @@
-// Package threadpool provides a persistent spin-wait worker pool, the Go
-// analogue of the paper's spin-lock thread pool (section 3.3). The paper
-// replaces OpenMP's fork-join regions (measured at 5.8us startup+sync) with
-// a pool of pinned threads that spin on work flags (1.1us), and uses six of
-// the pool's threads to drive six VCQs concurrently.
+// Package threadpool runs the simulator's per-rank work in parallel on the
+// host, and holds the modeled per-region overheads of the paper's section
+// 3.3. The paper replaces OpenMP's fork-join regions (measured at 5.8us
+// startup+sync) with a pool of pinned threads that spin on work flags
+// (1.1us), and uses six of the pool's threads to drive six VCQs
+// concurrently.
 //
 // Two things live here:
 //
-//   - a real pool used by the simulator to execute per-rank work in
-//     parallel on the host machine;
+//   - the host parallel-for, ForEach: a region is the caller plus
+//     min(workers, n)-1 helper goroutines started for it, all taking
+//     indices from one shared atomic counter until none are left. Nothing
+//     spins and nothing outlives the region, so a Pool holds no goroutine
+//     between regions;
 //   - the modeled per-region overhead constants used to charge virtual time
 //     for OpenMP-style vs pool-style parallel regions in the A64FX cost
-//     model.
+//     model. They are the paper's figures, not readings of the host region.
 //
 // # Wall-clock exemptions
 //
 // tofuvet's determinism analyzer bans wall-clock reads (time.Now,
 // time.Since) in model packages so simulated results never depend on host
 // timing. This package's pool metrics are the sanctioned exception: they
-// measure the real pool's dispatch latency against the paper's 1.1us
+// measure the host region's dispatch latency against the paper's 1.1us
 // figure and never feed virtual time. Each such call site carries a
 //
 //	//tofuvet:allow wallclock <reason>
@@ -48,18 +52,59 @@ const (
 	PoolRegionOverhead = 1.1e-6
 )
 
-// Pool is a fixed set of workers that execute indexed tasks. Workers spin
-// briefly before yielding, keeping dispatch latency low for the small
-// work items the simulator feeds it. The zero value is not usable; call New.
+// region is one ForEach call's shared state: the indices left to hand out
+// and the workers still running.
+type region struct {
+	fn   func(i int)
+	n    int
+	next atomic.Int64
+	done sync.WaitGroup
+}
+
+// work runs fn on indices taken one at a time from the shared counter, so
+// uneven tasks balance themselves, until the counter passes n.
+func (r *region) work() {
+	for i := int(r.next.Add(1)) - 1; i < r.n; i = int(r.next.Add(1)) - 1 {
+		r.fn(i)
+	}
+	r.done.Done()
+}
+
+// ForEach runs fn(i) for every i in [0, n) on min(workers, n) goroutines,
+// the caller among them, and returns when all calls have. With one worker
+// (or fewer) it starts no goroutine. The calls of one region run
+// concurrently, so fn must not share unsynchronized state across indices.
+// A task may itself call ForEach: each region starts its own helpers.
+func ForEach(workers, n int, fn func(i int)) {
+	workers = min(workers, n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	r := &region{fn: fn, n: n}
+	r.done.Add(workers)
+	// One method value for every helper: `go r.work()` would allocate a
+	// wrapper per goroutine.
+	work := r.work
+	for w := 1; w < workers; w++ {
+		go work()
+	}
+	r.work()
+	r.done.Wait()
+}
+
+// Pool is a worker count and the metrics of the regions run at it; its
+// regions are ForEach calls. It holds no goroutine. The zero value is not
+// usable; call New.
 type Pool struct {
 	workers int
-	tasks   chan task
-	wg      sync.WaitGroup
 	closed  atomic.Bool
 
 	// met caches metric handles (see SetMetrics); nil when metrics are off.
 	// Pool metrics measure host wall-clock dispatch latency — they observe
-	// the real pool's behaviour against the 1.1us model and never touch the
+	// the host region against the 1.1us model and never touch the
 	// simulation's virtual time.
 	met *poolMetrics
 }
@@ -96,142 +141,62 @@ func (p *Pool) observeRegion(n int, start time.Time) {
 	p.met.dispatchSeconds.Observe(time.Since(start).Seconds())
 }
 
-type task struct {
-	fn   func(i int)
-	i    int
-	done *countdown
-}
-
-// countdown is a lightweight completion latch with spin-then-block wait.
-type countdown struct {
-	remaining atomic.Int64
-	ch        chan struct{}
-}
-
-func newCountdown(n int) *countdown {
-	c := &countdown{ch: make(chan struct{})}
-	c.remaining.Store(int64(n))
-	return c
-}
-
-func (c *countdown) dec() {
-	if c.remaining.Add(-1) == 0 {
-		close(c.ch)
-	}
-}
-
-func (c *countdown) wait() {
-	// Spin a bounded number of iterations first — the common case in the
-	// simulator is sub-microsecond work items.
-	for spin := 0; spin < 1024; spin++ {
-		if c.remaining.Load() == 0 {
-			return
-		}
-		if spin%64 == 63 {
-			runtime.Gosched()
-		}
-	}
-	<-c.ch
-}
-
-// New creates a pool with n workers; n <= 0 uses GOMAXPROCS.
+// New creates a pool of n workers; n <= 0 uses GOMAXPROCS. It starts no
+// goroutine.
 func New(n int) *Pool {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	p := &Pool{
-		workers: n,
-		tasks:   make(chan task, 4*n),
-	}
-	p.wg.Add(n)
-	for w := 0; w < n; w++ {
-		go p.worker()
-	}
-	return p
-}
-
-func (p *Pool) worker() {
-	defer p.wg.Done()
-	for t := range p.tasks {
-		t.fn(t.i)
-		t.done.dec()
-	}
+	return &Pool{workers: n}
 }
 
 // Workers returns the worker count.
 func (p *Pool) Workers() int { return p.workers }
 
-// ForEach runs fn(i) for every i in [0, n), distributing the iterations over
-// the pool and blocking until all complete. It is safe to call from multiple
-// goroutines, but nested ForEach from inside a task would deadlock a full
-// pool and must be avoided.
+// mustBeOpen panics when op is called after Close.
+func (p *Pool) mustBeOpen(op string) {
+	if p.closed.Load() {
+		panic("threadpool: " + op + " on a closed Pool")
+	}
+}
+
+// ForEach runs fn(i) for every i in [0, n) at the pool's worker count
+// (package ForEach) and blocks until all complete. It is safe to call from
+// multiple goroutines.
 func (p *Pool) ForEach(n int, fn func(i int)) {
+	p.mustBeOpen("ForEach")
 	if n <= 0 {
 		return
 	}
-	var start time.Time
 	if p.met != nil {
-		start = time.Now() //tofuvet:allow wallclock host dispatch-latency metric
+		start := time.Now() //tofuvet:allow wallclock host dispatch-latency metric
 		defer p.observeRegion(n, start)
 	}
-	if n == 1 {
-		fn(0)
-		return
-	}
-	done := newCountdown(n)
-	for i := 0; i < n; i++ {
-		p.tasks <- task{fn: fn, i: i, done: done}
-	}
-	done.wait()
+	ForEach(p.workers, n, fn)
 }
 
-// ForEachChunked runs fn over [0, n) in contiguous chunks, one task per
-// worker, which is cheaper than ForEach when n is large and the per-index
-// work is tiny. fn receives the half-open range [lo, hi).
+// ForEachChunked runs fn over [0, n) in at most Workers contiguous chunks,
+// one task each, which is cheaper than ForEach when n is large and the
+// per-index work is tiny. fn receives the half-open range [lo, hi), never
+// an empty one.
 func (p *Pool) ForEachChunked(n int, fn func(lo, hi int)) {
+	p.mustBeOpen("ForEachChunked")
 	if n <= 0 {
 		return
 	}
-	var start time.Time
 	if p.met != nil {
-		start = time.Now() //tofuvet:allow wallclock host dispatch-latency metric
+		start := time.Now() //tofuvet:allow wallclock host dispatch-latency metric
 		defer p.observeRegion(n, start)
 	}
-	chunks := p.workers
-	if chunks > n {
-		chunks = n
-	}
-	if chunks == 1 {
-		fn(0, n)
-		return
-	}
-	size := (n + chunks - 1) / chunks
-	// With size rounded up, the last chunks of the grid can overshoot n
-	// (e.g. n=9, chunks=8 → size=2 → only 5 chunks hold real work). Count
-	// the chunks actually dispatched and never emit an empty range.
-	nchunks := (n + size - 1) / size
-	if nchunks == 1 {
-		fn(0, n)
-		return
-	}
-	done := newCountdown(nchunks)
-	for c := 0; c < nchunks; c++ {
+	// Rounding size up can leave fewer chunks than workers (n=9, workers=8
+	// gives size 2 and five chunks), so the chunk count follows from size.
+	size := (n + p.workers - 1) / p.workers
+	ForEach(p.workers, (n+size-1)/size, func(c int) {
 		lo := c * size
-		hi := lo + size
-		if hi > n {
-			hi = n
-		}
-		lo2, hi2 := lo, hi
-		p.tasks <- task{fn: func(int) { fn(lo2, hi2) }, i: c, done: done}
-	}
-	done.wait()
+		fn(lo, min(lo+size, n))
+	})
 }
 
-// Close shuts the pool down and waits for workers to exit. Further use of
-// the pool panics.
-func (p *Pool) Close() {
-	if p.closed.CompareAndSwap(false, true) {
-		close(p.tasks)
-		p.wg.Wait()
-	}
-}
+// Close marks the pool closed; there is no goroutine to stop. Further use
+// of the pool panics. Close is idempotent.
+func (p *Pool) Close() { p.closed.Store(true) }

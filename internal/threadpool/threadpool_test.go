@@ -1,9 +1,13 @@
 package threadpool
 
 import (
+	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestForEachRunsAllIndices(t *testing.T) {
@@ -137,6 +141,89 @@ func TestCloseIdempotent(t *testing.T) {
 	p := New(2)
 	p.Close()
 	p.Close() // must not panic
+}
+
+func TestForEachAfterClosePanics(t *testing.T) {
+	p := New(4)
+	p.Close()
+	mustPanic := func(name string, call func()) {
+		t.Helper()
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "closed Pool") {
+				t.Errorf("%s after Close: recovered %q, want a closed-Pool panic", name, msg)
+			}
+		}()
+		call()
+	}
+	for _, n := range []int{0, 1, 2, 4, 9} {
+		mustPanic("ForEach", func() { p.ForEach(n, func(int) {}) })
+		mustPanic("ForEachChunked", func() { p.ForEachChunked(n, func(int, int) {}) })
+	}
+}
+
+// waitGoroutines waits up to a second for runtime.NumGoroutine to fall to
+// at most want and returns the last reading: a helper that has signalled
+// the region's WaitGroup may still be exiting when ForEach returns.
+func waitGoroutines(want int) int {
+	deadline := time.Now().Add(time.Second)
+	for {
+		got := runtime.NumGoroutine()
+		if got <= want || time.Now().After(deadline) {
+			return got
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func TestPoolHoldsNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	p := New(4)
+	defer p.Close()
+	if got := runtime.NumGoroutine(); got > base {
+		t.Fatalf("New(4) left %d goroutines, baseline %d", got, base)
+	}
+	for _, n := range []int{1, 3, 4, 16} {
+		var mu sync.Mutex
+		active, peak := 0, 0
+		p.ForEach(n, func(int) {
+			mu.Lock()
+			active++
+			peak = max(peak, active)
+			mu.Unlock()
+			time.Sleep(200 * time.Microsecond)
+			mu.Lock()
+			active--
+			mu.Unlock()
+		})
+		if got, limit := peak, min(4, n); got > limit {
+			t.Errorf("ForEach(%d) on 4 workers ran %d calls at once, want at most %d", n, got, limit)
+		}
+		if got := waitGoroutines(base); got > base {
+			t.Errorf("after ForEach(%d): %d goroutines, baseline %d", n, got, base)
+		}
+	}
+
+	one := New(1)
+	defer one.Close()
+	one.ForEach(8, func(i int) {
+		if got := runtime.NumGoroutine(); got > base {
+			t.Errorf("New(1): %d goroutines during index %d, baseline %d", got, i, base)
+		}
+	})
+}
+
+func BenchmarkForEach(b *testing.B) {
+	p := New(0)
+	defer p.Close()
+	noop := func(int) {}
+	for _, n := range []int{32, 256} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				p.ForEach(n, noop)
+			}
+		})
+	}
 }
 
 func TestOverheadConstantsMatchPaper(t *testing.T) {

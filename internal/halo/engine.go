@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"tofumd/internal/health"
 	"tofumd/internal/mpi"
 	"tofumd/internal/slab"
 	"tofumd/internal/tofu"
@@ -11,18 +12,23 @@ import (
 )
 
 // Msg is one message of a bulk-synchronous halo round, carrying absolute
-// virtual times. The app packs Data and, under the uTofu transport, resolves
-// the destination Region/DstOff before handing the message to the Engine;
-// the Engine fills Complete, IssueDone and OverMPI.
+// virtual times. The app packs Data and, under the uTofu transport, sets the
+// sender's VCQ and the destination Region/DstOff before handing the message
+// to the Engine; the Engine fills Complete, IssueDone and OverMPI and, under
+// uTofu, replaces Data with the landed bytes.
 type Msg struct {
 	// Src and Dst are rank ids.
 	Src, Dst int
 	// Thread is the sender-side comm thread, DstThread the receiver-side
 	// polling context.
 	Thread, DstThread int
-	// TNI is the sender-side network interface.
-	TNI int
-	// Data is the payload.
+	// VCQ is the sender's injection queue (uTofu transport only); its TNI
+	// is the network interface the put leaves on.
+	VCQ *utofu.VCQ
+	// Data is the payload. Under the uTofu transport RunRound replaces it
+	// with its bytes in the receiver's region, Region.Buf[DstOff:], whether
+	// a put wrote them or the MPI fallback carried them; under MPI it stays
+	// the sender's slice.
 	Data []byte
 	// Known marks length-known messages (plan reuse); unknown-length
 	// messages pay the MPI two-step protocol.
@@ -37,18 +43,18 @@ type Msg struct {
 	// sender CPU-free time.
 	Complete, IssueDone float64
 	// OverMPI reports the message went over the MPI path: every message of
-	// an MPI round, and a uTofu round's fallback. A uTofu put wrote Data into
-	// Region at DstOff; an MPI message left it with the receiver as Data.
+	// an MPI round, and a uTofu round's fallback.
 	OverMPI bool
 }
 
 // Engine executes bulk-synchronous halo rounds over the uTofu one-sided
 // stack or the MPI two-sided stack, with the graceful-degradation fallback
-// of section 3.4: messages to neighbors the app reports degraded or
-// quarantined skip uTofu, and puts whose retransmit budget is exhausted are
-// re-sent over MPI. App state (rank clocks, fallback/health trackers,
-// metrics, traces) stays behind the hook functions, so the same engine
-// drives MD ghost rounds and lattice stencil rounds unchanged.
+// of section 3.4: messages to neighbors the Fallback tracker degraded or
+// the Health tracker quarantined skip uTofu, and puts whose retransmit
+// budget is exhausted are re-sent over MPI and landed in their region.
+// Rank clocks, the re-plan and fallback observers stay behind the hook
+// functions, so the same engine drives MD ghost rounds and lattice stencil
+// rounds unchanged.
 type Engine struct {
 	// Fab is the fabric whose RecBase anchors round-relative trace times.
 	Fab *tofu.Fabric
@@ -56,30 +62,21 @@ type Engine struct {
 	UTS *utofu.System
 	MPI *mpi.Comm
 
-	// VCQ resolves a rank's VCQ on a TNI (uTofu transport only).
-	VCQ func(rank, tni int) *utofu.VCQ
 	// Clock returns a rank's current virtual time.
 	Clock func(rank int) float64
 	// Advance raises a rank's clock to at least t.
 	Advance func(rank int, t float64)
 
-	// AnyDegraded gates the per-message Degraded scan (nil = never).
-	AnyDegraded func() bool
-	// Degraded reports whether src→dst must route over MPI this round.
-	Degraded func(src, dst int) bool
-	// OnFailure records a permanently failed put and reports whether the
-	// resource plan must be rebuilt before the next round (TNI quarantine).
-	OnFailure func(src, dst, tni int, at float64) (replan bool)
-	// OnSuccess records a delivered put.
-	OnSuccess func(src, dst, tni int)
+	// Fallback and Health record every put's outcome and route degraded or
+	// quarantined src→dst pairs over MPI; either may be nil (no tracking).
+	Fallback *Fallback
+	Health   *health.Tracker
 	// OnReplan rebuilds the resource plan after a TNI quarantine; called at
 	// the end of uTofu processing, before the MPI fallback round.
 	OnReplan func()
-	// OnFallback observes the fallback batch before its MPI round (metric
-	// counters); OnFallbackDone observes it after, when Complete is known
-	// (trace spans).
-	OnFallback     func(msgs []*Msg)
-	OnFallbackDone func(msgs []*Msg)
+	// OnFallback observes the fallback batch after its MPI round, when
+	// Complete is known (metric counters, trace spans).
+	OnFallback func(msgs []*Msg)
 
 	// puts and mm back the transport records a round is translated into.
 	puts slab.Slab[utofu.Put]
@@ -88,8 +85,9 @@ type Engine struct {
 
 // RunRound executes the messages through the transport and advances the
 // participating ranks' clocks to their completion times. Payload delivery
-// is functional: after the call, receivers read the data from the Msg (the
-// app unpacks).
+// is functional: after the call, receivers read the data from each Msg's
+// Data, which under uTofu is the receiver's registered region (the app
+// unpacks).
 func (e *Engine) RunRound(t Transport, msgs []*Msg) {
 	if len(msgs) == 0 {
 		return
@@ -147,10 +145,10 @@ func (e *Engine) runMPIRound(msgs []*Msg, base float64) {
 func (e *Engine) runUTofuRoundReliable(msgs []*Msg, base float64) {
 	direct := msgs
 	var fallback []*Msg
-	if e.AnyDegraded != nil && e.AnyDegraded() {
+	if e.Fallback.DegradedCount() > 0 || e.Health.QuarantinedLinkCount() > 0 {
 		direct = direct[:0:0]
 		for _, m := range msgs {
-			if e.Degraded(m.Src, m.Dst) {
+			if e.Fallback.Degraded(m.Src, m.Dst) || e.Health.LinkQuarantined(m.Src, m.Dst) {
 				fallback = append(fallback, m)
 			} else {
 				direct = append(direct, m)
@@ -161,13 +159,23 @@ func (e *Engine) runUTofuRoundReliable(msgs []*Msg, base float64) {
 	if len(fallback) == 0 {
 		return
 	}
+	e.runMPIRound(fallback, base)
+	for _, m := range fallback {
+		if m.DstOff < 0 || m.DstOff+len(m.Data) > len(m.Region.Buf) {
+			panic(fmt.Sprintf("halo: fallback %d→%d writes [%d,%d) outside region of %d bytes",
+				m.Src, m.Dst, m.DstOff, m.DstOff+len(m.Data), len(m.Region.Buf)))
+		}
+		copy(m.Region.Buf[m.DstOff:], m.Data)
+		m.land()
+	}
 	if e.OnFallback != nil {
 		e.OnFallback(fallback)
 	}
-	e.runMPIRound(fallback, base)
-	if e.OnFallbackDone != nil {
-		e.OnFallbackDone(fallback)
-	}
+}
+
+// land points Data at the bytes the message wrote into its region.
+func (m *Msg) land() {
+	m.Data = m.Region.Buf[m.DstOff : m.DstOff+len(m.Data)]
 }
 
 // runUTofuRound issues the messages as uTofu puts and returns the ones
@@ -180,12 +188,11 @@ func (e *Engine) runUTofuRound(msgs []*Msg, base float64) []*Msg {
 	}
 	puts := e.puts.Take(len(msgs))
 	for i, m := range msgs {
-		vcq := e.VCQ(m.Src, m.TNI)
-		if vcq == nil {
-			panic(fmt.Sprintf("halo: rank %d has no VCQ on TNI %d", m.Src, m.TNI))
+		if m.VCQ == nil {
+			panic(fmt.Sprintf("halo: message %d→%d has no VCQ", m.Src, m.Dst))
 		}
 		*puts[i] = utofu.Put{
-			VCQ:       vcq,
+			VCQ:       m.VCQ,
 			Thread:    m.Thread,
 			DstThread: m.DstThread,
 			DstSTADD:  m.Region.STADD,
@@ -200,21 +207,25 @@ func (e *Engine) runUTofuRound(msgs []*Msg, base float64) []*Msg {
 	var failed []*Msg
 	replan := false
 	for i, m := range msgs {
+		tni := m.VCQ.TNI
 		if puts[i].Failed {
 			at := base + puts[i].FailedAt
-			if e.OnFailure != nil && e.OnFailure(m.Src, m.Dst, m.TNI, at) {
+			e.Fallback.RecordFailure(m.Src, m.Dst)
+			e.Health.RecordLinkFailure(m.Src, m.Dst, tni, at)
+			if e.Health.RecordTNIFailure(tni, at) == health.Quarantined {
 				replan = true
 			}
 			m.ReadyAt = at
 			failed = append(failed, m)
 			continue
 		}
-		if e.OnSuccess != nil {
-			e.OnSuccess(m.Src, m.Dst, m.TNI)
-		}
+		e.Fallback.RecordSuccess(m.Src, m.Dst)
+		e.Health.RecordLinkSuccess(m.Src, m.Dst)
+		e.Health.RecordTNISuccess(tni)
 		m.Complete = base + puts[i].RecvComplete
 		m.IssueDone = base + puts[i].IssueDone
 		m.OverMPI = false
+		m.land()
 	}
 	e.puts.Release()
 	if replan && e.OnReplan != nil {

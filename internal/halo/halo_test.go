@@ -1,10 +1,12 @@
 package halo
 
 import (
+	"bytes"
 	"math"
 	"sort"
 	"testing"
 
+	"tofumd/internal/faultinject"
 	"tofumd/internal/mpi"
 	"tofumd/internal/tofu"
 	"tofumd/internal/topo"
@@ -611,6 +613,35 @@ func TestInboxFixedOverflowPanics(t *testing.T) {
 	ib.Ensure(uts, 1, 2048, true)
 }
 
+// Next hands out the four regions in turn and wraps, counting in Seq; after
+// a growth re-registers them it hands out the new regions from the same
+// rotation point.
+func TestInboxNextRotates(t *testing.T) {
+	uts := testUTofu(t)
+	ib := &Inbox{}
+	ib.Preregister(uts, 0, 1024)
+	next := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if got := ib.Next(); got != ib.Regions[i%4] {
+				t.Fatalf("call %d: Next = region %d, want Regions[%d] (region %d)", i, got.STADD, i%4, ib.Regions[i%4].STADD)
+			}
+			if ib.Seq != i+1 {
+				t.Fatalf("after call %d: Seq = %d, want %d", i, ib.Seq, i+1)
+			}
+		}
+	}
+	next(0, 6)
+	old := ib.Regions
+	ib.Ensure(uts, 0, 4096, false)
+	for i, r := range ib.Regions {
+		if r == old[i] {
+			t.Fatalf("growth kept region %d", i)
+		}
+	}
+	next(6, 11)
+}
+
 func TestValidate(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -635,7 +666,8 @@ func TestValidate(t *testing.T) {
 }
 
 // engineFixture wires an Engine to bare rank clocks over a 2x2x2 torus with
-// one rank per node: a VCQ per rank on TNI 0 and one registered inbox each.
+// one rank per node: a VCQ per rank on TNI 0 and one registered region
+// each, which takes three messages with distinct payloads, one byte apart.
 func engineFixture(t *testing.T) (*Engine, []*Msg) {
 	t.Helper()
 	m := testRankMap(t, vec.I3{X: 2, Y: 2, Z: 2})
@@ -645,18 +677,17 @@ func engineFixture(t *testing.T) (*Engine, []*Msg) {
 	clocks := make([]float64, ranks)
 	vcqs := make([]*utofu.VCQ, ranks)
 	regions := make([]*utofu.MemRegion, ranks)
-	const msgBytes = 120
+	const msgBytes, stride = 120, 121
 	for r := 0; r < ranks; r++ {
 		v, err := uts.CreateVCQ(r, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		vcqs[r] = v
-		regions[r], _ = uts.Register(r, make([]byte, 3*msgBytes))
+		regions[r], _ = uts.Register(r, make([]byte, 3*stride))
 	}
 	e := &Engine{
 		Fab: fab, UTS: uts, MPI: mpi.NewComm(fab),
-		VCQ:   func(rank, tni int) *utofu.VCQ { return vcqs[rank] },
 		Clock: func(rank int) float64 { return clocks[rank] },
 		Advance: func(rank int, at float64) {
 			if at > clocks[rank] {
@@ -664,18 +695,55 @@ func engineFixture(t *testing.T) (*Engine, []*Msg) {
 			}
 		},
 	}
-	payload := make([]byte, msgBytes)
 	var msgs []*Msg
 	for r := 0; r < ranks; r++ {
 		for i, d := range []vec.I3{{X: 1}, {Y: 1}, {Z: 1}} {
 			dst := m.NeighborRank(r, d)
+			payload := make([]byte, msgBytes)
+			for j := range payload {
+				payload[j] = byte(1 + (3*r+i+j)%200)
+			}
 			msgs = append(msgs, &Msg{
-				Src: r, Dst: dst, Data: payload, Known: true,
-				Region: regions[dst], DstOff: i * msgBytes,
+				Src: r, Dst: dst, VCQ: vcqs[r], Data: payload, Known: true,
+				Region: regions[dst], DstOff: i * stride,
 			})
 		}
 	}
 	return e, msgs
+}
+
+// TestEngineLandsFallbackInRegion: with every put NACKed past its retransmit
+// budget, the whole round falls back to MPI, and the engine still lands each
+// payload in its region under the lattice's wiring (no Fallback or Health
+// tracker): every Data aliases Region.Buf[DstOff:] and holds the sender's
+// bytes, and the poisoned byte after each landing range is untouched.
+func TestEngineLandsFallbackInRegion(t *testing.T) {
+	const poison = 0xee
+	e, msgs := engineFixture(t)
+	e.Fab.Faults = faultinject.New(faultinject.Spec{Nack: 1})
+	sent := make([][]byte, len(msgs))
+	for i, m := range msgs {
+		sent[i] = m.Data
+		for j := range m.Region.Buf {
+			m.Region.Buf[j] = poison
+		}
+	}
+	e.RunRound(TransportUTofu, msgs)
+	for i, m := range msgs {
+		if !m.OverMPI || m.Complete <= m.ReadyAt {
+			t.Fatalf("message %d→%d: OverMPI %v, ready %v, complete %v; want a completed MPI fallback",
+				m.Src, m.Dst, m.OverMPI, m.ReadyAt, m.Complete)
+		}
+		if len(m.Data) != len(sent[i]) || &m.Data[0] != &m.Region.Buf[m.DstOff] {
+			t.Fatalf("message %d→%d: Data (%d bytes) does not alias its region at offset %d", m.Src, m.Dst, len(m.Data), m.DstOff)
+		}
+		if !bytes.Equal(m.Data, sent[i]) {
+			t.Fatalf("message %d→%d: region does not hold the sender's payload", m.Src, m.Dst)
+		}
+		if b := m.Region.Buf[m.DstOff+len(m.Data)]; b != poison {
+			t.Fatalf("message %d→%d: byte after the landing range = %#x, want poison %#x", m.Src, m.Dst, b, poison)
+		}
+	}
 }
 
 // A fault-free round allocates nothing from the second call on, over either

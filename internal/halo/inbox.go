@@ -9,11 +9,22 @@ import (
 // Inbox is a set of four round-robin registered receive buffers
 // (section 3.4, Fig. 10). Under the pre-registered scheme they are sized to
 // the theoretical maximum once; otherwise they grow via Ensure, paying the
-// registration cost each time.
+// registration cost each time. Next hands out the buffers in turn; a Msg
+// aimed at one reads its payload from it after Engine.RunRound.
 type Inbox struct {
 	Bufs     [4][]byte
 	Regions  [4]*utofu.MemRegion
 	CapBytes int
+	// Seq counts the regions Next has handed out.
+	Seq int
+}
+
+// Next returns the region the inbox's next message lands in, rotating
+// round-robin over the four buffers.
+func (ib *Inbox) Next() *utofu.MemRegion {
+	r := ib.Regions[ib.Seq%len(ib.Regions)]
+	ib.Seq++
+	return r
 }
 
 // Preregister sizes and registers all four round-robin buffers once,

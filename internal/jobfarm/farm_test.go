@@ -156,10 +156,19 @@ func TestFarmValidationRejects(t *testing.T) {
 		{Potential: "lj", Atoms: 100, Nodes: "1x1x1", Steps: 10, CheckpointEvery: 7},
 		{Potential: "eam", Atoms: 100, Nodes: "1x1x1", Steps: 10, CheckpointEvery: 12},
 		{Potential: "lj", Atoms: 100, Nodes: "1x1x1", Steps: 10, Priority: "urgent"},
+		{Potential: "lj", Atoms: 1_000_000_000, Nodes: "64x64x64", Steps: 10},
+		{Potential: "lj", Atoms: MaxAtoms + 1, Nodes: "2x2x2", Steps: 10},
+		{Potential: "lj", Atoms: 100, Nodes: "2x2x2", Steps: MaxSteps + 1},
+		{Potential: "lj", Atoms: 100, Nodes: "4x6x5", Steps: 10},
+		{Potential: "lj", Atoms: 100, Nodes: "4294967296x4294967296x1", Steps: 10},
 	} {
 		if _, err := f.Submit(sp); err == nil {
 			t.Errorf("spec %+v: accepted, want validation error", sp)
 		}
+	}
+	atCeiling := Spec{Potential: "lj", Atoms: MaxAtoms, Nodes: "4x6x4", Steps: MaxSteps}
+	if err := atCeiling.Validate(); err != nil {
+		t.Errorf("spec at every ceiling rejected: %v", err)
 	}
 }
 

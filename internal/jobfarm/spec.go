@@ -29,6 +29,26 @@ const (
 	PriorityHigh       = "priority"
 )
 
+// Admission ceilings. A spec past one is rejected before a worker builds
+// it: the farm's workers share one host, and a job's live heap grows with
+// both its rank count and its atom count. The readings they scale from are
+// the harness's: 83 MB live for 8 k atoms on 256 ranks (lj_strong) and
+// 46 MB for 32 k atoms on 32 ranks (lj_dense).
+const (
+	// MaxNodes is the node-count ceiling: the 4×6×4 functional tile. At
+	// 256 ranks per 83 MB the per-rank share is about 0.3 MB, so 96 nodes
+	// of 4 ranks (384 ranks) hold near 125 MB before atoms.
+	MaxNodes = 96
+	// MaxAtoms is the atom-count ceiling, 4× lj_dense's 32 k: at its
+	// 46 MB that is near 190 MB, so a ceiling job stays under a few
+	// hundred MB on any allowed shape.
+	MaxAtoms = 131_072
+	// MaxSteps is the step ceiling. Steps cost time, not memory (a job
+	// commits and rebuilds at each checkpoint), so it only bounds how long
+	// one admission can hold a worker.
+	MaxSteps = 1_000_000
+)
+
 // Spec is the JSON job description clients POST to /jobs.
 type Spec struct {
 	// Name is a client-chosen label (optional, shown in status).
@@ -81,14 +101,25 @@ func (sp *Spec) Validate() error {
 	if sp.Atoms <= 0 {
 		return fmt.Errorf("atoms %d: must be positive", sp.Atoms)
 	}
+	if sp.Atoms > MaxAtoms {
+		return fmt.Errorf("atoms %d: above the ceiling of %d", sp.Atoms, MaxAtoms)
+	}
 	if sp.Steps <= 0 {
 		return fmt.Errorf("steps %d: must be positive", sp.Steps)
+	}
+	if sp.Steps > MaxSteps {
+		return fmt.Errorf("steps %d: above the ceiling of %d", sp.Steps, MaxSteps)
 	}
 	if sp.Nodes == "" {
 		sp.Nodes = "2x2x2"
 	}
-	if _, err := core.ParseShape(sp.Nodes); err != nil {
+	shape, err := core.ParseShape(sp.Nodes)
+	if err != nil {
 		return err
+	}
+	// Each axis is bounded first, so the product cannot overflow.
+	if shape.X > MaxNodes || shape.Y > MaxNodes || shape.Z > MaxNodes || shape.Prod() > MaxNodes {
+		return fmt.Errorf("nodes %s: above the ceiling of %d nodes", sp.Nodes, MaxNodes)
 	}
 	if sp.Variant == "" {
 		sp.Variant = "opt"

@@ -110,9 +110,9 @@ func (s *System) setupTransport(params tofu.Params) error {
 	if s.Cfg.Transport != halo.TransportUTofu {
 		return nil
 	}
-	s.fwd, _ = s.plan.Assign(halo.TNIPerRankSlot, halo.SurvivingTNIs(params.TNIsPerNode, nil), 1, halo.Balance{})
+	fwd, _ := s.plan.Assign(halo.TNIPerRankSlot, halo.SurvivingTNIs(params.TNIsPerNode, nil), 1, halo.Balance{})
 	for _, r := range s.ranks {
-		vcq, err := s.ts.uts.CreateVCQ(r.ID, s.fwd[s.plan.Send[r.ID][0]].TNI)
+		vcq, err := s.ts.uts.CreateVCQ(r.ID, fwd[s.plan.Send[r.ID][0]].TNI)
 		if err != nil {
 			return err
 		}
@@ -129,15 +129,14 @@ func (s *System) setupTransport(params tofu.Params) error {
 }
 
 // newEngine wires the generic halo engine to the lattice ranks' clocks.
-// The lattice workload has no fault-handling state, so the degradation
-// hooks stay nil; a retransmit-exhausted put still falls back to MPI
-// through the engine's built-in path.
+// The lattice workload has no fault-handling state, so the Fallback and
+// Health trackers stay nil; a retransmit-exhausted put still falls back to
+// MPI and lands in its inbox through the engine's built-in path.
 func (s *System) newEngine() *halo.Engine {
 	return &halo.Engine{
 		Fab:   s.fab,
 		UTS:   s.ts.uts,
 		MPI:   s.ts.mpi,
-		VCQ:   func(rank, tni int) *utofu.VCQ { return s.ranks[rank].vcq },
 		Clock: func(rank int) float64 { return s.ranks[rank].Clock },
 		Advance: func(rank int, t float64) {
 			if r := s.ranks[rank]; t > r.Clock {
@@ -148,8 +147,8 @@ func (s *System) newEngine() *halo.Engine {
 }
 
 // plane is one outgoing face plane of a dimension round. The sender's pack
-// task fills its slot, the serial gather resolves the uTofu region and
-// queues it, and the receiver's unpack task consumes it.
+// task fills its slot, the serial gather aims it at the receiver's inbox
+// and queues it, and the receiver's unpack task reads it where it landed.
 type plane struct {
 	hm    halo.Msg
 	dst   *Rank // nil: periodic self-image, applied by the pack task
@@ -185,9 +184,10 @@ func (s *System) exchange() {
 // grid is one rank wide on the axis). Packing runs per sender and
 // unpacking per receiver in parallel; between them a serial gather builds
 // the message list in the plan's issue order (rank by rank, each rank's Send
-// links in SpecLess order, so -dim before +dim) and assigns the receivers'
-// inbox regions, so the round and every clock addition happen in the same
-// order as a serial loop over the ranks.
+// links in SpecLess order, so -dim before +dim) and aims each plane at the
+// next region of the receiver's inbox, so the round and every clock addition
+// happen in the same order as a serial loop over the ranks. Under uTofu each
+// receiver unpacks from its inbox, where the round landed the plane.
 func (s *System) exchangeDim(dim int) {
 	s.forRanks(func(r *Rank) { s.sendPlanes(r, dim) })
 	for i := range s.planes {
@@ -196,9 +196,7 @@ func (s *System) exchangeDim(dim int) {
 			continue
 		}
 		if s.Cfg.Transport == halo.TransportUTofu {
-			ib := p.dst.inboxes[dim][p.side]
-			p.hm.Region = ib.Regions[p.dst.seq[dim][p.side]%len(ib.Regions)]
-			p.dst.seq[dim][p.side]++
+			p.hm.Region = p.dst.inboxes[dim][p.side].Next()
 		}
 		s.hms = append(s.hms, &p.hm)
 		p.dst.recv = append(p.dst.recv, p)
@@ -254,15 +252,11 @@ func (s *System) sendPlanes(r *Rank, dim int) {
 			*p = plane{}
 			continue
 		}
-		var tni int
-		if s.fwd != nil {
-			tni = s.fwd[i].TNI
-		}
 		data := r.packPlane(dim, layer, nil)
 		r.Clock += s.packCost(len(data))
 		*p = plane{
 			hm: halo.Msg{
-				Src: r.ID, Dst: dst.ID, TNI: tni,
+				Src: r.ID, Dst: dst.ID, VCQ: r.vcq,
 				Data: data, Known: true, ReadyAt: r.Clock,
 			},
 			dst: dst, side: side, ghost: ghost,

@@ -103,7 +103,6 @@ type Rank struct {
 	// inboxes receive the staged face planes: [dim][0] the low ghost layer
 	// (from the -dim neighbor), [dim][1] the high layer.
 	inboxes [3][2]*halo.Inbox
-	seq     [3][2]int
 
 	// recv lists the planes this rank receives in the current dimension
 	// round, in message order (the serial gather fills it, the rank's unpack
@@ -132,10 +131,8 @@ type System struct {
 	ts  transportState
 
 	// plan is the face exchange: one 3-stage shell, whose Send links give
-	// each rank's receivers and issue order. fwd is its per-rank-slot TNI
-	// assignment (nil under the MPI transport).
+	// each rank's receivers and issue order.
 	plan *halo.Plan
-	fwd  []halo.Res
 
 	ranks []*Rank
 	step  int

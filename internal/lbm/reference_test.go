@@ -18,7 +18,11 @@ import (
 // another. TestStepMatchesReference holds the parallel, unrolled, row-wise
 // step to it bit for bit.
 
-func refStep(s *System) {
+// refSeq is the reference's own inbox rotation table, [rank][dim][side]:
+// how many planes it has aimed at each inbox.
+type refSeq [][3][2]int
+
+func refStep(s *System, seq refSeq) {
 	for _, r := range s.ranks {
 		for x := 1; x <= r.N.X; x++ {
 			for y := 1; y <= r.N.Y; y++ {
@@ -43,7 +47,7 @@ func refStep(s *System) {
 		}
 	}
 	for dim := 0; dim < 3; dim++ {
-		refExchangeDim(s, dim)
+		refExchangeDim(s, dim, seq)
 	}
 	if s.Cfg.Overlap {
 		for i, r := range s.ranks {
@@ -145,7 +149,7 @@ type refMsg struct {
 	wireCost int
 }
 
-func refExchangeDim(s *System, dim int) {
+func refExchangeDim(s *System, dim int, seq refSeq) {
 	var msgs []refMsg
 	for _, r := range s.ranks {
 		for _, sign := range []int{-1, 1} {
@@ -165,13 +169,13 @@ func refExchangeDim(s *System, dim int) {
 				continue
 			}
 			hm := &halo.Msg{
-				Src: r.ID, Dst: dst.ID, TNI: refTNI(s, r),
+				Src: r.ID, Dst: dst.ID, VCQ: r.vcq,
 				Data: data, Known: true, ReadyAt: r.Clock,
 			}
 			if s.Cfg.Transport == halo.TransportUTofu {
 				ib := dst.inboxes[dim][side]
-				hm.Region = ib.Regions[dst.seq[dim][side]%4]
-				dst.seq[dim][side]++
+				hm.Region = ib.Regions[seq[dst.ID][dim][side]%4]
+				seq[dst.ID][dim][side]++
 			}
 			msgs = append(msgs, refMsg{hm: hm, dst: dst, dim: dim, ghost: ghost, wireCost: len(data)})
 		}
@@ -221,17 +225,25 @@ func perturb(s *System, seed uint64) {
 }
 
 // sameState reports the first difference between two systems' distribution
-// arrays (ghosts included), clocks and inbox sequence numbers, compared
-// bit for bit.
-func sameState(t *testing.T, step int, got, want *System) {
+// arrays (ghosts included), clocks, and got's inbox sequence numbers against
+// the reference's rotation table, compared bit for bit.
+func sameState(t *testing.T, step int, got, want *System, seq refSeq) {
 	t.Helper()
 	for id, r := range got.ranks {
 		w := want.ranks[id]
 		if math.Float64bits(r.Clock) != math.Float64bits(w.Clock) {
 			t.Fatalf("step %d rank %d: clock %.17g, reference %.17g", step, id, r.Clock, w.Clock)
 		}
-		if r.seq != w.seq {
-			t.Fatalf("step %d rank %d: inbox sequence %v, reference %v", step, id, r.seq, w.seq)
+		var gotSeq [3][2]int
+		for dim, ibs := range r.inboxes {
+			for side, ib := range ibs {
+				if ib != nil {
+					gotSeq[dim][side] = ib.Seq
+				}
+			}
+		}
+		if gotSeq != seq[id] {
+			t.Fatalf("step %d rank %d: inbox sequence %v, reference %v", step, id, gotSeq, seq[id])
 		}
 		for q := 0; q < Q; q++ {
 			for i := range r.f[q] {
@@ -290,16 +302,17 @@ func TestStepMatchesReference(t *testing.T) {
 				return s
 			}
 			got, want := build(), build()
+			seq := make(refSeq, len(want.ranks))
 			for _, r := range got.ranks {
 				if r.vcq != nil && r.vcq.TNI != refTNI(want, r) {
 					t.Fatalf("rank %d: VCQ on TNI %d, reference %d", r.ID, r.vcq.TNI, refTNI(want, r))
 				}
 			}
-			sameState(t, 0, got, want)
+			sameState(t, 0, got, want, seq)
 			for step := 1; step <= 5; step++ {
 				got.Step()
-				refStep(want)
-				sameState(t, step, got, want)
+				refStep(want, seq)
+				sameState(t, step, got, want, seq)
 			}
 		})
 	}

@@ -136,7 +136,8 @@ func TestChaosForcedFallback(t *testing.T) {
 }
 
 // TestInboxHoldsPayloadOverPutAndFallback: after a uTofu round every inbox message
-// is read from the receiver's current round-robin buffer, and that buffer
+// is read from the receiver's current round-robin buffer (the one the
+// inbox's last Next handed out, Bufs[(Seq-1)%4]), and that buffer
 // holds the bytes the sender packed, both when the put wrote them and when
 // the message fell back to MPI over a degraded link. Every buffer is
 // poisoned first, so one the round left unwritten shows.
@@ -172,7 +173,7 @@ func TestInboxHoldsPayloadOverPutAndFallback(t *testing.T) {
 				return
 			}
 			sd := l.side(true)
-			buf := sd.inbox.Bufs[l.seq%4]
+			buf := sd.inbox.Bufs[(sd.inbox.Seq-1)%4]
 			mu.Lock()
 			defer mu.Unlock()
 			switch {
@@ -214,7 +215,8 @@ func TestInboxHoldsPayloadOverPutAndFallback(t *testing.T) {
 // registered position region is a view of Atoms.X), so after a forward
 // operation every ghost holds its owner's X + shift bit for bit, whether
 // the put delivered it or the message fell back to MPI over a degraded
-// link, and only the fallback is decoded. Ghost X is poisoned first, so a
+// link, and nothing is decoded: the engine lands a fallback in the region
+// as the put would have. Ghost X is poisoned first, so a
 // slot the operation left unwritten shows. After an exchange and border
 // rebuild that moves X, the registered region follows it.
 func TestForwardLandsInPositionArray(t *testing.T) {
@@ -286,8 +288,8 @@ func TestForwardLandsInPositionArray(t *testing.T) {
 			t.Errorf("%s: %d messages over MPI (%d on %d→%d), want exactly the %d on the degraded link",
 				label, overMPI, pairMPI, src, dst, want)
 		}
-		if decoded != overMPI {
-			t.Errorf("%s: %d messages decoded, want only the %d that fell back to MPI", label, decoded, overMPI)
+		if decoded != 0 {
+			t.Errorf("%s: %d messages decoded, want 0: the round lands every message, %d of them over MPI", label, decoded, overMPI)
 		}
 	}
 

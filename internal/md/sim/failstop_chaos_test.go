@@ -197,8 +197,8 @@ func TestReplanVCQsMatchAssignment(t *testing.T) {
 				}
 			}
 			held := make([]bool, len(want))
-			for tni := range r.vcqByTNI {
-				held[tni] = true
+			for tni, vcq := range r.vcqByTNI {
+				held[tni] = vcq != nil
 			}
 			if !slices.Equal(held, want) {
 				t.Fatalf("%s %s: rank %d holds VCQs on TNIs %v, its links are assigned %v",

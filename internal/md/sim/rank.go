@@ -34,9 +34,6 @@ type link struct {
 	// fwd is the side used when src sends (border/forward), rev the side
 	// used when dst sends back (reverse).
 	fwd, rev side
-
-	// seq counts uses of the inboxes for round-robin buffer rotation.
-	seq int
 }
 
 // side is one sending direction of a link: the sender's thread/TNI
@@ -86,8 +83,9 @@ type Rank struct {
 	sendLinks []*link
 	recvLinks []*link
 
-	// vcqByTNI holds the rank's allocated VCQs.
-	vcqByTNI map[int]*utofu.VCQ
+	// vcqByTNI holds the rank's allocated VCQs, indexed by TNI (nil where
+	// the rank holds none).
+	vcqByTNI []*utofu.VCQ
 
 	// qual decides ghost-send qualification for the sub-box.
 	qual *domain.SendQualifier

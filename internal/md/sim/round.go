@@ -2,10 +2,8 @@ package sim
 
 import (
 	"tofumd/internal/halo"
-	"tofumd/internal/health"
 	"tofumd/internal/slab"
 	"tofumd/internal/trace"
-	"tofumd/internal/utofu"
 )
 
 // rmsg is one message of a bulk-synchronous communication round: the
@@ -15,24 +13,19 @@ type rmsg struct {
 	halo.Msg
 	// link is the channel; nil for exchange-stage messages.
 	link *link
-	// inbox is the uTofu destination: the receiver's registered buffers of
-	// the sending side, or nil for a direct forward message, whose put
-	// writes the positions straight into the receiver's Atoms.X at DstOff
-	// (the registered position region is a view of X). Only a direct
-	// message that fell back to MPI is decoded, from Data.
-	inbox *halo.Inbox
 }
 
 // msg builds the message sent on one side of the link, carrying the side's
-// packing scratch; the caller stamps ReadyAt.
+// packing scratch and the sender's VCQ on the side's TNI; the caller aims
+// it and stamps ReadyAt.
 func (l *link) msg(rev, known bool) rmsg {
 	from, to, sd := l.src, l.dst, l.side(rev)
 	if rev {
 		from, to = to, from
 	}
-	return rmsg{link: l, inbox: &sd.inbox, Msg: halo.Msg{
+	return rmsg{link: l, Msg: halo.Msg{
 		Src: from.ID, Dst: to.ID,
-		Thread: sd.Thread, TNI: sd.TNI, DstThread: l.side(!rev).Thread,
+		Thread: sd.Thread, VCQ: from.vcqByTNI[sd.TNI], DstThread: l.side(!rev).Thread,
 		Data: sd.buf, Known: known,
 	}}
 }
@@ -76,44 +69,27 @@ func (b *batch) add(rec rmsg) *rmsg {
 const fallbackK = 3
 
 // newEngine wires the generic halo round engine to the simulation's state:
-// rank clocks, VCQ tables, the fallback/health trackers, metrics and trace
-// spans all stay on this side of the seam.
+// rank clocks and the fallback/health trackers, with the TNI re-plan,
+// metrics and trace spans behind the engine's hooks.
 func (s *Simulation) newEngine() *halo.Engine {
 	return &halo.Engine{
 		Fab:   s.fab,
 		UTS:   s.uts,
 		MPI:   s.mpiComm,
-		VCQ:   func(rank, tni int) *utofu.VCQ { return s.ranks[rank].vcqByTNI[tni] },
 		Clock: func(rank int) float64 { return s.ranks[rank].Clock },
 		Advance: func(rank int, t float64) {
 			if r := s.ranks[rank]; t > r.Clock {
 				r.Clock = t
 			}
 		},
-		AnyDegraded: func() bool {
-			return s.fb.DegradedCount() > 0 || s.health.QuarantinedLinkCount() > 0
-		},
-		Degraded: func(src, dst int) bool {
-			return s.fb.Degraded(src, dst) || s.health.LinkQuarantined(src, dst)
-		},
-		OnFailure: func(src, dst, tni int, at float64) bool {
-			s.fb.RecordFailure(src, dst)
-			s.health.RecordLinkFailure(src, dst, tni, at)
-			return s.health.RecordTNIFailure(tni, at) == health.Quarantined
-		},
-		OnSuccess: func(src, dst, tni int) {
-			s.fb.RecordSuccess(src, dst)
-			s.health.RecordLinkSuccess(src, dst)
-			s.health.RecordTNISuccess(tni)
-		},
-		OnReplan: func() { s.replanTNIs() },
+		Fallback: s.fb,
+		Health:   s.health,
+		OnReplan: s.replanTNIs,
 		OnFallback: func(msgs []*halo.Msg) {
 			if s.met != nil {
 				s.met.fallbackMsgs.Add(int64(len(msgs)))
 				s.met.fallbackRounds.Inc()
 			}
-		},
-		OnFallbackDone: func(msgs []*halo.Msg) {
 			if s.rec.Enabled() {
 				for _, m := range msgs {
 					s.rec.Span(trace.SpanEvent{
@@ -123,44 +99,6 @@ func (s *Simulation) newEngine() *halo.Engine {
 				}
 			}
 		},
-	}
-}
-
-// runRound executes the batch through transport t and advances the
-// participating ranks' clocks to their completion times. Payload delivery
-// is functional: after the call, receivers read the data from the rmsg (the
-// caller unpacks).
-func (s *Simulation) runRound(t halo.Transport, b *batch) {
-	if t == halo.TransportUTofu {
-		for _, m := range b.msgs {
-			if m.inbox == nil {
-				m.Region = s.xRegion[m.Dst]
-			} else {
-				m.Region = m.inbox.Regions[m.link.seq%4]
-			}
-		}
-	}
-	s.eng.RunRound(t, b.wire)
-}
-
-// deliverToInboxes points every inbox message of a uTofu round at its
-// receive buffer, making the round-robin rotation functional: the receiver
-// decodes from its own registered buffer, not the sender's scratch. A put
-// already wrote the payload there (the buffer is the region's); only the
-// messages that fell back to MPI are copied in.
-func (s *Simulation) deliverToInboxes(b *batch) {
-	if s.Var.Transport != halo.TransportUTofu {
-		return
-	}
-	for _, m := range b.msgs {
-		if m.inbox == nil {
-			continue
-		}
-		buf := m.inbox.Bufs[m.link.seq%4]
-		if m.OverMPI {
-			copy(buf, m.Data)
-		}
-		m.Data = buf[:len(m.Data)]
 	}
 }
 

@@ -351,7 +351,7 @@ func (s *Simulation) syncVCQs(r *Rank) error {
 			if err := s.uts.FreeVCQ(vcq); err != nil {
 				return fmt.Errorf("sim: rank %d: %w", r.ID, err)
 			}
-			delete(r.vcqByTNI, tni)
+			r.vcqByTNI[tni] = nil
 		case ok && vcq == nil:
 			vcq, err := s.uts.CreateVCQ(r.ID, tni)
 			if err != nil {
@@ -537,7 +537,7 @@ func (s *Simulation) createRanks() {
 			Hi:       hi,
 			Atoms:    atom.New(64),
 			BD:       &trace.Breakdown{},
-			vcqByTNI: map[int]*utofu.VCQ{},
+			vcqByTNI: make([]*utofu.VCQ, s.M.Params.TNIsPerNode),
 		}
 		if len(s.Cfg.Initial) > 0 {
 			for _, ia := range s.Cfg.Initial {

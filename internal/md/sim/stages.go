@@ -26,9 +26,9 @@ type haloOp struct {
 	// lists); unknown-length messages pay the MPI two-step protocol.
 	known bool
 	// direct lands the payload in the receiver's pre-registered position
-	// array at the link's ghost offset: the put is the unpack, so there is
-	// no inbox, no unpack charge, and unpack runs only for a message that
-	// fell back to MPI.
+	// array at the link's ghost offset: the put, or the engine's copy of an
+	// MPI fallback, is the unpack, so there is no inbox, no unpack charge
+	// and no unpack call.
 	direct bool
 	// unpackIfAny skips the unpack region of a rank that received no bytes
 	// in a round; without it the region opens regardless.
@@ -81,25 +81,25 @@ func (s *Simulation) runOpRound(op haloOp, k halo.RoundKey) {
 			}
 			m := b.add(l.msg(op.rev, op.known))
 			if op.direct {
-				m.inbox, m.DstOff = nil, l.recvStart*posBytes
+				m.Region, m.DstOff = s.xRegion[m.Dst], l.recvStart*posBytes
 			} else if s.Var.Transport == halo.TransportUTofu {
-				s.ensureInbox(s.ranks[m.Dst], m.inbox, len(m.Data))
+				ib := &l.side(op.rev).inbox
+				s.ensureInbox(s.ranks[m.Dst], ib, len(m.Data))
+				m.Region = ib.Next()
 			}
 			// Stamped after ensureInbox: a registration on a self-link (the
 			// rank's own periodic image) delays its own send.
 			m.ReadyAt = r.Clock
 		}
 	}
-	s.runRound(s.Var.Transport, b)
-	s.deliverToInboxes(b)
+	s.eng.RunRound(s.Var.Transport, b.wire)
 	s.forRanks(func(id int) {
 		r := s.ranks[id]
 		bytes := 0
 		for _, m := range b.byDst[id] {
-			if !op.direct || m.OverMPI {
+			if !op.direct {
 				op.unpack(r, m.link, m.Data)
 			}
-			m.link.seq++
 			bytes += len(m.Data)
 		}
 		if !op.direct && (bytes > 0 || !op.unpackIfAny) {
@@ -127,9 +127,9 @@ var borderOp = haloOp{
 }
 
 // forwardOp updates ghost positions from their owners, written into the
-// receiver's position array: by the put itself under the pre-registered
-// scheme (unpack decodes only what fell back to MPI), from the receive
-// buffers otherwise.
+// receiver's position array: by the round itself under the pre-registered
+// scheme (a put, or the engine landing an MPI fallback, writes the ghost
+// slots), decoded from the receive buffers otherwise.
 func forwardOp(direct bool) haloOp {
 	return haloOp{
 		known: true, direct: direct, unpackIfAny: true,
@@ -323,10 +323,10 @@ func (s *Simulation) piggybackOffsets() {
 	for _, r := range s.ranks {
 		for _, l := range r.recvLinks {
 			m := b.add(l.msg(true, true))
-			m.Data, m.ReadyAt = make([]byte, 8), r.Clock
+			m.Data, m.Region, m.ReadyAt = make([]byte, 8), l.rev.inbox.Next(), r.Clock
 		}
 	}
-	s.runRound(s.Var.Transport, b)
+	s.eng.RunRound(s.Var.Transport, b.wire)
 }
 
 // --- exchange stage -----------------------------------------------------
@@ -380,7 +380,7 @@ func (s *Simulation) doExchange() {
 			}})
 		}
 	}
-	s.runRound(halo.TransportMPI, b)
+	s.eng.RunRound(halo.TransportMPI, b.wire)
 	for _, m := range b.msgs {
 		dst := s.ranks[m.Dst]
 		for _, rec := range decodeExchange(m.Data) {

@@ -16,6 +16,15 @@ import (
 // sender's VCQ and the destination Region/DstOff before handing the message
 // to the Engine; the Engine fills Complete, IssueDone and OverMPI and, under
 // uTofu, replaces Data with the landed bytes.
+//
+// An app that aims a message before packing it can pack straight into
+// Dest, the bytes the payload lands in (section 3.4's registered arrays,
+// or an inbox buffer no other sender of the round writes). Data then
+// aliases its region: the round charges the put in full, and its copy (a
+// put's delivery, or the landing of an MPI fallback) writes the bytes onto
+// themselves. Every message of a uTofu round lands, by put or by fallback,
+// so a region written early holds the same bytes at the end of the round
+// as one the put wrote.
 type Msg struct {
 	// Src and Dst are rank ids.
 	Src, Dst int
@@ -25,10 +34,11 @@ type Msg struct {
 	// VCQ is the sender's injection queue (uTofu transport only); its TNI
 	// is the network interface the put leaves on.
 	VCQ *utofu.VCQ
-	// Data is the payload. Under the uTofu transport RunRound replaces it
-	// with its bytes in the receiver's region, Region.Buf[DstOff:], whether
-	// a put wrote them or the MPI fallback carried them; under MPI it stays
-	// the sender's slice.
+	// Data is the payload: the sender's scratch, a view of its own arrays,
+	// or bytes packed in place at Dest. Under the uTofu transport RunRound
+	// replaces it with its bytes in the receiver's region,
+	// Region.Buf[DstOff:], whether a put wrote them or the MPI fallback
+	// carried them; under MPI it stays the sender's slice.
 	Data []byte
 	// Known marks length-known messages (plan reuse); unknown-length
 	// messages pay the MPI two-step protocol.
@@ -52,9 +62,12 @@ type Msg struct {
 // of section 3.4: messages to neighbors the Fallback tracker degraded or
 // the Health tracker quarantined skip uTofu, and puts whose retransmit
 // budget is exhausted are re-sent over MPI and landed in their region.
-// Rank clocks, the re-plan and fallback observers stay behind the hook
-// functions, so the same engine drives MD ghost rounds and lattice stencil
-// rounds unchanged.
+// Because every message lands, a payload packed in place at its Dest
+// needs no staging copy: a dropped, NACK-exhausted or quarantined message
+// ends the round with the same region bytes as a staged one. Rank clocks,
+// the re-plan and fallback observers stay behind the hook functions, so
+// the same engine drives MD ghost rounds and lattice stencil rounds
+// unchanged.
 type Engine struct {
 	// Fab is the fabric whose RecBase anchors round-relative trace times.
 	Fab *tofu.Fabric
@@ -173,9 +186,18 @@ func (e *Engine) runUTofuRoundReliable(msgs []*Msg, base float64) {
 	}
 }
 
+// Dest returns the bytes from the message's destination offset to the end
+// of its region, Region.Buf[DstOff:], capped there so that growing a slice
+// of it never reaches past the region. A sender that packs its payload
+// into Dest writes it where it lands.
+func (m *Msg) Dest() []byte {
+	b := m.Region.Buf
+	return b[m.DstOff:len(b):len(b)]
+}
+
 // land points Data at the bytes the message wrote into its region.
 func (m *Msg) land() {
-	m.Data = m.Region.Buf[m.DstOff : m.DstOff+len(m.Data)]
+	m.Data = m.Dest()[:len(m.Data)]
 }
 
 // runUTofuRound issues the messages as uTofu puts and returns the ones

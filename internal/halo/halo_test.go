@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tofumd/internal/faultinject"
+	"tofumd/internal/health"
 	"tofumd/internal/mpi"
 	"tofumd/internal/tofu"
 	"tofumd/internal/topo"
@@ -743,6 +744,77 @@ func TestEngineLandsFallbackInRegion(t *testing.T) {
 		if b := m.Region.Buf[m.DstOff+len(m.Data)]; b != poison {
 			t.Fatalf("message %d→%d: byte after the landing range = %#x, want poison %#x", m.Src, m.Dst, b, poison)
 		}
+	}
+}
+
+// TestInPlacePayloadsMatchStagedUnderFallback: a round of payloads packed
+// in place at their Dest ends with every region byte equal to a staged
+// reference round of the same payloads (packed into scratch, then put), and
+// with the same completion times and transport per message, whether puts
+// were dropped (some delivered on a retransmit, some exhausting it and
+// falling back to MPI), NACKed past their retransmit budget, or skipped over
+// a quarantined link. Every region is poisoned first, so bytes the staged
+// round never wrote must stay poisoned in place too.
+func TestInPlacePayloadsMatchStagedUnderFallback(t *testing.T) {
+	const poison = 0xee
+	for _, tc := range []struct {
+		name       string
+		faults     *faultinject.Spec
+		quarantine bool
+		// minMPI and maxMPI bound the messages that go over MPI.
+		minMPI, maxMPI int
+	}{
+		{"drop", &faultinject.Spec{Seed: 7, Drop: 0.9}, false, 1, 23},
+		{"nack-exhausted", &faultinject.Spec{Nack: 1}, false, 24, 24},
+		{"quarantined-link", nil, true, 1, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(inPlace bool) []*Msg {
+				e, msgs := engineFixture(t)
+				if tc.faults != nil {
+					e.Fab.Faults = faultinject.New(*tc.faults)
+				}
+				e.Health = health.New(1, 2)
+				if tc.quarantine {
+					m := msgs[0]
+					e.Health.RecordLinkFailure(m.Src, m.Dst, m.VCQ.TNI, 0)
+					e.Health.RecordLinkFailure(m.Src, m.Dst, m.VCQ.TNI, 0)
+				}
+				for _, m := range msgs {
+					for j := range m.Region.Buf {
+						m.Region.Buf[j] = poison
+					}
+				}
+				if inPlace {
+					for _, m := range msgs {
+						m.Data = append(m.Dest()[:0], m.Data...)
+					}
+				}
+				e.RunRound(TransportUTofu, msgs)
+				return msgs
+			}
+			staged, inPlace := run(false), run(true)
+			overMPI := 0
+			for i, m := range inPlace {
+				s := staged[i]
+				if m.OverMPI != s.OverMPI || m.Complete != s.Complete || m.IssueDone != s.IssueDone {
+					t.Fatalf("message %d→%d: in place (MPI %v, complete %v, issue %v), staged (MPI %v, complete %v, issue %v)",
+						m.Src, m.Dst, m.OverMPI, m.Complete, m.IssueDone, s.OverMPI, s.Complete, s.IssueDone)
+				}
+				if !bytes.Equal(m.Region.Buf, s.Region.Buf) {
+					t.Fatalf("message %d→%d: region of rank %d differs from the staged round's", m.Src, m.Dst, m.Dst)
+				}
+				if &m.Data[0] != &m.Region.Buf[m.DstOff] {
+					t.Fatalf("message %d→%d: Data does not alias its region at offset %d", m.Src, m.Dst, m.DstOff)
+				}
+				if m.OverMPI {
+					overMPI++
+				}
+			}
+			if overMPI < tc.minMPI || overMPI > tc.maxMPI {
+				t.Errorf("%d of %d messages went over MPI, want %d to %d", overMPI, len(inPlace), tc.minMPI, tc.maxMPI)
+			}
+		})
 	}
 }
 

@@ -10,7 +10,8 @@ import (
 // (section 3.4, Fig. 10). Under the pre-registered scheme they are sized to
 // the theoretical maximum once; otherwise they grow via Ensure, paying the
 // registration cost each time. Next hands out the buffers in turn; a Msg
-// aimed at one reads its payload from it after Engine.RunRound.
+// aimed at one reads its payload from it after Engine.RunRound, and a
+// sender that aims before packing may pack into it (Msg.Dest).
 type Inbox struct {
 	Bufs     [4][]byte
 	Regions  [4]*utofu.MemRegion

@@ -318,19 +318,19 @@ func TestStepMatchesReference(t *testing.T) {
 	}
 }
 
-// TestStepAllocs pins what one step allocates. The payload of every
-// non-self plane is allocated per message and dropped after its round, on
-// purpose: retaining send buffers across steps grows the live heap by a
-// step's worth of planes. Beyond that, each parallel region (collide,
-// stream, and the pack and unpack half of every dimension round that has
-// messages) allocates at most regionAllocs objects. AllocsPerRun measures
-// at GOMAXPROCS 1, where threadpool.ForEach runs the region on the caller
-// and it allocates two: the region's task closure and forRanks' wrapper
-// that indexes the rank. With helpers, ForEach adds its shared counter and
-// WaitGroup and the helpers' work method value. Self-image planes reuse
-// their rank's staging buffer; the message list, plane slots, receive lists
-// and the engine's records are scratch. At 32 ranks that is 192 + 8×2 =
-// 208 a step, where the serial per-message loop allocated 408.
+// TestStepAllocs pins what one step allocates under uTofu. Every non-self
+// plane is packed straight into the receiver's pre-registered inbox, so no
+// payload is allocated at all; each parallel region (collide, stream, and
+// the pack and unpack half of every dimension round that has messages)
+// allocates at most regionAllocs objects, and that is the whole bound.
+// AllocsPerRun measures at GOMAXPROCS 1, where threadpool.ForEach runs the
+// region on the caller and it allocates two: the region's task closure and
+// forRanks' wrapper that indexes the rank. With helpers, ForEach adds its
+// shared counter and WaitGroup and the helpers' work method value.
+// Self-image planes reuse their rank's staging buffer; the message list,
+// plane slots, receive lists and the engine's records are scratch. At 32
+// ranks that is at most 8×3 = 24 a step, where allocating each plane took
+// 192 + 8×2 = 208.
 func TestStepAllocs(t *testing.T) {
 	const regionAllocs = 3
 	for _, tc := range []struct {
@@ -348,17 +348,16 @@ func TestStepAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			s.InitShearWave(0.01)
-			planes, regions := 0, 2
+			regions := 2
 			for dim := 0; dim < 3; dim++ {
 				regions++ // pack
 				if s.Map.Grid.Comp(dim) > 1 {
-					planes += 2 * len(s.ranks)
 					regions++ // unpack
 				}
 			}
-			want := planes + regions*regionAllocs
+			want := regions * regionAllocs
 			if avg := testing.AllocsPerRun(5, s.Step); avg > float64(want) {
-				t.Errorf("a step allocates %.0f times, want at most %d (%d planes, %d regions)", avg, want, planes, regions)
+				t.Errorf("a step allocates %.0f times, want at most %d (%d regions)", avg, want, regions)
 			}
 		})
 	}

@@ -138,8 +138,9 @@ func TestChaosForcedFallback(t *testing.T) {
 // TestInboxHoldsPayloadOverPutAndFallback: after a uTofu round every inbox message
 // is read from the receiver's current round-robin buffer (the one the
 // inbox's last Next handed out, Bufs[(Seq-1)%4]), and that buffer
-// holds the bytes the sender packed, both when the put wrote them and when
-// the message fell back to MPI over a degraded link. Every buffer is
+// holds the bytes the sender sent (the reverse op sends its ghost force
+// range straight from F), both when the put wrote them and when the
+// message fell back to MPI over a degraded link. Every buffer is
 // poisoned first, so one the round left unwritten shows.
 func TestInboxHoldsPayloadOverPutAndFallback(t *testing.T) {
 	for _, degrade := range []bool{false, true} {
@@ -179,8 +180,8 @@ func TestInboxHoldsPayloadOverPutAndFallback(t *testing.T) {
 			switch {
 			case &data[0] != &buf[0]:
 				bad = append(bad, fmt.Sprintf("link %d→%d payload not read from its inbox slot", l.dst.ID, l.src.ID))
-			case !bytes.Equal(data, sd.buf):
-				bad = append(bad, fmt.Sprintf("link %d→%d inbox slot does not hold the packed payload", l.dst.ID, l.src.ID))
+			case !bytes.Equal(data, halo.V3Bytes(l.dst.Atoms.F[l.recvStart:l.recvStart+l.recvCount])):
+				bad = append(bad, fmt.Sprintf("link %d→%d inbox slot does not hold the sender's ghost forces", l.dst.ID, l.src.ID))
 			}
 			checked++
 		}

@@ -37,13 +37,6 @@ func decodePositions(src []byte, x []vec.V3, base, count int) {
 	copy(x[base:base+count], halo.V3s(src[:count*posBytes]))
 }
 
-// encodeVectors packs raw vectors (forces) for a ghost range.
-func encodeVectors(dst []byte, f []vec.V3, base, count int) []byte {
-	dst = halo.Grow(dst, count*posBytes)
-	copy(halo.V3s(dst), f[base:base+count])
-	return dst
-}
-
 // decodeAddVectors accumulates count vectors into f at the listed indices.
 func decodeAddVectors(src []byte, f []vec.V3, list []int32) {
 	in := halo.V3s(src[:len(list)*posBytes])

@@ -42,7 +42,10 @@ type side struct {
 	halo.Res
 	// inbox holds the receiver's receive buffers (uTofu transport).
 	inbox halo.Inbox
-	// buf is the sender's packing scratch.
+	// buf is the sender's packing scratch. It only ever holds memory the
+	// side owns: a payload sent from the sender's own arrays (haloOp.view)
+	// or packed at its destination (haloOp.direct) is never stored here,
+	// or a later op growing its scratch would write into those arrays.
 	buf []byte
 }
 

@@ -15,9 +15,9 @@ type rmsg struct {
 	link *link
 }
 
-// msg builds the message sent on one side of the link, carrying the side's
-// packing scratch and the sender's VCQ on the side's TNI; the caller aims
-// it and stamps ReadyAt.
+// msg builds the message sent on one side of the link, carrying the
+// sender's VCQ on the side's TNI; the caller aims it, packs its Data and
+// stamps ReadyAt.
 func (l *link) msg(rev, known bool) rmsg {
 	from, to, sd := l.src, l.dst, l.side(rev)
 	if rev {
@@ -26,19 +26,21 @@ func (l *link) msg(rev, known bool) rmsg {
 	return rmsg{link: l, Msg: halo.Msg{
 		Src: from.ID, Dst: to.ID,
 		Thread: sd.Thread, VCQ: from.vcqByTNI[sd.TNI], DstThread: l.side(!rev).Thread,
-		Data: sd.buf, Known: known,
+		Known: known,
 	}}
 }
 
 // batch collects a round's messages: the engine's view of them, and a
-// per-receiver index so unpacking stays linear in the message count. The
-// simulation has one and reuses it for every round: reset takes the round's
-// records from a slab, and msgs is the used prefix of what it took.
+// per-sender and a per-receiver index so packing and unpacking stay linear
+// in the message count. The simulation has one and reuses it for every
+// round: reset takes the round's records from a slab, and msgs is the used
+// prefix of what it took.
 type batch struct {
 	slab  slab.Slab[rmsg]
 	room  []*rmsg
 	msgs  []*rmsg
 	wire  []*halo.Msg
+	bySrc [][]*rmsg
 	byDst [][]*rmsg
 }
 
@@ -47,17 +49,18 @@ func (b *batch) reset(n int) {
 	b.room = b.slab.Take(n)
 	b.msgs, b.wire = b.room[:0], b.wire[:0]
 	for i := range b.byDst {
-		b.byDst[i] = b.byDst[i][:0]
+		b.bySrc[i], b.byDst[i] = b.bySrc[i][:0], b.byDst[i][:0]
 	}
 }
 
 // add stores rec in the batch and returns the stored message, which the
-// caller may still adjust (everything but Dst).
+// caller may still adjust (everything but Src and Dst).
 func (b *batch) add(rec rmsg) *rmsg {
 	m := b.room[len(b.msgs)]
 	*m = rec
 	b.msgs = b.room[:len(b.msgs)+1]
 	b.wire = append(b.wire, &m.Msg)
+	b.bySrc[m.Src] = append(b.bySrc[m.Src], m)
 	b.byDst[m.Dst] = append(b.byDst[m.Dst], m)
 	return m
 }

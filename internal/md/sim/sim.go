@@ -633,7 +633,7 @@ func (s *Simulation) createLinks() {
 			r.recvLinks = append(r.recvLinks, &s.links[i])
 		}
 	}
-	s.batch = &batch{byDst: make([][]*rmsg, len(s.ranks))}
+	s.batch = &batch{bySrc: make([][]*rmsg, len(s.ranks)), byDst: make([][]*rmsg, len(s.ranks))}
 }
 
 // assignResources runs the plan's resource assignment over the TNIs the

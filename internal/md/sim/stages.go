@@ -14,9 +14,9 @@ import (
 // --- the halo-operation runner -----------------------------------------
 
 // haloOp describes one ghost operation over the static link graph. The
-// section 3.4 message path — pack, one bulk-synchronous round per stage,
-// unpack — is the same for every operation; only the payload, the sending
-// side and the landing place differ, and those are the fields here.
+// section 3.4 message path — aim, pack, one bulk-synchronous round per
+// stage, unpack — is the same for every operation; only the payload, the
+// sending side and the landing place differ, and those are the fields here.
 type haloOp struct {
 	// rev sends from the ghost holder back to the owner: every link's rev
 	// side, the rounds in reverse order so forwarded contributions cascade
@@ -26,16 +26,21 @@ type haloOp struct {
 	// lists); unknown-length messages pay the MPI two-step protocol.
 	known bool
 	// direct lands the payload in the receiver's pre-registered position
-	// array at the link's ghost offset: the put, or the engine's copy of an
-	// MPI fallback, is the unpack, so there is no inbox, no unpack charge
-	// and no unpack call.
+	// array at the link's ghost offset: the sender packs straight into the
+	// ghost slots, the round charges the put and copies nothing (or lands
+	// an MPI fallback there), so there is no inbox, no unpack charge and no
+	// unpack region.
 	direct bool
-	// unpackIfAny skips the unpack region of a rank that received no bytes
-	// in a round; without it the region opens regardless.
+	// unpackIfAny skips the unpack charge of a rank that received no bytes
+	// in a round; without it the charge applies regardless.
 	unpackIfAny bool
-	// pack encodes sender r's payload for l into buf; unpack applies the
-	// received data on receiver r.
-	pack   func(r *Rank, l *link, buf []byte) []byte
+	// pack encodes sender r's payload for l into dst, growing it, and
+	// returns it: dst is the side's scratch, or under direct the ghost
+	// slots the payload lands in. view, set in its place, returns a payload
+	// that already lies contiguous in r's own arrays; the round sends it
+	// from there. unpack applies the received data on receiver r.
+	pack   func(r *Rank, l *link, dst []byte) []byte
+	view   func(r *Rank, l *link) []byte
 	unpack func(r *Rank, l *link, data []byte)
 }
 
@@ -45,6 +50,21 @@ func (op haloOp) links(r *Rank) []*link {
 		return r.recvLinks
 	}
 	return r.sendLinks
+}
+
+// payload returns sender r's payload of the aimed message m: a view of r's
+// arrays, bytes packed at m's destination, or the side's scratch. Only the
+// scratch is kept on the side.
+func (op haloOp) payload(r *Rank, m *rmsg) []byte {
+	switch {
+	case op.view != nil:
+		return op.view(r, m.link)
+	case op.direct:
+		return op.pack(r, m.link, m.Dest())
+	}
+	sd := m.link.side(op.rev)
+	sd.buf = op.pack(r, m.link, sd.buf)
+	return sd.buf
 }
 
 // runOp executes the operation over every round of the variant's pattern.
@@ -57,21 +77,15 @@ func (s *Simulation) runOp(op haloOp) {
 	}
 }
 
-// runOpRound packs, ships and unpacks the operation's messages of round k.
+// runOpRound aims, packs, ships and unpacks the operation's messages of
+// round k. A serial gather builds the round's messages in rank and link
+// order and aims a direct op's at the receiver's position array before
+// any packing, so its senders write their ghosts in place. Senders pack in
+// parallel; a second serial pass, in the same order, aims the other
+// uTofu messages at their inboxes (which may grow to fit the payload) and
+// stamps ReadyAt.
 func (s *Simulation) runOpRound(op haloOp, k halo.RoundKey) {
 	packTh := s.Var.PackThreading()
-	s.forRanks(func(id int) {
-		r := s.ranks[id]
-		bytes := 0
-		for _, l := range op.links(r) {
-			if l.inRound(k) {
-				sd := l.side(op.rev)
-				sd.buf = op.pack(r, l, sd.buf)
-				bytes += len(sd.buf)
-			}
-		}
-		r.Clock += s.M.Cost.PackTime(units.Bytes(bytes), packTh)
-	})
 	b := s.batch
 	b.reset(len(s.links))
 	for _, r := range s.ranks {
@@ -82,27 +96,41 @@ func (s *Simulation) runOpRound(op haloOp, k halo.RoundKey) {
 			m := b.add(l.msg(op.rev, op.known))
 			if op.direct {
 				m.Region, m.DstOff = s.xRegion[m.Dst], l.recvStart*posBytes
-			} else if s.Var.Transport == halo.TransportUTofu {
-				ib := &l.side(op.rev).inbox
-				s.ensureInbox(s.ranks[m.Dst], ib, len(m.Data))
-				m.Region = ib.Next()
 			}
-			// Stamped after ensureInbox: a registration on a self-link (the
-			// rank's own periodic image) delays its own send.
-			m.ReadyAt = r.Clock
 		}
 	}
+	s.forRanks(func(id int) {
+		r := s.ranks[id]
+		bytes := 0
+		for _, m := range b.bySrc[id] {
+			m.Data = op.payload(r, m)
+			bytes += len(m.Data)
+		}
+		r.Clock += s.M.Cost.PackTime(units.Bytes(bytes), packTh)
+	})
+	inbox := !op.direct && s.Var.Transport == halo.TransportUTofu
+	for _, m := range b.msgs {
+		if inbox {
+			ib := &m.link.side(op.rev).inbox
+			s.ensureInbox(s.ranks[m.Dst], ib, len(m.Data))
+			m.Region = ib.Next()
+		}
+		// Stamped after ensureInbox: a registration on a self-link (the
+		// rank's own periodic image) delays its own send.
+		m.ReadyAt = s.ranks[m.Src].Clock
+	}
 	s.eng.RunRound(s.Var.Transport, b.wire)
+	if op.direct {
+		return
+	}
 	s.forRanks(func(id int) {
 		r := s.ranks[id]
 		bytes := 0
 		for _, m := range b.byDst[id] {
-			if !op.direct {
-				op.unpack(r, m.link, m.Data)
-			}
+			op.unpack(r, m.link, m.Data)
 			bytes += len(m.Data)
 		}
-		if !op.direct && (bytes > 0 || !op.unpackIfAny) {
+		if bytes > 0 || !op.unpackIfAny {
 			r.Clock += s.M.Cost.UnpackTime(units.Bytes(bytes), packTh)
 		}
 	})
@@ -114,8 +142,8 @@ func (s *Simulation) runOpRound(op haloOp, k halo.RoundKey) {
 // append them as ghosts and record the recv_ptr range. Lengths are not yet
 // known to the receiver.
 var borderOp = haloOp{
-	pack: func(r *Rank, l *link, buf []byte) []byte {
-		return encodeBorder(buf, r.Atoms.ID, r.Atoms.Type, r.Atoms.X, l.sendList, l.shift)
+	pack: func(r *Rank, l *link, dst []byte) []byte {
+		return encodeBorder(dst, r.Atoms.ID, r.Atoms.Type, r.Atoms.X, l.sendList, l.shift)
 	},
 	unpack: func(r *Rank, l *link, data []byte) {
 		recs := decodeBorder(data)
@@ -127,14 +155,15 @@ var borderOp = haloOp{
 }
 
 // forwardOp updates ghost positions from their owners, written into the
-// receiver's position array: by the round itself under the pre-registered
-// scheme (a put, or the engine landing an MPI fallback, writes the ghost
-// slots), decoded from the receive buffers otherwise.
+// receiver's position array: under the pre-registered scheme by the sender
+// itself, which packs X+shift straight into the ghost slots the round then
+// charges (and an MPI fallback lands on), decoded from the receive buffers
+// otherwise.
 func forwardOp(direct bool) haloOp {
 	return haloOp{
 		known: true, direct: direct, unpackIfAny: true,
-		pack: func(r *Rank, l *link, buf []byte) []byte {
-			return encodePositions(buf, r.Atoms.X, l.sendList, l.shift)
+		pack: func(r *Rank, l *link, dst []byte) []byte {
+			return encodePositions(dst, r.Atoms.X, l.sendList, l.shift)
 		},
 		unpack: func(r *Rank, l *link, data []byte) {
 			decodePositions(data, r.Atoms.X, l.recvStart, l.recvCount)
@@ -143,12 +172,14 @@ func forwardOp(direct bool) haloOp {
 }
 
 // reverseOp returns ghost forces to their owners (Newton's 3rd law): each
-// ghost holder packs the force range of its ghosts and the owner
-// accumulates into the send-list atoms.
+// ghost holder sends the force range of its ghosts straight from its force
+// array, which is contiguous there (the put's source is F itself, as
+// section 3.4 registers it), and the owner accumulates into the send-list
+// atoms.
 var reverseOp = haloOp{
 	rev: true, known: true,
-	pack: func(r *Rank, l *link, buf []byte) []byte {
-		return encodeVectors(buf, r.Atoms.F, l.recvStart, l.recvCount)
+	view: func(r *Rank, l *link) []byte {
+		return halo.V3Bytes(r.Atoms.F[l.recvStart : l.recvStart+l.recvCount])
 	},
 	unpack: func(r *Rank, l *link, data []byte) {
 		decodeAddVectors(data, r.Atoms.F, l.sendList)
@@ -159,8 +190,8 @@ var reverseOp = haloOp{
 func scalarReverseOp(arr func(*Rank) []float64) haloOp {
 	return haloOp{
 		rev: true, known: true,
-		pack: func(r *Rank, l *link, buf []byte) []byte {
-			return halo.EncodeScalars(buf, arr(r), l.recvStart, l.recvCount)
+		pack: func(r *Rank, l *link, dst []byte) []byte {
+			return halo.EncodeScalars(dst, arr(r), l.recvStart, l.recvCount)
 		},
 		unpack: func(r *Rank, l *link, data []byte) {
 			decodeAddScalars(data, arr(r), l.sendList)
@@ -174,8 +205,8 @@ func scalarReverseOp(arr func(*Rank) []float64) haloOp {
 func scalarForwardOp(arr func(*Rank) []float64) haloOp {
 	return haloOp{
 		known: true,
-		pack: func(r *Rank, l *link, buf []byte) []byte {
-			return encodeScalars(buf, arr(r), l.sendList)
+		pack: func(r *Rank, l *link, dst []byte) []byte {
+			return encodeScalars(dst, arr(r), l.sendList)
 		},
 		unpack: func(r *Rank, l *link, data []byte) {
 			halo.DecodeScalars(data, arr(r), l.recvStart, l.recvCount)

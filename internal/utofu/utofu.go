@@ -219,6 +219,8 @@ type Put struct {
 	DstSTADD uint64
 	DstOff   int
 	// Src is the payload; it is copied into the destination at delivery.
+	// It may alias its destination, Buf[DstOff:], when the sender packed
+	// in place (see ExecuteRound).
 	Src []byte
 	// Piggyback optionally carries an 8-byte immediate delivered with the
 	// completion (0 means none is read; use HasPiggyback to distinguish).
@@ -433,6 +435,15 @@ func (s *System) recordRound(kind string, transfers []*tofu.Transfer) {
 // backoff. The payload is copied only on the delivering attempt, so a lost
 // put leaves no partial state. A put that exhausts MaxRetransmits reports
 // Failed/FailedAt; its destination region is untouched.
+//
+// A put whose Src aliases its destination (same first byte, Src =
+// Buf[DstOff:DstOff+len(Src)]) is the contract for senders that pack
+// straight into the receiver's registered memory: it is timed, counted and
+// reported exactly like a put of a separate buffer of the same size, and
+// its delivery copy finds the bytes already in place (a compiled copy
+// skips the memmove outright when both slices start at the same address). Such a sender has
+// written the region before the round, so "untouched" then means the round
+// itself wrote nothing; recovering a failed put is the caller's, as ever.
 func (s *System) ExecuteRound(puts []*Put) error {
 	if len(puts) == 0 {
 		return nil

@@ -425,6 +425,66 @@ func TestPutPermanentFailureLeavesRegionUntouched(t *testing.T) {
 	}
 }
 
+// TestAliasedPutMatchesSeparateBuffer: a put whose Src aliases its
+// destination, because the sender packed straight into the receiver's
+// region, is timed, counted and delivered exactly like a put of a separate
+// buffer of the same size and contents, alone and in a round with other
+// puts on the same VCQ and receiver.
+func TestAliasedPutMatchesSeparateBuffer(t *testing.T) {
+	const size, stride = 96, 100
+	run := func(alias bool) ([]*Put, []byte, *metrics.Registry) {
+		s := testSystem(t)
+		reg := metrics.New()
+		s.SetMetrics(reg)
+		dstBuf := make([]byte, 3*stride)
+		for i := range dstBuf {
+			dstBuf[i] = 0xEE
+		}
+		region, _ := s.Register(5, dstBuf)
+		vcq, err := s.CreateVCQ(0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var puts []*Put
+		for i := 0; i < 3; i++ {
+			off := i * stride
+			src := make([]byte, size)
+			for j := range src {
+				src[j] = byte(7*i + j)
+			}
+			if alias && i == 1 {
+				src = append(dstBuf[off:off], src...)
+			}
+			puts = append(puts, &Put{VCQ: vcq, DstSTADD: region.STADD, DstOff: off, Src: src})
+		}
+		if err := s.ExecuteRound(puts); err != nil {
+			t.Fatal(err)
+		}
+		return puts, dstBuf, reg
+	}
+	sep, sepBuf, sepReg := run(false)
+	ali, aliBuf, aliReg := run(true)
+	if &ali[1].Src[0] != &aliBuf[stride] {
+		t.Fatal("put 1 does not alias its destination")
+	}
+	for i := range sep {
+		a, b := ali[i], sep[i]
+		if a.IssueDone != b.IssueDone || a.Arrival != b.Arrival || a.RecvComplete != b.RecvComplete ||
+			a.Attempts != b.Attempts || a.Failed != b.Failed {
+			t.Errorf("put %d: aliased (issue %v, arrival %v, complete %v, attempts %d), separate (issue %v, arrival %v, complete %v, attempts %d)",
+				i, a.IssueDone, a.Arrival, a.RecvComplete, a.Attempts, b.IssueDone, b.Arrival, b.RecvComplete, b.Attempts)
+		}
+	}
+	if !bytes.Equal(aliBuf, sepBuf) {
+		t.Error("aliased round left different destination bytes")
+	}
+	for _, c := range [][2]string{{"utofu_ops", "put"}, {"utofu_bytes", "put"}} {
+		if a, b := aliReg.Counter(c[0], c[1]).Value(), sepReg.Counter(c[0], c[1]).Value(); a != b || a == 0 {
+			t.Errorf("counter %s/%s: aliased %d, separate %d", c[0], c[1], a, b)
+		}
+	}
+}
+
 // MRQ-overflow NACKs are retried the same way as drops.
 func TestGetRetransmitsOnNack(t *testing.T) {
 	s := testSystem(t)

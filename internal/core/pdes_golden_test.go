@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"tofumd/internal/md/sim"
@@ -60,33 +61,33 @@ func TestParallelHaloTraceMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParallelFunctionalRunMatchesSerial holds RunSpec.ParallelLPs inert: a
-// full functional LJ melt through core.Run with it unset and at four must
-// agree bit for bit on stage breakdowns, elapsed virtual time and the
-// performance metric.
+// TestParallelFunctionalRunMatchesSerial runs a full functional LJ melt
+// through core.Run built at GOMAXPROCS 1 and 4, the host pool's worker
+// count: the two must agree bit for bit on stage breakdowns, elapsed
+// virtual time and the performance metric.
 func TestParallelFunctionalRunMatchesSerial(t *testing.T) {
-	run := func(lps int) *RunResult {
+	run := func(procs int) *RunResult {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		res, err := Run(RunSpec{
-			Workload:    LJSmall(),
-			TileShape:   vec.I3{X: 2, Y: 2, Z: 2},
-			Variant:     sim.Opt(),
-			Steps:       8,
-			ParallelLPs: lps,
+			Workload:  LJSmall(),
+			TileShape: vec.I3{X: 2, Y: 2, Z: 2},
+			Variant:   sim.Opt(),
+			Steps:     8,
 		})
 		if err != nil {
-			t.Fatalf("ParallelLPs=%d: %v", lps, err)
+			t.Fatalf("GOMAXPROCS %d: %v", procs, err)
 		}
 		return res
 	}
-	serial := run(0)
+	serial := run(1)
 	par := run(4)
 	if par.Elapsed != serial.Elapsed {
-		t.Errorf("ParallelLPs=4 elapsed %v != unset %v", par.Elapsed, serial.Elapsed)
+		t.Errorf("4 workers elapsed %v != 1 worker %v", par.Elapsed, serial.Elapsed)
 	}
 	if par.PerfPerDay != serial.PerfPerDay {
-		t.Errorf("ParallelLPs=4 perf %v != unset %v", par.PerfPerDay, serial.PerfPerDay)
+		t.Errorf("4 workers perf %v != 1 worker %v", par.PerfPerDay, serial.PerfPerDay)
 	}
 	if !reflect.DeepEqual(par.Breakdown, serial.Breakdown) {
-		t.Errorf("ParallelLPs=4 stage breakdown differs from unset:\n%+v\nvs\n%+v", par.Breakdown, serial.Breakdown)
+		t.Errorf("4 workers stage breakdown differs from 1 worker:\n%+v\nvs\n%+v", par.Breakdown, serial.Breakdown)
 	}
 }

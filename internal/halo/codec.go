@@ -57,16 +57,6 @@ func V3Bytes(v []vec.V3) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v)*v3Bytes)
 }
 
-// PutF64 writes v into b.
-func PutF64(b []byte, v float64) {
-	F64s(b[:F64Bytes])[0] = v
-}
-
-// GetF64 reads a float64 from b.
-func GetF64(b []byte) float64 {
-	return F64s(b[:F64Bytes])[0]
-}
-
 // PutV3 writes the three components of v into b.
 func PutV3(b []byte, v vec.V3) {
 	V3s(b[:v3Bytes])[0] = v

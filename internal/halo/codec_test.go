@@ -84,20 +84,8 @@ func TestCodecMatchesLittleEndian(t *testing.T) {
 	}
 	vals := codecValues()
 
-	// PutF64/GetF64 and PutV3/GetV3 at every word offset of one buffer.
+	// PutV3/GetV3 at every word offset of one buffer.
 	got, want := make([]byte, len(vals)*F64Bytes), make([]byte, len(vals)*F64Bytes)
-	for i, v := range vals {
-		PutF64(got[i*F64Bytes:], v)
-		refPutF64(want[i*F64Bytes:], v)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("PutF64 bytes differ from the little-endian codec")
-	}
-	for i := range vals {
-		if g, w := GetF64(got[i*F64Bytes:]), refGetF64(want[i*F64Bytes:]); !sameBits(g, w) {
-			t.Fatalf("GetF64 word %d = %#x, little-endian %#x", i, math.Float64bits(g), math.Float64bits(w))
-		}
-	}
 	for i := 0; i+3 <= len(vals); i++ {
 		v := vec.V3{X: vals[i], Y: vals[i+1], Z: vals[i+2]}
 		PutV3(got[i*F64Bytes:], v)

@@ -3,9 +3,10 @@
 // under the staged trunk-exchange and direct peer-to-peer patterns, how
 // messages map onto TNIs/threads/VCQs), the analytic time model of
 // section 3.1 (Equations 3-8), the decomposition of a global extent over a
-// topo.RankMap, the pre-registered round-robin receive buffers of
-// section 3.4, and a bulk-synchronous round Engine that executes app-packed
-// payloads over the uTofu one-sided stack with an MPI fallback.
+// topo.RankMap, the registered receive buffers of section 3.4 (one per
+// inbox, charged as the paper's four round-robin slots), and a
+// bulk-synchronous round Engine that executes app-packed payloads over the
+// uTofu one-sided stack with an MPI fallback.
 //
 // Payload encoding is app-defined: the library moves []byte. The MD engine
 // (internal/md/sim) binds its border/position/force codecs statically and

@@ -2,7 +2,6 @@ package halo
 
 import (
 	"bytes"
-	"math"
 	"sort"
 	"testing"
 
@@ -520,10 +519,6 @@ func TestFallbackNilSafe(t *testing.T) {
 
 func TestCodecRoundTrip(t *testing.T) {
 	b := make([]byte, 3*F64Bytes)
-	PutF64(b, math.Pi)
-	if got := GetF64(b); got != math.Pi {
-		t.Errorf("f64 round trip = %v", got)
-	}
 	v := vec.V3{X: 1.5, Y: -2.25, Z: 1e300}
 	PutV3(b, v)
 	if got := GetV3(b); got != v {
@@ -575,10 +570,8 @@ func TestInboxPreregisterAndEnsure(t *testing.T) {
 	if ib.CapBytes != 4096 {
 		t.Fatalf("cap = %d", ib.CapBytes)
 	}
-	for i, r := range ib.Regions {
-		if r == nil || len(ib.Bufs[i]) != 4096 {
-			t.Fatalf("buffer %d not registered", i)
-		}
+	if ib.Region == nil || len(ib.Region.Buf) != 4096 {
+		t.Fatal("buffer not registered")
 	}
 	// Within capacity: no cost, no growth.
 	if c := ib.Ensure(uts, 0, 4096, false); c != 0 {
@@ -612,35 +605,6 @@ func TestInboxFixedOverflowPanics(t *testing.T) {
 		}
 	}()
 	ib.Ensure(uts, 1, 2048, true)
-}
-
-// Next hands out the four regions in turn and wraps, counting in Seq; after
-// a growth re-registers them it hands out the new regions from the same
-// rotation point.
-func TestInboxNextRotates(t *testing.T) {
-	uts := testUTofu(t)
-	ib := &Inbox{}
-	ib.Preregister(uts, 0, 1024)
-	next := func(from, to int) {
-		t.Helper()
-		for i := from; i < to; i++ {
-			if got := ib.Next(); got != ib.Regions[i%4] {
-				t.Fatalf("call %d: Next = region %d, want Regions[%d] (region %d)", i, got.STADD, i%4, ib.Regions[i%4].STADD)
-			}
-			if ib.Seq != i+1 {
-				t.Fatalf("after call %d: Seq = %d, want %d", i, ib.Seq, i+1)
-			}
-		}
-	}
-	next(0, 6)
-	old := ib.Regions
-	ib.Ensure(uts, 0, 4096, false)
-	for i, r := range ib.Regions {
-		if r == old[i] {
-			t.Fatalf("growth kept region %d", i)
-		}
-	}
-	next(6, 11)
 }
 
 func TestValidate(t *testing.T) {

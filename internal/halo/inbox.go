@@ -6,39 +6,40 @@ import (
 	"tofumd/internal/utofu"
 )
 
-// Inbox is a set of four round-robin registered receive buffers
-// (section 3.4, Fig. 10). Under the pre-registered scheme they are sized to
-// the theoretical maximum once; otherwise they grow via Ensure, paying the
-// registration cost each time. Next hands out the buffers in turn; a Msg
-// aimed at one reads its payload from it after Engine.RunRound, and a
-// sender that aims before packing may pack into it (Msg.Dest).
+// InboxSlots is the number of round-robin receive buffers the paper
+// registers per neighbor (section 3.4, Fig. 10). Inbox charges that many
+// registrations but holds one buffer: a bulk-synchronous round lands and
+// unpacks each inbox's one message before the next round starts, so no two
+// slots are ever live at once.
+const InboxSlots = 4
+
+// Inbox is a registered receive buffer (section 3.4, Fig. 10). Under the
+// pre-registered scheme it is sized to the theoretical maximum once;
+// otherwise it grows via Ensure, paying the registration cost each time.
+// Either way every registration is charged InboxSlots times, the paper's
+// four round-robin buffers. A Msg aimed at Region reads its payload from it
+// after Engine.RunRound, and a sender that aims before packing may pack
+// into it (Msg.Dest).
 type Inbox struct {
-	Bufs     [4][]byte
-	Regions  [4]*utofu.MemRegion
+	// Region is the registered buffer; nil until the first registration.
+	Region *utofu.MemRegion
+	// CapBytes is the buffer's length, len(Region.Buf).
 	CapBytes int
-	// Seq counts the regions Next has handed out.
-	Seq int
 }
 
-// Next returns the region the inbox's next message lands in, rotating
-// round-robin over the four buffers.
-func (ib *Inbox) Next() *utofu.MemRegion {
-	r := ib.Regions[ib.Seq%len(ib.Regions)]
-	ib.Seq++
-	return r
-}
-
-// Preregister sizes and registers all four round-robin buffers once,
-// returning the setup cost in virtual seconds.
+// Preregister (re)registers the inbox as one fresh capBy-byte buffer,
+// returning the setup cost in virtual seconds: one registration cost per
+// slot, added in slot order.
 func (ib *Inbox) Preregister(uts *utofu.System, owner, capBy int) float64 {
+	if ib.Region != nil {
+		uts.Deregister(ib.Region)
+	}
+	region, c := uts.Register(owner, make([]byte, capBy))
+	ib.Region, ib.CapBytes = region, capBy
 	var cost float64
-	for i := range ib.Bufs {
-		ib.Bufs[i] = make([]byte, capBy)
-		region, c := uts.Register(owner, ib.Bufs[i])
-		ib.Regions[i] = region
+	for range InboxSlots {
 		cost += c
 	}
-	ib.CapBytes = capBy
 	return cost
 }
 
@@ -61,16 +62,5 @@ func (ib *Inbox) Ensure(uts *utofu.System, owner, need int, fixed bool) float64 
 	for newCap < need {
 		newCap *= 2
 	}
-	var cost float64
-	for i := range ib.Bufs {
-		if ib.Regions[i] != nil {
-			uts.Deregister(ib.Regions[i])
-		}
-		ib.Bufs[i] = make([]byte, newCap)
-		region, c := uts.Register(owner, ib.Bufs[i])
-		ib.Regions[i] = region
-		cost += c
-	}
-	ib.CapBytes = newCap
-	return cost
+	return ib.Preregister(uts, owner, newCap)
 }

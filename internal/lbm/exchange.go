@@ -261,7 +261,7 @@ func (s *System) sendPlanes(r *Rank, dim int) {
 		}
 		var buf []byte
 		if s.Cfg.Transport == halo.TransportUTofu {
-			p.hm.Region = dst.inboxes[dim][side].Next()
+			p.hm.Region = dst.inboxes[dim][side].Region
 			buf = p.hm.Dest()
 		}
 		p.hm.Data = r.packPlane(dim, layer, buf)

@@ -2,6 +2,7 @@ package lbm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -16,13 +17,11 @@ import (
 // System.Step replaced: a loop over dirs per cell, an idx pair per streamed
 // element, and a (a, b, q) element walk in the plane codec, one rank after
 // another. TestStepMatchesReference holds the parallel, unrolled, row-wise
-// step to it bit for bit.
+// step to it bit for bit. The reference plane codec writes each word
+// little-endian, the layout halo's TestCodecMatchesLittleEndian holds the
+// F64s view to.
 
-// refSeq is the reference's own inbox rotation table, [rank][dim][side]:
-// how many planes it has aimed at each inbox.
-type refSeq [][3][2]int
-
-func refStep(s *System, seq refSeq) {
+func refStep(s *System) {
 	for _, r := range s.ranks {
 		for x := 1; x <= r.N.X; x++ {
 			for y := 1; y <= r.N.Y; y++ {
@@ -47,7 +46,7 @@ func refStep(s *System, seq refSeq) {
 		}
 	}
 	for dim := 0; dim < 3; dim++ {
-		refExchangeDim(s, dim, seq)
+		refExchangeDim(s, dim)
 	}
 	if s.Cfg.Overlap {
 		for i, r := range s.ranks {
@@ -108,7 +107,7 @@ func refPackPlane(r *Rank, dim, layer int, dst []byte) []byte {
 		for b := bLo; b <= bHi; b++ {
 			i := r.cellAt(dim, layer, a, b)
 			for q := 0; q < Q; q++ {
-				halo.PutF64(dst[o:], r.fpost[q][i])
+				binary.LittleEndian.PutUint64(dst[o:], math.Float64bits(r.fpost[q][i]))
 				o += halo.F64Bytes
 			}
 		}
@@ -124,7 +123,7 @@ func refUnpackPlane(r *Rank, dim, layer int, src []byte) {
 		for b := bLo; b <= bHi; b++ {
 			i := r.cellAt(dim, layer, a, b)
 			for q := 0; q < Q; q++ {
-				r.fpost[q][i] = halo.GetF64(src[o:])
+				r.fpost[q][i] = math.Float64frombits(binary.LittleEndian.Uint64(src[o:]))
 				o += halo.F64Bytes
 			}
 		}
@@ -149,7 +148,7 @@ type refMsg struct {
 	wireCost int
 }
 
-func refExchangeDim(s *System, dim int, seq refSeq) {
+func refExchangeDim(s *System, dim int) {
 	var msgs []refMsg
 	for _, r := range s.ranks {
 		for _, sign := range []int{-1, 1} {
@@ -173,9 +172,7 @@ func refExchangeDim(s *System, dim int, seq refSeq) {
 				Data: data, Known: true, ReadyAt: r.Clock,
 			}
 			if s.Cfg.Transport == halo.TransportUTofu {
-				ib := dst.inboxes[dim][side]
-				hm.Region = ib.Regions[seq[dst.ID][dim][side]%4]
-				seq[dst.ID][dim][side]++
+				hm.Region = dst.inboxes[dim][side].Region
 			}
 			msgs = append(msgs, refMsg{hm: hm, dst: dst, dim: dim, ghost: ghost, wireCost: len(data)})
 		}
@@ -225,25 +222,13 @@ func perturb(s *System, seed uint64) {
 }
 
 // sameState reports the first difference between two systems' distribution
-// arrays (ghosts included), clocks, and got's inbox sequence numbers against
-// the reference's rotation table, compared bit for bit.
-func sameState(t *testing.T, step int, got, want *System, seq refSeq) {
+// arrays (ghosts included) and clocks, compared bit for bit.
+func sameState(t *testing.T, step int, got, want *System) {
 	t.Helper()
 	for id, r := range got.ranks {
 		w := want.ranks[id]
 		if math.Float64bits(r.Clock) != math.Float64bits(w.Clock) {
 			t.Fatalf("step %d rank %d: clock %.17g, reference %.17g", step, id, r.Clock, w.Clock)
-		}
-		var gotSeq [3][2]int
-		for dim, ibs := range r.inboxes {
-			for side, ib := range ibs {
-				if ib != nil {
-					gotSeq[dim][side] = ib.Seq
-				}
-			}
-		}
-		if gotSeq != seq[id] {
-			t.Fatalf("step %d rank %d: inbox sequence %v, reference %v", step, id, gotSeq, seq[id])
 		}
 		for q := 0; q < Q; q++ {
 			for i := range r.f[q] {
@@ -267,7 +252,7 @@ func sameState(t *testing.T, step int, got, want *System, seq refSeq) {
 
 // TestStepMatchesReference holds System.Step bit for bit to the plain
 // serial step above, after every step: every f and fpost value, ghosts
-// included, every clock, the inbox sequence numbers and the packed planes,
+// included, every clock and the packed planes,
 // and each rank's VCQ to the reference's TNI. It covers both transports,
 // the overlap variant, a self-image tile, an uneven split of the lattice and
 // perturbed states with signed zeros and negative distributions. Run it at
@@ -302,17 +287,16 @@ func TestStepMatchesReference(t *testing.T) {
 				return s
 			}
 			got, want := build(), build()
-			seq := make(refSeq, len(want.ranks))
 			for _, r := range got.ranks {
 				if r.vcq != nil && r.vcq.TNI != refTNI(want, r) {
 					t.Fatalf("rank %d: VCQ on TNI %d, reference %d", r.ID, r.vcq.TNI, refTNI(want, r))
 				}
 			}
-			sameState(t, 0, got, want, seq)
+			sameState(t, 0, got, want)
 			for step := 1; step <= 5; step++ {
 				got.Step()
-				refStep(want, seq)
-				sameState(t, step, got, want, seq)
+				refStep(want)
+				sameState(t, step, got, want)
 			}
 		})
 	}

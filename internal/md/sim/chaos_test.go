@@ -50,8 +50,9 @@ func assertSamePhysics(t *testing.T, label string, base, got []InitAtom, baseE, 
 // TestChaosPhysicsBitIdentical is the headline fault-injection guarantee:
 // drops only move virtual time and routing, never payload contents, so a
 // melt under any drop rate ends in the bit-exact same state as a fault-free
-// one. The round-robin receive buffers make retransmission idempotent
-// (section 3.4), which is what this test pins down.
+// one. A retransmitted put lands in the same inbox buffer the lost one was
+// aimed at, so retransmission is idempotent (section 3.4), which is what
+// this test pins down.
 func TestChaosPhysicsBitIdentical(t *testing.T) {
 	const steps = 200
 	base, baseE, _ := chaosRun(t, steps, faultinject.Spec{}, nil)
@@ -136,11 +137,10 @@ func TestChaosForcedFallback(t *testing.T) {
 }
 
 // TestInboxHoldsPayloadOverPutAndFallback: after a uTofu round every inbox message
-// is read from the receiver's current round-robin buffer (the one the
-// inbox's last Next handed out, Bufs[(Seq-1)%4]), and that buffer
-// holds the bytes the sender sent (the reverse op sends its ghost force
-// range straight from F), both when the put wrote them and when the
-// message fell back to MPI over a degraded link. Every buffer is
+// is read from the receiver's one registered buffer (Inbox.Region), and
+// that buffer holds the bytes the sender sent (the reverse op sends its
+// ghost force range straight from F), both when the put wrote them and
+// when the message fell back to MPI over a degraded link. Every buffer is
 // poisoned first, so one the round left unwritten shows.
 func TestInboxHoldsPayloadOverPutAndFallback(t *testing.T) {
 	for _, degrade := range []bool{false, true} {
@@ -155,10 +155,9 @@ func TestInboxHoldsPayloadOverPutAndFallback(t *testing.T) {
 		}
 		for i := range s.links {
 			for _, sd := range []*side{&s.links[i].fwd, &s.links[i].rev} {
-				for _, buf := range sd.inbox.Bufs {
-					for j := range buf {
-						buf[j] = 0xa5
-					}
+				buf := sd.inbox.Region.Buf
+				for j := range buf {
+					buf[j] = 0xa5
 				}
 			}
 		}
@@ -173,15 +172,14 @@ func TestInboxHoldsPayloadOverPutAndFallback(t *testing.T) {
 			if len(data) == 0 {
 				return
 			}
-			sd := l.side(true)
-			buf := sd.inbox.Bufs[(sd.inbox.Seq-1)%4]
+			buf := l.side(true).inbox.Region.Buf
 			mu.Lock()
 			defer mu.Unlock()
 			switch {
 			case &data[0] != &buf[0]:
-				bad = append(bad, fmt.Sprintf("link %d→%d payload not read from its inbox slot", l.dst.ID, l.src.ID))
+				bad = append(bad, fmt.Sprintf("link %d→%d payload not read from its inbox buffer", l.dst.ID, l.src.ID))
 			case !bytes.Equal(data, halo.V3Bytes(l.dst.Atoms.F[l.recvStart:l.recvStart+l.recvCount])):
-				bad = append(bad, fmt.Sprintf("link %d→%d inbox slot does not hold the sender's ghost forces", l.dst.ID, l.src.ID))
+				bad = append(bad, fmt.Sprintf("link %d→%d inbox buffer does not hold the sender's ghost forces", l.dst.ID, l.src.ID))
 			}
 			checked++
 		}

@@ -113,7 +113,7 @@ func (s *Simulation) runOpRound(op haloOp, k halo.RoundKey) {
 		if inbox {
 			ib := &m.link.side(op.rev).inbox
 			s.ensureInbox(s.ranks[m.Dst], ib, len(m.Data))
-			m.Region = ib.Next()
+			m.Region = ib.Region
 		}
 		// Stamped after ensureInbox: a registration on a self-link (the
 		// rank's own periodic image) delays its own send.
@@ -344,6 +344,10 @@ func (r *Rank) findRecvLink(k halo.RoundKey, dir vec.I3) *link {
 	return nil
 }
 
+// recvPtrDescriptor is the 8-byte payload of every recv_ptr descriptor.
+// A put and an MPI-fallback landing only read it, so one array serves all.
+var recvPtrDescriptor [8]byte
+
 // piggybackOffsets ships each receiver's ghost offset (recv_ptr) back to
 // the sender as an 8-byte descriptor immediate. Functionally the shared
 // link struct already carries the offset; this round charges its time. It
@@ -354,7 +358,7 @@ func (s *Simulation) piggybackOffsets() {
 	for _, r := range s.ranks {
 		for _, l := range r.recvLinks {
 			m := b.add(l.msg(true, true))
-			m.Data, m.Region, m.ReadyAt = make([]byte, 8), l.rev.inbox.Next(), r.Clock
+			m.Data, m.Region, m.ReadyAt = recvPtrDescriptor[:], l.rev.inbox.Region, r.Clock
 		}
 	}
 	s.eng.RunRound(s.Var.Transport, b.wire)

@@ -26,8 +26,9 @@ type Variant struct {
 	// overheads for compute stages.
 	ComputeThreading machine.Threading
 	// Preregistered enables the section 3.4 optimizations: one-time
-	// max-size registration, direct-to-array forward writes, piggybacked
-	// recv_ptr offsets, and four round-robin receive buffers.
+	// max-size registration, direct-to-array forward writes and piggybacked
+	// recv_ptr offsets. Every uTofu inbox, pre-registered or grown on
+	// demand, is one buffer charged as halo.InboxSlots registrations.
 	Preregistered bool
 	// CombineLength enables the message-combine optimization
 	// (section 3.5.1) on the MPI transport.

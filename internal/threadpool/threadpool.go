@@ -1,20 +1,17 @@
 // Package threadpool runs the simulator's per-rank work in parallel on the
-// host, and holds the modeled per-region overheads of the paper's section
-// 3.3. The paper replaces OpenMP's fork-join regions (measured at 5.8us
-// startup+sync) with a pool of pinned threads that spin on work flags
-// (1.1us), and uses six of the pool's threads to drive six VCQs
-// concurrently.
+// host. The paper's section 3.3 replaces OpenMP's fork-join regions
+// (measured at 5.8us startup+sync) with a pool of pinned threads that spin
+// on work flags (1.1us), and uses six of the pool's threads to drive six
+// VCQs concurrently.
 //
-// Two things live here:
-//
-//   - the host parallel-for, ForEach: a region is the caller plus
-//     min(workers, n)-1 helper goroutines started for it, all taking
-//     indices from one shared atomic counter until none are left. Nothing
-//     spins and nothing outlives the region, so a Pool holds no goroutine
-//     between regions;
-//   - the modeled per-region overhead constants used to charge virtual time
-//     for OpenMP-style vs pool-style parallel regions in the A64FX cost
-//     model. They are the paper's figures, not readings of the host region.
+// The host parallel-for is ForEach: a region is the caller plus
+// min(workers, n)-1 helper goroutines started for it, all taking indices
+// from one shared atomic counter until none are left. Nothing spins and
+// nothing outlives the region, so a Pool holds no goroutine between
+// regions. The modeled per-region overheads that charge virtual time for
+// OpenMP-style vs pool-style regions are the paper's figures, not readings
+// of the host region; they belong to the A64FX cost model
+// (machine.CostModel's OpenMPRegion and PoolRegion).
 //
 // # Wall-clock exemptions
 //
@@ -39,17 +36,6 @@ import (
 	"time"
 
 	"tofumd/internal/metrics"
-)
-
-// Modeled per-parallel-region overheads (seconds of virtual time), as
-// measured by the paper's microbenchmark (section 3.3).
-const (
-	// OpenMPRegionOverhead is the fork-join startup+synchronization cost of
-	// one OpenMP parallel region.
-	OpenMPRegionOverhead = 5.8e-6
-	// PoolRegionOverhead is the dispatch+join cost of one spin-lock thread
-	// pool region.
-	PoolRegionOverhead = 1.1e-6
 )
 
 // region is one ForEach call's shared state: the indices left to hand out

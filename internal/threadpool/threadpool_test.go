@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"tofumd/internal/machine"
 )
 
 func TestForEachRunsAllIndices(t *testing.T) {
@@ -226,15 +228,18 @@ func BenchmarkForEach(b *testing.B) {
 	}
 }
 
+// TestOverheadConstantsMatchPaper holds the cost model's region overheads,
+// which charge every modeled parallel region, to section 3.3: OpenMP 5.8us,
+// thread pool 1.1us.
 func TestOverheadConstantsMatchPaper(t *testing.T) {
-	// Section 3.3: OpenMP 5.8us, thread pool 1.1us.
-	if OpenMPRegionOverhead != 5.8e-6 {
-		t.Errorf("OpenMP overhead = %v", OpenMPRegionOverhead)
+	c := machine.DefaultCostModel()
+	if c.OpenMPRegion != 5.8e-6 {
+		t.Errorf("OpenMP overhead = %v", c.OpenMPRegion)
 	}
-	if PoolRegionOverhead != 1.1e-6 {
-		t.Errorf("pool overhead = %v", PoolRegionOverhead)
+	if c.PoolRegion != 1.1e-6 {
+		t.Errorf("pool overhead = %v", c.PoolRegion)
 	}
-	if PoolRegionOverhead >= OpenMPRegionOverhead {
+	if c.PoolRegion >= c.OpenMPRegion {
 		t.Error("pool overhead must be below OpenMP overhead")
 	}
 }

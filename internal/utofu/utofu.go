@@ -279,9 +279,9 @@ type Get struct {
 // retransmission transfer for the next wave (returned non-nil) or reports
 // the operation permanently failed at detect time. Loss is detected by a
 // completion timeout after the expected wire time; attempt n backs off
-// Params.RetryBackoff before re-injecting. Round-robin receive buffers
-// (section 3.4) make re-execution idempotent: the retransmitted put lands
-// in the same slot the lost one targeted.
+// Params.RetryBackoff before re-injecting. Re-execution is idempotent: the
+// retransmitted put lands at the same STADD and offset the lost one
+// targeted (section 3.4).
 func (s *System) retryPlan(tr *tofu.Transfer) (next *tofu.Transfer, detect float64) {
 	p := s.Fab.Params
 	detect = tr.IssueDone + s.Fab.WireTime(units.Bytes(tr.Bytes)) + p.CompletionTimeout

@@ -560,53 +560,6 @@ func testUTofu(t *testing.T) *utofu.System {
 	return utofu.NewSystem(fab)
 }
 
-func TestInboxPreregisterAndEnsure(t *testing.T) {
-	uts := testUTofu(t)
-	ib := &Inbox{}
-	cost := ib.Preregister(uts, 0, 4096)
-	if cost <= 0 {
-		t.Error("pre-registration is free")
-	}
-	if ib.CapBytes != 4096 {
-		t.Fatalf("cap = %d", ib.CapBytes)
-	}
-	if ib.Region == nil || len(ib.Region.Buf) != 4096 {
-		t.Fatal("buffer not registered")
-	}
-	// Within capacity: no cost, no growth.
-	if c := ib.Ensure(uts, 0, 4096, false); c != 0 {
-		t.Errorf("in-capacity ensure cost %v", c)
-	}
-	// Growth doubles from the current capacity and re-registers.
-	if c := ib.Ensure(uts, 0, 5000, false); c <= 0 {
-		t.Error("growth was free")
-	}
-	if ib.CapBytes != 8192 {
-		t.Errorf("grown cap = %d", ib.CapBytes)
-	}
-}
-
-func TestInboxGrowthFromZero(t *testing.T) {
-	uts := testUTofu(t)
-	ib := &Inbox{}
-	ib.Ensure(uts, 0, 3000, false)
-	if ib.CapBytes != 4096 {
-		t.Errorf("cap from zero = %d, want doubling from 1024", ib.CapBytes)
-	}
-}
-
-func TestInboxFixedOverflowPanics(t *testing.T) {
-	uts := testUTofu(t)
-	ib := &Inbox{}
-	ib.Preregister(uts, 1, 1024)
-	defer func() {
-		if recover() == nil {
-			t.Error("fixed inbox overflow did not panic")
-		}
-	}()
-	ib.Ensure(uts, 1, 2048, true)
-}
-
 func TestValidate(t *testing.T) {
 	for _, c := range []struct {
 		name    string

@@ -216,6 +216,11 @@ func TestBuildMatchesReference(t *testing.T) {
 		sparse.X[i] = sparse.X[i].Add(vec.V3{X: 9, Y: 9, Z: 9})
 	}
 	cases = append(cases, tc{"empty-bins", sparse, 1.1})
+	// One bin holds all 900 atoms (span 3 < 2 cutoffs), so every scan range
+	// is the whole system, longer than the list's spare capacity whenever the
+	// list is within 900 of it: the scan switches between writing in place
+	// and appending mid-build, and about half of each range is dropped.
+	cases = append(cases, tc{"range-past-capacity", withGhosts(600, 300, 2, 0.5, false, 7), 1.6})
 	for s := uint64(0); s < 12; s++ {
 		nl := 20 + int(s)*37
 		cases = append(cases, tc{

@@ -204,22 +204,25 @@ func (e *EAM) AccumulateRho(a *atom.Arrays, nl *neighbor.List) int {
 	start, neigh := nl.Start, nl.Neigh
 	cut2 := e.cut2
 	count := 0
+	var in [rowChunk]int32
 	for i := 0; i < a.NLocal; i++ {
 		xi := x[i]
 		// j != i, so rho_i can stay in a register until the row ends.
 		rhoi := rho[i]
-		for _, j := range neigh[start[i]:start[i+1]] {
-			xj := &x[j]
-			dx, dy, dz := xi.X-xj.X, xi.Y-xj.Y, xi.Z-xj.Z
-			r2 := dx*dx + dy*dy + dz*dz
-			if r2 > cut2 {
-				continue
+		for row := neigh[start[i]:start[i+1]]; len(row) > 0; {
+			c := min(len(row), rowChunk)
+			kept := screen(&in, xi, x, row[:c], cut2)
+			row = row[c:]
+			count += kept
+			for _, j := range in[:kept] {
+				xj := &x[j]
+				dx, dy, dz := xi.X-xj.X, xi.Y-xj.Y, xi.Z-xj.Z
+				r2 := dx*dx + dy*dy + dz*dz
+				k, u := e.pairAt(math.Sqrt(r2))
+				p := k.psi.val(u)
+				rhoi += p
+				rho[j] += p
 			}
-			count++
-			k, u := e.pairAt(math.Sqrt(r2))
-			p := k.psi.val(u)
-			rhoi += p
-			rho[j] += p
 		}
 		rho[i] = rhoi
 	}
@@ -249,28 +252,31 @@ func (e *EAM) ComputeForce(a *atom.Arrays, nl *neighbor.List) Result {
 	cut2 := e.cut2
 	var pe, vir float64
 	n := 0
+	var in [rowChunk]int32
 	for i := 0; i < a.NLocal; i++ {
 		xi := x[i]
 		fx, fy, fz := f[i].X, f[i].Y, f[i].Z
 		fpi := fp[i]
-		for _, j := range neigh[start[i]:start[i+1]] {
-			xj := &x[j]
-			dx, dy, dz := xi.X-xj.X, xi.Y-xj.Y, xi.Z-xj.Z
-			r2 := dx*dx + dy*dy + dz*dz
-			if r2 > cut2 {
-				continue
+		for row := neigh[start[i]:start[i+1]]; len(row) > 0; {
+			c := min(len(row), rowChunk)
+			kept := screen(&in, xi, x, row[:c], cut2)
+			row = row[c:]
+			n += kept
+			for _, j := range in[:kept] {
+				xj := &x[j]
+				dx, dy, dz := xi.X-xj.X, xi.Y-xj.Y, xi.Z-xj.Z
+				r2 := dx*dx + dy*dy + dz*dz
+				r := math.Sqrt(r2)
+				k, u := e.pairAt(r)
+				// f(r) = -[phi'(r) + (Fp_i + Fp_j) psi'(r)] rhat
+				fmag := -(k.phi.deriv(u) + (fpi+fp[j])*k.psi.deriv(u)) / r
+				fvx, fvy, fvz := fmag*dx, fmag*dy, fmag*dz
+				fx, fy, fz = fx+fvx, fy+fvy, fz+fvz
+				fj := &f[j]
+				fj.X, fj.Y, fj.Z = fj.X-fvx, fj.Y-fvy, fj.Z-fvz
+				pe += k.phi.val(u)
+				vir += r2 * fmag
 			}
-			n++
-			r := math.Sqrt(r2)
-			k, u := e.pairAt(r)
-			// f(r) = -[phi'(r) + (Fp_i + Fp_j) psi'(r)] rhat
-			fmag := -(k.phi.deriv(u) + (fpi+fp[j])*k.psi.deriv(u)) / r
-			fvx, fvy, fvz := fmag*dx, fmag*dy, fmag*dz
-			fx, fy, fz = fx+fvx, fy+fvy, fz+fvz
-			fj := &f[j]
-			fj.X, fj.Y, fj.Z = fj.X-fvx, fj.Y-fvy, fj.Z-fvz
-			pe += k.phi.val(u)
-			vir += r2 * fmag
 		}
 		f[i] = vec.V3{X: fx, Y: fy, Z: fz}
 	}

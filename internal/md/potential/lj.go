@@ -75,26 +75,29 @@ func (l *LJ) computeHalf(a *atom.Arrays, nl *neighbor.List) Result {
 	cut2, lj1, lj2, lj3, lj4 := l.cut2, l.lj1, l.lj2, l.lj3, l.lj4
 	var pe, vir float64
 	n := 0
+	var in [rowChunk]int32
 	for i := 0; i < a.NLocal; i++ {
 		xi := x[i]
 		fx, fy, fz := f[i].X, f[i].Y, f[i].Z
-		for _, j := range neigh[start[i]:start[i+1]] {
-			xj := &x[j]
-			dx, dy, dz := xi.X-xj.X, xi.Y-xj.Y, xi.Z-xj.Z
-			r2 := dx*dx + dy*dy + dz*dz
-			if r2 > cut2 {
-				continue
+		for row := neigh[start[i]:start[i+1]]; len(row) > 0; {
+			c := min(len(row), rowChunk)
+			kept := screen(&in, xi, x, row[:c], cut2)
+			row = row[c:]
+			n += kept
+			for _, j := range in[:kept] {
+				xj := &x[j]
+				dx, dy, dz := xi.X-xj.X, xi.Y-xj.Y, xi.Z-xj.Z
+				r2 := dx*dx + dy*dy + dz*dz
+				inv2 := 1 / r2
+				inv6 := inv2 * inv2 * inv2
+				fpair := inv6 * (lj1*inv6 - lj2) * inv2
+				fvx, fvy, fvz := fpair*dx, fpair*dy, fpair*dz
+				fx, fy, fz = fx+fvx, fy+fvy, fz+fvz
+				fj := &f[j]
+				fj.X, fj.Y, fj.Z = fj.X-fvx, fj.Y-fvy, fj.Z-fvz
+				pe += inv6 * (lj3*inv6 - lj4)
+				vir += r2 * fpair
 			}
-			n++
-			inv2 := 1 / r2
-			inv6 := inv2 * inv2 * inv2
-			fpair := inv6 * (lj1*inv6 - lj2) * inv2
-			fvx, fvy, fvz := fpair*dx, fpair*dy, fpair*dz
-			fx, fy, fz = fx+fvx, fy+fvy, fz+fvz
-			fj := &f[j]
-			fj.X, fj.Y, fj.Z = fj.X-fvx, fj.Y-fvy, fj.Z-fvz
-			pe += inv6 * (lj3*inv6 - lj4)
-			vir += r2 * fpair
 		}
 		f[i] = vec.V3{X: fx, Y: fy, Z: fz}
 	}
@@ -109,23 +112,26 @@ func (l *LJ) computeFull(a *atom.Arrays, nl *neighbor.List) Result {
 	cut2, lj1, lj2, lj3, lj4 := l.cut2, l.lj1, l.lj2, l.lj3, l.lj4
 	var pe, vir float64
 	n := 0
+	var in [rowChunk]int32
 	for i := 0; i < a.NLocal; i++ {
 		xi := x[i]
 		fx, fy, fz := f[i].X, f[i].Y, f[i].Z
-		for _, j := range neigh[start[i]:start[i+1]] {
-			xj := &x[j]
-			dx, dy, dz := xi.X-xj.X, xi.Y-xj.Y, xi.Z-xj.Z
-			r2 := dx*dx + dy*dy + dz*dz
-			if r2 > cut2 {
-				continue
+		for row := neigh[start[i]:start[i+1]]; len(row) > 0; {
+			c := min(len(row), rowChunk)
+			kept := screen(&in, xi, x, row[:c], cut2)
+			row = row[c:]
+			n += kept
+			for _, j := range in[:kept] {
+				xj := &x[j]
+				dx, dy, dz := xi.X-xj.X, xi.Y-xj.Y, xi.Z-xj.Z
+				r2 := dx*dx + dy*dy + dz*dz
+				inv2 := 1 / r2
+				inv6 := inv2 * inv2 * inv2
+				fpair := inv6 * (lj1*inv6 - lj2) * inv2
+				fx, fy, fz = fx+fpair*dx, fy+fpair*dy, fz+fpair*dz
+				pe += 0.5 * (inv6 * (lj3*inv6 - lj4))
+				vir += 0.5 * r2 * fpair
 			}
-			n++
-			inv2 := 1 / r2
-			inv6 := inv2 * inv2 * inv2
-			fpair := inv6 * (lj1*inv6 - lj2) * inv2
-			fx, fy, fz = fx+fpair*dx, fy+fpair*dy, fz+fpair*dz
-			pe += 0.5 * (inv6 * (lj3*inv6 - lj4))
-			vir += 0.5 * r2 * fpair
 		}
 		f[i] = vec.V3{X: fx, Y: fy, Z: fz}
 	}

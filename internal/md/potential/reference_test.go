@@ -321,17 +321,19 @@ func TestKernelsMatchReference(t *testing.T) {
 		lj := NewLJ(1, 1, 2.5)
 		// Spacing 1.06 ~ density 0.84; the 0.3 skin puts listed pairs
 		// beyond the force cutoff too.
-		systems := dimers(0.9, 2.8, 0.0137)
-		for seed := uint64(11); seed < 15; seed++ {
-			systems = append(systems, jitteredLattice(8, 1.06, 0.1, 2.8, seed))
-		}
-		for k, base := range systems {
+		systems := kernelSystems(kernelShape{cut: 2.5, list: 2.8, longList: 3.6, h: 1.06, jitter: 0.1, cells: 8},
+			dimers(0.9, 2.8, 0.0137))
+		for _, sys := range systems {
 			for _, mode := range []neighbor.Mode{neighbor.HalfNewton, neighbor.HalfShell, neighbor.Full} {
-				what := fmt.Sprintf("system %d %s", k, mode)
-				nl := neighbor.Build(base, 2.8, mode)
+				what := fmt.Sprintf("%s %s", sys.name, mode)
+				base, nl := sys.listed(t, mode)
 				got, want := cloneArrays(base), cloneArrays(base)
-				sameResult(t, what, lj.Compute(got, nl), ljComputeReference(lj, want, nl))
+				res, ref := lj.Compute(got, nl), ljComputeReference(lj, want, nl)
+				sameResult(t, what, res, ref)
 				sameForces(t, what, got, want)
+				if sys.nan && !(math.IsNaN(res.PotentialEnergy) && math.IsNaN(ref.PotentialEnergy)) {
+					t.Errorf("%s: PE = %v, reference %v; a NaN distance must reach the energy", what, res.PotentialEnergy, ref.PotentialEnergy)
+				}
 			}
 			if t.Failed() {
 				return
@@ -345,41 +347,140 @@ func TestKernelsMatchReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		ref := newEAMReference(t, e)
-		systems := dimers(1.5, 5.95, 0.0291)
-		for seed := uint64(11); seed < 15; seed++ {
-			systems = append(systems, jitteredLattice(7, 2.28, 0.2, 5.95, seed)) // ~Cu density
-		}
+		systems := kernelSystems(kernelShape{cut: 4.95, list: 5.95, longList: 7.5, h: 2.28, jitter: 0.2, cells: 7}, // ~Cu density
+			dimers(1.5, 5.95, 0.0291))
 		rng := xrand.New(13)
-		for k, base := range systems {
-			what := fmt.Sprintf("system %d", k)
-			base.EnableEAM()
-			for i := range base.Rho {
-				base.Rho[i] = rng.Float64() // stale sums the pass must add to
-			}
-			nl := neighbor.Build(base, 5.95, neighbor.HalfShell)
-			got, want := cloneArrays(base), cloneArrays(base)
+		for _, sys := range systems {
+			for _, mode := range []neighbor.Mode{neighbor.HalfNewton, neighbor.HalfShell} {
+				what := fmt.Sprintf("%s %s", sys.name, mode)
+				base, nl := sys.listed(t, mode)
+				base.EnableEAM()
+				for i := range base.Rho {
+					base.Rho[i] = rng.Float64() // stale sums the pass must add to
+				}
+				got, want := cloneArrays(base), cloneArrays(base)
 
-			ng, nw := e.AccumulateRho(got, nl), ref.AccumulateRho(want, nl)
-			if ng != nw {
-				t.Errorf("%s: AccumulateRho count = %d, reference %d", what, ng, nw)
-			}
-			sameFloats(t, what+" Rho", got.Rho, want.Rho)
+				ng, nw := e.AccumulateRho(got, nl), ref.AccumulateRho(want, nl)
+				if ng != nw {
+					t.Errorf("%s: AccumulateRho count = %d, reference %d", what, ng, nw)
+				}
+				sameFloats(t, what+" Rho", got.Rho, want.Rho)
+				if sys.nan && !(math.IsNaN(got.Rho[sys.poked]) && math.IsNaN(want.Rho[sys.poked])) {
+					t.Errorf("%s: Rho of the NaN atom = %v, reference %v", what, got.Rho[sys.poked], want.Rho[sys.poked])
+				}
 
-			sameBits(t, what+" embedding energy", e.FinishRho(got), ref.FinishRho(want))
-			sameFloats(t, what+" Fp", got.Fp[:got.NLocal], want.Fp[:want.NLocal])
+				sameBits(t, what+" embedding energy", e.FinishRho(got), ref.FinishRho(want))
+				sameFloats(t, what+" Fp", got.Fp[:got.NLocal], want.Fp[:want.NLocal])
 
-			// Stand in for the forward exchange: ghosts get some owner's Fp.
-			for g := got.NLocal; g < got.Total(); g++ {
-				v := got.Fp[rng.Intn(got.NLocal)]
-				got.Fp[g], want.Fp[g] = v, v
+				// Stand in for the forward exchange: ghosts get some owner's Fp.
+				for g := got.NLocal; g < got.Total(); g++ {
+					v := got.Fp[rng.Intn(got.NLocal)]
+					got.Fp[g], want.Fp[g] = v, v
+				}
+				res, rres := e.ComputeForce(got, nl), ref.ComputeForce(want, nl)
+				sameResult(t, what+" force", res, rres)
+				sameForces(t, what, got, want)
+				if sys.nan && !(math.IsNaN(res.PotentialEnergy) && math.IsNaN(rres.PotentialEnergy)) {
+					t.Errorf("%s: PE = %v, reference %v; a NaN distance must reach the energy", what, res.PotentialEnergy, rres.PotentialEnergy)
+				}
 			}
-			sameResult(t, what+" force", e.ComputeForce(got, nl), ref.ComputeForce(want, nl))
-			sameForces(t, what, got, want)
 			if t.Failed() {
 				return
 			}
 		}
 	})
+}
+
+// kernelShape sizes the reference-test systems of one potential: its force
+// cutoff, the neighbor cutoff its lists use (cutoff plus skin), a longer
+// neighbor cutoff whose rows run past rowChunk, and the jittered lattice's
+// spacing, jitter and side in cells.
+type kernelShape struct {
+	cut, list, longList float64
+	h, jitter           float64
+	cells               int
+}
+
+// kernelSystem is one reference-test input. Its list is built at list;
+// with nan set, local poked then gets a NaN coordinate, after the build,
+// the way a blown-up atom reaches the kernels between two rebuilds.
+type kernelSystem struct {
+	name   string
+	a      *atom.Arrays
+	list   float64
+	nan    bool
+	poked  int
+	minRow int // the longest listed row must exceed this in every mode
+}
+
+// kernelSystems returns the systems a potential's kernels are held to their
+// reference on:
+//   - the dimers, each sum a single pair term;
+//   - four jittered lattices;
+//   - a lattice listed at longList, whose rows the kernels screen in two or
+//     more chunks in every list mode;
+//   - a skin shell: one local whose more than rowChunk listed neighbors all
+//     lie beyond the force cutoff, so whole chunks keep nothing, next to a
+//     local with one neighbor inside;
+//   - a lattice with one NaN coordinate: a NaN distance passes the screen,
+//     as it passes the plain cutoff test, and its NaN reaches the sums.
+func kernelSystems(sh kernelShape, dimers []*atom.Arrays) []kernelSystem {
+	var out []kernelSystem
+	for k, a := range dimers {
+		out = append(out, kernelSystem{name: fmt.Sprintf("dimer %d", k), a: a, list: sh.list})
+	}
+	for seed := uint64(11); seed < 15; seed++ {
+		out = append(out, kernelSystem{name: fmt.Sprintf("lattice %d", seed),
+			a: jitteredLattice(sh.cells, sh.h, sh.jitter, sh.list, seed), list: sh.list})
+	}
+	return append(out,
+		kernelSystem{name: "long rows", a: jitteredLattice(5, sh.h, sh.jitter, sh.longList, 31),
+			list: sh.longList, minRow: rowChunk},
+		kernelSystem{name: "skin shell", a: skinShell(sh.cut, sh.list, 150, 32), list: sh.list, minRow: rowChunk},
+		kernelSystem{name: "nan", a: jitteredLattice(4, sh.h, sh.jitter, sh.list, 33), list: sh.list, nan: true, poked: 37},
+	)
+}
+
+// listed builds sys's neighbor list in mode and returns the atoms the
+// kernels run on: sys.a itself, or a copy carrying the NaN.
+func (sys kernelSystem) listed(t *testing.T, mode neighbor.Mode) (*atom.Arrays, *neighbor.List) {
+	t.Helper()
+	nl := neighbor.Build(sys.a, sys.list, mode)
+	longest := 0
+	for i := 0; i < sys.a.NLocal; i++ {
+		longest = max(longest, len(nl.NeighborsOf(i)))
+	}
+	if longest <= sys.minRow {
+		t.Fatalf("%s %s: longest row %d, want more than %d", sys.name, mode, longest, sys.minRow)
+	}
+	if !sys.nan {
+		return sys.a, nl
+	}
+	a := cloneArrays(sys.a)
+	a.X[sys.poked].Y = math.NaN()
+	return a, nl
+}
+
+// skinShell places local 0 at the origin with n ghosts at random distances
+// in the skin between cut and list (away from both edges), and local 1 far
+// off with one ghost at 0.7 cut: row 0 lists only pairs the kernels must
+// skip, row 1 one pair they must evaluate.
+func skinShell(cut, list float64, n int, seed uint64) *atom.Arrays {
+	rng := xrand.New(seed)
+	a := atom.New(2 + n + 1)
+	far := vec.V3{X: 3 * list, Y: 0.1, Z: 0.2}
+	a.AddLocal(1, 1, vec.V3{}, vec.V3{})
+	a.AddLocal(2, 1, far, vec.V3{})
+	for g := 0; g < n; g++ {
+		d := vec.V3{X: rng.Normal(), Y: rng.Normal(), Z: rng.Normal()}
+		r := cut + (0.05+0.9*rng.Float64())*(list-cut)
+		a.AddGhost(int64(3+g), 1, d.Scale(r/d.Norm()))
+	}
+	a.AddGhost(int64(3+n), 1, far.Add(vec.V3{X: 0.2 * cut, Y: 0.3 * cut, Z: 0.6 * cut}))
+	for i := range a.F {
+		a.F[i] = vec.V3{X: rng.Normal(), Y: rng.Normal(), Z: rng.Normal()}
+	}
+	return a
 }
 
 // dimers returns one system per distance r in [r0, r1) by step: a local

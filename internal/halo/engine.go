@@ -20,11 +20,13 @@ import (
 // An app that aims a message before packing it can pack straight into
 // Dest, the bytes the payload lands in (section 3.4's registered arrays,
 // or an inbox buffer no other sender of the round writes). Data then
-// aliases its region: the round charges the put in full, and its copy (a
-// put's delivery, or the landing of an MPI fallback) writes the bytes onto
-// themselves. Every message of a uTofu round lands, by put or by fallback,
-// so a region written early holds the same bytes at the end of the round
-// as one the put wrote.
+// aliases its region: the round charges the put in full, and neither a
+// put's delivery nor the landing of an MPI fallback copies anything
+// (utofu.Deliver). Every message of a uTofu round lands, by put or by
+// fallback, so a region written early holds the same bytes at the end of
+// the round as one the put wrote, and a round whose payloads all lie at
+// their Dest writes neither a payload byte nor a Data field: the receivers
+// may read them while the round's timing runs.
 type Msg struct {
 	// Src and Dst are rank ids.
 	Src, Dst int
@@ -36,9 +38,10 @@ type Msg struct {
 	VCQ *utofu.VCQ
 	// Data is the payload: the sender's scratch, a view of its own arrays,
 	// or bytes packed in place at Dest. Under the uTofu transport RunRound
-	// replaces it with its bytes in the receiver's region,
+	// points a non-empty payload at its bytes in the receiver's region,
 	// Region.Buf[DstOff:], whether a put wrote them or the MPI fallback
-	// carried them; under MPI it stays the sender's slice.
+	// carried them (one packed in place already points there and is not
+	// written); under MPI it stays the sender's slice.
 	Data []byte
 	// Known marks length-known messages (plan reuse); unknown-length
 	// messages pay the MPI two-step protocol.
@@ -178,7 +181,7 @@ func (e *Engine) runUTofuRoundReliable(msgs []*Msg, base float64) {
 			panic(fmt.Sprintf("halo: fallback %d→%d writes [%d,%d) outside region of %d bytes",
 				m.Src, m.Dst, m.DstOff, m.DstOff+len(m.Data), len(m.Region.Buf)))
 		}
-		copy(m.Region.Buf[m.DstOff:], m.Data)
+		utofu.Deliver(m.Region.Buf[m.DstOff:], m.Data)
 		m.land()
 	}
 	if e.OnFallback != nil {
@@ -195,9 +198,17 @@ func (m *Msg) Dest() []byte {
 	return b[m.DstOff:len(b):len(b)]
 }
 
-// land points Data at the bytes the message wrote into its region.
+// land points Data at the bytes the message wrote into its region. A
+// payload packed there already points at them and is left alone, as is an
+// empty one, so a round of such payloads writes no Data: receivers may read
+// it while the round runs.
 func (m *Msg) land() {
-	m.Data = m.Dest()[:len(m.Data)]
+	if len(m.Data) == 0 {
+		return
+	}
+	if d := m.Dest(); &m.Data[0] != &d[0] {
+		m.Data = d[:len(m.Data)]
+	}
 }
 
 // runUTofuRound issues the messages as uTofu puts and returns the ones

@@ -735,6 +735,94 @@ func TestInPlacePayloadsMatchStagedUnderFallback(t *testing.T) {
 	}
 }
 
+// TestAliasedRoundBesideReaders: a round whose payloads were all packed in
+// place at their Dest, one of them over a degraded link so that it falls
+// back to MPI, writes no region byte and no message's Data: another
+// goroutine reads every region and every Data throughout the round (the
+// race detector reports any write the round makes there, a copy of bytes
+// onto themselves included), and the regions end equal to a staged
+// reference round of the same payloads, with the same completion times
+// and transports.
+func TestAliasedRoundBesideReaders(t *testing.T) {
+	const poison = 0xee
+	run := func(inPlace bool) ([]*Msg, [][]byte) {
+		e, msgs := engineFixture(t)
+		e.Fallback = NewFallback(1)
+		e.Fallback.RecordFailure(msgs[0].Src, msgs[0].Dst)
+		var regions [][]byte
+		for _, m := range msgs {
+			if m.DstOff == 0 {
+				regions = append(regions, m.Region.Buf)
+			}
+			for j := range m.Region.Buf {
+				m.Region.Buf[j] = poison
+			}
+		}
+		if !inPlace {
+			e.RunRound(TransportUTofu, msgs)
+			return msgs, regions
+		}
+		for _, m := range msgs {
+			m.Data = append(m.Dest()[:0], m.Data...)
+		}
+		stop, done := make(chan struct{}), make(chan int)
+		go func() {
+			reads := 0
+			for {
+				var sum byte
+				for _, buf := range regions {
+					for _, b := range buf {
+						sum += b
+					}
+				}
+				for _, m := range msgs {
+					sum += m.Data[0]
+				}
+				reads++
+				select {
+				case <-stop:
+					done <- reads
+					return
+				default:
+				}
+			}
+		}()
+		e.RunRound(TransportUTofu, msgs)
+		close(stop)
+		if <-done == 0 {
+			t.Fatal("the reader never read the regions")
+		}
+		return msgs, regions
+	}
+	staged, stagedRegions := run(false)
+	inPlace, inPlaceRegions := run(true)
+	overMPI := 0
+	for i, m := range inPlace {
+		s := staged[i]
+		if m.OverMPI != s.OverMPI || m.Complete != s.Complete || m.IssueDone != s.IssueDone {
+			t.Fatalf("message %d→%d: in place (MPI %v, complete %v), staged (MPI %v, complete %v)",
+				m.Src, m.Dst, m.OverMPI, m.Complete, s.OverMPI, s.Complete)
+		}
+		if &m.Data[0] != &m.Region.Buf[m.DstOff] {
+			t.Fatalf("message %d→%d: Data does not alias its region at offset %d", m.Src, m.Dst, m.DstOff)
+		}
+		if m.OverMPI {
+			overMPI++
+		}
+	}
+	if overMPI != 1 || !inPlace[0].OverMPI {
+		t.Errorf("%d messages went over MPI, want exactly the one on the degraded link", overMPI)
+	}
+	if len(inPlaceRegions) != len(stagedRegions) || len(inPlaceRegions) == 0 {
+		t.Fatalf("%d regions in place, %d staged", len(inPlaceRegions), len(stagedRegions))
+	}
+	for i := range inPlaceRegions {
+		if !bytes.Equal(inPlaceRegions[i], stagedRegions[i]) {
+			t.Fatalf("region %d differs from the staged round's", i)
+		}
+	}
+}
+
 // A fault-free round allocates nothing from the second call on, over either
 // transport: the engine translates into its own put and message slabs.
 func TestEngineRunRoundDoesNotAllocate(t *testing.T) {

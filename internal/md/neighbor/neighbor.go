@@ -18,6 +18,7 @@ package neighbor
 
 import (
 	"math"
+	"sync"
 
 	"tofumd/internal/md/atom"
 	"tofumd/internal/vec"
@@ -82,10 +83,23 @@ func upper(a, b vec.V3) bool {
 // covers locals and ghosts; cutoff is the neighbor cutoff (force cutoff +
 // skin).
 func Build(a *atom.Arrays, cutoff float64, mode Mode) *List {
+	l := new(List)
+	l.Rebuild(a, cutoff, mode)
+	return l
+}
+
+// Rebuild makes l the neighbor list Build would return, in l's own Start
+// and Neigh storage: a rank rebuilding its list every few steps allocates
+// nothing once the storage has grown to fit. The bin scratch comes from a
+// pool shared by all builds and goes back when the build ends.
+func (l *List) Rebuild(a *atom.Arrays, cutoff float64, mode Mode) {
 	n := a.Total()
-	l := &List{Mode: mode, Start: make([]int32, a.NLocal+1)}
+	l.Mode, l.Candidates = mode, 0
+	take(&l.Start, a.NLocal+1)
+	l.Neigh = l.Neigh[:0]
 	if a.NLocal == 0 {
-		return l
+		l.Start[0] = 0
+		return
 	}
 	cut2 := cutoff * cutoff
 
@@ -122,9 +136,13 @@ func Build(a *atom.Arrays, cutoff float64, mode Mode) *List {
 	// Stable counting sort into bins: within a bin, atoms keep ascending
 	// index order, so its locals precede its ghosts.
 	nbins := bx * by * bz
-	count := make([]int32, nbins+1)
-	locals := make([]int32, nbins) // locals per bin
-	binIdx := make([]int32, n)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	count := take(&sc.count, nbins+1)
+	locals := take(&sc.locals, nbins) // locals per bin
+	clear(count)
+	clear(locals)
+	binIdx := take(&sc.binIdx, n)
 	for i := 0; i < n; i++ {
 		b := binOf(a.X[i])
 		binIdx[i] = int32(b)
@@ -136,9 +154,10 @@ func Build(a *atom.Arrays, cutoff float64, mode Mode) *List {
 	for b := 0; b < nbins; b++ {
 		count[b+1] += count[b]
 	}
-	order := make([]int32, n)
-	xs := make([]vec.V3, n) // positions in bin order, so scans stream
-	fill := make([]int32, nbins)
+	order := take(&sc.order, n)
+	xs := take(&sc.xs, n) // positions in bin order, so scans stream
+	fill := take(&sc.fill, nbins)
+	clear(fill)
 	for i := 0; i < n; i++ {
 		b := binIdx[i]
 		k := count[b] + fill[b]
@@ -150,9 +169,10 @@ func Build(a *atom.Arrays, cutoff float64, mode Mode) *List {
 	// seen[b] counts the locals of bin b already visited as i. They are the
 	// bin's first entries, and exactly the locals j < i a half list skips
 	// without counting them as candidates, so half scans start past them.
-	seen := make([]int32, nbins)
+	seen := take(&sc.seen, nbins)
+	clear(seen)
 	half := mode != Full
-	s := scan{xs: xs, order: order, cut2: cut2}
+	s := scan{xs: xs, order: order, cut2: cut2, neigh: l.Neigh}
 	for i := 0; i < a.NLocal; i++ {
 		l.Start[i] = int32(len(s.neigh))
 		xi := a.X[i]
@@ -191,7 +211,25 @@ func Build(a *atom.Arrays, cutoff float64, mode Mode) *List {
 	l.Neigh = s.neigh
 	l.Candidates = s.candidates
 	l.Start[a.NLocal] = int32(len(l.Neigh))
-	return l
+}
+
+// scratch is one build's bin storage; between builds it sits in
+// scratchPool, which the garbage collector may empty.
+type scratch struct {
+	count, locals, binIdx, order, fill, seen []int32
+	xs                                       []vec.V3
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// take resizes *buf to n entries, keeping its storage when it fits, and
+// returns it; kept entries hold whatever they held.
+func take[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
 }
 
 // scan is the candidate-distance check of one Build, over positions stored

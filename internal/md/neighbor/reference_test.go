@@ -229,9 +229,15 @@ func TestBuildMatchesReference(t *testing.T) {
 			cutoff: 0.7 + 0.07*float64(s),
 		})
 	}
+	// reused is rebuilt in place for every case and mode in turn, so each
+	// build starts from the storage, and the stale entries, of the last.
+	reused := new(List)
 	for _, c := range cases {
 		for _, mode := range []Mode{HalfNewton, HalfShell, Full} {
-			sameList(t, c.name+"/"+mode.String(), Build(c.a, c.cutoff, mode), buildReference(c.a, c.cutoff, mode))
+			want := buildReference(c.a, c.cutoff, mode)
+			sameList(t, c.name+"/"+mode.String(), Build(c.a, c.cutoff, mode), want)
+			reused.Rebuild(c.a, c.cutoff, mode)
+			sameList(t, c.name+"/"+mode.String()+"/rebuilt", reused, want)
 		}
 	}
 }

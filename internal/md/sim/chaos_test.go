@@ -183,7 +183,7 @@ func TestInboxHoldsPayloadOverPutAndFallback(t *testing.T) {
 			}
 			checked++
 		}
-		s.runOp(op)
+		s.runOp(op, nil)
 		if len(bad) > 0 {
 			t.Fatalf("degrade=%v: %d of %d messages wrong, first: %s", degrade, len(bad), checked, bad[0])
 		}
@@ -247,7 +247,7 @@ func TestForwardLandsInPositionArray(t *testing.T) {
 			mu.Unlock()
 			unpack(r, l, data)
 		}
-		s.runOp(op)
+		s.runOp(op, nil)
 		for i := range s.links {
 			l := &s.links[i]
 			for k, idx := range l.sendList {

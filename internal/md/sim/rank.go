@@ -100,6 +100,11 @@ type Rank struct {
 	// current step.
 	peLocal  float64
 	virLocal float64
+	// pairs is the interaction count of the step's first force pass, and
+	// unpacked the bytes the rank unpacked in the latest halo round: work
+	// done beside a round, charged to the clock after it.
+	pairs    int
+	unpacked int
 
 	// dimGhostMark is the ghost watermark at the start of the current
 	// 3-stage dimension (iteration-0 send lists scan indices below it).

@@ -14,7 +14,7 @@ import (
 // force range into the side's scratch, the put copies the scratch, and the
 // owner accumulates it.
 var stagedReverseOp = haloOp{
-	rev: true, known: true,
+	rev: true, known: true, recBytes: posBytes,
 	pack: func(r *Rank, l *link, buf []byte) []byte {
 		return stagedEncodeVectors(buf, r.Atoms.F, l.recvStart, l.recvCount)
 	},
@@ -87,8 +87,8 @@ func TestReverseSendsFromForceArray(t *testing.T) {
 			for cycle := 0; cycle < 2; cycle++ {
 				got.computeForces()
 				want.computeForces()
-				got.runOp(reverseOp)
-				want.runOp(stagedReverseOp)
+				got.runOp(reverseOp, nil)
+				want.runOp(stagedReverseOp, nil)
 				overMPI := 0
 				for _, m := range got.batch.msgs {
 					if m.OverMPI {

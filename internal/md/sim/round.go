@@ -13,6 +13,9 @@ type rmsg struct {
 	halo.Msg
 	// link is the channel; nil for exchange-stage messages.
 	link *link
+	// reg is the inbox registration cost aiming the message incurred, for
+	// the receiver to be charged once the round is packed.
+	reg float64
 }
 
 // msg builds the message sent on one side of the link, carrying the
@@ -105,11 +108,10 @@ func (s *Simulation) newEngine() *halo.Engine {
 	}
 }
 
-// ensureInbox grows (and re-registers) an inbox to hold at least need
-// bytes, charging the registration cost to the owning rank unless the
+// chargeRegistration charges an inbox (re)registration to the rank that
+// owns the inbox; the cost is zero unless aiming a message grew it, or the
 // buffers were pre-registered at their maximum size during setup.
-func (s *Simulation) ensureInbox(owner *Rank, ib *halo.Inbox, need int) {
-	cost := ib.Ensure(s.uts, owner.ID, need, s.Var.Preregistered)
+func (s *Simulation) chargeRegistration(owner *Rank, cost float64) {
 	if cost == 0 {
 		return
 	}

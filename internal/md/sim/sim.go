@@ -714,7 +714,7 @@ func (s *Simulation) setupRun() {
 	s.buildNeighborLists()
 	s.computeForces()
 	if s.Cfg.NewtonOn {
-		s.doReverse()
+		s.runOp(reverseOp, nil)
 	}
 	// Setup time is the slowest rank's advance; rewind the breakdown.
 	var maxAdv float64

@@ -29,16 +29,21 @@ type haloOp struct {
 	// array at the link's ghost offset: the sender packs straight into the
 	// ghost slots, the round charges the put and copies nothing (or lands
 	// an MPI fallback there), so there is no inbox, no unpack charge and no
-	// unpack region.
+	// unpack.
 	direct bool
 	// unpackIfAny skips the unpack charge of a rank that received no bytes
 	// in a round; without it the charge applies regardless.
 	unpackIfAny bool
+	// recBytes is the payload's size per record: a message carries one
+	// record per send-list atom, or per ghost of the receive range when
+	// rev. Its length is known before packing, so it is aimed first.
+	recBytes int
 	// pack encodes sender r's payload for l into dst, growing it, and
-	// returns it: dst is the side's scratch, or under direct the ghost
-	// slots the payload lands in. view, set in its place, returns a payload
-	// that already lies contiguous in r's own arrays; the round sends it
-	// from there. unpack applies the received data on receiver r.
+	// returns it: dst is where the payload lands (the receiver's ghost
+	// slots or inbox) under uTofu, the side's scratch under MPI. view, set
+	// in its place, returns a payload that already lies contiguous in r's
+	// own arrays; under MPI the round sends it from there. unpack applies
+	// the received data on receiver r.
 	pack   func(r *Rank, l *link, dst []byte) []byte
 	view   func(r *Rank, l *link) []byte
 	unpack func(r *Rank, l *link, data []byte)
@@ -52,15 +57,31 @@ func (op haloOp) links(r *Rank) []*link {
 	return r.sendLinks
 }
 
-// payload returns sender r's payload of the aimed message m: a view of r's
-// arrays, bytes packed at m's destination, or the side's scratch. Only the
-// scratch is kept on the side.
+// size returns the payload length of the operation's message on l.
+func (op haloOp) size(l *link) int {
+	if op.rev {
+		return l.recvCount * op.recBytes
+	}
+	return len(l.sendList) * op.recBytes
+}
+
+// payload writes sender r's payload of the aimed message m and returns it.
+// An aimed message (uTofu, where m.Region is set) is written at its
+// destination, a view copied there, so its bytes have landed before the
+// round runs. Under MPI the payload is the view itself or the side's
+// scratch, the only payload kept on the side.
 func (op haloOp) payload(r *Rank, m *rmsg) []byte {
-	switch {
-	case op.view != nil:
+	if m.Region != nil {
+		if op.view == nil {
+			return op.pack(r, m.link, m.Dest())
+		}
+		v := op.view(r, m.link)
+		dst := m.Dest()[:len(v)]
+		copy(dst, v)
+		return dst
+	}
+	if op.view != nil {
 		return op.view(r, m.link)
-	case op.direct:
-		return op.pack(r, m.link, m.Dest())
 	}
 	sd := m.link.side(op.rev)
 	sd.buf = op.pack(r, m.link, sd.buf)
@@ -68,24 +89,42 @@ func (op haloOp) payload(r *Rank, m *rmsg) []byte {
 }
 
 // runOp executes the operation over every round of the variant's pattern.
-func (s *Simulation) runOp(op haloOp) {
+// then, if not nil, is the rank-local work that needs only the operation's
+// bytes: it runs on every rank once the rank has unpacked the last round,
+// beside that round's timing, and charges no clock (its caller's next
+// stage does).
+func (s *Simulation) runOp(op haloOp, then func(r *Rank)) {
+	last := len(s.plan.Rounds) - 1
 	for i, k := range s.plan.Rounds {
 		if op.rev {
-			k = s.plan.Rounds[len(s.plan.Rounds)-1-i]
+			k = s.plan.Rounds[last-i]
 		}
-		s.runOpRound(op, k)
+		if i < last {
+			s.runOpRound(op, k, nil)
+		} else {
+			s.runOpRound(op, k, then)
+		}
 	}
 }
 
-// runOpRound aims, packs, ships and unpacks the operation's messages of
-// round k. A serial gather builds the round's messages in rank and link
-// order and aims a direct op's at the receiver's position array before
-// any packing, so its senders write their ghosts in place. Senders pack in
-// parallel; a second serial pass, in the same order, aims the other
-// uTofu messages at their inboxes (which may grow to fit the payload) and
-// stamps ReadyAt.
-func (s *Simulation) runOpRound(op haloOp, k halo.RoundKey) {
+// runOpRound runs round k of the operation in two parts: landing its
+// bytes, then timing it beside the work that needs only them.
+//
+// A serial pass builds the round's messages in rank and link order and
+// aims every uTofu message before anything is packed: a direct op's at the
+// receiver's position array, any other at its link side's inbox, grown to
+// the payload's length. Senders then pack in parallel, each uTofu payload
+// straight at its destination, so every byte has landed before the round;
+// under MPI the receiver reads the sender's own slice. A second serial
+// pass, in the same order, charges the inbox registrations and stamps
+// ReadyAt. The fabric round then runs on the calling goroutine while the
+// other workers unpack each receiver's messages and run then on it. The
+// round writes no payload byte and the workers touch no clock, so the
+// unpack charges follow the round exactly as they did when the unpack ran
+// after it.
+func (s *Simulation) runOpRound(op haloOp, k halo.RoundKey, then func(r *Rank)) {
 	packTh := s.Var.PackThreading()
+	inbox := !op.direct && s.Var.Transport == halo.TransportUTofu
 	b := s.batch
 	b.reset(len(s.links))
 	for _, r := range s.ranks {
@@ -94,8 +133,13 @@ func (s *Simulation) runOpRound(op haloOp, k halo.RoundKey) {
 				continue
 			}
 			m := b.add(l.msg(op.rev, op.known))
-			if op.direct {
+			switch {
+			case op.direct:
 				m.Region, m.DstOff = s.xRegion[m.Dst], l.recvStart*posBytes
+			case inbox:
+				ib := &l.side(op.rev).inbox
+				m.reg = ib.Ensure(s.uts, m.Dst, op.size(l), s.Var.Preregistered)
+				m.Region = ib.Region
 			}
 		}
 	}
@@ -108,32 +152,37 @@ func (s *Simulation) runOpRound(op haloOp, k halo.RoundKey) {
 		}
 		r.Clock += s.M.Cost.PackTime(units.Bytes(bytes), packTh)
 	})
-	inbox := !op.direct && s.Var.Transport == halo.TransportUTofu
 	for _, m := range b.msgs {
-		if inbox {
-			ib := &m.link.side(op.rev).inbox
-			s.ensureInbox(s.ranks[m.Dst], ib, len(m.Data))
-			m.Region = ib.Region
-		}
-		// Stamped after ensureInbox: a registration on a self-link (the
-		// rank's own periodic image) delays its own send.
+		// Charged after packing and before the stamp: a registration on a
+		// self-link (the rank's own periodic image) delays its own send.
+		s.chargeRegistration(s.ranks[m.Dst], m.reg)
 		m.ReadyAt = s.ranks[m.Src].Clock
 	}
-	s.eng.RunRound(s.Var.Transport, b.wire)
+	n := 0
+	if !op.direct || then != nil {
+		n = len(s.ranks)
+	}
+	s.pool.ForEachBeside(n, func(id int) {
+		r := s.ranks[id]
+		if !op.direct {
+			r.unpacked = 0
+			for _, m := range b.byDst[id] {
+				op.unpack(r, m.link, m.Data)
+				r.unpacked += len(m.Data)
+			}
+		}
+		if then != nil {
+			then(r)
+		}
+	}, func() { s.eng.RunRound(s.Var.Transport, b.wire) })
 	if op.direct {
 		return
 	}
-	s.forRanks(func(id int) {
-		r := s.ranks[id]
-		bytes := 0
-		for _, m := range b.byDst[id] {
-			op.unpack(r, m.link, m.Data)
-			bytes += len(m.Data)
+	for _, r := range s.ranks {
+		if r.unpacked > 0 || !op.unpackIfAny {
+			r.Clock += s.M.Cost.UnpackTime(units.Bytes(r.unpacked), packTh)
 		}
-		if bytes > 0 || !op.unpackIfAny {
-			r.Clock += s.M.Cost.UnpackTime(units.Bytes(bytes), packTh)
-		}
-	})
+	}
 }
 
 // --- the five operations -----------------------------------------------
@@ -142,6 +191,7 @@ func (s *Simulation) runOpRound(op haloOp, k halo.RoundKey) {
 // append them as ghosts and record the recv_ptr range. Lengths are not yet
 // known to the receiver.
 var borderOp = haloOp{
+	recBytes: borderBytes,
 	pack: func(r *Rank, l *link, dst []byte) []byte {
 		return encodeBorder(dst, r.Atoms.ID, r.Atoms.Type, r.Atoms.X, l.sendList, l.shift)
 	},
@@ -161,7 +211,7 @@ var borderOp = haloOp{
 // otherwise.
 func forwardOp(direct bool) haloOp {
 	return haloOp{
-		known: true, direct: direct, unpackIfAny: true,
+		known: true, direct: direct, unpackIfAny: true, recBytes: posBytes,
 		pack: func(r *Rank, l *link, dst []byte) []byte {
 			return encodePositions(dst, r.Atoms.X, l.sendList, l.shift)
 		},
@@ -172,12 +222,13 @@ func forwardOp(direct bool) haloOp {
 }
 
 // reverseOp returns ghost forces to their owners (Newton's 3rd law): each
-// ghost holder sends the force range of its ghosts straight from its force
-// array, which is contiguous there (the put's source is F itself, as
-// section 3.4 registers it), and the owner accumulates into the send-list
-// atoms.
+// ghost holder's force range of its ghosts is contiguous in its force
+// array, so it needs no packing. Under uTofu the holder copies it from F
+// straight into the owner's inbox inside the pack region, and the round
+// finds it landed; under MPI the owner reads the holder's F itself. The
+// owner accumulates into the send-list atoms.
 var reverseOp = haloOp{
-	rev: true, known: true,
+	rev: true, known: true, recBytes: posBytes,
 	view: func(r *Rank, l *link) []byte {
 		return halo.V3Bytes(r.Atoms.F[l.recvStart : l.recvStart+l.recvCount])
 	},
@@ -189,7 +240,7 @@ var reverseOp = haloOp{
 // scalarReverseOp sends ghost scalar contributions (EAM densities) home.
 func scalarReverseOp(arr func(*Rank) []float64) haloOp {
 	return haloOp{
-		rev: true, known: true,
+		rev: true, known: true, recBytes: halo.F64Bytes,
 		pack: func(r *Rank, l *link, dst []byte) []byte {
 			return halo.EncodeScalars(dst, arr(r), l.recvStart, l.recvCount)
 		},
@@ -204,7 +255,7 @@ func scalarReverseOp(arr func(*Rank) []float64) haloOp {
 // is pre-registered for direct writes.
 func scalarForwardOp(arr func(*Rank) []float64) haloOp {
 	return haloOp{
-		known: true,
+		known: true, recBytes: halo.F64Bytes,
 		pack: func(r *Rank, l *link, dst []byte) []byte {
 			return encodeScalars(dst, arr(r), l.sendList)
 		},
@@ -213,12 +264,6 @@ func scalarForwardOp(arr func(*Rank) []float64) haloOp {
 		},
 	}
 }
-
-// doForward is the forward stage of an ordinary step.
-func (s *Simulation) doForward() { s.runOp(forwardOp(s.Var.Preregistered)) }
-
-// doReverse is the reverse stage of a Newton-on step.
-func (s *Simulation) doReverse() { s.runOp(reverseOp) }
 
 // --- border stage -----------------------------------------------------
 
@@ -243,7 +288,7 @@ func (s *Simulation) doBorder() {
 		if s.Var.Pattern == halo.ThreeStage {
 			s.build3StageSendLists(k)
 		}
-		s.runOpRound(borderOp, k)
+		s.runOpRound(borderOp, k, nil)
 	}
 	if s.Var.Preregistered {
 		// The exchange and the ghosts appended above only move X if it
@@ -443,7 +488,10 @@ func (s *Simulation) buildNeighborLists() {
 	mode := s.neighborMode()
 	s.forRanks(func(id int) {
 		r := s.ranks[id]
-		r.NL = neighbor.Build(r.Atoms, s.ghCut, mode)
+		if r.NL == nil {
+			r.NL = new(neighbor.List)
+		}
+		r.NL.Rebuild(r.Atoms, s.ghCut, mode)
 		r.XHold = append(r.XHold[:0], r.Atoms.X[:r.Atoms.NLocal]...)
 		r.Clock += s.M.Cost.NeighTime(r.Atoms.Total(), r.NL.Candidates, s.Var.ComputeThreading)
 	})
@@ -454,55 +502,73 @@ func (s *Simulation) buildNeighborLists() {
 // exchanges when applicable. Per-rank energy and virial contributions are
 // stored for the thermo output.
 func (s *Simulation) computeForces() {
-	th := s.Var.ComputeThreading
+	s.forRanks(func(id int) { s.firstForcePass(s.ranks[id]) })
+	s.finishForces()
+}
+
+// firstForcePass runs rank r's first force pass: the whole pair kernel, or
+// the EAM density accumulation. It needs only r's atoms and list, so an
+// ordinary step runs it beside the forward round's timing; it charges no
+// clock and leaves the pass's interaction count in r.pairs for
+// finishForces.
+func (s *Simulation) firstForcePass(r *Rank) {
+	r.Atoms.ZeroForces()
 	if mb, ok := s.Cfg.Potential.(potential.ManyBody); ok {
-		s.forRanks(func(id int) {
-			r := s.ranks[id]
-			r.Atoms.ZeroForces()
-			r.Atoms.ZeroRho()
-			n := mb.AccumulateRho(r.Atoms, r.NL)
-			r.Clock += s.M.Cost.EAMPassTime(n, th)
-		})
-		// Interior atoms (never shipped as ghosts) have complete densities
-		// before the exchange; with OverlapEAM their embedding evaluation
-		// hides behind the reverse-scalar round (section 3.1's overlap).
-		var preComm []float64
-		if s.Var.OverlapEAM {
-			preComm = s.snapshotClocks()
-		}
-		s.runOp(scalarReverseOp(func(r *Rank) []float64 { return r.Atoms.Rho }))
-		s.forRanks(func(id int) {
-			r := s.ranks[id]
-			embed := mb.FinishRho(r.Atoms)
-			r.peLocal = embed
-			if s.Var.OverlapEAM {
-				boundary := r.boundaryLocalCount()
-				interior := r.Atoms.NLocal - boundary
-				overlapped := preComm[id] + s.M.Cost.EAMEmbedTime(interior, th)
-				if overlapped > r.Clock {
-					r.Clock = overlapped
-				}
-				r.Clock += s.M.Cost.EAMEmbedTime(boundary, th)
-			} else {
-				r.Clock += s.M.Cost.EAMEmbedTime(r.Atoms.NLocal, th)
-			}
-		})
-		s.runOp(scalarForwardOp(func(r *Rank) []float64 { return r.Atoms.Fp }))
-		s.forRanks(func(id int) {
-			r := s.ranks[id]
-			res := mb.ComputeForce(r.Atoms, r.NL)
-			r.peLocal += res.PotentialEnergy
-			r.virLocal = res.Virial
-			r.Clock += s.M.Cost.EAMPassTime(res.Interactions, th)
-		})
+		r.Atoms.ZeroRho()
+		r.pairs = mb.AccumulateRho(r.Atoms, r.NL)
 		return
 	}
+	res := s.Cfg.Potential.Compute(r.Atoms, r.NL)
+	r.peLocal = res.PotentialEnergy
+	r.virLocal = res.Virial
+	r.pairs = res.Interactions
+}
+
+// finishForces charges every rank's first force pass and, for EAM, runs
+// the rest: the density exchange, the embedding, the derivative exchange
+// and the force pass.
+func (s *Simulation) finishForces() {
+	th := s.Var.ComputeThreading
+	mb, ok := s.Cfg.Potential.(potential.ManyBody)
+	if !ok {
+		for _, r := range s.ranks {
+			r.Clock += s.M.Cost.PairTime(r.pairs, th)
+		}
+		return
+	}
+	for _, r := range s.ranks {
+		r.Clock += s.M.Cost.EAMPassTime(r.pairs, th)
+	}
+	// Interior atoms (never shipped as ghosts) have complete densities
+	// before the exchange; with OverlapEAM their embedding evaluation
+	// hides behind the reverse-scalar round (section 3.1's overlap).
+	var preComm []float64
+	if s.Var.OverlapEAM {
+		preComm = s.snapshotClocks()
+	}
+	s.runOp(scalarReverseOp(func(r *Rank) []float64 { return r.Atoms.Rho }), nil)
 	s.forRanks(func(id int) {
 		r := s.ranks[id]
-		r.Atoms.ZeroForces()
-		res := s.Cfg.Potential.Compute(r.Atoms, r.NL)
-		r.peLocal = res.PotentialEnergy
+		embed := mb.FinishRho(r.Atoms)
+		r.peLocal = embed
+		if s.Var.OverlapEAM {
+			boundary := r.boundaryLocalCount()
+			interior := r.Atoms.NLocal - boundary
+			overlapped := preComm[id] + s.M.Cost.EAMEmbedTime(interior, th)
+			if overlapped > r.Clock {
+				r.Clock = overlapped
+			}
+			r.Clock += s.M.Cost.EAMEmbedTime(boundary, th)
+		} else {
+			r.Clock += s.M.Cost.EAMEmbedTime(r.Atoms.NLocal, th)
+		}
+	})
+	s.runOp(scalarForwardOp(func(r *Rank) []float64 { return r.Atoms.Fp }), nil)
+	s.forRanks(func(id int) {
+		r := s.ranks[id]
+		res := mb.ComputeForce(r.Atoms, r.NL)
+		r.peLocal += res.PotentialEnergy
 		r.virLocal = res.Virial
-		r.Clock += s.M.Cost.PairTime(res.Interactions, th)
+		r.Clock += s.M.Cost.EAMPassTime(res.Interactions, th)
 	})
 }

@@ -40,26 +40,39 @@ func (s *Simulation) Step() {
 			rebuild = true
 		}
 	}
+	// The work that follows a halo operation and needs only its bytes runs
+	// beside the operation's last round: the first force pass beside the
+	// forward round, final integration beside the reverse round. Their
+	// clock charges stay in their own stages.
 	if rebuild {
 		s.stage(trace.Comm, "exchange", s.doExchange)
 		s.stage(trace.Comm, "border", s.doBorder)
 		s.stage(trace.Neigh, "neigh", s.buildNeighborLists)
 	} else {
-		s.stage(trace.Comm, "forward", s.doForward)
+		s.stage(trace.Comm, "forward", func() {
+			s.runOp(forwardOp(s.Var.Preregistered), s.firstForcePass)
+		})
 	}
 
-	s.stage(trace.Pair, "pair", s.computeForces)
+	s.stage(trace.Pair, "pair", func() {
+		if rebuild {
+			s.forRanks(func(id int) { s.firstForcePass(s.ranks[id]) })
+		}
+		s.finishForces()
+	})
 
+	integrate := func(r *Rank) { s.nve.FinalIntegrate(r.Atoms) }
 	if s.Cfg.NewtonOn {
-		s.stage(trace.Comm, "reverse", s.doReverse)
+		s.stage(trace.Comm, "reverse", func() { s.runOp(reverseOp, integrate) })
 	}
 
 	s.stage(trace.Modify, "integrate2", func() {
-		s.forRanks(func(id int) {
-			r := s.ranks[id]
-			s.nve.FinalIntegrate(r.Atoms)
+		if !s.Cfg.NewtonOn {
+			s.forRanks(func(id int) { integrate(s.ranks[id]) })
+		}
+		for _, r := range s.ranks {
 			r.Clock += s.M.Cost.IntegrateTime(r.Atoms.NLocal, s.Var.ComputeThreading)
-		})
+		}
 	})
 
 	if s.Cfg.RescaleEvery > 0 && s.step%s.Cfg.RescaleEvery == 0 {

@@ -6,8 +6,10 @@
 //
 // The host parallel-for is ForEach: a region is the caller plus
 // min(workers, n)-1 helper goroutines started for it, all taking indices
-// from one shared atomic counter until none are left. Nothing spins and
-// nothing outlives the region, so a Pool holds no goroutine between
+// from one shared atomic counter until none are left. ForEachBeside is the
+// same region with one serial task beside it: the caller runs that task
+// while the helpers start on the indices, then joins them. Nothing spins
+// and nothing outlives the region, so a Pool holds no goroutine between
 // regions. The modeled per-region overheads that charge virtual time for
 // OpenMP-style vs pool-style regions are the paper's figures, not readings
 // of the host region; they belong to the A64FX cost model
@@ -38,29 +40,79 @@ import (
 	"tofumd/internal/metrics"
 )
 
-// region is one ForEach call's shared state: the indices left to hand out
-// and the workers still running.
+// region is one parallel-for call's shared state: the indices left to hand
+// out, the helpers still running and the first panic a helper raised.
 type region struct {
-	fn   func(i int)
-	n    int
-	next atomic.Int64
-	done sync.WaitGroup
+	fn     func(i int)
+	n      int
+	next   atomic.Int64
+	done   sync.WaitGroup
+	failed sync.Once
+	panic  any
 }
 
-// work runs fn on indices taken one at a time from the shared counter, so
+// claim runs fn on indices taken one at a time from the shared counter, so
 // uneven tasks balance themselves, until the counter passes n.
-func (r *region) work() {
+func (r *region) claim() {
 	for i := int(r.next.Add(1)) - 1; i < r.n; i = int(r.next.Add(1)) - 1 {
 		r.fn(i)
 	}
-	r.done.Done()
+}
+
+// stop hands out no further index; calls already claimed run to the end.
+func (r *region) stop() { r.next.Store(int64(r.n)) }
+
+// help is a helper goroutine's share of the region. A panic in fn stops the
+// region and is kept for the caller to raise, since a panic on a helper
+// would otherwise end the process wherever the region was called from.
+func (r *region) help() {
+	defer r.done.Done()
+	defer func() {
+		if v := recover(); v != nil {
+			r.stop()
+			r.failed.Do(func() { r.panic = v })
+		}
+	}()
+	r.claim()
+}
+
+// run starts helpers goroutines on the region, runs side (if not nil) and
+// then its own share of the indices on the caller, and joins the helpers.
+func (r *region) run(helpers int, side func()) {
+	r.done.Add(helpers)
+	// One method value for every helper: `go r.help()` would allocate a
+	// wrapper per goroutine.
+	help := r.help
+	for range helpers {
+		go help()
+	}
+	defer r.join()
+	if side != nil {
+		side()
+	}
+	r.claim()
+}
+
+// join waits for every helper to stop and raises a helper's panic on the
+// caller. Deferred, it also runs when side or fn panics on the caller: it
+// stops the region first, so the helpers finish the calls they hold and
+// take no more.
+func (r *region) join() {
+	r.stop()
+	r.done.Wait()
+	if r.panic != nil {
+		panic(r.panic)
+	}
 }
 
 // ForEach runs fn(i) for every i in [0, n) on min(workers, n) goroutines,
 // the caller among them, and returns when all calls have. With one worker
 // (or fewer) it starts no goroutine. The calls of one region run
 // concurrently, so fn must not share unsynchronized state across indices.
-// A task may itself call ForEach: each region starts its own helpers.
+// A task may itself call ForEach: each region starts its own helpers. A
+// panic in fn, on whichever goroutine, stops the region from handing out
+// further indices and is raised on the caller once every call in flight
+// has returned.
 func ForEach(workers, n int, fn func(i int)) {
 	workers = min(workers, n)
 	if workers <= 1 {
@@ -70,19 +122,32 @@ func ForEach(workers, n int, fn func(i int)) {
 		return
 	}
 	r := &region{fn: fn, n: n}
-	r.done.Add(workers)
-	// One method value for every helper: `go r.work()` would allocate a
-	// wrapper per goroutine.
-	work := r.work
-	for w := 1; w < workers; w++ {
-		go work()
+	r.run(workers-1, nil)
+}
+
+// ForEachBeside runs side on the calling goroutine and fn(i) for every i in
+// [0, n) on the others of workers goroutines, min(workers-1, n) helpers
+// started for the region; when side returns, the caller joins the helpers
+// in taking indices, and the call returns when every fn call and side have.
+// side and fn run concurrently, so they must share no unsynchronized state.
+// With one worker (or fewer) it starts no goroutine: side runs, then every
+// fn call, on the caller. Panics surface as ForEach's do.
+func ForEachBeside(workers, n int, fn func(i int), side func()) {
+	helpers := min(workers-1, n)
+	if helpers <= 0 {
+		side()
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
 	}
-	r.work()
-	r.done.Wait()
+	r := &region{fn: fn, n: n}
+	r.run(helpers, side)
 }
 
 // Pool is a worker count and the metrics of the regions run at it; its
-// regions are ForEach calls. It holds no goroutine. The zero value is not
+// regions are package ForEach and ForEachBeside calls. It holds no
+// goroutine. The zero value is not
 // usable; call New.
 type Pool struct {
 	workers int
@@ -102,9 +167,9 @@ type poolMetrics struct {
 }
 
 // SetMetrics enables (or, with a nil registry, disables) metric collection.
-// When on, every ForEach/ForEachChunked region observes its wall-clock
-// dispatch+join latency (the quantity the paper's 5.8us-vs-1.1us
-// microbenchmark measures) and counts tasks executed.
+// When on, every ForEach, ForEachBeside and ForEachChunked region observes
+// its wall-clock dispatch+join latency (the quantity the paper's
+// 5.8us-vs-1.1us microbenchmark measures) and counts tasks executed.
 func (p *Pool) SetMetrics(reg *metrics.Registry) {
 	if !reg.Enabled() {
 		p.met = nil
@@ -159,6 +224,24 @@ func (p *Pool) ForEach(n int, fn func(i int)) {
 		defer p.observeRegion(n, start)
 	}
 	ForEach(p.workers, n, fn)
+}
+
+// ForEachBeside runs side on the calling goroutine while the pool's other
+// workers run fn(i) for every i in [0, n), then joins them (package
+// ForEachBeside), and blocks until all complete. A region of n > 0 tasks
+// counts as one region in the pool's metrics; with n <= 0 it only runs
+// side.
+func (p *Pool) ForEachBeside(n int, fn func(i int), side func()) {
+	p.mustBeOpen("ForEachBeside")
+	if n <= 0 {
+		side()
+		return
+	}
+	if p.met != nil {
+		start := time.Now() //tofuvet:allow wallclock host dispatch-latency metric
+		defer p.observeRegion(n, start)
+	}
+	ForEachBeside(p.workers, n, fn, side)
 }
 
 // ForEachChunked runs fn over [0, n) in at most Workers contiguous chunks,

@@ -1,6 +1,7 @@
 package threadpool
 
 import (
+	"fmt"
 	"runtime"
 	"strconv"
 	"strings"
@@ -213,6 +214,119 @@ func TestPoolHoldsNoGoroutines(t *testing.T) {
 			t.Errorf("New(1): %d goroutines during index %d, baseline %d", got, i, base)
 		}
 	})
+}
+
+// goid returns the calling goroutine's id, read from its stack header.
+func goid() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	id, _, _ := strings.Cut(strings.TrimPrefix(string(buf), "goroutine "), " ")
+	return id
+}
+
+// TestForEachBeside: at every worker count and for n of 0, 1, fewer than
+// the workers and more, side runs exactly once, on the calling goroutine,
+// and every index runs exactly once. With a helper to spare, fn runs while
+// side is still running: side waits for a call to start before returning.
+func TestForEachBeside(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		p := New(workers)
+		for _, n := range []int{0, 1, workers - 1, workers + 1, 50} {
+			caller := goid()
+			hits := make([]atomic.Int32, n)
+			started := make(chan struct{}, n)
+			sides, sideOn, beside := 0, "", false
+			p.ForEachBeside(n, func(i int) {
+				hits[i].Add(1)
+				started <- struct{}{}
+			}, func() {
+				sides++
+				sideOn = goid()
+				if workers > 1 && n > 0 {
+					select {
+					case <-started:
+						beside = true
+					case <-time.After(10 * time.Second):
+					}
+				}
+			})
+			if sides != 1 || sideOn != caller {
+				t.Errorf("workers=%d n=%d: side ran %d times, on goroutine %s; want once, on the caller %s",
+					workers, n, sides, sideOn, caller)
+			}
+			for i := range hits {
+				if got := hits[i].Load(); got != 1 {
+					t.Errorf("workers=%d n=%d: index %d ran %d times", workers, n, i, got)
+				}
+			}
+			if workers > 1 && n > 0 && !beside {
+				t.Errorf("workers=%d n=%d: no fn call started while side ran", workers, n)
+			}
+		}
+		p.Close()
+	}
+}
+
+// TestRegionPanicsSurfaceOnCaller: a panic in fn (on whichever goroutine
+// runs the index) or in side is raised on the caller of ForEach or
+// ForEachBeside, with its own value, once no call of the region is still
+// running, and leaves no goroutine behind.
+func TestRegionPanicsSurfaceOnCaller(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for _, workers := range []int{1, 2, 4} {
+		p := New(workers)
+		for _, n := range []int{1, workers, 40} {
+			for _, where := range []string{"first", "last", "side"} {
+				label := fmt.Sprintf("workers=%d n=%d %s", workers, n, where)
+				var active atomic.Int32
+				bad := n - 1
+				if where == "first" {
+					bad = 0
+				}
+				fn := func(i int) {
+					active.Add(1)
+					defer active.Add(-1)
+					time.Sleep(50 * time.Microsecond)
+					if where != "side" && i == bad {
+						panic(label)
+					}
+				}
+				side := func() {
+					if where == "side" {
+						panic(label)
+					}
+				}
+				for _, beside := range []bool{false, true} {
+					if !beside && where == "side" {
+						continue
+					}
+					name := "ForEach"
+					if beside {
+						name = "ForEachBeside"
+					}
+					func() {
+						defer func() {
+							if got := recover(); got != label {
+								t.Errorf("%s %s: recovered %v, want %q", name, label, got, label)
+							}
+							if a := active.Load(); a != 0 {
+								t.Errorf("%s %s: %d calls still running when the panic surfaced", name, label, a)
+							}
+						}()
+						if beside {
+							p.ForEachBeside(n, fn, side)
+						} else {
+							p.ForEach(n, fn)
+						}
+					}()
+				}
+			}
+		}
+		p.Close()
+	}
+	if got := waitGoroutines(base); got > base {
+		t.Errorf("after the panicking regions: %d goroutines, baseline %d", got, base)
+	}
 }
 
 func BenchmarkForEach(b *testing.B) {

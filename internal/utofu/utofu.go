@@ -440,10 +440,10 @@ func (s *System) recordRound(kind string, transfers []*tofu.Transfer) {
 // Buf[DstOff:DstOff+len(Src)]) is the contract for senders that pack
 // straight into the receiver's registered memory: it is timed, counted and
 // reported exactly like a put of a separate buffer of the same size, and
-// its delivery copy finds the bytes already in place (a compiled copy
-// skips the memmove outright when both slices start at the same address). Such a sender has
-// written the region before the round, so "untouched" then means the round
-// itself wrote nothing; recovering a failed put is the caller's, as ever.
+// its delivery writes nothing (Deliver), so the round may run while other
+// goroutines read the region. Such a sender has written the region before
+// the round, so "untouched" then means the round itself wrote nothing;
+// recovering a failed put is the caller's, as ever.
 func (s *System) ExecuteRound(puts []*Put) error {
 	if len(puts) == 0 {
 		return nil
@@ -485,7 +485,7 @@ func (s *System) ExecuteRound(puts []*Put) error {
 			s.met.putFailures.Inc()
 			return
 		}
-		copy(p.dst.Buf[p.DstOff:], p.Src)
+		Deliver(p.dst.Buf[p.DstOff:], p.Src)
 		p.IssueDone = tr.IssueDone
 		p.Arrival = tr.Arrival
 		p.RecvComplete = tr.RecvComplete
@@ -499,4 +499,15 @@ func (s *System) ExecuteRound(puts []*Put) error {
 		return fmt.Errorf("utofu: put round: %w", err)
 	}
 	return nil
+}
+
+// Deliver copies src to the front of dst, unless src already starts at
+// dst's first byte: then its bytes are dst's and Deliver writes nothing. A
+// copy of bytes onto themselves changes nothing, but it is still a write,
+// one the race detector reports against any concurrent reader of dst.
+func Deliver(dst, src []byte) {
+	if len(src) == 0 || &dst[0] == &src[0] {
+		return
+	}
+	copy(dst, src)
 }

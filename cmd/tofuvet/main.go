@@ -1,7 +1,7 @@
 // Command tofuvet is the repo's custom static-analysis suite: the
-// analyzers that mechanically enforce the determinism, nil-safety,
-// spin-lock and concurrency-contract invariants the reproduction rests on
-// (see DESIGN.md for the analyzer-to-invariant map).
+// analyzers that mechanically enforce the determinism, nil-safety and
+// concurrency-contract invariants the reproduction rests on (see DESIGN.md
+// for the analyzer-to-invariant map).
 //
 // It runs two ways:
 //

@@ -11,7 +11,6 @@ func All() []*Analyzer {
 		Guarded,
 		MapIter,
 		NilSafe,
-		SpinLock,
 		UnitArg,
 	}
 }

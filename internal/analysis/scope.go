@@ -35,10 +35,6 @@ var scopes = map[string][]string{
 		"tofumd/internal/bench",
 		"tofumd/internal/obs",
 	},
-	// The host thread pool (paper section 3.3 spins for its 1.1us
-	// dispatch): a loop there that spins on atomics must not block. The
-	// host region itself does not spin, so no loop is in reach today.
-	"spinlock": {"tofumd/internal/threadpool"},
 	// The packages of the halo-exchange path, where a blank assignment
 	// silencing "declared and not used" has twice hidden a real defect: the
 	// dead `grid` in the MD simulation's rank constructor and the orphaned

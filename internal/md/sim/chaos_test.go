@@ -300,7 +300,7 @@ func TestForwardLandsInPositionArray(t *testing.T) {
 		r.Atoms.X = x
 	}
 	s.doExchange()
-	s.doBorder()
+	s.doBorder(nil)
 	for _, r := range s.Ranks() {
 		view := halo.V3s(s.xRegion[r.ID].Buf)
 		if len(view) != r.maxAtomsEstimate || &view[0] != &r.Atoms.X[:1][0] {

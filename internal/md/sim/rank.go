@@ -100,7 +100,7 @@ type Rank struct {
 	// current step.
 	peLocal  float64
 	virLocal float64
-	// pairs is the interaction count of the step's first force pass, and
+	// pairs is the interaction count of the rank's latest force pass, and
 	// unpacked the bytes the rank unpacked in the latest halo round: work
 	// done beside a round, charged to the clock after it.
 	pairs    int

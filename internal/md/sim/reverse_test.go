@@ -85,8 +85,10 @@ func TestReverseSendsFromForceArray(t *testing.T) {
 				}
 			}
 			for cycle := 0; cycle < 2; cycle++ {
-				got.computeForces()
-				want.computeForces()
+				for _, s := range []*Simulation{got, want} {
+					s.forRanks(func(id int) { s.firstForcePass(s.ranks[id]) })
+					s.finishForces()
+				}
 				got.runOp(reverseOp, nil)
 				want.runOp(stagedReverseOp, nil)
 				overMPI := 0

@@ -706,29 +706,20 @@ func (s *Simulation) setupTransport() error {
 const initialInboxBytes = 1 << 12
 
 // setupRun performs the initial border + neighbor build + force evaluation
-// outside the timed step loop, as LAMMPS's setup() does.
+// outside the timed step loop, as LAMMPS's setup() does: a rebuild step's
+// force sequence, without final integration. No recorder or registry is
+// attached yet, so its stages emit nothing.
 func (s *Simulation) setupRun() {
 	clocks := s.snapshotClocks()
-	s.doExchange()
-	s.doBorder()
-	s.buildNeighborLists()
-	s.computeForces()
-	if s.Cfg.NewtonOn {
-		s.runOp(reverseOp, nil)
-	}
+	s.forceSequence(true, nil)
 	// Setup time is the slowest rank's advance; rewind the breakdown.
 	var maxAdv float64
 	for i, r := range s.ranks {
-		adv := r.Clock - clocks[i]
-		if adv > maxAdv {
-			maxAdv = adv
-		}
-	}
-	s.SetupTime += maxAdv
-	for i, r := range s.ranks {
+		maxAdv = max(maxAdv, r.Clock-clocks[i])
 		r.Clock = clocks[i]
 		*r.BD = trace.Breakdown{}
 	}
+	s.SetupTime += maxAdv
 	if s.Cfg.ThermoEvery >= 0 {
 		s.recordThermo(false)
 	}

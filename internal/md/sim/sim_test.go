@@ -6,6 +6,7 @@ import (
 
 	"tofumd/internal/md/lattice"
 	"tofumd/internal/md/potential"
+	"tofumd/internal/metrics"
 	"tofumd/internal/oracle"
 	"tofumd/internal/trace"
 	"tofumd/internal/units"
@@ -236,5 +237,58 @@ func TestStepAllocationsBounded(t *testing.T) {
 	// Steps 3..13: the next rebuild is at step 20.
 	if avg := testing.AllocsPerRun(10, s.Step); avg > maxStepAllocs {
 		t.Errorf("an ordinary step allocates %.0f times, want at most %d", avg, maxStepAllocs)
+	}
+}
+
+// TestStepRegions pins the host regions one step opens: one for initial
+// integration and two per halo round (the pack, then the round beside the
+// unpacks and the work that follows the operation's last round). A force
+// pass or the neighbor build opening a region of its own shows here. A
+// rebuild step adds the exchange's scan, the border's plan reset and send
+// lists (per round under 3-stage) and its rounds; the optimized p2p pattern
+// has one round per operation and the 3-stage baseline three.
+func TestStepRegions(t *testing.T) {
+	lj := func(*testing.T) Config {
+		cfg := failstopConfig()
+		cfg.ThermoEvery = 0
+		return cfg
+	}
+	for _, tc := range []struct {
+		name    string
+		cfg     func(*testing.T) Config
+		rebuild bool
+		opt     int64
+		ref     int64
+	}{
+		{"lj", lj, false, 5, 13},
+		{"eam", eamConfig, false, 9, 25},
+		{"lj-rebuild", lj, true, 8, 21},
+		{"eam-rebuild", eamConfig, true, 12, 33},
+	} {
+		for _, v := range []Variant{Opt(), Ref()} {
+			t.Run(tc.name+"/"+v.Name, func(t *testing.T) {
+				cfg := tc.cfg(t)
+				if tc.rebuild {
+					cfg.NeighEvery, cfg.CheckYes = 1, false
+				} else if cfg.NeighEvery == 1 {
+					t.Fatal("an ordinary step needs NeighEvery > 1")
+				}
+				s := newSim(t, v, cfg)
+				reg := metrics.New()
+				s.SetMetrics(reg)
+				rebuilds := s.Rebuilds
+				s.Step()
+				if rebuilt := s.Rebuilds > rebuilds; rebuilt != tc.rebuild {
+					t.Fatalf("step rebuilt the lists: %v, want %v", rebuilt, tc.rebuild)
+				}
+				want := tc.opt
+				if v.Name == "ref" {
+					want = tc.ref
+				}
+				if got := reg.Counter("pool_regions", "dispatched").Value(); got != want {
+					t.Errorf("one step opened %d host regions, want %d", got, want)
+				}
+			})
+		}
 	}
 }

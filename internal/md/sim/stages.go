@@ -91,24 +91,17 @@ func (op haloOp) payload(r *Rank, m *rmsg) []byte {
 // runOp executes the operation over every round of the variant's pattern.
 // then, if not nil, is the rank-local work that needs only the operation's
 // bytes: it runs on every rank once the rank has unpacked the last round,
-// beside that round's timing, and charges no clock (its caller's next
-// stage does).
+// beside that round's timing, and charges no clock (its caller does, after
+// the join).
 func (s *Simulation) runOp(op haloOp, then func(r *Rank)) {
-	last := len(s.plan.Rounds) - 1
-	for i, k := range s.plan.Rounds {
-		if op.rev {
-			k = s.plan.Rounds[last-i]
-		}
-		if i < last {
-			s.runOpRound(op, k, nil)
-		} else {
-			s.runOpRound(op, k, then)
-		}
+	for i := range s.plan.Rounds {
+		s.runOpRound(op, i, then)
 	}
 }
 
-// runOpRound runs round k of the operation in two parts: landing its
-// bytes, then timing it beside the work that needs only them.
+// runOpRound runs the operation's i-th round, the plan's i-th (counted
+// from the end when rev), in two parts: landing its bytes, then timing it
+// beside the work that needs only them; then runs only on the last round.
 //
 // A serial pass builds the round's messages in rank and link order and
 // aims every uTofu message before anything is packed: a direct op's at the
@@ -122,7 +115,15 @@ func (s *Simulation) runOp(op haloOp, then func(r *Rank)) {
 // round writes no payload byte and the workers touch no clock, so the
 // unpack charges follow the round exactly as they did when the unpack ran
 // after it.
-func (s *Simulation) runOpRound(op haloOp, k halo.RoundKey, then func(r *Rank)) {
+func (s *Simulation) runOpRound(op haloOp, i int, then func(r *Rank)) {
+	last := len(s.plan.Rounds) - 1
+	k := s.plan.Rounds[i]
+	if op.rev {
+		k = s.plan.Rounds[last-i]
+	}
+	if i < last {
+		then = nil
+	}
 	packTh := s.Var.PackThreading()
 	inbox := !op.direct && s.Var.Transport == halo.TransportUTofu
 	b := s.batch
@@ -269,9 +270,10 @@ func scalarForwardOp(arr func(*Rank) []float64) haloOp {
 
 // doBorder rebuilds the ghost regions: send lists are derived from the
 // sub-box geometry, atoms are shipped, and receivers append ghosts and
-// record the recv_ptr offsets. Under the pre-registered scheme the offsets
-// are piggybacked back to the senders (section 3.4).
-func (s *Simulation) doBorder() {
+// record the recv_ptr offsets; then runs on every rank beside the last
+// round, once its ghosts are complete. Under the pre-registered scheme the
+// offsets are piggybacked back to the senders (section 3.4).
+func (s *Simulation) doBorder(then func(r *Rank)) {
 	// A fresh plan re-arms transiently degraded neighbor links; health
 	// quarantine is sticky and survives the rebuild (only ProbeHealth
 	// re-arms a quarantined link or TNI).
@@ -284,11 +286,11 @@ func (s *Simulation) doBorder() {
 	if s.Var.Pattern == halo.P2P {
 		s.buildP2PSendLists()
 	}
-	for _, k := range s.plan.Rounds {
+	for i, k := range s.plan.Rounds {
 		if s.Var.Pattern == halo.ThreeStage {
 			s.build3StageSendLists(k)
 		}
-		s.runOpRound(borderOp, k, nil)
+		s.runOpRound(borderOp, i, then)
 	}
 	if s.Var.Preregistered {
 		// The exchange and the ghosts appended above only move X if it
@@ -483,34 +485,22 @@ func (s *Simulation) neighborMode() neighbor.Mode {
 	return neighbor.HalfNewton
 }
 
-// buildNeighborLists rebuilds every rank's list and records hold positions.
-func (s *Simulation) buildNeighborLists() {
-	mode := s.neighborMode()
-	s.forRanks(func(id int) {
-		r := s.ranks[id]
-		if r.NL == nil {
-			r.NL = new(neighbor.List)
-		}
-		r.NL.Rebuild(r.Atoms, s.ghCut, mode)
-		r.XHold = append(r.XHold[:0], r.Atoms.X[:r.Atoms.NLocal]...)
-		r.Clock += s.M.Cost.NeighTime(r.Atoms.Total(), r.NL.Candidates, s.Var.ComputeThreading)
-	})
-	s.Rebuilds++
-}
-
-// computeForces evaluates the potential, including the EAM mid-pair
-// exchanges when applicable. Per-rank energy and virial contributions are
-// stored for the thermo output.
-func (s *Simulation) computeForces() {
-	s.forRanks(func(id int) { s.firstForcePass(s.ranks[id]) })
-	s.finishForces()
+// buildNeighborList rebuilds rank r's list and records its hold
+// positions. It needs only r's atoms, so a rebuild runs it beside the
+// border's last round; it charges no clock (the neigh stage does).
+func (s *Simulation) buildNeighborList(r *Rank) {
+	if r.NL == nil {
+		r.NL = new(neighbor.List)
+	}
+	r.NL.Rebuild(r.Atoms, s.ghCut, s.neighborMode())
+	r.XHold = append(r.XHold[:0], r.Atoms.X[:r.Atoms.NLocal]...)
 }
 
 // firstForcePass runs rank r's first force pass: the whole pair kernel, or
-// the EAM density accumulation. It needs only r's atoms and list, so an
-// ordinary step runs it beside the forward round's timing; it charges no
-// clock and leaves the pass's interaction count in r.pairs for
-// finishForces.
+// the EAM density accumulation. It needs only r's atoms and list, so it
+// runs beside the round that completes r's ghosts (forward, or border on a
+// rebuild); it charges no clock and leaves the pass's interaction count in
+// r.pairs for finishForces.
 func (s *Simulation) firstForcePass(r *Rank) {
 	r.Atoms.ZeroForces()
 	if mb, ok := s.Cfg.Potential.(potential.ManyBody); ok {
@@ -525,8 +515,8 @@ func (s *Simulation) firstForcePass(r *Rank) {
 }
 
 // finishForces charges every rank's first force pass and, for EAM, runs
-// the rest: the density exchange, the embedding, the derivative exchange
-// and the force pass.
+// the rest: the density exchange with the embedding beside its last round,
+// then the derivative exchange with the force pass beside its last round.
 func (s *Simulation) finishForces() {
 	th := s.Var.ComputeThreading
 	mb, ok := s.Cfg.Potential.(potential.ManyBody)
@@ -536,9 +526,12 @@ func (s *Simulation) finishForces() {
 		}
 		return
 	}
-	for _, r := range s.ranks {
-		r.Clock += s.M.Cost.EAMPassTime(r.pairs, th)
+	chargePass := func() {
+		for _, r := range s.ranks {
+			r.Clock += s.M.Cost.EAMPassTime(r.pairs, th)
+		}
 	}
+	chargePass()
 	// Interior atoms (never shipped as ghosts) have complete densities
 	// before the exchange; with OverlapEAM their embedding evaluation
 	// hides behind the reverse-scalar round (section 3.1's overlap).
@@ -546,29 +539,23 @@ func (s *Simulation) finishForces() {
 	if s.Var.OverlapEAM {
 		preComm = s.snapshotClocks()
 	}
-	s.runOp(scalarReverseOp(func(r *Rank) []float64 { return r.Atoms.Rho }), nil)
-	s.forRanks(func(id int) {
-		r := s.ranks[id]
-		embed := mb.FinishRho(r.Atoms)
-		r.peLocal = embed
+	s.runOp(scalarReverseOp(func(r *Rank) []float64 { return r.Atoms.Rho }), func(r *Rank) {
+		r.peLocal = mb.FinishRho(r.Atoms)
+	})
+	for id, r := range s.ranks {
 		if s.Var.OverlapEAM {
 			boundary := r.boundaryLocalCount()
-			interior := r.Atoms.NLocal - boundary
-			overlapped := preComm[id] + s.M.Cost.EAMEmbedTime(interior, th)
-			if overlapped > r.Clock {
-				r.Clock = overlapped
-			}
+			r.Clock = max(r.Clock, preComm[id]+s.M.Cost.EAMEmbedTime(r.Atoms.NLocal-boundary, th))
 			r.Clock += s.M.Cost.EAMEmbedTime(boundary, th)
 		} else {
 			r.Clock += s.M.Cost.EAMEmbedTime(r.Atoms.NLocal, th)
 		}
-	})
-	s.runOp(scalarForwardOp(func(r *Rank) []float64 { return r.Atoms.Fp }), nil)
-	s.forRanks(func(id int) {
-		r := s.ranks[id]
+	}
+	s.runOp(scalarForwardOp(func(r *Rank) []float64 { return r.Atoms.Fp }), func(r *Rank) {
 		res := mb.ComputeForce(r.Atoms, r.NL)
 		r.peLocal += res.PotentialEnergy
 		r.virLocal = res.Virial
-		r.Clock += s.M.Cost.EAMPassTime(res.Interactions, th)
+		r.pairs = res.Interactions
 	})
+	chargePass()
 }

@@ -40,31 +40,9 @@ func (s *Simulation) Step() {
 			rebuild = true
 		}
 	}
-	// The work that follows a halo operation and needs only its bytes runs
-	// beside the operation's last round: the first force pass beside the
-	// forward round, final integration beside the reverse round. Their
-	// clock charges stay in their own stages.
-	if rebuild {
-		s.stage(trace.Comm, "exchange", s.doExchange)
-		s.stage(trace.Comm, "border", s.doBorder)
-		s.stage(trace.Neigh, "neigh", s.buildNeighborLists)
-	} else {
-		s.stage(trace.Comm, "forward", func() {
-			s.runOp(forwardOp(s.Var.Preregistered), s.firstForcePass)
-		})
-	}
-
-	s.stage(trace.Pair, "pair", func() {
-		if rebuild {
-			s.forRanks(func(id int) { s.firstForcePass(s.ranks[id]) })
-		}
-		s.finishForces()
-	})
 
 	integrate := func(r *Rank) { s.nve.FinalIntegrate(r.Atoms) }
-	if s.Cfg.NewtonOn {
-		s.stage(trace.Comm, "reverse", func() { s.runOp(reverseOp, integrate) })
-	}
+	s.forceSequence(rebuild, integrate)
 
 	s.stage(trace.Modify, "integrate2", func() {
 		if !s.Cfg.NewtonOn {
@@ -90,6 +68,41 @@ func (s *Simulation) Step() {
 	}
 }
 
+// forceSequence runs the ghost communication, the force evaluation and,
+// with Newton on, the reverse communication, each in its own stage; a
+// rebuild first migrates atoms and rebuilds the ghosts. Every halo
+// operation carries the rank work that needs only its bytes beside its
+// last round: the neighbor build and first force pass after border (the
+// pass alone after forward), EAM's embedding after the density reverse,
+// its force pass after the derivative forward, and then after reverse.
+// Their clock charges are applied after the join, in the neigh, pair and
+// caller's stages.
+func (s *Simulation) forceSequence(rebuild bool, then func(r *Rank)) {
+	if rebuild {
+		s.stage(trace.Comm, "exchange", s.doExchange)
+		s.stage(trace.Comm, "border", func() {
+			s.doBorder(func(r *Rank) {
+				s.buildNeighborList(r)
+				s.firstForcePass(r)
+			})
+		})
+		s.stage(trace.Neigh, "neigh", func() {
+			for _, r := range s.ranks {
+				r.Clock += s.M.Cost.NeighTime(r.Atoms.Total(), r.NL.Candidates, s.Var.ComputeThreading)
+			}
+			s.Rebuilds++
+		})
+	} else {
+		s.stage(trace.Comm, "forward", func() {
+			s.runOp(forwardOp(s.Var.Preregistered), s.firstForcePass)
+		})
+	}
+	s.stage(trace.Pair, "pair", s.finishForces)
+	if s.Cfg.NewtonOn {
+		s.stage(trace.Comm, "reverse", func() { s.runOp(reverseOp, then) })
+	}
+}
+
 // stage runs fn and attributes every rank's clock advance to st. When a
 // recorder is attached, the advance is also emitted as one named span per
 // rank that moved.
@@ -97,19 +110,17 @@ func (s *Simulation) stage(st trace.Stage, name string, fn func()) {
 	t0 := s.snapshotClocks()
 	fn()
 	for i, r := range s.ranks {
-		r.BD.Add(st, r.Clock-t0[i])
 		if s.rec.Enabled() && r.Clock > t0[i] {
 			s.rec.Span(trace.SpanEvent{
 				Rank: r.ID, Name: name, Stage: st.String(), Step: s.step,
 				Start: t0[i], End: r.Clock,
 			})
 		}
+		// Reuse t0 as the per-rank advance of this invocation.
+		t0[i] = r.Clock - t0[i]
+		r.BD.Add(st, t0[i])
 	}
 	if s.met != nil {
-		// Reuse t0 as the per-rank advance of this invocation.
-		for i, r := range s.ranks {
-			t0[i] = r.Clock - t0[i]
-		}
 		s.met.observeStage(name, st, t0, s.ranks)
 	}
 }

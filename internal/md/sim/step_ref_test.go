@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"tofumd/internal/halo"
+	"tofumd/internal/md/neighbor"
 	"tofumd/internal/md/potential"
 	"tofumd/internal/metrics"
 	"tofumd/internal/trace"
@@ -19,7 +20,9 @@ import (
 // only then unpacks in a region of its own, and the force kernel and the
 // final integration run in their own stages' regions. Renamed with a ref
 // prefix; everything they call that the change left alone (exchange, send
-// lists, the neighbor build, piggybacked offsets, thermo) is shared.
+// lists, piggybacked offsets, thermo) is shared. The neighbor build, since
+// split into a per-rank build beside the border round and a charge, is
+// kept verbatim too (refBuildNeighborLists).
 
 // refStep advances one MD step through the LAMMPS stage sequence: initial
 // integrate (Modify), neighbor check / ghost communication (Other/Comm),
@@ -46,7 +49,7 @@ func (s *Simulation) refStep() {
 	if rebuild {
 		s.stage(trace.Comm, "exchange", s.doExchange)
 		s.stage(trace.Comm, "border", s.refDoBorder)
-		s.stage(trace.Neigh, "neigh", s.buildNeighborLists)
+		s.stage(trace.Neigh, "neigh", s.refBuildNeighborLists)
 	} else {
 		s.stage(trace.Comm, "forward", s.refDoForward)
 	}
@@ -205,6 +208,21 @@ func (s *Simulation) refDoBorder() {
 	}
 }
 
+// refBuildNeighborLists rebuilds every rank's list and records hold positions.
+func (s *Simulation) refBuildNeighborLists() {
+	mode := s.neighborMode()
+	s.forRanks(func(id int) {
+		r := s.ranks[id]
+		if r.NL == nil {
+			r.NL = new(neighbor.List)
+		}
+		r.NL.Rebuild(r.Atoms, s.ghCut, mode)
+		r.XHold = append(r.XHold[:0], r.Atoms.X[:r.Atoms.NLocal]...)
+		r.Clock += s.M.Cost.NeighTime(r.Atoms.Total(), r.NL.Candidates, s.Var.ComputeThreading)
+	})
+	s.Rebuilds++
+}
+
 // refComputeForces evaluates the potential, including the EAM mid-pair
 // exchanges when applicable. Per-rank energy and virial contributions are
 // stored for the thermo output.
@@ -284,8 +302,9 @@ func (s *Simulation) refEnsureInbox(owner *Rank, ib *halo.Inbox, need int) {
 // breakdown, on X, V and F over locals and ghosts, on the EAM Rho and Fp
 // arrays and on the thermo samples. The runs cover LJ and EAM, the opt,
 // ref and utofu-3stage variants (direct forward puts, MPI, and inbox
-// puts), Newton off, a degraded link whose messages fall back to MPI, and
-// enough steps for a neighbor rebuild.
+// puts), Newton off, EAM with OverlapEAM's embedding rule under opt, a
+// degraded link whose messages fall back to MPI, and enough steps for a
+// neighbor rebuild.
 func TestStepMatchesReference(t *testing.T) {
 	lj := func(*testing.T) Config {
 		cfg := failstopConfig()
@@ -309,16 +328,20 @@ func TestStepMatchesReference(t *testing.T) {
 		name  string
 		cfg   func(*testing.T) Config
 		steps int
+		// overlap runs the row under opt only, with OverlapEAM on.
+		overlap bool
 	}{
-		{"lj", lj, 22},
-		{"lj-newton-off", ljNewtonOff, 22},
-		{"eam", eam, 12},
+		{"lj", lj, 22, false},
+		{"lj-newton-off", ljNewtonOff, 22, false},
+		{"eam", eam, 12, false},
+		{"eam-overlap", eam, 12, true},
 	} {
 		for _, v := range []Variant{Opt(), Ref(), UTofu3Stage()} {
 			for _, degrade := range []bool{false, true} {
-				if tc.name == "lj-newton-off" && (v.Name != "opt" || degrade) {
+				if tc.name == "lj-newton-off" && (v.Name != "opt" || degrade) || tc.overlap && v.Name != "opt" {
 					continue
 				}
+				v.OverlapEAM = tc.overlap
 				name := fmt.Sprintf("%s/%s/degrade=%v", tc.name, v.Name, degrade)
 				t.Run(name, func(t *testing.T) {
 					got, want := newSim(t, v, tc.cfg(t)), newSim(t, v, tc.cfg(t))

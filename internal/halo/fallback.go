@@ -32,9 +32,10 @@ func (f *Fallback) RecordFailure(src, dst int) {
 }
 
 // RecordSuccess notes a clean (possibly retransmitted but delivered) put
-// from src to dst, re-arming the pair.
+// from src to dst, re-arming the pair. With no failure on record it
+// returns at once: every put of a fault-free round calls it.
 func (f *Fallback) RecordSuccess(src, dst int) {
-	if f == nil {
+	if f == nil || len(f.consec) == 0 {
 		return
 	}
 	delete(f.consec, [2]int{src, dst})

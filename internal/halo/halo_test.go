@@ -504,6 +504,30 @@ func TestFallbackSuccessReArms(t *testing.T) {
 	}
 }
 
+// TestFallbackSuccessClearsPendingFailure: a success returns at once while
+// no failure is on record, and still clears one that is, so a later
+// failure counts from one again.
+func TestFallbackSuccessClearsPendingFailure(t *testing.T) {
+	f := NewFallback(2)
+	f.RecordSuccess(4, 7)
+	if len(f.consec) != 0 {
+		t.Fatalf("a success with nothing pending recorded %d pairs", len(f.consec))
+	}
+	f.RecordFailure(4, 7)
+	f.RecordFailure(1, 2)
+	f.RecordSuccess(4, 7)
+	if _, ok := f.consec[[2]int{4, 7}]; ok {
+		t.Error("success left the pair's failure on record")
+	}
+	f.RecordFailure(4, 7)
+	if f.Degraded(4, 7) {
+		t.Error("failure count not restarted after the success")
+	}
+	if f.consec[[2]int{1, 2}] != 1 {
+		t.Error("success on one pair cleared another")
+	}
+}
+
 func TestFallbackNilSafe(t *testing.T) {
 	var f *Fallback
 	f.RecordFailure(0, 1)

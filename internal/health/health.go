@@ -251,9 +251,11 @@ func (t *Tracker) RecordLinkFailure(src, dst, tni int, now float64) State {
 }
 
 // RecordLinkSuccess records a delivered message on the src→dst link. A
-// success re-arms healthy/suspect links; quarantine is sticky.
+// success re-arms healthy/suspect links; quarantine is sticky. With no
+// link on record it returns at once: every put of a fault-free round
+// calls it.
 func (t *Tracker) RecordLinkSuccess(src, dst int) {
-	if t == nil {
+	if t == nil || len(t.links) == 0 {
 		return
 	}
 	if e := t.links[LinkKey{Src: src, Dst: dst}]; e != nil && e.state != Quarantined {
@@ -297,9 +299,10 @@ func (t *Tracker) RecordTNIFailure(tni int, now float64) State {
 	return st
 }
 
-// RecordTNISuccess records a delivered message served by TNI tni.
+// RecordTNISuccess records a delivered message served by TNI tni. With no
+// TNI on record it returns at once, as RecordLinkSuccess does.
 func (t *Tracker) RecordTNISuccess(tni int) {
-	if t == nil {
+	if t == nil || len(t.tnis) == 0 {
 		return
 	}
 	if e := t.tnis[tni]; e != nil && e.state != Quarantined {

@@ -106,6 +106,35 @@ func TestTNIQuarantineForgivesItsLinks(t *testing.T) {
 	}
 }
 
+// TestSuccessClearsPendingFailure: successes return at once on a tracker
+// with nothing on record, and still re-arm a suspect link and TNI.
+func TestSuccessClearsPendingFailure(t *testing.T) {
+	tr := New(1, 3)
+	tr.RecordLinkSuccess(0, 1)
+	tr.RecordTNISuccess(2)
+	if len(tr.links) != 0 || len(tr.tnis) != 0 {
+		t.Fatalf("successes with nothing pending recorded %d links and %d TNIs", len(tr.links), len(tr.tnis))
+	}
+	tr.RecordLinkFailure(0, 1, 2, 1)
+	tr.RecordTNIFailure(2, 1)
+	if tr.LinkState(0, 1) != Suspect || tr.TNIState(2) != Suspect {
+		t.Fatalf("after one failure: link %v, TNI %v, want suspect", tr.LinkState(0, 1), tr.TNIState(2))
+	}
+	tr.RecordLinkSuccess(0, 1)
+	tr.RecordTNISuccess(2)
+	if tr.LinkState(0, 1) != Healthy || tr.TNIState(2) != Healthy {
+		t.Errorf("after a success: link %v, TNI %v, want healthy", tr.LinkState(0, 1), tr.TNIState(2))
+	}
+	// The failure counts restart: two more stay short of quarantine.
+	for i := 0; i < 2; i++ {
+		tr.RecordLinkFailure(0, 1, 2, 2)
+		tr.RecordTNIFailure(2, 2)
+	}
+	if tr.LinkQuarantined(0, 1) || tr.TNIQuarantined(2) {
+		t.Error("failures before the success still counted toward quarantine")
+	}
+}
+
 func TestInterleavedSuccessesKeepTNIHealthy(t *testing.T) {
 	tr := New(2, 4)
 	// One severed link among healthy siblings on TNI 1: the sibling

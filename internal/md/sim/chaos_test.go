@@ -191,7 +191,7 @@ func TestInboxHoldsPayloadOverPutAndFallback(t *testing.T) {
 			t.Fatalf("degrade=%v: no inbox message checked", degrade)
 		}
 		overMPI := 0
-		for _, m := range s.batch.msgs {
+		for _, m := range s.lastBatch(op).msgs {
 			if m.OverMPI {
 				overMPI++
 				if m.Src != src || m.Dst != dst {
@@ -260,7 +260,7 @@ func TestForwardLandsInPositionArray(t *testing.T) {
 				}
 			}
 		}
-		for _, m := range s.batch.msgs {
+		for _, m := range s.lastBatch(op).msgs {
 			if m.OverMPI {
 				overMPI++
 				if m.Src == src && m.Dst == dst {

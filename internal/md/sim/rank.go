@@ -106,6 +106,10 @@ type Rank struct {
 	pairs    int
 	unpacked int
 
+	// boundary is how many local atoms the send lists ship
+	// (boundaryLocalCount), kept by every border under OverlapEAM.
+	boundary int
+
 	// dimGhostMark is the ghost watermark at the start of the current
 	// 3-stage dimension (iteration-0 send lists scan indices below it).
 	dimGhostMark int

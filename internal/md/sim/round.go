@@ -35,9 +35,10 @@ func (l *link) msg(rev, known bool) rmsg {
 
 // batch collects a round's messages: the engine's view of them, and a
 // per-sender and a per-receiver index so packing and unpacking stay linear
-// in the message count. The simulation has one and reuses it for every
-// round: reset takes the round's records from a slab, and msgs is the used
-// prefix of what it took.
+// in the message count. reset takes the round's records from a slab, and
+// msgs is the used prefix of what it took. A planned operation keeps one
+// batch per round and replays it while its epoch is current; the
+// simulation's shared batch holds the ad hoc rounds.
 type batch struct {
 	slab  slab.Slab[rmsg]
 	room  []*rmsg
@@ -45,10 +46,19 @@ type batch struct {
 	wire  []*halo.Msg
 	bySrc [][]*rmsg
 	byDst [][]*rmsg
+	// epoch is the plan epoch an operation aimed the batch in; 0, which no
+	// epoch equals, after reset.
+	epoch uint64
+}
+
+// newBatch returns an empty batch for a simulation of n ranks.
+func newBatch(n int) *batch {
+	return &batch{bySrc: make([][]*rmsg, n), byDst: make([][]*rmsg, n)}
 }
 
 // reset empties the batch and makes room for up to n messages.
 func (b *batch) reset(n int) {
+	b.epoch = 0
 	b.room = b.slab.Take(n)
 	b.msgs, b.wire = b.room[:0], b.wire[:0]
 	for i := range b.byDst {
@@ -106,6 +116,41 @@ func (s *Simulation) newEngine() *halo.Engine {
 			}
 		},
 	}
+}
+
+// opPlan names the rounds a halo operation aims once per plan epoch and
+// replays (Simulation.plans). adHoc, the zero value, aims into the shared
+// batch on every run and never replays: border rounds, whose send lists
+// are new each time, and ad hoc test operations.
+type opPlan int
+
+const (
+	adHoc opPlan = iota
+	fwdPlan
+	revPlan
+	scalarRevPlan
+	scalarFwdPlan
+	numPlans
+)
+
+// growInbox grows the owner's inbox ib to hold need bytes, unless it does,
+// and returns the registration cost. A growth re-registers the inbox under
+// a new STADD, so it advances the plan epoch: a plan aimed at the old
+// region, another operation's sharing the inbox included, is aimed afresh.
+func (s *Simulation) growInbox(ib *halo.Inbox, owner, need int) float64 {
+	region := ib.Region
+	cost := ib.Ensure(s.uts, owner, need, s.Var.Preregistered)
+	if ib.Region != region {
+		s.epoch++
+	}
+	return cost
+}
+
+// registerInbox (re)registers the owner's inbox ib at capBy bytes and
+// returns the cost; like every registration it advances the plan epoch.
+func (s *Simulation) registerInbox(ib *halo.Inbox, owner, capBy int) float64 {
+	s.epoch++
+	return ib.Preregister(s.uts, owner, capBy)
 }
 
 // chargeRegistration charges an inbox (re)registration to the rank that

@@ -140,10 +140,21 @@ type Simulation struct {
 	// the simulation's clocks, VCQ tables and health trackers.
 	eng *halo.Engine
 	// plan is the halo plan (links, per-rank issue order, rounds); links
-	// holds one link per plan link; batch the messages of the round in flight.
+	// holds one link per plan link; batch the messages of an ad hoc round
+	// (border, exchange, piggyback).
 	plan  *halo.Plan
 	links []link
 	batch *batch
+	// plans holds each planned operation's aimed rounds, one batch per
+	// plan round (haloOp.plan). Forward's first is batch: every ad hoc
+	// round resets it, and every border advances the epoch anyway.
+	plans [numPlans][]*batch
+	// epoch is the plan epoch. It advances on every border, TNI re-plan and
+	// inbox (re)registration, the three things that move where an aimed
+	// message goes; a planned round aimed in an older epoch is aimed again.
+	epoch uint64
+	// aims and replays count each plan's freshly aimed and replayed rounds.
+	aims, replays [numPlans]int
 
 	ranks []*Rank
 	// xRegion is each rank's registered position region under the
@@ -318,6 +329,7 @@ func (s *Simulation) FailedRanks() []int {
 // rank's VCQs follow its links' new TNI assignment (syncVCQs).
 // The link graph is untouched — only the resources behind it move.
 func (s *Simulation) replanTNIs() {
+	s.epoch++
 	s.assignResources()
 	if s.met != nil {
 		s.met.tniReplans.Inc()
@@ -633,7 +645,14 @@ func (s *Simulation) createLinks() {
 			r.recvLinks = append(r.recvLinks, &s.links[i])
 		}
 	}
-	s.batch = &batch{bySrc: make([][]*rmsg, len(s.ranks)), byDst: make([][]*rmsg, len(s.ranks))}
+	s.batch = newBatch(len(s.ranks))
+	for p := fwdPlan; p < numPlans; p++ {
+		s.plans[p] = make([]*batch, len(s.plan.Rounds))
+		for i := range s.plans[p] {
+			s.plans[p][i] = newBatch(len(s.ranks))
+		}
+	}
+	s.plans[fwdPlan][0] = s.batch
 }
 
 // assignResources runs the plan's resource assignment over the TNIs the
@@ -675,14 +694,14 @@ func (s *Simulation) setupTransport() error {
 				// no mid-run expansion, ever.
 				vol := halo.MessageVolumeAniso(l.spec.Dir, s.dec.Side(), s.ghCut)
 				maxAtoms := int(vol*s.density*1.5) + 16
-				s.SetupTime += fwd.Preregister(s.uts, l.dst.ID, maxAtoms*borderBytes)
-				s.SetupTime += rev.Preregister(s.uts, l.src.ID, maxAtoms*borderBytes)
+				s.SetupTime += s.registerInbox(fwd, l.dst.ID, maxAtoms*borderBytes)
+				s.SetupTime += s.registerInbox(rev, l.src.ID, maxAtoms*borderBytes)
 			} else {
 				// Default-size buffers registered during setup, like the
 				// baseline; they re-register whenever a bigger message
 				// forces an expansion mid-run.
-				s.SetupTime += fwd.Preregister(s.uts, l.dst.ID, initialInboxBytes)
-				s.SetupTime += rev.Preregister(s.uts, l.src.ID, initialInboxBytes)
+				s.SetupTime += s.registerInbox(fwd, l.dst.ID, initialInboxBytes)
+				s.SetupTime += s.registerInbox(rev, l.src.ID, initialInboxBytes)
 			}
 		}
 		if s.Var.Preregistered {

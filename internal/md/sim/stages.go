@@ -16,7 +16,8 @@ import (
 // haloOp describes one ghost operation over the static link graph. The
 // section 3.4 message path — aim, pack, one bulk-synchronous round per
 // stage, unpack — is the same for every operation; only the payload, the
-// sending side and the landing place differ, and those are the fields here.
+// sending side, the landing place and whether the aimed rounds are kept
+// for replay differ, and those are the fields here.
 type haloOp struct {
 	// rev sends from the ghost holder back to the owner: every link's rev
 	// side, the rounds in reverse order so forwarded contributions cascade
@@ -34,6 +35,9 @@ type haloOp struct {
 	// unpackIfAny skips the unpack charge of a rank that received no bytes
 	// in a round; without it the charge applies regardless.
 	unpackIfAny bool
+	// plan names the rounds the operation aims once per plan epoch and
+	// replays; adHoc aims them afresh on every run.
+	plan opPlan
 	// recBytes is the payload's size per record: a message carries one
 	// record per send-list atom, or per ghost of the receive range when
 	// rev. Its length is known before packing, so it is aimed first.
@@ -103,18 +107,21 @@ func (s *Simulation) runOp(op haloOp, then func(r *Rank)) {
 // from the end when rev), in two parts: landing its bytes, then timing it
 // beside the work that needs only them; then runs only on the last round.
 //
-// A serial pass builds the round's messages in rank and link order and
-// aims every uTofu message before anything is packed: a direct op's at the
+// A round is aimed once per plan epoch and replayed until the epoch
+// advances (border, TNI re-plan, inbox registration). Aiming is a serial
+// pass that builds the round's messages in rank and link order and aims
+// every uTofu message before anything is packed: a direct op's at the
 // receiver's position array, any other at its link side's inbox, grown to
 // the payload's length. Senders then pack in parallel, each uTofu payload
 // straight at its destination, so every byte has landed before the round;
-// under MPI the receiver reads the sender's own slice. A second serial
-// pass, in the same order, charges the inbox registrations and stamps
-// ReadyAt. The fabric round then runs on the calling goroutine while the
-// other workers unpack each receiver's messages and run then on it. The
-// round writes no payload byte and the workers touch no clock, so the
-// unpack charges follow the round exactly as they did when the unpack ran
-// after it.
+// under MPI the receiver reads the sender's own slice. A freshly aimed
+// round then charges the inbox registrations and stamps ReadyAt in a
+// second serial pass, in the same order; a replayed one registers nothing,
+// so each sender stamps its own messages after its pack charge. The
+// fabric round then runs on the calling goroutine while the other workers
+// unpack each receiver's messages and run then on it. The round writes no
+// payload byte and the workers touch no clock, so the unpack charges
+// follow the round exactly as they did when the unpack ran after it.
 func (s *Simulation) runOpRound(op haloOp, i int, then func(r *Rank)) {
 	last := len(s.plan.Rounds) - 1
 	k := s.plan.Rounds[i]
@@ -125,24 +132,13 @@ func (s *Simulation) runOpRound(op haloOp, i int, then func(r *Rank)) {
 		then = nil
 	}
 	packTh := s.Var.PackThreading()
-	inbox := !op.direct && s.Var.Transport == halo.TransportUTofu
-	b := s.batch
-	b.reset(len(s.links))
-	for _, r := range s.ranks {
-		for _, l := range op.links(r) {
-			if !l.inRound(k) {
-				continue
-			}
-			m := b.add(l.msg(op.rev, op.known))
-			switch {
-			case op.direct:
-				m.Region, m.DstOff = s.xRegion[m.Dst], l.recvStart*posBytes
-			case inbox:
-				ib := &l.side(op.rev).inbox
-				m.reg = ib.Ensure(s.uts, m.Dst, op.size(l), s.Var.Preregistered)
-				m.Region = ib.Region
-			}
-		}
+	b := s.opBatch(op, i)
+	replay := op.plan != adHoc && b.epoch == s.epoch
+	if replay {
+		s.replays[op.plan]++
+	} else {
+		s.aims[op.plan]++
+		s.aimRound(op, k, b)
 	}
 	s.forRanks(func(id int) {
 		r := s.ranks[id]
@@ -152,12 +148,20 @@ func (s *Simulation) runOpRound(op haloOp, i int, then func(r *Rank)) {
 			bytes += len(m.Data)
 		}
 		r.Clock += s.M.Cost.PackTime(units.Bytes(bytes), packTh)
+		if replay {
+			for _, m := range b.bySrc[id] {
+				m.ReadyAt = r.Clock
+			}
+		}
 	})
-	for _, m := range b.msgs {
-		// Charged after packing and before the stamp: a registration on a
-		// self-link (the rank's own periodic image) delays its own send.
-		s.chargeRegistration(s.ranks[m.Dst], m.reg)
-		m.ReadyAt = s.ranks[m.Src].Clock
+	if !replay {
+		for _, m := range b.msgs {
+			// Charged after packing and before the stamp: a registration on
+			// a self-link (the rank's own periodic image) delays its own
+			// send.
+			s.chargeRegistration(s.ranks[m.Dst], m.reg)
+			m.ReadyAt = s.ranks[m.Src].Clock
+		}
 	}
 	n := 0
 	if !op.direct || then != nil {
@@ -183,6 +187,42 @@ func (s *Simulation) runOpRound(op haloOp, i int, then func(r *Rank)) {
 		if r.unpacked > 0 || !op.unpackIfAny {
 			r.Clock += s.M.Cost.UnpackTime(units.Bytes(r.unpacked), packTh)
 		}
+	}
+}
+
+// opBatch returns the batch the operation's i-th round is aimed in.
+func (s *Simulation) opBatch(op haloOp, i int) *batch {
+	if op.plan == adHoc {
+		return s.batch
+	}
+	return s.plans[op.plan][i]
+}
+
+// aimRound builds the operation's messages of round k into b and aims
+// them, growing each inbox to its payload's length; a planned b is stamped
+// with the epoch that holds after the growths, so it replays until the
+// next border, re-plan or registration.
+func (s *Simulation) aimRound(op haloOp, k halo.RoundKey, b *batch) {
+	inbox := !op.direct && s.Var.Transport == halo.TransportUTofu
+	b.reset(len(s.links) / len(s.plan.Rounds)) // every round holds as many links
+	for _, r := range s.ranks {
+		for _, l := range op.links(r) {
+			if !l.inRound(k) {
+				continue
+			}
+			m := b.add(l.msg(op.rev, op.known))
+			switch {
+			case op.direct:
+				m.Region, m.DstOff = s.xRegion[m.Dst], l.recvStart*posBytes
+			case inbox:
+				ib := &l.side(op.rev).inbox
+				m.reg = s.growInbox(ib, m.Dst, op.size(l))
+				m.Region = ib.Region
+			}
+		}
+	}
+	if op.plan != adHoc {
+		b.epoch = s.epoch
 	}
 }
 
@@ -212,7 +252,7 @@ var borderOp = haloOp{
 // otherwise.
 func forwardOp(direct bool) haloOp {
 	return haloOp{
-		known: true, direct: direct, unpackIfAny: true, recBytes: posBytes,
+		known: true, direct: direct, unpackIfAny: true, recBytes: posBytes, plan: fwdPlan,
 		pack: func(r *Rank, l *link, dst []byte) []byte {
 			return encodePositions(dst, r.Atoms.X, l.sendList, l.shift)
 		},
@@ -229,7 +269,7 @@ func forwardOp(direct bool) haloOp {
 // finds it landed; under MPI the owner reads the holder's F itself. The
 // owner accumulates into the send-list atoms.
 var reverseOp = haloOp{
-	rev: true, known: true, recBytes: posBytes,
+	rev: true, known: true, recBytes: posBytes, plan: revPlan,
 	view: func(r *Rank, l *link) []byte {
 		return halo.V3Bytes(r.Atoms.F[l.recvStart : l.recvStart+l.recvCount])
 	},
@@ -241,7 +281,7 @@ var reverseOp = haloOp{
 // scalarReverseOp sends ghost scalar contributions (EAM densities) home.
 func scalarReverseOp(arr func(*Rank) []float64) haloOp {
 	return haloOp{
-		rev: true, known: true, recBytes: halo.F64Bytes,
+		rev: true, known: true, recBytes: halo.F64Bytes, plan: scalarRevPlan,
 		pack: func(r *Rank, l *link, dst []byte) []byte {
 			return halo.EncodeScalars(dst, arr(r), l.recvStart, l.recvCount)
 		},
@@ -256,7 +296,7 @@ func scalarReverseOp(arr func(*Rank) []float64) haloOp {
 // is pre-registered for direct writes.
 func scalarForwardOp(arr func(*Rank) []float64) haloOp {
 	return haloOp{
-		known: true, recBytes: halo.F64Bytes,
+		known: true, recBytes: halo.F64Bytes, plan: scalarFwdPlan,
 		pack: func(r *Rank, l *link, dst []byte) []byte {
 			return encodeScalars(dst, arr(r), l.sendList)
 		},
@@ -271,13 +311,15 @@ func scalarForwardOp(arr func(*Rank) []float64) haloOp {
 // doBorder rebuilds the ghost regions: send lists are derived from the
 // sub-box geometry, atoms are shipped, and receivers append ghosts and
 // record the recv_ptr offsets; then runs on every rank beside the last
-// round, once its ghosts are complete. Under the pre-registered scheme the
-// offsets are piggybacked back to the senders (section 3.4).
+// round, once its ghosts are complete, after OverlapEAM's boundary count
+// of the new send lists. Under the pre-registered scheme the offsets are
+// piggybacked back to the senders (section 3.4).
 func (s *Simulation) doBorder(then func(r *Rank)) {
 	// A fresh plan re-arms transiently degraded neighbor links; health
 	// quarantine is sticky and survives the rebuild (only ProbeHealth
 	// re-arms a quarantined link or TNI).
 	s.fb.Reset()
+	s.epoch++
 	s.forRanks(func(id int) {
 		r := s.ranks[id]
 		r.Atoms.ClearGhosts()
@@ -286,11 +328,20 @@ func (s *Simulation) doBorder(then func(r *Rank)) {
 	if s.Var.Pattern == halo.P2P {
 		s.buildP2PSendLists()
 	}
+	last := then
+	if s.Var.OverlapEAM {
+		last = func(r *Rank) {
+			r.boundary = r.boundaryLocalCount()
+			if then != nil {
+				then(r)
+			}
+		}
+	}
 	for i, k := range s.plan.Rounds {
 		if s.Var.Pattern == halo.ThreeStage {
 			s.build3StageSendLists(k)
 		}
-		s.runOpRound(borderOp, i, then)
+		s.runOpRound(borderOp, i, last)
 	}
 	if s.Var.Preregistered {
 		// The exchange and the ghosts appended above only move X if it
@@ -544,9 +595,8 @@ func (s *Simulation) finishForces() {
 	})
 	for id, r := range s.ranks {
 		if s.Var.OverlapEAM {
-			boundary := r.boundaryLocalCount()
-			r.Clock = max(r.Clock, preComm[id]+s.M.Cost.EAMEmbedTime(r.Atoms.NLocal-boundary, th))
-			r.Clock += s.M.Cost.EAMEmbedTime(boundary, th)
+			r.Clock = max(r.Clock, preComm[id]+s.M.Cost.EAMEmbedTime(r.Atoms.NLocal-r.boundary, th))
+			r.Clock += s.M.Cost.EAMEmbedTime(r.boundary, th)
 		} else {
 			r.Clock += s.M.Cost.EAMEmbedTime(r.Atoms.NLocal, th)
 		}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"tofumd/internal/faultinject"
 	"tofumd/internal/halo"
 	"tofumd/internal/md/neighbor"
 	"tofumd/internal/md/potential"
@@ -303,8 +304,9 @@ func (s *Simulation) refEnsureInbox(owner *Rank, ib *halo.Inbox, need int) {
 // arrays and on the thermo samples. The runs cover LJ and EAM, the opt,
 // ref and utofu-3stage variants (direct forward puts, MPI, and inbox
 // puts), Newton off, EAM with OverlapEAM's embedding rule under opt, a
-// degraded link whose messages fall back to MPI, and enough steps for a
-// neighbor rebuild.
+// degraded link whose messages fall back to MPI, a TNI that fails
+// mid-run under uTofu (a quarantine and re-plan inside a replayed
+// round), and enough steps for a neighbor rebuild.
 func TestStepMatchesReference(t *testing.T) {
 	lj := func(*testing.T) Config {
 		cfg := failstopConfig()
@@ -330,15 +332,20 @@ func TestStepMatchesReference(t *testing.T) {
 		steps int
 		// overlap runs the row under opt only, with OverlapEAM on.
 		overlap bool
+		// tniFail fails TNI 2 halfway through the run, under the uTofu
+		// variants only.
+		tniFail bool
 	}{
-		{"lj", lj, 22, false},
-		{"lj-newton-off", ljNewtonOff, 22, false},
-		{"eam", eam, 12, false},
-		{"eam-overlap", eam, 12, true},
+		{"lj", lj, 22, false, false},
+		{"lj-newton-off", ljNewtonOff, 22, false, false},
+		{"eam", eam, 12, false, false},
+		{"eam-overlap", eam, 12, true, false},
+		{"lj-tni-failstop", lj, 22, false, true},
 	} {
 		for _, v := range []Variant{Opt(), Ref(), UTofu3Stage()} {
 			for _, degrade := range []bool{false, true} {
-				if tc.name == "lj-newton-off" && (v.Name != "opt" || degrade) || tc.overlap && v.Name != "opt" {
+				if tc.name == "lj-newton-off" && (v.Name != "opt" || degrade) || tc.overlap && v.Name != "opt" ||
+					tc.tniFail && (v.Transport != halo.TransportUTofu || degrade) {
 					continue
 				}
 				v.OverlapEAM = tc.overlap
@@ -357,6 +364,11 @@ func TestStepMatchesReference(t *testing.T) {
 					}
 					rebuilds := got.Rebuilds
 					for step := 1; step <= tc.steps; step++ {
+						if tc.tniFail && step == tc.steps/2 {
+							for _, s := range []*Simulation{got, want} {
+								s.SetFaults(faultinject.New(faultinject.Spec{TNIFails: []faultinject.TNIFail{{Idx: 2, At: s.Now()}}}))
+							}
+						}
 						got.Step()
 						want.refStep()
 						sameStepState(t, step, got, want)
@@ -365,8 +377,11 @@ func TestStepMatchesReference(t *testing.T) {
 						t.Errorf("no neighbor rebuild in %d steps", tc.steps)
 					}
 					fellBack := reg.Counter("sim_p2p_fallback", "msgs").Value()
-					if wantFallback := degrade && v.Transport == halo.TransportUTofu; (fellBack > 0) != wantFallback {
+					if wantFallback := (degrade || tc.tniFail) && v.Transport == halo.TransportUTofu; (fellBack > 0) != wantFallback {
 						t.Errorf("%d messages fell back to MPI, want some: %v", fellBack, wantFallback)
+					}
+					if replans := reg.Counter("sim_tni_replans", "total").Value(); (replans > 0) != tc.tniFail {
+						t.Errorf("%d TNI re-plans, want some: %v", replans, tc.tniFail)
 					}
 				})
 			}

@@ -466,17 +466,14 @@ func (s *System) ExecuteRound(puts []*Put) error {
 			bytes = 8 // descriptor-only message
 		}
 		p.Attempts, p.Failed, p.FailedAt, p.dst = 0, false, 0, dst
-		*transfers[i] = tofu.Transfer{
-			Src:       p.VCQ.Rank,
-			Dst:       dst.Rank,
-			TNI:       p.VCQ.TNI,
-			VCQ:       p.VCQ.Tag,
-			Thread:    p.Thread,
-			DstThread: p.DstThread,
-			Bytes:     bytes,
-			ReadyAt:   p.ReadyAt,
-		}
+		// Transfers returns zeroed records: fill only the put's fields.
+		tr := transfers[i]
+		tr.Src, tr.Dst, tr.TNI, tr.VCQ = p.VCQ.Rank, dst.Rank, p.VCQ.TNI, p.VCQ.Tag
+		tr.Thread, tr.DstThread, tr.Bytes, tr.ReadyAt = p.Thread, p.DstThread, bytes, p.ReadyAt
 	}
+	// Delivered puts, their bytes and piggybacks are counted here and
+	// added to the metrics once per round.
+	var delivered, putBytes, piggybacks int64
 	err := s.runWaves(transfers, "utofu-put", s.met.putRetransmits, func(i int, tr *tofu.Transfer, failedAt float64) {
 		p := puts[i]
 		p.Attempts = tr.Attempt + 1
@@ -489,12 +486,15 @@ func (s *System) ExecuteRound(puts []*Put) error {
 		p.IssueDone = tr.IssueDone
 		p.Arrival = tr.Arrival
 		p.RecvComplete = tr.RecvComplete
-		s.met.puts.Inc()
-		s.met.putBytes.Add(int64(tr.Bytes))
+		delivered++
+		putBytes += int64(tr.Bytes)
 		if p.HasPiggyback {
-			s.met.piggybacks.Inc()
+			piggybacks++
 		}
 	})
+	s.met.puts.Add(delivered)
+	s.met.putBytes.Add(putBytes)
+	s.met.piggybacks.Add(piggybacks)
 	if err != nil {
 		return fmt.Errorf("utofu: put round: %w", err)
 	}

@@ -70,34 +70,20 @@ func main() {
 	if *metFile != "" || *statusAddr != "" {
 		met = metrics.New()
 	}
+	// Bind first so a bad address fails the run instead of a background
+	// goroutine logging after we already claimed the endpoint is up.
 	if *pprofAddr != "" {
-		// Bind first so a bad address fails the run instead of a background
-		// goroutine logging after we already claimed the endpoint is up.
-		ln, addr, err := obs.Listen(*pprofAddr)
-		if err != nil {
+		if err := obs.Start("pprof", *pprofAddr, "/debug/pprof/", nil); err != nil {
 			log.Fatalf("pprof: %v", err)
 		}
-		log.Printf("pprof listening on http://%s/debug/pprof/", addr)
-		go func() {
-			if err := obs.Serve(ln, nil); err != nil {
-				log.Printf("pprof server: %v", err)
-			}
-		}()
 	}
 	var status *obs.StatusServer
 	if *statusAddr != "" {
 		status = obs.NewStatus("mdsim")
 		status.SetMetrics(met)
-		ln, addr, err := obs.Listen(*statusAddr)
-		if err != nil {
+		if err := obs.Start("status", *statusAddr, "/status", status.Handler()); err != nil {
 			log.Fatalf("status: %v", err)
 		}
-		log.Printf("status listening on http://%s/status", addr)
-		go func() {
-			if err := obs.Serve(ln, status.Handler()); err != nil {
-				log.Printf("status server: %v", err)
-			}
-		}()
 	}
 	shape, err := core.ParseShape(*nodes)
 	if err != nil {

@@ -30,6 +30,9 @@ import (
 type Msg struct {
 	// Src and Dst are rank ids.
 	Src, Dst int
+	// Link is the index in Plan.Links of the link the message travels on,
+	// or -1 for a message on no link (atom migration).
+	Link int
 	// Thread is the sender-side comm thread, DstThread the receiver-side
 	// polling context.
 	Thread, DstThread int
@@ -78,10 +81,9 @@ type Engine struct {
 	UTS *utofu.System
 	MPI *mpi.Comm
 
-	// Clock returns a rank's current virtual time.
-	Clock func(rank int) float64
-	// Advance raises a rank's clock to at least t.
-	Advance func(rank int, t float64)
+	// Clock returns a rank's virtual clock. The engine reads it for the
+	// round's base and raises it to the rank's completions.
+	Clock func(rank int) *float64
 
 	// Fallback and Health record every put's outcome and route degraded or
 	// quarantined src→dst pairs over MPI; either may be nil (no tracking).
@@ -113,7 +115,7 @@ func (e *Engine) RunRound(t Transport, msgs []*Msg) {
 		if m.ReadyAt < base {
 			base = m.ReadyAt
 		}
-		if c := e.Clock(m.Dst); c < base {
+		if c := *e.Clock(m.Dst); c < base {
 			base = c
 		}
 	}
@@ -127,8 +129,15 @@ func (e *Engine) RunRound(t Transport, msgs []*Msg) {
 	// Advance clocks: receivers to their completions, senders to their
 	// injection completions.
 	for _, m := range msgs {
-		e.Advance(m.Dst, m.Complete)
-		e.Advance(m.Src, m.IssueDone)
+		advance(e.Clock(m.Dst), m.Complete)
+		advance(e.Clock(m.Src), m.IssueDone)
+	}
+}
+
+// advance raises the clock to at least t.
+func advance(clock *float64, t float64) {
+	if t > *clock {
+		*clock = t
 	}
 }
 
@@ -142,7 +151,7 @@ func (e *Engine) runMPIRound(msgs []*Msg, base float64) {
 			Data:        m.Data,
 			KnownLength: m.Known,
 			ReadyAt:     m.ReadyAt - base,
-			RecvReadyAt: e.Clock(m.Dst) - base,
+			RecvReadyAt: *e.Clock(m.Dst) - base,
 		}
 	}
 	e.MPI.ExchangeRound(mm)

@@ -4,7 +4,8 @@
 // messages map onto TNIs/threads/VCQs), the analytic time model of
 // section 3.1 (Equations 3-8), the decomposition of a global extent over a
 // topo.RankMap, the registered receive buffers of section 3.4 (one per
-// inbox, charged as the paper's four round-robin slots), and a
+// inbox, charged as the paper's four round-robin slots), the one round
+// container every consumer aims and replays (Round), and a
 // bulk-synchronous round Engine that executes app-packed payloads over the
 // uTofu one-sided stack with an MPI fallback.
 //

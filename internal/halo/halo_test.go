@@ -630,12 +630,7 @@ func engineFixture(t *testing.T) (*Engine, []*Msg) {
 	}
 	e := &Engine{
 		Fab: fab, UTS: uts, MPI: mpi.NewComm(fab),
-		Clock: func(rank int) float64 { return clocks[rank] },
-		Advance: func(rank int, at float64) {
-			if at > clocks[rank] {
-				clocks[rank] = at
-			}
-		},
+		Clock: func(rank int) *float64 { return &clocks[rank] },
 	}
 	var msgs []*Msg
 	for r := 0; r < ranks; r++ {
@@ -854,7 +849,7 @@ func TestEngineRunRoundDoesNotAllocate(t *testing.T) {
 		e, msgs := engineFixture(t)
 		run := func() {
 			for _, m := range msgs {
-				m.ReadyAt = e.Clock(m.Src)
+				m.ReadyAt = *e.Clock(m.Src)
 			}
 			e.RunRound(tr, msgs)
 		}

@@ -138,23 +138,53 @@ func (s *System) newEngine() *halo.Engine {
 		Fab:   s.fab,
 		UTS:   s.ts.uts,
 		MPI:   s.ts.mpi,
-		Clock: func(rank int) float64 { return s.ranks[rank].Clock },
-		Advance: func(rank int, t float64) {
-			if r := s.ranks[rank]; t > r.Clock {
-				r.Clock = t
-			}
-		},
+		Clock: func(rank int) *float64 { return &s.ranks[rank].Clock },
 	}
 }
 
-// plane is one outgoing face plane of a dimension round. The sender's pack
-// task fills its slot and packs the payload where it lands (under uTofu,
-// the receiver's inbox buffer), the serial gather queues it, and the
-// receiver's unpack task reads it there.
-type plane struct {
-	hm    halo.Msg
-	dst   *Rank // nil: periodic self-image, applied by the pack task
-	ghost int   // receiver ghost layer the payload lands in
+// face locates the plane that link l of dimension round dim carries from
+// r to dst: r's boundary layer, the ghost layer it fills on dst, and the
+// side of dst's inbox it lands in. +dim sends the top interior layer into
+// the receiver's low ghost, -dim the bottom layer into the high one.
+func face(l *halo.LinkSpec, dim int, r, dst *Rank) (layer, ghost, side int) {
+	if l.Dir.Comp(dim) > 0 {
+		return r.N.Comp(dim), 0, 0
+	}
+	return 1, dst.N.Comp(dim) + 1, 1
+}
+
+// inRound reports whether link l belongs to dimension round dim.
+func (s *System) inRound(l *halo.LinkSpec, dim int) bool {
+	return halo.InRound(l.Stage3Dim, l.Stage3Iter, s.plan.Rounds[dim])
+}
+
+// aimRounds builds the three dimension rounds once, since the lattice's
+// links never change: one message per link of the round to another rank,
+// in the plan's issue order (rank by rank, each rank's Send links in
+// SpecLess order, so -dim before +dim), carrying the sender's VCQ and,
+// under uTofu, aimed at the receiver's inbox for the ghost layer it fills.
+// A periodic self-image (a link back to its sender) is no message: the
+// sender copies it.
+func (s *System) aimRounds() {
+	for dim := range s.rounds {
+		b := halo.NewRound(len(s.ranks))
+		b.Reset(2 * len(s.ranks))
+		for _, r := range s.ranks {
+			for _, i := range s.plan.Send[r.ID] {
+				l := &s.plan.Links[i]
+				if l.Dst == r.ID || !s.inRound(l, dim) {
+					continue
+				}
+				m := b.Add(halo.Msg{Src: r.ID, Dst: l.Dst, Link: int(i), VCQ: r.vcq, Known: true})
+				if s.Cfg.Transport == halo.TransportUTofu {
+					dst := s.ranks[l.Dst]
+					_, _, side := face(l, dim, r, dst)
+					m.Region = dst.inboxes[dim][side].Region
+				}
+			}
+		}
+		s.rounds[dim] = b
+	}
 }
 
 // exchange runs the three staged dimension rounds over the post-collision
@@ -180,92 +210,68 @@ func (s *System) exchange() {
 	}
 }
 
-// exchangeDim runs one dimension round: every rank ships its two boundary
-// planes over the plan's links of the round (or copies them locally when the
-// grid is one rank wide on the axis). Packing runs per sender and
-// unpacking per receiver in parallel; between them a serial gather builds
-// the message list in the plan's issue order (rank by rank, each rank's Send
-// links in SpecLess order, so -dim before +dim), so the round and every
-// clock addition happen in the same order as a serial loop over the ranks.
-// Under uTofu each sender has already packed its plane into the next
-// region of the receiver's inbox, so the put finds it in place and the
-// receiver unpacks it from there.
+// exchangeDim runs one dimension round, aimed at New: every rank packs its
+// boundary planes in parallel (sendPlanes), then the fabric round runs on
+// the caller while the other workers unpack each receiver's planes. Under
+// uTofu every plane already lies in the receiver's inbox, so the round
+// writes no payload byte and the workers may read them while it runs.
+// The unpack charges follow the round in its receive order, so every clock
+// addition happens in the same order as in a serial loop over the ranks.
+// Data is dropped after the round: under MPI each plane is a fresh buffer,
+// which must not outlive it.
 func (s *System) exchangeDim(dim int) {
-	s.forRanks(func(r *Rank) { s.sendPlanes(r, dim) })
-	for i := range s.planes {
-		p := &s.planes[i]
-		if p.dst == nil {
-			continue
-		}
-		s.hms = append(s.hms, &p.hm)
-		p.dst.recv = append(p.dst.recv, p)
-	}
-	if len(s.hms) == 0 {
+	b := s.rounds[dim]
+	s.forRanks(func(id int) { s.sendPlanes(s.ranks[id], dim) })
+	if len(b.Msgs) == 0 {
 		return
 	}
-	s.eng.RunRound(s.Cfg.Transport, s.hms)
-	s.forRanks(func(r *Rank) {
-		for _, p := range r.recv {
-			r.unpackPlane(dim, p.ghost, p.hm.Data)
-			r.Clock += s.unpackCost(len(p.hm.Data))
+	s.pool.ForEachBeside(len(s.ranks), func(id int) {
+		r := s.ranks[id]
+		for _, m := range b.ByDst[id] {
+			_, ghost, _ := face(&s.plan.Links[m.Link], dim, s.ranks[m.Src], r)
+			r.unpackPlane(dim, ghost, m.Data)
 		}
-		r.recv = r.recv[:0]
-	})
-	// Under MPI the slots hold the only references to the round's fresh
-	// planes (hms and the receive lists point into them): clear them so the
-	// planes do not outlive the round and hold a step's worth of payload in
-	// the live heap. Under uTofu they point into the inboxes, which live on.
-	clear(s.planes)
-	s.hms = s.hms[:0]
+	}, func() { s.eng.RunRound(s.Cfg.Transport, b.Msgs) })
+	for _, m := range b.Msgs {
+		s.ranks[m.Dst].Clock += s.unpackCost(len(m.Data))
+		m.Data = nil
+	}
 }
 
 // sendPlanes is the pack half of a dimension round for rank r: it packs
-// the boundary planes of r's Send links in the round into r's two slots of
-// s.planes, charging r's clock, and applies a periodic self-image (a link
-// back to r) in place. Under uTofu it aims each plane at the next region
-// of the receiver's inbox and packs it there: the inbox takes exactly one
-// plane a round, from r, so no other task touches it. Under MPI each plane
-// is a fresh buffer handed to the receiver. It reads other ranks only for
+// the boundary planes of r's links in the round, in link order, charging
+// r's clock and stamping each message's ReadyAt after its own plane. A
+// periodic self-image (a link back to r) is packed and unpacked in place.
+// Under uTofu each plane is packed at its message's Dest in the
+// receiver's inbox, which takes exactly one plane a round, from r, so no
+// other task touches it; under MPI it is a fresh buffer. The messages of
+// r were aimed from the same links in the same order, less the
+// self-images, so they are taken in step. It reads other ranks only for
 // their immutable extents.
 func (s *System) sendPlanes(r *Rank, dim int) {
-	k := 0
+	msgs := s.rounds[dim].BySrc[r.ID]
 	for _, i := range s.plan.Send[r.ID] {
 		l := &s.plan.Links[i]
-		if !halo.InRound(l.Stage3Dim, l.Stage3Iter, s.plan.Rounds[dim]) {
+		if !s.inRound(l, dim) {
 			continue
 		}
 		dst := s.ranks[l.Dst]
-		// The sender's boundary layer and the ghost layer it fills on the
-		// receiver: +dim sends the top interior layer into the receiver's
-		// low ghost, -dim the bottom layer into the high one.
-		var layer, ghost, side int
-		if l.Dir.Comp(dim) > 0 {
-			layer, ghost, side = r.N.Comp(dim), 0, 0
-		} else {
-			layer, ghost, side = 1, dst.N.Comp(dim)+1, 1
-		}
-		p := &s.planes[2*r.ID+k]
-		k++
+		layer, ghost, _ := face(l, dim, r, dst)
 		if dst == r {
-			// Periodic self-image on a one-rank axis: local copy.
 			r.selfBuf = r.packPlane(dim, layer, r.selfBuf)
 			r.Clock += s.packCost(len(r.selfBuf))
 			r.unpackPlane(dim, ghost, r.selfBuf)
 			r.Clock += s.unpackCost(len(r.selfBuf))
-			*p = plane{}
 			continue
 		}
-		*p = plane{
-			hm:  halo.Msg{Src: r.ID, Dst: dst.ID, VCQ: r.vcq, Known: true},
-			dst: dst, ghost: ghost,
-		}
+		m := msgs[0]
+		msgs = msgs[1:]
 		var buf []byte
-		if s.Cfg.Transport == halo.TransportUTofu {
-			p.hm.Region = dst.inboxes[dim][side].Region
-			buf = p.hm.Dest()
+		if m.Region != nil {
+			buf = m.Dest()
 		}
-		p.hm.Data = r.packPlane(dim, layer, buf)
-		r.Clock += s.packCost(len(p.hm.Data))
-		p.hm.ReadyAt = r.Clock
+		m.Data = r.packPlane(dim, layer, buf)
+		r.Clock += s.packCost(len(m.Data))
+		m.ReadyAt = r.Clock
 	}
 }

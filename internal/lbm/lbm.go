@@ -10,8 +10,8 @@
 // The workload runs on the same virtual-time substrate as the MD engine:
 // compute stages are charged through machine.CostModel, communication runs
 // through halo.Engine over the uTofu or MPI transport on the simulated Tofu
-// fabric, and results are bit-identical between the serial and parallel DES
-// engines. The Overlap variant hides the interior collision behind the face
+// fabric. The three dimension rounds are aimed once, at New, and every step
+// unpacks beside each round's timing. The Overlap variant hides the interior collision behind the face
 // exchange (non-blocking ablation); physics are bit-identical to the
 // blocking variant — only the virtual-time accounting differs.
 package lbm
@@ -19,7 +19,6 @@ package lbm
 import (
 	"fmt"
 	"math"
-	"runtime"
 
 	"tofumd/internal/halo"
 	"tofumd/internal/machine"
@@ -104,11 +103,8 @@ type Rank struct {
 	// (from the -dim neighbor), [dim][1] the high layer.
 	inboxes [3][2]*halo.Inbox
 
-	// recv lists the planes this rank receives in the current dimension
-	// round, in message order (the serial gather fills it, the rank's unpack
-	// task drains it). selfBuf is the staging buffer of a periodic
-	// self-image copy, allocated only on ranks that have one.
-	recv    []*plane
+	// selfBuf is the staging buffer of a periodic self-image copy,
+	// allocated only on ranks that have one.
 	selfBuf []byte
 
 	// vcq is the rank's uTofu injection queue (nil under the MPI transport).
@@ -126,9 +122,10 @@ type System struct {
 	Map  *topo.RankMap
 	Cost machine.CostModel
 
-	fab *tofu.Fabric
-	eng *halo.Engine
-	ts  transportState
+	fab  *tofu.Fabric
+	eng  *halo.Engine
+	ts   transportState
+	pool *threadpool.Pool
 
 	// plan is the face exchange: one 3-stage shell, whose Send links give
 	// each rank's receivers and issue order.
@@ -137,12 +134,11 @@ type System struct {
 	ranks []*Rank
 	step  int
 
-	// planes has two slots per rank, [2*id] for the -dim and [2*id+1] for
-	// the +dim plane of the current dimension round; hms is the round's
-	// message list. commStart holds each rank's clock at the start of an
-	// overlapped exchange. All three are scratch reused every step.
-	planes    []plane
-	hms       []*halo.Msg
+	// rounds are the three dimension rounds of the face exchange, aimed
+	// once (aimRounds) and replayed every step.
+	rounds [3]*halo.Round
+	// commStart holds each rank's clock at the start of an overlapped
+	// exchange, scratch reused every step.
 	commStart []float64
 
 	// SetupTime is the virtual time spent registering buffers and creating
@@ -152,10 +148,10 @@ type System struct {
 
 // New builds the system over an existing rank map: the lattice is split by
 // halo.CellRange, the face exchange is a one-shell 3-stage halo.Plan,
-// buffers are registered at their exact plane sizes, and every rank gets
-// one VCQ on the TNI the plan's per-rank-slot assignment gives its links
-// (face exchange has six messages per rank, far below the TNI contention
-// regime the finer policies address).
+// buffers are registered at their exact plane sizes, every rank gets one
+// VCQ on the TNI the plan's per-rank-slot assignment gives its links (face
+// exchange has six messages per rank, far below the TNI contention regime
+// the finer policies address), and the three dimension rounds are aimed.
 func New(m *topo.RankMap, params tofu.Params, cost machine.CostModel, cfg Config) (*System, error) {
 	if err := cfg.Validate(m.Grid); err != nil {
 		return nil, err
@@ -166,12 +162,13 @@ func New(m *topo.RankMap, params tofu.Params, cost machine.CostModel, cfg Config
 		Cost: cost,
 		fab:  tofu.NewFabric(m, params),
 		plan: halo.NewPlan(m, halo.ThreeStage, 1, nil),
+		pool: threadpool.New(0),
 	}
 	s.ranks = make([]*Rank, m.Ranks())
 	for id := range s.ranks {
 		c := m.RankCoord(id)
 		lo, hi := halo.CellRange(cfg.Cells, m.Grid, c)
-		r := &Rank{ID: id, Coord: c, Lo: lo, Hi: hi, N: hi.Sub(lo), recv: make([]*plane, 0, 2)}
+		r := &Rank{ID: id, Coord: c, Lo: lo, Hi: hi, N: hi.Sub(lo)}
 		n := (r.N.X + 2) * (r.N.Y + 2) * (r.N.Z + 2)
 		for q := 0; q < Q; q++ {
 			r.f[q] = make([]float64, n)
@@ -179,8 +176,6 @@ func New(m *topo.RankMap, params tofu.Params, cost machine.CostModel, cfg Config
 		}
 		s.ranks[id] = r
 	}
-	s.planes = make([]plane, 2*len(s.ranks))
-	s.hms = make([]*halo.Msg, 0, len(s.planes))
 	if cfg.Overlap {
 		s.commStart = make([]float64, len(s.ranks))
 	}
@@ -188,6 +183,7 @@ func New(m *topo.RankMap, params tofu.Params, cost machine.CostModel, cfg Config
 		return nil, err
 	}
 	s.eng = s.newEngine()
+	s.aimRounds()
 	return s, nil
 }
 
@@ -246,9 +242,10 @@ func (r *Rank) setLayerEquilibrium(x int, rho float64, u vec.V3) {
 
 // Step advances the lattice one time step: collide, exchange the
 // post-collision boundary planes, stream. Collide, stream and the pack and
-// unpack halves of every dimension round run the ranks in parallel
-// (forRanks); each task touches only its own rank, so the result is
-// bit-identical at every GOMAXPROCS.
+// unpack halves of every dimension round run the ranks in parallel on the
+// system's pool; each task touches only its own rank and no task touches a
+// clock another rank's task reads, so the result is bit-identical at every
+// worker count.
 func (s *System) Step() {
 	s.collide()
 	s.exchange()
@@ -256,12 +253,11 @@ func (s *System) Step() {
 	s.step++
 }
 
-// forRanks runs fn once for every rank on min(GOMAXPROCS, ranks)
-// goroutines, the caller among them, and returns when all calls have
-// (threadpool.ForEach). fn must touch only the state of the rank it is
+// forRanks runs fn once for every rank id on the system's pool and returns
+// when all calls have. fn must touch only the state of the rank it is
 // given: the calls of one region run concurrently.
-func (s *System) forRanks(fn func(*Rank)) {
-	threadpool.ForEach(runtime.GOMAXPROCS(0), len(s.ranks), func(i int) { fn(s.ranks[i]) })
+func (s *System) forRanks(fn func(id int)) {
+	s.pool.ForEach(len(s.ranks), fn)
 }
 
 // collide relaxes every interior cell toward its local equilibrium,
@@ -269,7 +265,8 @@ func (s *System) forRanks(fn func(*Rank)) {
 // charged here; the interior core's cost is overlapped with the exchange.
 func (s *System) collide() {
 	invTau := 1 / s.Cfg.Tau
-	s.forRanks(func(r *Rank) {
+	s.forRanks(func(id int) {
+		r := s.ranks[id]
 		for x := 1; x <= r.N.X; x++ {
 			for y := 1; y <= r.N.Y; y++ {
 				collideRow(&r.f, &r.fpost, r.idx(x, y, 1), r.N.Z, invTau)
@@ -360,7 +357,8 @@ func relax(v, wRho, eu, u15, invTau float64) float64 {
 // post-collision value from its upwind neighbor (ghosts included) into f,
 // one copy per (q, x, y) z-row.
 func (s *System) stream() {
-	s.forRanks(func(r *Rank) {
+	s.forRanks(func(id int) {
+		r := s.ranks[id]
 		for q := 0; q < Q; q++ {
 			e := dirs[q]
 			src := r.fpost[q]

@@ -256,8 +256,7 @@ func sameState(t *testing.T, step int, got, want *System) {
 // and each rank's VCQ to the reference's TNI. It covers both transports,
 // the overlap variant, a self-image tile, an uneven split of the lattice and
 // perturbed states with signed zeros and negative distributions. Run it at
-// several -cpu values: forRanks runs threadpool.ForEach on GOMAXPROCS
-// workers.
+// several -cpu values: New sizes the system's pool to GOMAXPROCS.
 func TestStepMatchesReference(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -305,16 +304,16 @@ func TestStepMatchesReference(t *testing.T) {
 // TestStepAllocs pins what one step allocates under uTofu. Every non-self
 // plane is packed straight into the receiver's pre-registered inbox, so no
 // payload is allocated at all; each parallel region (collide, stream, and
-// the pack and unpack half of every dimension round that has messages)
-// allocates at most regionAllocs objects, and that is the whole bound.
-// AllocsPerRun measures at GOMAXPROCS 1, where threadpool.ForEach runs the
-// region on the caller and it allocates two: the region's task closure and
-// forRanks' wrapper that indexes the rank. With helpers, ForEach adds its
-// shared counter and WaitGroup and the helpers' work method value.
-// Self-image planes reuse their rank's staging buffer; the message list,
-// plane slots, receive lists and the engine's records are scratch. At 32
-// ranks that is at most 8×3 = 24 a step, where allocating each plane took
-// 192 + 8×2 = 208.
+// the pack region and the unpack region beside the fabric round of every
+// dimension round that has messages) allocates at most regionAllocs
+// objects, and that is the whole bound. The pool's worker count is fixed
+// at New, so AllocsPerRun's GOMAXPROCS 1 does not change it: on one worker
+// a region allocates its task closure only, and with helpers it adds the
+// region's shared counter and WaitGroup and the helpers' work method value
+// (the round's closure, run on the caller, stays on the stack). Self-image
+// planes reuse their rank's staging buffer; the rounds are aimed at New and
+// the engine's records are scratch. At 32 ranks that is at most 8×3 = 24 a
+// step, where allocating each plane took 192 + 8×2 = 208.
 func TestStepAllocs(t *testing.T) {
 	const regionAllocs = 3
 	for _, tc := range []struct {

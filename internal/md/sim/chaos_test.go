@@ -191,7 +191,7 @@ func TestInboxHoldsPayloadOverPutAndFallback(t *testing.T) {
 			t.Fatalf("degrade=%v: no inbox message checked", degrade)
 		}
 		overMPI := 0
-		for _, m := range s.lastBatch(op).msgs {
+		for _, m := range s.lastRound(op).Msgs {
 			if m.OverMPI {
 				overMPI++
 				if m.Src != src || m.Dst != dst {
@@ -239,7 +239,7 @@ func TestForwardLandsInPositionArray(t *testing.T) {
 			}
 		}
 		var mu sync.Mutex
-		op := forwardOp(true)
+		op := directForwardOp
 		unpack := op.unpack
 		op.unpack = func(r *Rank, l *link, data []byte) {
 			mu.Lock()
@@ -260,7 +260,7 @@ func TestForwardLandsInPositionArray(t *testing.T) {
 				}
 			}
 		}
-		for _, m := range s.lastBatch(op).msgs {
+		for _, m := range s.lastRound(op).Msgs {
 			if m.OverMPI {
 				overMPI++
 				if m.Src == src && m.Dst == dst {

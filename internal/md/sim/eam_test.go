@@ -144,35 +144,3 @@ func TestEAMVariantsAgree(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestBoundaryCountKeptAcrossMigration: under OverlapEAM every border keeps
-// each rank's count of local atoms on its send lists, and after a rebuild
-// in which atoms migrate between ranks the kept count equals a fresh one.
-func TestBoundaryCountKeptAcrossMigration(t *testing.T) {
-	v := Opt()
-	v.OverlapEAM = true
-	s := newSim(t, v, eamConfig(t))
-	check := func(label string) {
-		t.Helper()
-		for _, r := range s.ranks {
-			if fresh := r.boundaryLocalCount(); r.boundary != fresh || fresh == 0 {
-				t.Fatalf("%s: rank %d keeps %d boundary atoms, a fresh count gives %d", label, r.ID, r.boundary, fresh)
-			}
-		}
-	}
-	check("setup")
-	// Move a handful of rank 0's atoms half a sub-box along x, into its
-	// neighbor's box, and rebuild.
-	r0 := s.ranks[0]
-	before := r0.Atoms.NLocal
-	shift := vec.V3{X: s.dec.Side().X / 2}
-	for i := 0; i < 5; i++ {
-		r0.Atoms.X[i] = r0.Atoms.X[i].Add(shift)
-	}
-	s.doExchange()
-	s.doBorder(nil)
-	if r0.Atoms.NLocal >= before {
-		t.Fatalf("rank 0 holds %d locals after the rebuild, %d before: no atom migrated", r0.Atoms.NLocal, before)
-	}
-	check("after migration")
-}

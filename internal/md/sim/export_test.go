@@ -1,15 +1,17 @@
 package sim
 
-import "tofumd/internal/tofu"
+import (
+	"tofumd/internal/halo"
+	"tofumd/internal/tofu"
+)
 
 // FabricForTest exposes the simulation's fabric to the external test
 // package, which drives its inert SetParallel knob.
 func (s *Simulation) FabricForTest() *tofu.Fabric { return s.fab }
 
-// lastBatch returns the batch the operation's last run sent its last round
-// from.
-func (s *Simulation) lastBatch(op haloOp) *batch {
-	return s.opBatch(op, len(s.plan.Rounds)-1)
+// lastRound returns the round the operation's last run sent last.
+func (s *Simulation) lastRound(op haloOp) *halo.Round {
+	return s.opRound(op, len(s.plan.Rounds)-1)
 }
 
 // planCounts returns each planned operation's aimed and replayed rounds so

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"slices"
 	"testing"
 
 	"tofumd/internal/md/lattice"
@@ -134,32 +133,5 @@ func TestThermostatEquilibrates(t *testing.T) {
 	// The thermostat work must be visible in the Other stage.
 	if s.Breakdowns()[0].Get(trace.Other) <= 0 {
 		t.Error("thermostat charged nothing to Other")
-	}
-}
-
-// TestOverlapEAMSavesTimeKeepsPhysics: the comp/comm overlap extension must
-// not change trajectories and must not be slower.
-func TestOverlapEAMSavesTimeKeepsPhysics(t *testing.T) {
-	cfg := eamConfig(t)
-	base := newSim(t, Opt(), cfg)
-	base.Run(8)
-
-	v := Opt()
-	v.OverlapEAM = true
-	over := newSim(t, v, cfg)
-	over.Run(8)
-
-	if !slices.Equal(base.Gather(), over.Gather()) {
-		t.Fatal("overlap changed the trajectory")
-	}
-	tb := trace.Merge(base.Breakdowns()).Total()
-	to := trace.Merge(over.Breakdowns()).Total()
-	if to > tb*1.0001 {
-		t.Errorf("overlap made the run slower: %.6f vs %.6f", to, tb)
-	}
-	if to >= tb {
-		t.Logf("note: overlap saved nothing on this geometry (%.6f vs %.6f)", to, tb)
-	} else {
-		t.Logf("overlap saved %.2f%% of total time", 100*(1-to/tb))
 	}
 }

@@ -17,6 +17,9 @@ import (
 // (section 3.4); sharing the struct makes that exchange functional here
 // while its *time* is still charged explicitly.
 type link struct {
+	// id is the link's index in the plan's Links and in Simulation.links,
+	// the Link of every message sent on it.
+	id int
 	// spec is the halo-plan entry the link was built from: the endpoint
 	// rank ids, the neighbor offset from src to dst in the rank grid, and
 	// the 3-stage round it belongs to (Stage3Dim -1 for p2p).
@@ -42,6 +45,9 @@ type side struct {
 	halo.Res
 	// inbox holds the receiver's receive buffers (uTofu transport).
 	inbox halo.Inbox
+	// reg is the inbox registration cost aiming the side's latest message
+	// incurred, for the receiver to be charged once the round is packed.
+	reg float64
 	// buf is the sender's packing scratch. It only ever holds memory the
 	// side owns: a payload sent from the sender's own arrays (haloOp.view)
 	// or packed at its destination (haloOp.direct) is never stored here,
@@ -106,10 +112,6 @@ type Rank struct {
 	pairs    int
 	unpacked int
 
-	// boundary is how many local atoms the send lists ship
-	// (boundaryLocalCount), kept by every border under OverlapEAM.
-	boundary int
-
 	// dimGhostMark is the ghost watermark at the start of the current
 	// 3-stage dimension (iteration-0 send lists scan indices below it).
 	dimGhostMark int
@@ -135,19 +137,4 @@ func (r *Rank) resetPlan() {
 		l.sendList = l.sendList[:0]
 		l.recvStart, l.recvCount = 0, 0
 	}
-}
-
-// boundaryLocalCount returns how many of the rank's local atoms appear in
-// at least one send list — the atoms whose EAM densities receive remote
-// contributions during the reverse-scalar exchange.
-func (r *Rank) boundaryLocalCount() int {
-	seen := make(map[int32]struct{})
-	for _, l := range r.sendLinks {
-		for _, idx := range l.sendList {
-			if int(idx) < r.Atoms.NLocal {
-				seen[idx] = struct{}{}
-			}
-		}
-	}
-	return len(seen)
 }

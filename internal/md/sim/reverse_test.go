@@ -92,7 +92,7 @@ func TestReverseSendsFromForceArray(t *testing.T) {
 				got.runOp(reverseOp, nil)
 				want.runOp(stagedReverseOp, nil)
 				overMPI := 0
-				for _, m := range got.lastBatch(reverseOp).msgs {
+				for _, m := range got.lastRound(reverseOp).Msgs {
 					if m.OverMPI {
 						overMPI++
 					}

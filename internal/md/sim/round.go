@@ -2,80 +2,22 @@ package sim
 
 import (
 	"tofumd/internal/halo"
-	"tofumd/internal/slab"
 	"tofumd/internal/trace"
 )
-
-// rmsg is one message of a bulk-synchronous communication round: the
-// engine's halo.Msg (endpoints, resources, payload, absolute virtual times)
-// plus the link it travels on.
-type rmsg struct {
-	halo.Msg
-	// link is the channel; nil for exchange-stage messages.
-	link *link
-	// reg is the inbox registration cost aiming the message incurred, for
-	// the receiver to be charged once the round is packed.
-	reg float64
-}
 
 // msg builds the message sent on one side of the link, carrying the
 // sender's VCQ on the side's TNI; the caller aims it, packs its Data and
 // stamps ReadyAt.
-func (l *link) msg(rev, known bool) rmsg {
+func (l *link) msg(rev, known bool) halo.Msg {
 	from, to, sd := l.src, l.dst, l.side(rev)
 	if rev {
 		from, to = to, from
 	}
-	return rmsg{link: l, Msg: halo.Msg{
-		Src: from.ID, Dst: to.ID,
+	return halo.Msg{
+		Src: from.ID, Dst: to.ID, Link: l.id,
 		Thread: sd.Thread, VCQ: from.vcqByTNI[sd.TNI], DstThread: l.side(!rev).Thread,
 		Known: known,
-	}}
-}
-
-// batch collects a round's messages: the engine's view of them, and a
-// per-sender and a per-receiver index so packing and unpacking stay linear
-// in the message count. reset takes the round's records from a slab, and
-// msgs is the used prefix of what it took. A planned operation keeps one
-// batch per round and replays it while its epoch is current; the
-// simulation's shared batch holds the ad hoc rounds.
-type batch struct {
-	slab  slab.Slab[rmsg]
-	room  []*rmsg
-	msgs  []*rmsg
-	wire  []*halo.Msg
-	bySrc [][]*rmsg
-	byDst [][]*rmsg
-	// epoch is the plan epoch an operation aimed the batch in; 0, which no
-	// epoch equals, after reset.
-	epoch uint64
-}
-
-// newBatch returns an empty batch for a simulation of n ranks.
-func newBatch(n int) *batch {
-	return &batch{bySrc: make([][]*rmsg, n), byDst: make([][]*rmsg, n)}
-}
-
-// reset empties the batch and makes room for up to n messages.
-func (b *batch) reset(n int) {
-	b.epoch = 0
-	b.room = b.slab.Take(n)
-	b.msgs, b.wire = b.room[:0], b.wire[:0]
-	for i := range b.byDst {
-		b.bySrc[i], b.byDst[i] = b.bySrc[i][:0], b.byDst[i][:0]
 	}
-}
-
-// add stores rec in the batch and returns the stored message, which the
-// caller may still adjust (everything but Src and Dst).
-func (b *batch) add(rec rmsg) *rmsg {
-	m := b.room[len(b.msgs)]
-	*m = rec
-	b.msgs = b.room[:len(b.msgs)+1]
-	b.wire = append(b.wire, &m.Msg)
-	b.bySrc[m.Src] = append(b.bySrc[m.Src], m)
-	b.byDst[m.Dst] = append(b.byDst[m.Dst], m)
-	return m
 }
 
 // fallbackK is the graceful-degradation threshold: after this many
@@ -89,15 +31,10 @@ const fallbackK = 3
 // metrics and trace spans behind the engine's hooks.
 func (s *Simulation) newEngine() *halo.Engine {
 	return &halo.Engine{
-		Fab:   s.fab,
-		UTS:   s.uts,
-		MPI:   s.mpiComm,
-		Clock: func(rank int) float64 { return s.ranks[rank].Clock },
-		Advance: func(rank int, t float64) {
-			if r := s.ranks[rank]; t > r.Clock {
-				r.Clock = t
-			}
-		},
+		Fab:      s.fab,
+		UTS:      s.uts,
+		MPI:      s.mpiComm,
+		Clock:    func(rank int) *float64 { return &s.ranks[rank].Clock },
 		Fallback: s.fb,
 		Health:   s.health,
 		OnReplan: s.replanTNIs,
@@ -120,7 +57,7 @@ func (s *Simulation) newEngine() *halo.Engine {
 
 // opPlan names the rounds a halo operation aims once per plan epoch and
 // replays (Simulation.plans). adHoc, the zero value, aims into the shared
-// batch on every run and never replays: border rounds, whose send lists
+// round on every run and never replays: border rounds, whose send lists
 // are new each time, and ad hoc test operations.
 type opPlan int
 

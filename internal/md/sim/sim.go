@@ -140,15 +140,15 @@ type Simulation struct {
 	// the simulation's clocks, VCQ tables and health trackers.
 	eng *halo.Engine
 	// plan is the halo plan (links, per-rank issue order, rounds); links
-	// holds one link per plan link; batch the messages of an ad hoc round
+	// holds one link per plan link; round the messages of an ad hoc round
 	// (border, exchange, piggyback).
 	plan  *halo.Plan
 	links []link
-	batch *batch
-	// plans holds each planned operation's aimed rounds, one batch per
-	// plan round (haloOp.plan). Forward's first is batch: every ad hoc
-	// round resets it, and every border advances the epoch anyway.
-	plans [numPlans][]*batch
+	round *halo.Round
+	// plans holds each planned operation's aimed rounds, one per plan round
+	// (haloOp.plan). Forward's first is round: every ad hoc round resets
+	// it, and every border advances the epoch anyway.
+	plans [numPlans][]*halo.Round
 	// epoch is the plan epoch. It advances on every border, TNI re-plan and
 	// inbox (re)registration, the three things that move where an aimed
 	// message goes; a planned round aimed in an older epoch is aimed again.
@@ -190,7 +190,9 @@ type Simulation struct {
 	setupEvents int64
 	// Thermo holds the recorded outputs.
 	Thermo []ThermoSample
-	// lastDangerous counts check-yes rebuild triggers.
+	// Rebuilds counts neighbor-list rebuilds, setup's included: one per
+	// rebuild step, whether NeighEvery alone or the check-yes displacement
+	// test called it.
 	Rebuilds int
 }
 
@@ -635,7 +637,7 @@ func (s *Simulation) createLinks() {
 	s.links = make([]link, len(s.plan.Links))
 	for i, sp := range s.plan.Links {
 		src, dst := s.ranks[sp.Src], s.ranks[sp.Dst]
-		s.links[i] = link{spec: sp, src: src, dst: dst, shift: s.dec.PBCShift(src.Coord, sp.Dir)}
+		s.links[i] = link{id: i, spec: sp, src: src, dst: dst, shift: s.dec.PBCShift(src.Coord, sp.Dir)}
 	}
 	for _, r := range s.ranks {
 		for _, i := range s.plan.Send[r.ID] {
@@ -645,14 +647,14 @@ func (s *Simulation) createLinks() {
 			r.recvLinks = append(r.recvLinks, &s.links[i])
 		}
 	}
-	s.batch = newBatch(len(s.ranks))
+	s.round = halo.NewRound(len(s.ranks))
 	for p := fwdPlan; p < numPlans; p++ {
-		s.plans[p] = make([]*batch, len(s.plan.Rounds))
+		s.plans[p] = make([]*halo.Round, len(s.plan.Rounds))
 		for i := range s.plans[p] {
-			s.plans[p][i] = newBatch(len(s.ranks))
+			s.plans[p][i] = halo.NewRound(len(s.ranks))
 		}
 	}
-	s.plans[fwdPlan][0] = s.batch
+	s.plans[fwdPlan][0] = s.round
 }
 
 // assignResources runs the plan's resource assignment over the TNIs the

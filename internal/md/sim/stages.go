@@ -69,26 +69,26 @@ func (op haloOp) size(l *link) int {
 	return len(l.sendList) * op.recBytes
 }
 
-// payload writes sender r's payload of the aimed message m and returns it.
-// An aimed message (uTofu, where m.Region is set) is written at its
-// destination, a view copied there, so its bytes have landed before the
+// payload writes sender r's payload of the message m aimed on l and
+// returns it. An aimed message (uTofu, where m.Region is set) is written at
+// its destination, a view copied there, so its bytes have landed before the
 // round runs. Under MPI the payload is the view itself or the side's
 // scratch, the only payload kept on the side.
-func (op haloOp) payload(r *Rank, m *rmsg) []byte {
+func (op haloOp) payload(r *Rank, l *link, m *halo.Msg) []byte {
 	if m.Region != nil {
 		if op.view == nil {
-			return op.pack(r, m.link, m.Dest())
+			return op.pack(r, l, m.Dest())
 		}
-		v := op.view(r, m.link)
+		v := op.view(r, l)
 		dst := m.Dest()[:len(v)]
 		copy(dst, v)
 		return dst
 	}
 	if op.view != nil {
-		return op.view(r, m.link)
+		return op.view(r, l)
 	}
-	sd := m.link.side(op.rev)
-	sd.buf = op.pack(r, m.link, sd.buf)
+	sd := l.side(op.rev)
+	sd.buf = op.pack(r, l, sd.buf)
 	return sd.buf
 }
 
@@ -132,8 +132,8 @@ func (s *Simulation) runOpRound(op haloOp, i int, then func(r *Rank)) {
 		then = nil
 	}
 	packTh := s.Var.PackThreading()
-	b := s.opBatch(op, i)
-	replay := op.plan != adHoc && b.epoch == s.epoch
+	b := s.opRound(op, i)
+	replay := op.plan != adHoc && b.Epoch == s.epoch
 	if replay {
 		s.replays[op.plan]++
 	} else {
@@ -143,23 +143,23 @@ func (s *Simulation) runOpRound(op haloOp, i int, then func(r *Rank)) {
 	s.forRanks(func(id int) {
 		r := s.ranks[id]
 		bytes := 0
-		for _, m := range b.bySrc[id] {
-			m.Data = op.payload(r, m)
+		for _, m := range b.BySrc[id] {
+			m.Data = op.payload(r, &s.links[m.Link], m)
 			bytes += len(m.Data)
 		}
 		r.Clock += s.M.Cost.PackTime(units.Bytes(bytes), packTh)
 		if replay {
-			for _, m := range b.bySrc[id] {
+			for _, m := range b.BySrc[id] {
 				m.ReadyAt = r.Clock
 			}
 		}
 	})
 	if !replay {
-		for _, m := range b.msgs {
+		for _, m := range b.Msgs {
 			// Charged after packing and before the stamp: a registration on
 			// a self-link (the rank's own periodic image) delays its own
 			// send.
-			s.chargeRegistration(s.ranks[m.Dst], m.reg)
+			s.chargeRegistration(s.ranks[m.Dst], s.links[m.Link].side(op.rev).reg)
 			m.ReadyAt = s.ranks[m.Src].Clock
 		}
 	}
@@ -171,15 +171,15 @@ func (s *Simulation) runOpRound(op haloOp, i int, then func(r *Rank)) {
 		r := s.ranks[id]
 		if !op.direct {
 			r.unpacked = 0
-			for _, m := range b.byDst[id] {
-				op.unpack(r, m.link, m.Data)
+			for _, m := range b.ByDst[id] {
+				op.unpack(r, &s.links[m.Link], m.Data)
 				r.unpacked += len(m.Data)
 			}
 		}
 		if then != nil {
 			then(r)
 		}
-	}, func() { s.eng.RunRound(s.Var.Transport, b.wire) })
+	}, func() { s.eng.RunRound(s.Var.Transport, b.Msgs) })
 	if op.direct {
 		return
 	}
@@ -190,39 +190,40 @@ func (s *Simulation) runOpRound(op haloOp, i int, then func(r *Rank)) {
 	}
 }
 
-// opBatch returns the batch the operation's i-th round is aimed in.
-func (s *Simulation) opBatch(op haloOp, i int) *batch {
+// opRound returns the round the operation's i-th round is aimed in.
+func (s *Simulation) opRound(op haloOp, i int) *halo.Round {
 	if op.plan == adHoc {
-		return s.batch
+		return s.round
 	}
 	return s.plans[op.plan][i]
 }
 
 // aimRound builds the operation's messages of round k into b and aims
-// them, growing each inbox to its payload's length; a planned b is stamped
-// with the epoch that holds after the growths, so it replays until the
-// next border, re-plan or registration.
-func (s *Simulation) aimRound(op haloOp, k halo.RoundKey, b *batch) {
+// them, growing each inbox to its payload's length and keeping the cost on
+// the link side; a planned b is stamped with the epoch that holds after the
+// growths, so it replays until the next border, re-plan or registration.
+func (s *Simulation) aimRound(op haloOp, k halo.RoundKey, b *halo.Round) {
 	inbox := !op.direct && s.Var.Transport == halo.TransportUTofu
-	b.reset(len(s.links) / len(s.plan.Rounds)) // every round holds as many links
+	b.Reset(len(s.links) / len(s.plan.Rounds)) // every round holds as many links
 	for _, r := range s.ranks {
 		for _, l := range op.links(r) {
 			if !l.inRound(k) {
 				continue
 			}
-			m := b.add(l.msg(op.rev, op.known))
+			m := b.Add(l.msg(op.rev, op.known))
+			sd := l.side(op.rev)
+			sd.reg = 0
 			switch {
 			case op.direct:
 				m.Region, m.DstOff = s.xRegion[m.Dst], l.recvStart*posBytes
 			case inbox:
-				ib := &l.side(op.rev).inbox
-				m.reg = s.growInbox(ib, m.Dst, op.size(l))
-				m.Region = ib.Region
+				sd.reg = s.growInbox(&sd.inbox, m.Dst, op.size(l))
+				m.Region = sd.inbox.Region
 			}
 		}
 	}
 	if op.plan != adHoc {
-		b.epoch = s.epoch
+		b.Epoch = s.epoch
 	}
 }
 
@@ -245,21 +246,33 @@ var borderOp = haloOp{
 	},
 }
 
-// forwardOp updates ghost positions from their owners, written into the
-// receiver's position array: under the pre-registered scheme by the sender
-// itself, which packs X+shift straight into the ghost slots the round then
-// charges (and an MPI fallback lands on), decoded from the receive buffers
-// otherwise.
-func forwardOp(direct bool) haloOp {
-	return haloOp{
-		known: true, direct: direct, unpackIfAny: true, recBytes: posBytes, plan: fwdPlan,
-		pack: func(r *Rank, l *link, dst []byte) []byte {
-			return encodePositions(dst, r.Atoms.X, l.sendList, l.shift)
-		},
-		unpack: func(r *Rank, l *link, data []byte) {
-			decodePositions(data, r.Atoms.X, l.recvStart, l.recvCount)
-		},
+// forwardOp updates ghost positions from their owners, decoded from the
+// receive buffers into the receiver's position array.
+var forwardOp = haloOp{
+	known: true, unpackIfAny: true, recBytes: posBytes, plan: fwdPlan,
+	pack: func(r *Rank, l *link, dst []byte) []byte {
+		return encodePositions(dst, r.Atoms.X, l.sendList, l.shift)
+	},
+	unpack: func(r *Rank, l *link, data []byte) {
+		decodePositions(data, r.Atoms.X, l.recvStart, l.recvCount)
+	},
+}
+
+// directForwardOp is forwardOp under the pre-registered scheme: the sender
+// itself packs X+shift straight into the receiver's ghost slots, which the
+// round then charges (and an MPI fallback lands on).
+var directForwardOp = func() haloOp {
+	op := forwardOp
+	op.direct = true
+	return op
+}()
+
+// forward returns the variant's forward operation.
+func (s *Simulation) forward() haloOp {
+	if s.Var.Preregistered {
+		return directForwardOp
 	}
+	return forwardOp
 }
 
 // reverseOp returns ghost forces to their owners (Newton's 3rd law): each
@@ -278,32 +291,28 @@ var reverseOp = haloOp{
 	},
 }
 
-// scalarReverseOp sends ghost scalar contributions (EAM densities) home.
-func scalarReverseOp(arr func(*Rank) []float64) haloOp {
-	return haloOp{
-		rev: true, known: true, recBytes: halo.F64Bytes, plan: scalarRevPlan,
-		pack: func(r *Rank, l *link, dst []byte) []byte {
-			return halo.EncodeScalars(dst, arr(r), l.recvStart, l.recvCount)
-		},
-		unpack: func(r *Rank, l *link, data []byte) {
-			decodeAddScalars(data, arr(r), l.sendList)
-		},
-	}
+// scalarReverseOp sends ghost EAM density contributions home.
+var scalarReverseOp = haloOp{
+	rev: true, known: true, recBytes: halo.F64Bytes, plan: scalarRevPlan,
+	pack: func(r *Rank, l *link, dst []byte) []byte {
+		return halo.EncodeScalars(dst, r.Atoms.Rho, l.recvStart, l.recvCount)
+	},
+	unpack: func(r *Rank, l *link, data []byte) {
+		decodeAddScalars(data, r.Atoms.Rho, l.sendList)
+	},
 }
 
-// scalarForwardOp distributes an owner scalar (EAM embedding derivative)
-// to ghosts. It always lands in the forward inbox: only the position array
-// is pre-registered for direct writes.
-func scalarForwardOp(arr func(*Rank) []float64) haloOp {
-	return haloOp{
-		known: true, recBytes: halo.F64Bytes, plan: scalarFwdPlan,
-		pack: func(r *Rank, l *link, dst []byte) []byte {
-			return encodeScalars(dst, arr(r), l.sendList)
-		},
-		unpack: func(r *Rank, l *link, data []byte) {
-			halo.DecodeScalars(data, arr(r), l.recvStart, l.recvCount)
-		},
-	}
+// scalarForwardOp distributes the owners' EAM embedding derivatives to
+// their ghosts. It always lands in the forward inbox: only the position
+// array is pre-registered for direct writes.
+var scalarForwardOp = haloOp{
+	known: true, recBytes: halo.F64Bytes, plan: scalarFwdPlan,
+	pack: func(r *Rank, l *link, dst []byte) []byte {
+		return encodeScalars(dst, r.Atoms.Fp, l.sendList)
+	},
+	unpack: func(r *Rank, l *link, data []byte) {
+		halo.DecodeScalars(data, r.Atoms.Fp, l.recvStart, l.recvCount)
+	},
 }
 
 // --- border stage -----------------------------------------------------
@@ -311,9 +320,8 @@ func scalarForwardOp(arr func(*Rank) []float64) haloOp {
 // doBorder rebuilds the ghost regions: send lists are derived from the
 // sub-box geometry, atoms are shipped, and receivers append ghosts and
 // record the recv_ptr offsets; then runs on every rank beside the last
-// round, once its ghosts are complete, after OverlapEAM's boundary count
-// of the new send lists. Under the pre-registered scheme the offsets are
-// piggybacked back to the senders (section 3.4).
+// round, once its ghosts are complete. Under the pre-registered scheme the
+// offsets are piggybacked back to the senders (section 3.4).
 func (s *Simulation) doBorder(then func(r *Rank)) {
 	// A fresh plan re-arms transiently degraded neighbor links; health
 	// quarantine is sticky and survives the rebuild (only ProbeHealth
@@ -328,20 +336,11 @@ func (s *Simulation) doBorder(then func(r *Rank)) {
 	if s.Var.Pattern == halo.P2P {
 		s.buildP2PSendLists()
 	}
-	last := then
-	if s.Var.OverlapEAM {
-		last = func(r *Rank) {
-			r.boundary = r.boundaryLocalCount()
-			if then != nil {
-				then(r)
-			}
-		}
-	}
 	for i, k := range s.plan.Rounds {
 		if s.Var.Pattern == halo.ThreeStage {
 			s.build3StageSendLists(k)
 		}
-		s.runOpRound(borderOp, i, last)
+		s.runOpRound(borderOp, i, then)
 	}
 	if s.Var.Preregistered {
 		// The exchange and the ghosts appended above only move X if it
@@ -451,15 +450,15 @@ var recvPtrDescriptor [8]byte
 // link struct already carries the offset; this round charges its time. It
 // has no codec and no pack/unpack charge, so it is not a haloOp.
 func (s *Simulation) piggybackOffsets() {
-	b := s.batch
-	b.reset(len(s.links))
+	b := s.round
+	b.Reset(len(s.links))
 	for _, r := range s.ranks {
 		for _, l := range r.recvLinks {
-			m := b.add(l.msg(true, true))
+			m := b.Add(l.msg(true, true))
 			m.Data, m.Region, m.ReadyAt = recvPtrDescriptor[:], l.rev.inbox.Region, r.Clock
 		}
 	}
-	s.eng.RunRound(s.Var.Transport, b.wire)
+	s.eng.RunRound(s.Var.Transport, b.Msgs)
 }
 
 // --- exchange stage -----------------------------------------------------
@@ -493,12 +492,12 @@ func (s *Simulation) doExchange() {
 		}
 		r.Clock += s.M.Cost.ScanTime(a.NLocal)
 	})
-	b := s.batch
+	b := s.round
 	pairs := 0
 	for _, r := range s.ranks {
 		pairs += len(r.exchScratch)
 	}
-	b.reset(pairs)
+	b.Reset(pairs)
 	for _, r := range s.ranks {
 		dsts := make([]int, 0, len(r.exchScratch))
 		for d := range r.exchScratch {
@@ -507,14 +506,14 @@ func (s *Simulation) doExchange() {
 		sort.Ints(dsts)
 		for _, d := range dsts {
 			data := encodeExchange(nil, r.exchScratch[d])
-			b.add(rmsg{Msg: halo.Msg{
-				Src: r.ID, Dst: d, Data: data,
+			b.Add(halo.Msg{
+				Src: r.ID, Dst: d, Link: -1, Data: data,
 				ReadyAt: r.Clock + s.M.Cost.PackTime(units.Bytes(len(data)), machine.Serial),
-			}})
+			})
 		}
 	}
-	s.eng.RunRound(halo.TransportMPI, b.wire)
-	for _, m := range b.msgs {
+	s.eng.RunRound(halo.TransportMPI, b.Msgs)
+	for _, m := range b.Msgs {
 		dst := s.ranks[m.Dst]
 		for _, rec := range decodeExchange(m.Data) {
 			dst.Atoms.AddLocal(rec.id, rec.typ, rec.pos, rec.vel)
@@ -583,25 +582,13 @@ func (s *Simulation) finishForces() {
 		}
 	}
 	chargePass()
-	// Interior atoms (never shipped as ghosts) have complete densities
-	// before the exchange; with OverlapEAM their embedding evaluation
-	// hides behind the reverse-scalar round (section 3.1's overlap).
-	var preComm []float64
-	if s.Var.OverlapEAM {
-		preComm = s.snapshotClocks()
-	}
-	s.runOp(scalarReverseOp(func(r *Rank) []float64 { return r.Atoms.Rho }), func(r *Rank) {
+	s.runOp(scalarReverseOp, func(r *Rank) {
 		r.peLocal = mb.FinishRho(r.Atoms)
 	})
-	for id, r := range s.ranks {
-		if s.Var.OverlapEAM {
-			r.Clock = max(r.Clock, preComm[id]+s.M.Cost.EAMEmbedTime(r.Atoms.NLocal-r.boundary, th))
-			r.Clock += s.M.Cost.EAMEmbedTime(r.boundary, th)
-		} else {
-			r.Clock += s.M.Cost.EAMEmbedTime(r.Atoms.NLocal, th)
-		}
+	for _, r := range s.ranks {
+		r.Clock += s.M.Cost.EAMEmbedTime(r.Atoms.NLocal, th)
 	}
-	s.runOp(scalarForwardOp(func(r *Rank) []float64 { return r.Atoms.Fp }), func(r *Rank) {
+	s.runOp(scalarForwardOp, func(r *Rank) {
 		res := mb.ComputeForce(r.Atoms, r.NL)
 		r.peLocal += res.PotentialEnergy
 		r.virLocal = res.Virial

@@ -94,7 +94,7 @@ func (s *Simulation) forceSequence(rebuild bool, then func(r *Rank)) {
 		})
 	} else {
 		s.stage(trace.Comm, "forward", func() {
-			s.runOp(forwardOp(s.Var.Preregistered), s.firstForcePass)
+			s.runOp(s.forward(), s.firstForcePass)
 		})
 	}
 	s.stage(trace.Pair, "pair", s.finishForces)

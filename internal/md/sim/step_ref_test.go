@@ -87,15 +87,15 @@ func (s *Simulation) refStep() {
 // refPayload returns sender r's payload of the aimed message m: a view of r's
 // arrays, bytes packed at m's destination, or the side's scratch. Only the
 // scratch is kept on the side.
-func refPayload(op haloOp, r *Rank, m *rmsg) []byte {
+func refPayload(op haloOp, r *Rank, l *link, m *halo.Msg) []byte {
 	switch {
 	case op.view != nil:
-		return op.view(r, m.link)
+		return op.view(r, l)
 	case op.direct:
-		return op.pack(r, m.link, m.Dest())
+		return op.pack(r, l, m.Dest())
 	}
-	sd := m.link.side(op.rev)
-	sd.buf = op.pack(r, m.link, sd.buf)
+	sd := l.side(op.rev)
+	sd.buf = op.pack(r, l, sd.buf)
 	return sd.buf
 }
 
@@ -118,14 +118,14 @@ func (s *Simulation) refRunOp(op haloOp) {
 // stamps ReadyAt.
 func (s *Simulation) refRunOpRound(op haloOp, k halo.RoundKey) {
 	packTh := s.Var.PackThreading()
-	b := s.batch
-	b.reset(len(s.links))
+	b := s.round
+	b.Reset(len(s.links))
 	for _, r := range s.ranks {
 		for _, l := range op.links(r) {
 			if !l.inRound(k) {
 				continue
 			}
-			m := b.add(l.msg(op.rev, op.known))
+			m := b.Add(l.msg(op.rev, op.known))
 			if op.direct {
 				m.Region, m.DstOff = s.xRegion[m.Dst], l.recvStart*posBytes
 			}
@@ -134,16 +134,16 @@ func (s *Simulation) refRunOpRound(op haloOp, k halo.RoundKey) {
 	s.forRanks(func(id int) {
 		r := s.ranks[id]
 		bytes := 0
-		for _, m := range b.bySrc[id] {
-			m.Data = refPayload(op, r, m)
+		for _, m := range b.BySrc[id] {
+			m.Data = refPayload(op, r, &s.links[m.Link], m)
 			bytes += len(m.Data)
 		}
 		r.Clock += s.M.Cost.PackTime(units.Bytes(bytes), packTh)
 	})
 	inbox := !op.direct && s.Var.Transport == halo.TransportUTofu
-	for _, m := range b.msgs {
+	for _, m := range b.Msgs {
 		if inbox {
-			ib := &m.link.side(op.rev).inbox
+			ib := &s.links[m.Link].side(op.rev).inbox
 			s.refEnsureInbox(s.ranks[m.Dst], ib, len(m.Data))
 			m.Region = ib.Region
 		}
@@ -151,15 +151,15 @@ func (s *Simulation) refRunOpRound(op haloOp, k halo.RoundKey) {
 		// rank's own periodic image) delays its own send.
 		m.ReadyAt = s.ranks[m.Src].Clock
 	}
-	s.eng.RunRound(s.Var.Transport, b.wire)
+	s.eng.RunRound(s.Var.Transport, b.Msgs)
 	if op.direct {
 		return
 	}
 	s.forRanks(func(id int) {
 		r := s.ranks[id]
 		bytes := 0
-		for _, m := range b.byDst[id] {
-			op.unpack(r, m.link, m.Data)
+		for _, m := range b.ByDst[id] {
+			op.unpack(r, &s.links[m.Link], m.Data)
 			bytes += len(m.Data)
 		}
 		if bytes > 0 || !op.unpackIfAny {
@@ -169,7 +169,7 @@ func (s *Simulation) refRunOpRound(op haloOp, k halo.RoundKey) {
 }
 
 // refDoForward is the forward stage of an ordinary step.
-func (s *Simulation) refDoForward() { s.refRunOp(forwardOp(s.Var.Preregistered)) }
+func (s *Simulation) refDoForward() { s.refRunOp(s.forward()) }
 
 // refDoReverse is the reverse stage of a Newton-on step.
 func (s *Simulation) refDoReverse() { s.refRunOp(reverseOp) }
@@ -237,31 +237,14 @@ func (s *Simulation) refComputeForces() {
 			n := mb.AccumulateRho(r.Atoms, r.NL)
 			r.Clock += s.M.Cost.EAMPassTime(n, th)
 		})
-		// Interior atoms (never shipped as ghosts) have complete densities
-		// before the exchange; with OverlapEAM their embedding evaluation
-		// hides behind the reverse-scalar round (section 3.1's overlap).
-		var preComm []float64
-		if s.Var.OverlapEAM {
-			preComm = s.snapshotClocks()
-		}
-		s.refRunOp(scalarReverseOp(func(r *Rank) []float64 { return r.Atoms.Rho }))
+		s.refRunOp(scalarReverseOp)
 		s.forRanks(func(id int) {
 			r := s.ranks[id]
 			embed := mb.FinishRho(r.Atoms)
 			r.peLocal = embed
-			if s.Var.OverlapEAM {
-				boundary := r.boundaryLocalCount()
-				interior := r.Atoms.NLocal - boundary
-				overlapped := preComm[id] + s.M.Cost.EAMEmbedTime(interior, th)
-				if overlapped > r.Clock {
-					r.Clock = overlapped
-				}
-				r.Clock += s.M.Cost.EAMEmbedTime(boundary, th)
-			} else {
-				r.Clock += s.M.Cost.EAMEmbedTime(r.Atoms.NLocal, th)
-			}
+			r.Clock += s.M.Cost.EAMEmbedTime(r.Atoms.NLocal, th)
 		})
-		s.refRunOp(scalarForwardOp(func(r *Rank) []float64 { return r.Atoms.Fp }))
+		s.refRunOp(scalarForwardOp)
 		s.forRanks(func(id int) {
 			r := s.ranks[id]
 			res := mb.ComputeForce(r.Atoms, r.NL)
@@ -303,8 +286,7 @@ func (s *Simulation) refEnsureInbox(owner *Rank, ib *halo.Inbox, need int) {
 // breakdown, on X, V and F over locals and ghosts, on the EAM Rho and Fp
 // arrays and on the thermo samples. The runs cover LJ and EAM, the opt,
 // ref and utofu-3stage variants (direct forward puts, MPI, and inbox
-// puts), Newton off, EAM with OverlapEAM's embedding rule under opt, a
-// degraded link whose messages fall back to MPI, a TNI that fails
+// puts), Newton off, a degraded link whose messages fall back to MPI, a TNI that fails
 // mid-run under uTofu (a quarantine and re-plan inside a replayed
 // round), and enough steps for a neighbor rebuild.
 func TestStepMatchesReference(t *testing.T) {
@@ -330,25 +312,21 @@ func TestStepMatchesReference(t *testing.T) {
 		name  string
 		cfg   func(*testing.T) Config
 		steps int
-		// overlap runs the row under opt only, with OverlapEAM on.
-		overlap bool
 		// tniFail fails TNI 2 halfway through the run, under the uTofu
 		// variants only.
 		tniFail bool
 	}{
-		{"lj", lj, 22, false, false},
-		{"lj-newton-off", ljNewtonOff, 22, false, false},
-		{"eam", eam, 12, false, false},
-		{"eam-overlap", eam, 12, true, false},
-		{"lj-tni-failstop", lj, 22, false, true},
+		{"lj", lj, 22, false},
+		{"lj-newton-off", ljNewtonOff, 22, false},
+		{"eam", eam, 12, false},
+		{"lj-tni-failstop", lj, 22, true},
 	} {
 		for _, v := range []Variant{Opt(), Ref(), UTofu3Stage()} {
 			for _, degrade := range []bool{false, true} {
-				if tc.name == "lj-newton-off" && (v.Name != "opt" || degrade) || tc.overlap && v.Name != "opt" ||
+				if tc.name == "lj-newton-off" && (v.Name != "opt" || degrade) ||
 					tc.tniFail && (v.Transport != halo.TransportUTofu || degrade) {
 					continue
 				}
-				v.OverlapEAM = tc.overlap
 				name := fmt.Sprintf("%s/%s/degrade=%v", tc.name, v.Name, degrade)
 				t.Run(name, func(t *testing.T) {
 					got, want := newSim(t, v, tc.cfg(t)), newSim(t, v, tc.cfg(t))

@@ -35,12 +35,6 @@ type Variant struct {
 	CombineLength bool
 	// BorderBins enables the 3x3x3 border-bin routing (section 3.5.2).
 	BorderBins bool
-	// OverlapEAM overlaps the EAM embedding computation of interior atoms
-	// (whose densities need no remote contributions) with the in-pair
-	// density exchange — the computation/communication overlap the paper
-	// names as a p2p advantage (section 3.1). Off in the paper's variants;
-	// an extension measured separately.
-	OverlapEAM bool
 }
 
 // Ref is the baseline LAMMPS: MPI 3-stage, OpenMP compute.

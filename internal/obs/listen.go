@@ -9,14 +9,15 @@
 //   - the live run-status HTTP endpoint (StatusServer), serving JSON
 //     snapshots of the metrics registry, health-tracker state, current
 //     step and event count while a run is in flight;
-//   - the shared bind-first HTTP listener helper (Listen/Serve) used by the
-//     -status and -pprof flags of the binaries.
+//   - the shared bind-first HTTP listener helpers (Listen/Serve, and Start
+//     over both) behind the -status and -pprof flags of the binaries.
 //
 // Everything here only observes: nothing in this package advances virtual
 // time or changes simulation results.
 package obs
 
 import (
+	"log"
 	"net"
 	"net/http"
 	"time"
@@ -53,6 +54,24 @@ func Listen(addr string) (net.Listener, string, error) {
 // Listen and log the returned error.
 func Serve(l net.Listener, h http.Handler) error {
 	return newServer(h).Serve(l)
+}
+
+// Start binds addr (Listen), logs "<name> listening on http://<addr><path>"
+// and serves h (Serve) from a new goroutine, which logs the server's
+// terminal error as "<name> server: <err>". A bind failure is returned
+// before anything is logged or served.
+func Start(name, addr, path string, h http.Handler) error {
+	l, bound, err := Listen(addr)
+	if err != nil {
+		return err
+	}
+	log.Printf("%s listening on http://%s%s", name, bound, path)
+	go func() {
+		if err := Serve(l, h); err != nil {
+			log.Printf("%s server: %v", name, err)
+		}
+	}()
+	return nil
 }
 
 // newServer wraps h in the limits above.

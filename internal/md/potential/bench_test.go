@@ -74,6 +74,22 @@ func BenchmarkEAMComputeForce(b *testing.B) {
 	perPair(b, nl, func() { e.ComputeForce(a, nl) })
 }
 
+// BenchmarkEAMAccumulateRhoKept and BenchmarkEAMComputeForceKept time the
+// two passes as md/sim runs them: the density pass records its kept-pair
+// mask and the force pass replays it instead of screening.
+func BenchmarkEAMAccumulateRhoKept(b *testing.B) {
+	e, a, nl := eamBench(b)
+	var kept []uint64
+	perPair(b, nl, func() { e.AccumulateRhoKept(a, nl, &kept) })
+}
+
+func BenchmarkEAMComputeForceKept(b *testing.B) {
+	e, a, nl := eamBench(b)
+	var kept []uint64
+	e.AccumulateRhoKept(a, nl, &kept)
+	perPair(b, nl, func() { e.ComputeForceKept(a, nl, kept) })
+}
+
 // BenchmarkNeighborBuild times the list builds per local atom: the
 // half-shell list of the opt variant and the half-Newton list of ref.
 func BenchmarkNeighborBuild(b *testing.B) {

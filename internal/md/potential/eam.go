@@ -3,6 +3,7 @@ package potential
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"tofumd/internal/md/atom"
 	"tofumd/internal/md/neighbor"
@@ -200,21 +201,37 @@ func (e *EAM) NeedsFullList() bool { return false }
 // both endpoints (ghosts included; the caller reverse-communicates ghost
 // densities home). Returns the interaction count for the cost model.
 func (e *EAM) AccumulateRho(a *atom.Arrays, nl *neighbor.List) int {
+	return e.AccumulateRhoKept(a, nl, nil)
+}
+
+// AccumulateRhoKept implements ManyBody: AccumulateRho that also records
+// which listed pairs it kept, one mask per row chunk in list order, into
+// *kept (reused, resliced to length zero first). A nil kept records
+// nothing.
+func (e *EAM) AccumulateRhoKept(a *atom.Arrays, nl *neighbor.List, kept *[]uint64) int {
 	x, rho := a.X, a.Rho
 	start, neigh := nl.Start, nl.Neigh
 	cut2 := e.cut2
 	count := 0
-	var in [rowChunk]int32
+	var ks []uint64
+	if kept != nil {
+		ks = (*kept)[:0]
+	}
 	for i := 0; i < a.NLocal; i++ {
 		xi := x[i]
 		// j != i, so rho_i can stay in a register until the row ends.
 		rhoi := rho[i]
 		for row := neigh[start[i]:start[i+1]]; len(row) > 0; {
 			c := min(len(row), rowChunk)
-			kept := screen(&in, xi, x, row[:c], cut2)
+			chunk := row[:c]
 			row = row[c:]
-			count += kept
-			for _, j := range in[:kept] {
+			m := screenMask(xi, x, chunk, cut2)
+			if kept != nil {
+				ks = append(ks, m)
+			}
+			count += bits.OnesCount64(m)
+			for ; m != 0; m &= m - 1 {
+				j := chunk[bits.TrailingZeros64(m)]
 				xj := &x[j]
 				dx, dy, dz := xi.X-xj.X, xi.Y-xj.Y, xi.Z-xj.Z
 				r2 := dx*dx + dy*dy + dz*dz
@@ -225,6 +242,9 @@ func (e *EAM) AccumulateRho(a *atom.Arrays, nl *neighbor.List) int {
 			}
 		}
 		rho[i] = rhoi
+	}
+	if kept != nil {
+		*kept = ks
 	}
 	return count
 }
@@ -247,22 +267,43 @@ func (e *EAM) FinishRho(a *atom.Arrays) float64 {
 // reaction forces land on j (ghosts included) and flow home in the reverse
 // stage.
 func (e *EAM) ComputeForce(a *atom.Arrays, nl *neighbor.List) Result {
+	return e.ComputeForceKept(a, nl, nil)
+}
+
+// ComputeForceKept implements ManyBody: ComputeForce over the pairs that
+// AccumulateRhoKept recorded in kept, without screening them again. kept
+// is valid only for the list and positions of the density pass that wrote
+// it; a mask whose chunk count differs from nl's panics before any force
+// is written. A nil kept screens each chunk, as ComputeForce does.
+func (e *EAM) ComputeForceKept(a *atom.Arrays, nl *neighbor.List, kept []uint64) Result {
 	x, f, fp := a.X, a.F, a.Fp
 	start, neigh := nl.Start, nl.Neigh
+	if kept != nil {
+		if n := rowChunks(start[:a.NLocal+1]); n != len(kept) {
+			panic(fmt.Sprintf("potential: EAM kept mask holds %d row chunks, the list has %d; "+
+				"the mask is valid only for the list its density pass screened", len(kept), n))
+		}
+	}
 	cut2 := e.cut2
 	var pe, vir float64
-	n := 0
-	var in [rowChunk]int32
+	n, ks := 0, kept
 	for i := 0; i < a.NLocal; i++ {
 		xi := x[i]
 		fx, fy, fz := f[i].X, f[i].Y, f[i].Z
 		fpi := fp[i]
 		for row := neigh[start[i]:start[i+1]]; len(row) > 0; {
 			c := min(len(row), rowChunk)
-			kept := screen(&in, xi, x, row[:c], cut2)
+			chunk := row[:c]
 			row = row[c:]
-			n += kept
-			for _, j := range in[:kept] {
+			var m uint64
+			if kept != nil {
+				m, ks = ks[0], ks[1:]
+			} else {
+				m = screenMask(xi, x, chunk, cut2)
+			}
+			n += bits.OnesCount64(m)
+			for ; m != 0; m &= m - 1 {
+				j := chunk[bits.TrailingZeros64(m)]
 				xj := &x[j]
 				dx, dy, dz := xi.X-xj.X, xi.Y-xj.Y, xi.Z-xj.Z
 				r2 := dx*dx + dy*dy + dz*dz
@@ -281,6 +322,16 @@ func (e *EAM) ComputeForce(a *atom.Arrays, nl *neighbor.List) Result {
 		f[i] = vec.V3{X: fx, Y: fy, Z: fz}
 	}
 	return Result{PotentialEnergy: pe, Virial: vir, Interactions: n}
+}
+
+// rowChunks returns how many row chunks the pair loops walk over the rows
+// that start bounds: one per rowChunk listed neighbors or part of it.
+func rowChunks(start []int32) int {
+	n := 0
+	for i := 1; i < len(start); i++ {
+		n += (int(start[i]-start[i-1]) + rowChunk - 1) / rowChunk
+	}
+	return n
 }
 
 // Compute implements Pair for contexts without a communication layer: an

@@ -6,15 +6,20 @@
 // the communication layer.
 //
 // The pair loops screen each neighbor row before evaluating it. About 29%
-// of a dense LJ list and over 40% of a copper EAM list lie in the skin
-// beyond the force cutoff, so a cutoff branch inside the evaluation loop
-// goes either way at random, and each mispredict throws away the sqrt,
-// divide and spline chain of the next pairs already in flight. screen
-// instead walks a chunk of the row without a data-dependent branch, keeping
-// the indices inside the cutoff in list order, and the evaluation loop then
+// of a dense LJ list and 53% of a copper EAM list lie in the skin beyond
+// the force cutoff, so a cutoff branch inside the evaluation loop goes
+// either way at random, and each mispredict throws away the sqrt, divide
+// and spline chain of the next pairs already in flight. screen instead
+// walks a chunk of the row without a data-dependent branch, keeping the
+// indices inside the cutoff in list order, and the evaluation loop then
 // runs over the kept indices only. Every sum receives the same terms in the
 // same order as the plain single-loop form, so forces, energies and virials
 // are bit-identical.
+//
+// EAM screens once per step. Its density pass records what it kept as one
+// bit mask per row chunk (screenMask), in a slice the caller owns, and its
+// force pass, which sees the same list and positions, walks each chunk's
+// set bits instead of screening again: the same pairs in the same order.
 package potential
 
 import (
@@ -24,9 +29,10 @@ import (
 )
 
 // rowChunk is the number of listed neighbors screen takes at once; longer
-// rows are screened and evaluated in consecutive chunks. The kept-index
-// buffer is a stack array of this length: ranks run concurrently on one
-// shared potential, so no scratch may live on it.
+// rows are screened and evaluated in consecutive chunks, and one uint64
+// mask holds a chunk's kept set. The kept-index buffer is a stack array of
+// this length, and EAM's masks live in the caller's slice: ranks run
+// concurrently on one shared potential, so no scratch may live on it.
 const rowChunk = 64
 
 // screen writes the entries of row (at most rowChunk of them) whose squared
@@ -45,6 +51,27 @@ func screen(in *[rowChunk]int32, xi vec.V3, x []vec.V3, row []int32, cut2 float6
 		}
 	}
 	return n
+}
+
+// screenMask is screen's predicate recorded as a mask: bit b is set when
+// row[b] (at most rowChunk entries) is not farther than cut2 from xi. It
+// too carries no data-dependent branch; a NaN distance sets its bit.
+//
+// It stays a call: inlined, the mask's bits index the caller's loads, and
+// the compiler keeps a value that feeds a load address out of a CMOV, so
+// the screen would branch on every pair again.
+//
+//go:noinline
+func screenMask(xi vec.V3, x []vec.V3, row []int32, cut2 float64) (m uint64) {
+	for b, j := range row {
+		xj := x[j]
+		dx, dy, dz := xi.X-xj.X, xi.Y-xj.Y, xi.Z-xj.Z
+		set := m | 1<<(b&(rowChunk-1))
+		if !(dx*dx+dy*dy+dz*dz > cut2) {
+			m = set
+		}
+	}
+	return m
 }
 
 // Result accumulates the outputs of a force evaluation.
@@ -91,10 +118,18 @@ type ManyBody interface {
 	Pair
 	// AccumulateRho fills a.Rho for locals and ghosts from the pair list.
 	AccumulateRho(a *atom.Arrays, nl *neighbor.List) int
+	// AccumulateRhoKept is AccumulateRho that also records in *kept
+	// which listed pairs are inside the cutoff, for ComputeForceKept.
+	// The caller owns the mask: ranks run concurrently on one potential.
+	AccumulateRhoKept(a *atom.Arrays, nl *neighbor.List, kept *[]uint64) int
 	// FinishRho converts the (fully summed) local densities into the
 	// embedding derivative a.Fp and returns the embedding energy.
 	FinishRho(a *atom.Arrays) float64
 	// ComputeForce runs the force pass; a.Fp must be valid for locals and
 	// ghosts (the caller forward-communicates it).
 	ComputeForce(a *atom.Arrays, nl *neighbor.List) Result
+	// ComputeForceKept is ComputeForce over the pairs kept records,
+	// without screening the list again. kept must come from
+	// AccumulateRhoKept on the same list and positions.
+	ComputeForceKept(a *atom.Arrays, nl *neighbor.List, kept []uint64) Result
 }

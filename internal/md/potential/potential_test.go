@@ -2,6 +2,7 @@ package potential
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -259,6 +260,43 @@ func TestEAMComputePanicsWithGhosts(t *testing.T) {
 		}
 	}()
 	e.Compute(a, nl)
+}
+
+// TestKeptMaskMustMatchList pins that a kept mask is valid only for the
+// list its density pass screened: rebuilt at a longer cutoff in between,
+// the list has more row chunks than the mask, and the force pass refuses it
+// before writing any force.
+func TestKeptMaskMustMatchList(t *testing.T) {
+	e, err := NewEAMCu(4.95)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := jitteredLattice(5, 2.28, 0.2, 7.5, 41)
+	a.EnableEAM()
+	nl := neighbor.Build(a, 5.95, neighbor.HalfShell)
+	var kept []uint64
+	e.AccumulateRhoKept(a, nl, &kept)
+	e.FinishRho(a)
+	nl.Rebuild(a, 7.5, neighbor.HalfShell)
+	if rowChunks(nl.Start) == len(kept) {
+		t.Fatalf("rebuilt list has %d row chunks, as many as the mask; the test needs rows past rowChunk", len(kept))
+	}
+	f := append([]vec.V3(nil), a.F...)
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("ComputeForceKept accepted a mask from another list")
+		}
+		if msg, _ := r.(string); !strings.Contains(msg, "kept mask") {
+			t.Errorf("panic %v, want the kept-mask message", r)
+		}
+		for i := range f {
+			if a.F[i] != f[i] {
+				t.Fatalf("F[%d] written before the refusal", i)
+			}
+		}
+	}()
+	e.ComputeForceKept(a, nl, kept)
 }
 
 func TestEAMForceMatchesEnergyGradient(t *testing.T) {

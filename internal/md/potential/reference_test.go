@@ -3,6 +3,7 @@ package potential
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"testing"
 
 	"tofumd/internal/md/atom"
@@ -358,30 +359,51 @@ func TestKernelsMatchReference(t *testing.T) {
 				for i := range base.Rho {
 					base.Rho[i] = rng.Float64() // stale sums the pass must add to
 				}
-				got, want := cloneArrays(base), cloneArrays(base)
-
-				ng, nw := e.AccumulateRho(got, nl), ref.AccumulateRho(want, nl)
-				if ng != nw {
-					t.Errorf("%s: AccumulateRho count = %d, reference %d", what, ng, nw)
+				// got runs the standalone passes and kgot the kept pair, whose
+				// force pass replays the density pass's mask; both must match
+				// the reference.
+				got, kgot, want := cloneArrays(base), cloneArrays(base), cloneArrays(base)
+				kept := []uint64{^uint64(0), 1} // a stale mask the pass must replace
+				ng, nk, nw := e.AccumulateRho(got, nl), e.AccumulateRhoKept(kgot, nl, &kept), ref.AccumulateRho(want, nl)
+				if ng != nw || nk != nw {
+					t.Errorf("%s: AccumulateRho count = %d, kept pass %d, reference %d", what, ng, nk, nw)
 				}
-				sameFloats(t, what+" Rho", got.Rho, want.Rho)
-				if sys.nan && !(math.IsNaN(got.Rho[sys.poked]) && math.IsNaN(want.Rho[sys.poked])) {
-					t.Errorf("%s: Rho of the NaN atom = %v, reference %v", what, got.Rho[sys.poked], want.Rho[sys.poked])
+				ones := 0
+				for _, m := range kept {
+					ones += bits.OnesCount64(m)
 				}
-
-				sameBits(t, what+" embedding energy", e.FinishRho(got), ref.FinishRho(want))
-				sameFloats(t, what+" Fp", got.Fp[:got.NLocal], want.Fp[:want.NLocal])
+				if ones != nk || len(kept) != rowChunks(nl.Start) {
+					t.Errorf("%s: mask keeps %d pairs in %d chunks, pass counted %d in %d", what, ones, len(kept), nk, rowChunks(nl.Start))
+				}
+				wantEmbed := ref.FinishRho(want)
+				for _, g := range []struct {
+					name string
+					a    *atom.Arrays
+				}{{"", got}, {" kept", kgot}} {
+					sameFloats(t, what+g.name+" Rho", g.a.Rho, want.Rho)
+					if sys.nan && !(math.IsNaN(g.a.Rho[sys.poked]) && math.IsNaN(want.Rho[sys.poked])) {
+						t.Errorf("%s%s: Rho of the NaN atom = %v, reference %v", what, g.name, g.a.Rho[sys.poked], want.Rho[sys.poked])
+					}
+					sameBits(t, what+g.name+" embedding energy", e.FinishRho(g.a), wantEmbed)
+					sameFloats(t, what+g.name+" Fp", g.a.Fp[:g.a.NLocal], want.Fp[:want.NLocal])
+				}
 
 				// Stand in for the forward exchange: ghosts get some owner's Fp.
 				for g := got.NLocal; g < got.Total(); g++ {
 					v := got.Fp[rng.Intn(got.NLocal)]
-					got.Fp[g], want.Fp[g] = v, v
+					got.Fp[g], kgot.Fp[g], want.Fp[g] = v, v, v
 				}
-				res, rres := e.ComputeForce(got, nl), ref.ComputeForce(want, nl)
-				sameResult(t, what+" force", res, rres)
-				sameForces(t, what, got, want)
-				if sys.nan && !(math.IsNaN(res.PotentialEnergy) && math.IsNaN(rres.PotentialEnergy)) {
-					t.Errorf("%s: PE = %v, reference %v; a NaN distance must reach the energy", what, res.PotentialEnergy, rres.PotentialEnergy)
+				rres := ref.ComputeForce(want, nl)
+				for _, g := range []struct {
+					name string
+					a    *atom.Arrays
+					res  Result
+				}{{"", got, e.ComputeForce(got, nl)}, {" kept", kgot, e.ComputeForceKept(kgot, nl, kept)}} {
+					sameResult(t, what+g.name+" force", g.res, rres)
+					sameForces(t, what+g.name, g.a, want)
+					if sys.nan && !(math.IsNaN(g.res.PotentialEnergy) && math.IsNaN(rres.PotentialEnergy)) {
+						t.Errorf("%s%s: PE = %v, reference %v; a NaN distance must reach the energy", what, g.name, g.res.PotentialEnergy, rres.PotentialEnergy)
+					}
 				}
 			}
 			if t.Failed() {

@@ -111,6 +111,9 @@ type Rank struct {
 	// done beside a round, charged to the clock after it.
 	pairs    int
 	unpacked int
+	// kept is the EAM density pass's kept-pair mask over NL, which the
+	// step's force pass replays; reused across steps.
+	kept []uint64
 
 	// dimGhostMark is the ghost watermark at the start of the current
 	// 3-stage dimension (iteration-0 send lists scan indices below it).

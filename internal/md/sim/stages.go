@@ -547,15 +547,16 @@ func (s *Simulation) buildNeighborList(r *Rank) {
 }
 
 // firstForcePass runs rank r's first force pass: the whole pair kernel, or
-// the EAM density accumulation. It needs only r's atoms and list, so it
-// runs beside the round that completes r's ghosts (forward, or border on a
-// rebuild); it charges no clock and leaves the pass's interaction count in
-// r.pairs for finishForces.
+// the EAM density accumulation, which records its kept pairs in r.kept for
+// the force pass. It needs only r's atoms and list, so it runs beside the
+// round that completes r's ghosts (forward, or border on a rebuild); it
+// charges no clock and leaves the pass's interaction count in r.pairs for
+// finishForces.
 func (s *Simulation) firstForcePass(r *Rank) {
 	r.Atoms.ZeroForces()
 	if mb, ok := s.Cfg.Potential.(potential.ManyBody); ok {
 		r.Atoms.ZeroRho()
-		r.pairs = mb.AccumulateRho(r.Atoms, r.NL)
+		r.pairs = mb.AccumulateRhoKept(r.Atoms, r.NL, &r.kept)
 		return
 	}
 	res := s.Cfg.Potential.Compute(r.Atoms, r.NL)
@@ -567,6 +568,8 @@ func (s *Simulation) firstForcePass(r *Rank) {
 // finishForces charges every rank's first force pass and, for EAM, runs
 // the rest: the density exchange with the embedding beside its last round,
 // then the derivative exchange with the force pass beside its last round.
+// The force pass replays the density pass's kept mask: neither exchange
+// moves a position or rebuilds a list.
 func (s *Simulation) finishForces() {
 	th := s.Var.ComputeThreading
 	mb, ok := s.Cfg.Potential.(potential.ManyBody)
@@ -589,7 +592,7 @@ func (s *Simulation) finishForces() {
 		r.Clock += s.M.Cost.EAMEmbedTime(r.Atoms.NLocal, th)
 	}
 	s.runOp(scalarForwardOp, func(r *Rank) {
-		res := mb.ComputeForce(r.Atoms, r.NL)
+		res := mb.ComputeForceKept(r.Atoms, r.NL, r.kept)
 		r.peLocal += res.PotentialEnergy
 		r.virLocal = res.Virial
 		r.pairs = res.Interactions

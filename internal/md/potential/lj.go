@@ -75,25 +75,24 @@ func (l *LJ) computeHalf(a *atom.Arrays, nl *neighbor.List) Result {
 	cut2, lj1, lj2, lj3, lj4 := l.cut2, l.lj1, l.lj2, l.lj3, l.lj4
 	var pe, vir float64
 	n := 0
-	var in [rowChunk]int32
+	var pc pairChunk
 	for i := 0; i < a.NLocal; i++ {
 		xi := x[i]
 		fx, fy, fz := f[i].X, f[i].Y, f[i].Z
 		for row := neigh[start[i]:start[i+1]]; len(row) > 0; {
 			c := min(len(row), rowChunk)
-			kept := screen(&in, xi, x, row[:c], cut2)
+			kept := pc.screen(xi, x, row[:c], cut2)
 			row = row[c:]
 			n += kept
-			for _, j := range in[:kept] {
-				xj := &x[j]
-				dx, dy, dz := xi.X-xj.X, xi.Y-xj.Y, xi.Z-xj.Z
-				r2 := dx*dx + dy*dy + dz*dz
+			for k := range pc[:kept] {
+				p := &pc[k]
+				dx, dy, dz, r2 := p.dx, p.dy, p.dz, p.r2
 				inv2 := 1 / r2
 				inv6 := inv2 * inv2 * inv2
 				fpair := inv6 * (lj1*inv6 - lj2) * inv2
 				fvx, fvy, fvz := fpair*dx, fpair*dy, fpair*dz
 				fx, fy, fz = fx+fvx, fy+fvy, fz+fvz
-				fj := &f[j]
+				fj := &f[p.j]
 				fj.X, fj.Y, fj.Z = fj.X-fvx, fj.Y-fvy, fj.Z-fvz
 				pe += inv6 * (lj3*inv6 - lj4)
 				vir += r2 * fpair
@@ -112,19 +111,18 @@ func (l *LJ) computeFull(a *atom.Arrays, nl *neighbor.List) Result {
 	cut2, lj1, lj2, lj3, lj4 := l.cut2, l.lj1, l.lj2, l.lj3, l.lj4
 	var pe, vir float64
 	n := 0
-	var in [rowChunk]int32
+	var pc pairChunk
 	for i := 0; i < a.NLocal; i++ {
 		xi := x[i]
 		fx, fy, fz := f[i].X, f[i].Y, f[i].Z
 		for row := neigh[start[i]:start[i+1]]; len(row) > 0; {
 			c := min(len(row), rowChunk)
-			kept := screen(&in, xi, x, row[:c], cut2)
+			kept := pc.screen(xi, x, row[:c], cut2)
 			row = row[c:]
 			n += kept
-			for _, j := range in[:kept] {
-				xj := &x[j]
-				dx, dy, dz := xi.X-xj.X, xi.Y-xj.Y, xi.Z-xj.Z
-				r2 := dx*dx + dy*dy + dz*dz
+			for k := range pc[:kept] {
+				p := &pc[k]
+				dx, dy, dz, r2 := p.dx, p.dy, p.dz, p.r2
 				inv2 := 1 / r2
 				inv6 := inv2 * inv2 * inv2
 				fpair := inv6 * (lj1*inv6 - lj2) * inv2
@@ -136,4 +134,34 @@ func (l *LJ) computeFull(a *atom.Arrays, nl *neighbor.List) Result {
 		f[i] = vec.V3{X: fx, Y: fy, Z: fz}
 	}
 	return Result{PotentialEnergy: pe, Virial: vir, Interactions: n}
+}
+
+// pairChunk holds one screened row chunk: its kept pairs in row order, each
+// with the displacement xi - x[j] and squared distance the screen computed,
+// so the evaluation loop neither loads x[j] nor recomputes them.
+type pairChunk [rowChunk]struct {
+	dx, dy, dz, r2 float64
+	j              int32
+}
+
+// screen writes the entries of row (at most rowChunk of them) whose squared
+// distance from xi is not greater than cut2 to c, in row order, and returns
+// how many it kept. Every entry is written and the write position advances
+// only on a kept one, so the loop carries no data-dependent branch. The
+// predicate !(r2 > cut2) is the plain cutoff test's: a NaN distance is kept
+// and evaluated, not dropped. It is too large to inline, and as one call
+// per chunk its loop keeps the write position and coordinates in
+// registers.
+func (c *pairChunk) screen(xi vec.V3, x []vec.V3, row []int32, cut2 float64) (n int) {
+	for _, j := range row {
+		xj := x[j]
+		dx, dy, dz := xi.X-xj.X, xi.Y-xj.Y, xi.Z-xj.Z
+		r2 := dx*dx + dy*dy + dz*dz
+		p := &c[n&(rowChunk-1)] // n <= this entry's index < rowChunk
+		p.dx, p.dy, p.dz, p.r2, p.j = dx, dy, dz, r2, j
+		if !(r2 > cut2) {
+			n++
+		}
+	}
+	return n
 }

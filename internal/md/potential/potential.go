@@ -9,12 +9,15 @@
 // of a dense LJ list and 53% of a copper EAM list lie in the skin beyond
 // the force cutoff, so a cutoff branch inside the evaluation loop goes
 // either way at random, and each mispredict throws away the sqrt, divide
-// and spline chain of the next pairs already in flight. screen instead
-// walks a chunk of the row without a data-dependent branch, keeping the
-// indices inside the cutoff in list order, and the evaluation loop then
-// runs over the kept indices only. Every sum receives the same terms in the
-// same order as the plain single-loop form, so forces, energies and virials
-// are bit-identical.
+// and spline chain of the next pairs already in flight. A screen instead
+// walks a chunk of the row without a data-dependent branch, and the
+// evaluation loop then runs over the kept pairs only, in list order. LJ's
+// screen (pairChunk.screen) keeps each kept pair's displacement and squared
+// distance beside its index, so the evaluation loop reads them back from
+// the chunk record instead of loading x[j] and subtracting again; only the
+// reaction force touches the neighbor's memory. Every sum receives the same
+// terms, from the same expressions, in the same order as the plain
+// single-loop form, so forces, energies and virials are bit-identical.
 //
 // EAM screens once per step. Its density pass records what it kept as one
 // bit mask per row chunk (screenMask), in a slice the caller owns, and its
@@ -28,34 +31,16 @@ import (
 	"tofumd/internal/vec"
 )
 
-// rowChunk is the number of listed neighbors screen takes at once; longer
-// rows are screened and evaluated in consecutive chunks, and one uint64
-// mask holds a chunk's kept set. The kept-index buffer is a stack array of
-// this length, and EAM's masks live in the caller's slice: ranks run
-// concurrently on one shared potential, so no scratch may live on it.
+// rowChunk is the number of listed neighbors a screen takes at once;
+// longer rows are screened and evaluated in consecutive chunks. LJ's
+// pairChunk holds one chunk's kept pairs on the kernel's stack, and one
+// uint64 mask holds an EAM chunk's kept set, in the caller's slice: ranks
+// run concurrently on one shared potential, so no scratch may live on it.
 const rowChunk = 64
 
-// screen writes the entries of row (at most rowChunk of them) whose squared
-// distance from xi is not greater than cut2 to in, in row order, and
-// returns how many it kept. Every entry is written and the write position
-// advances only on a kept one, so the loop carries no data-dependent
-// branch. The predicate !(r2 > cut2) is the kernels' own: a NaN distance
-// is kept and evaluated, not dropped.
-func screen(in *[rowChunk]int32, xi vec.V3, x []vec.V3, row []int32, cut2 float64) (n int) {
-	for _, j := range row {
-		xj := x[j]
-		dx, dy, dz := xi.X-xj.X, xi.Y-xj.Y, xi.Z-xj.Z
-		in[n&(rowChunk-1)] = j // n <= this entry's index < rowChunk
-		if !(dx*dx+dy*dy+dz*dz > cut2) {
-			n++
-		}
-	}
-	return n
-}
-
-// screenMask is screen's predicate recorded as a mask: bit b is set when
-// row[b] (at most rowChunk entries) is not farther than cut2 from xi. It
-// too carries no data-dependent branch; a NaN distance sets its bit.
+// screenMask is pairChunk.screen's predicate recorded as a mask: bit b is
+// set when row[b] (at most rowChunk entries) is not farther than cut2 from
+// xi. It too carries no data-dependent branch; a NaN distance sets its bit.
 //
 // It stays a call: inlined, the mask's bits index the caller's loads, and
 // the compiler keeps a value that feeds a load address out of a CMOV, so

@@ -299,6 +299,39 @@ func TestKeptMaskMustMatchList(t *testing.T) {
 	e.ComputeForceKept(a, nl, kept)
 }
 
+// TestPairKernelsAllocateNothing pins that the kernels md/sim runs every
+// step keep their scratch on the stack (LJ's chunk record) or in the
+// caller's reused slice (EAM's kept mask): a record that escapes to the
+// heap fails here by name, not only as md/sim's per-step bound.
+func TestPairKernelsAllocateNothing(t *testing.T) {
+	lj := NewLJ(1, 1, 2.5)
+	ljAtoms := jitteredLattice(5, 1.06, 0.1, 2.8, 43)
+	half := neighbor.Build(ljAtoms, 2.8, neighbor.HalfShell)
+	full := neighbor.Build(ljAtoms, 2.8, neighbor.Full)
+	e, err := NewEAMCu(4.95)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eamAtoms := jitteredLattice(5, 2.28, 0.2, 5.95, 47)
+	eamAtoms.EnableEAM()
+	nl := neighbor.Build(eamAtoms, 5.95, neighbor.HalfShell)
+	var kept []uint64
+	e.AccumulateRhoKept(eamAtoms, nl, &kept) // sizes the mask the runs below reuse
+	for _, k := range []struct {
+		name string
+		run  func()
+	}{
+		{"LJ half list", func() { lj.Compute(ljAtoms, half) }},
+		{"LJ full list", func() { lj.Compute(ljAtoms, full) }},
+		{"EAM AccumulateRhoKept", func() { e.AccumulateRhoKept(eamAtoms, nl, &kept) }},
+		{"EAM ComputeForceKept", func() { e.ComputeForceKept(eamAtoms, nl, kept) }},
+	} {
+		if avg := testing.AllocsPerRun(5, k.run); avg != 0 {
+			t.Errorf("%s allocates %.1f per call, want 0", k.name, avg)
+		}
+	}
+}
+
 func TestEAMForceMatchesEnergyGradient(t *testing.T) {
 	e, err := NewEAMCu(4.95)
 	if err != nil {

@@ -444,6 +444,9 @@ type kernelSystem struct {
 //   - a skin shell: one local whose more than rowChunk listed neighbors all
 //     lie beyond the force cutoff, so whole chunks keep nothing, next to a
 //     local with one neighbor inside;
+//   - a full chunk: one local whose more than rowChunk listed neighbors all
+//     lie inside the force cutoff, so a chunk keeps every entry and the
+//     screen writes its last slot;
 //   - a lattice with one NaN coordinate: a NaN distance passes the screen,
 //     as it passes the plain cutoff test, and its NaN reaches the sums.
 func kernelSystems(sh kernelShape, dimers []*atom.Arrays) []kernelSystem {
@@ -458,7 +461,8 @@ func kernelSystems(sh kernelShape, dimers []*atom.Arrays) []kernelSystem {
 	return append(out,
 		kernelSystem{name: "long rows", a: jitteredLattice(5, sh.h, sh.jitter, sh.longList, 31),
 			list: sh.longList, minRow: rowChunk},
-		kernelSystem{name: "skin shell", a: skinShell(sh.cut, sh.list, 150, 32), list: sh.list, minRow: rowChunk},
+		kernelSystem{name: "skin shell", a: shell(sh.cut, sh.list, sh.cut, sh.list, 150, 32), list: sh.list, minRow: rowChunk},
+		kernelSystem{name: "full chunk", a: shell(sh.cut, sh.list, 0.6*sh.cut, sh.cut, 150, 34), list: sh.list, minRow: rowChunk},
 		kernelSystem{name: "nan", a: jitteredLattice(4, sh.h, sh.jitter, sh.list, 33), list: sh.list, nan: true, poked: 37},
 	)
 }
@@ -483,11 +487,12 @@ func (sys kernelSystem) listed(t *testing.T, mode neighbor.Mode) (*atom.Arrays, 
 	return a, nl
 }
 
-// skinShell places local 0 at the origin with n ghosts at random distances
-// in the skin between cut and list (away from both edges), and local 1 far
-// off with one ghost at 0.7 cut: row 0 lists only pairs the kernels must
-// skip, row 1 one pair they must evaluate.
-func skinShell(cut, list float64, n int, seed uint64) *atom.Arrays {
+// shell places local 0 at the origin with n ghosts at random distances
+// between r0 and r1 (away from both edges), and local 1 far off with one
+// ghost at 0.7 cut. With r0, r1 = cut, list, row 0 lists only pairs the
+// kernels must skip; with r1 = cut, only pairs they must evaluate. Row 1
+// holds one pair to evaluate.
+func shell(cut, list, r0, r1 float64, n int, seed uint64) *atom.Arrays {
 	rng := xrand.New(seed)
 	a := atom.New(2 + n + 1)
 	far := vec.V3{X: 3 * list, Y: 0.1, Z: 0.2}
@@ -495,7 +500,7 @@ func skinShell(cut, list float64, n int, seed uint64) *atom.Arrays {
 	a.AddLocal(2, 1, far, vec.V3{})
 	for g := 0; g < n; g++ {
 		d := vec.V3{X: rng.Normal(), Y: rng.Normal(), Z: rng.Normal()}
-		r := cut + (0.05+0.9*rng.Float64())*(list-cut)
+		r := r0 + (0.05+0.9*rng.Float64())*(r1-r0)
 		a.AddGhost(int64(3+g), 1, d.Scale(r/d.Norm()))
 	}
 	a.AddGhost(int64(3+n), 1, far.Add(vec.V3{X: 0.2 * cut, Y: 0.3 * cut, Z: 0.6 * cut}))

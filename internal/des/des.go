@@ -13,32 +13,25 @@ package des
 
 import "fmt"
 
-// event is a scheduled callback or a scheduled tag. The ordering key is the
+// event is one of the Engine's scheduled callbacks. The ordering key is the
 // full tuple (time, sendTime, src, seq): time is when the event fires,
 // sendTime is the scheduler's clock at the moment it called Schedule, src is
 // the scheduling process (always 0 for the Engine) and seq is the
-// scheduler's scheduling counter.
-//
-// fn == nil marks a tagged event: the engine hands tag to the handler its
-// owner registered (Queue.SetHandler) instead of calling a closure, so
-// scheduling one allocates nothing. tag sits in the four bytes that were
-// padding after src, which keeps the struct at 40 bytes: every sift step
-// moves whole events, and a wider one measured slower on both the closure
-// and the tagged path (TestEventIs40Bytes pins the size).
+// scheduler's scheduling counter. Every sift step moves whole events, so the
+// struct is held at 40 bytes (TestEventIs40Bytes pins the size).
 //
 // On one clock this collapses to the order (time, seq): src is constant and
 // sendTime is non-decreasing in seq (the clock never rewinds), so comparing
 // (time, sendTime, src, seq) and (time, seq) yields the same total order.
 // The Queue's run queue (runq.go) therefore keys on (time, seq) alone and
-// keeps its events as 16-byte slots; this 40-byte event and its heap serve
-// the reference Engine, which TestRunQueueMatchesHeap holds the run queue
-// to. The fabric's post-drain completion sweep orders deliveries by a key
-// of the same shape (tofu.completionOrder).
+// keeps its events as 8-byte tag slots; this 40-byte event and its heap
+// serve the reference Engine, which TestRunQueueMatchesHeap holds the run
+// queue to. The fabric's post-drain completion sweep orders deliveries by a
+// key of the same shape (tofu.completionOrder).
 type event struct {
 	time     float64
 	sendTime float64
 	src      int32
-	tag      uint32
 	seq      uint64
 	fn       func()
 }

@@ -1,6 +1,7 @@
 package des
 
 import (
+	"reflect"
 	"runtime"
 	"sort"
 	"testing"
@@ -245,12 +246,27 @@ func TestRunBudgetZeroIsUnbounded(t *testing.T) {
 	}
 }
 
-// The event is held at 40 bytes: the tag lives in what was padding after
-// src. Every sift step copies whole events, and a 56-byte layout measured
-// slower on both the closure and the tagged path.
+// The event is held at 40 bytes: every sift step copies whole events, and a
+// 56-byte layout measured slower.
 func TestEventIs40Bytes(t *testing.T) {
 	if got := unsafe.Sizeof(event{}); got != 40 {
 		t.Errorf("unsafe.Sizeof(event{}) = %d, want 40", got)
+	}
+}
+
+// The Queue's run-queue slot is a tag and a link, 8 bytes with no pointer:
+// the slot arena is never scanned by the garbage collector and a slot store
+// needs no write barrier.
+func TestQueueSlotIs8BytesWithoutPointers(t *testing.T) {
+	typ := reflect.TypeOf(qslot{})
+	if got := typ.Size(); got != 8 {
+		t.Errorf("qslot is %d bytes, want 8", got)
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		// Bool through Complex128 are the scalar kinds, none a pointer.
+		if f := typ.Field(i); f.Type.Kind() > reflect.Complex128 {
+			t.Errorf("qslot.%s is a %s: the slot arena must hold no pointer", f.Name, f.Type)
+		}
 	}
 }
 

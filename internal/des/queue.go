@@ -7,15 +7,17 @@ import (
 
 // Queue is the engine every fabric round drains: one clock, one run queue
 // (runq.go) keyed (time, seq) and one scheduling counter, run on the calling
-// goroutine. Its execution order is exactly the order the reference Engine
-// runs the same events in; TestRunQueueMatchesHeap holds the queue to
-// Engine's heap. Construct with NewQueue, schedule, then call Run or
-// RunBudget. A Queue is not safe for concurrent use, except for Stats.
+// goroutine. An event is a 32-bit tag that the queue's one handler
+// (SetHandler) executes. Its execution order is exactly the order the
+// reference Engine runs the same events in; TestRunQueueMatchesHeap holds
+// the queue to Engine's heap. Construct with NewQueue, set the handler,
+// schedule, then call Run or RunBudget. A Queue is not safe for concurrent
+// use, except for Stats.
 type Queue struct {
 	now float64
 	seq uint64
 	rq  runQueue
-	// handler executes tagged events (SetHandler); nil until one is set.
+	// handler executes the events (SetHandler); nil until one is set.
 	handler func(tag uint32)
 	// events counts executed events across runs; it survives Reset and is
 	// atomic so Stats may be read while a run is in flight.
@@ -29,7 +31,7 @@ func NewQueue() *Queue {
 	return q
 }
 
-// SetHandler registers the function that executes tagged events: an event
+// SetHandler registers the function that executes the events: an event
 // scheduled with ScheduleTagAt runs as h(tag). The queue has one handler
 // and its owner decides what a tag means; call SetHandler between runs.
 func (q *Queue) SetHandler(h func(tag uint32)) { q.handler = h }
@@ -69,13 +71,9 @@ func (q *Queue) RunBudget(budget int) (float64, error) {
 			stopped = &BudgetError{Budget: budget, Now: q.now, NextAt: q.rq.peek(), Pending: q.rq.n}
 			break
 		}
-		t, tag, fn := q.rq.pop()
+		t, tag := q.rq.pop()
 		q.now = t
-		if fn != nil {
-			fn()
-		} else {
-			q.handler(tag)
-		}
+		q.handler(tag)
 		n++
 	}
 	if n > 0 {
@@ -87,38 +85,18 @@ func (q *Queue) RunBudget(budget int) (float64, error) {
 	return q.now, nil
 }
 
-// Schedule registers fn to run at virtual time t, clamping past times to
-// Now exactly like Engine.Schedule.
-func (q *Queue) Schedule(t float64, fn func()) {
-	if t < q.now {
-		t = q.now
-	}
-	q.seq++
-	q.rq.push(t, q.seq, 0, fn)
-}
-
-// ScheduleAt registers fn to run at virtual time t, rejecting times in the
-// past, exactly like Engine.ScheduleAt.
-func (q *Queue) ScheduleAt(t float64, fn func()) error {
-	return q.scheduleAt(t, 0, fn)
-}
-
-// ScheduleTagAt is ScheduleAt for a tagged event: at time t the queue's
-// handler runs with tag. Same ordering key, same past-time rejection;
-// nothing is allocated.
+// ScheduleTagAt queues an event at virtual time t: then the queue's handler
+// runs with tag. Like Engine.ScheduleAt it rejects times in the past, and
+// ties run in scheduling order; nothing is allocated.
 func (q *Queue) ScheduleTagAt(t float64, tag uint32) error {
 	if q.handler == nil {
 		return fmt.Errorf("des: ScheduleTagAt on a queue with no handler (SetHandler)")
 	}
-	return q.scheduleAt(t, tag, nil)
-}
-
-func (q *Queue) scheduleAt(t float64, tag uint32, fn func()) error {
 	if t < q.now {
-		return fmt.Errorf("des: ScheduleAt(%g) is before now (%g)", t, q.now)
+		return fmt.Errorf("des: ScheduleTagAt(%g) is before now (%g)", t, q.now)
 	}
 	q.seq++
-	q.rq.push(t, q.seq, tag, fn)
+	q.rq.push(t, q.seq, tag)
 	return nil
 }
 

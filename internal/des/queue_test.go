@@ -29,10 +29,29 @@ type serialSched struct{ e *Engine }
 func (s serialSched) now() float64                  { return s.e.Now() }
 func (s serialSched) at(t float64, fn func()) error { return s.e.ScheduleAt(t, fn) }
 
-type queueSched struct{ q *Queue }
+// tagSched schedules closures on a Queue the way the fabric schedules its
+// events, as tags run by the queue's one handler: each closure is parked in
+// a table and scheduled under its index.
+type tagSched struct {
+	q   *Queue
+	tab []func()
+}
 
-func (s queueSched) now() float64                  { return s.q.Now() }
-func (s queueSched) at(t float64, fn func()) error { return s.q.ScheduleAt(t, fn) }
+// newTagSched installs the table's handler on q.
+func newTagSched(q *Queue) *tagSched {
+	s := &tagSched{q: q}
+	q.SetHandler(func(tag uint32) { s.tab[tag]() })
+	return s
+}
+
+// park adds fn to the table and returns its tag.
+func (s *tagSched) park(fn func()) uint32 {
+	s.tab = append(s.tab, fn)
+	return uint32(len(s.tab) - 1)
+}
+
+func (s *tagSched) now() float64                  { return s.q.Now() }
+func (s *tagSched) at(t float64, fn func()) error { return s.q.ScheduleTagAt(t, s.park(fn)) }
 
 // cascade schedules a deterministic pseudo-random event cascade on s and
 // returns the trace its events append to as they run. All generator state
@@ -112,9 +131,10 @@ func TestParallelMatchesSerialProperty(t *testing.T) {
 	for _, n := range []int{1, 3, 5} {
 		for seed := int64(1); seed <= 4; seed++ {
 			q := NewQueue()
+			s := newTagSched(q)
 			traces := make([]*[]traceEntry, n)
 			for c := range traces {
-				traces[c] = cascade(t, queueSched{q}, cascadeSeed(seed, c))
+				traces[c] = cascade(t, s, cascadeSeed(seed, c))
 			}
 			qFinal := q.Run()
 			if eFinal := checkAgainstEngine(t, seed, traces); qFinal != eFinal {
@@ -124,44 +144,29 @@ func TestParallelMatchesSerialProperty(t *testing.T) {
 	}
 }
 
-// tagSched schedules a cascade the way the fabric does — tagged events run
-// by the queue's one handler — mixed with closure events: every other event
-// parks its closure in the shared table under the tag it is scheduled with.
-type tagSched struct {
-	q   *Queue
-	n   int
-	tab *[]func()
-}
-
-func (s *tagSched) now() float64 { return s.q.Now() }
-func (s *tagSched) at(t float64, fn func()) error {
-	s.n++
-	if s.n%2 == 0 {
-		return s.q.ScheduleAt(t, fn)
-	}
-	*s.tab = append(*s.tab, fn)
-	return s.q.ScheduleTagAt(t, uint32(len(*s.tab)-1))
-}
-
-// The cascades of TestParallelMatchesSerialProperty expressed as tagged
-// events mixed with closure events: the Queue executes every cascade in the
-// order, and at the times, the reference Engine executes the closure form.
+// The cascades of TestParallelMatchesSerialProperty at other cascade
+// counts: the Queue executes every cascade in the order, and at the times,
+// the reference Engine executes the closure form, and it runs each tag it
+// was given exactly once.
 func TestTaggedEventsMatchSerialProperty(t *testing.T) {
 	for n := 1; n <= 4; n++ {
 		for seed := int64(1); seed <= 4; seed++ {
 			q := NewQueue()
-			var tab []func()
-			q.SetHandler(func(tag uint32) { tab[tag]() })
+			s := newTagSched(q)
 			traces := make([]*[]traceEntry, n)
 			for c := range traces {
-				traces[c] = cascade(t, &tagSched{q: q, tab: &tab}, cascadeSeed(seed, c))
+				traces[c] = cascade(t, s, cascadeSeed(seed, c))
 			}
 			qFinal := q.Run()
 			if eFinal := checkAgainstEngine(t, seed, traces); qFinal != eFinal {
 				t.Errorf("%d cascades seed=%d: final time tagged %g != Engine %g", n, seed, qFinal, eFinal)
 			}
-			if len(tab) < 4*n {
-				t.Errorf("%d cascades seed=%d: only %d tagged events scheduled", n, seed, len(tab))
+			ran := 0
+			for _, tr := range traces {
+				ran += len(*tr)
+			}
+			if ran != len(s.tab) || ran < 8*n {
+				t.Errorf("%d cascades seed=%d: %d events ran of %d tags scheduled", n, seed, ran, len(s.tab))
 			}
 		}
 	}
@@ -190,10 +195,13 @@ func TestTaggedEventNeedsHandler(t *testing.T) {
 
 func TestParallelSingleLPDegenerate(t *testing.T) {
 	q := NewQueue()
+	s := newTagSched(q)
 	var order []float64
 	for _, tm := range []float64{3, 1, 2} {
 		tm := tm
-		q.Schedule(tm, func() { order = append(order, tm) })
+		if err := s.at(tm, func() { order = append(order, tm) }); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if final := q.Run(); final != 3 {
 		t.Errorf("final = %g, want 3", final)
@@ -205,10 +213,13 @@ func TestParallelSingleLPDegenerate(t *testing.T) {
 
 func TestParallelTieBreakBySchedulingOrderWithinLP(t *testing.T) {
 	q := NewQueue()
+	s := newTagSched(q)
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		q.Schedule(1.0, func() { order = append(order, i) })
+		if err := s.at(1.0, func() { order = append(order, i) }); err != nil {
+			t.Fatal(err)
+		}
 	}
 	q.Run()
 	for i, v := range order {
@@ -220,20 +231,27 @@ func TestParallelTieBreakBySchedulingOrderWithinLP(t *testing.T) {
 
 func TestParallelScheduleAtRejectsPast(t *testing.T) {
 	q := NewQueue()
+	s := newTagSched(q)
 	var errAt error
-	q.Schedule(10, func() {
-		errAt = q.ScheduleAt(5, func() { t.Error("past event ran") })
-	})
+	past := s.park(func() { t.Error("past event ran") })
+	if err := s.at(10, func() { errAt = q.ScheduleTagAt(5, past) }); err != nil {
+		t.Fatal(err)
+	}
 	q.Run()
 	if errAt == nil {
-		t.Fatal("Queue.ScheduleAt(5) at now=10 returned nil error")
+		t.Fatal("Queue.ScheduleTagAt(5) at now=10 returned nil error")
 	}
 }
 
 func TestParallelReset(t *testing.T) {
 	q := NewQueue()
-	q.Schedule(5, func() {})
-	q.Schedule(7, func() {})
+	s := newTagSched(q)
+	nop := s.park(func() {})
+	for _, tm := range []float64{5, 7} {
+		if err := q.ScheduleTagAt(tm, nop); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if q.Pending() != 2 {
 		t.Errorf("pending = %d, want 2", q.Pending())
 	}
@@ -245,7 +263,9 @@ func TestParallelReset(t *testing.T) {
 		t.Errorf("clock after Reset = %g", now)
 	}
 	ran := false
-	q.Schedule(1, func() { ran = true })
+	if err := s.at(1, func() { ran = true }); err != nil {
+		t.Fatal(err)
+	}
 	q.Run()
 	if !ran {
 		t.Error("queue unusable after Reset")
@@ -258,17 +278,23 @@ func TestParallelReset(t *testing.T) {
 func TestParallelRunBudgetStopsLivelock(t *testing.T) {
 	const budget, chain = 200, 5
 	q := NewQueue()
+	s := newTagSched(q)
 	ticks, spins := 0, 0
-	var tick, spin func()
-	tick = func() {
-		ticks++
-		if ticks < chain {
-			q.Schedule(q.Now()+1, tick)
+	var tick, spin uint32
+	at := func(tm float64, tag uint32) {
+		if err := q.ScheduleTagAt(tm, tag); err != nil {
+			t.Error(err)
 		}
 	}
-	spin = func() { spins++; q.Schedule(q.Now(), spin) }
-	q.Schedule(0, tick)
-	q.Schedule(5, spin)
+	tick = s.park(func() {
+		ticks++
+		if ticks < chain {
+			at(q.Now()+1, tick)
+		}
+	})
+	spin = s.park(func() { spins++; at(q.Now(), spin) })
+	at(0, tick)
+	at(5, spin)
 	_, runErr := q.RunBudget(budget)
 	if runErr == nil {
 		t.Fatal("RunBudget returned nil on a scheduling cycle")

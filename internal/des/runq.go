@@ -22,17 +22,17 @@ package des
 // so the heap only moves when a run opens or empties.
 //
 // Both push and pop are O(1) while the pending events span few distinct
-// times, and O(log runs) in general. Events live in one arena of 16-byte
+// times, and O(log runs) in general. Events live in one arena of 8-byte
 // slots linked into runs, runs in a second arena, each with a free list, so
 // a warm queue allocates nothing and a recycled run keeps no storage of its
-// own.
+// own. A slot holds no pointer, so the arena is never scanned by the
+// garbage collector and a slot store needs no write barrier.
 
-// qslot is one queued event: a tag or a closure (fn == nil marks a tag, as
-// in event) and the index of the next slot of its run, or of the free list.
+// qslot is one queued event: its tag and the index of the next slot of its
+// run, or of the free list.
 type qslot struct {
 	tag  uint32
 	next int32
-	fn   func()
 }
 
 // run is a FIFO of queued events at one time, from slot head to slot last.
@@ -62,10 +62,8 @@ type runQueue struct {
 	n int
 }
 
-// reset empties the queue, zeroing the slots so abandoned closures are not
-// retained, and keeps the arenas' backing arrays.
+// reset empties the queue and keeps the arenas' backing arrays.
 func (q *runQueue) reset() {
-	clear(q.slots)
 	q.slots = q.slots[:0]
 	q.runs = q.runs[:0]
 	q.heap = q.heap[:0]
@@ -78,14 +76,14 @@ func (q *runQueue) peek() float64 { return q.runs[q.heap[0]].time }
 
 // push queues an event at time t with scheduling counter seq, which must
 // exceed that of every event pushed since reset.
-func (q *runQueue) push(t float64, seq uint64, tag uint32, fn func()) {
+func (q *runQueue) push(t float64, seq uint64, tag uint32) {
 	s := q.freeSlot
 	if s != none {
 		q.freeSlot = q.slots[s].next
-		q.slots[s] = qslot{tag: tag, next: none, fn: fn}
+		q.slots[s] = qslot{tag: tag, next: none}
 	} else {
 		s = int32(len(q.slots))
-		q.slots = append(q.slots, qslot{tag: tag, next: none, fn: fn})
+		q.slots = append(q.slots, qslot{tag: tag, next: none})
 	}
 	q.n++
 	if q.tail != none {
@@ -108,21 +106,20 @@ func (q *runQueue) push(t float64, seq uint64, tag uint32, fn func()) {
 	q.up(len(q.heap) - 1)
 }
 
-// pop removes the next event and returns its time, tag and closure. The
-// vacated slot is zeroed so the closure is not retained by the arena.
-func (q *runQueue) pop() (t float64, tag uint32, fn func()) {
+// pop removes the next event and returns its time and tag.
+func (q *runQueue) pop() (t float64, tag uint32) {
 	ri := q.heap[0]
 	r := &q.runs[ri]
 	s := r.head
 	sl := &q.slots[s]
-	t, tag, fn = r.time, sl.tag, sl.fn
+	t, tag = r.time, sl.tag
 	next := sl.next
-	*sl = qslot{next: q.freeSlot}
+	sl.next = q.freeSlot
 	q.freeSlot = s
 	q.n--
 	if next != none {
 		r.head = next
-		return t, tag, fn
+		return t, tag
 	}
 	// The run emptied: recycle it and take it off the heap.
 	if q.tail == ri {
@@ -136,7 +133,7 @@ func (q *runQueue) pop() (t float64, tag uint32, fn func()) {
 	if last > 0 {
 		q.down(0)
 	}
-	return t, tag, fn
+	return t, tag
 }
 
 // before orders runs a and b by (time, first).

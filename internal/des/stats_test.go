@@ -10,20 +10,21 @@ import (
 // next, and returns the expected total event count.
 func cascadeGraph(t *testing.T, q *Queue, chains, depth int) int {
 	t.Helper()
+	s := newTagSched(q)
 	var chain func(level int) func()
 	chain = func(level int) func() {
 		return func() {
 			if level >= depth {
 				return
 			}
-			if err := q.ScheduleAt(q.Now()+1e-6, chain(level+1)); err != nil {
-				t.Errorf("ScheduleAt: %v", err)
+			if err := s.at(q.Now()+1e-6, chain(level+1)); err != nil {
+				t.Errorf("ScheduleTagAt: %v", err)
 			}
 		}
 	}
 	for i := 0; i < chains; i++ {
-		if err := q.ScheduleAt(float64(i)*1e-9, chain(0)); err != nil {
-			t.Fatalf("ScheduleAt: %v", err)
+		if err := s.at(float64(i)*1e-9, chain(0)); err != nil {
+			t.Fatalf("ScheduleTagAt: %v", err)
 		}
 	}
 	return chains * (depth + 1) // the seed plus depth chained events per chain

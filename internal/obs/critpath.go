@@ -116,12 +116,7 @@ func Analyze(msgs []trace.MessageEvent) *CritPath {
 		if m.Nacked {
 			continue // rejected at the MRQ; no receive completion
 		}
-		recvRank, recvThread := m.Dst, m.DstThread
-		if m.IsGet {
-			// A get completes back on the requesting rank's polling thread.
-			recvRank, recvThread = m.Src, m.Thread
-		}
-		add(3, m.Arrival, m.RecvComplete, resKey{2, recvRank, recvThread}, true)
+		add(3, m.Arrival, m.RecvComplete, resKey{2, m.Dst, m.DstThread}, true)
 	}
 	cp.Segments = len(segs)
 	if len(segs) == 0 {

@@ -44,9 +44,6 @@ type Transfer struct {
 	// followed by the payload, section 3.5.1); it costs an extra injection
 	// gap at the sender and an extra match at the receiver.
 	TwoStep bool
-	// IsGet marks a one-sided read: the descriptor travels to the remote
-	// TNI first and the payload returns, doubling the latency term.
-	IsGet bool
 	// Attempt counts prior transmissions of the same logical message (0 for
 	// the first try); carried into the trace so retransmissions are visible.
 	Attempt int
@@ -617,10 +614,6 @@ func (f *Fabric) transmit(idx int) {
 			// Rendezvous: RTS/CTS round trip before the payload moves.
 			lat += 2 * f.Latency(hops)
 		}
-		if tr.IsGet {
-			// The read request travels out before the payload returns.
-			lat += f.Latency(hops)
-		}
 		tr.Arrival = txDone + lat
 	}
 	if f.tracing {
@@ -630,7 +623,7 @@ func (f *Fabric) transmit(idx int) {
 			Src: tr.Src, Dst: tr.Dst, SrcNode: int(srcNode),
 			TNI: tr.TNI, VCQ: tr.VCQ, Thread: tr.Thread, DstThread: tr.DstThread,
 			Bytes: tr.Bytes, Hops: hops, Iface: iface.String(),
-			TwoStep: tr.TwoStep, IsGet: tr.IsGet, VCQSwitch: vcqSwitch,
+			TwoStep: tr.TwoStep, VCQSwitch: vcqSwitch,
 			Attempt: tr.Attempt,
 			ReadyAt: b + tr.ReadyAt, IssueStart: ev.IssueStart,
 			IssueDone: b + tr.IssueDone, TxStart: b + txStart, TxDone: b + txDone,
@@ -670,13 +663,8 @@ func (f *Fabric) transmit(idx int) {
 	f.sent++
 }
 
-// recvCtx returns the slot of the polling context that completes tr. For a
-// get, the payload returns to the issuer, whose own context harvests the TCQ
-// completion.
+// recvCtx returns the slot of the polling context that completes tr.
 func (f *Fabric) recvCtx(tr *Transfer) int {
-	if tr.IsGet {
-		return tr.Src*f.threads + tr.Thread
-	}
 	return tr.Dst*f.threads + tr.DstThread
 }
 

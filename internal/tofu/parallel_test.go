@@ -11,8 +11,8 @@ import (
 )
 
 // mixedRound builds a round exercising every cost path: inter-node puts in
-// both directions, intra-node puts, gets, MPI two-step sends, multiple
-// threads/TNIs/VCQs and staggered ReadyAt times.
+// both directions, intra-node puts, multiple threads/TNIs/VCQs and staggered
+// ReadyAt times; callers add MPI two-step sends.
 func mixedRound(f *Fabric) []*Transfer {
 	var out []*Transfer
 	for r := 0; r < f.Map.Ranks(); r++ {
@@ -23,7 +23,7 @@ func mixedRound(f *Fabric) []*Transfer {
 		out = append(out,
 			&Transfer{Src: r, Dst: xp, TNI: r % 6, VCQ: r << 3, Thread: 0, Bytes: 64},
 			&Transfer{Src: r, Dst: xm, TNI: (r + 1) % 6, VCQ: r<<3 | 1, Thread: 1, Bytes: 700},
-			&Transfer{Src: r, Dst: yp, TNI: (r + 2) % 6, VCQ: r<<3 | 2, Thread: 2, Bytes: 128, IsGet: true},
+			&Transfer{Src: r, Dst: yp, TNI: (r + 2) % 6, VCQ: r<<3 | 2, Thread: 2, Bytes: 128},
 			&Transfer{Src: r, Dst: in, TNI: (r + 3) % 6, VCQ: r<<3 | 3, Thread: 0, Bytes: 32, ReadyAt: 0.1e-6},
 		)
 	}

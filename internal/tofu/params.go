@@ -80,7 +80,7 @@ type Params struct {
 	// the 6TNI-p2p single-thread variant is "abnormally poor" (section 4.2).
 	VCQSwitchOverhead float64
 	// CompletionTimeout is how long (virtual seconds) after the expected
-	// wire time a sender waits for a put/get completion before declaring
+	// wire time a sender waits for a put completion before declaring
 	// the transmission lost and retransmitting. Only consulted when a fault
 	// model is attached to the fabric.
 	CompletionTimeout float64
@@ -88,7 +88,7 @@ type Params struct {
 	// attempt n waits min(RetransmitBackoff * 2^n, RetransmitBackoffCap).
 	RetransmitBackoff    float64
 	RetransmitBackoffCap float64
-	// MaxRetransmits bounds uTofu retransmission attempts per put/get;
+	// MaxRetransmits bounds uTofu retransmission attempts per put;
 	// beyond it the operation is reported failed so the layer above can
 	// fall back (the MPI path instead retries until MPIRetryLimit waves,
 	// preserving reliable-transport semantics).

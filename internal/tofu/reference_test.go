@@ -234,9 +234,6 @@ func (f *refFabric) transmit(c *des.Queue, idx int) {
 		if iface == IfaceMPI && units.Bytes(tr.Bytes) > p.MPIEagerLimit {
 			lat += 2 * f.Latency(hops)
 		}
-		if tr.IsGet {
-			lat += f.Latency(hops)
-		}
 		tr.Arrival = txDone + lat
 	}
 	if f.tracing {
@@ -245,7 +242,7 @@ func (f *refFabric) transmit(c *des.Queue, idx int) {
 			Src: tr.Src, Dst: tr.Dst, SrcNode: int(srcNode),
 			TNI: tr.TNI, VCQ: tr.VCQ, Thread: tr.Thread, DstThread: tr.DstThread,
 			Bytes: tr.Bytes, Hops: hops, Iface: iface.String(),
-			TwoStep: tr.TwoStep, IsGet: tr.IsGet, VCQSwitch: vcqSwitch,
+			TwoStep: tr.TwoStep, VCQSwitch: vcqSwitch,
 			Attempt: tr.Attempt,
 			ReadyAt: b + tr.ReadyAt, IssueStart: ev.IssueStart,
 			IssueDone: b + tr.IssueDone, TxStart: b + txStart, TxDone: b + txDone,
@@ -281,9 +278,6 @@ func (f *refFabric) arrive(c *des.Queue, idx int) {
 	p := &f.Params
 	tr := f.round[idx]
 	ctx := tr.Dst*f.threads + tr.DstThread
-	if tr.IsGet {
-		ctx = tr.Src*f.threads + tr.Thread
-	}
 	cost := f.recvOv
 	if !p.CacheInjection {
 		cost += p.CacheMissPenalty
@@ -346,7 +340,7 @@ func randomRound(f *Fabric, c refCase, rng *rand.Rand) []*Transfer {
 				TNI: rng.IntN(6), VCQ: r<<3 | rng.IntN(3),
 				Thread: rng.IntN(3), DstThread: rng.IntN(3),
 				Bytes:   sizes[rng.IntN(len(sizes))],
-				TwoStep: rng.IntN(4) == 0, IsGet: rng.IntN(5) == 0,
+				TwoStep: rng.IntN(4) == 0,
 			}
 			if c.ready != nil {
 				tr.ReadyAt = c.ready[rng.IntN(len(c.ready))]

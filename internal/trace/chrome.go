@@ -75,9 +75,6 @@ func (r *Recorder) WriteChrome(w io.Writer) error {
 		ranks[m.Dst] = true
 		nodes[m.SrcNode] = true
 		recvPid, recvTid := m.Dst, recvTidBase+m.DstThread
-		if m.IsGet {
-			recvPid, recvTid = m.Src, recvTidBase+m.Thread
-		}
 		label := fmt.Sprintf("%d→%d %dB", m.Src, m.Dst, m.Bytes)
 		args := map[string]any{
 			"src": m.Src, "dst": m.Dst, "tni": m.TNI, "vcq": m.VCQ,
@@ -87,9 +84,6 @@ func (r *Recorder) WriteChrome(w io.Writer) error {
 		}
 		if m.TwoStep {
 			args["two_step"] = true
-		}
-		if m.IsGet {
-			args["get"] = true
 		}
 		if m.VCQSwitch {
 			args["vcq_switch"] = true
@@ -177,8 +171,6 @@ func roundTid(kind string) int {
 	switch kind {
 	case "utofu-put":
 		return 0
-	case "utofu-get":
-		return 1
 	case "mpi-p2p":
 		return 2
 	case "allreduce":

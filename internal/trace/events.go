@@ -27,8 +27,8 @@ type MessageEvent struct {
 	Bytes, Hops int
 	// Iface names the software stack ("utofu" or "mpi").
 	Iface string
-	// TwoStep marks the MPI unknown-length protocol; IsGet a one-sided read.
-	TwoStep, IsGet bool
+	// TwoStep marks the MPI unknown-length protocol.
+	TwoStep bool
 	// VCQSwitch marks that the serving TNI engine changed VCQs for this
 	// command and paid the switch gap.
 	VCQSwitch bool
@@ -64,7 +64,7 @@ type SpanEvent struct {
 
 // RoundEvent is one bulk-synchronous transport round or collective.
 type RoundEvent struct {
-	// Kind names the round ("utofu-put", "utofu-get", "mpi-p2p",
+	// Kind names the round ("utofu-put", "utofu-retransmit", "mpi-p2p",
 	// "allreduce").
 	Kind string
 	// Count is the message count (or rank count for collectives).

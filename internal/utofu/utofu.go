@@ -50,14 +50,11 @@ type System struct {
 
 // utofuMetrics caches the uTofu layer's metric handles.
 type utofuMetrics struct {
-	puts, gets         *metrics.Counter
-	putBytes, getBytes *metrics.Counter
-	piggybacks         *metrics.Counter
-	registrations      *metrics.Counter
-	// Retransmissions issued and operations abandoned after exhausting
+	puts, putBytes, piggybacks *metrics.Counter
+	registrations              *metrics.Counter
+	// Retransmissions issued and puts abandoned after exhausting
 	// MaxRetransmits (fault injection only; zero otherwise).
-	putRetransmits, getRetransmits *metrics.Counter
-	putFailures, getFailures       *metrics.Counter
+	putRetransmits, putFailures *metrics.Counter
 }
 
 // SetMetrics enables (or, with a nil registry, disables) metric collection.
@@ -68,16 +65,12 @@ func (s *System) SetMetrics(reg *metrics.Registry) {
 	}
 	s.met = utofuMetrics{
 		puts:          reg.Counter("utofu_ops", "put"),
-		gets:          reg.Counter("utofu_ops", "get"),
 		putBytes:      reg.Counter("utofu_bytes", "put"),
-		getBytes:      reg.Counter("utofu_bytes", "get"),
 		piggybacks:    reg.Counter("utofu_ops", "piggyback"),
 		registrations: reg.Counter("utofu_ops", "register"),
 
 		putRetransmits: reg.Counter("utofu_retransmits", "put"),
-		getRetransmits: reg.Counter("utofu_retransmits", "get"),
 		putFailures:    reg.Counter("utofu_failures", "put"),
-		getFailures:    reg.Counter("utofu_failures", "get"),
 	}
 }
 
@@ -247,34 +240,6 @@ type Put struct {
 	dst *MemRegion
 }
 
-// Get is one queued one-sided RDMA read: bytes from a remote registered
-// region are fetched into a local buffer. Gets pay a request round trip on
-// top of the payload transfer.
-type Get struct {
-	VCQ *VCQ
-	// Thread is the issuing CPU thread (also the completion-poll context).
-	Thread int
-	// Src addresses the remote registered region to read from.
-	SrcSTADD uint64
-	SrcOff   int
-	// Dst receives the payload locally.
-	Dst []byte
-	// ReadyAt is the issuer virtual time the descriptor is ready.
-	ReadyAt float64
-
-	// Timing outputs.
-	IssueDone float64
-	Complete  float64
-	// Attempts/Failed/FailedAt mirror Put's retransmission outputs.
-	Attempts int
-	Failed   bool
-	FailedAt float64
-
-	// src is the region SrcSTADD resolved to when ExecuteGetRound validated
-	// the get, kept for the delivery.
-	src *MemRegion
-}
-
 // retryPlan decides a failed transfer's fate: either schedules a
 // retransmission transfer for the next wave (returned non-nil) or reports
 // the operation permanently failed at detect time. Loss is detected by a
@@ -296,27 +261,27 @@ func (s *System) retryPlan(tr *tofu.Transfer) (next *tofu.Transfer, detect float
 	return &nt, detect
 }
 
-// checkVCQ validates a VCQ handle before issuing through it.
-func (s *System) checkVCQ(v *VCQ, what string, i int) error {
+// checkVCQ validates the VCQ handle put i issues through.
+func (s *System) checkVCQ(v *VCQ, i int) error {
 	if v == nil || v.sys != s {
-		return fmt.Errorf("utofu: %s %d uses a VCQ not created by this system", what, i)
+		return fmt.Errorf("utofu: put %d uses a VCQ not created by this system", i)
 	}
 	if v.freed {
-		return fmt.Errorf("utofu: %s %d uses freed VCQ tag %d", what, i, v.Tag)
+		return fmt.Errorf("utofu: put %d uses freed VCQ tag %d", i, v.Tag)
 	}
 	return nil
 }
 
-// runWaves executes the transfers of one operation batch as a fabric round
-// and, under fault injection, re-runs the lost ones in follow-up waves with
-// capped exponential backoff. transfers[i] belongs to operation i. Wave 0 is
-// the caller's slice itself; a later wave is the retransmit records compacted
-// to its front, owner mapping each back to its operation. settle is called
-// once per operation, when its fate is known: with the delivering transfer,
-// or with the last failed one and the time the final loss was detected.
-func (s *System) runWaves(transfers []*tofu.Transfer, kind string, retransmits *metrics.Counter,
-	settle func(i int, tr *tofu.Transfer, failedAt float64)) error {
+// runWaves executes the transfers of one put batch as a fabric round and,
+// under fault injection, re-runs the lost ones in follow-up waves with capped
+// exponential backoff. transfers[i] belongs to put i. Wave 0 is the caller's
+// slice itself; a later wave is the retransmit records compacted to its
+// front, owner mapping each back to its put. settle is called once per put,
+// when its fate is known: with the delivering transfer, or with the last
+// failed one and the time the final loss was detected.
+func (s *System) runWaves(transfers []*tofu.Transfer, settle func(i int, tr *tofu.Transfer, failedAt float64)) error {
 	var owner []int
+	kind := "utofu-put"
 	for wave := 0; len(transfers) > 0; wave++ {
 		if err := s.Fab.RunRound(transfers, tofu.IfaceUTofu); err != nil {
 			return err
@@ -345,63 +310,9 @@ func (s *System) runWaves(transfers []*tofu.Transfer, kind string, retransmits *
 			}
 			transfers[lost], owner[lost] = next, i
 			lost++
-			retransmits.Inc()
+			s.met.putRetransmits.Inc()
 		}
 		transfers = transfers[:lost]
-	}
-	return nil
-}
-
-// ExecuteGetRound runs a batch of gets as one fabric round, copying remote
-// bytes into the local destinations. Under fault injection, lost gets are
-// retransmitted in follow-up waves with capped exponential backoff; a get
-// that exhausts MaxRetransmits is reported via Failed/FailedAt instead of
-// delivering.
-func (s *System) ExecuteGetRound(gets []*Get) error {
-	if len(gets) == 0 {
-		return nil
-	}
-	transfers := s.Fab.Transfers(len(gets))
-	for i, g := range gets {
-		if err := s.checkVCQ(g.VCQ, "get", i); err != nil {
-			return err
-		}
-		src, ok := s.Lookup(g.SrcSTADD)
-		if !ok {
-			return fmt.Errorf("utofu: get %d reads unregistered STADD %d", i, g.SrcSTADD)
-		}
-		if g.SrcOff < 0 || g.SrcOff+len(g.Dst) > len(src.Buf) {
-			return fmt.Errorf("utofu: get %d reads [%d,%d) outside region of %d bytes",
-				i, g.SrcOff, g.SrcOff+len(g.Dst), len(src.Buf))
-		}
-		g.Attempts, g.Failed, g.FailedAt, g.src = 0, false, 0, src
-		*transfers[i] = tofu.Transfer{
-			Src:     g.VCQ.Rank,
-			Dst:     src.Rank,
-			TNI:     g.VCQ.TNI,
-			VCQ:     g.VCQ.Tag,
-			Thread:  g.Thread,
-			Bytes:   len(g.Dst),
-			ReadyAt: g.ReadyAt,
-			IsGet:   true,
-		}
-	}
-	err := s.runWaves(transfers, "utofu-get", s.met.getRetransmits, func(i int, tr *tofu.Transfer, failedAt float64) {
-		g := gets[i]
-		g.Attempts = tr.Attempt + 1
-		if tr.Failed() {
-			g.Failed, g.FailedAt = true, failedAt
-			s.met.getFailures.Inc()
-			return
-		}
-		copy(g.Dst, g.src.Buf[g.SrcOff:])
-		g.IssueDone = tr.IssueDone
-		g.Complete = tr.RecvComplete
-		s.met.gets.Inc()
-		s.met.getBytes.Add(int64(len(g.Dst)))
-	})
-	if err != nil {
-		return fmt.Errorf("utofu: get round: %w", err)
 	}
 	return nil
 }
@@ -450,7 +361,7 @@ func (s *System) ExecuteRound(puts []*Put) error {
 	}
 	transfers := s.Fab.Transfers(len(puts))
 	for i, p := range puts {
-		if err := s.checkVCQ(p.VCQ, "put", i); err != nil {
+		if err := s.checkVCQ(p.VCQ, i); err != nil {
 			return err
 		}
 		dst, ok := s.Lookup(p.DstSTADD)
@@ -474,7 +385,7 @@ func (s *System) ExecuteRound(puts []*Put) error {
 	// Delivered puts, their bytes and piggybacks are counted here and
 	// added to the metrics once per round.
 	var delivered, putBytes, piggybacks int64
-	err := s.runWaves(transfers, "utofu-put", s.met.putRetransmits, func(i int, tr *tofu.Transfer, failedAt float64) {
+	err := s.runWaves(transfers, func(i int, tr *tofu.Transfer, failedAt float64) {
 		p := puts[i]
 		p.Attempts = tr.Attempt + 1
 		if tr.Failed() {

@@ -115,10 +115,6 @@ func TestFreedVCQCannotIssue(t *testing.T) {
 	if err := s.ExecuteRound([]*Put{p}); err == nil {
 		t.Error("put through freed VCQ accepted")
 	}
-	g := &Get{VCQ: v, SrcSTADD: region.STADD, Dst: make([]byte, 1)}
-	if err := s.ExecuteGetRound([]*Get{g}); err == nil {
-		t.Error("get through freed VCQ accepted")
-	}
 }
 
 func TestFourRanksSixTNIsUseAllCQs(t *testing.T) {
@@ -290,46 +286,6 @@ func TestRoundSerializesPerThread(t *testing.T) {
 	}
 }
 
-func TestGetFetchesRemoteBytes(t *testing.T) {
-	s := testSystem(t)
-	remote := make([]byte, 64)
-	copy(remote[16:], []byte("remote payload"))
-	region, _ := s.Register(9, remote)
-	vcq, err := s.CreateVCQ(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]byte, 14)
-	g := &Get{VCQ: vcq, SrcSTADD: region.STADD, SrcOff: 16, Dst: dst}
-	if err := s.ExecuteGetRound([]*Get{g}); err != nil {
-		t.Fatal(err)
-	}
-	if string(dst) != "remote payload" {
-		t.Errorf("got %q", dst)
-	}
-	if g.Complete <= 0 {
-		t.Error("no completion time")
-	}
-}
-
-func TestGetRoundTripSlowerThanPut(t *testing.T) {
-	s := testSystem(t)
-	region, _ := s.Register(9, make([]byte, 64))
-	vcq, _ := s.CreateVCQ(0, 0)
-	p := &Put{VCQ: vcq, DstSTADD: region.STADD, Src: make([]byte, 32)}
-	if err := s.ExecuteRound([]*Put{p}); err != nil {
-		t.Fatal(err)
-	}
-	g := &Get{VCQ: vcq, SrcSTADD: region.STADD, Dst: make([]byte, 32)}
-	if err := s.ExecuteGetRound([]*Get{g}); err != nil {
-		t.Fatal(err)
-	}
-	if g.Complete <= p.RecvComplete {
-		t.Errorf("get (%v) not slower than put (%v): the request must round trip",
-			g.Complete, p.RecvComplete)
-	}
-}
-
 // Under a lossy fabric, every put must still deliver its payload (via
 // retransmission), attempts must be visible, and retransmits counted.
 func TestPutRetransmitsUntilDelivered(t *testing.T) {
@@ -482,57 +438,6 @@ func TestAliasedPutMatchesSeparateBuffer(t *testing.T) {
 		if a, b := aliReg.Counter(c[0], c[1]).Value(), sepReg.Counter(c[0], c[1]).Value(); a != b || a == 0 {
 			t.Errorf("counter %s/%s: aliased %d, separate %d", c[0], c[1], a, b)
 		}
-	}
-}
-
-// MRQ-overflow NACKs are retried the same way as drops.
-func TestGetRetransmitsOnNack(t *testing.T) {
-	s := testSystem(t)
-	s.Fab.Faults = faultinject.New(faultinject.Spec{Seed: 11, Nack: 0.3})
-	remote := make([]byte, 32*4)
-	for i := range remote {
-		remote[i] = byte(i)
-	}
-	region, _ := s.Register(9, remote)
-	vcq, _ := s.CreateVCQ(0, 0)
-	var gets []*Get
-	for i := 0; i < 32; i++ {
-		gets = append(gets, &Get{VCQ: vcq, SrcSTADD: region.STADD, SrcOff: i * 4, Dst: make([]byte, 4)})
-	}
-	if err := s.ExecuteGetRound(gets); err != nil {
-		t.Fatal(err)
-	}
-	retried := false
-	for i, g := range gets {
-		if g.Failed {
-			t.Fatalf("get %d failed permanently at nack rate 0.3", i)
-		}
-		if g.Attempts > 1 {
-			retried = true
-		}
-		if !bytes.Equal(g.Dst, remote[i*4:i*4+4]) {
-			t.Errorf("get %d fetched %v", i, g.Dst)
-		}
-	}
-	if !retried {
-		t.Error("no get was retransmitted at nack rate 0.3 over 32 gets")
-	}
-}
-
-func TestGetBoundsChecked(t *testing.T) {
-	s := testSystem(t)
-	region, _ := s.Register(9, make([]byte, 16))
-	vcq, _ := s.CreateVCQ(0, 0)
-	g := &Get{VCQ: vcq, SrcSTADD: region.STADD, SrcOff: 10, Dst: make([]byte, 10)}
-	if err := s.ExecuteGetRound([]*Get{g}); err == nil {
-		t.Error("out-of-bounds get accepted")
-	}
-	g2 := &Get{VCQ: vcq, SrcSTADD: 404, Dst: make([]byte, 1)}
-	if err := s.ExecuteGetRound([]*Get{g2}); err == nil {
-		t.Error("unregistered STADD accepted")
-	}
-	if err := s.ExecuteGetRound(nil); err != nil {
-		t.Errorf("empty get round: %v", err)
 	}
 }
 

@@ -244,8 +244,3 @@ func funcOf(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	return nil
 }
-
-// isPkgFunc reports whether fn is the package-level function pkgPath.name.
-func isPkgFunc(fn *types.Func, pkgPath, name string) bool {
-	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == pkgPath && fn.Name() == name && !strings.Contains(fn.FullName(), ".(")
-}

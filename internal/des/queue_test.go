@@ -127,8 +127,12 @@ func checkAgainstEngine(t *testing.T, seed int64, got []*[]traceEntry) float64 {
 	return final
 }
 
+// TestParallelMatchesSerialProperty: at every cascade count 1..5 the Queue
+// executes every cascade in the order, and at the times, the reference
+// Engine executes the closure form, and it runs each tag it was given
+// exactly once.
 func TestParallelMatchesSerialProperty(t *testing.T) {
-	for _, n := range []int{1, 3, 5} {
+	for n := 1; n <= 5; n++ {
 		for seed := int64(1); seed <= 4; seed++ {
 			q := NewQueue()
 			s := newTagSched(q)
@@ -139,27 +143,6 @@ func TestParallelMatchesSerialProperty(t *testing.T) {
 			qFinal := q.Run()
 			if eFinal := checkAgainstEngine(t, seed, traces); qFinal != eFinal {
 				t.Errorf("%d cascades seed=%d: final time Queue %g != Engine %g", n, seed, qFinal, eFinal)
-			}
-		}
-	}
-}
-
-// The cascades of TestParallelMatchesSerialProperty at other cascade
-// counts: the Queue executes every cascade in the order, and at the times,
-// the reference Engine executes the closure form, and it runs each tag it
-// was given exactly once.
-func TestTaggedEventsMatchSerialProperty(t *testing.T) {
-	for n := 1; n <= 4; n++ {
-		for seed := int64(1); seed <= 4; seed++ {
-			q := NewQueue()
-			s := newTagSched(q)
-			traces := make([]*[]traceEntry, n)
-			for c := range traces {
-				traces[c] = cascade(t, s, cascadeSeed(seed, c))
-			}
-			qFinal := q.Run()
-			if eFinal := checkAgainstEngine(t, seed, traces); qFinal != eFinal {
-				t.Errorf("%d cascades seed=%d: final time tagged %g != Engine %g", n, seed, qFinal, eFinal)
 			}
 			ran := 0
 			for _, tr := range traces {

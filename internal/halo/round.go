@@ -1,6 +1,9 @@
 package halo
 
-import "tofumd/internal/slab"
+import (
+	"tofumd/internal/slab"
+	"tofumd/internal/threadpool"
+)
 
 // Round is one bulk-synchronous round's messages, the container every
 // consumer aims, packs, runs and unpacks: Msgs in issue order, which is the
@@ -45,4 +48,30 @@ func (b *Round) Add(m Msg) *Msg {
 	b.BySrc[p.Src] = append(b.BySrc[p.Src], p)
 	b.ByDst[p.Dst] = append(b.ByDst[p.Dst], p)
 	return p
+}
+
+// Run takes the aimed round b through the rest of section 3.4's message
+// path on pool: pack(src) for every sender, in one region; stamp, if not
+// nil, on the caller; RunRound on the caller while the other workers run
+// unpack(dst) for every receiver (no region when unpack is nil); then,
+// after the join, settle(dst), if not nil, for every receiver in rank
+// order. Senders pack every uTofu payload at its Dest, so the round beside
+// the unpacks writes no payload byte; a pack task charges only its own
+// sender's clock and the unpacks none, so stamp and settle apply every
+// other charge in the same order at any worker count.
+func (e *Engine) Run(pool *threadpool.Pool, t Transport, b *Round, pack func(src int), stamp func(), unpack, settle func(dst int)) {
+	pool.ForEach(len(b.BySrc), pack)
+	if stamp != nil {
+		stamp()
+	}
+	n := len(b.ByDst)
+	if unpack == nil {
+		n = 0 // the round runs alone, in no region
+	}
+	pool.ForEachBeside(n, unpack, func() { e.RunRound(t, b.Msgs) })
+	if settle != nil {
+		for dst := range b.ByDst {
+			settle(dst)
+		}
+	}
 }

@@ -163,8 +163,9 @@ func (s *System) inRound(l *halo.LinkSpec, dim int) bool {
 // in the plan's issue order (rank by rank, each rank's Send links in
 // SpecLess order, so -dim before +dim), carrying the sender's VCQ and,
 // under uTofu, aimed at the receiver's inbox for the ghost layer it fills.
-// A periodic self-image (a link back to its sender) is no message: the
-// sender copies it.
+// It binds each round's pack and unpack tasks beside it. A periodic
+// self-image (a link back to its sender) is no message: the sender copies
+// it (copyImages). An axis one rank wide has only those, any other none.
 func (s *System) aimRounds() {
 	for dim := range s.rounds {
 		b := halo.NewRound(len(s.ranks))
@@ -184,22 +185,43 @@ func (s *System) aimRounds() {
 			}
 		}
 		s.rounds[dim] = b
+		if len(b.Msgs) == 0 {
+			s.packs[dim] = func(id int) { s.copyImages(s.ranks[id], dim) }
+			continue
+		}
+		s.packs[dim] = func(id int) { s.sendPlanes(s.ranks[id], dim) }
+		s.unpacks[dim] = func(id int) {
+			r := s.ranks[id]
+			for _, m := range b.ByDst[id] {
+				_, ghost, _ := face(&s.plan.Links[m.Link], dim, s.ranks[m.Src], r)
+				r.unpackPlane(dim, ghost, m.Data)
+			}
+		}
 	}
 }
 
-// exchange runs the three staged dimension rounds over the post-collision
-// boundary planes. Under the overlap variant the interior core's collision
-// cost is folded in afterwards: each rank's clock becomes at least
-// (exchange start + core collide time), so communication time under the
-// compute envelope is hidden.
+// exchange runs the three staged dimension rounds, aimed at New, over the
+// post-collision boundary planes through Engine.Run, and settles each
+// rank's unpack charges in its receive order. Data is dropped after each
+// round: under MPI each plane is a fresh buffer, which must not outlive
+// it. Under the overlap variant the interior core's collision cost is
+// folded in afterwards: each rank's clock becomes at least (exchange start
+// + core collide time), so communication time under the compute envelope
+// is hidden.
 func (s *System) exchange() {
 	if s.Cfg.Overlap {
 		for i, r := range s.ranks {
 			s.commStart[i] = r.Clock
 		}
 	}
-	for dim := 0; dim < 3; dim++ {
-		s.exchangeDim(dim)
+	for dim, b := range s.rounds {
+		s.eng.Run(s.pool, s.Cfg.Transport, b, s.packs[dim], nil, s.unpacks[dim], func(id int) {
+			r := s.ranks[id]
+			for _, m := range b.ByDst[id] {
+				r.Clock += s.unpackCost(len(m.Data))
+				m.Data = nil
+			}
+		})
 	}
 	if s.Cfg.Overlap {
 		for i, r := range s.ranks {
@@ -210,62 +232,16 @@ func (s *System) exchange() {
 	}
 }
 
-// exchangeDim runs one dimension round, aimed at New: every rank packs its
-// boundary planes in parallel (sendPlanes), then the fabric round runs on
-// the caller while the other workers unpack each receiver's planes. Under
-// uTofu every plane already lies in the receiver's inbox, so the round
-// writes no payload byte and the workers may read them while it runs.
-// The unpack charges follow the round in its receive order, so every clock
-// addition happens in the same order as in a serial loop over the ranks.
-// Data is dropped after the round: under MPI each plane is a fresh buffer,
-// which must not outlive it.
-func (s *System) exchangeDim(dim int) {
-	b := s.rounds[dim]
-	s.forRanks(func(id int) { s.sendPlanes(s.ranks[id], dim) })
-	if len(b.Msgs) == 0 {
-		return
-	}
-	s.pool.ForEachBeside(len(s.ranks), func(id int) {
-		r := s.ranks[id]
-		for _, m := range b.ByDst[id] {
-			_, ghost, _ := face(&s.plan.Links[m.Link], dim, s.ranks[m.Src], r)
-			r.unpackPlane(dim, ghost, m.Data)
-		}
-	}, func() { s.eng.RunRound(s.Cfg.Transport, b.Msgs) })
-	for _, m := range b.Msgs {
-		s.ranks[m.Dst].Clock += s.unpackCost(len(m.Data))
-		m.Data = nil
-	}
-}
-
-// sendPlanes is the pack half of a dimension round for rank r: it packs
-// the boundary planes of r's links in the round, in link order, charging
-// r's clock and stamping each message's ReadyAt after its own plane. A
-// periodic self-image (a link back to r) is packed and unpacked in place.
-// Under uTofu each plane is packed at its message's Dest in the
-// receiver's inbox, which takes exactly one plane a round, from r, so no
-// other task touches it; under MPI it is a fresh buffer. The messages of
-// r were aimed from the same links in the same order, less the
-// self-images, so they are taken in step. It reads other ranks only for
-// their immutable extents.
+// sendPlanes is the pack task of a dimension round for rank r: it packs
+// the boundary plane of each of r's messages, in link order, charging r's
+// clock and stamping each message's ReadyAt after its own plane. Under
+// uTofu each plane is packed at its message's Dest in the receiver's
+// inbox, which takes exactly one plane a round, from r, so no other task
+// touches it; under MPI it is a fresh buffer. It reads other ranks only
+// for their immutable extents.
 func (s *System) sendPlanes(r *Rank, dim int) {
-	msgs := s.rounds[dim].BySrc[r.ID]
-	for _, i := range s.plan.Send[r.ID] {
-		l := &s.plan.Links[i]
-		if !s.inRound(l, dim) {
-			continue
-		}
-		dst := s.ranks[l.Dst]
-		layer, ghost, _ := face(l, dim, r, dst)
-		if dst == r {
-			r.selfBuf = r.packPlane(dim, layer, r.selfBuf)
-			r.Clock += s.packCost(len(r.selfBuf))
-			r.unpackPlane(dim, ghost, r.selfBuf)
-			r.Clock += s.unpackCost(len(r.selfBuf))
-			continue
-		}
-		m := msgs[0]
-		msgs = msgs[1:]
+	for _, m := range s.rounds[dim].BySrc[r.ID] {
+		layer, _, _ := face(&s.plan.Links[m.Link], dim, r, s.ranks[m.Dst])
 		var buf []byte
 		if m.Region != nil {
 			buf = m.Dest()
@@ -273,5 +249,22 @@ func (s *System) sendPlanes(r *Rank, dim int) {
 		m.Data = r.packPlane(dim, layer, buf)
 		r.Clock += s.packCost(len(m.Data))
 		m.ReadyAt = r.Clock
+	}
+}
+
+// copyImages is the pack task of a dimension round on an axis one rank
+// wide: each of r's links in the round is a periodic self-image, which r
+// packs and unpacks in place through its staging buffer, in link order.
+func (s *System) copyImages(r *Rank, dim int) {
+	for _, i := range s.plan.Send[r.ID] {
+		l := &s.plan.Links[i]
+		if !s.inRound(l, dim) {
+			continue
+		}
+		layer, ghost, _ := face(l, dim, r, r)
+		r.selfBuf = r.packPlane(dim, layer, r.selfBuf)
+		r.Clock += s.packCost(len(r.selfBuf))
+		r.unpackPlane(dim, ghost, r.selfBuf)
+		r.Clock += s.unpackCost(len(r.selfBuf))
 	}
 }

@@ -135,8 +135,10 @@ type System struct {
 	step  int
 
 	// rounds are the three dimension rounds of the face exchange, aimed
-	// once (aimRounds) and replayed every step.
-	rounds [3]*halo.Round
+	// once (aimRounds) with their pack and unpack tasks and replayed every
+	// step.
+	rounds         [3]*halo.Round
+	packs, unpacks [3]func(id int)
 	// commStart holds each rank's clock at the start of an overlapped
 	// exchange, scratch reused every step.
 	commStart []float64

@@ -303,19 +303,21 @@ func TestStepMatchesReference(t *testing.T) {
 
 // TestStepAllocs pins what one step allocates under uTofu. Every non-self
 // plane is packed straight into the receiver's pre-registered inbox, so no
-// payload is allocated at all; each parallel region (collide, stream, and
-// the pack region and the unpack region beside the fabric round of every
-// dimension round that has messages) allocates at most regionAllocs
-// objects, and that is the whole bound. The pool's worker count is fixed
-// at New, so AllocsPerRun's GOMAXPROCS 1 does not change it: on one worker
-// a region allocates its task closure only, and with helpers it adds the
-// region's shared counter and WaitGroup and the helpers' work method value
-// (the round's closure, run on the caller, stays on the stack). Self-image
+// payload is allocated at all; what is left is the parallel regions'
+// bookkeeping, and that is the whole bound. Collide and stream pass a
+// fresh task closure to the pool. The pack region and the unpack region
+// beside the fabric round of every dimension round that has messages run
+// tasks bound once at New, and the round's closure and the settle pass run
+// on the caller, on the stack. With helpers a region adds its shared state
+// (counter, WaitGroup) and the helpers' work method value. The pool's
+// worker count is fixed at New, so AllocsPerRun's GOMAXPROCS 1 does not
+// change it: at -cpu 2 and 4 a 2x2x2 tile reads 2×3 + 6×2 = 18 a step and
+// the self-image tile 2×3 + 5×2 = 16 (2 each at -cpu 1), where allocating
+// every task closure took 24 and allocating each plane 208. Self-image
 // planes reuse their rank's staging buffer; the rounds are aimed at New and
-// the engine's records are scratch. At 32 ranks that is at most 8×3 = 24 a
-// step, where allocating each plane took 192 + 8×2 = 208.
+// the engine's records are scratch.
 func TestStepAllocs(t *testing.T) {
-	const regionAllocs = 3
+	const closureAllocs, boundAllocs = 3, 2
 	for _, tc := range []struct {
 		name  string
 		nodes vec.I3
@@ -331,16 +333,16 @@ func TestStepAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			s.InitShearWave(0.01)
-			regions := 2
+			regions := 0 // the exchange's
 			for dim := 0; dim < 3; dim++ {
 				regions++ // pack
 				if s.Map.Grid.Comp(dim) > 1 {
 					regions++ // unpack
 				}
 			}
-			want := regions * regionAllocs
+			want := 2*closureAllocs + regions*boundAllocs
 			if avg := testing.AllocsPerRun(5, s.Step); avg > float64(want) {
-				t.Errorf("a step allocates %.0f times, want at most %d (%d regions)", avg, want, regions)
+				t.Errorf("a step allocates %.0f times, want at most %d (%d exchange regions)", avg, want, regions)
 			}
 		})
 	}

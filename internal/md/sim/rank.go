@@ -46,7 +46,8 @@ type side struct {
 	// inbox holds the receiver's receive buffers (uTofu transport).
 	inbox halo.Inbox
 	// reg is the inbox registration cost aiming the side's latest message
-	// incurred, for the receiver to be charged once the round is packed.
+	// incurred and not yet charged: the round's stamp charges it to the
+	// receiver once the round is packed, and zeroes it.
 	reg float64
 	// buf is the sender's packing scratch. It only ever holds memory the
 	// side owns: a payload sent from the sender's own arrays (haloOp.view)
@@ -106,11 +107,9 @@ type Rank struct {
 	// current step.
 	peLocal  float64
 	virLocal float64
-	// pairs is the interaction count of the rank's latest force pass, and
-	// unpacked the bytes the rank unpacked in the latest halo round: work
-	// done beside a round, charged to the clock after it.
-	pairs    int
-	unpacked int
+	// pairs is the interaction count of the rank's latest force pass, work
+	// done beside a round and charged to the clock after it.
+	pairs int
 	// kept is the EAM density pass's kept-pair mask over NL, which the
 	// step's force pass replays; reused across steps.
 	kept []uint64

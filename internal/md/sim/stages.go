@@ -104,24 +104,13 @@ func (s *Simulation) runOp(op haloOp, then func(r *Rank)) {
 }
 
 // runOpRound runs the operation's i-th round, the plan's i-th (counted
-// from the end when rev), in two parts: landing its bytes, then timing it
-// beside the work that needs only them; then runs only on the last round.
-//
-// A round is aimed once per plan epoch and replayed until the epoch
-// advances (border, TNI re-plan, inbox registration). Aiming is a serial
-// pass that builds the round's messages in rank and link order and aims
-// every uTofu message before anything is packed: a direct op's at the
-// receiver's position array, any other at its link side's inbox, grown to
-// the payload's length. Senders then pack in parallel, each uTofu payload
-// straight at its destination, so every byte has landed before the round;
-// under MPI the receiver reads the sender's own slice. A freshly aimed
-// round then charges the inbox registrations and stamps ReadyAt in a
-// second serial pass, in the same order; a replayed one registers nothing,
-// so each sender stamps its own messages after its pack charge. The
-// fabric round then runs on the calling goroutine while the other workers
-// unpack each receiver's messages and run then on it. The round writes no
-// payload byte and the workers touch no clock, so the unpack charges
-// follow the round exactly as they did when the unpack ran after it.
+// from the end when rev), through Engine.Run; then runs only on the last
+// round, beside its timing. A round is aimed once per plan epoch and
+// replayed until the epoch advances (border, TNI re-plan, inbox
+// registration). The stamp charges each link side's pending inbox
+// registration (none on a replay) and stamps ReadyAt; the workers unpack
+// each receiver's messages and run then on it, and settle charges the
+// unpacks.
 func (s *Simulation) runOpRound(op haloOp, i int, then func(r *Rank)) {
 	last := len(s.plan.Rounds) - 1
 	k := s.plan.Rounds[i]
@@ -133,14 +122,13 @@ func (s *Simulation) runOpRound(op haloOp, i int, then func(r *Rank)) {
 	}
 	packTh := s.Var.PackThreading()
 	b := s.opRound(op, i)
-	replay := op.plan != adHoc && b.Epoch == s.epoch
-	if replay {
+	if op.plan != adHoc && b.Epoch == s.epoch {
 		s.replays[op.plan]++
 	} else {
 		s.aims[op.plan]++
 		s.aimRound(op, k, b)
 	}
-	s.forRanks(func(id int) {
+	pack := func(id int) {
 		r := s.ranks[id]
 		bytes := 0
 		for _, m := range b.BySrc[id] {
@@ -148,46 +136,41 @@ func (s *Simulation) runOpRound(op haloOp, i int, then func(r *Rank)) {
 			bytes += len(m.Data)
 		}
 		r.Clock += s.M.Cost.PackTime(units.Bytes(bytes), packTh)
-		if replay {
-			for _, m := range b.BySrc[id] {
-				m.ReadyAt = r.Clock
-			}
-		}
-	})
-	if !replay {
+	}
+	stamp := func() {
 		for _, m := range b.Msgs {
-			// Charged after packing and before the stamp: a registration on
-			// a self-link (the rank's own periodic image) delays its own
-			// send.
-			s.chargeRegistration(s.ranks[m.Dst], s.links[m.Link].side(op.rev).reg)
+			// Charged before the stamp: a registration on a self-link (the
+			// rank's own periodic image) delays its own send.
+			sd := s.links[m.Link].side(op.rev)
+			s.chargeRegistration(s.ranks[m.Dst], sd.reg)
+			sd.reg = 0
 			m.ReadyAt = s.ranks[m.Src].Clock
 		}
 	}
-	n := 0
-	if !op.direct || then != nil {
-		n = len(s.ranks)
-	}
-	s.pool.ForEachBeside(n, func(id int) {
-		r := s.ranks[id]
-		if !op.direct {
-			r.unpacked = 0
+	var unpack, settle func(id int)
+	if !op.direct {
+		unpack = func(id int) {
+			r := s.ranks[id]
 			for _, m := range b.ByDst[id] {
 				op.unpack(r, &s.links[m.Link], m.Data)
-				r.unpacked += len(m.Data)
+			}
+			if then != nil {
+				then(r)
 			}
 		}
-		if then != nil {
-			then(r)
+		settle = func(id int) {
+			bytes := 0
+			for _, m := range b.ByDst[id] {
+				bytes += len(m.Data)
+			}
+			if bytes > 0 || !op.unpackIfAny {
+				s.ranks[id].Clock += s.M.Cost.UnpackTime(units.Bytes(bytes), packTh)
+			}
 		}
-	}, func() { s.eng.RunRound(s.Var.Transport, b.Msgs) })
-	if op.direct {
-		return
+	} else if then != nil {
+		unpack = func(id int) { then(s.ranks[id]) }
 	}
-	for _, r := range s.ranks {
-		if r.unpacked > 0 || !op.unpackIfAny {
-			r.Clock += s.M.Cost.UnpackTime(units.Bytes(r.unpacked), packTh)
-		}
-	}
+	s.eng.Run(s.pool, s.Var.Transport, b, pack, stamp, unpack, settle)
 }
 
 // opRound returns the round the operation's i-th round is aimed in.
@@ -203,7 +186,6 @@ func (s *Simulation) opRound(op haloOp, i int) *halo.Round {
 // the link side; a planned b is stamped with the epoch that holds after the
 // growths, so it replays until the next border, re-plan or registration.
 func (s *Simulation) aimRound(op haloOp, k halo.RoundKey, b *halo.Round) {
-	inbox := !op.direct && s.Var.Transport == halo.TransportUTofu
 	b.Reset(len(s.links) / len(s.plan.Rounds)) // every round holds as many links
 	for _, r := range s.ranks {
 		for _, l := range op.links(r) {
@@ -211,12 +193,11 @@ func (s *Simulation) aimRound(op haloOp, k halo.RoundKey, b *halo.Round) {
 				continue
 			}
 			m := b.Add(l.msg(op.rev, op.known))
-			sd := l.side(op.rev)
-			sd.reg = 0
 			switch {
 			case op.direct:
 				m.Region, m.DstOff = s.xRegion[m.Dst], l.recvStart*posBytes
-			case inbox:
+			case s.Var.Transport == halo.TransportUTofu:
+				sd := l.side(op.rev)
 				sd.reg = s.growInbox(&sd.inbox, m.Dst, op.size(l))
 				m.Region = sd.inbox.Region
 			}

@@ -288,7 +288,8 @@ func (s *Simulation) refEnsureInbox(owner *Rank, ib *halo.Inbox, need int) {
 // ref and utofu-3stage variants (direct forward puts, MPI, and inbox
 // puts), Newton off, a degraded link whose messages fall back to MPI, a TNI that fails
 // mid-run under uTofu (a quarantine and re-plan inside a replayed
-// round), and enough steps for a neighbor rebuild.
+// round), a self-link whose inbox grows mid-run (its registration must
+// delay its own send), and enough steps for a neighbor rebuild.
 func TestStepMatchesReference(t *testing.T) {
 	lj := func(*testing.T) Config {
 		cfg := failstopConfig()
@@ -315,21 +316,32 @@ func TestStepMatchesReference(t *testing.T) {
 		// tniFail fails TNI 2 halfway through the run, under the uTofu
 		// variants only.
 		tniFail bool
+		// selfGrow runs on a tile one rank wide in z, whose z links are
+		// the ranks' own periodic images, and shrinks rank 0's first such
+		// forward inbox before the first step, under utofu-3stage only
+		// (the one variant whose inboxes grow).
+		selfGrow bool
 	}{
-		{"lj", lj, 22, false},
-		{"lj-newton-off", ljNewtonOff, 22, false},
-		{"eam", eam, 12, false},
-		{"lj-tni-failstop", lj, 22, true},
+		{"lj", lj, 22, false, false},
+		{"lj-newton-off", ljNewtonOff, 22, false, false},
+		{"eam", eam, 12, false, false},
+		{"lj-tni-failstop", lj, 22, true, false},
+		{"lj-self-link-growth", lj, 22, false, true},
 	} {
 		for _, v := range []Variant{Opt(), Ref(), UTofu3Stage()} {
 			for _, degrade := range []bool{false, true} {
 				if tc.name == "lj-newton-off" && (v.Name != "opt" || degrade) ||
-					tc.tniFail && (v.Transport != halo.TransportUTofu || degrade) {
+					tc.tniFail && (v.Transport != halo.TransportUTofu || degrade) ||
+					tc.selfGrow && (v.Name != "utofu-3stage" || degrade) {
 					continue
 				}
 				name := fmt.Sprintf("%s/%s/degrade=%v", tc.name, v.Name, degrade)
 				t.Run(name, func(t *testing.T) {
-					got, want := newSim(t, v, tc.cfg(t)), newSim(t, v, tc.cfg(t))
+					build := newSim
+					if tc.selfGrow {
+						build = selfLinkSim
+					}
+					got, want := build(t, v, tc.cfg(t)), build(t, v, tc.cfg(t))
 					reg := metrics.New()
 					got.SetMetrics(reg)
 					if degrade {
@@ -354,6 +366,11 @@ func TestStepMatchesReference(t *testing.T) {
 					if got.Rebuilds == rebuilds {
 						t.Errorf("no neighbor rebuild in %d steps", tc.steps)
 					}
+					if tc.selfGrow {
+						if c := got.ranks[0].selfLink().fwd.inbox.CapBytes; c <= 1 {
+							t.Errorf("the shrunk self-link inbox holds %d bytes: it never grew", c)
+						}
+					}
 					fellBack := reg.Counter("sim_p2p_fallback", "msgs").Value()
 					if wantFallback := (degrade || tc.tniFail) && v.Transport == halo.TransportUTofu; (fellBack > 0) != wantFallback {
 						t.Errorf("%d messages fell back to MPI, want some: %v", fellBack, wantFallback)
@@ -365,6 +382,38 @@ func TestStepMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// selfLinkSim builds a simulation on a 4x4x1 rank grid, whose z links are
+// each rank's own periodic images, and shrinks rank 0's first self-link
+// forward inbox to one byte, so the next forward round grows it mid-run.
+func selfLinkSim(t *testing.T, v Variant, cfg Config) *Simulation {
+	t.Helper()
+	m, err := NewMachine(vec.I3{X: 2, Y: 2, Z: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(m, v, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	l := s.ranks[0].selfLink()
+	if l == nil {
+		t.Fatal("rank 0 has no self-link on a grid one rank wide")
+	}
+	s.registerInbox(&l.fwd.inbox, l.dst.ID, 1)
+	return s
+}
+
+// selfLink returns the rank's first link to its own periodic image, or nil.
+func (r *Rank) selfLink() *link {
+	for _, l := range r.sendLinks {
+		if l.dst == r {
+			return l
+		}
+	}
+	return nil
 }
 
 // sameStepState fails the test at the first word that differs between the

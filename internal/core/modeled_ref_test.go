@@ -67,8 +67,8 @@ func refRounds(ms *modelSetup, perAtomBytes int, reverse, forceMPI bool, extraPe
 					dst = l.Src
 				}
 				*transfers[n] = tofu.Transfer{
-					Src: src, Dst: dst, TNI: res[li].TNI, VCQ: src*8 + res[li].TNI,
-					Thread: res[li].Thread, DstThread: dres[li].Thread,
+					Src: src, Dst: dst, TNI: int(res[li].TNI), VCQ: src*8 + int(res[li].TNI),
+					Thread: int(res[li].Thread), DstThread: int(dres[li].Thread),
 					Bytes:   bytes,
 					TwoStep: iface == tofu.IfaceMPI && perAtomBytes == 0 && !v.CombineLength,
 				}
@@ -102,29 +102,42 @@ func refRounds(ms *modelSetup, perAtomBytes int, reverse, forceMPI bool, extraPe
 	return total
 }
 
-// refModeled is Modeled with every halo operation run through refRounds.
-func refModeled(t *testing.T, spec ModelSpec) *RunResult {
+// refSetup builds spec's setup on fresh storage, never the pool's.
+func refSetup(t *testing.T, spec ModelSpec) *modelSetup {
 	t.Helper()
-	ms, err := spec.setup()
+	ms, err := spec.setup(new(modelWork))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return spec.modeled(ms, func(perAtomBytes int, reverse, forceMPI bool, extraPerLink int, cost machine.CostModel) float64 {
-		return refRounds(ms, perAtomBytes, reverse, forceMPI, extraPerLink, cost)
-	})
+	return ms
 }
 
-// refHaloTime is HaloTime with both rounds run through refRounds.
+// refTimes runs every operation through refRounds, one after another, on
+// the setup's first fabric.
+func refTimes(ms *modelSetup) timesFunc {
+	return func(ops []modelOp, cost machine.CostModel) []float64 {
+		out := make([]float64, len(ops))
+		for i, op := range ops {
+			out[i] = refRounds(ms, op.perAtomBytes, op.reverse, op.forceMPI, op.extraPerLink, cost)
+		}
+		return out
+	}
+}
+
+// refModeled is Modeled on fresh storage with every halo operation run
+// through refRounds.
+func refModeled(t *testing.T, spec ModelSpec) *RunResult {
+	t.Helper()
+	ms := refSetup(t, spec)
+	return spec.modeled(ms, refTimes(ms))
+}
+
+// refHaloTime is HaloTime on fresh storage with both operations run
+// through refRounds.
 func refHaloTime(t *testing.T, spec ModelSpec) float64 {
 	t.Helper()
-	ms, err := spec.setup()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cost := ms.m.Cost
-	cost.PackPerByte = 0
-	cost.UnpackPerByte = 0
-	return refRounds(ms, 24, false, false, 0, cost) + refRounds(ms, 24, true, false, 0, cost)
+	ms := refSetup(t, spec)
+	return spec.haloTime(ms, refTimes(ms))
 }
 
 // TestModeledMatchesReference holds Modeled and HaloTime bit for bit to
@@ -151,8 +164,8 @@ func TestModeledMatchesReference(t *testing.T) {
 						AtomsPerRank: ld.perRank, Steps: 100, LinearMap: linear,
 					}
 					name := fmt.Sprintf("%dx%dx%d/%g/linear=%v/%s/%s", ld.tile.X, ld.tile.Y, ld.tile.Z, ld.perRank, linear, kind, v.Name)
-					if ms, err := spec.setup(); err != nil || (ld.perRank < 3 && ms.shells < 2) {
-						t.Fatalf("%s: setup err %v, or the small load stays at one shell", name, err)
+					if ms := refSetup(t, spec); ld.perRank < 3 && ms.shells < 2 {
+						t.Fatalf("%s: the small load stays at one shell", name)
 					}
 					got, err := Modeled(spec)
 					if err != nil {

@@ -3,6 +3,7 @@ package halo
 import (
 	"cmp"
 	"fmt"
+	"slices"
 
 	"tofumd/internal/topo"
 	"tofumd/internal/vec"
@@ -220,8 +221,13 @@ type LinkSpec struct {
 // direction set (apps choose full shell vs Newton half shell) and is
 // ignored by the staged pattern; shells is the forwarding depth.
 func BuildLinkSpecs(m *topo.RankMap, p Pattern, shells int, sendDirs []vec.I3) []LinkSpec {
+	return appendLinkSpecs(nil, m, p, shells, sendDirs)
+}
+
+// appendLinkSpecs appends BuildLinkSpecs(m, p, shells, sendDirs) to out.
+func appendLinkSpecs(out []LinkSpec, m *topo.RankMap, p Pattern, shells int, sendDirs []vec.I3) []LinkSpec {
 	if p == P2P {
-		out := make([]LinkSpec, 0, m.Ranks()*len(sendDirs))
+		out = slices.Grow(out, m.Ranks()*len(sendDirs))
 		for src := 0; src < m.Ranks(); src++ {
 			for _, d := range sendDirs {
 				out = append(out, LinkSpec{
@@ -233,7 +239,7 @@ func BuildLinkSpecs(m *topo.RankMap, p Pattern, shells int, sendDirs []vec.I3) [
 		return out
 	}
 	// Staged: per dimension, per forwarding iteration, both signs.
-	out := make([]LinkSpec, 0, 6*shells*m.Ranks())
+	out = slices.Grow(out, 6*shells*m.Ranks())
 	for dim := 0; dim < 3; dim++ {
 		for iter := 0; iter < shells; iter++ {
 			for _, sign := range []int{-1, 1} {
@@ -279,10 +285,14 @@ type RoundKey struct{ Dim, Iter int }
 // the pattern: one round for p2p, 3*shells dimension rounds for the staged
 // trunk exchange (reverse operations iterate the slice backwards).
 func Rounds(p Pattern, shells int) []RoundKey {
+	return appendRounds(nil, p, shells)
+}
+
+// appendRounds appends Rounds(p, shells) to out.
+func appendRounds(out []RoundKey, p Pattern, shells int) []RoundKey {
 	if p == P2P {
-		return []RoundKey{{-1, 0}}
+		return append(out, RoundKey{-1, 0})
 	}
-	var out []RoundKey
 	for dim := 0; dim < 3; dim++ {
 		for iter := 0; iter < shells; iter++ {
 			out = append(out, RoundKey{dim, iter})

@@ -348,7 +348,7 @@ func TestAssignPolicies(t *testing.T) {
 	for i, l := range p.Links {
 		_, src := m.NodeOf(l.Src)
 		_, dst := m.NodeOf(l.Dst)
-		if fwd[i] != (Res{TNI: SurvivorTNI(src, surviving)}) || rev[i] != (Res{TNI: SurvivorTNI(dst, surviving)}) {
+		if fwd[i] != (Res{TNI: int16(SurvivorTNI(src, surviving))}) || rev[i] != (Res{TNI: int16(SurvivorTNI(dst, surviving))}) {
 			t.Fatalf("per-slot link %d: fwd %+v rev %+v", i, fwd[i], rev[i])
 		}
 	}
@@ -363,7 +363,7 @@ func TestAssignPolicies(t *testing.T) {
 	for r := range p.Send {
 		for _, sd := range sides(r, fwd, rev) {
 			for j, i := range sd.links {
-				if sd.res[i] != (Res{TNI: surviving[j%len(surviving)]}) {
+				if sd.res[i] != (Res{TNI: int16(surviving[j%len(surviving)])}) {
 					t.Fatalf("spray rank %d link %d = %+v", r, j, sd.res[i])
 				}
 			}
@@ -372,11 +372,11 @@ func TestAssignPolicies(t *testing.T) {
 	fwd, rev = p.Assign(TNIThreadBound, surviving, 3, b)
 	for r := range p.Send {
 		for _, sd := range sides(r, fwd, rev) {
-			threads := map[int]bool{}
+			threads := map[int16]bool{}
 			for _, i := range sd.links {
 				res := sd.res[i]
 				threads[res.Thread] = true
-				if res.TNI != surviving[res.Thread%len(surviving)] {
+				if int(res.TNI) != surviving[int(res.Thread)%len(surviving)] {
 					t.Fatalf("thread-bound TNI pairing broken: %+v", res)
 				}
 			}

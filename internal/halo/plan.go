@@ -22,15 +22,39 @@ type Plan struct {
 	// operations run them backwards. Every round holds as many links.
 	Rounds []RoundKey
 	m      *topo.RankMap
+	// sendFlat and recvFlat back Send and Recv.
+	sendFlat, recvFlat []int32
 }
 
 // NewPlan builds the plan of a pattern over the rank map; shells and
 // sendDirs are as for BuildLinkSpecs.
 func NewPlan(m *topo.RankMap, p Pattern, shells int, sendDirs []vec.I3) *Plan {
-	pl := &Plan{Links: BuildLinkSpecs(m, p, shells, sendDirs), Rounds: Rounds(p, shells), m: m}
-	order := pl.keyOrder()
-	pl.Send, pl.Recv = pl.byRank(order, false), pl.byRank(order, true)
+	pl := &Plan{}
+	pl.Rebuild(m, p, shells, sendDirs)
 	return pl
+}
+
+// Rebuild makes p the plan NewPlan(m, pat, shells, sendDirs) returns,
+// reusing p's storage: a plan rebuilt for a rank map no larger than an
+// earlier one allocates only the issue-order scratch, which is garbage
+// when Rebuild returns, so a kept plan holds nothing but the plan. Slices
+// read from p before the call are overwritten.
+func (p *Plan) Rebuild(m *topo.RankMap, pat Pattern, shells int, sendDirs []vec.I3) {
+	p.m = m
+	p.Links = appendLinkSpecs(p.Links[:0], m, pat, shells, sendDirs)
+	p.Rounds = appendRounds(p.Rounds[:0], pat, shells)
+	order := p.keyOrder()
+	p.Send, p.sendFlat = p.byRank(order, p.Send, p.sendFlat, false)
+	p.Recv, p.recvFlat = p.byRank(order, p.Recv, p.recvFlat, true)
+}
+
+// resized returns s with length n, reusing its backing array when that is
+// large enough; the contents are the caller's to write.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // keyOrder returns the link indices stably sorted by SpecLess: a counting
@@ -78,11 +102,12 @@ func (p *Plan) keyOrder() []int32 {
 	return order
 }
 
-// byRank groups the link indices by sending (or, with dst, receiving) rank.
-// It distributes order, the links in SpecLess order, into the groups, so
-// each group is in SpecLess order with equal keys in index order: the
-// result of a stable sort of each group, without one.
-func (p *Plan) byRank(order []int32, dst bool) [][]int32 {
+// byRank groups the link indices by sending (or, with dst, receiving) rank
+// into out, backed by flat, and returns both, grown as needed. It
+// distributes order, the links in SpecLess order, into the groups, so each
+// group is in SpecLess order with equal keys in index order: the result of
+// a stable sort of each group, without one.
+func (p *Plan) byRank(order []int32, out [][]int32, flat []int32, dst bool) ([][]int32, []int32) {
 	rank := func(i int32) int {
 		if dst {
 			return p.Links[i].Dst
@@ -96,8 +121,8 @@ func (p *Plan) byRank(order []int32, dst bool) [][]int32 {
 	for r := 1; r < len(off); r++ {
 		off[r] += off[r-1]
 	}
-	flat := make([]int32, len(order))
-	out := make([][]int32, p.m.Ranks())
+	flat = resized(flat, len(order))
+	out = resized(out, p.m.Ranks())
 	for r := range out {
 		out[r] = flat[off[r]:off[r]:off[r+1]]
 	}
@@ -105,12 +130,14 @@ func (p *Plan) byRank(order []int32, dst bool) [][]int32 {
 		r := rank(i)
 		out[r] = append(out[r], i)
 	}
-	return out
+	return out, flat
 }
 
-// Res is the thread/TNI assignment of one link's sending side.
+// Res is the thread/TNI assignment of one link's sending side. It is two
+// int16 (4 bytes) because core.Modeled keeps two per plan link, 0.3 MB on a
+// 3,072-rank P2P plan, inside the live heap its calls are held to.
 type Res struct {
-	Thread, TNI int
+	Thread, TNI int16
 }
 
 // Balance holds the inputs of the §3.3 thread balance: a link costs its
@@ -133,7 +160,14 @@ type Balance struct {
 // sequence, so Assign runs BalanceThreads once per distinct sequence: on a
 // torus most ranks share one.
 func (p *Plan) Assign(policy TNIPolicy, surviving []int, threads int, b Balance) (fwd, rev []Res) {
-	fwd, rev = make([]Res, len(p.Links)), make([]Res, len(p.Links))
+	return p.AssignInto(nil, nil, policy, surviving, threads, b)
+}
+
+// AssignInto is Assign writing into fwd and rev, which it grows to
+// len(p.Links) where they are shorter and returns; it writes every entry,
+// so storage kept from an earlier plan carries nothing over.
+func (p *Plan) AssignInto(fwd, rev []Res, policy TNIPolicy, surviving []int, threads int, b Balance) ([]Res, []Res) {
+	fwd, rev = resized(fwd, len(p.Links)), resized(rev, len(p.Links))
 	nodes := newNodeTables(p.m)
 	var memo *balanceMemo
 	if policy == TNIThreadBound {
@@ -144,11 +178,11 @@ func (p *Plan) Assign(policy TNIPolicy, surviving []int, threads int, b Balance)
 		switch policy {
 		case TNIPerRankSlot:
 			for _, i := range links {
-				out[i] = Res{TNI: SurvivorTNI(slot, surviving)}
+				out[i] = Res{TNI: int16(SurvivorTNI(slot, surviving))}
 			}
 		case TNISprayAll:
 			for j, i := range links {
-				out[i] = Res{TNI: SurvivorTNI(j, surviving)}
+				out[i] = Res{TNI: int16(SurvivorTNI(j, surviving))}
 			}
 		default:
 			specs = specs[:0]
@@ -158,7 +192,7 @@ func (p *Plan) Assign(policy TNIPolicy, surviving []int, threads int, b Balance)
 				specs = append(specs, Link{Dir: l.Dir, Bytes: int(vol*b.Density) * b.AtomBytes, Hops: nodes.hops(l.Src, l.Dst)})
 			}
 			for j, th := range memo.balance(specs) {
-				out[links[j]] = Res{Thread: th, TNI: SurvivorTNI(th, surviving)}
+				out[links[j]] = Res{Thread: int16(th), TNI: int16(SurvivorTNI(th, surviving))}
 			}
 		}
 	}
@@ -172,15 +206,15 @@ func (p *Plan) Assign(policy TNIPolicy, surviving []int, threads int, b Balance)
 
 // nodeTables hold a rank map's placement for one Assign call: each rank's
 // node and slot, and each node's torus coordinate, so a link's hop count is
-// two lookups and the torus distance instead of RankMap arithmetic.
+// a few lookups instead of RankMap arithmetic.
 type nodeTables struct {
-	torus      *topo.Torus3D
+	hopTab     topo.HopTable
 	node, slot []int32
 	coord      []vec.I3
 }
 
 func newNodeTables(m *topo.RankMap) *nodeTables {
-	t := &nodeTables{torus: m.Torus, node: make([]int32, m.Ranks()), slot: make([]int32, m.Ranks()),
+	t := &nodeTables{hopTab: topo.NewHopTable(m.Torus), node: make([]int32, m.Ranks()), slot: make([]int32, m.Ranks()),
 		coord: make([]vec.I3, m.Torus.Nodes())}
 	for r := range t.node {
 		node, slot := m.NodeOf(r)
@@ -198,7 +232,7 @@ func (t *nodeTables) hops(a, b int) int {
 	if na == nb {
 		return 0
 	}
-	return t.torus.Hops(t.coord[na], t.coord[nb])
+	return t.hopTab.Hops(t.coord[na], t.coord[nb])
 }
 
 // balanceMemo runs BalanceThreads once per distinct batch signature, the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"tofumd/internal/topo"
 	"tofumd/internal/vec"
@@ -44,11 +45,11 @@ func refAssign(p *Plan, policy TNIPolicy, surviving []int, threads int, b Balanc
 		switch policy {
 		case TNIPerRankSlot:
 			for _, i := range links {
-				out[i] = Res{TNI: SurvivorTNI(slot, surviving)}
+				out[i] = Res{TNI: int16(SurvivorTNI(slot, surviving))}
 			}
 		case TNISprayAll:
 			for j, i := range links {
-				out[i] = Res{TNI: SurvivorTNI(j, surviving)}
+				out[i] = Res{TNI: int16(SurvivorTNI(j, surviving))}
 			}
 		default:
 			if hops == nil { // one hop count serves both sides of a link
@@ -64,7 +65,7 @@ func refAssign(p *Plan, policy TNIPolicy, surviving []int, threads int, b Balanc
 				specs = append(specs, Link{Dir: l.Dir, Bytes: int(vol*b.Density) * b.AtomBytes, Hops: int(hops[i])})
 			}
 			for j, th := range BalanceThreads(specs, threads, b.Bandwidth, b.HopLatency) {
-				out[links[j]] = Res{Thread: th, TNI: SurvivorTNI(th, surviving)}
+				out[links[j]] = Res{Thread: int16(th), TNI: int16(SurvivorTNI(th, surviving))}
 			}
 		}
 	}
@@ -98,8 +99,12 @@ func equalGroups(a, b [][]int32) bool {
 // both placements, every pattern, one to three shells, every policy and
 // thread count, and shrunken TNI sets. The full tile runs one shell for
 // p2p (its three-shell plans hold a million links) and every depth for the
-// staged pattern.
+// staged pattern. One plan and one pair of assignment slices are rebuilt
+// in place through every case, larger and smaller plans in turn, and must
+// equal the fresh ones.
 func TestPlanMatchesReference(t *testing.T) {
+	var re Plan
+	var reFwd, reRev []Res
 	b := Balance{Side: 2.94, Cutoff: 2.8, Density: 0.8442, AtomBytes: 40, Bandwidth: 6.8e9, HopLatency: 1e-7}
 	type pattern struct {
 		name string
@@ -127,6 +132,11 @@ func TestPlanMatchesReference(t *testing.T) {
 					if !equalGroups(p.Send, refByRank(p, false)) || !equalGroups(p.Recv, refByRank(p, true)) {
 						t.Fatalf("%s: Send/Recv differ from the reference", name)
 					}
+					re.Rebuild(m, pat.p, shells, dirs)
+					if !slices.Equal(re.Links, p.Links) || !slices.Equal(re.Rounds, p.Rounds) ||
+						!equalGroups(re.Send, p.Send) || !equalGroups(re.Recv, p.Recv) {
+						t.Fatalf("%s: the plan rebuilt in place differs from NewPlan's", name)
+					}
 					for _, pol := range []TNIPolicy{TNIPerRankSlot, TNISprayAll, TNIThreadBound} {
 						for _, threads := range []int{1, 3, 6} {
 							for _, surv := range [][]int{{0, 1, 2, 3, 4, 5}, {0, 2, 3, 5}, {4}} {
@@ -134,6 +144,10 @@ func TestPlanMatchesReference(t *testing.T) {
 								wantF, wantR := refAssign(p, pol, surv, threads, b)
 								if !slices.Equal(fwd, wantF) || !slices.Equal(rev, wantR) {
 									t.Fatalf("%s: Assign(%s, %v, %d) differs from the reference", name, pol, surv, threads)
+								}
+								reFwd, reRev = re.AssignInto(reFwd, reRev, pol, surv, threads, b)
+								if !slices.Equal(reFwd, wantF) || !slices.Equal(reRev, wantR) {
+									t.Fatalf("%s: AssignInto(%s, %v, %d) on reused storage differs from the reference", name, pol, surv, threads)
 								}
 							}
 						}
@@ -156,5 +170,15 @@ func TestAssignAllocsIndependentOfRanks(t *testing.T) {
 	small, large := allocs(vec.I3{X: 2, Y: 2, Z: 2}), allocs(vec.I3{X: 8, Y: 12, Z: 8})
 	if d := large - small; d < -2 || d > 2 {
 		t.Errorf("thread-bound Assign allocates %.0f times on 8x12x8 and %.0f on 2x2x2, want equal within 2", large, small)
+	}
+}
+
+// TestResIs4Bytes pins Res at two int16. core.Modeled keeps two per plan
+// link for the length of a call, 79,872 on the 3,072-rank P2P plan, inside
+// the live heap it is held to (the model_768 workload's live_heap_mb); two
+// ints would add 0.96 MB.
+func TestResIs4Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Res{}); got != 4 {
+		t.Errorf("Res is %d bytes, want 4", got)
 	}
 }

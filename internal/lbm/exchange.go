@@ -113,7 +113,7 @@ func (s *System) setupTransport(params tofu.Params) error {
 	}
 	fwd, _ := s.plan.Assign(halo.TNIPerRankSlot, halo.SurvivingTNIs(params.TNIsPerNode, nil), 1, halo.Balance{})
 	for _, r := range s.ranks {
-		vcq, err := s.ts.uts.CreateVCQ(r.ID, fwd[s.plan.Send[r.ID][0]].TNI)
+		vcq, err := s.ts.uts.CreateVCQ(r.ID, int(fwd[s.plan.Send[r.ID][0]].TNI))
 		if err != nil {
 			return err
 		}

@@ -11,7 +11,7 @@ func (s *Simulation) FabricForTest() *tofu.Fabric { return s.fab }
 
 // lastRound returns the round the operation's last run sent last.
 func (s *Simulation) lastRound(op haloOp) *halo.Round {
-	return s.opRound(op, len(s.plan.Rounds)-1)
+	return s.opRound(op.plan, len(s.plan.Rounds)-1)
 }
 
 // planCounts returns each planned operation's aimed and replayed rounds so

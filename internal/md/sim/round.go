@@ -15,7 +15,7 @@ func (l *link) msg(rev, known bool) halo.Msg {
 	}
 	return halo.Msg{
 		Src: from.ID, Dst: to.ID, Link: l.id,
-		Thread: sd.Thread, VCQ: from.vcqByTNI[sd.TNI], DstThread: l.side(!rev).Thread,
+		Thread: int(sd.Thread), VCQ: from.vcqByTNI[sd.TNI], DstThread: int(l.side(!rev).Thread),
 		Known: known,
 	}
 }

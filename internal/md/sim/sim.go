@@ -149,6 +149,9 @@ type Simulation struct {
 	// (haloOp.plan). Forward's first is round: every ad hoc round resets
 	// it, and every border advances the epoch anyway.
 	plans [numPlans][]*halo.Round
+	// tasks holds the bound Engine.Run tasks of every plan's rounds, the
+	// ad hoc ones included.
+	tasks [numPlans][]*roundTasks
 	// epoch is the plan epoch. It advances on every border, TNI re-plan and
 	// inbox (re)registration, the three things that move where an aimed
 	// message goes; a planned round aimed in an older epoch is aimed again.
@@ -655,6 +658,12 @@ func (s *Simulation) createLinks() {
 		}
 	}
 	s.plans[fwdPlan][0] = s.round
+	for p := adHoc; p < numPlans; p++ {
+		s.tasks[p] = make([]*roundTasks, len(s.plan.Rounds))
+		for i := range s.tasks[p] {
+			s.tasks[p][i] = s.bindRound(s.opRound(p, i))
+		}
+	}
 }
 
 // assignResources runs the plan's resource assignment over the TNIs the

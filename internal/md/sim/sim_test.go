@@ -221,12 +221,14 @@ func TestStageBreakdownPopulated(t *testing.T) {
 }
 
 // maxStepAllocs bounds the heap allocations of one ordinary step (no
-// rebuild, no thermo output) of the 2x2x2 optimized LJ run. What is left is
-// per stage, not per message: the stage closures and the thread pool's
-// region bookkeeping, 26 as measured. The step's forward and reverse rounds
-// carry 416 messages each, so one allocation per message would be 30 times
+// rebuild, no thermo output) of the 2x2x2 optimized LJ run at its reading:
+// 18 with helpers (8 at one worker). What is left is per stage, not per
+// message or per round: the stage closures and the thread pool's region
+// bookkeeping; a halo round's tasks are bound once (roundTasks), so a
+// closure made per round shows here. The step's forward and reverse rounds
+// carry 416 messages each, so one allocation per message would be 23 times
 // over.
-const maxStepAllocs = 64
+const maxStepAllocs = 18
 
 func TestStepAllocationsBounded(t *testing.T) {
 	cfg := ljConfig()

@@ -107,10 +107,11 @@ func (s *Simulation) runOp(op haloOp, then func(r *Rank)) {
 // from the end when rev), through Engine.Run; then runs only on the last
 // round, beside its timing. A round is aimed once per plan epoch and
 // replayed until the epoch advances (border, TNI re-plan, inbox
-// registration). The stamp charges each link side's pending inbox
-// registration (none on a replay) and stamps ReadyAt; the workers unpack
-// each receiver's messages and run then on it, and settle charges the
-// unpacks.
+// registration). The round's tasks are bound once (roundTasks); the
+// operation and then are handed to them here. The stamp charges each link
+// side's pending inbox registration (none on a replay) and stamps ReadyAt;
+// the workers unpack each receiver's messages and run then on it, and
+// settle charges the unpacks.
 func (s *Simulation) runOpRound(op haloOp, i int, then func(r *Rank)) {
 	last := len(s.plan.Rounds) - 1
 	k := s.plan.Rounds[i]
@@ -120,65 +121,104 @@ func (s *Simulation) runOpRound(op haloOp, i int, then func(r *Rank)) {
 	if i < last {
 		then = nil
 	}
-	packTh := s.Var.PackThreading()
-	b := s.opRound(op, i)
-	if op.plan != adHoc && b.Epoch == s.epoch {
+	t := s.tasks[op.plan][i]
+	if op.plan != adHoc && t.b.Epoch == s.epoch {
 		s.replays[op.plan]++
 	} else {
 		s.aims[op.plan]++
-		s.aimRound(op, k, b)
+		s.aimRound(op, k, t.b)
 	}
-	pack := func(id int) {
-		r := s.ranks[id]
-		bytes := 0
-		for _, m := range b.BySrc[id] {
-			m.Data = op.payload(r, &s.links[m.Link], m)
-			bytes += len(m.Data)
-		}
-		r.Clock += s.M.Cost.PackTime(units.Bytes(bytes), packTh)
-	}
-	stamp := func() {
-		for _, m := range b.Msgs {
-			// Charged before the stamp: a registration on a self-link (the
-			// rank's own periodic image) delays its own send.
-			sd := s.links[m.Link].side(op.rev)
-			s.chargeRegistration(s.ranks[m.Dst], sd.reg)
-			sd.reg = 0
-			m.ReadyAt = s.ranks[m.Src].Clock
+	t.op, t.then = op, then
+	unpack, settle := t.unpack, t.settle
+	if op.direct {
+		settle = nil
+		if then == nil {
+			unpack = nil
 		}
 	}
-	var unpack, settle func(id int)
-	if !op.direct {
-		unpack = func(id int) {
-			r := s.ranks[id]
-			for _, m := range b.ByDst[id] {
-				op.unpack(r, &s.links[m.Link], m.Data)
-			}
-			if then != nil {
-				then(r)
-			}
-		}
-		settle = func(id int) {
-			bytes := 0
-			for _, m := range b.ByDst[id] {
-				bytes += len(m.Data)
-			}
-			if bytes > 0 || !op.unpackIfAny {
-				s.ranks[id].Clock += s.M.Cost.UnpackTime(units.Bytes(bytes), packTh)
-			}
-		}
-	} else if then != nil {
-		unpack = func(id int) { then(s.ranks[id]) }
-	}
-	s.eng.Run(s.pool, s.Var.Transport, b, pack, stamp, unpack, settle)
+	s.eng.Run(s.pool, s.Var.Transport, t.b, t.pack, t.stamp, unpack, settle)
 }
 
-// opRound returns the round the operation's i-th round is aimed in.
-func (s *Simulation) opRound(op haloOp, i int) *halo.Round {
-	if op.plan == adHoc {
+// roundTasks are Engine.Run's tasks for one (plan, round) pair, bound once
+// at setup so that running a round allocates no closure. runOpRound hands
+// them the operation and its follow-on work then (nil but on the last
+// round) before each run; every task reads them from here.
+type roundTasks struct {
+	s    *Simulation
+	b    *halo.Round
+	op   haloOp
+	then func(r *Rank)
+	// pack, stamp, unpack and settle are the bound methods below.
+	pack, unpack, settle func(id int)
+	stamp                func()
+}
+
+// bindRound returns the tasks of round b.
+func (s *Simulation) bindRound(b *halo.Round) *roundTasks {
+	t := &roundTasks{s: s, b: b}
+	t.pack, t.stamp, t.unpack, t.settle = t.packRank, t.stampAll, t.unpackRank, t.settleRank
+	return t
+}
+
+// packRank writes sender id's payloads and charges their packing.
+func (t *roundTasks) packRank(id int) {
+	s := t.s
+	r := s.ranks[id]
+	bytes := 0
+	for _, m := range t.b.BySrc[id] {
+		m.Data = t.op.payload(r, &s.links[m.Link], m)
+		bytes += len(m.Data)
+	}
+	r.Clock += s.M.Cost.PackTime(units.Bytes(bytes), s.Var.PackThreading())
+}
+
+// stampAll charges each message's pending inbox registration and stamps
+// its ReadyAt from the sender's clock.
+func (t *roundTasks) stampAll() {
+	s := t.s
+	for _, m := range t.b.Msgs {
+		// Charged before the stamp: a registration on a self-link (the
+		// rank's own periodic image) delays its own send.
+		sd := s.links[m.Link].side(t.op.rev)
+		s.chargeRegistration(s.ranks[m.Dst], sd.reg)
+		sd.reg = 0
+		m.ReadyAt = s.ranks[m.Src].Clock
+	}
+}
+
+// unpackRank applies receiver id's messages, unless the operation landed
+// them directly, and runs then on it.
+func (t *roundTasks) unpackRank(id int) {
+	s := t.s
+	r := s.ranks[id]
+	if !t.op.direct {
+		for _, m := range t.b.ByDst[id] {
+			t.op.unpack(r, &s.links[m.Link], m.Data)
+		}
+	}
+	if t.then != nil {
+		t.then(r)
+	}
+}
+
+// settleRank charges receiver id's unpacking.
+func (t *roundTasks) settleRank(id int) {
+	s := t.s
+	bytes := 0
+	for _, m := range t.b.ByDst[id] {
+		bytes += len(m.Data)
+	}
+	if bytes > 0 || !t.op.unpackIfAny {
+		s.ranks[id].Clock += s.M.Cost.UnpackTime(units.Bytes(bytes), s.Var.PackThreading())
+	}
+}
+
+// opRound returns the round plan p's i-th round is aimed in.
+func (s *Simulation) opRound(p opPlan, i int) *halo.Round {
+	if p == adHoc {
 		return s.round
 	}
-	return s.plans[op.plan][i]
+	return s.plans[p][i]
 }
 
 // aimRound builds the operation's messages of round k into b and aims

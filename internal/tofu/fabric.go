@@ -40,10 +40,6 @@ type Transfer struct {
 	// ReadyAt is the sender virtual time at which the message is packed and
 	// ready to inject.
 	ReadyAt float64
-	// TwoStep marks the MPI unknown-length protocol (a length message
-	// followed by the payload, section 3.5.1); it costs an extra injection
-	// gap at the sender and an extra match at the receiver.
-	TwoStep bool
 	// Attempt counts prior transmissions of the same logical message (0 for
 	// the first try); carried into the trace so retransmissions are visible.
 	Attempt int
@@ -64,6 +60,11 @@ type Transfer struct {
 	// MRQ-overflow NACK: Arrival is when the rejected delivery reached the
 	// receiver, RecvComplete stays 0.
 	Nacked bool
+	// TwoStep marks the MPI unknown-length protocol (a length message
+	// followed by the payload, section 3.5.1); it costs an extra injection
+	// gap at the sender and an extra match at the receiver. It is an input,
+	// kept beside the two output flags so the three bools share one word.
+	TwoStep bool
 }
 
 // Failed reports whether the transfer delivered nothing usable and must be
@@ -104,6 +105,8 @@ type Fabric struct {
 	// coordinate of node n: the rank map's answers, tabulated once.
 	nodeOfRank []int32
 	nodeCoord  []vec.I3
+	// hopTab answers the torus's hop counts from per-axis tables.
+	hopTab topo.HopTable
 
 	// tniFree[node*TNIsPerNode+tni] is the time the TNI engine frees up;
 	// tniLastVCQ tracks the last VCQ served per TNI (unused slot = -1).
@@ -128,15 +131,15 @@ type Fabric struct {
 	fifo  []int32
 	head  []int32
 	// sent counts the deliveries the round has transmitted so far, and
-	// sentKey[idx] is transfer idx's place in that sequence: the seq tail of
-	// the completion's ordering key (see transmit).
-	sent    uint64
-	sentKey []uint64
+	// sentKey[idx] is transfer idx's place in that sequence: the tail of the
+	// completion's ordering key (see transmit). A round holds fewer than
+	// maxTagIndex (2^31) transfers, so it fits 31 bits.
+	sent    uint32
+	sentKey []uint32
 	// recvs holds the deliveries grouped by receive context (the completion
-	// sweep's counting sort); recvAt[k] is where slot k's group starts while
-	// they are placed, and where it ends after.
-	recvAt []int32
-	recvs  []completion
+	// sweep's counting sort, which counts into fifo: the FIFOs are spent
+	// once the queue drains).
+	recvs []completion
 
 	// msgEvs/msgSet buffer one MessageEvent per transfer index during a
 	// round (only while Rec is enabled, which tracing records). The issue and
@@ -150,13 +153,16 @@ type Fabric struct {
 }
 
 // completion is one delivery in the completion sweep, carrying the key its
-// receive event would have been ordered by: (Arrival, IssueDone, seq), with
-// IssueDone the time of the event that transmitted it and key the round's
-// transmit ordinal that stands for seq.
+// receive event would have been ordered by: (arrival, key), with key the
+// round's transmit ordinal (see complete) shifted left once, its low bit
+// the transfer's TwoStep; ordinals are distinct, so the bit never decides
+// an order. The sweep reads nothing else of the transfer, whose record it
+// only writes. 16 bytes: a P2P round sorts one per transfer, and the
+// modeled path's heap budget counts them.
 type completion struct {
-	arrival, issueDone float64
-	key                uint64
-	idx                int32
+	arrival float64
+	key     uint32
+	idx     int32
 }
 
 // The fabric's two event kinds, packed into a des tag as index<<1|kind:
@@ -275,6 +281,7 @@ func NewFabric(m *topo.RankMap, p Params) *Fabric {
 	for n := range f.nodeCoord {
 		f.nodeCoord[n] = m.Torus.CoordOf(n)
 	}
+	f.hopTab = topo.NewHopTable(m.Torus)
 	return f
 }
 
@@ -300,10 +307,7 @@ func (f *Fabric) Transfers(n int) []*Transfer { return f.slab.Take(n) }
 
 // hops returns the torus distance between two nodes.
 func (f *Fabric) hops(srcNode, dstNode int32) int {
-	if srcNode == dstNode {
-		return 0
-	}
-	return f.Map.Torus.Hops(f.nodeCoord[srcNode], f.nodeCoord[dstNode])
+	return f.hopTab.Hops(f.nodeCoord[srcNode], f.nodeCoord[dstNode])
 }
 
 // packTag packs an event kind and its slot or transfer index.
@@ -376,12 +380,19 @@ func (f *Fabric) PutLatency(hops int, bytes units.Bytes) float64 {
 // zeroed returns s with length n and every element zero, reusing its
 // backing array when that is large enough.
 func zeroed[T any](s []T, n int) []T {
+	s = grown(s, n)
+	clear(s)
+	return s
+}
+
+// grown returns s with length n, reusing its backing array when that is
+// large enough and leaving its contents as they were: for scratch the round
+// writes in full before it reads.
+func grown[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, n)
 	}
-	s = s[:n]
-	clear(s)
-	return s
+	return s[:n]
 }
 
 // RunRound simulates one communication round: all transfers are injected
@@ -434,7 +445,8 @@ func (f *Fabric) RunRound(transfers []*Transfer, iface Interface) error {
 	f.round, f.iface, f.threads = transfers, iface, threads
 	f.gap, f.sendOv, f.recvOv = p.InjectGap(iface), p.SendOverhead(iface), p.RecvOverhead(iface)
 	f.sent = 0
-	f.sentKey = zeroed(f.sentKey, len(transfers))
+	// sentKey is read only for transfers transmit has numbered.
+	f.sentKey = grown(f.sentKey, len(transfers))
 	f.tracing = f.Rec.Enabled()
 	if f.tracing {
 		f.msgEvs = zeroed(f.msgEvs, len(transfers))
@@ -444,8 +456,8 @@ func (f *Fabric) RunRound(transfers []*Transfer, iface Interface) error {
 	// Build the per-slot FIFOs with a stable counting sort, preserving the
 	// caller's order within a slot: the order the comm plan issues messages.
 	f.fifo = zeroed(f.fifo, slots+1)
-	f.head = zeroed(f.head, slots)
-	f.order = zeroed(f.order, len(transfers))
+	f.head = grown(f.head, slots)
+	f.order = grown(f.order, len(transfers))
 	for _, tr := range transfers {
 		f.fifo[tr.Src*threads+tr.Thread+1]++
 	}
@@ -674,36 +686,46 @@ func (f *Fabric) recvCtx(tr *Transfer) int {
 // all that matters is the order within each context: the order the
 // completions would run in as events at their Arrival, sent from the
 // transmit event at IssueDone — (Arrival, IssueDone, seq). Ties on
-// the times are common (homogeneous rounds), so the full key is needed.
+// Arrival are common (homogeneous rounds), so a tie-break is needed, but
+// the transmit ordinal alone is one: a transfer transmits in the event at
+// its IssueDone, and the queue runs events in time order, so a later
+// ordinal never has an earlier IssueDone, and ordinal order is both the
+// IssueDone order and, within equal IssueDone, the seq order.
 func (f *Fabric) complete(slots int) {
 	p := &f.Params
 	// Group the deliveries by context with a stable counting sort.
-	f.recvAt = zeroed(f.recvAt, slots+1)
+	// recvAt[k] is where context k's group starts while the deliveries are
+	// placed, and where it ends after.
+	recvAt := zeroed(f.fifo, slots+1)
 	n := 0
 	for _, tr := range f.round {
 		if !tr.Failed() {
-			f.recvAt[f.recvCtx(tr)+1]++
+			recvAt[f.recvCtx(tr)+1]++
 			n++
 		}
 	}
 	for k := 0; k < slots; k++ {
-		f.recvAt[k+1] += f.recvAt[k]
+		recvAt[k+1] += recvAt[k]
 	}
-	f.recvs = zeroed(f.recvs, n)
+	f.recvs = grown(f.recvs, n) // every entry is placed below
 	for idx, tr := range f.round {
 		if tr.Failed() {
 			continue
 		}
 		k := f.recvCtx(tr)
-		f.recvs[f.recvAt[k]] = completion{arrival: tr.Arrival, issueDone: tr.IssueDone, key: f.sentKey[idx], idx: int32(idx)}
-		f.recvAt[k]++
+		key := f.sentKey[idx] << 1
+		if tr.TwoStep {
+			key |= 1
+		}
+		f.recvs[recvAt[k]] = completion{arrival: tr.Arrival, key: key, idx: int32(idx)}
+		recvAt[k]++
 	}
 	cost := f.recvOv
 	if !p.CacheInjection {
 		cost += p.CacheMissPenalty
 	}
 	lo := int32(0)
-	for _, hi := range f.recvAt[:slots] {
+	for _, hi := range recvAt[:slots] {
 		group := f.recvs[lo:hi]
 		lo = hi
 		slices.SortFunc(group, completionOrder)
@@ -711,19 +733,19 @@ func (f *Fabric) complete(slots int) {
 		for _, d := range group {
 			tr := f.round[d.idx]
 			ov := cost
-			if tr.TwoStep {
+			if d.key&1 != 0 {
 				ov += f.recvOv // match the length message too
 			}
-			start := tr.Arrival
+			start := d.arrival
 			if free > start {
 				start = free
 			}
-			tr.RecvComplete = start + ov
-			free = tr.RecvComplete
+			free = start + ov
+			tr.RecvComplete = free
 			if f.tracing {
 				ev := &f.msgEvs[d.idx]
-				ev.Arrival = f.RecBase + tr.Arrival
-				ev.RecvComplete = f.RecBase + tr.RecvComplete
+				ev.Arrival = f.RecBase + d.arrival
+				ev.RecvComplete = f.RecBase + free
 				f.msgSet[d.idx] = true
 			}
 		}
@@ -735,9 +757,6 @@ func (f *Fabric) complete(slots int) {
 func completionOrder(a, b completion) int {
 	if a.arrival != b.arrival {
 		return cmp.Compare(a.arrival, b.arrival)
-	}
-	if a.issueDone != b.issueDone {
-		return cmp.Compare(a.issueDone, b.issueDone)
 	}
 	return cmp.Compare(a.key, b.key)
 }

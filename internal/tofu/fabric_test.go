@@ -6,6 +6,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"tofumd/internal/faultinject"
 	"tofumd/internal/metrics"
@@ -705,5 +706,37 @@ func TestRunRoundDoesNotAllocate(t *testing.T) {
 	run()
 	if avg := testing.AllocsPerRun(20, run); avg != 0 {
 		t.Errorf("RunRound allocates %.1f per round in steady state, want 0", avg)
+	}
+}
+
+// TestHopsMatchTorus holds the fabric's per-axis distance tables to
+// topo.Torus3D.Hops for every node pair, on tori with even, odd and
+// one-wide axes.
+func TestHopsMatchTorus(t *testing.T) {
+	for _, shape := range []vec.I3{{X: 1, Y: 1, Z: 1}, {X: 2, Y: 3, Z: 2}, {X: 3, Y: 1, Z: 5}, {X: 8, Y: 12, Z: 8}} {
+		f := testFabric(t, shape)
+		torus := f.Map.Torus
+		for a := range f.nodeCoord {
+			for b := range f.nodeCoord {
+				if got, want := f.hops(int32(a), int32(b)), torus.Hops(torus.CoordOf(a), torus.CoordOf(b)); got != want {
+					t.Fatalf("%v: hops(%d, %d) = %d, Torus3D.Hops %d", shape, a, b, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestRecordSizes pins the size of the records a round keeps one of per
+// transfer. core.Modeled holds a P2P plan's 39,936 transfers and sorts as
+// many completions per round inside the live heap it is held to (the
+// model_768 workload's live_heap_mb); 8 bytes more per transfer is about
+// 0.3 MB per record set. Transfer is 104 bytes with its three bools in one
+// word; a field order that splits them pads it to 112.
+func TestRecordSizes(t *testing.T) {
+	if got := unsafe.Sizeof(Transfer{}); got != 104 {
+		t.Errorf("Transfer is %d bytes, want 104", got)
+	}
+	if got := unsafe.Sizeof(completion{}); got != 16 {
+		t.Errorf("completion is %d bytes, want 16", got)
 	}
 }

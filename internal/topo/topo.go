@@ -100,6 +100,30 @@ func (t *Torus3D) Hops(a, b vec.I3) int {
 		AxisDist(a.Z, b.Z, t.Shape.Z)
 }
 
+// HopTable answers Torus3D.Hops from per-axis distance tables: h[ax][a-b+n]
+// is AxisDist(a, b, n) on axis ax of extent n (2n entries), so a hop count
+// is three lookups instead of three AxisDist calls.
+type HopTable [3][]int32
+
+// NewHopTable tabulates the torus's per-axis distances.
+func NewHopTable(t *Torus3D) HopTable {
+	var h HopTable
+	for ax := range h {
+		n := t.Shape.Comp(ax)
+		h[ax] = make([]int32, 2*n)
+		for d := 1 - n; d < n; d++ {
+			h[ax][d+n] = int32(AxisDist(d, 0, n))
+		}
+	}
+	return h
+}
+
+// Hops returns the torus's Hops(a, b).
+func (h *HopTable) Hops(a, b vec.I3) int {
+	dx, dy, dz := h[0], h[1], h[2]
+	return int(dx[a.X-b.X+len(dx)/2] + dy[a.Y-b.Y+len(dy)/2] + dz[a.Z-b.Z+len(dz)/2])
+}
+
 // To6D folds a virtual 3D node coordinate back into full TofuD coordinates,
 // assuming the standard folding where the allocation's X/Y/Z axes are the
 // cell axes (a, b, c) interleaved with the cell grid: axis extent =

@@ -4,14 +4,12 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"tofumd/internal/des"
 	"tofumd/internal/halo"
 	"tofumd/internal/machine"
 	"tofumd/internal/md/sim"
 	"tofumd/internal/metrics"
-	"tofumd/internal/threadpool"
 	"tofumd/internal/tofu"
 	"tofumd/internal/topo"
 	"tofumd/internal/trace"
@@ -51,18 +49,11 @@ type ModelSpec struct {
 	Stats *des.ParallelStats
 }
 
-// captureStats copies the event count of the setup's fabrics into
-// spec.Stats.
-func (spec ModelSpec) captureStats(ms *modelSetup) {
-	if spec.Stats == nil {
-		return
+// captureStats copies the fabric's event count into spec.Stats.
+func (spec ModelSpec) captureStats(fab *tofu.Fabric) {
+	if spec.Stats != nil {
+		*spec.Stats, _ = fab.ParallelStats()
 	}
-	var st des.ParallelStats
-	for _, ln := range ms.lanes {
-		s, _ := ln.fab.ParallelStats()
-		st.Events += s.Events
-	}
-	*spec.Stats = st
 }
 
 // kindParams bundles the geometry constants of a benchmark kind.
@@ -103,13 +94,11 @@ func paramsFor(k Kind) kindParams {
 }
 
 // modelSetup is the state both modeled entry points build from a spec: the
-// tile machine and its fabrics, the kind's geometry, and the halo plan the
+// tile machine and its fabric, the kind's geometry, and the halo plan the
 // functional engine would run on the tile, with its thread/TNI assignment.
 type modelSetup struct {
-	v sim.Variant
-	m *sim.Machine
-	// fab is lane 0's fabric, the one carrying the spec's recorder and
-	// metrics.
+	v   sim.Variant
+	m   *sim.Machine
 	fab *tofu.Fabric
 	kp  kindParams
 	// side, ghCut and shells are the homogeneous sub-box geometry.
@@ -120,69 +109,42 @@ type modelSetup struct {
 	fwd, rev []halo.Res
 	// atoms is the expected ghost atoms on a link, by linkClass.
 	atoms [4 * 8]float64
-	// lanes run rounds side by side (see times): one, or two for a staged
-	// plan without a recorder or metrics.
-	lanes []lane
-}
-
-// lane is one goroutine's share of a call: its own fabric, and its share
-// of the workspace's transfer records, room for one round at least, which
-// round writes in place from the start (trs points at them).
-type lane struct {
-	fab  *tofu.Fabric
+	// recs back one round's transfers, which rounds writes in place; trs
+	// points at them.
 	recs []tofu.Transfer
 	trs  []*tofu.Transfer
-	// cls[j] is the link class of record j; the first n records hold the
-	// links of layout, whose routing is written (see round).
-	cls    []uint8
-	layout roundLayout
-	n      int
-}
-
-// roundLayout is what decides which links a round's records hold, in which
-// order, and how they are routed: the direction, the round, and the link
-// classes whose messages are empty, which send nothing. Rounds of one
-// layout differ only in their records' Bytes and TwoStep.
-type roundLayout struct {
-	set     bool
-	reverse bool
-	k       halo.RoundKey
-	empty   uint32 // bit c: class c's messages are empty
 }
 
 // modelWork is the storage a modeled call builds its setup in, kept from
 // call to call in workPool: the plan, its assignment and the transfer
-// records of the call's lanes, each grown to the largest call seen. Every
-// entry a call reads it writes first. The fabrics are not kept: a fabric's
-// round scratch would stay alive between calls, past the live heap the
-// modeled path is held to.
+// records, each grown to the largest call seen. Every entry a call reads
+// it writes first. The fabric is not kept: its round scratch would stay
+// alive between calls, past the live heap the modeled path is held to.
 type modelWork struct {
 	plan     halo.Plan
 	fwd, rev []halo.Res
 	recs     []tofu.Transfer
 	trs      []*tofu.Transfer
-	cls      []uint8
 }
 
 var workPool = sync.Pool{New: func() any { return new(modelWork) }}
 
-// grow grows w's transfer records, with their pointers and classes, to
-// hold n if they hold fewer.
+// grow grows w's transfer records, with their pointers, to hold n if they
+// hold fewer.
 func (w *modelWork) grow(n int) {
 	if len(w.recs) < n {
 		w.recs = make([]tofu.Transfer, n)
 		w.trs = make([]*tofu.Transfer, n)
-		w.cls = make([]uint8, n)
 		for i := range w.recs {
 			w.trs[i] = &w.recs[i]
 		}
 	}
 }
 
-// setup defaults the tile, builds the machine in the spec's placement mode,
-// derives the per-rank geometry and rebuilds the halo plan and its
-// assignment in w, and gives each lane a fabric, lane 0's carrying the
-// spec's recorder and metrics, and a share of w's records.
+// setup defaults the tile, builds the machine in the spec's placement mode
+// and a fabric carrying the spec's recorder and metrics, and derives the
+// per-rank geometry and rebuilds the halo plan, its assignment and one
+// round's transfer records in w.
 func (spec *ModelSpec) setup(w *modelWork) (*modelSetup, error) {
 	if spec.TileShape == (vec.I3{}) {
 		spec.TileShape = DefaultTile(spec.FullShape, 512)
@@ -195,8 +157,12 @@ func (spec *ModelSpec) setup(w *modelWork) (*modelSetup, error) {
 	if err != nil {
 		return nil, err
 	}
+	fab := tofu.NewFabric(m.Map, m.Params)
+	fab.Rec = spec.Rec
+	fab.SetMetrics(spec.Met)
+
 	kp := paramsFor(spec.Kind)
-	ms := &modelSetup{v: spec.Variant, m: m, kp: kp,
+	ms := &modelSetup{v: spec.Variant, m: m, fab: fab, kp: kp,
 		side: math.Cbrt(spec.AtomsPerRank / kp.density), ghCut: kp.cutoff + kp.skin, shells: 1}
 	for ms.ghCut > float64(ms.shells)*ms.side {
 		ms.shells++
@@ -212,26 +178,8 @@ func (spec *ModelSpec) setup(w *modelWork) (*modelSetup, error) {
 		})
 	ms.fwd, ms.rev = w.fwd, w.rev
 	ms.setAtoms()
-
-	// Two lanes need two rounds' records, no more than the plan's links
-	// when it has more than one round per operation. Trace order and the
-	// metrics' float sums follow round order, so a recorder or metrics
-	// keep the call on one lane.
-	width := 1
-	if len(ms.plan.Rounds) > 1 && spec.Rec == nil && spec.Met == nil {
-		width = 2
-	}
-	w.grow(width * len(ms.plan.Links) / len(ms.plan.Rounds))
-	share := len(w.recs) / width
-	ms.lanes = make([]lane, width)
-	for i := range ms.lanes {
-		lo, hi := i*share, (i+1)*share
-		ms.lanes[i] = lane{fab: tofu.NewFabric(m.Map, m.Params),
-			recs: w.recs[lo:hi], trs: w.trs[lo:hi], cls: w.cls[lo:hi]}
-	}
-	ms.fab = ms.lanes[0].fab
-	ms.fab.Rec = spec.Rec
-	ms.fab.SetMetrics(spec.Met)
+	w.grow(len(ms.plan.Links) / len(ms.plan.Rounds))
+	ms.recs, ms.trs = w.recs, w.trs
 	return ms, nil
 }
 
@@ -244,25 +192,15 @@ func Modeled(spec ModelSpec) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return spec.modeled(ms, ms.times), nil
+	return spec.modeled(ms, ms.rounds), nil
 }
 
-// modelOp is one halo operation of a modeled step: its payload per ghost
-// atom, whether it runs the rounds backwards, whether it goes over MPI in
-// every variant, and bytes added to every message.
-type modelOp struct {
-	perAtomBytes      int
-	reverse, forceMPI bool
-	extraPerLink      int
-}
+// roundsFunc is the signature of modelSetup.rounds.
+type roundsFunc func(perAtomBytes int, reverse, forceMPI bool, extraPerLink int, cost machine.CostModel) float64
 
-// timesFunc returns the modeled time of each operation, in ops order; it is
-// the signature of modelSetup.times.
-type timesFunc func(ops []modelOp, cost machine.CostModel) []float64
-
-// modeled assembles Modeled's result on a setup, timing its halo
-// operations through times.
-func (spec ModelSpec) modeled(ms *modelSetup, times timesFunc) *RunResult {
+// modeled assembles Modeled's result on a setup, running each halo
+// operation through rounds.
+func (spec ModelSpec) modeled(ms *modelSetup, rounds roundsFunc) *RunResult {
 	m, fab, kp, cost := ms.m, ms.fab, ms.kp, ms.m.Cost
 	th := spec.Variant.ComputeThreading
 	n := spec.AtomsPerRank
@@ -278,42 +216,27 @@ func (spec ModelSpec) modeled(ms *modelSetup, times timesFunc) *RunResult {
 	// Per-step stage times (an average rank; the tile is homogeneous).
 	integrate := cost.IntegrateTime(int(n), th)
 
-	// The step's halo operations, each named by its index in ops: the
-	// forward ones first and the reverse ones last, so that rounds of one
-	// layout run back to back (see round).
-	var ops []modelOp
-	add := func(op modelOp) int {
-		ops = append(ops, op)
-		return len(ops) - 1
+	commRound := func(perAtomBytes int, reverse, forceMPI bool, extraPerLink int) float64 {
+		return rounds(perAtomBytes, reverse, forceMPI, extraPerLink, cost)
 	}
-	eam := spec.Kind == EAM
-	forward := add(modelOp{perAtomBytes: 24})
-	// Exchange is cold-path and flows over MPI in every variant; a thin
-	// shell of movers per link.
-	exchange := add(modelOp{forceMPI: true, extraPerLink: 64 * int(1+n*0.01)})
-	border := add(modelOp{perAtomBytes: 40})
-	var fp, rho int // EAM's two in-pair exchanges (section 4.1)
-	if eam {
-		fp = add(modelOp{perAtomBytes: 8})
-	}
-	reverse := add(modelOp{perAtomBytes: 24, reverse: true})
-	if eam {
-		rho = add(modelOp{perAtomBytes: 8, reverse: true})
-	}
-	t := times(ops, cost)
 
-	// Pair-stage time; EAM adds its two in-pair exchanges.
+	// Pair-stage time; EAM adds its two in-pair exchanges (section 4.1).
 	var pairPer float64
-	if eam {
+	if spec.Kind == EAM {
 		pairPer = cost.EAMPassTime(pairs, th) + cost.EAMEmbedTime(int(n), th) + cost.EAMPassTime(pairs, th)
-		pairPer += t[rho]
-		pairPer += t[fp]
+		pairPer += commRound(8, true, false, 0)  // reverse rho
+		pairPer += commRound(8, false, false, 0) // forward fp
 	} else {
 		pairPer = cost.PairTime(pairs, th)
 	}
 
-	forwardPer, reversePer, exchangePer := t[forward], t[reverse], t[exchange]
-	borderPer := t[border] + cost.BorderDecideTime(int(n), spec.Variant.BorderBins)
+	forwardPer := commRound(24, false, false, 0)
+	reversePer := commRound(24, true, false, 0)
+	// Exchange is cold-path and flows over MPI in every variant; a thin
+	// shell of movers per link.
+	exchangePer := commRound(0, false, true, 64*int(1+n*0.01))
+	borderPer := commRound(40, false, false, 0) +
+		cost.BorderDecideTime(int(n), spec.Variant.BorderBins)
 	neighPer := cost.NeighTime(int(n), candidates, th)
 
 	// The "check yes" allreduce carries a single 8-byte word (section 4.1).
@@ -336,7 +259,7 @@ func (spec ModelSpec) modeled(ms *modelSetup, times timesFunc) *RunResult {
 	bd.Add(trace.Other, checkCost*float64(checks)+cost.ThermoTime(int(n))+
 		cost.OtherPerStep*float64(steps))
 
-	spec.captureStats(ms)
+	spec.captureStats(fab)
 	elapsed := bd.Total()
 	wl := Workload{
 		Name:      fmt.Sprintf("%s-modeled", spec.Kind),
@@ -367,17 +290,18 @@ func HaloTime(spec ModelSpec) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return spec.haloTime(ms, ms.times), nil
+	return spec.haloTime(ms, ms.rounds), nil
 }
 
-// haloTime is HaloTime on a setup, timing its two operations through times.
-func (spec ModelSpec) haloTime(ms *modelSetup, times timesFunc) float64 {
+// haloTime is HaloTime on a setup, running both operations through rounds.
+func (spec ModelSpec) haloTime(ms *modelSetup, rounds roundsFunc) float64 {
 	cost := ms.m.Cost
 	cost.PackPerByte = 0
 	cost.UnpackPerByte = 0
-	t := times([]modelOp{{perAtomBytes: 24}, {perAtomBytes: 24, reverse: true}}, cost)
-	spec.captureStats(ms)
-	return t[0] + t[1]
+	fwd := rounds(24, false, false, 0, cost)
+	rev := rounds(24, true, false, 0, cost)
+	spec.captureStats(ms.fab)
+	return fwd + rev
 }
 
 // linkClass indexes modelSetup.atoms: a link's expected ghost atoms depend
@@ -422,121 +346,80 @@ func (ms *modelSetup) setAtoms() {
 	}
 }
 
-// times returns the modeled time of each operation: the sum, in round
-// order, of every round's pack, slowest completion and unpack. A call's
-// rounds share nothing but the plan: each starts from a reset event queue
-// and idle TNIs, so the (operation, round) jobs run on the caller and, with
-// two lanes, one helper, each job on its lane's fabric and records, and
-// their times are summed here in the serial order, to the same bits.
-func (ms *modelSetup) times(ops []modelOp, cost machine.CostModel) []float64 {
-	nr := len(ms.plan.Rounds)
-	terms := make([]float64, len(ops)*nr)
-	if len(ms.lanes) == 1 {
-		for j := range terms {
-			terms[j] = ms.round(&ms.lanes[0], ops[j/nr], j%nr, cost)
-		}
-	} else {
-		var next atomic.Int64
-		threadpool.ForEach(len(ms.lanes), len(ms.lanes), func(l int) {
-			for j := int(next.Add(1) - 1); j < len(terms); j = int(next.Add(1) - 1) {
-				terms[j] = ms.round(&ms.lanes[l], ops[j/nr], j%nr, cost)
-			}
-		})
-	}
-	out := make([]float64, len(ops))
-	for j, t := range terms {
-		// A round with no message is +0, which moves no sum.
-		out[j/nr] += t
-	}
-	return out
-}
-
-// round executes round i of op (the plan's i-th, counted from the end for a
-// reverse operation) on the lane's fabric and returns its per-rank
-// duration: pack, the slowest completion and unpack, or 0 for a round with
-// no message. Each round issues rank by rank in the plan's order, as the
-// functional engine does.
-func (ms *modelSetup) round(ln *lane, op modelOp, i int, cost machine.CostModel) float64 {
-	m, v, plan := ms.m, ms.v, ms.plan
+// rounds executes one halo operation (all the plan's rounds, backwards for
+// a reverse operation) on the fabric and returns the average per-rank
+// duration including pack/unpack costs. Each round issues rank by rank in
+// the plan's order, as the functional engine does.
+func (ms *modelSetup) rounds(perAtomBytes int, reverse, forceMPI bool, extraPerLink int, cost machine.CostModel) float64 {
+	fab, m, v, plan := ms.fab, ms.m, ms.v, ms.plan
 	iface := tofu.IfaceUTofu
-	if v.Transport == halo.TransportMPI || op.forceMPI {
+	if v.Transport == halo.TransportMPI || forceMPI {
 		iface = tofu.IfaceMPI
 	}
-	twoStep := iface == tofu.IfaceMPI && op.perAtomBytes == 0 && !v.CombineLength
+	twoStep := iface == tofu.IfaceMPI && perAtomBytes == 0 && !v.CombineLength
 	senders, res, dres := plan.Send, ms.fwd, ms.rev
-	k := plan.Rounds[i]
-	if op.reverse {
+	if reverse {
 		senders, res, dres = plan.Recv, ms.rev, ms.fwd
-		k = plan.Rounds[len(plan.Rounds)-1-i]
 	}
 	var classBytes [len(ms.atoms)]int
-	layout := roundLayout{set: true, reverse: op.reverse, k: k}
 	for c, n := range ms.atoms {
-		classBytes[c] = int(n*float64(op.perAtomBytes)) + op.extraPerLink
-		if classBytes[c] == 0 {
-			layout.empty |= 1 << c
-		}
+		classBytes[c] = int(n*float64(perAtomBytes)) + extraPerLink
 	}
-	// Every field RunRound reads is written here or never set; it writes
-	// every output of a drained round. Records past n hold an earlier
-	// round's, or an earlier call's, and are neither handed over nor read.
-	var bytesPerRank float64
-	n := 0
-	if ln.layout == layout {
-		// The lane's last round had this layout: its records hold these
-		// links, routed, in this order, and only the sizes change.
-		n = ln.n
-		for j := range ln.recs[:n] {
-			tr := &ln.recs[j]
-			tr.Bytes, tr.TwoStep = classBytes[ln.cls[j]], twoStep
-			bytesPerRank += float64(tr.Bytes)
+	total := 0.0
+	for i := range plan.Rounds {
+		k := plan.Rounds[i]
+		if reverse {
+			k = plan.Rounds[len(plan.Rounds)-1-i]
 		}
-	} else {
+		var bytesPerRank float64
+		n := 0
 		for src, links := range senders {
 			for _, li := range links {
 				l := &plan.Links[li]
 				if !halo.InRound(l.Stage3Dim, l.Stage3Iter, k) {
 					continue
 				}
-				c := linkClass(l.Stage3Dim, l.Dir)
-				bytes := classBytes[c]
+				bytes := classBytes[linkClass(l.Stage3Dim, l.Dir)]
 				if bytes == 0 {
 					continue
 				}
 				dst := l.Dst
-				if op.reverse {
+				if reverse {
 					dst = l.Src
 				}
-				tr, r := &ln.recs[n], res[li]
+				// Every field RunRound reads is written here or never set;
+				// it writes every output of a drained round. Records past n
+				// hold an earlier round's, or an earlier call's, and are
+				// neither handed over nor read.
+				tr, r := &ms.recs[n], res[li]
 				tni := int(r.TNI)
 				tr.Src, tr.Dst, tr.TNI, tr.VCQ = src, dst, tni, src*8+tni
 				tr.Thread, tr.DstThread, tr.Bytes, tr.TwoStep = int(r.Thread), int(dres[li].Thread), bytes, twoStep
-				ln.cls[n] = uint8(c)
 				n++
 				bytesPerRank += float64(bytes)
 			}
 		}
-		ln.layout, ln.n = layout, n
-	}
-	if n == 0 {
-		return 0
-	}
-	// A round that fails to drain is a fabric invariant violation, not a
-	// modeling outcome; the timing model has no recovery for it.
-	if err := ln.fab.RunRound(ln.trs[:n], iface); err != nil {
-		panic("core: " + err.Error())
-	}
-	var maxDone float64
-	for j := range ln.recs[:n] {
-		if d := ln.recs[j].RecvComplete; d > maxDone {
-			maxDone = d
+		if n == 0 {
+			continue
 		}
+		// A round that fails to drain is a fabric invariant violation, not a
+		// modeling outcome; the timing model has no recovery for it.
+		if err := fab.RunRound(ms.trs[:n], iface); err != nil {
+			panic("core: " + err.Error())
+		}
+		var maxDone float64
+		for j := range ms.recs[:n] {
+			if d := ms.recs[j].RecvComplete; d > maxDone {
+				maxDone = d
+			}
+		}
+		perRankBytes := int(bytesPerRank / float64(m.Map.Ranks()))
+		pack := cost.PackTime(units.Bytes(perRankBytes), v.PackThreading())
+		unpack := cost.UnpackTime(units.Bytes(perRankBytes), v.PackThreading())
+		if v.Preregistered && !reverse && perAtomBytes == 24 {
+			unpack = 0 // direct RDMA write into the position array
+		}
+		total += pack + maxDone + unpack
 	}
-	perRankBytes := int(bytesPerRank / float64(m.Map.Ranks()))
-	pack := cost.PackTime(units.Bytes(perRankBytes), v.PackThreading())
-	unpack := cost.UnpackTime(units.Bytes(perRankBytes), v.PackThreading())
-	if v.Preregistered && !op.reverse && op.perAtomBytes == 24 {
-		unpack = 0 // direct RDMA write into the position array
-	}
-	return pack + maxDone + unpack
+	return total
 }

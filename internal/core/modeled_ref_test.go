@@ -112,32 +112,25 @@ func refSetup(t *testing.T, spec ModelSpec) *modelSetup {
 	return ms
 }
 
-// refTimes runs every operation through refRounds, one after another, on
-// the setup's first fabric.
-func refTimes(ms *modelSetup) timesFunc {
-	return func(ops []modelOp, cost machine.CostModel) []float64 {
-		out := make([]float64, len(ops))
-		for i, op := range ops {
-			out[i] = refRounds(ms, op.perAtomBytes, op.reverse, op.forceMPI, op.extraPerLink, cost)
-		}
-		return out
-	}
-}
-
 // refModeled is Modeled on fresh storage with every halo operation run
 // through refRounds.
 func refModeled(t *testing.T, spec ModelSpec) *RunResult {
 	t.Helper()
 	ms := refSetup(t, spec)
-	return spec.modeled(ms, refTimes(ms))
+	return spec.modeled(ms, func(perAtomBytes int, reverse, forceMPI bool, extraPerLink int, cost machine.CostModel) float64 {
+		return refRounds(ms, perAtomBytes, reverse, forceMPI, extraPerLink, cost)
+	})
 }
 
-// refHaloTime is HaloTime on fresh storage with both operations run
-// through refRounds.
+// refHaloTime is HaloTime on fresh storage with both rounds run through
+// refRounds.
 func refHaloTime(t *testing.T, spec ModelSpec) float64 {
 	t.Helper()
 	ms := refSetup(t, spec)
-	return spec.haloTime(ms, refTimes(ms))
+	cost := ms.m.Cost
+	cost.PackPerByte = 0
+	cost.UnpackPerByte = 0
+	return refRounds(ms, 24, false, false, 0, cost) + refRounds(ms, 24, true, false, 0, cost)
 }
 
 // TestModeledMatchesReference holds Modeled and HaloTime bit for bit to

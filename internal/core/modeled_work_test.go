@@ -29,7 +29,7 @@ func sameResult(got, want *RunResult) string {
 
 // poison overwrites what a call leaves in w with values no call computes:
 // every assignment on thread 1 and TNI 1, and every transfer record's
-// routing, size, outputs and link class (ReadyAt and Attempt, which no
+// routing, size and outputs (ReadyAt and Attempt, which no
 // modeled call writes, stay zero). A later call that reads one before writing it reads
 // a wrong value, whatever the earlier call's values were.
 func poison(w *modelWork) {
@@ -37,7 +37,6 @@ func poison(w *modelWork) {
 		w.fwd[i], w.rev[i] = halo.Res{Thread: 1, TNI: 1}, halo.Res{Thread: 1, TNI: 1}
 	}
 	for i := range w.recs {
-		w.cls[i] = 31
 		r := &w.recs[i]
 		r.Src, r.Dst, r.TNI, r.VCQ, r.Thread, r.DstThread, r.Bytes = 1, 1, 1, 1, 1, 1, 1<<20
 		r.IssueDone, r.Arrival, r.RecvComplete, r.Dropped, r.Nacked, r.TwoStep = 1, 1, 1, true, true, true
@@ -45,7 +44,7 @@ func poison(w *modelWork) {
 }
 
 // TestModeledReusedWorkspaceMatchesFresh runs a large P2P spec, a small
-// staged one with three shells (nine rounds, two lanes) in the linear
+// staged one with three shells (nine rounds) in the linear
 // placement, and the large one again, each on one workspace kept from call
 // to call and poisoned between calls, and holds every result to the
 // reference rounds on fresh storage. A plan, assignment or record left
@@ -64,17 +63,17 @@ func TestModeledReusedWorkspaceMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if spec == small && (len(ms.plan.Rounds) != 9 || len(ms.lanes) != 2) {
-			t.Fatalf("%s: %d rounds on %d lanes, want 9 on 2", name, len(ms.plan.Rounds), len(ms.lanes))
+		if spec == small && len(ms.plan.Rounds) != 9 {
+			t.Fatalf("%s: %d rounds, want 9", name, len(ms.plan.Rounds))
 		}
-		if d := sameResult(spec.modeled(ms, ms.times), refModeled(t, spec)); d != "" {
+		if d := sameResult(spec.modeled(ms, ms.rounds), refModeled(t, spec)); d != "" {
 			t.Errorf("%s: Modeled on the kept workspace: %s", name, d)
 		}
 		poison(w)
 		if ms, err = spec.setup(w); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := spec.haloTime(ms, ms.times), refHaloTime(t, spec); math.Float64bits(got) != math.Float64bits(want) {
+		if got, want := spec.haloTime(ms, ms.rounds), refHaloTime(t, spec); math.Float64bits(got) != math.Float64bits(want) {
 			t.Errorf("%s: HaloTime on the kept workspace %v, want %v", name, got, want)
 		}
 		// The pooled entry points, which may or may not draw this workspace.
@@ -89,9 +88,9 @@ func TestModeledReusedWorkspaceMatchesFresh(t *testing.T) {
 }
 
 // TestModeledConcurrentCallsMatchSerial runs Modeled and HaloTime on four
-// goroutines at once over mixed specs, P2P and staged (two lanes), some
-// counting events into Stats, and holds every result and event count to a
-// serial run of the same specs: calls share only the workspace pool.
+// goroutines at once over mixed specs, P2P and staged, some counting
+// events into Stats, and holds every result and event count to a serial
+// run of the same specs: calls share only the workspace pool.
 func TestModeledConcurrentCallsMatchSerial(t *testing.T) {
 	full := vec.I3{X: 8, Y: 12, Z: 8}
 	tile := vec.I3{X: 2, Y: 3, Z: 2}
